@@ -14,7 +14,7 @@ from .kinematics import (  # noqa: F401
 )
 from .loss import LossReport, joint_loss, phy_loss, total_loss  # noqa: F401
 from .ik_pso import (  # noqa: F401
-    FitResult, PsoConfig, angles_from_joints, fit_batch, fit_pose,
+    FitResult, PsoConfig, fit_batch, fit_pose,
 )
 from .bench import (  # noqa: F401
     Dataset, MetricsReport, Sample, benchmark_skeleton, evaluate,

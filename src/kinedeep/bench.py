@@ -17,8 +17,8 @@ Metrics follow the usual hand-pose protocol:
     its bounds.
 
 For joint-set predictions the angle metrics are computed on poses fitted by
-:func:`kinedeep.ik_pso.angles_from_joints`; pass either the fitted poses or
-a fit config.
+:func:`kinedeep.ik_pso.fit_batch`; pass either the fitted poses or a fit
+config.
 """
 from __future__ import annotations
 
@@ -254,11 +254,9 @@ def evaluate(skel: Skeleton, predictions, ground_truth,
         if fitted_poses is not None:
             pose_preds = np.asarray(fitted_poses, dtype=float)
         elif fit_config is not None:
-            from .ik_pso import angles_from_joints
-            pose_preds = np.stack([
-                angles_from_joints(skel, pred_joints[i], fit_config).theta
-                for i in range(n)
-            ])
+            from .ik_pso import fit_batch
+            pose_preds = np.stack(
+                [r.theta for r in fit_batch(skel, pred_joints, fit_config)])
         else:
             raise ValueError(
                 "joint-set predictions need fitted_poses or fit_config "

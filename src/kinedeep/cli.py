@@ -61,7 +61,8 @@ def _manifest_path(out_path) -> str:
     return str(out_path) + ".manifest.json"
 
 
-def _write_manifest(path, subcommand, config, seed, inputs, outputs, started):
+def _write_manifest(path, subcommand, config, seed, inputs, outputs, started,
+                    stages_s=None):
     payload = {
         "tool": "kinedeep",
         "version": __version__,
@@ -72,6 +73,8 @@ def _write_manifest(path, subcommand, config, seed, inputs, outputs, started):
         "outputs": [str(p) for p in outputs],
         "duration_s": time.monotonic() - started,
     }
+    if stages_s is not None:
+        payload["stages_s"] = stages_s
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -201,7 +204,9 @@ def cmd_ik(args) -> int:
         swarm_size=args.swarm, iterations=args.iters, seed=args.seed,
         polish_steps=50 if args.polish else 0,
     )
+    fit_started = time.monotonic()
     results = ik_pso.fit_batch(skel, frames, config, warm_start=args.warm_start)
+    fit_s = time.monotonic() - fit_started
     fileio.write_pose_file(args.out, skel.name, np.stack([r.theta for r in results]))
     mean, var = ik_pso.residual_stats(results)
     report = {
@@ -210,6 +215,7 @@ def cmd_ik(args) -> int:
         "residual_variance_mm2": var,
         "converged": sum(1 for r in results if r.converged),
         "iterations_used": [r.iterations_used for r in results],
+        "fit_s": fit_s,
     }
     report_path = args.report or str(args.out) + ".report.json"
     with open(report_path, "w") as fh:
@@ -375,6 +381,16 @@ def cmd_reproduce(args) -> int:
     def log(msg):
         print(f"[{time.monotonic()-t0:7.1f}s] {msg}", flush=True)
 
+    # wall seconds per stage, for the manifest
+    stages_s = {"evaluate": 0.0}
+    mark = time.monotonic()
+
+    def lap():
+        nonlocal mark
+        now = time.monotonic()
+        elapsed, mark = now - mark, now
+        return elapsed
+
     log(f"skeleton {skel.name}: J={skel.n_joints} D={skel.n_dofs}")
     train_data = bench.make_dataset(skel, n=args.train_n, noise_sigma_mm=args.sigma,
                                     occlusion_prob=args.occlusion, seed=args.seed,
@@ -382,6 +398,7 @@ def cmd_reproduce(args) -> int:
     val_data = bench.make_dataset(skel, n=args.val_n, noise_sigma_mm=args.sigma,
                                   occlusion_prob=args.occlusion, seed=args.seed + 1,
                                   interior_margin=margin, pose_shape="central")
+    stages_s["datasets"] = lap()
     log(f"datasets: {args.train_n} train / {args.val_n} val, sigma "
         f"{args.sigma} mm, occlusion {args.occlusion}")
 
@@ -395,6 +412,7 @@ def cmd_reproduce(args) -> int:
         ckpt = os.path.join(args.out, f"{mode}.ckpt.json")
         reg.save_checkpoint(run, ckpt)
         outputs.append(ckpt)
+        stages_s[f"train_{mode}"] = lap()
         out = reg.forward(run, val_data.features)
         if mode == "direct_joint":
             pred_joints = out.reshape(len(val_data), len(ev), 3)
@@ -403,15 +421,16 @@ def cmd_reproduce(args) -> int:
             n_fit = min(args.fit_frames, len(val_data))
             fit_cfg = ik_pso.PsoConfig(seed=args.seed, iterations=150,
                                        phase_iterations=75)
-            fitted = np.stack([
-                ik_pso.angles_from_joints(skel, pred_joints[i], fit_cfg).theta
-                for i in range(n_fit)
-            ])
+            stages_s["evaluate"] += lap()
+            fitted = np.stack([r.theta for r in ik_pso.fit_batch(
+                skel, pred_joints[:n_fit], fit_cfg)])
+            stages_s["ik_fit"] = lap()
             report = bench.evaluate(skel, pred_joints[:n_fit],
                                     val_data.subset(range(n_fit)),
                                     fitted_poses=fitted)
         else:
             report = bench.evaluate(skel, out, val_data)
+        stages_s["evaluate"] += lap()
         table[mode] = report
         log(f"{mode}: joint {report.avg_joint_error_mm:.2f} mm, angle "
             f"{report.avg_angle_error_deg:.2f} deg, invalid "
@@ -456,7 +475,7 @@ def cmd_reproduce(args) -> int:
                      "batch": args.batch, "lambda": args.lam,
                      "fit_frames": args.fit_frames,
                      "interior_margin": margin, "pose_shape": "central"},
-                    args.seed, [], outputs, started)
+                    args.seed, [], outputs, started, stages_s=stages_s)
 
     print(text)
     for name, ok in checks.items():

@@ -1,6 +1,6 @@
 """Swarm fitting of pose parameters to target joint locations.
 
-The optimizer minimizes the joint loss over the pose box. One call runs a
+The optimizer minimizes the joint loss over the pose box. A fit runs a
 sequence of particle-swarm phases under a shared iteration budget: each
 phase draws a fresh swarm (uniformly inside the bounds, or around a given
 center pose), runs the standard global-best update
@@ -14,17 +14,25 @@ joint loss with the analytic kinematics Jacobian. Restart phases recover
 from bad swarm collapses (a global-rotation basin missed by one phase is
 usually found by another); the polish finishes inside a basin, which the
 swarm alone does slowly on this badly conditioned objective. Set
-``polish_steps=0`` for the pure derivative-free behaviour.
+``polish_steps=0`` for the pure derivative-free behaviour. The target may
+be a joint set no pose reaches, such as a regressor's prediction; the
+residual then measures how far it sits from achievable geometry.
 
-Ties in best-selection resolve to the lowest particle index, and a single
-seeded generator drives every draw, so results are reproducible bit for bit
-given (seed, config, target).
+Frames are fitted together. The swarms of all frames live in one
+(F, S, D) array, so a swarm iteration is one kinematics call over every
+frame still running, and a polish step one stacked solve. Each frame stops
+on its own: its swarm at ``tol_mm``, its later phases once it converged,
+its polish when no damping gives descent. Frames go through in chunks of
+at most ``_CHUNK_POSES`` particles.
 
-Two entry points share the machinery: :func:`fit_pose` recovers a pose from
-trusted joint positions (ground-truth construction), while
-:func:`angles_from_joints` names the post-hoc fit of possibly invalid
-predicted joints; its residual measures how far the input is from any
-achievable geometry.
+Each frame has its own generator seeded with ``config.seed`` and draws in
+the order a fit of that frame alone would. Kinematics and the per-frame
+products are computed pose by pose, and ties in best-selection resolve to
+the lowest particle index. A frame's result is therefore reproducible bit
+for bit given (seed, config, target), and does not depend on the other
+frames in the call or on the chunking. ``fit_batch(warm_start=True)``
+seeds each frame from the previous frame's result, an inherently
+sequential chain, so it fits one frame at a time.
 """
 from __future__ import annotations
 
@@ -34,6 +42,11 @@ import numpy as np
 
 from .kinematics import fk_jacobian_batch, forward_kinematics_batch
 from .skeleton import Skeleton, clamp_pose
+
+# Most particles fitted together: frames go through in chunks of
+# _CHUNK_POSES // swarm_size, which keeps peak memory flat in the number of
+# frames. Results do not depend on it.
+_CHUNK_POSES = 4096
 
 
 @dataclass(frozen=True)
@@ -89,205 +102,302 @@ def _target_eval(skel, target):
     return target
 
 
-class _Objective:
-    """Joint loss over the eval subset for one target frame."""
+def _loss(resid):
+    return 0.5 * np.einsum("nkc,nkc->n", resid, resid)
 
-    def __init__(self, skel, target):
+
+def _mean_distance(resid):
+    return np.linalg.norm(resid, axis=2).mean(axis=1)
+
+
+class _Objective:
+    """Joint loss over the eval subset; row i of a batch of poses is scored
+    against the target of frame ``frames[i]``.
+
+    numpy sums in an order set by the memory layout. Kinematics returns the
+    eval joints joint-major for two or more poses, and C-ordered for one, so
+    a one-frame fit scores a swarm in one order and a single pose in the
+    other. Scoring keeps both, which makes each pose's numbers independent
+    of the batch it is in, and equal to those of a one-frame fit.
+    """
+
+    def __init__(self, skel, targets):
         self.skel = skel
         self.ev = list(skel.eval_subset)
-        self.target = target
-        self.flat = target.reshape(-1)
+        self.targets = targets  # (F, n_eval, 3)
 
-    def batch(self, thetas):
+    def residual(self, thetas, frames):
+        """(N, n_eval, 3) residual in the layout kinematics returns."""
         joints = forward_kinematics_batch(self.skel, thetas, joint_indices=self.ev)
-        resid = joints - self.target[None, :, :]
-        loss = 0.5 * np.einsum("nkc,nkc->n", resid, resid)
-        per_joint = np.linalg.norm(resid, axis=2).mean(axis=1)
-        return loss, per_joint
+        return np.subtract(joints, self.targets[frames],
+                           out=np.empty_like(joints))
 
-    def residual_and_jacobian(self, theta):
-        pos, jac = fk_jacobian_batch(self.skel, theta[None], joint_indices=self.ev)
-        return pos[0].reshape(-1) - self.flat, jac[0]
+    def batch(self, thetas, frames):
+        """(loss, mean per-joint distance) per pose, summed as for one pose."""
+        resid = np.ascontiguousarray(self.residual(thetas, frames))
+        return _loss(resid), _mean_distance(resid)
 
-    def value(self, theta):
-        loss, per_joint = self.batch(theta[None])
-        return float(loss[0]), float(per_joint[0])
+    def residual_and_jacobian(self, thetas, frames):
+        pos, jac = fk_jacobian_batch(self.skel, thetas, joint_indices=self.ev)
+        return (pos - self.targets[frames]).reshape(len(frames), -1), jac
 
 
-def _swarm_phase(obj, rng, config, budget, center, trace):
-    """One swarm run; returns (theta, loss, residual, iterations used)."""
+def _swarm_phase(obj, rngs, frames, config, budget, center, traces):
+    """One swarm run for each frame index in `frames`.
+
+    Returns (theta (A, D), loss (A,), residual (A,), iterations used (A,)).
+    """
     skel = obj.skel
     lower, upper = skel.dof_lower, skel.dof_upper
     span = upper - lower
     S, D = config.swarm_size, skel.n_dofs
 
     if center is None:
-        X = rng.uniform(lower, upper, size=(S, D))
+        X = np.stack([rngs[f].uniform(lower, upper, size=(S, D))
+                      for f in frames])
     else:
-        X = center + rng.normal(0.0, config.init_sigma_frac, size=(S, D)) * span
+        X = np.stack([center + rngs[f].normal(0.0, config.init_sigma_frac,
+                                              size=(S, D)) * span
+                      for f in frames])
         X = np.clip(X, lower, upper)
-        X[0] = center  # keep the center itself in the swarm
-    V = np.zeros((S, D))
+        X[:, 0] = center  # keep the center itself in every swarm
+    V = np.zeros_like(X)
     vmax = config.max_velocity_frac * span
 
-    fit, per_joint = obj.batch(X)
+    # a swarm's losses are summed in the swarm's own (joint-major) order;
+    # a particle's residual is kept from the batch that scored it, summed as
+    # for one pose, except the initial incumbent's, summed as for the swarm
+    resid = obj.residual(X.reshape(-1, D), np.repeat(frames, S))
     pbest = X.copy()
-    pbest_fit = fit.copy()
-    g = int(np.argmin(pbest_fit))
-    gbest = pbest[g].copy()
-    gbest_fit = float(pbest_fit[g])
-    gbest_res = float(per_joint[g])
+    pbest_fit = _loss(resid).reshape(-1, S)
+    pbest_res = _mean_distance(np.ascontiguousarray(resid)).reshape(-1, S)
+    live = np.arange(len(frames))  # positions in `frames` still iterating
+    g = np.argmin(pbest_fit, axis=1)
+    gbest = pbest[live, g]
+    gbest_fit = pbest_fit[live, g]
+    gbest_res = _mean_distance(resid).reshape(-1, S)[live, g]
 
-    used = 0
+    used = np.zeros(len(frames), dtype=int)
     for _ in range(budget):
-        if gbest_res <= config.tol_mm:
-            break
-        r1 = rng.uniform(size=(S, D))
-        r2 = rng.uniform(size=(S, D))
+        running = gbest_res[live] > config.tol_mm
+        if not running.all():
+            live = live[running]
+            if live.size == 0:
+                break
+            X, V, pbest = X[running], V[running], pbest[running]
+            pbest_fit, pbest_res = pbest_fit[running], pbest_res[running]
+        # r1 then r2 from each frame's own stream, as two (S, D) draws would
+        r = np.stack([rngs[frames[i]].uniform(size=(2, S, D)) for i in live])
         V = (config.inertia * V
-             + config.cognitive * r1 * (pbest - X)
-             + config.social * r2 * (gbest - X))
+             + config.cognitive * r[:, 0] * (pbest - X)
+             + config.social * r[:, 1] * (gbest[live, None] - X))
         np.clip(V, -vmax, vmax, out=V)
         X = X + V
-        out_low = X < lower
-        out_high = X > upper
-        if out_low.any() or out_high.any():
-            X = np.clip(X, lower, upper)
-            V[out_low | out_high] = 0.0
+        out = (X < lower) | (X > upper)
+        X = np.clip(X, lower, upper)
+        V[out] = 0.0
 
-        fit, per_joint = obj.batch(X)
+        resid = obj.residual(X.reshape(-1, D), np.repeat(frames[live], S))
+        fit = _loss(resid).reshape(-1, S)
         better = fit < pbest_fit
         pbest[better] = X[better]
         pbest_fit[better] = fit[better]
-        g = int(np.argmin(pbest_fit))
-        if pbest_fit[g] < gbest_fit:
-            gbest = pbest[g].copy()
-            gbest_fit = float(pbest_fit[g])
-            gbest_res = obj.value(gbest)[1]
-        used += 1
-        if trace is not None:
-            trace.append(gbest_fit)
+        scored = resid.reshape(fit.shape + resid.shape[1:])
+        pbest_res[better] = _mean_distance(np.ascontiguousarray(scored[better]))
+        rows = np.arange(live.size)
+        g = np.argmin(pbest_fit, axis=1)
+        improved = pbest_fit[rows, g] < gbest_fit[live]
+        rows, g = rows[improved], g[improved]
+        won = live[improved]
+        gbest[won] = pbest[rows, g]
+        gbest_fit[won] = pbest_fit[rows, g]
+        gbest_res[won] = pbest_res[rows, g]
+        used[live] += 1
+        if traces is not None:
+            for i in live:
+                traces[frames[i]].append(float(gbest_fit[i]))
     return gbest, gbest_fit, gbest_res, used
 
 
-def _gauss_newton_polish(obj, theta, steps):
-    """Damped Gauss-Newton descent on the joint loss, clamped to bounds."""
+def _solve(lhs, rhs):
+    """Stacked solve; returns (solutions, solved mask).
+
+    A singular system makes numpy fail the whole stack, so that step falls
+    back to per-frame solves and only the singular frames stay unsolved.
+    """
+    try:
+        return np.linalg.solve(lhs, rhs), np.ones(len(lhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        out = np.zeros_like(rhs)
+        solved = np.ones(len(lhs), dtype=bool)
+        for i in range(len(lhs)):
+            try:
+                out[i] = np.linalg.solve(lhs[i], rhs[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return out, solved
+
+
+def _gauss_newton_polish(obj, frames, theta, steps):
+    """Damped Gauss-Newton descent on the joint loss, clamped to bounds.
+
+    theta is (A, D), one start per frame index in `frames`. Each frame keeps
+    its own damping, and stops once its residual is zero or ten damping
+    increases in one step give no descent.
+    """
     skel = obj.skel
     theta = theta.copy()
-    value, residual = obj.value(theta)
-    damping = 1e-3
+    value, residual = obj.batch(theta, frames)
+    damping = np.full(len(frames), 1e-3)
+    live = np.arange(len(frames))
     for _ in range(steps):
-        if residual == 0.0:
+        live = live[residual[live] != 0.0]
+        if live.size == 0:
             break
-        r, jac = obj.residual_and_jacobian(theta)
-        hess = jac.T @ jac
-        grad = jac.T @ r
-        diag = np.diag(np.diag(hess) + 1e-12)
-        accepted = False
+        r, jac = obj.residual_and_jacobian(theta[live], frames[live])
+        # stacked matmul reproduces the per-frame 2-D products bit for
+        # bit; einsum does not
+        jac_t = jac.transpose(0, 2, 1)
+        hess = jac_t @ jac
+        neg_grad = -(jac_t @ r[:, :, None])
+        diag = np.zeros_like(hess)
+        d = np.arange(hess.shape[1])
+        diag[:, d, d] = hess[:, d, d] + 1e-12
+        waiting = np.ones(live.size, dtype=bool)
         for _ in range(10):
-            try:
-                step = np.linalg.solve(hess + damping * diag, -grad)
-            except np.linalg.LinAlgError:
-                damping *= 10.0
-                continue
-            candidate = clamp_pose(skel, theta + step)
-            cand_value, cand_residual = obj.value(candidate)
-            if cand_value < value:
-                theta, value, residual = candidate, cand_value, cand_residual
-                damping = max(damping * 0.3, 1e-10)
-                accepted = True
+            pending = np.flatnonzero(waiting)
+            if pending.size == 0:
                 break
-            damping *= 10.0
-        if not accepted:
-            break
+            step, solved = _solve(
+                hess[pending] + damping[live[pending], None, None] * diag[pending],
+                neg_grad[pending])
+            damping[live[pending[~solved]]] *= 10.0
+            tried = pending[solved]
+            if tried.size == 0:
+                continue
+            idx = live[tried]
+            candidate = clamp_pose(skel, theta[idx] + step[solved, :, 0])
+            cand_value, cand_residual = obj.batch(candidate, frames[idx])
+            better = cand_value < value[idx]
+            won = idx[better]
+            theta[won] = candidate[better]
+            value[won] = cand_value[better]
+            residual[won] = cand_residual[better]
+            damping[won] = np.maximum(damping[won] * 0.3, 1e-10)
+            damping[idx[~better]] *= 10.0
+            waiting[tried[better]] = False
+        live = live[~waiting]
     return theta, value, residual
 
 
-def fit_pose(skel: Skeleton, target, config: PsoConfig | None = None) -> FitResult:
-    """Fit a pose whose eval joints match `target` ((n_eval, 3) mm)."""
-    config = config or PsoConfig()
-    target = _target_eval(skel, target)
-    obj = _Objective(skel, target)
-    rng = np.random.default_rng(config.seed)
-    trace = [] if config.record_trace else None
+def _fit_chunk(skel, targets, config):
+    """Fit every frame of `targets` ((F, n_eval, 3)) with the same config."""
+    F, D = len(targets), skel.n_dofs
+    obj = _Objective(skel, targets)
+    rngs = [np.random.default_rng(config.seed) for _ in range(F)]
+    traces = [[] for _ in range(F)] if config.record_trace else None
+    everyone = np.arange(F)
 
-    best_theta = None
-    best_fit = np.inf
-    best_res = np.inf
-    budget = config.iterations
-    used_total = 0
+    best_theta = np.zeros((F, D))
+    best_fit = np.full(F, np.inf)
+    best_res = np.full(F, np.inf)
+    used_total = np.zeros(F, dtype=int)
 
-    init_center = None
+    center = None
     if config.init_center is not None:
-        init_center = clamp_pose(skel, np.asarray(config.init_center, dtype=float))
+        center = clamp_pose(skel, np.asarray(config.init_center, dtype=float))
         # a warm-start center is an incumbent: descend from it before
         # spending any swarm iterations
+        start = np.tile(center, (F, 1))
         if config.polish_steps > 0:
             best_theta, best_fit, best_res = _gauss_newton_polish(
-                obj, init_center, config.polish_steps)
+                obj, everyone, start, config.polish_steps)
         else:
-            best_theta = init_center
-            best_fit, best_res = obj.value(init_center)
+            best_theta = start
+            best_fit, best_res = obj.batch(start, everyone)
 
-    first = True
-    while budget > 0 and best_res > config.tol_mm:
-        center = init_center if first else None
-        first = False
+    budget = config.iterations
+    while budget > 0:
+        # a converged frame skips the remaining phases
+        frames = everyone[best_res > config.tol_mm]
+        if frames.size == 0:
+            break
         phase_budget = min(config.phase_iterations, budget)
-        theta, fit, res, used = _swarm_phase(obj, rng, config, phase_budget,
-                                             center, trace)
+        theta, fit, res, used = _swarm_phase(obj, rngs, frames, config,
+                                             phase_budget, center, traces)
+        center = None  # only the first phase is drawn around the center
         budget -= phase_budget
-        used_total += used
+        used_total[frames] += used
         if config.polish_steps > 0:
-            theta, fit, res = _gauss_newton_polish(obj, theta,
+            theta, fit, res = _gauss_newton_polish(obj, frames, theta,
                                                    config.polish_steps)
-        if fit < best_fit:
-            best_theta, best_fit, best_res = theta, fit, res
+        better = fit < best_fit[frames]
+        won = frames[better]
+        best_theta[won] = theta[better]
+        best_fit[won] = fit[better]
+        best_res[won] = res[better]
 
-    if trace is not None and trace:
-        # phases restart their own swarms; the reported trace is the running
-        # best joint loss of the whole fit, which is non-increasing
-        trace = np.minimum.accumulate(np.array(trace)).tolist()
+    results = []
+    for f in range(F):
+        trace = None
+        if traces is not None:
+            # phases restart their own swarms; the reported trace is the
+            # running best joint loss of the whole fit, which is
+            # non-increasing
+            trace = tuple(np.minimum.accumulate(traces[f]).tolist()
+                          if traces[f] else ())
+        results.append(FitResult(
+            theta=best_theta[f],
+            residual_mm=float(best_res[f]),
+            iterations_used=int(used_total[f]),
+            converged=bool(best_res[f] <= config.tol_mm),
+            trace=trace,
+        ))
+    return results
 
-    return FitResult(
-        theta=best_theta,
-        residual_mm=best_res,
-        iterations_used=used_total,
-        converged=best_res <= config.tol_mm,
-        trace=tuple(trace) if trace is not None else None,
-    )
+
+def _fit_frames(skel, targets, config):
+    """Fit (F, n_eval, 3) targets in chunks of at most _CHUNK_POSES particles."""
+    per_chunk = max(1, _CHUNK_POSES // config.swarm_size)
+    results = []
+    for start in range(0, len(targets), per_chunk):
+        results += _fit_chunk(skel, targets[start:start + per_chunk], config)
+    return results
+
+
+def fit_pose(skel: Skeleton, target, config: PsoConfig | None = None) -> FitResult:
+    """Fit a pose whose eval joints match `target` ((n_eval, 3) mm).
+
+    The target may be a joint set no pose reaches, such as a regressor's
+    prediction; the residual then measures how far it is from achievable
+    geometry.
+    """
+    config = config or PsoConfig()
+    return _fit_frames(skel, _target_eval(skel, target)[None], config)[0]
 
 
 def fit_batch(skel: Skeleton, targets, config: PsoConfig | None = None,
               warm_start: bool = False) -> list:
     """Fit a sequence of frames; optionally seed each fit from the previous.
 
-    Every frame reuses the same config seed, so identical targets produce
-    identical results.
+    Without `warm_start` a frame's result does not depend on the other
+    frames in the call: it equals ``fit_pose`` on that frame alone, bit for
+    bit. Every frame reuses the same config seed, so identical targets
+    produce identical results.
     """
     config = config or PsoConfig()
-    results = []
-    prev_theta = None
-    for target in targets:
-        if warm_start and prev_theta is not None:
-            frame_config = replace(config, init_center=tuple(prev_theta))
-        else:
-            frame_config = config
-        results.append(fit_pose(skel, target, frame_config))
-        prev_theta = results[-1].theta
-    if not results:
+    targets = [_target_eval(skel, t) for t in targets]
+    if not targets:
         raise ValueError("fit_batch needs at least one target frame")
+    if not warm_start:
+        return _fit_frames(skel, np.stack(targets), config)
+    results = []
+    for target in targets:
+        frame_config = config
+        if results:
+            frame_config = replace(config, init_center=tuple(results[-1].theta))
+        results += _fit_frames(skel, target[None], frame_config)
     return results
-
-
-def angles_from_joints(skel: Skeleton, predicted_joints,
-                       config: PsoConfig | None = None) -> FitResult:
-    """Fit pose parameters to predicted (possibly invalid) joint locations.
-
-    Same machinery as :func:`fit_pose`; the residual quantifies how far the
-    prediction sits from the model's reachable geometry.
-    """
-    return fit_pose(skel, predicted_joints, config)
 
 
 def residual_stats(results) -> tuple:

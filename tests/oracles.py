@@ -4,10 +4,19 @@ Everything here is deliberately naive: full 4x4 homogeneous matrices,
 straight-line per-joint chain products recomputed from the root for every
 joint, and no sharing with the library's fast path beyond the documented
 frame conventions.
+
+`sequential_fit_pose` / `sequential_fit_batch` are the original one-frame-at-
+a-time swarm + Gauss-Newton fitter, kept verbatim as the reference that the
+frame-batched `kinedeep.ik_pso` must match bit for bit.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
+
+from kinedeep import ik_pso
+from kinedeep.kinematics import fk_jacobian_batch, forward_kinematics_batch
+from kinedeep.skeleton import clamp_pose
 
 
 def mat_rot(axis: int, angle: float) -> np.ndarray:
@@ -139,3 +148,193 @@ def rel_err(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
+
+
+class _SequentialObjective:
+    """Joint loss over the eval subset for one target frame."""
+
+    def __init__(self, skel, target):
+        self.skel = skel
+        self.ev = list(skel.eval_subset)
+        self.target = target
+        self.flat = target.reshape(-1)
+
+    def batch(self, thetas):
+        joints = forward_kinematics_batch(self.skel, thetas, joint_indices=self.ev)
+        resid = joints - self.target[None, :, :]
+        loss = 0.5 * np.einsum("nkc,nkc->n", resid, resid)
+        per_joint = np.linalg.norm(resid, axis=2).mean(axis=1)
+        return loss, per_joint
+
+    def residual_and_jacobian(self, theta):
+        pos, jac = fk_jacobian_batch(self.skel, theta[None], joint_indices=self.ev)
+        return pos[0].reshape(-1) - self.flat, jac[0]
+
+    def value(self, theta):
+        loss, per_joint = self.batch(theta[None])
+        return float(loss[0]), float(per_joint[0])
+
+
+def _sequential_swarm_phase(obj, rng, config, budget, center, trace):
+    """One swarm run; returns (theta, loss, residual, iterations used)."""
+    skel = obj.skel
+    lower, upper = skel.dof_lower, skel.dof_upper
+    span = upper - lower
+    S, D = config.swarm_size, skel.n_dofs
+
+    if center is None:
+        X = rng.uniform(lower, upper, size=(S, D))
+    else:
+        X = center + rng.normal(0.0, config.init_sigma_frac, size=(S, D)) * span
+        X = np.clip(X, lower, upper)
+        X[0] = center  # keep the center itself in the swarm
+    V = np.zeros((S, D))
+    vmax = config.max_velocity_frac * span
+
+    fit, per_joint = obj.batch(X)
+    pbest = X.copy()
+    pbest_fit = fit.copy()
+    g = int(np.argmin(pbest_fit))
+    gbest = pbest[g].copy()
+    gbest_fit = float(pbest_fit[g])
+    gbest_res = float(per_joint[g])
+
+    used = 0
+    for _ in range(budget):
+        if gbest_res <= config.tol_mm:
+            break
+        r1 = rng.uniform(size=(S, D))
+        r2 = rng.uniform(size=(S, D))
+        V = (config.inertia * V
+             + config.cognitive * r1 * (pbest - X)
+             + config.social * r2 * (gbest - X))
+        np.clip(V, -vmax, vmax, out=V)
+        X = X + V
+        out_low = X < lower
+        out_high = X > upper
+        if out_low.any() or out_high.any():
+            X = np.clip(X, lower, upper)
+            V[out_low | out_high] = 0.0
+
+        fit, per_joint = obj.batch(X)
+        better = fit < pbest_fit
+        pbest[better] = X[better]
+        pbest_fit[better] = fit[better]
+        g = int(np.argmin(pbest_fit))
+        if pbest_fit[g] < gbest_fit:
+            gbest = pbest[g].copy()
+            gbest_fit = float(pbest_fit[g])
+            gbest_res = obj.value(gbest)[1]
+        used += 1
+        if trace is not None:
+            trace.append(gbest_fit)
+    return gbest, gbest_fit, gbest_res, used
+
+
+def _sequential_polish(obj, theta, steps):
+    """Damped Gauss-Newton descent on the joint loss, clamped to bounds."""
+    skel = obj.skel
+    theta = theta.copy()
+    value, residual = obj.value(theta)
+    damping = 1e-3
+    for _ in range(steps):
+        if residual == 0.0:
+            break
+        r, jac = obj.residual_and_jacobian(theta)
+        hess = jac.T @ jac
+        grad = jac.T @ r
+        diag = np.diag(np.diag(hess) + 1e-12)
+        accepted = False
+        for _ in range(10):
+            try:
+                step = np.linalg.solve(hess + damping * diag, -grad)
+            except np.linalg.LinAlgError:
+                damping *= 10.0
+                continue
+            candidate = clamp_pose(skel, theta + step)
+            cand_value, cand_residual = obj.value(candidate)
+            if cand_value < value:
+                theta, value, residual = candidate, cand_value, cand_residual
+                damping = max(damping * 0.3, 1e-10)
+                accepted = True
+                break
+            damping *= 10.0
+        if not accepted:
+            break
+    return theta, value, residual
+
+
+def sequential_fit_pose(skel, target, config=None):
+    """Fit a pose whose eval joints match `target` ((n_eval, 3) mm)."""
+    config = config or ik_pso.PsoConfig()
+    target = ik_pso._target_eval(skel, target)
+    obj = _SequentialObjective(skel, target)
+    rng = np.random.default_rng(config.seed)
+    trace = [] if config.record_trace else None
+
+    best_theta = None
+    best_fit = np.inf
+    best_res = np.inf
+    budget = config.iterations
+    used_total = 0
+
+    init_center = None
+    if config.init_center is not None:
+        init_center = clamp_pose(skel, np.asarray(config.init_center, dtype=float))
+        # a warm-start center is an incumbent: descend from it before
+        # spending any swarm iterations
+        if config.polish_steps > 0:
+            best_theta, best_fit, best_res = _sequential_polish(
+                obj, init_center, config.polish_steps)
+        else:
+            best_theta = init_center
+            best_fit, best_res = obj.value(init_center)
+
+    first = True
+    while budget > 0 and best_res > config.tol_mm:
+        center = init_center if first else None
+        first = False
+        phase_budget = min(config.phase_iterations, budget)
+        theta, fit, res, used = _sequential_swarm_phase(
+            obj, rng, config, phase_budget, center, trace)
+        budget -= phase_budget
+        used_total += used
+        if config.polish_steps > 0:
+            theta, fit, res = _sequential_polish(obj, theta,
+                                                 config.polish_steps)
+        if fit < best_fit:
+            best_theta, best_fit, best_res = theta, fit, res
+
+    if trace is not None and trace:
+        # phases restart their own swarms; the reported trace is the running
+        # best joint loss of the whole fit, which is non-increasing
+        trace = np.minimum.accumulate(np.array(trace)).tolist()
+
+    return ik_pso.FitResult(
+        theta=best_theta,
+        residual_mm=best_res,
+        iterations_used=used_total,
+        converged=best_res <= config.tol_mm,
+        trace=tuple(trace) if trace is not None else None,
+    )
+
+
+def sequential_fit_batch(skel, targets, config=None, warm_start=False):
+    """Fit a sequence of frames; optionally seed each fit from the previous.
+
+    Every frame reuses the same config seed, so identical targets produce
+    identical results.
+    """
+    config = config or ik_pso.PsoConfig()
+    results = []
+    prev_theta = None
+    for target in targets:
+        if warm_start and prev_theta is not None:
+            frame_config = replace(config, init_center=tuple(prev_theta))
+        else:
+            frame_config = config
+        results.append(sequential_fit_pose(skel, target, frame_config))
+        prev_theta = results[-1].theta
+    if not results:
+        raise ValueError("fit_batch needs at least one target frame")
+    return results

@@ -129,6 +129,7 @@ def test_ik_recovers_pose(hand, rng, tmp_path):
     assert err < 1.0
     report = json.loads((tmp_path / "fit.csv.report.json").read_text())
     assert report["frames"] == 1
+    assert np.isfinite(report["fit_s"]) and report["fit_s"] >= 0.0
 
 
 def test_ik_no_target_frames_exits_1(hand, tmp_path, capsys):
@@ -200,6 +201,10 @@ def test_reproduce_smoke(tmp_path):
     assert table_a == table_b
     payload = json.loads((out_a / "table.json").read_text())
     assert set(payload["modes"]) == set(reg.MODES)
-    assert os.path.exists(out_a / "manifest.json")
+    manifest = json.loads((out_a / "manifest.json").read_text())
+    stages = manifest["stages_s"]
+    assert set(stages) == {"datasets", "ik_fit", "evaluate",
+                           *(f"train_{mode}" for mode in reg.MODES)}
+    assert all(np.isfinite(v) and v >= 0.0 for v in stages.values())
     for mode in reg.MODES:
         assert os.path.exists(out_a / f"{mode}.ckpt.json")

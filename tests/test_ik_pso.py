@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import sample_in_bounds
-from kinedeep import bench, ik_pso
+from kinedeep import ik_pso
 from kinedeep import skeleton as sk
 from kinedeep.kinematics import forward_kinematics_batch
 
@@ -105,20 +106,23 @@ def test_batch_mean_residual(hand, rng):
     assert var >= 0.0
 
 
-def test_angles_from_joints_consistency(hand, rng):
+def off_model(skel, target):
+    """`target` with one rigid-cluster joint displaced 30 mm: the palm cannot
+    stretch, so no pose reproduces it (a displaced fingertip would not do:
+    the finger can bend to reach it)."""
+    broken = target.copy()
+    base_slot = list(skel.eval_subset).index(skel.joint_index("index_base"))
+    broken[base_slot] += np.array([30.0, 0.0, 0.0])
+    return broken
+
+
+def test_fit_pose_residual_grows_off_model(hand, rng):
     theta = sample_in_bounds(hand, rng)
     target = eval_joints(hand, theta)
     cfg = ik_pso.PsoConfig(seed=17)
-    valid = ik_pso.angles_from_joints(hand, target, cfg)
+    valid = ik_pso.fit_pose(hand, target, cfg)
     assert valid.residual_mm < 1.0
-
-    # displace one rigid-cluster joint 30 mm: the palm cannot stretch, so no
-    # pose reproduces the input and the residual must grow (a displaced
-    # fingertip would not do: the finger can bend to reach it)
-    broken = target.copy()
-    base_slot = list(hand.eval_subset).index(hand.joint_index("index_base"))
-    broken[base_slot] += np.array([30.0, 0.0, 0.0])
-    invalid = ik_pso.angles_from_joints(hand, broken, cfg)
+    invalid = ik_pso.fit_pose(hand, off_model(hand, target), cfg)
     assert invalid.residual_mm > valid.residual_mm + 0.5
 
 
@@ -164,3 +168,112 @@ def test_two_dof_chain_matches_grid_search(rng):
     pso_loss = 0.5 * float(np.sum((joints[0] - target) ** 2))
     angle_gap = np.degrees(np.abs(result.theta - best_pose))
     assert np.all(angle_gap <= 0.5) or pso_loss <= best_loss
+
+
+# The frame-batched fitter against the one-frame-at-a-time reference in
+# tests/oracles.py: every field of every frame must be equal, bit for bit.
+
+SMALL = dict(swarm_size=16, iterations=60, phase_iterations=20)
+
+
+def assert_same_fit(got, want):
+    assert np.array_equal(got.theta, want.theta)
+    assert got.residual_mm == want.residual_mm
+    assert got.iterations_used == want.iterations_used
+    assert got.converged == want.converged
+    assert got.trace == want.trace
+
+
+def assert_matches_sequential(skel, targets, cfg, **kwargs):
+    got = ik_pso.fit_batch(skel, targets, cfg, **kwargs)
+    want = oracles.sequential_fit_batch(skel, targets, cfg, **kwargs)
+    assert len(got) == len(want) == len(targets)
+    for g, w in zip(got, want):
+        assert_same_fit(g, w)
+    return got
+
+
+@pytest.fixture(scope="module")
+def mixed_targets(hand):
+    """Reachable frames, off-model ones and duplicates of both."""
+    rng = np.random.default_rng(404)
+    reach = forward_kinematics_batch(hand, sample_in_bounds(hand, rng, n=2),
+                                     joint_indices=list(hand.eval_subset))
+    far = [off_model(hand, t) for t in reach]
+    return np.stack([reach[0], far[0], reach[1], reach[0], far[1], far[0]])
+
+
+# "incumbent": a pair of particles for one iteration often never improves
+# on the first incumbent, whose residual is then the result
+@pytest.mark.parametrize("extra", [
+    {}, {"polish_steps": 0}, {"record_trace": True},
+    {"polish_steps": 0, "swarm_size": 2, "iterations": 1, "phase_iterations": 1},
+], ids=["polish", "no_polish", "trace", "incumbent"])
+def test_fit_batch_matches_sequential_fitter(hand, mixed_targets, extra):
+    cfg = ik_pso.PsoConfig(seed=7, **{**SMALL, **extra})
+    results = assert_matches_sequential(hand, mixed_targets, cfg)
+    if not extra:
+        # the batch mixes frames that stop early with full-budget ones
+        assert results[0].converged and results[0].iterations_used < cfg.iterations
+        assert not results[1].converged
+        assert results[1].iterations_used == cfg.iterations
+
+
+def test_fit_pose_with_init_center_matches_sequential_fitter(hand, rng):
+    theta = sample_in_bounds(hand, rng, margin=0.1)
+    target = eval_joints(hand, theta)
+    for center in (theta + 0.05, sample_in_bounds(hand, rng)):
+        for polish_steps in (50, 0):
+            cfg = ik_pso.PsoConfig(seed=9, init_center=tuple(center),
+                                   polish_steps=polish_steps, record_trace=True,
+                                   **SMALL)
+            assert_same_fit(ik_pso.fit_pose(hand, target, cfg),
+                            oracles.sequential_fit_pose(hand, target, cfg))
+
+
+def test_warm_start_matches_sequential_fitter(hand, rng):
+    a = sample_in_bounds(hand, rng)
+    b = sample_in_bounds(hand, rng)
+    seq = np.array([a + (b - a) * t for t in np.linspace(0.0, 1.0, 4)])
+    targets = forward_kinematics_batch(hand, seq,
+                                       joint_indices=list(hand.eval_subset))
+    targets[2] = off_model(hand, targets[2])
+    assert_matches_sequential(hand, targets, ik_pso.PsoConfig(seed=3, **SMALL),
+                              warm_start=True)
+
+
+def test_batch_larger_than_one_chunk_matches_sequential_fitter(hand, mixed_targets):
+    cfg = ik_pso.PsoConfig(seed=5, swarm_size=2048, iterations=4,
+                           phase_iterations=2, polish_steps=5)
+    assert len(mixed_targets[:3]) * cfg.swarm_size > ik_pso._CHUNK_POSES
+    assert_matches_sequential(hand, mixed_targets[:3], cfg)
+
+
+def test_frame_alone_matches_frame_in_batch(hand, mixed_targets):
+    cfg = ik_pso.PsoConfig(seed=11, record_trace=True, **SMALL)
+    batch = ik_pso.fit_batch(hand, mixed_targets, cfg)
+    for target, in_batch in zip(mixed_targets, batch):
+        assert_same_fit(ik_pso.fit_pose(hand, target, cfg), in_batch)
+
+
+def test_singular_solve_matches_sequential_fitter(hand, mixed_targets,
+                                                  monkeypatch):
+    # Damped normal equations are never exactly singular on this hand, so
+    # declare singular every system whose last entry has a chosen bit
+    # pattern. The rule depends only on the matrix, so the reference sees
+    # the same singular systems one at a time.
+    real_solve = np.linalg.solve
+    stacked_failures = []
+
+    def flaky_solve(a, b):
+        singular = np.asarray(a)[..., -1, -1].view(np.uint64) % 3 == 0
+        if np.any(singular):
+            if np.ndim(a) == 3:
+                stacked_failures.append(int(np.sum(singular)))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", flaky_solve)
+    cfg = ik_pso.PsoConfig(seed=7, **SMALL)
+    assert_matches_sequential(hand, mixed_targets, cfg)
+    assert stacked_failures
