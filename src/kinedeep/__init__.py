@@ -9,8 +9,8 @@ from .skeleton import (  # noqa: F401
     clamp_pose, default_hand, load_skeleton, save_skeleton,
 )
 from .kinematics import (  # noqa: F401
-    drot, fk_jacobian, fk_jacobian_batch, forward_kinematics,
-    forward_kinematics_batch, rot, trans,
+    fk_jacobian, fk_jacobian_batch, forward_kinematics,
+    forward_kinematics_batch,
 )
 from .loss import LossReport, joint_loss, phy_loss, total_loss  # noqa: F401
 from .ik_pso import (  # noqa: F401

@@ -22,8 +22,7 @@ config.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,56 +36,52 @@ DEFAULT_THRESHOLDS_MM = tuple(range(5, 85, 5))
 BENCH_BOUND_EXPANSION = 1.8
 
 
-def benchmark_skeleton(max_global_rot_deg: float = 60.0,
-                       expand: float = BENCH_BOUND_EXPANSION) -> Skeleton:
+def benchmark_skeleton() -> Skeleton:
     """The built-in hand recast for the synthetic benchmark.
 
     Two changes against the library default:
 
-    * global rotation is limited to a camera-facing ±max_global_rot_deg:
+    * global rotation is limited to a camera-facing ±60°:
       regressing Euler angles drawn uniformly over a full ±180° triple is
       ill-posed (the joints-to-angles map is discontinuous at the wrap),
       which no depth-camera collection exhibits;
-    * every DOF's bounds are widened by `expand` about their center
-      (rotations capped at ±175°). Bounds fitted from recorded data are
+    * every DOF's bounds are widened by BENCH_BOUND_EXPANSION about their
+      center (rotations capped at ±175°). Bounds fitted from recorded data are
       envelopes with slack around the poses that actually occur, not lines
       the data hugs; the benchmark samples poses over the anatomical core
       (see make_dataset's interior_margin) while validity is judged against
       the envelope.
 
-    benchmark_interior_margin(expand) gives the matching sampling margin
+    benchmark_interior_margin() gives the matching sampling margin
     that makes the sampled core equal the anatomical ranges.
     """
     from .skeleton import _hand23_dict, skeleton_from_dict
 
     raw = _hand23_dict()
-    if max_global_rot_deg is not None:
-        for dof in raw["joints"][0]["dofs"]:
+    for dof in raw["joints"][0]["dofs"]:
+        if dof["kind"] == "rotation":
+            dof["lower_deg"], dof["upper_deg"] = -60.0, 60.0
+    for joint in raw["joints"]:
+        for dof in joint["dofs"]:
             if dof["kind"] == "rotation":
-                dof["lower_deg"] = -float(max_global_rot_deg)
-                dof["upper_deg"] = float(max_global_rot_deg)
-    if expand and expand != 1.0:
-        for joint in raw["joints"]:
-            for dof in joint["dofs"]:
-                if dof["kind"] == "rotation":
-                    lo, hi = dof["lower_deg"], dof["upper_deg"]
-                else:
-                    lo, hi = dof["lower_mm"], dof["upper_mm"]
-                center = 0.5 * (lo + hi)
-                half = 0.5 * (hi - lo) * expand
-                lo, hi = center - half, center + half
-                if dof["kind"] == "rotation":
-                    lo, hi = max(lo, -175.0), min(hi, 175.0)
-                    dof["lower_deg"], dof["upper_deg"] = lo, hi
-                else:
-                    dof["lower_mm"], dof["upper_mm"] = lo, hi
+                lo, hi = dof["lower_deg"], dof["upper_deg"]
+            else:
+                lo, hi = dof["lower_mm"], dof["upper_mm"]
+            center = 0.5 * (lo + hi)
+            half = 0.5 * (hi - lo) * BENCH_BOUND_EXPANSION
+            lo, hi = center - half, center + half
+            if dof["kind"] == "rotation":
+                lo, hi = max(lo, -175.0), min(hi, 175.0)
+                dof["lower_deg"], dof["upper_deg"] = lo, hi
+            else:
+                dof["lower_mm"], dof["upper_mm"] = lo, hi
     raw["name"] = "hand23-bench"
     return skeleton_from_dict(raw)
 
 
-def benchmark_interior_margin(expand: float = BENCH_BOUND_EXPANSION) -> float:
+def benchmark_interior_margin() -> float:
     """Sampling margin that shrinks expanded bounds back to the core ranges."""
-    return 0.5 * (1.0 - 1.0 / expand)
+    return 0.5 * (1.0 - 1.0 / BENCH_BOUND_EXPANSION)
 
 
 @dataclass
@@ -215,15 +210,7 @@ def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
     )
 
 
-def _stack_ground_truth(ground_truth):
-    if isinstance(ground_truth, Dataset):
-        return ground_truth.thetas, ground_truth.joints
-    thetas = np.stack([s.gt_theta for s in ground_truth])
-    joints = np.stack([s.gt_joints for s in ground_truth])
-    return thetas, joints
-
-
-def evaluate(skel: Skeleton, predictions, ground_truth,
+def evaluate(skel: Skeleton, predictions, ground_truth: Dataset,
              thresholds=DEFAULT_THRESHOLDS_MM, *, fitted_poses=None,
              fit_config=None) -> MetricsReport:
     """Score predicted poses (N, D) or eval-joint sets (N, n_eval, 3).
@@ -232,51 +219,64 @@ def evaluate(skel: Skeleton, predictions, ground_truth,
     them precomputed (`fitted_poses`) or pass a `fit_config`
     (:class:`kinedeep.ik_pso.PsoConfig`) to run the fit here.
     """
-    gt_thetas, gt_joints = _stack_ground_truth(ground_truth)
-    n = gt_thetas.shape[0]
-    ev = list(skel.eval_subset)
     thresholds = list(thresholds)
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be strictly ascending")
-
     predictions = np.asarray(predictions, dtype=float)
+    n = len(ground_truth)
     if predictions.shape[0] != n:
         raise ValueError(
             f"{predictions.shape[0]} predictions for {n} ground-truth frames"
         )
-
-    if predictions.ndim == 2 and predictions.shape[1] == skel.n_dofs:
-        pose_preds = predictions
-        pred_joints = forward_kinematics_batch(skel, pose_preds, joint_indices=ev)
-    else:
-        pred_joints = predictions.reshape(n, len(ev), 3)
-        pose_preds = None
-        if fitted_poses is not None:
-            pose_preds = np.asarray(fitted_poses, dtype=float)
-        elif fit_config is not None:
-            from .ik_pso import fit_batch
-            pose_preds = np.stack(
-                [r.theta for r in fit_batch(skel, pred_joints, fit_config)])
-        else:
+    if not _are_poses(skel, predictions) and fitted_poses is None:
+        if fit_config is None:
             raise ValueError(
                 "joint-set predictions need fitted_poses or fit_config "
                 "for the angle metrics"
             )
+        from .ik_pso import fit_batch
+        targets = predictions.reshape(n, len(skel.eval_subset), 3)
+        fitted_poses = np.stack([r.theta for r in fit_batch(skel, targets, fit_config)])
+    return score(skel, predictions, ground_truth, thresholds, fitted_poses)
 
-    err = np.linalg.norm(pred_joints - gt_joints[:, ev, :], axis=2)  # (N, n_eval)
-    avg_joint = float(err.mean())
+
+def _are_poses(skel: Skeleton, predictions: np.ndarray) -> bool:
+    return predictions.ndim == 2 and predictions.shape[1] == skel.n_dofs
+
+
+def score(skel: Skeleton, predictions, ground_truth: Dataset,
+          thresholds=DEFAULT_THRESHOLDS_MM, fitted_poses=None) -> MetricsReport:
+    """The metrics of :func:`evaluate`, without its checks and without a fit.
+
+    Joint-set predictions with no `fitted_poses` get NaN angle error and
+    NaN invalid fraction.
+    """
+    n = len(ground_truth)
+    ev = list(skel.eval_subset)
+    if _are_poses(skel, predictions):
+        pose_preds = predictions
+        pred_joints = forward_kinematics_batch(skel, pose_preds, joint_indices=ev)
+    else:
+        pred_joints = predictions.reshape(n, len(ev), 3)
+        pose_preds = (None if fitted_poses is None
+                      else np.asarray(fitted_poses, dtype=float))
+
+    err = np.linalg.norm(pred_joints - ground_truth.joints[:, ev, :], axis=2)
     max_err = err.max(axis=1)
     curve = [(float(t), float(np.mean(max_err <= t))) for t in thresholds]
 
-    rot = skel.dof_is_rotation
-    diff = np.abs(pose_preds[:, rot] - gt_thetas[:, rot])
-    avg_angle = float(np.degrees(diff.mean()))
-    invalid = (pose_preds[:, rot] < skel.dof_lower[rot]) | \
-              (pose_preds[:, rot] > skel.dof_upper[rot])
-    invalid_fraction = float(np.mean(invalid.any(axis=1)))
+    if pose_preds is None:
+        avg_angle = invalid_fraction = float("nan")
+    else:
+        rot = skel.dof_is_rotation
+        diff = np.abs(pose_preds[:, rot] - ground_truth.thetas[:, rot])
+        avg_angle = float(np.degrees(diff.mean()))
+        invalid = (pose_preds[:, rot] < skel.dof_lower[rot]) | \
+                  (pose_preds[:, rot] > skel.dof_upper[rot])
+        invalid_fraction = float(np.mean(invalid.any(axis=1)))
 
     return MetricsReport(
-        avg_joint_error_mm=avg_joint,
+        avg_joint_error_mm=float(err.mean()),
         max_error_curve=curve,
         avg_angle_error_deg=avg_angle,
         invalid_pose_fraction=invalid_fraction,

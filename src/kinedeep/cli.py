@@ -37,6 +37,10 @@ EXIT_CHECK_FAILED = 3
 
 SKELETON_ENV = "KINEDEEP_SKELETON"
 
+# The paper's network, its ablation without the angle-range penalty and the
+# two direct-regression baselines, by their place in the mode table.
+OURS, OURS_NO_PHY, DIRECT_JOINT, DIRECT_PARAMETER = reg.MODES
+
 
 class _CliError(Exception):
     def __init__(self, message, code=EXIT_INVALID):
@@ -147,7 +151,7 @@ def _gradcheck_loss(skel, rng, trials):
 
 def _gradcheck_net(skel, rng, samples):
     run = reg.init(reg.MlpConfig((6, 8, skel.n_dofs), seed=int(rng.integers(2**31))),
-                   mode="ours")
+                   OURS)
     feats = rng.normal(size=(samples, 6))
     thetas = rng.uniform(skel.dof_lower, skel.dof_upper, size=(samples, skel.n_dofs))
     targets = kin.forward_kinematics_batch(skel, thetas,
@@ -256,8 +260,6 @@ def cmd_synth(args) -> int:
 # or crawls; the schedule is plain SGD throughout.
 _STAGE_PLAN = ((0.01, 0.01), (0.1, 0.015), (1.0 / 3.0, 0.025), (1.0, 0.45),
                (0.3, 0.25), (0.1, 0.25))
-_BASE_LR = {"ours": 1e-6, "ours_no_phy": 1e-6, "direct_joint": 1e-6,
-            "direct_parameter": 3e-4}
 
 
 def _stages(base_lr, epochs):
@@ -268,34 +270,20 @@ def _stages(base_lr, epochs):
     return out
 
 
-def _build_run(skel, mode, feature_width, hidden, seed):
-    ev = len(skel.eval_subset)
-    out_width = 3 * ev if mode == "direct_joint" else skel.n_dofs
-    output_scale = None
-    if mode in ("ours", "ours_no_phy"):
-        output_scale = reg.pose_output_scale(skel)
-    elif mode == "direct_joint":
-        output_scale = (50.0,) * out_width
+def _train_mode(skel, mode, train_data, val_data, base_lr, batch, epochs, lam,
+                seed, staged=True):
+    """A fresh network of `mode`, trained; `lam` is its Mode.penalty_weight."""
+    spec = reg.MODES[mode]
     cfg = reg.MlpConfig(
-        layer_widths=(feature_width, *hidden, out_width),
+        layer_widths=(train_data.features.shape[1], 256, 256, spec.output_width(skel)),
         seed=seed, input_scale=0.01, input_clip_abs=400.0,
-        output_scale=output_scale,
+        output_scale=spec.output_scale(skel),
     )
-    return reg.init(cfg, mode=mode)
-
-
-def _train_mode(skel, mode, train_data, val_data, args_lr, batch, epochs, lam,
-                seed, staged=True, val_during=False):
-    base_lr = args_lr if args_lr is not None else _BASE_LR[mode]
-    run = _build_run(skel, mode, train_data.features.shape[1],
-                     (256, 256), seed)
-    mode_lam = 0.0 if mode == "ours_no_phy" else lam
+    run = reg.init(cfg, mode)
     plan = _stages(base_lr, epochs) if staged else [(base_lr, epochs)]
     for lr, ep in plan:
-        sgd = reg.SgdConfig(batch_size=batch, learning_rate=lr, momentum=0.9,
-                            epochs=ep, lam=mode_lam)
-        reg.train(run, train_data, skel, sgd,
-                  val=val_data if val_during else None)
+        sgd = reg.SgdConfig(batch_size=batch, learning_rate=lr, epochs=ep, lam=lam)
+        reg.train(run, train_data, skel, sgd, val=val_data)
     return run
 
 
@@ -304,19 +292,23 @@ def cmd_train(args) -> int:
     skel = _resolve_skeleton(args.skeleton)
     train_data = fileio.read_dataset(args.train)
     val_data = fileio.read_dataset(args.val) if args.val else None
-    run = _train_mode(skel, args.mode, train_data, val_data,
-                      args.lr, args.batch, args.epochs, args.lam, args.seed,
-                      staged=not args.flat_lr, val_during=args.val is not None)
+    spec = reg.MODES[args.mode]
+    base_lr = args.lr if args.lr is not None else spec.base_lr
+    lam = spec.penalty_weight(args.lam)
+    run = _train_mode(skel, args.mode, train_data, val_data, base_lr,
+                      args.batch, args.epochs, lam, args.seed,
+                      staged=not args.flat_lr)
     reg.save_checkpoint(run, args.out)
     if val_data is not None:
         joint_err, angle_err, invalid = reg.validation_stats(run, val_data, skel)
         print(f"val joint error {joint_err!r} mm, angle error {angle_err!r} deg, "
               f"invalid fraction {invalid!r}")
     _write_manifest(_manifest_path(args.out), "train",
-                    {"skeleton": skel.name, "mode": args.mode, "lr": args.lr,
+                    {"skeleton": skel.name, "mode": args.mode, "lr": base_lr,
                      "batch": args.batch, "epochs": args.epochs,
-                     "lambda": args.lam, "flat_lr": args.flat_lr},
-                    args.seed, [args.train, args.val or ""], [args.out], started)
+                     "lambda": lam, "flat_lr": args.flat_lr},
+                    args.seed, [args.train] + ([args.val] if args.val else []),
+                    [args.out], started)
     print(f"train: mode {args.mode}, {len(run.history)} epochs -> {args.out}")
     return EXIT_OK
 
@@ -326,13 +318,10 @@ def cmd_eval(args) -> int:
     skel = _resolve_skeleton(args.skeleton)
     run = reg.load_checkpoint(args.ckpt)
     data = fileio.read_dataset(args.data)
-    out = reg.forward(run, data.features)
+    predictions = reg.predict(run, data.features, skel)
     fit_cfg = None
-    if run.mode == "direct_joint":
+    if not reg.MODES[run.mode].emits_pose:
         fit_cfg = ik_pso.PsoConfig(seed=args.seed, iterations=args.fit_iters)
-        predictions = out.reshape(len(data), len(skel.eval_subset), 3)
-    else:
-        predictions = out
     report = bench.evaluate(skel, predictions, data, fit_config=fit_cfg)
     with open(args.out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
@@ -353,10 +342,10 @@ def cmd_eval(args) -> int:
 # Published reference errors on the NYU protocol; a different data domain,
 # printed for context only and never compared against.
 _NYU_REFERENCE = (
-    ("direct_joint", 17.2, 21.4, None),
-    ("direct_parameter", 26.7, 12.2, None),
-    ("ours_no_phy", 16.9, 12.0, 0.186),
-    ("ours", 16.9, 12.2, 0.009),
+    (DIRECT_JOINT, 17.2, 21.4, None),
+    (DIRECT_PARAMETER, 26.7, 12.2, None),
+    (OURS_NO_PHY, 16.9, 12.0, 0.186),
+    (OURS, 16.9, 12.2, 0.009),
 )
 
 
@@ -402,20 +391,19 @@ def cmd_reproduce(args) -> int:
     log(f"datasets: {args.train_n} train / {args.val_n} val, sigma "
         f"{args.sigma} mm, occlusion {args.occlusion}")
 
-    ev = list(skel.eval_subset)
-    modes = ("ours", "ours_no_phy", "direct_joint", "direct_parameter")
     table = {}
     outputs = []
-    for mode in modes:
-        run = _train_mode(skel, mode, train_data, None, None, args.batch,
-                          args.epochs, args.lam, args.seed)
+    for mode, spec in reg.MODES.items():
+        run = _train_mode(skel, mode, train_data, None, spec.base_lr, args.batch,
+                          args.epochs, spec.penalty_weight(args.lam), args.seed)
         ckpt = os.path.join(args.out, f"{mode}.ckpt.json")
         reg.save_checkpoint(run, ckpt)
         outputs.append(ckpt)
         stages_s[f"train_{mode}"] = lap()
-        out = reg.forward(run, val_data.features)
-        if mode == "direct_joint":
-            pred_joints = out.reshape(len(val_data), len(ev), 3)
+        predictions = reg.predict(run, val_data.features, skel)
+        if spec.emits_pose:
+            report = bench.evaluate(skel, predictions, val_data)
+        else:
             log(f"{mode}: trained ({len(run.history)} epochs); fitting "
                 f"{args.fit_frames} val frames")
             n_fit = min(args.fit_frames, len(val_data))
@@ -423,13 +411,11 @@ def cmd_reproduce(args) -> int:
                                        phase_iterations=75)
             stages_s["evaluate"] += lap()
             fitted = np.stack([r.theta for r in ik_pso.fit_batch(
-                skel, pred_joints[:n_fit], fit_cfg)])
+                skel, predictions[:n_fit], fit_cfg)])
             stages_s["ik_fit"] = lap()
-            report = bench.evaluate(skel, pred_joints[:n_fit],
+            report = bench.evaluate(skel, predictions[:n_fit],
                                     val_data.subset(range(n_fit)),
                                     fitted_poses=fitted)
-        else:
-            report = bench.evaluate(skel, out, val_data)
         stages_s["evaluate"] += lap()
         table[mode] = report
         log(f"{mode}: joint {report.avg_joint_error_mm:.2f} mm, angle "
@@ -437,24 +423,22 @@ def cmd_reproduce(args) -> int:
             f"{report.invalid_pose_fraction:.4f}")
 
     rows = [(m, table[m].avg_joint_error_mm, table[m].avg_angle_error_deg,
-             table[m].invalid_pose_fraction) for m in modes]
+             table[m].invalid_pose_fraction) for m in reg.MODES]
     text = _format_table(rows)
     text += ("\n\ncontext: published NYU-protocol reference errors "
              "(different data domain, not comparable):\n")
     text += _format_table(_NYU_REFERENCE)
     text += "\n"
 
+    ours = table[OURS]
     checks = {
         "ours_joint_le_direct_parameter": bool(
-            table["ours"].avg_joint_error_mm
-            <= table["direct_parameter"].avg_joint_error_mm),
+            ours.avg_joint_error_mm <= table[DIRECT_PARAMETER].avg_joint_error_mm),
         "ours_angle_lt_direct_joint_ik": bool(
-            table["ours"].avg_angle_error_deg
-            < table["direct_joint"].avg_angle_error_deg),
-        "ours_invalid_le_1pct": bool(table["ours"].invalid_pose_fraction <= 0.01),
+            ours.avg_angle_error_deg < table[DIRECT_JOINT].avg_angle_error_deg),
+        "ours_invalid_le_1pct": bool(ours.invalid_pose_fraction <= 0.01),
         "ours_invalid_lt_no_phy": bool(
-            table["ours"].invalid_pose_fraction
-            < table["ours_no_phy"].invalid_pose_fraction),
+            ours.invalid_pose_fraction < table[OURS_NO_PHY].invalid_pose_fraction),
     }
 
     table_txt = os.path.join(args.out, "table.txt")
@@ -463,7 +447,7 @@ def cmd_reproduce(args) -> int:
     table_json = os.path.join(args.out, "table.json")
     with open(table_json, "w") as fh:
         json.dump({
-            "modes": {m: table[m].to_dict() for m in modes},
+            "modes": {m: table[m].to_dict() for m in reg.MODES},
             "orderings": checks,
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -546,7 +530,6 @@ def build_parser() -> _Parser:
     p.add_argument("--val", default=None, help="validation dataset file")
     p.add_argument("--lr", type=float, default=None,
                    help="base learning rate (default per mode)")
-    p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)

@@ -34,51 +34,11 @@ Functions are pure and safe to call concurrently.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .skeleton import Skeleton, axis_index
+from .skeleton import Skeleton
 
 _EYE3 = np.eye(3)
-
-
-def rot(axis, angle: float) -> np.ndarray:
-    """4x4 right-handed rotation of `angle` radians about a coordinate axis."""
-    i = axis_index(axis)
-    c, s = math.cos(angle), math.sin(angle)
-    m = np.eye(4)
-    if i == 0:
-        m[1, 1], m[1, 2], m[2, 1], m[2, 2] = c, -s, s, c
-    elif i == 1:
-        m[0, 0], m[0, 2], m[2, 0], m[2, 2] = c, s, -s, c
-    else:
-        m[0, 0], m[0, 1], m[1, 0], m[1, 1] = c, -s, s, c
-    return m
-
-
-def trans(axis, length: float) -> np.ndarray:
-    """4x4 translation of `length` mm along a coordinate axis."""
-    m = np.eye(4)
-    m[axis_index(axis), 3] = length
-    return m
-
-
-def drot(axis, angle: float) -> np.ndarray:
-    """Elementwise derivative of rot(axis, .) at `angle`.
-
-    Not a rigid transform: the bottom row is all zeros.
-    """
-    i = axis_index(axis)
-    c, s = math.cos(angle), math.sin(angle)
-    m = np.zeros((4, 4))
-    if i == 0:
-        m[1, 1], m[1, 2], m[2, 1], m[2, 2] = -s, -c, c, -s
-    elif i == 1:
-        m[0, 0], m[0, 2], m[2, 0], m[2, 2] = -s, c, -c, -s
-    else:
-        m[0, 0], m[0, 1], m[1, 0], m[1, 1] = -s, -c, c, -s
-    return m
 
 
 def _check_poses(skel: Skeleton, thetas: np.ndarray) -> np.ndarray:

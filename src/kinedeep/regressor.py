@@ -1,16 +1,8 @@
 """Feedforward pose regressor trained through the kinematic layer.
 
-The network is a plain ReLU MLP (linear output). Four training modes wire
-its output differently:
-
-  ours             output is a pose; joint loss through forward kinematics
-                   plus the angle-range penalty (weight lambda)
-  ours_no_phy      same, with the penalty off (lambda forced to 0)
-  direct_joint     output is the flattened eval-joint coordinates; plain
-                   squared error against ground-truth joints
-  direct_parameter output is a pose; plain squared error against the
-                   ground-truth pose (mixed units: mm for the translation
-                   components, radians for angles)
+The network is a plain ReLU MLP (linear output). The paper's four training
+modes differ only in how that output is read and trained; ``MODES`` below is
+the one place that describes them.
 
 Optimization is stochastic gradient descent with momentum, single-threaded
 and bitwise deterministic given (seed, data, config). ``input_scale``
@@ -21,17 +13,72 @@ first-layer steps disproportionate at any single learning rate).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import bench
 from . import loss as loss_mod
-from .kinematics import forward_kinematics_batch
 from .skeleton import Skeleton
 
-MODES = ("ours", "ours_no_phy", "direct_joint", "direct_parameter")
 CHECKPOINT_FORMAT = "kinedeep-checkpoint"
 CHECKPOINT_VERSION = 1
+OUTPUT_GAIN = 50.0  # fixed output gain of the pose- and joint-regressing modes
+
+
+@dataclass(frozen=True)
+class Mode:
+    """How one training mode reads and trains the network output.
+
+    emits_pose     the output is a pose (D values); otherwise it is the
+                   flattened eval-joint coordinates (3 * n_eval values), whose
+                   angles exist only after a post-hoc IK fit
+    through_fk     the loss is the joint loss through forward kinematics;
+                   otherwise plain squared error against the targets
+    hinge          the angle-range penalty applies; otherwise lambda is 0
+    theta_targets  the targets are ground-truth poses; otherwise eval joints
+    gained         the outputs carry OUTPUT_GAIN: whitened per DOF for poses
+                   (pose_output_scale), flat for joint coordinates
+    base_lr        base learning rate of the training schedule
+    """
+
+    emits_pose: bool
+    through_fk: bool
+    hinge: bool
+    theta_targets: bool
+    gained: bool
+    base_lr: float
+
+    def output_width(self, skel: Skeleton) -> int:
+        return skel.n_dofs if self.emits_pose else 3 * len(skel.eval_subset)
+
+    def output_scale(self, skel: Skeleton) -> tuple | None:
+        """Fixed per-output gains for MlpConfig.output_scale."""
+        if not self.gained:
+            return None
+        if self.emits_pose:
+            return pose_output_scale(skel)
+        return (OUTPUT_GAIN,) * self.output_width(skel)
+
+    def penalty_weight(self, lam: float) -> float:
+        """The angle-range penalty weight this mode trains with."""
+        return lam if self.hinge else 0.0
+
+
+# ours: the paper's network, FK layer plus angle-range penalty; ours_no_phy:
+# the same without the penalty; direct_joint and direct_parameter: plain
+# regression of joints and of the raw pose (mixed units: mm for translation
+# DOFs, radians for angles). Order is the order of the comparison table.
+MODES = {
+    "ours": Mode(emits_pose=True, through_fk=True, hinge=True,
+                 theta_targets=False, gained=True, base_lr=1e-6),
+    "ours_no_phy": Mode(emits_pose=True, through_fk=True, hinge=False,
+                        theta_targets=False, gained=True, base_lr=1e-6),
+    "direct_joint": Mode(emits_pose=False, through_fk=False, hinge=False,
+                         theta_targets=False, gained=True, base_lr=1e-6),
+    "direct_parameter": Mode(emits_pose=True, through_fk=False, hinge=False,
+                             theta_targets=True, gained=False, base_lr=3e-4),
+}
 
 
 class NumericalError(RuntimeError):
@@ -96,7 +143,7 @@ class TrainRun:
     def __init__(self, config: MlpConfig, mode: str, weights, biases,
                  vel_w=None, vel_b=None, history=None):
         if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+            raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")
         self.config = config
         self.mode = mode
         self.weights = weights
@@ -110,15 +157,14 @@ class TrainRun:
         return len(self.weights)
 
 
-def pose_output_scale(skel: Skeleton, gain: float = 50.0,
-                      max_scale: float = 1.0) -> tuple:
+def pose_output_scale(skel: Skeleton) -> tuple:
     """Per-DOF output gains that even out joint-loss curvature.
 
     The joint loss is much stiffer along a proximal flexion (a radian moves
     every descendant by its lever arm) than along a root translation, which
     cripples a single learning rate. Scaling each output by
-    gain / ||Jacobian column at the rest pose|| roughly whitens the loss.
-    Rotation gains are capped at `max_scale` rad per unit so weakly observed
+    OUTPUT_GAIN / ||Jacobian column at the rest pose|| roughly whitens the
+    loss. Rotation gains are capped at 1 rad per unit so weakly observed
     distal angles cannot be flung onto wrap-equivalent branches far outside
     their bounds during early training; DOFs that move no eval joint keep
     gain 1. Meant for the pose-emitting modes; direct_parameter regresses
@@ -129,12 +175,12 @@ def pose_output_scale(skel: Skeleton, gain: float = 50.0,
     _, jac = fk_jacobian(skel, np.zeros(skel.n_dofs),
                          joint_indices=list(skel.eval_subset))
     norms = np.linalg.norm(jac, axis=0)
-    scale = np.where(norms > 1e-6, gain / np.maximum(norms, 1e-6), 1.0)
-    scale = np.where(skel.dof_is_rotation, np.minimum(scale, max_scale), scale)
+    scale = np.where(norms > 1e-6, OUTPUT_GAIN / np.maximum(norms, 1e-6), 1.0)
+    scale = np.where(skel.dof_is_rotation, np.minimum(scale, 1.0), scale)
     return tuple(float(s) for s in scale)
 
 
-def init(config: MlpConfig, mode: str = "ours") -> TrainRun:
+def init(config: MlpConfig, mode: str) -> TrainRun:
     """Seeded uniform init scaled by 1/sqrt(fan_in); zero biases."""
     rng = np.random.default_rng([config.seed, 0])
     weights, biases = [], []
@@ -178,6 +224,14 @@ def forward(run: TrainRun, features: np.ndarray) -> np.ndarray:
     return _forward_acts(run, features)[0][-1]
 
 
+def predict(run: TrainRun, features: np.ndarray, skel: Skeleton) -> np.ndarray:
+    """Network outputs as predictions: poses (N, D) or joint sets (N, n_eval, 3)."""
+    out = forward(run, features)
+    if MODES[run.mode].emits_pose:
+        return out
+    return out.reshape(len(out), len(skel.eval_subset), 3)
+
+
 def _backprop(run: TrainRun, acts, pre, delta):
     """Gradients of the mean loss; `delta` is dLoss/d_output (already /N)."""
     grads_w = [None] * run.n_layers
@@ -199,10 +253,11 @@ def backward_through_model(run: TrainRun, features, targets, skel: Skeleton,
     `targets` are ground-truth eval-joint coordinates, (N, n_eval, 3) or
     flattened. Returns (mean loss over the batch, (weight grads, bias grads)).
     """
-    if run.mode not in ("ours", "ours_no_phy"):
+    mode = MODES[run.mode]
+    if not mode.through_fk:
         raise ValueError(f"mode {run.mode!r} does not use the kinematic layer")
-    if run.mode == "ours_no_phy" and lam != 0.0:
-        raise ValueError("ours_no_phy requires lambda = 0")
+    if not mode.hinge and lam != 0.0:
+        raise ValueError(f"mode {run.mode!r} requires lambda = 0")
     acts, pre = _forward_acts(run, features)
     poses = acts[-1]
     if not np.all(np.isfinite(poses)):
@@ -221,18 +276,17 @@ def backward_through_model(run: TrainRun, features, targets, skel: Skeleton,
     return value, grads
 
 
-def backward_direct(run: TrainRun, features, targets, mode: str | None = None):
+def backward_direct(run: TrainRun, features, targets):
     """Plain squared-error loss 0.5*||output - target||^2, no model layer."""
-    mode = mode or run.mode
-    if mode not in ("direct_joint", "direct_parameter"):
-        raise ValueError(f"mode {mode!r} is not a direct-regression mode")
+    if MODES[run.mode].through_fk:
+        raise ValueError(f"mode {run.mode!r} is not a direct-regression mode")
     acts, pre = _forward_acts(run, features)
     out = acts[-1]
     targets = np.asarray(targets, dtype=float).reshape(out.shape[0], -1)
     if targets.shape[1] != out.shape[1]:
         raise ValueError(
             f"target width {targets.shape[1]} does not match output width "
-            f"{out.shape[1]} for mode {mode!r}"
+            f"{out.shape[1]} for mode {run.mode!r}"
         )
     resid = out - targets
     value = float(0.5 * np.einsum("nk,nk->n", resid, resid).mean())
@@ -256,36 +310,21 @@ def sgd_step(run: TrainRun, grads, sgd: SgdConfig) -> TrainRun:
     return run
 
 
-def _mode_targets(run_mode: str, dataset, skel: Skeleton) -> np.ndarray:
-    ev = list(skel.eval_subset)
-    if run_mode == "direct_parameter":
-        return dataset.thetas
-    return dataset.joints[:, ev, :].reshape(len(dataset), -1)
-
-
 def validation_stats(run: TrainRun, dataset, skel: Skeleton):
     """(joint err mm, angle err deg, invalid fraction) on a dataset.
 
-    Angle and validity metrics apply to pose-emitting modes only; the
-    direct_joint baseline gets NaN there (its angles exist only after a
+    Angle and validity metrics apply to pose-emitting modes only; a mode
+    that emits joints gets NaN there (its angles exist only after a
     post-hoc fit, which is far too costly per epoch).
     """
-    ev = list(skel.eval_subset)
-    out = forward(run, dataset.features)
-    gt = dataset.joints[:, ev, :]
-    if run.mode == "direct_joint":
-        pred_joints = out.reshape(len(dataset), len(ev), 3)
-        return float(np.linalg.norm(pred_joints - gt, axis=2).mean()), float("nan"), float("nan")
-    pred_joints = forward_kinematics_batch(skel, out, joint_indices=ev)
-    joint_err = float(np.linalg.norm(pred_joints - gt, axis=2).mean())
-    rot = skel.dof_is_rotation
-    angle_err = float(np.degrees(np.abs(out[:, rot] - dataset.thetas[:, rot]).mean()))
-    invalid = (out[:, rot] < skel.dof_lower[rot]) | (out[:, rot] > skel.dof_upper[rot])
-    return joint_err, angle_err, float(invalid.any(axis=1).mean())
+    report = bench.score(skel, predict(run, dataset.features, skel), dataset,
+                         thresholds=())
+    return (report.avg_joint_error_mm, report.avg_angle_error_deg,
+            report.invalid_pose_fraction)
 
 
 def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
-          mode: str | None = None, val=None) -> TrainRun:
+          val=None) -> TrainRun:
     """Mini-batch SGD until the epoch budget or validation plateau.
 
     Stops early when the best validation joint error of the last 10 epochs
@@ -294,14 +333,12 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
     """
     if len(dataset) == 0:
         raise ValueError("training dataset is empty")
-    if mode is not None:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-        run.mode = mode
-    targets = _mode_targets(run.mode, dataset, skel)
-    through_model = run.mode in ("ours", "ours_no_phy")
-    lam = 0.0 if run.mode == "ours_no_phy" else sgd.lam
-
+    mode = MODES[run.mode]
+    if mode.theta_targets:
+        targets = dataset.thetas
+    else:
+        targets = dataset.joints[:, list(skel.eval_subset), :].reshape(len(dataset), -1)
+    lam = mode.penalty_weight(sgd.lam)
     rng = np.random.default_rng([run.config.seed, 1])
     n = len(dataset)
     val_errors = []
@@ -313,7 +350,7 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
             feats = dataset.features[idx]
             tgt = targets[idx]
             try:
-                if through_model:
+                if mode.through_fk:
                     value, grads = backward_through_model(run, feats, tgt, skel, lam)
                 else:
                     value, grads = backward_direct(run, feats, tgt)

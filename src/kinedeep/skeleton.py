@@ -467,10 +467,3 @@ def _hand23_dict() -> dict:
 def default_hand() -> Skeleton:
     """The built-in 23-joint, 26-DOF hand."""
     return skeleton_from_dict(_hand23_dict())
-
-
-def write_default_hand_config(path) -> None:
-    """Write the built-in hand as a JSON config (ships as configs/hand23.json)."""
-    with open(path, "w") as fh:
-        json.dump(_hand23_dict(), fh, indent=2)
-        fh.write("\n")

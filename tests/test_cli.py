@@ -150,11 +150,16 @@ def test_synth_train_eval_pipeline(tmp_path):
                    "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "run.ckpt.json"
     assert run_cli("train", "--mode", "ours_no_phy", "--train", str(data),
-                   "--val", str(data), "--epochs", "4", "--batch", "16",
-                   "--lambda", "0", "--seed", "2", "--out", str(ckpt)) == 0
+                   "--epochs", "4", "--batch", "16",
+                   "--seed", "2", "--out", str(ckpt)) == 0
     run = reg.load_checkpoint(ckpt)
     assert run.mode == "ours_no_phy"
     assert len(run.history) >= 4  # staged plan rounds each stage up to >= 1
+    # the manifest records what ran: the mode's base lr and its forced lambda
+    manifest = json.loads((tmp_path / "run.ckpt.json.manifest.json").read_text())
+    assert manifest["config"]["lr"] == reg.MODES["ours_no_phy"].base_lr
+    assert manifest["config"]["lambda"] == 0.0
+    assert manifest["inputs"] == [str(data)]
     report = tmp_path / "report.json"
     curve = tmp_path / "curve.csv"
     assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(data),
@@ -162,6 +167,25 @@ def test_synth_train_eval_pipeline(tmp_path):
     payload = json.loads(report.read_text())
     assert payload["n_frames"] == 64
     assert curve.read_text().startswith("threshold_mm")
+
+
+def test_direct_joint_eval_fits_angles(tmp_path):
+    data = tmp_path / "data.csv"
+    assert run_cli("synth", "--n", "12", "--sigma", "5", "--occlusion", "0.0",
+                   "--seed", "4", "--out", str(data)) == 0
+    ckpt = tmp_path / "dj.ckpt.json"
+    assert run_cli("train", "--mode", "direct_joint", "--train", str(data),
+                   "--val", str(data), "--epochs", "2", "--batch", "4",
+                   "--seed", "2", "--out", str(ckpt)) == 0
+    manifest = json.loads((tmp_path / "dj.ckpt.json.manifest.json").read_text())
+    assert manifest["inputs"] == [str(data), str(data)]
+    report = tmp_path / "report.json"
+    assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(data),
+                   "--fit-iters", "5", "--out", str(report)) == 0
+    payload = json.loads(report.read_text())
+    assert payload["n_frames"] == 12
+    assert np.isfinite(payload["avg_angle_error_deg"])
+    assert 0.0 <= payload["invalid_pose_fraction"] <= 1.0
 
 
 def test_synth_deterministic(tmp_path):

@@ -21,47 +21,48 @@ def planar_chain(lengths=(30.0, 20.0, 10.0)):
     return sk.Skeleton(joints, name="chain")
 
 
-# --- elementary transforms ---------------------------------------------------
+# --- elementary transforms (the oracle's matrices) --------------------------
 
 def test_rot_zero_is_identity():
-    assert np.array_equal(kin.rot("Z", 0.0), np.eye(4))
+    assert np.array_equal(oracles.mat_rot(2, 0.0), np.eye(4))
 
 
 def test_rot_quarter_turn_z():
-    p = kin.rot("Z", math.pi / 2) @ np.array([1.0, 0.0, 0.0, 1.0])
+    p = oracles.mat_rot(2, math.pi / 2) @ np.array([1.0, 0.0, 0.0, 1.0])
     assert np.allclose(p[:3], [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_rot_inverse_product():
-    m = kin.rot("X", 0.3) @ kin.rot("X", -0.3)
+    m = oracles.mat_rot(0, 0.3) @ oracles.mat_rot(0, -0.3)
     assert np.allclose(m, np.eye(4), atol=1e-15)
 
 
 def test_rot_orthonormal(rng):
-    for axis in "XYZ":
+    for axis in range(3):
         a = rng.uniform(-math.pi, math.pi)
-        r = kin.rot(axis, a)[:3, :3]
+        r = oracles.mat_rot(axis, a)[:3, :3]
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-14)
         assert math.isclose(np.linalg.det(r), 1.0, abs_tol=1e-14)
 
 
 def test_trans_zero_is_identity():
-    assert np.array_equal(kin.trans("X", 0.0), np.eye(4))
+    assert np.array_equal(oracles.mat_trans(0, 0.0), np.eye(4))
 
 
 def test_trans_moves_origin():
-    p = kin.trans("X", 5.0) @ np.array([0.0, 0.0, 0.0, 1.0])
+    p = oracles.mat_trans(0, 5.0) @ np.array([0.0, 0.0, 0.0, 1.0])
     assert np.array_equal(p[:3], [5.0, 0.0, 0.0])
 
 
 def test_trans_compose_adds():
     assert np.allclose(
-        kin.trans("X", 2.5) @ kin.trans("X", 4.0), kin.trans("X", 6.5), atol=1e-15
+        oracles.mat_trans(0, 2.5) @ oracles.mat_trans(0, 4.0), oracles.mat_trans(0, 6.5),
+        atol=1e-15,
     )
 
 
 def test_drot_at_zero():
-    m = kin.drot("Z", 0.0)
+    m = oracles.mat_drot(2, 0.0)
     expect = np.zeros((4, 4))
     expect[0, 1], expect[1, 0] = -1.0, 1.0
     assert np.array_equal(m, expect)
@@ -69,14 +70,14 @@ def test_drot_at_zero():
 
 def test_drot_matches_finite_difference(rng):
     h = 1e-6
-    for axis in "XYZ":
+    for axis in range(3):
         a = rng.uniform(-math.pi, math.pi)
-        fd = (kin.rot(axis, a + h) - kin.rot(axis, a - h)) / (2 * h)
-        assert np.max(np.abs(kin.drot(axis, a) - fd)) < 1e-8
+        fd = (oracles.mat_rot(axis, a + h) - oracles.mat_rot(axis, a - h)) / (2 * h)
+        assert np.max(np.abs(oracles.mat_drot(axis, a) - fd)) < 1e-8
 
 
 def test_drot_x_leaves_x_row_zero(rng):
-    m = kin.drot("X", rng.uniform(-math.pi, math.pi))
+    m = oracles.mat_drot(0, rng.uniform(-math.pi, math.pi))
     assert np.array_equal(m[0, :3], np.zeros(3))
     assert np.array_equal(m[:3, 0], np.zeros(3))
     assert np.array_equal(m[3], np.zeros(4))

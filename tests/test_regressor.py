@@ -20,20 +20,20 @@ def tiny_run(hand, mode="ours", seed=3, widths=(6, 8, 26)):
 
 def test_init_deterministic():
     cfg = reg.MlpConfig(layer_widths=(69, 256, 256, 26), seed=17)
-    a = reg.init(cfg)
-    b = reg.init(cfg)
+    a = reg.init(cfg, "ours")
+    b = reg.init(cfg, "ours")
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
 
 def test_init_shapes():
-    run = reg.init(reg.MlpConfig(layer_widths=(69, 256, 256, 26), seed=0))
+    run = reg.init(reg.MlpConfig(layer_widths=(69, 256, 256, 26), seed=0), "ours")
     assert [w.shape for w in run.weights] == [(69, 256), (256, 256), (256, 26)]
     assert [b.shape for b in run.biases] == [(256,), (256,), (26,)]
 
 
 def test_init_zero_biases_and_bounded_weights():
-    run = reg.init(reg.MlpConfig(layer_widths=(16, 32, 8), seed=5))
+    run = reg.init(reg.MlpConfig(layer_widths=(16, 32, 8), seed=5), "ours")
     for b in run.biases:
         assert np.array_equal(b, np.zeros_like(b))
     for w in run.weights:
@@ -58,7 +58,7 @@ def test_forward_zero_weights_zero_output(hand):
 
 def test_forward_hand_computed_example():
     # one hidden unit: out = w2 * relu(w1 . x + b1) + b2
-    run = reg.init(reg.MlpConfig(layer_widths=(2, 1, 1), seed=0))
+    run = reg.init(reg.MlpConfig(layer_widths=(2, 1, 1), seed=0), "ours")
     run.weights[0][:] = np.array([[2.0], [-1.0]])
     run.biases[0][:] = np.array([0.5])
     run.weights[1][:] = np.array([[3.0]])
@@ -71,7 +71,7 @@ def test_forward_hand_computed_example():
 
 
 def test_forward_relu_blocks_negative_preactivations():
-    run = reg.init(reg.MlpConfig(layer_widths=(1, 1, 1), seed=0))
+    run = reg.init(reg.MlpConfig(layer_widths=(1, 1, 1), seed=0), "ours")
     run.weights[0][:] = np.array([[1.0]])
     run.weights[1][:] = np.array([[5.0]])
     assert reg.forward(run, np.array([[-3.0]]))[0, 0] == 0.0
@@ -324,6 +324,7 @@ def test_direct_joint_training_runs(hand):
     assert len(run.history) == 3
     assert np.isfinite(run.history[-1].val_joint_err_mm)
     assert np.isnan(run.history[-1].val_angle_err_deg)
+    assert np.isnan(run.history[-1].val_invalid_frac)
 
 
 def test_early_stop_on_plateau(hand):
