@@ -85,15 +85,8 @@ def benchmark_interior_margin() -> float:
 
 
 @dataclass
-class Sample:
-    features: np.ndarray   # (3 * n_eval,) noisy, possibly occluded, mm
-    gt_theta: np.ndarray   # (D,)
-    gt_joints: np.ndarray  # (J, 3) exact forward kinematics of gt_theta
-
-
-@dataclass
 class Dataset:
-    """Column-major sample store; indexing yields Sample views."""
+    """Column-major sample store: row i of each array is sample i."""
 
     skeleton_name: str
     sigma_mm: float
@@ -105,9 +98,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(self.features[i], self.thetas[i], self.joints[i])
 
     def subset(self, indices) -> "Dataset":
         idx = list(indices)
@@ -150,16 +140,6 @@ class MetricsReport:
         return "\n".join(rows) + "\n"
 
 
-def sample_pose(skel: Skeleton, seed) -> np.ndarray:
-    """One pose with every DOF uniform within its bounds; deterministic."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(skel.dof_lower, skel.dof_upper)
-
-
-def sample_poses(skel: Skeleton, n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(skel.dof_lower, skel.dof_upper, size=(n, skel.n_dofs))
-
-
 def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
                  occlusion_prob: float, seed: int,
                  interior_margin: float = 0.0,
@@ -170,7 +150,7 @@ def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
     DOF's range on both sides; `pose_shape` is "uniform" over that box or
     "central" (Beta(3,3) per DOF), which mimics recorded pose collections:
     mass in the middle of each range, vanishing density at the limits.
-    Defaults reproduce the plain uniform-in-bounds sampler.
+    The defaults sample every DOF uniformly within its bounds.
     """
     if n < 1:
         raise ValueError("dataset size must be >= 1")
@@ -189,10 +169,8 @@ def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
     if pose_shape == "central":
         unit = rng.beta(3.0, 3.0, size=(n, skel.n_dofs))
         thetas = lo + unit * (hi - lo)
-    elif interior_margin > 0.0:
-        thetas = rng.uniform(lo, hi, size=(n, skel.n_dofs))
     else:
-        thetas = sample_poses(skel, n, rng)
+        thetas = rng.uniform(lo, hi, size=(n, skel.n_dofs))
     joints = forward_kinematics_batch(skel, thetas)
     ev = list(skel.eval_subset)
     features = joints[:, ev, :] + rng.normal(0.0, noise_sigma_mm, size=(n, len(ev), 3))

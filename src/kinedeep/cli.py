@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -88,8 +87,7 @@ def cmd_fk(args) -> int:
     started = time.monotonic()
     skel = _resolve_skeleton(args.skeleton)
     name, poses = fileio.read_pose_file(args.poses, expected_dims=skel.n_dofs)
-    joints = (kin.forward_kinematics_batch(skel, poses)
-              if len(poses) else np.zeros((0, skel.n_joints, 3)))
+    joints = kin.forward_kinematics_batch(skel, poses)
     fileio.write_joint_file(args.out, skel.name, joints)
     _write_manifest(_manifest_path(args.out), "fk",
                     {"skeleton": skel.name, "frames": int(len(poses))},
@@ -105,8 +103,10 @@ def cmd_jacobian(args) -> int:
     with open(args.out, "w") as fh:
         fh.write(f"# kinedeep-jacobian v1 skeleton={skel.name} "
                  f"rows={3 * skel.n_joints} cols={skel.n_dofs}\n")
+        # one pose at a time: a Jacobian is 3*J*D values, so memory stays
+        # flat in the number of poses
         for pose in poses:
-            _, jac = kin.fk_jacobian(skel, pose)
+            _, jac = kin.fk_jacobian_batch(skel, pose[None])
             fh.write(",".join(repr(float(v)) for v in jac.reshape(-1)) + "\n")
     _write_manifest(_manifest_path(args.out), "jacobian",
                     {"skeleton": skel.name, "frames": int(len(poses))},
@@ -120,7 +120,7 @@ def _gradcheck_fk(skel, rng, trials):
     eps = np.eye(skel.n_dofs) * 1e-5
     for _ in range(trials):
         theta = rng.uniform(skel.dof_lower, skel.dof_upper)
-        _, jac = kin.fk_jacobian(skel, theta)
+        jac = kin.fk_jacobian_batch(skel, theta[None])[1][0]
         plus = kin.forward_kinematics_batch(skel, theta[None, :] + eps)
         minus = kin.forward_kinematics_batch(skel, theta[None, :] - eps)
         fd = (plus - minus).reshape(skel.n_dofs, -1).T / 2e-5
@@ -129,23 +129,26 @@ def _gradcheck_fk(skel, rng, trials):
 
 
 def _gradcheck_loss(skel, rng, trials):
+    """Joint loss plus the range penalty (lambda 1): analytic gradient against
+    central differences, each trial's centre and its +-h poses in one batch."""
     span = skel.dof_upper - skel.dof_lower
     worst = 0.0
     ev = list(skel.eval_subset)
+    D = skel.n_dofs
+    steps = np.eye(D) * 1e-5
     for _ in range(trials):
         theta = rng.uniform(skel.dof_lower + 0.01 * span,
                             skel.dof_upper - 0.01 * span)
         near = theta + rng.normal(scale=0.02, size=theta.shape)
-        target = kin.forward_kinematics_batch(skel, near[None], joint_indices=ev)[0]
-        report = loss_mod.total_loss(skel, theta, target, lam=1.0)
-        fd = np.empty(skel.n_dofs)
-        for d in range(skel.n_dofs):
-            step = np.zeros(skel.n_dofs)
-            step[d] = 1e-5
-            up = loss_mod.total_loss(skel, theta + step, target, lam=1.0).total
-            dn = loss_mod.total_loss(skel, theta - step, target, lam=1.0).total
-            fd[d] = (up - dn) / 2e-5
-        worst = max(worst, float(np.max(np.abs(report.grad - fd) / (1.0 + np.abs(fd)))))
+        target = kin.forward_kinematics_batch(skel, near[None], joint_indices=ev)
+        thetas = np.vstack([theta, theta + steps, theta - steps])
+        jt, jt_grad = loss_mod.joint_loss_batch(
+            skel, thetas, np.repeat(target, len(thetas), axis=0))
+        phy, phy_grad = loss_mod.phy_loss_batch(skel, thetas)
+        total = jt + phy
+        grad = jt_grad[0] + phy_grad[0]
+        fd = (total[1:D + 1] - total[D + 1:]) / 2e-5
+        worst = max(worst, float(np.max(np.abs(grad - fd) / (1.0 + np.abs(fd)))))
     return worst
 
 
@@ -362,9 +365,12 @@ def _format_table(rows) -> str:
 def cmd_reproduce(args) -> int:
     started = time.monotonic()
     os.makedirs(args.out, exist_ok=True)
-    skel = (sk.load_skeleton(args.skeleton) if args.skeleton
-            else bench.benchmark_skeleton())
-    margin = bench.benchmark_interior_margin()
+    # the interior margin undoes the benchmark skeleton's bound expansion;
+    # a skeleton file's bounds are sampled whole
+    if args.skeleton:
+        skel, margin = sk.load_skeleton(args.skeleton), 0.0
+    else:
+        skel, margin = bench.benchmark_skeleton(), bench.benchmark_interior_margin()
     t0 = time.monotonic()
 
     def log(msg):

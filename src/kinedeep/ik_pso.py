@@ -26,13 +26,13 @@ its polish when no damping gives descent. Frames go through in chunks of
 at most ``_CHUNK_POSES`` particles.
 
 Each frame has its own generator seeded with ``config.seed`` and draws in
-the order a fit of that frame alone would. Kinematics and the per-frame
-products are computed pose by pose, and ties in best-selection resolve to
-the lowest particle index. A frame's result is therefore reproducible bit
-for bit given (seed, config, target), and does not depend on the other
-frames in the call or on the chunking. ``fit_batch(warm_start=True)``
-seeds each frame from the previous frame's result, an inherently
-sequential chain, so it fits one frame at a time.
+the order a fit of that frame alone would. Kinematics returns every batch
+in the same layout, the per-frame products are computed pose by pose, and
+ties in best-selection resolve to the lowest particle index. A frame's
+result is therefore reproducible bit for bit given (seed, config, target),
+and does not depend on the other frames in the call or on the chunking.
+``fit_batch(warm_start=True)`` seeds each frame from the previous frame's
+result, an inherently sequential chain, so it fits one frame at a time.
 """
 from __future__ import annotations
 
@@ -102,40 +102,21 @@ def _target_eval(skel, target):
     return target
 
 
-def _loss(resid):
-    return 0.5 * np.einsum("nkc,nkc->n", resid, resid)
-
-
-def _mean_distance(resid):
-    return np.linalg.norm(resid, axis=2).mean(axis=1)
-
-
 class _Objective:
     """Joint loss over the eval subset; row i of a batch of poses is scored
-    against the target of frame ``frames[i]``.
-
-    numpy sums in an order set by the memory layout. Kinematics returns the
-    eval joints joint-major for two or more poses, and C-ordered for one, so
-    a one-frame fit scores a swarm in one order and a single pose in the
-    other. Scoring keeps both, which makes each pose's numbers independent
-    of the batch it is in, and equal to those of a one-frame fit.
-    """
+    against the target of frame ``frames[i]``."""
 
     def __init__(self, skel, targets):
         self.skel = skel
         self.ev = list(skel.eval_subset)
         self.targets = targets  # (F, n_eval, 3)
 
-    def residual(self, thetas, frames):
-        """(N, n_eval, 3) residual in the layout kinematics returns."""
-        joints = forward_kinematics_batch(self.skel, thetas, joint_indices=self.ev)
-        return np.subtract(joints, self.targets[frames],
-                           out=np.empty_like(joints))
-
     def batch(self, thetas, frames):
-        """(loss, mean per-joint distance) per pose, summed as for one pose."""
-        resid = np.ascontiguousarray(self.residual(thetas, frames))
-        return _loss(resid), _mean_distance(resid)
+        """(loss, mean per-joint distance) per pose."""
+        joints = forward_kinematics_batch(self.skel, thetas, joint_indices=self.ev)
+        resid = joints - self.targets[frames]
+        return (0.5 * np.einsum("nkc,nkc->n", resid, resid),
+                np.linalg.norm(resid, axis=2).mean(axis=1))
 
     def residual_and_jacobian(self, thetas, frames):
         pos, jac = fk_jacobian_batch(self.skel, thetas, joint_indices=self.ev)
@@ -164,18 +145,15 @@ def _swarm_phase(obj, rngs, frames, config, budget, center, traces):
     V = np.zeros_like(X)
     vmax = config.max_velocity_frac * span
 
-    # a swarm's losses are summed in the swarm's own (joint-major) order;
-    # a particle's residual is kept from the batch that scored it, summed as
-    # for one pose, except the initial incumbent's, summed as for the swarm
-    resid = obj.residual(X.reshape(-1, D), np.repeat(frames, S))
+    fit, res = obj.batch(X.reshape(-1, D), np.repeat(frames, S))
     pbest = X.copy()
-    pbest_fit = _loss(resid).reshape(-1, S)
-    pbest_res = _mean_distance(np.ascontiguousarray(resid)).reshape(-1, S)
+    pbest_fit = fit.reshape(-1, S)
+    pbest_res = res.reshape(-1, S)
     live = np.arange(len(frames))  # positions in `frames` still iterating
     g = np.argmin(pbest_fit, axis=1)
     gbest = pbest[live, g]
     gbest_fit = pbest_fit[live, g]
-    gbest_res = _mean_distance(resid).reshape(-1, S)[live, g]
+    gbest_res = pbest_res[live, g]
 
     used = np.zeros(len(frames), dtype=int)
     for _ in range(budget):
@@ -197,13 +175,12 @@ def _swarm_phase(obj, rngs, frames, config, budget, center, traces):
         X = np.clip(X, lower, upper)
         V[out] = 0.0
 
-        resid = obj.residual(X.reshape(-1, D), np.repeat(frames[live], S))
-        fit = _loss(resid).reshape(-1, S)
+        fit, res = obj.batch(X.reshape(-1, D), np.repeat(frames[live], S))
+        fit, res = fit.reshape(-1, S), res.reshape(-1, S)
         better = fit < pbest_fit
         pbest[better] = X[better]
         pbest_fit[better] = fit[better]
-        scored = resid.reshape(fit.shape + resid.shape[1:])
-        pbest_res[better] = _mean_distance(np.ascontiguousarray(scored[better]))
+        pbest_res[better] = res[better]
         rows = np.arange(live.size)
         g = np.argmin(pbest_fit, axis=1)
         improved = pbest_fit[rows, g] < gbest_fit[live]

@@ -29,6 +29,13 @@ rotates about; translation DOFs contribute their world axis directly. The
 batched implementation below records (a, c) per DOF during the forward pass
 and assembles all Jacobian columns in one vectorized step.
 
+Every function takes a batch of poses (N, D); a single pose of length D is
+read as a batch of one. Positions come back C-contiguous at every N, also
+for a subset of joints. numpy sums in an order set by the memory layout, so
+this is what makes a row-wise reduction of the output (a pose's loss, its
+mean joint distance) give the same bits whether the pose is alone or in a
+batch.
+
 All math is float64; gradient-check tolerances are unreachable in 32-bit.
 Functions are pure and safe to call concurrently.
 """
@@ -124,13 +131,8 @@ def forward_kinematics_batch(skel: Skeleton, thetas, joint_indices=None) -> np.n
     thetas = _check_poses(skel, thetas)
     pos, _, _ = _fk_pass(skel, thetas, record=False)
     if joint_indices is not None:
-        pos = pos[:, list(joint_indices), :]
+        pos = np.take(pos, list(joint_indices), axis=1)
     return pos
-
-
-def forward_kinematics(skel: Skeleton, theta) -> np.ndarray:
-    """Joint positions (J, 3) in mm for one pose of length D."""
-    return forward_kinematics_batch(skel, np.asarray(theta, dtype=float)[None, :])[0]
 
 
 def fk_jacobian_batch(skel: Skeleton, thetas, joint_indices=None):
@@ -152,7 +154,7 @@ def fk_jacobian_batch(skel: Skeleton, thetas, joint_indices=None):
     else:
         js = np.asarray(list(joint_indices), dtype=np.int64)
         Js = len(js)
-        P = pos[:, js, :]
+        P = np.take(pos, js, axis=1)
         path_sel = skel.path_mask[js]
         sel_desc = [np.flatnonzero(path_sel[:, d]) for d in range(D)]
 
@@ -178,12 +180,3 @@ def fk_jacobian_batch(skel: Skeleton, thetas, joint_indices=None):
         else:
             jac4[:, idx, :, d] = a[None, :, :]
     return P, jac4.reshape(N, 3 * Js, D)
-
-
-def fk_jacobian(skel: Skeleton, theta, joint_indices=None):
-    """Single-pose version of :func:`fk_jacobian_batch`.
-
-    Returns (positions (Js, 3), jacobian (3*Js, D)).
-    """
-    pos, jac = fk_jacobian_batch(skel, np.asarray(theta, dtype=float)[None, :], joint_indices)
-    return pos[0], jac[0]

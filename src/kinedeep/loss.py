@@ -6,43 +6,18 @@ Jacobian transposed against the residual. The range penalty is a hinge on
 every rotation DOF, measured in radians: amounts below the lower bound and
 above the upper bound add up linearly. Components sitting exactly on a
 bound contribute zero penalty and zero subgradient, so in-range poses are
-penalty-free.
+penalty-free. The training loss is the joint term plus lambda times the
+penalty.
 
-All functions are pure; batched variants stack poses along the first axis.
+Both functions are pure and take a batch of poses stacked along the first
+axis; row i of the output depends on row i of the input alone.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kinematics import fk_jacobian_batch
 from .skeleton import Skeleton
-
-
-@dataclass
-class LossReport:
-    l_jt: float
-    l_phy: float
-    total: float
-    grad: np.ndarray
-    lam: float
-
-
-def _target_array(skel, target, joint_indices):
-    """Normalize a target to (n_sel, 3): accepts (n_sel,3), (3*n_sel,), (J,3)."""
-    target = np.asarray(target, dtype=float)
-    n_sel = len(joint_indices)
-    if target.shape == (n_sel, 3):
-        return target
-    if target.shape == (3 * n_sel,):
-        return target.reshape(n_sel, 3)
-    if target.shape == (skel.n_joints, 3):
-        return target[list(joint_indices)]
-    raise ValueError(
-        f"target shape {target.shape} matches neither ({n_sel}, 3) nor "
-        f"({skel.n_joints}, 3)"
-    )
 
 
 def joint_loss_batch(skel: Skeleton, thetas, targets, joint_indices=None):
@@ -61,16 +36,6 @@ def joint_loss_batch(skel: Skeleton, thetas, targets, joint_indices=None):
     return values, grads
 
 
-def joint_loss(skel: Skeleton, theta, target, joint_indices=None):
-    """0.5 * sum of squared joint residuals (mm^2) and its pose gradient."""
-    sel = list(joint_indices) if joint_indices is not None else list(skel.eval_subset)
-    target = _target_array(skel, target, sel)
-    values, grads = joint_loss_batch(
-        skel, np.asarray(theta, dtype=float)[None, :], target[None], joint_indices=sel
-    )
-    return float(values[0]), grads[0]
-
-
 def phy_loss_batch(skel: Skeleton, thetas):
     """Batched angle-range hinge: values (N,), subgradients (N, D)."""
     thetas = np.asarray(thetas, dtype=float)
@@ -85,25 +50,3 @@ def phy_loss_batch(skel: Skeleton, thetas):
     grads = (above > 0).astype(float) - (below > 0).astype(float)
     grads *= rot
     return values, grads
-
-
-def phy_loss(skel: Skeleton, theta):
-    """Total out-of-range amount over rotation DOFs (radians) and subgradient."""
-    values, grads = phy_loss_batch(skel, np.asarray(theta, dtype=float)[None, :])
-    return float(values[0]), grads[0]
-
-
-def total_loss(skel: Skeleton, theta, target, lam: float = 1.0,
-               joint_indices=None) -> LossReport:
-    """Joint loss plus `lam` times the range penalty."""
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
-    l_jt, g_jt = joint_loss(skel, theta, target, joint_indices=joint_indices)
-    l_phy, g_phy = phy_loss(skel, theta)
-    return LossReport(
-        l_jt=l_jt,
-        l_phy=l_phy,
-        total=l_jt + lam * l_phy,
-        grad=g_jt + lam * g_phy,
-        lam=lam,
-    )

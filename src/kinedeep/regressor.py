@@ -19,6 +19,7 @@ import numpy as np
 
 from . import bench
 from . import loss as loss_mod
+from .kinematics import fk_jacobian_batch
 from .skeleton import Skeleton
 
 CHECKPOINT_FORMAT = "kinedeep-checkpoint"
@@ -82,7 +83,7 @@ MODES = {
 
 
 class NumericalError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient."""
 
 
 @dataclass(frozen=True)
@@ -170,11 +171,9 @@ def pose_output_scale(skel: Skeleton) -> tuple:
     gain 1. Meant for the pose-emitting modes; direct_parameter regresses
     raw DOFs whose loss is already isotropic.
     """
-    from .kinematics import fk_jacobian
-
-    _, jac = fk_jacobian(skel, np.zeros(skel.n_dofs),
-                         joint_indices=list(skel.eval_subset))
-    norms = np.linalg.norm(jac, axis=0)
+    _, jac = fk_jacobian_batch(skel, np.zeros((1, skel.n_dofs)),
+                               joint_indices=list(skel.eval_subset))
+    norms = np.linalg.norm(jac[0], axis=0)
     scale = np.where(norms > 1e-6, OUTPUT_GAIN / np.maximum(norms, 1e-6), 1.0)
     scale = np.where(skel.dof_is_rotation, np.minimum(scale, 1.0), scale)
     return tuple(float(s) for s in scale)
@@ -329,7 +328,8 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
 
     Stops early when the best validation joint error of the last 10 epochs
     improves on the earlier best by less than 0.1%. Raises NumericalError
-    (with epoch and batch) if the loss goes non-finite.
+    (with epoch and batch) if the loss or a gradient goes non-finite, before
+    that batch's update reaches the weights.
     """
     if len(dataset) == 0:
         raise ValueError("training dataset is empty")
@@ -346,6 +346,7 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, sgd.batch_size):
+            batch = start // sgd.batch_size
             idx = order[start:start + sgd.batch_size]
             feats = dataset.features[idx]
             tgt = targets[idx]
@@ -355,13 +356,12 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
                 else:
                     value, grads = backward_direct(run, feats, tgt)
             except NumericalError as e:
-                raise NumericalError(
-                    f"{e} at epoch {epoch} batch {start // sgd.batch_size}"
-                ) from None
+                raise NumericalError(f"{e} at epoch {epoch} batch {batch}") from None
             if not np.isfinite(value):
+                raise NumericalError(f"non-finite loss at epoch {epoch} batch {batch}")
+            if not all(np.isfinite(g).all() for g in grads[0] + grads[1]):
                 raise NumericalError(
-                    f"non-finite loss at epoch {epoch} batch {start // sgd.batch_size}"
-                )
+                    f"non-finite gradient at epoch {epoch} batch {batch}")
             sgd_step(run, grads, sgd)
             epoch_losses.append(value)
 

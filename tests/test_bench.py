@@ -8,18 +8,23 @@ from kinedeep import kinematics as kin
 from kinedeep import skeleton as sk
 
 
+def sample_poses(hand, n, seed):
+    """The poses of a noise-free dataset: uniform within the bounds."""
+    return bench.make_dataset(hand, n=n, noise_sigma_mm=0.0, occlusion_prob=0.0,
+                              seed=seed).thetas
+
+
 def test_sample_pose_in_bounds(hand):
-    theta = bench.sample_pose(hand, seed=4)
+    theta = sample_poses(hand, 1, seed=4)[0]
     assert np.array_equal(sk.clamp_pose(hand, theta), theta)
 
 
 def test_sample_pose_deterministic(hand):
-    assert np.array_equal(bench.sample_pose(hand, 9), bench.sample_pose(hand, 9))
+    assert np.array_equal(sample_poses(hand, 1, 9), sample_poses(hand, 1, 9))
 
 
 def test_sample_pose_spans_ranges(hand):
-    rng = np.random.default_rng(0)
-    poses = bench.sample_poses(hand, 10_000, rng)
+    poses = sample_poses(hand, 10_000, seed=0)
     assert np.all(poses >= hand.dof_lower) and np.all(poses <= hand.dof_upper)
     spans = poses.max(axis=0) - poses.min(axis=0)
     assert np.all(spans >= 0.9 * (hand.dof_upper - hand.dof_lower))
@@ -75,10 +80,11 @@ def test_make_dataset_rejects_bad_params(hand):
 
 def test_dataset_indexing(hand):
     data = bench.make_dataset(hand, n=6, noise_sigma_mm=1.0, occlusion_prob=0.0, seed=2)
-    sample = data[3]
-    assert np.array_equal(sample.gt_theta, data.thetas[3])
-    assert np.array_equal(sample.gt_joints, data.joints[3])
-    assert len(data) == 6
+    row = data.subset([3])
+    assert np.array_equal(row.thetas[0], data.thetas[3])
+    assert np.array_equal(row.joints[0], data.joints[3])
+    assert np.array_equal(row.features[0], data.features[3])
+    assert len(data) == 6 and len(row) == 1
 
 
 def test_evaluate_perfect_predictions(hand):

@@ -73,7 +73,7 @@ def test_jacobian_output(hand, pose_file, tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + len(poses)
     row = np.array([float(v) for v in lines[1].split(",")])
-    _, jac = kin.fk_jacobian(hand, poses[0])
+    _, jac = kin.fk_jacobian_batch(hand, poses[:1])
     assert np.array_equal(row, jac.reshape(-1))
 
 
@@ -207,6 +207,30 @@ def test_train_numerical_failure_exit_code(tmp_path):
     assert code == 2
 
 
+def test_train_non_finite_gradient_exits_2(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data.csv"
+    assert run_cli("synth", "--n", "32", "--sigma", "5", "--occlusion", "0.0",
+                   "--seed", "4", "--out", str(data)) == 0
+    real = reg.backward_through_model
+    calls = []
+
+    def overflowing(*args, **kwargs):
+        value, (grads_w, grads_b) = real(*args, **kwargs)
+        calls.append(value)
+        if len(calls) == 2:  # epoch 0, batch 1
+            grads_w[-1][0, 0] = np.inf
+        return value, (grads_w, grads_b)
+
+    monkeypatch.setattr(reg, "backward_through_model", overflowing)
+    ckpt = tmp_path / "run.ckpt.json"
+    code = run_cli("train", "--mode", "ours", "--train", str(data),
+                   "--epochs", "3", "--batch", "8", "--seed", "2",
+                   "--out", str(ckpt))
+    assert code == 2
+    assert "non-finite gradient at epoch 0 batch 1" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_unknown_flag_exits_1(capsys):
     assert run_cli("fk", "--nonsense") == 1
 
@@ -230,5 +254,21 @@ def test_reproduce_smoke(tmp_path):
     assert set(stages) == {"datasets", "ik_fit", "evaluate",
                            *(f"train_{mode}" for mode in reg.MODES)}
     assert all(np.isfinite(v) and v >= 0.0 for v in stages.values())
+    assert manifest["config"]["skeleton"] == "hand23-bench"
+    assert manifest["config"]["interior_margin"] == bench.benchmark_interior_margin()
     for mode in reg.MODES:
         assert os.path.exists(out_a / f"{mode}.ckpt.json")
+
+
+def test_reproduce_skeleton_file_samples_whole_ranges(tmp_path):
+    # the interior margin undoes the benchmark skeleton's bound expansion;
+    # a skeleton file's bounds are not expanded, so it samples them whole
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "hand23.json")
+    out = tmp_path / "run"
+    code = run_cli("reproduce", "--skeleton", config, "--seed", "3",
+                   "--train-n", "16", "--val-n", "4", "--epochs", "1",
+                   "--batch", "16", "--fit-frames", "1", "--out", str(out))
+    assert code in (0, 3)  # orderings may fail at toy scale
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["skeleton"] == "hand23"
+    assert manifest["config"]["interior_margin"] == 0.0

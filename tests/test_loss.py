@@ -1,20 +1,28 @@
 import numpy as np
-import pytest
 
 import oracles
 from conftest import sample_in_bounds
 from kinedeep import kinematics as kin
 from kinedeep import loss
-from kinedeep import skeleton as sk
 
 
 def eval_joints(hand, theta):
-    return kin.forward_kinematics(hand, theta)[list(hand.eval_subset)]
+    return kin.forward_kinematics_batch(
+        hand, theta[None], joint_indices=list(hand.eval_subset))[0]
+
+
+def joint_loss_1(hand, theta, target):
+    """(values (1,), gradients (1, D)) of one pose, as a batch of one."""
+    return loss.joint_loss_batch(hand, theta[None], target[None])
+
+
+def phy_loss_1(hand, theta):
+    return loss.phy_loss_batch(hand, theta[None])
 
 
 def test_joint_loss_perfect_fit(hand, rng):
     theta = sample_in_bounds(hand, rng)
-    value, grad = loss.joint_loss(hand, theta, eval_joints(hand, theta))
+    (value,), (grad,) = joint_loss_1(hand, theta, eval_joints(hand, theta))
     assert value == 0.0
     assert np.array_equal(grad, np.zeros(hand.n_dofs))
 
@@ -22,20 +30,11 @@ def test_joint_loss_perfect_fit(hand, rng):
 def test_joint_loss_pure_translation_residual(hand):
     theta = np.zeros(hand.n_dofs)
     target = eval_joints(hand, theta) + np.array([1.0, 0.0, 0.0])
-    value, grad = loss.joint_loss(hand, theta, target)
+    (value,), (grad,) = joint_loss_1(hand, theta, target)
     n_eval = len(hand.eval_subset)
     assert np.isclose(value, 0.5 * n_eval)
     assert np.isclose(grad[0], -n_eval)
     assert np.allclose(grad[1:3], 0.0, atol=1e-12)
-
-
-def test_joint_loss_accepts_full_joint_set(hand, rng):
-    theta = sample_in_bounds(hand, rng)
-    full = kin.forward_kinematics(hand, sample_in_bounds(hand, rng))
-    v1, g1 = loss.joint_loss(hand, theta, full)
-    v2, g2 = loss.joint_loss(hand, theta, full[list(hand.eval_subset)])
-    assert v1 == v2
-    assert np.array_equal(g1, g2)
 
 
 def test_joint_loss_gradient_finite_difference(hand, rng):
@@ -45,10 +44,8 @@ def test_joint_loss_gradient_finite_difference(hand, rng):
         theta = sample_in_bounds(hand, rng)
         near = theta + rng.normal(scale=0.02, size=theta.shape)
         target = eval_joints(hand, near)
-        _, grad = loss.joint_loss(hand, theta, target)
-        fd = oracles.fd_jacobian(
-            lambda t: np.array([loss.joint_loss(hand, t, target)[0]]), theta
-        )[0]
+        _, (grad,) = joint_loss_1(hand, theta, target)
+        fd = oracles.fd_jacobian(lambda t: joint_loss_1(hand, t, target)[0], theta)[0]
         assert oracles.rel_err(grad, fd) < 1e-6
 
 
@@ -58,10 +55,8 @@ def test_joint_loss_gradient_far_targets_norm_metric(hand, rng):
     for _ in range(10):
         theta = sample_in_bounds(hand, rng)
         target = eval_joints(hand, sample_in_bounds(hand, rng))
-        _, grad = loss.joint_loss(hand, theta, target)
-        fd = oracles.fd_jacobian(
-            lambda t: np.array([loss.joint_loss(hand, t, target)[0]]), theta
-        )[0]
+        _, (grad,) = joint_loss_1(hand, theta, target)
+        fd = oracles.fd_jacobian(lambda t: joint_loss_1(hand, t, target)[0], theta)[0]
         assert np.linalg.norm(grad - fd) / (1.0 + np.linalg.norm(fd)) < 1e-8
 
 
@@ -69,14 +64,14 @@ def test_joint_loss_symmetric_in_residual(hand, rng):
     # swapping prediction and target leaves the value unchanged
     t1 = sample_in_bounds(hand, rng)
     t2 = sample_in_bounds(hand, rng)
-    v12, _ = loss.joint_loss(hand, t1, eval_joints(hand, t2))
-    v21, _ = loss.joint_loss(hand, t2, eval_joints(hand, t1))
+    (v12,), _ = joint_loss_1(hand, t1, eval_joints(hand, t2))
+    (v21,), _ = joint_loss_1(hand, t2, eval_joints(hand, t1))
     assert np.isclose(v12, v21)
 
 
 def test_phy_loss_in_range_zero(hand, rng):
     theta = sample_in_bounds(hand, rng)
-    value, grad = loss.phy_loss(hand, theta)
+    (value,), (grad,) = phy_loss_1(hand, theta)
     assert value == 0.0
     assert np.array_equal(grad, np.zeros(hand.n_dofs))
 
@@ -86,7 +81,7 @@ def test_phy_loss_single_violation(hand):
     d = 8  # finger rotation DOF
     assert hand.dof_is_rotation[d]
     theta[d] = hand.dof_upper[d] + 0.1
-    value, grad = loss.phy_loss(hand, theta)
+    (value,), (grad,) = phy_loss_1(hand, theta)
     assert np.isclose(value, 0.1)
     assert grad[d] == 1.0
     assert np.count_nonzero(grad) == 1
@@ -98,7 +93,7 @@ def test_phy_loss_two_violations_add(hand):
     lo_d, hi_d = rot_dofs[2], rot_dofs[5]
     theta[lo_d] = hand.dof_lower[lo_d] - 0.2
     theta[hi_d] = hand.dof_upper[hi_d] + 0.3
-    value, grad = loss.phy_loss(hand, theta)
+    (value,), (grad,) = phy_loss_1(hand, theta)
     assert np.isclose(value, 0.5)
     assert grad[lo_d] == -1.0
     assert grad[hi_d] == 1.0
@@ -108,7 +103,7 @@ def test_phy_loss_zero_at_exact_bound(hand):
     theta = np.zeros(hand.n_dofs)
     d = 8
     theta[d] = hand.dof_upper[d]
-    value, grad = loss.phy_loss(hand, theta)
+    (value,), (grad,) = phy_loss_1(hand, theta)
     assert value == 0.0
     assert grad[d] == 0.0
 
@@ -116,7 +111,7 @@ def test_phy_loss_zero_at_exact_bound(hand):
 def test_phy_loss_ignores_translation(hand):
     theta = np.zeros(hand.n_dofs)
     theta[0] = hand.dof_upper[0] + 50.0  # translation DOF out of its box
-    value, grad = loss.phy_loss(hand, theta)
+    (value,), (grad,) = phy_loss_1(hand, theta)
     assert value == 0.0
     assert grad[0] == 0.0
 
@@ -128,38 +123,9 @@ def test_phy_loss_monotone_in_violation(hand):
     for excess in (0.05, 0.1, 0.2, 0.4):
         theta = base.copy()
         theta[d] = hand.dof_upper[d] + excess
-        value, _ = loss.phy_loss(hand, theta)
+        (value,), _ = phy_loss_1(hand, theta)
         assert value > prev
         prev = value
-
-
-def test_total_loss_default_lambda_is_one(hand, rng):
-    theta = sample_in_bounds(hand, rng)
-    target = eval_joints(hand, sample_in_bounds(hand, rng))
-    report = loss.total_loss(hand, theta, target)
-    assert report.lam == 1.0
-    assert np.isclose(report.total, report.l_jt + report.l_phy)
-
-
-def test_total_loss_lambda_zero(hand, rng):
-    theta = rng.normal(scale=2.0, size=hand.n_dofs)  # likely out of range
-    target = eval_joints(hand, sample_in_bounds(hand, rng))
-    report = loss.total_loss(hand, theta, target, lam=0.0)
-    jt, _ = loss.joint_loss(hand, theta, target)
-    assert report.total == jt
-
-
-def test_total_loss_in_range_independent_of_lambda(hand, rng):
-    theta = sample_in_bounds(hand, rng)
-    target = eval_joints(hand, sample_in_bounds(hand, rng))
-    r1 = loss.total_loss(hand, theta, target, lam=1.0)
-    r5 = loss.total_loss(hand, theta, target, lam=5.0)
-    assert r1.total == r5.total == r1.l_jt
-
-
-def test_total_loss_rejects_negative_lambda(hand):
-    with pytest.raises(ValueError, match="lambda"):
-        loss.total_loss(hand, np.zeros(hand.n_dofs), np.zeros((14, 3)), lam=-1.0)
 
 
 def test_total_loss_gradient_finite_difference_away_from_kinks(hand, rng):
@@ -170,24 +136,26 @@ def test_total_loss_gradient_finite_difference_away_from_kinks(hand, rng):
         lam = 1.0
         near = theta + rng.normal(scale=0.02, size=theta.shape)
         target = eval_joints(hand, near)
-        report = loss.total_loss(hand, theta, target, lam=lam)
-        fd = oracles.fd_jacobian(
-            lambda t: np.array([
-                loss.total_loss(hand, t, target, lam=lam).total
-            ]), theta,
-        )[0]
-        assert oracles.rel_err(report.grad, fd) < 1e-6
+
+        def total(t):
+            return joint_loss_1(hand, t, target)[0] + lam * phy_loss_1(hand, t)[0]
+
+        grad = joint_loss_1(hand, theta, target)[1][0] + lam * phy_loss_1(hand, theta)[1][0]
+        fd = oracles.fd_jacobian(total, theta)[0]
+        assert oracles.rel_err(grad, fd) < 1e-6
 
 
 def test_batched_losses_match_scalar(hand, rng):
+    # row i of a batch is bit for bit the batch of row i alone
     thetas = sample_in_bounds(hand, rng, n=6)
+    thetas[2, 8] = hand.dof_upper[8] + 0.1  # one pose outside its range
     targets = np.stack([eval_joints(hand, sample_in_bounds(hand, rng)) for _ in range(6)])
     values, grads = loss.joint_loss_batch(hand, thetas, targets)
     pvals, pgrads = loss.phy_loss_batch(hand, thetas)
     for i in range(6):
-        v, g = loss.joint_loss(hand, thetas[i], targets[i])
-        assert np.isclose(values[i], v, rtol=0, atol=1e-9)
-        assert np.allclose(grads[i], g, rtol=0, atol=1e-9)
-        v2, g2 = loss.phy_loss(hand, thetas[i])
-        assert pvals[i] == v2
-        assert np.array_equal(pgrads[i], g2)
+        v, g = joint_loss_1(hand, thetas[i], targets[i])
+        assert values[i] == v[0]
+        assert np.array_equal(grads[i], g[0])
+        v2, g2 = phy_loss_1(hand, thetas[i])
+        assert pvals[i] == v2[0]
+        assert np.array_equal(pgrads[i], g2[0])

@@ -206,6 +206,11 @@ def test_sgd_defaults_match_reference_values():
     assert sgd.lam == 1.0
 
 
+def test_sgd_config_rejects_negative_lambda():
+    with pytest.raises(ValueError, match="lambda"):
+        reg.SgdConfig(lam=-1.0)
+
+
 def test_sgd_step_shape_mismatch():
     run = reg.init(reg.MlpConfig(layer_widths=(2, 3), seed=1), mode="direct_parameter")
     grads = ([np.ones((4, 4))], [np.ones(3)])
@@ -273,6 +278,29 @@ def test_train_non_finite_loss_reports_epoch_and_batch(hand):
     sgd = train_config(learning_rate=5.0, epochs=3)  # guaranteed blow-up
     with pytest.raises(reg.NumericalError, match="epoch"):
         reg.train(run, data, hand, sgd)
+
+
+def test_train_non_finite_gradient_reports_its_batch(hand, monkeypatch):
+    # a finite loss with an overflowed gradient: the error names that batch,
+    # and the bad update never reaches the weights
+    data = small_dataset(hand)  # 4 batches of 8 per epoch
+    run = reg.init(whitened_config(hand, data), mode="ours")
+    real = reg.backward_through_model
+    calls = []
+
+    def overflowing(*args, **kwargs):
+        value, (grads_w, grads_b) = real(*args, **kwargs)
+        calls.append(value)
+        if len(calls) == 7:  # epoch 1, batch 2
+            grads_w[0][0, 0] = np.inf
+        return value, (grads_w, grads_b)
+
+    monkeypatch.setattr(reg, "backward_through_model", overflowing)
+    with pytest.raises(reg.NumericalError,
+                       match="^non-finite gradient at epoch 1 batch 2$"):
+        reg.train(run, data, hand, train_config(epochs=3))
+    assert np.isfinite(calls[-1])
+    assert all(np.isfinite(w).all() for w in run.weights)
 
 
 def test_mode_equivalence_ours_lambda_zero(hand):
