@@ -239,7 +239,9 @@ def score(skel: Skeleton, predictions, ground_truth: Dataset,
         pose_preds = (None if fitted_poses is None
                       else np.asarray(fitted_poses, dtype=float))
 
-    err = np.linalg.norm(pred_joints - ground_truth.joints[:, ev, :], axis=2)
+    resid = pred_joints - ground_truth.joints[:, ev, :]
+    sq = resid * resid
+    err = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
     max_err = err.max(axis=1)
     curve = [(float(t), float(np.mean(max_err <= t))) for t in thresholds]
 

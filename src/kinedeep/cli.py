@@ -220,7 +220,8 @@ def cmd_ik(args) -> int:
         "frames": len(results),
         "residual_mean_mm": mean,
         "residual_variance_mm2": var,
-        "converged": sum(1 for r in results if r.converged),
+        "residual_mm": [r.residual_mm for r in results],
+        "converged": [r.converged for r in results],
         "iterations_used": [r.iterations_used for r in results],
         "fit_s": fit_s,
     }

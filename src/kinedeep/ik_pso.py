@@ -115,8 +115,9 @@ class _Objective:
         """(loss, mean per-joint distance) per pose."""
         joints = forward_kinematics_batch(self.skel, thetas, joint_indices=self.ev)
         resid = joints - self.targets[frames]
+        sq = resid * resid
         return (0.5 * np.einsum("nkc,nkc->n", resid, resid),
-                np.linalg.norm(resid, axis=2).mean(axis=1))
+                np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2]).mean(axis=1))
 
     def residual_and_jacobian(self, thetas, frames):
         pos, jac = fk_jacobian_batch(self.skel, thetas, joint_indices=self.ev)

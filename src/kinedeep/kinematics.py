@@ -1,4 +1,4 @@
-"""Forward kinematics and analytic Jacobians over skeleton trees.
+"""Forward kinematics, analytic Jacobians and their reverse-mode products.
 
 Conventions
 -----------
@@ -17,24 +17,36 @@ Trans_x(l1) * Rot(theta_1) * Trans_x(l2) * Rot(theta_2) * ... applied to the
 origin. The root's three rotation DOFs are listed X, Y, Z, so the global
 orientation convention is Rx * Ry * Rz.
 
-Derivatives: replacing one rotation matrix in the chain by its elementwise
-derivative and keeping everything else fixed gives the exact gradient of any
-downstream joint position. For a rotation about a fixed local axis this
-collapses to the cross-product form
+Derivatives
+-----------
+The forward pass records, per DOF d, its axis ``a_d`` in world coordinates
+and the point ``c_d`` it acts at. A rotation DOF moves every joint ``k`` of
+its joint's subtree (the joint itself included) by
 
-    d p_joint / d theta = a x (p_joint - c)
+    d p_k / d theta_d = a_d x (p_k - c_d)
 
-with ``a`` the DOF axis in world coordinates and ``c`` the point the DOF
-rotates about; translation DOFs contribute their world axis directly. The
-batched implementation below records (a, c) per DOF during the forward pass
-and assembles all Jacobian columns in one vectorized step.
+and a translation DOF moves them by ``a_d``; all other joints stay put.
+``fk_jacobian_batch`` assembles these columns. ``fk_vjp_batch`` never forms
+them: for a cotangent ``r_k`` per selected joint (a loss residual, say) it
+returns J^T r in reverse mode (Griewank & Walther, *Evaluating Derivatives*,
+2008; Featherstone, *Rigid Body Dynamics Algorithms*, 2008):
 
+    rotation DOF d at joint u:     a_d . (sum_sub(u) p x r - c_d x sum_sub(u) r)
+    translation DOF d at joint u:  a_d . sum_sub(u) r
+
+The two subtree sums come from one walk that adds every joint into its
+parent, children before parents.
+
+Layout
+------
 Every function takes a batch of poses (N, D); a single pose of length D is
-read as a batch of one. Positions come back C-contiguous at every N, also
-for a subset of joints. numpy sums in an order set by the memory layout, so
-this is what makes a row-wise reduction of the output (a pose's loss, its
-mean joint distance) give the same bits whether the pose is alone or in a
-batch.
+read as a batch of one. Internally the pose axis is last: a rotation is its
+three (3, N) columns, positions are (J, 3, N), and the recorded axes and
+pivots are (D, 3, N), so every step is an elementwise operation over
+contiguous pose vectors and no sum runs across poses. A pose therefore gets
+the same bits alone as in a batch. Positions come back C-contiguous
+(N, Js, 3) at every N, also for a subset of joints, so a row-wise reduction
+of the output (a pose's loss, its mean joint distance) keeps that property.
 
 All math is float64; gradient-check tolerances are unreachable in 32-bit.
 Functions are pure and safe to call concurrently.
@@ -45,7 +57,12 @@ import numpy as np
 
 from .skeleton import Skeleton
 
-_EYE3 = np.eye(3)
+# the root frame's columns, broadcast over poses
+_EYE_COLUMNS = tuple(np.eye(3)[:, i:i + 1] for i in range(3))
+# (i+1, i+2) mod 3 per axis i: the two columns a rotation about axis i
+# mixes, as (c*first + s*second, c*second - s*first), and the factors of
+# component i of a cross product, a[first]*b[second] - a[second]*b[first]
+_CYCLIC = ((1, 2), (2, 0), (0, 1))
 
 
 def _check_poses(skel: Skeleton, thetas: np.ndarray) -> np.ndarray:
@@ -61,78 +78,69 @@ def _check_poses(skel: Skeleton, thetas: np.ndarray) -> np.ndarray:
     return thetas
 
 
-def _apply_axis_rotation(R, ax, c, s):
-    """Batched R @ RotAxis(theta) via column recombination."""
-    out = np.empty_like(R)
-    c0, c1, c2 = R[:, :, 0], R[:, :, 1], R[:, :, 2]
-    if ax == 0:
-        out[:, :, 0] = c0
-        out[:, :, 1] = c * c1 + s * c2
-        out[:, :, 2] = c * c2 - s * c1
-    elif ax == 1:
-        out[:, :, 0] = c * c0 - s * c2
-        out[:, :, 1] = c1
-        out[:, :, 2] = s * c0 + c * c2
-    else:
-        out[:, :, 0] = c * c0 + s * c1
-        out[:, :, 1] = c * c1 - s * c0
-        out[:, :, 2] = c2
-    return out
-
-
 def _fk_pass(skel: Skeleton, thetas: np.ndarray, record: bool):
-    """Walk the tree once for a batch of poses.
+    """Walk the tree once for a batch of poses (N, D), poses last.
 
-    Returns (positions (N,J,3), axes (D,N,3) or None, centers (D,N,3) or None)
-    where axes/centers describe each DOF's world axis and pivot point.
+    Returns (positions (J, 3, N), axes (D, 3, N) or None, centers (D, 3, N)
+    or None), where axes/centers are each DOF's world axis and the point it
+    acts at.
     """
-    N = thetas.shape[0]
-    J, D = skel.n_joints, skel.n_dofs
-    rot_mats = [None] * J
-    pos = np.empty((N, J, 3))
-    axes = np.empty((D, N, 3)) if record else None
-    cents = np.empty((D, N, 3)) if record else None
+    N, D = thetas.shape
+    angles = np.ascontiguousarray(thetas.T)
+    cos, sin = np.cos(angles), np.sin(angles)
+    parents = skel.parent_index.tolist()
+    bones = skel.bone_lengths.tolist()
+    dof_axis = skel.dof_axis.tolist()
+    is_rotation = skel.dof_is_rotation.tolist()
+    pos = np.empty((skel.n_joints, 3, N))
+    axes = np.empty((D, 3, N)) if record else None
+    cents = np.empty((D, 3, N)) if record else None
 
-    dof_of_joint = [[] for _ in range(J)]
-    for d, u in enumerate(skel.dof_joint):
-        dof_of_joint[u].append(d)
-
-    for u in range(J):
-        p = skel.parent_index[u]
-        if p < 0:
-            R = np.broadcast_to(_EYE3, (N, 3, 3))
-            t = np.zeros((N, 3))
-            rest = skel.rest_rotations[u]
-            if rest is not None:
-                R = R @ rest
-        else:
-            R = rot_mats[p]
-            rest = skel.rest_rotations[u]
-            if rest is not None:
-                R = R @ rest
-            t = pos[:, p, :] + skel.bone_lengths[u] * R[:, :, 0]
-        for d in dof_of_joint[u]:
-            ax = skel.dof_axis[d]
+    columns = []
+    for u, dofs in enumerate(skel.joint_dofs):
+        p = parents[u]
+        R = list(_EYE_COLUMNS if p < 0 else columns[p])
+        rest = skel.rest_rotations[u]
+        if rest is not None:
+            # R @ rest written as sums: column j is sum_k R[k] * rest[k, j]
+            R = list(R[0][None] * rest[0][:, None, None]
+                     + R[1][None] * rest[1][:, None, None]
+                     + R[2][None] * rest[2][:, None, None])
+        t = np.zeros((3, 1)) if p < 0 else pos[p] + bones[u] * R[0]
+        for d in dofs:
+            ax = dof_axis[d]
             if record:
-                axes[d] = R[:, :, ax]
+                axes[d] = R[ax]
                 cents[d] = t
-            val = thetas[:, d]
-            if skel.dof_is_rotation[d]:
-                R = _apply_axis_rotation(R, ax, np.cos(val)[:, None], np.sin(val)[:, None])
+            if is_rotation[d]:
+                a, b = _CYCLIC[ax]
+                c, s = cos[d], sin[d]
+                Ra, Rb = R[a], R[b]
+                R[a] = c * Ra + s * Rb
+                R[b] = c * Rb - s * Ra
             else:
-                t = t + val[:, None] * R[:, :, ax]
-        rot_mats[u] = R
-        pos[:, u, :] = t
+                t = t + angles[d] * R[ax]
+        columns.append(R)
+        pos[u] = t
     return pos, axes, cents
+
+
+def _joint_rows(skel: Skeleton, joint_indices) -> list:
+    if joint_indices is None:
+        return list(range(skel.n_joints))
+    return list(joint_indices)
+
+
+def _joints_first(pos: np.ndarray, rows: list) -> np.ndarray:
+    """(J, 3, N) positions -> C-contiguous (N, len(rows), 3)."""
+    return np.take(pos.transpose(2, 0, 1), rows, axis=1)
 
 
 def forward_kinematics_batch(skel: Skeleton, thetas, joint_indices=None) -> np.ndarray:
     """Joint positions (N, J, 3) in mm for a batch of poses (N, D)."""
     thetas = _check_poses(skel, thetas)
     pos, _, _ = _fk_pass(skel, thetas, record=False)
-    if joint_indices is not None:
-        pos = np.take(pos, list(joint_indices), axis=1)
-    return pos
+    return _joints_first(pos, _joint_rows(skel, joint_indices))
 
 
 def fk_jacobian_batch(skel: Skeleton, thetas, joint_indices=None):
@@ -143,40 +151,62 @@ def fk_jacobian_batch(skel: Skeleton, thetas, joint_indices=None):
     DOFs). Columns vanish for DOFs off the joint's root path.
     """
     thetas = _check_poses(skel, thetas)
-    N = thetas.shape[0]
-    D = skel.n_dofs
     pos, axes, cents = _fk_pass(skel, thetas, record=True)
+    rows = _joint_rows(skel, joint_indices)
+    N, D = thetas.shape
 
-    if joint_indices is None:
-        Js = skel.n_joints
-        P = pos
-        sel_desc = [np.flatnonzero(skel.path_mask[:, d]) for d in range(D)]
-    else:
-        js = np.asarray(list(joint_indices), dtype=np.int64)
-        Js = len(js)
-        P = np.take(pos, js, axis=1)
-        path_sel = skel.path_mask[js]
-        sel_desc = [np.flatnonzero(path_sel[:, d]) for d in range(D)]
+    # only (joint, DOF) pairs on a root path are nonzero; fill all pairs of
+    # one DOF kind at once. Advanced indices split by a slice put the pair
+    # axis first, (pairs, N, 3); adjacent ones keep it in place, (N, pairs).
+    jac = np.zeros((N, len(rows), 3, D))
+    on_path = skel.path_mask[rows]
+    joint, dof = np.nonzero(on_path & ~skel.dof_is_rotation)
+    jac[:, joint, :, dof] = axes[dof].transpose(0, 2, 1)
+    joint, dof = np.nonzero(on_path & skel.dof_is_rotation)
+    a = axes[dof]
+    r = pos[np.asarray(rows)[joint]] - cents[dof]
+    for i, (j, k) in enumerate(_CYCLIC):
+        jac[:, joint, i, dof] = (a[:, j] * r[:, k] - a[:, k] * r[:, j]).T
+    return _joints_first(pos, rows), jac.reshape(N, 3 * len(rows), D)
 
-    # Column d only touches joints below the DOF, so fill per DOF over its
-    # descendant rows. The (N, Js, 3, D) buffer reshapes to (N, 3*Js, D)
-    # without a copy.
-    jac4 = np.zeros((N, Js, 3, D))
-    for d in range(D):
-        idx = sel_desc[d]
-        if idx.size == 0:
-            continue
-        a = axes[d]  # (N, 3)
-        # advanced indexing with the scalar d moves the idx axis first,
-        # so the assigned block is laid out (len(idx), N, 3)
-        if skel.dof_is_rotation[d]:
-            r = P[:, idx, :] - cents[d][:, None, :]
-            col = np.empty((N, idx.size, 3))
-            ax, ay, az = a[:, None, 0], a[:, None, 1], a[:, None, 2]
-            col[:, :, 0] = ay * r[:, :, 2] - az * r[:, :, 1]
-            col[:, :, 1] = az * r[:, :, 0] - ax * r[:, :, 2]
-            col[:, :, 2] = ax * r[:, :, 1] - ay * r[:, :, 0]
-            jac4[:, idx, :, d] = col.transpose(1, 0, 2)
-        else:
-            jac4[:, idx, :, d] = a[None, :, :]
-    return P, jac4.reshape(N, 3 * Js, D)
+
+def fk_vjp_batch(skel: Skeleton, thetas, joint_indices=None):
+    """Positions and their reverse-mode product for a batch of poses.
+
+    Returns (positions (N, Js, 3), pullback). ``pullback(cotangent)`` takes
+    one (N, Js, 3) or (N, 3*Js) array, such as a loss residual, and returns
+    J^T cotangent per pose, (N, D), without forming the Jacobian.
+    """
+    thetas = _check_poses(skel, thetas)
+    pos, axes, cents = _fk_pass(skel, thetas, record=True)
+    rows = _joint_rows(skel, joint_indices)
+    unique = len(set(rows)) == len(rows)
+    N = thetas.shape[0]
+
+    def pullback(cotangent):
+        r = np.asarray(cotangent, dtype=float).reshape(N, len(rows), 3)
+        # per joint: [summed cotangent w, p x w], then subtree sums
+        sums = np.zeros((skel.n_joints, 2, 3, N))
+        w, q = sums[:, 0], sums[:, 1]
+        if unique:
+            w[rows] = r.transpose(1, 2, 0)
+        else:  # a joint selected twice gets both cotangents (add.at is slower)
+            np.add.at(w, rows, r.transpose(1, 2, 0))
+        for i, (j, k) in enumerate(_CYCLIC):
+            q[:, i] = pos[:, j] * w[:, k] - pos[:, k] * w[:, j]
+        parents = skel.parent_index.tolist()
+        for u in range(skel.n_joints - 1, 0, -1):
+            sums[parents[u]] += sums[u]
+
+        # per DOF, its joint's subtree sums; v is the vector a_d is dotted
+        # with in the formulas of the module docstring
+        sub = sums[skel.dof_joint]
+        sub_r, sub_q = sub[:, 0], sub[:, 1]
+        v = np.empty_like(sub_r)
+        for i, (j, k) in enumerate(_CYCLIC):
+            v[:, i] = sub_q[:, i] - (cents[:, j] * sub_r[:, k] - cents[:, k] * sub_r[:, j])
+        v = np.where(skel.dof_is_rotation[:, None, None], v, sub_r)
+        grad = axes[:, 0] * v[:, 0] + axes[:, 1] * v[:, 1] + axes[:, 2] * v[:, 2]
+        return np.ascontiguousarray(grad.T)
+
+    return _joints_first(pos, rows), pullback

@@ -1,13 +1,14 @@
 """Joint-location loss, angle-range penalty, and their pose gradients.
 
 The joint term is summed (not averaged) over the selected joints:
-0.5 * ||joints(pose) - target||^2 in mm^2; its gradient is the kinematics
-Jacobian transposed against the residual. The range penalty is a hinge on
-every rotation DOF, measured in radians: amounts below the lower bound and
-above the upper bound add up linearly. Components sitting exactly on a
-bound contribute zero penalty and zero subgradient, so in-range poses are
-penalty-free. The training loss is the joint term plus lambda times the
-penalty.
+0.5 * ||joints(pose) - target||^2 in mm^2. Its gradient, J^T times the
+residual, is accumulated in reverse mode by the kinematics
+(`fk_vjp_batch`), so the Jacobian itself is never formed. The range
+penalty is a hinge on every rotation DOF, measured in radians: amounts
+below the lower bound and above the upper bound add up linearly.
+Components sitting exactly on a bound contribute zero penalty and zero
+subgradient, so in-range poses are penalty-free. The training loss is the
+joint term plus lambda times the penalty.
 
 Both functions are pure and take a batch of poses stacked along the first
 axis; row i of the output depends on row i of the input alone.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kinematics import fk_jacobian_batch
+from .kinematics import fk_vjp_batch
 from .skeleton import Skeleton
 
 
@@ -29,11 +30,10 @@ def joint_loss_batch(skel: Skeleton, thetas, targets, joint_indices=None):
     sel = list(joint_indices) if joint_indices is not None else list(skel.eval_subset)
     thetas = np.asarray(thetas, dtype=float)
     targets = np.asarray(targets, dtype=float).reshape(thetas.shape[0], len(sel) * 3)
-    pos, jac = fk_jacobian_batch(skel, thetas, joint_indices=sel)
+    pos, pullback = fk_vjp_batch(skel, thetas, joint_indices=sel)
     resid = pos.reshape(thetas.shape[0], -1) - targets
     values = 0.5 * np.einsum("nk,nk->n", resid, resid)
-    grads = np.einsum("nkd,nk->nd", jac, resid)
-    return values, grads
+    return values, pullback(resid)
 
 
 def phy_loss_batch(skel: Skeleton, thetas):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,6 +129,7 @@ class Skeleton:
       bone_lengths   (J,) float mm
       rest_rotations list of 3x3 arrays or None per joint
       dof_joint      (D,) int, owning joint of each DOF
+      joint_dofs     per joint, the tuple of its DOF indices in order
       dof_is_rotation(D,) bool
       dof_axis       (D,) int 0..2
       dof_lower/dof_upper (D,) float
@@ -164,6 +165,9 @@ class Skeleton:
         self.dof_lower = np.array(lo, dtype=float)
         self.dof_upper = np.array(hi, dtype=float)
         self.dof_names = tuple(names)
+        self.joint_dofs = tuple(
+            tuple(d for d, v in enumerate(dof_joint) if v == u) for u in range(J)
+        )
 
         mask = np.zeros((J, len(dof_joint)), dtype=bool)
         for u in range(J):

@@ -5,6 +5,9 @@ straight-line per-joint chain products recomputed from the root for every
 joint, and no sharing with the library's fast path beyond the documented
 frame conventions.
 
+`jacobian_gradient` is the joint-loss gradient formed from the whole
+Jacobian, the reference for the reverse-mode gradient of `kinedeep.loss`.
+
 `sequential_fit_pose` / `sequential_fit_batch` are the original one-frame-at-
 a-time swarm + Gauss-Newton fitter, kept verbatim as the reference that the
 frame-batched `kinedeep.ik_pso` must match bit for bit.
@@ -130,6 +133,13 @@ def naive_jacobian(skel, theta) -> np.ndarray:
                 m = m @ e
             jac[3 * u:3 * u + 3, d] = (m @ origin)[:3]
     return jac
+
+
+def jacobian_gradient(skel, thetas, targets, joint_indices) -> np.ndarray:
+    """Joint-loss gradient (N, D) through the full Jacobian: J^T residual."""
+    pos, jac = fk_jacobian_batch(skel, thetas, joint_indices=joint_indices)
+    resid = pos.reshape(len(pos), -1) - np.reshape(targets, (len(pos), -1))
+    return np.einsum("nkd,nk->nd", jac, resid)
 
 
 def fd_jacobian(f, x, h=1e-5) -> np.ndarray:

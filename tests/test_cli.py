@@ -4,10 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from kinedeep import bench, fileio
+from kinedeep import bench, fileio, ik_pso
 from kinedeep import kinematics as kin
 from kinedeep import regressor as reg
-from kinedeep import skeleton as sk
 from kinedeep.cli import main
 
 
@@ -130,6 +129,10 @@ def test_ik_recovers_pose(hand, rng, tmp_path):
     report = json.loads((tmp_path / "fit.csv.report.json").read_text())
     assert report["frames"] == 1
     assert np.isfinite(report["fit_s"]) and report["fit_s"] >= 0.0
+    # per-frame telemetry, one entry per frame like iterations_used
+    assert len(report["residual_mm"]) == len(report["iterations_used"]) == 1
+    assert report["residual_mm"][0] == report["residual_mean_mm"]
+    assert report["converged"] == [report["residual_mm"][0] <= ik_pso.PsoConfig().tol_mm]
 
 
 def test_ik_no_target_frames_exits_1(hand, tmp_path, capsys):

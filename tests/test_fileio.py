@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kinedeep import bench, fileio
-from kinedeep import skeleton as sk
 
 
 def test_pose_file_roundtrip(hand, rng, tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 
 import oracles
 from conftest import sample_in_bounds
+from kinedeep import bench, loss
 from kinedeep import kinematics as kin
-from kinedeep import loss
 
 
 def eval_joints(hand, theta):
@@ -67,6 +67,24 @@ def test_joint_loss_symmetric_in_residual(hand, rng):
     (v12,), _ = joint_loss_1(hand, t1, eval_joints(hand, t2))
     (v21,), _ = joint_loss_1(hand, t2, eval_joints(hand, t1))
     assert np.isclose(v12, v21)
+
+
+def test_joint_loss_gradient_matches_jacobian_oracle(hand):
+    # the reverse-mode gradient against J^T r from the full Jacobian, on
+    # both skeletons (root translation DOFs included), for the eval subset,
+    # every joint and a selection naming one joint twice, alone and in batches
+    rng = np.random.default_rng(606)
+    for skel in (hand, bench.benchmark_skeleton()):
+        for sel in (list(skel.eval_subset), list(range(skel.n_joints)), [0, 8, 8, 22]):
+            for n in (1, 64, 4096):
+                thetas = rng.uniform(skel.dof_lower, skel.dof_upper, size=(n, skel.n_dofs))
+                others = rng.uniform(skel.dof_lower, skel.dof_upper, size=(n, skel.n_dofs))
+                targets = kin.forward_kinematics_batch(skel, others, joint_indices=sel)
+                _, grads = loss.joint_loss_batch(skel, thetas, targets, joint_indices=sel)
+                want = oracles.jacobian_gradient(skel, thetas, targets, sel)
+                rel = (np.linalg.norm(grads - want, axis=1)
+                       / np.linalg.norm(want, axis=1))
+                assert rel.max() < 1e-12, (skel.name, len(sel), n, rel.max())
 
 
 def test_phy_loss_in_range_zero(hand, rng):

@@ -1,10 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import oracles
 from kinedeep import bench
 from kinedeep import regressor as reg
-from kinedeep import skeleton as sk
 from kinedeep.kinematics import forward_kinematics_batch
 
 
@@ -379,6 +380,9 @@ def test_checkpoint_roundtrip(hand, tmp_path):
         assert np.array_equal(va, vb)
     assert again.history == run.history
     assert np.array_equal(reg.forward(again, data.features), reg.forward(run, data.features))
+    # the text is json.dump's, byte for byte
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text)) + "\n"
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):

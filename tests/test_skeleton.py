@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
