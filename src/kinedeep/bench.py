@@ -17,8 +17,7 @@ Metrics follow the usual hand-pose protocol:
     its bounds.
 
 For joint-set predictions the angle metrics are computed on poses fitted by
-:func:`kinedeep.ik_pso.fit_batch`; pass either the fitted poses or a fit
-config.
+:func:`kinedeep.ik_pso.fit_batch`, which the caller passes in.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import forward_kinematics_batch
-from .skeleton import Skeleton
+from .skeleton import Skeleton, default_hand, skeleton_from_dict
 
 OCCLUSION_SENTINEL_MM = -1000.0
 DEFAULT_THRESHOLDS_MM = tuple(range(5, 85, 5))
@@ -55,9 +54,7 @@ def benchmark_skeleton() -> Skeleton:
     benchmark_interior_margin() gives the matching sampling margin
     that makes the sampled core equal the anatomical ranges.
     """
-    from .skeleton import _hand23_dict, skeleton_from_dict
-
-    raw = _hand23_dict()
+    raw = default_hand().to_dict()
     for dof in raw["joints"][0]["dofs"]:
         if dof["kind"] == "rotation":
             dof["lower_deg"], dof["upper_deg"] = -60.0, 60.0
@@ -189,13 +186,11 @@ def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
 
 
 def evaluate(skel: Skeleton, predictions, ground_truth: Dataset,
-             thresholds=DEFAULT_THRESHOLDS_MM, *, fitted_poses=None,
-             fit_config=None) -> MetricsReport:
+             thresholds=DEFAULT_THRESHOLDS_MM, *, fitted_poses=None) -> MetricsReport:
     """Score predicted poses (N, D) or eval-joint sets (N, n_eval, 3).
 
-    For joint-set predictions the angle metrics need fitted poses; provide
-    them precomputed (`fitted_poses`) or pass a `fit_config`
-    (:class:`kinedeep.ik_pso.PsoConfig`) to run the fit here.
+    For joint-set predictions the angle metrics need `fitted_poses`, the
+    poses :func:`kinedeep.ik_pso.fit_batch` fitted to them.
     """
     thresholds = list(thresholds)
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
@@ -207,14 +202,7 @@ def evaluate(skel: Skeleton, predictions, ground_truth: Dataset,
             f"{predictions.shape[0]} predictions for {n} ground-truth frames"
         )
     if not _are_poses(skel, predictions) and fitted_poses is None:
-        if fit_config is None:
-            raise ValueError(
-                "joint-set predictions need fitted_poses or fit_config "
-                "for the angle metrics"
-            )
-        from .ik_pso import fit_batch
-        targets = predictions.reshape(n, len(skel.eval_subset), 3)
-        fitted_poses = np.stack([r.theta for r in fit_batch(skel, targets, fit_config)])
+        raise ValueError("joint-set predictions need fitted_poses for the angle metrics")
     return score(skel, predictions, ground_truth, thresholds, fitted_poses)
 
 

@@ -10,8 +10,10 @@ Exit codes: 0 success; 1 validation or parse error; 2 numerical failure
 (non-finite values); 3 an acceptance-style check failed (gradcheck
 tolerance or a reproduce ordering).
 
-The default skeleton is the built-in 23-joint hand; --skeleton or the
-KINEDEEP_SKELETON environment variable select a config file.
+The default skeleton is the built-in 23-joint hand, the config file
+hand23.json shipped inside the package; --skeleton or the KINEDEEP_SKELETON
+environment variable select another config file. train and eval refuse a
+dataset whose header names a different skeleton.
 """
 from __future__ import annotations
 
@@ -58,6 +60,15 @@ def _resolve_skeleton(path) -> sk.Skeleton:
     if path is None:
         return sk.default_hand()
     return sk.load_skeleton(path)
+
+
+def _read_dataset(path, skel) -> bench.Dataset:
+    """A dataset file, refused unless it was made for `skel`."""
+    data = fileio.read_dataset(path)
+    if data.skeleton_name != skel.name:
+        raise _CliError(f"{path}: dataset was made for skeleton "
+                        f"{data.skeleton_name!r}, not {skel.name!r}")
+    return data
 
 
 def _manifest_path(out_path) -> str:
@@ -257,51 +268,27 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-# Desk-scale training profile: staged learning rate (warm-up, main phase,
-# two decay phases) as fractions of the mode's base rate and of the epoch
-# budget. Raw joint-loss gradients at blast-off distances are orders of
-# magnitude above their converged scale, so fixed-rate SGD either diverges
-# or crawls; the schedule is plain SGD throughout.
-_STAGE_PLAN = ((0.01, 0.01), (0.1, 0.015), (1.0 / 3.0, 0.025), (1.0, 0.45),
-               (0.3, 0.25), (0.1, 0.25))
-
-
-def _stages(base_lr, epochs):
-    out = []
-    for frac_lr, frac_ep in _STAGE_PLAN:
-        ep = max(1, int(round(frac_ep * epochs)))
-        out.append((base_lr * frac_lr, ep))
-    return out
-
-
-def _train_mode(skel, mode, train_data, val_data, base_lr, batch, epochs, lam,
-                seed, staged=True):
-    """A fresh network of `mode`, trained; `lam` is its Mode.penalty_weight."""
+def _train_mode(skel, mode, train_data, val_data, sgd, seed):
+    """A fresh network of `mode`, trained by `sgd`."""
     spec = reg.MODES[mode]
     cfg = reg.MlpConfig(
         layer_widths=(train_data.features.shape[1], 256, 256, spec.output_width(skel)),
         seed=seed, input_scale=0.01, input_clip_abs=400.0,
         output_scale=spec.output_scale(skel),
     )
-    run = reg.init(cfg, mode)
-    plan = _stages(base_lr, epochs) if staged else [(base_lr, epochs)]
-    for lr, ep in plan:
-        sgd = reg.SgdConfig(batch_size=batch, learning_rate=lr, epochs=ep, lam=lam)
-        reg.train(run, train_data, skel, sgd, val=val_data)
-    return run
+    return reg.train(reg.init(cfg, mode), train_data, skel, sgd, val=val_data)
 
 
 def cmd_train(args) -> int:
     started = time.monotonic()
     skel = _resolve_skeleton(args.skeleton)
-    train_data = fileio.read_dataset(args.train)
-    val_data = fileio.read_dataset(args.val) if args.val else None
+    train_data = _read_dataset(args.train, skel)
+    val_data = _read_dataset(args.val, skel) if args.val else None
     spec = reg.MODES[args.mode]
     base_lr = args.lr if args.lr is not None else spec.base_lr
-    lam = spec.penalty_weight(args.lam)
-    run = _train_mode(skel, args.mode, train_data, val_data, base_lr,
-                      args.batch, args.epochs, lam, args.seed,
-                      staged=not args.flat_lr)
+    sgd = reg.SgdConfig(batch_size=args.batch, learning_rate=base_lr,
+                        epochs=args.epochs, lam=args.lam, staged=not args.flat_lr)
+    run = _train_mode(skel, args.mode, train_data, val_data, sgd, args.seed)
     reg.save_checkpoint(run, args.out)
     if val_data is not None:
         joint_err, angle_err, invalid = reg.validation_stats(run, val_data, skel)
@@ -310,7 +297,8 @@ def cmd_train(args) -> int:
     _write_manifest(_manifest_path(args.out), "train",
                     {"skeleton": skel.name, "mode": args.mode, "lr": base_lr,
                      "batch": args.batch, "epochs": args.epochs,
-                     "lambda": lam, "flat_lr": args.flat_lr},
+                     "lambda": spec.penalty_weight(args.lam),
+                     "flat_lr": args.flat_lr},
                     args.seed, [args.train] + ([args.val] if args.val else []),
                     [args.out], started)
     print(f"train: mode {args.mode}, {len(run.history)} epochs -> {args.out}")
@@ -321,12 +309,13 @@ def cmd_eval(args) -> int:
     started = time.monotonic()
     skel = _resolve_skeleton(args.skeleton)
     run = reg.load_checkpoint(args.ckpt)
-    data = fileio.read_dataset(args.data)
+    data = _read_dataset(args.data, skel)
     predictions = reg.predict(run, data.features, skel)
-    fit_cfg = None
+    fitted = None
     if not reg.MODES[run.mode].emits_pose:
         fit_cfg = ik_pso.PsoConfig(seed=args.seed, iterations=args.fit_iters)
-    report = bench.evaluate(skel, predictions, data, fit_config=fit_cfg)
+        fitted = np.stack([r.theta for r in ik_pso.fit_batch(skel, predictions, fit_cfg)])
+    report = bench.evaluate(skel, predictions, data, fitted_poses=fitted)
     with open(args.out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
@@ -401,8 +390,9 @@ def cmd_reproduce(args) -> int:
     table = {}
     outputs = []
     for mode, spec in reg.MODES.items():
-        run = _train_mode(skel, mode, train_data, None, spec.base_lr, args.batch,
-                          args.epochs, spec.penalty_weight(args.lam), args.seed)
+        sgd = reg.SgdConfig(batch_size=args.batch, learning_rate=spec.base_lr,
+                            epochs=args.epochs, lam=args.lam)
+        run = _train_mode(skel, mode, train_data, None, sgd, args.seed)
         ckpt = os.path.join(args.out, f"{mode}.ckpt.json")
         reg.save_checkpoint(run, ckpt)
         outputs.append(ckpt)
@@ -484,8 +474,8 @@ def build_parser() -> _Parser:
 
     def add_skeleton(p):
         p.add_argument("--skeleton", default=None,
-                       help=f"skeleton config (default: built-in hand or "
-                            f"${SKELETON_ENV})")
+                       help=f"skeleton config (default: ${SKELETON_ENV}, "
+                            f"else the packaged hand23.json)")
 
     p = sub.add_parser("fk", help="forward kinematics over a pose file")
     add_skeleton(p)

@@ -13,7 +13,7 @@ first-layer steps disproportionate at any single learning rate).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,18 +37,24 @@ class Mode:
     through_fk     the loss is the joint loss through forward kinematics;
                    otherwise plain squared error against the targets
     hinge          the angle-range penalty applies; otherwise lambda is 0
-    theta_targets  the targets are ground-truth poses; otherwise eval joints
-    gained         the outputs carry OUTPUT_GAIN: whitened per DOF for poses
-                   (pose_output_scale), flat for joint coordinates
     base_lr        base learning rate of the training schedule
     """
 
     emits_pose: bool
     through_fk: bool
     hinge: bool
-    theta_targets: bool
-    gained: bool
     base_lr: float
+
+    @property
+    def theta_targets(self) -> bool:
+        """The targets are ground-truth poses; otherwise eval joints."""
+        return self.emits_pose and not self.through_fk
+
+    @property
+    def gained(self) -> bool:
+        """The outputs carry OUTPUT_GAIN: whitened per DOF for poses
+        (pose_output_scale), flat for joint coordinates."""
+        return not self.theta_targets
 
     def output_width(self, skel: Skeleton) -> int:
         return skel.n_dofs if self.emits_pose else 3 * len(skel.eval_subset)
@@ -71,15 +77,20 @@ class Mode:
 # regression of joints and of the raw pose (mixed units: mm for translation
 # DOFs, radians for angles). Order is the order of the comparison table.
 MODES = {
-    "ours": Mode(emits_pose=True, through_fk=True, hinge=True,
-                 theta_targets=False, gained=True, base_lr=1e-6),
-    "ours_no_phy": Mode(emits_pose=True, through_fk=True, hinge=False,
-                        theta_targets=False, gained=True, base_lr=1e-6),
-    "direct_joint": Mode(emits_pose=False, through_fk=False, hinge=False,
-                         theta_targets=False, gained=True, base_lr=1e-6),
+    "ours": Mode(emits_pose=True, through_fk=True, hinge=True, base_lr=1e-6),
+    "ours_no_phy": Mode(emits_pose=True, through_fk=True, hinge=False, base_lr=1e-6),
+    "direct_joint": Mode(emits_pose=False, through_fk=False, hinge=False, base_lr=1e-6),
     "direct_parameter": Mode(emits_pose=True, through_fk=False, hinge=False,
-                             theta_targets=True, gained=False, base_lr=3e-4),
+                             base_lr=3e-4),
 }
+
+# Desk-scale training profile: staged learning rate (warm-up, main phase,
+# two decay phases) as fractions of the base rate and of the epoch budget.
+# Raw joint-loss gradients at blast-off distances are orders of magnitude
+# above their converged scale, so fixed-rate SGD either diverges or crawls;
+# the schedule is plain SGD throughout.
+STAGES = ((0.01, 0.01), (0.1, 0.015), (1.0 / 3.0, 0.025), (1.0, 0.45),
+          (0.3, 0.25), (0.1, 0.25))
 
 
 class NumericalError(RuntimeError):
@@ -116,6 +127,7 @@ class SgdConfig:
     momentum: float = 0.9
     epochs: int = 200
     lam: float = 1.0
+    staged: bool = True  # run the STAGES schedule; otherwise one flat stage
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -325,12 +337,17 @@ def validation_stats(run: TrainRun, dataset, skel: Skeleton):
 
 def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
           val=None) -> TrainRun:
-    """Mini-batch SGD until the epoch budget or validation plateau.
+    """Mini-batch SGD through the stages of the schedule.
 
-    Stops early when the best validation joint error of the last 10 epochs
-    improves on the earlier best by less than 0.1%. Raises NumericalError
-    (with epoch and batch) if the loss or a gradient goes non-finite, before
-    that batch's update reaches the weights.
+    With ``sgd.staged`` the stages are STAGES: stage (f_lr, f_ep) runs at
+    f_lr * learning_rate for max(1, round(f_ep * epochs)) epochs; otherwise
+    there is one stage at learning_rate for all epochs. Each stage starts
+    the shuffle from the same seed and ends early when the best validation
+    joint error of its last 10 epochs improves on its earlier best by less
+    than 0.1%; momentum carries across stages. The penalty weight is
+    ``Mode.penalty_weight(sgd.lam)``. Raises NumericalError (naming the
+    epoch by its index in run.history, and the batch) if the loss or a
+    gradient goes non-finite, before that batch's update reaches the weights.
     """
     if len(dataset) == 0:
         raise ValueError("training dataset is empty")
@@ -340,49 +357,52 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
     else:
         targets = dataset.joints[:, list(skel.eval_subset), :].reshape(len(dataset), -1)
     lam = mode.penalty_weight(sgd.lam)
-    rng = np.random.default_rng([run.config.seed, 1])
     n = len(dataset)
-    val_errors = []
-    for epoch in range(sgd.epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, sgd.batch_size):
-            batch = start // sgd.batch_size
-            idx = order[start:start + sgd.batch_size]
-            feats = dataset.features[idx]
-            tgt = targets[idx]
-            try:
-                if mode.through_fk:
-                    value, grads = backward_through_model(run, feats, tgt, skel, lam)
-                else:
-                    value, grads = backward_direct(run, feats, tgt)
-            except NumericalError as e:
-                raise NumericalError(f"{e} at epoch {epoch} batch {batch}") from None
-            if not np.isfinite(value):
-                raise NumericalError(f"non-finite loss at epoch {epoch} batch {batch}")
-            if not all(np.isfinite(g).all() for g in grads[0] + grads[1]):
-                raise NumericalError(
-                    f"non-finite gradient at epoch {epoch} batch {batch}")
-            sgd_step(run, grads, sgd)
-            epoch_losses.append(value)
+    for frac_lr, frac_ep in STAGES if sgd.staged else ((1.0, 1.0),):
+        stage = replace(sgd, learning_rate=sgd.learning_rate * frac_lr)
+        rng = np.random.default_rng([run.config.seed, 1])
+        val_errors = []
+        for _ in range(max(1, int(round(frac_ep * sgd.epochs)))):
+            epoch = len(run.history)
+            order = rng.permutation(n)
+            epoch_losses = []
+            for start in range(0, n, sgd.batch_size):
+                batch = start // sgd.batch_size
+                idx = order[start:start + sgd.batch_size]
+                feats = dataset.features[idx]
+                tgt = targets[idx]
+                try:
+                    if mode.through_fk:
+                        value, grads = backward_through_model(run, feats, tgt, skel, lam)
+                    else:
+                        value, grads = backward_direct(run, feats, tgt)
+                except NumericalError as e:
+                    raise NumericalError(f"{e} at epoch {epoch} batch {batch}") from None
+                if not np.isfinite(value):
+                    raise NumericalError(f"non-finite loss at epoch {epoch} batch {batch}")
+                if not all(np.isfinite(g).all() for g in grads[0] + grads[1]):
+                    raise NumericalError(
+                        f"non-finite gradient at epoch {epoch} batch {batch}")
+                sgd_step(run, grads, stage)
+                epoch_losses.append(value)
 
-        if val is not None:
-            joint_err, angle_err, invalid = validation_stats(run, val, skel)
-        else:
-            joint_err = angle_err = invalid = float("nan")
-        run.history.append(EpochStats(
-            train_loss=float(np.mean(epoch_losses)),
-            val_joint_err_mm=joint_err,
-            val_angle_err_deg=angle_err,
-            val_invalid_frac=invalid,
-        ))
-        if val is not None:
-            val_errors.append(joint_err)
-            if len(val_errors) > 10:
-                recent = min(val_errors[-10:])
-                earlier = min(val_errors[:-10])
-                if recent > earlier * (1.0 - 1e-3):
-                    break
+            if val is not None:
+                joint_err, angle_err, invalid = validation_stats(run, val, skel)
+            else:
+                joint_err = angle_err = invalid = float("nan")
+            run.history.append(EpochStats(
+                train_loss=float(np.mean(epoch_losses)),
+                val_joint_err_mm=joint_err,
+                val_angle_err_deg=angle_err,
+                val_invalid_frac=invalid,
+            ))
+            if val is not None:
+                val_errors.append(joint_err)
+                if len(val_errors) > 10:
+                    recent = min(val_errors[-10:])
+                    earlier = min(val_errors[:-10])
+                    if recent > earlier * (1.0 - 1e-3):
+                        break
     return run
 
 

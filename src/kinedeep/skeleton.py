@@ -1,5 +1,8 @@
 """Kinematic tree definition, validation, and the built-in 23-joint hand.
 
+The built-in hand is the config file ``hand23.json`` shipped inside the
+package; ``default_hand()`` loads it like any other skeleton file.
+
 A skeleton is an ordered list of joints forming a rooted tree. Each joint
 carries the length of the bone connecting it to its parent (mm), an optional
 fixed rest-pose rotation offset, and an ordered list of degrees of freedom.
@@ -232,16 +235,6 @@ class Skeleton:
     def n_dofs(self) -> int:
         return len(self.dof_joint)
 
-    @property
-    def joint_names(self):
-        return tuple(j.name for j in self.joints)
-
-    def joint_index(self, name: str) -> int:
-        for u, joint in enumerate(self.joints):
-            if joint.name == name:
-                return u
-        raise SkeletonError(f"no joint named {name!r}")
-
     def to_dict(self) -> dict:
         joints = []
         for j in self.joints:
@@ -383,91 +376,23 @@ def clamp_pose(skel: Skeleton, theta) -> np.ndarray:
     return np.clip(theta, skel.dof_lower, skel.dof_upper)
 
 
-# Built-in hand: 23 joints / 26 DOF. Root carries the 6 global DOFs, two
-# rigid wrist joints fan out to the thumb and the palm, and each finger is a
-# base(flexion+abduction) -> mid(flexion) -> end(flexion) -> tip chain.
-# Bone lengths are a plausible adult hand; bounds are anatomical defaults.
-# Rest offsets splay the metacarpals in-plane and arch them across the palm,
-# so the root/base cluster spans all three dimensions (no mirror-symmetric
-# near-duplicate poses when fitting joint positions).
-
-_FINGERS = (
-    # name, parent wrist, base bone, proximal, middle, distal (mm),
-    # splay deg (about Z), twist pitch deg (about Y)
-    ("thumb", "wrist_thumb", 35.0, 45.0, 35.0, 28.0, -10.0, 0.0),
-    ("index", "wrist_palm", 65.0, 45.0, 26.0, 24.0, 15.0, 12.0),
-    ("middle", "wrist_palm", 68.0, 50.0, 30.0, 25.0, 3.0, 12.0),
-    ("ring", "wrist_palm", 62.0, 46.0, 28.0, 24.0, -9.0, -12.0),
-    ("pinky", "wrist_palm", 55.0, 36.0, 22.0, 22.0, -22.0, -12.0),
-)
-
-
-def _hand23_dict() -> dict:
-    def rot(axis, lo, hi):
-        return {"kind": "rotation", "axis": axis, "lower_deg": lo, "upper_deg": hi}
-
-    def trans(axis):
-        return {"kind": "translation", "axis": axis, "lower_mm": -200.0, "upper_mm": 200.0}
-
-    joints = [
-        {
-            "name": "root",
-            "parent": None,
-            "bone_length_mm": 0.0,
-            "dofs": [
-                trans("X"), trans("Y"), trans("Z"),
-                rot("X", -180.0, 180.0), rot("Y", -180.0, 180.0), rot("Z", -180.0, 180.0),
-            ],
-        },
-        {"name": "wrist_palm", "parent": "root", "bone_length_mm": 35.0, "dofs": []},
-        {
-            "name": "wrist_thumb",
-            "parent": "root",
-            "bone_length_mm": 25.0,
-            "dofs": [],
-            "rest_offset_deg": [0.0, 40.0, -50.0],
-        },
-    ]
-    for name, wrist, base_bone, proximal, middle, distal, splay, arch in _FINGERS:
-        rest = [20.0, arch, splay] if name == "thumb" else [0.0, arch, splay]
-        joints.extend([
-            {
-                "name": f"{name}_base",
-                "parent": wrist,
-                "bone_length_mm": base_bone,
-                "dofs": [rot("Y", -10.0, 100.0), rot("Z", -20.0, 20.0)],
-                "rest_offset_deg": rest,
-            },
-            {
-                "name": f"{name}_mid",
-                "parent": f"{name}_base",
-                "bone_length_mm": proximal,
-                "dofs": [rot("Y", 0.0, 110.0)],
-            },
-            {
-                "name": f"{name}_end",
-                "parent": f"{name}_mid",
-                "bone_length_mm": middle,
-                "dofs": [rot("Y", 0.0, 110.0)],
-            },
-            {
-                "name": f"{name}_tip",
-                "parent": f"{name}_end",
-                "bone_length_mm": distal,
-                "dofs": [],
-            },
-        ])
-    # 14 joints: root, the five finger bases, three long-finger mids, and all
-    # five tips. Root and the bases are rigid with respect to the global
-    # frame (anchors model fitting); the tips make every finger DOF move at
-    # least one scored joint.
-    eval_subset = ["root"]
-    eval_subset += [f"{f}_base" for f, *_ in _FINGERS]
-    eval_subset += [f"{f}_mid" for f in ("index", "middle", "ring")]
-    eval_subset += [f"{f}_tip" for f, *_ in _FINGERS]
-    return {"name": "hand23", "joints": joints, "eval_subset": eval_subset}
+HAND23_PATH = os.path.join(os.path.dirname(__file__), "hand23.json")
 
 
 def default_hand() -> Skeleton:
-    """The built-in 23-joint, 26-DOF hand."""
-    return skeleton_from_dict(_hand23_dict())
+    """The built-in 23-joint, 26-DOF hand, loaded from the packaged hand23.json.
+
+    The root carries the 6 global DOFs, two rigid wrist joints fan out to
+    the thumb and the palm, and each finger is a base (flexion + abduction)
+    -> mid (flexion) -> end (flexion) -> tip chain. Bone lengths are a
+    plausible adult hand; bounds are anatomical defaults. Rest offsets
+    splay the metacarpals in-plane (about Z) and arch them across the palm
+    (about Y), so the root/base cluster spans all three dimensions and no
+    two mirror-symmetric poses nearly coincide when fitting joint positions.
+
+    The 14 eval joints are the root, the five finger bases, the three long
+    fingers' mids and all five tips. Root and bases are rigid with respect
+    to the global frame (they anchor model fitting); the tips make every
+    finger DOF move at least one scored joint.
+    """
+    return load_skeleton(HAND23_PATH)

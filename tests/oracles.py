@@ -11,6 +11,12 @@ Jacobian, the reference for the reverse-mode gradient of `kinedeep.loss`.
 `sequential_fit_pose` / `sequential_fit_batch` are the original one-frame-at-
 a-time swarm + Gauss-Newton fitter, kept verbatim as the reference that the
 frame-batched `kinedeep.ik_pso` must match bit for bit.
+
+`per_stage_train` is the staged learning-rate schedule as six calls of
+`flat_train`, one per stage, the way the command line ran it before
+`reg.train` ran the stages itself; `flat_train` is the one-stage
+`reg.train` of that time, kept verbatim. The staged `reg.train` must match
+it bit for bit.
 """
 import math
 from dataclasses import replace
@@ -18,6 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from kinedeep import ik_pso
+from kinedeep import regressor as reg
 from kinedeep.kinematics import fk_jacobian_batch, forward_kinematics_batch
 from kinedeep.skeleton import clamp_pose
 
@@ -348,3 +355,89 @@ def sequential_fit_batch(skel, targets, config=None, warm_start=False):
     if not results:
         raise ValueError("fit_batch needs at least one target frame")
     return results
+
+
+
+def flat_train(run, dataset, skel, sgd, val=None):
+    """The one-stage `reg.train` as it was before it ran the stages itself."""
+    if len(dataset) == 0:
+        raise ValueError("training dataset is empty")
+    mode = reg.MODES[run.mode]
+    if mode.theta_targets:
+        targets = dataset.thetas
+    else:
+        targets = dataset.joints[:, list(skel.eval_subset), :].reshape(len(dataset), -1)
+    lam = mode.penalty_weight(sgd.lam)
+    rng = np.random.default_rng([run.config.seed, 1])
+    n = len(dataset)
+    val_errors = []
+    for epoch in range(sgd.epochs):
+        order = rng.permutation(n)
+        epoch_losses = []
+        for start in range(0, n, sgd.batch_size):
+            batch = start // sgd.batch_size
+            idx = order[start:start + sgd.batch_size]
+            feats = dataset.features[idx]
+            tgt = targets[idx]
+            try:
+                if mode.through_fk:
+                    value, grads = reg.backward_through_model(run, feats, tgt, skel, lam)
+                else:
+                    value, grads = reg.backward_direct(run, feats, tgt)
+            except reg.NumericalError as e:
+                raise reg.NumericalError(f"{e} at epoch {epoch} batch {batch}") from None
+            if not np.isfinite(value):
+                raise reg.NumericalError(f"non-finite loss at epoch {epoch} batch {batch}")
+            if not all(np.isfinite(g).all() for g in grads[0] + grads[1]):
+                raise reg.NumericalError(
+                    f"non-finite gradient at epoch {epoch} batch {batch}")
+            reg.sgd_step(run, grads, sgd)
+            epoch_losses.append(value)
+
+        if val is not None:
+            joint_err, angle_err, invalid = reg.validation_stats(run, val, skel)
+        else:
+            joint_err = angle_err = invalid = float("nan")
+        run.history.append(reg.EpochStats(
+            train_loss=float(np.mean(epoch_losses)),
+            val_joint_err_mm=joint_err,
+            val_angle_err_deg=angle_err,
+            val_invalid_frac=invalid,
+        ))
+        if val is not None:
+            val_errors.append(joint_err)
+            if len(val_errors) > 10:
+                recent = min(val_errors[-10:])
+                earlier = min(val_errors[:-10])
+                if recent > earlier * (1.0 - 1e-3):
+                    break
+    return run
+
+
+# Desk-scale training profile: staged learning rate (warm-up, main phase,
+# two decay phases) as fractions of the mode's base rate and of the epoch
+# budget. Raw joint-loss gradients at blast-off distances are orders of
+# magnitude above their converged scale, so fixed-rate SGD either diverges
+# or crawls; the schedule is plain SGD throughout.
+_STAGE_PLAN = ((0.01, 0.01), (0.1, 0.015), (1.0 / 3.0, 0.025), (1.0, 0.45),
+               (0.3, 0.25), (0.1, 0.25))
+
+
+def _stages(base_lr, epochs):
+    out = []
+    for frac_lr, frac_ep in _STAGE_PLAN:
+        ep = max(1, int(round(frac_ep * epochs)))
+        out.append((base_lr * frac_lr, ep))
+    return out
+
+
+def per_stage_train(run, train_data, skel, base_lr, batch, epochs, lam,
+                    val_data=None):
+    """Train `run` through the schedule; returns the epochs each stage ran."""
+    ran = []
+    for lr, ep in _stages(base_lr, epochs):
+        sgd = reg.SgdConfig(batch_size=batch, learning_rate=lr, epochs=ep, lam=lam)
+        before = len(run.history)
+        flat_train(run, train_data, skel, sgd, val=val_data)
+        ran.append(len(run.history) - before)
+    return ran

@@ -157,7 +157,7 @@ def test_evaluate_angle_error_known_offset(hand):
 def test_evaluate_joint_predictions_need_fit_info(hand):
     data = bench.make_dataset(hand, n=4, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=2)
     ev = list(hand.eval_subset)
-    with pytest.raises(ValueError, match="fitted_poses or fit_config"):
+    with pytest.raises(ValueError, match="fitted_poses"):
         bench.evaluate(hand, data.joints[:, ev, :], data)
 
 
@@ -165,7 +165,8 @@ def test_evaluate_joint_predictions_with_fit(hand):
     data = bench.make_dataset(hand, n=3, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=11)
     ev = list(hand.eval_subset)
     cfg = ik_pso.PsoConfig(seed=1, iterations=150)
-    report = bench.evaluate(hand, data.joints[:, ev, :], data, fit_config=cfg)
+    fitted = np.stack([r.theta for r in ik_pso.fit_batch(hand, data.joints[:, ev, :], cfg)])
+    report = bench.evaluate(hand, data.joints[:, ev, :], data, fitted_poses=fitted)
     assert report.avg_joint_error_mm == 0.0  # joint metrics use the joints directly
     assert report.invalid_pose_fraction == 0.0  # fitted poses are clamped
     assert math.isfinite(report.avg_angle_error_deg)

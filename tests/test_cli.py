@@ -7,6 +7,7 @@ import pytest
 from kinedeep import bench, fileio, ik_pso
 from kinedeep import kinematics as kin
 from kinedeep import regressor as reg
+from kinedeep import skeleton as sk
 from kinedeep.cli import main
 
 
@@ -234,6 +235,67 @@ def test_train_non_finite_gradient_exits_2(tmp_path, monkeypatch, capsys):
     assert not ckpt.exists()
 
 
+def test_train_non_finite_gradient_names_history_epoch(tmp_path, monkeypatch, capsys):
+    # with the staged schedule the error names the epoch by its index in the
+    # run's history, not by its index within the stage
+    data = tmp_path / "data.csv"
+    assert run_cli("synth", "--n", "32", "--sigma", "5", "--occlusion", "0.0",
+                   "--seed", "4", "--out", str(data)) == 0
+    real = reg.backward_through_model
+    calls = []
+
+    def overflowing(*args, **kwargs):
+        value, (grads_w, grads_b) = real(*args, **kwargs)
+        calls.append(value)
+        if len(calls) == 18:  # 4 batches an epoch: epoch 4 (stage 5), batch 1
+            grads_w[-1][0, 0] = np.inf
+        return value, (grads_w, grads_b)
+
+    monkeypatch.setattr(reg, "backward_through_model", overflowing)
+    ckpt = tmp_path / "run.ckpt.json"
+    code = run_cli("train", "--mode", "ours", "--train", str(data),
+                   "--epochs", "3", "--batch", "8", "--seed", "2",
+                   "--out", str(ckpt))
+    assert code == 2
+    assert "non-finite gradient at epoch 4 batch 1" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.fixture()
+def bench_dataset(tmp_path):
+    """A dataset made for the benchmark skeleton, and that skeleton's file."""
+    skel_path = tmp_path / "bench.json"
+    sk.save_skeleton(bench.benchmark_skeleton(), skel_path)
+    data = tmp_path / "bench.ds"
+    assert run_cli("synth", "--skeleton", str(skel_path), "--n", "16",
+                   "--seed", "4", "--out", str(data)) == 0
+    return skel_path, data
+
+
+def test_train_refuses_dataset_of_another_skeleton(bench_dataset, tmp_path, capsys):
+    _, data = bench_dataset
+    ckpt = tmp_path / "run.ckpt.json"
+    assert run_cli("train", "--train", str(data), "--epochs", "1",
+                   "--batch", "16", "--out", str(ckpt)) == 1
+    err = capsys.readouterr().err
+    assert "'hand23-bench'" in err and "'hand23'" in err
+    assert not ckpt.exists()
+
+
+def test_eval_refuses_dataset_of_another_skeleton(bench_dataset, tmp_path, capsys):
+    skel_path, data = bench_dataset
+    ckpt = tmp_path / "run.ckpt.json"
+    assert run_cli("train", "--skeleton", str(skel_path), "--train", str(data),
+                   "--epochs", "1", "--batch", "16", "--out", str(ckpt)) == 0
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(data),
+                   "--out", str(report)) == 1
+    err = capsys.readouterr().err
+    assert "'hand23-bench'" in err and "'hand23'" in err
+    assert not report.exists()
+
+
 def test_unknown_flag_exits_1(capsys):
     assert run_cli("fk", "--nonsense") == 1
 
@@ -266,9 +328,8 @@ def test_reproduce_smoke(tmp_path):
 def test_reproduce_skeleton_file_samples_whole_ranges(tmp_path):
     # the interior margin undoes the benchmark skeleton's bound expansion;
     # a skeleton file's bounds are not expanded, so it samples them whole
-    config = os.path.join(os.path.dirname(__file__), "..", "configs", "hand23.json")
     out = tmp_path / "run"
-    code = run_cli("reproduce", "--skeleton", config, "--seed", "3",
+    code = run_cli("reproduce", "--skeleton", sk.HAND23_PATH, "--seed", "3",
                    "--train-n", "16", "--val-n", "4", "--epochs", "1",
                    "--batch", "16", "--fit-frames", "1", "--out", str(out))
     assert code in (0, 3)  # orderings may fail at toy scale

@@ -111,7 +111,8 @@ def off_model(skel, target):
     stretch, so no pose reproduces it (a displaced fingertip would not do:
     the finger can bend to reach it)."""
     broken = target.copy()
-    base_slot = list(skel.eval_subset).index(skel.joint_index("index_base"))
+    base = [j.name for j in skel.joints].index("index_base")
+    base_slot = list(skel.eval_subset).index(base)
     broken[base_slot] += np.array([30.0, 0.0, 0.0])
     return broken
 

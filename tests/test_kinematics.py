@@ -119,7 +119,7 @@ def test_rest_pose_matches_fixture(hand):
             name, x, y, z = line.strip().split(",")
             names.append(name)
             table.append([float(x), float(y), float(z)])
-    assert tuple(names) == hand.joint_names
+    assert names == [j.name for j in hand.joints]
     pos = fk(hand, np.zeros(hand.n_dofs))
     assert np.allclose(pos, np.array(table), atol=1e-9)
 
@@ -243,7 +243,7 @@ def test_jacobian_matches_replace_rule_oracle(hand, rng):
 def test_jacobian_cross_finger_sparsity(hand, rng):
     theta = sample_in_bounds(hand, rng)
     _, jac = jacobian(hand, theta)
-    tip = hand.joint_index("index_tip")
+    tip = [j.name for j in hand.joints].index("index_tip")
     block = jac[3 * tip:3 * tip + 3]
     for d in range(hand.n_dofs):
         owner = hand.joints[hand.dof_joint[d]].name

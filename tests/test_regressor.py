@@ -1,4 +1,5 @@
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -226,7 +227,8 @@ def small_dataset(hand, n=32, seed=5):
 
 
 def train_config(**kw):
-    base = dict(batch_size=8, learning_rate=1e-7, momentum=0.9, epochs=5, lam=1.0)
+    base = dict(batch_size=8, learning_rate=1e-7, momentum=0.9, epochs=5, lam=1.0,
+                staged=False)
     base.update(kw)
     return reg.SgdConfig(**base)
 
@@ -338,7 +340,8 @@ def test_loss_non_increasing_small_lr_frozen_batch(hand, rng):
 def test_single_sample_overfit(hand):
     data = bench.make_dataset(hand, n=1, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=42)
     run = reg.init(whitened_config(hand, data), mode="ours_no_phy")
-    sgd = reg.SgdConfig(batch_size=1, learning_rate=2e-5, momentum=0.9, epochs=2000, lam=0.0)
+    sgd = reg.SgdConfig(batch_size=1, learning_rate=2e-5, momentum=0.9, epochs=2000,
+                        lam=0.0, staged=False)
     reg.train(run, data, hand, sgd)
     err, _, _ = reg.validation_stats(run, data, hand)
     assert err < 1.0
@@ -363,6 +366,36 @@ def test_early_stop_on_plateau(hand):
     sgd = train_config(learning_rate=1e-16, epochs=60, lam=0.0)
     reg.train(run, data, hand, sgd, val=data)
     assert len(run.history) <= 12
+
+
+@pytest.mark.parametrize("mode", ["ours", "direct_parameter"])
+def test_staged_train_matches_per_stage_oracle(hand, mode):
+    # ours with val: enough epochs that the plateau stop fires inside the
+    # main stage; direct_parameter without val runs every stage in full
+    data = small_dataset(hand)
+    spec = reg.MODES[mode]
+    if mode == "ours":
+        val, epochs = small_dataset(hand, n=16, seed=6), 100
+    else:
+        val, epochs = None, 12
+    cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 32, hand.n_dofs),
+                        seed=7, input_scale=0.01, output_scale=spec.output_scale(hand))
+    oracle = reg.init(cfg, mode)
+    ran = oracles.per_stage_train(oracle, data, hand, spec.base_lr, 8, epochs, 1.0,
+                                  val_data=val)
+    planned = [max(1, int(round(f * epochs))) for _, f in reg.STAGES]
+    if mode == "ours":
+        assert ran[3] < planned[3]
+    else:
+        assert ran == planned
+    run = reg.init(cfg, mode)
+    reg.train(run, data, hand, reg.SgdConfig(batch_size=8, learning_rate=spec.base_lr,
+                                             epochs=epochs, lam=1.0), val=val)
+    for got, want in ((run.weights, oracle.weights), (run.biases, oracle.biases),
+                      (run.vel_w, oracle.vel_w), (run.vel_b, oracle.vel_b)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal([astuple(h) for h in run.history],
+                          [astuple(h) for h in oracle.history], equal_nan=True)
 
 
 def test_checkpoint_roundtrip(hand, tmp_path):
