@@ -11,7 +11,7 @@ from .skeleton import (  # noqa: F401
 from .kinematics import fk_jacobian_batch, forward_kinematics_batch  # noqa: F401
 from .loss import joint_loss_batch, phy_loss_batch  # noqa: F401
 from .ik_pso import (  # noqa: F401
-    FitResult, PsoConfig, fit_batch, fit_pose,
+    FitResult, PsoConfig, fit_batch,
 )
 from .bench import (  # noqa: F401
     Dataset, MetricsReport, benchmark_skeleton, evaluate, make_dataset,

@@ -13,7 +13,8 @@ tolerance or a reproduce ordering).
 The default skeleton is the built-in 23-joint hand, the config file
 hand23.json shipped inside the package; --skeleton or the KINEDEEP_SKELETON
 environment variable select another config file. train and eval refuse a
-dataset whose header names a different skeleton.
+dataset whose header names a different skeleton, and eval a checkpoint
+whose recorded skeleton fingerprint differs.
 """
 from __future__ import annotations
 
@@ -71,6 +72,16 @@ def _read_dataset(path, skel) -> bench.Dataset:
     return data
 
 
+def _load_checkpoint(path, skel) -> reg.TrainRun:
+    """A checkpoint, refused unless it was trained for `skel`."""
+    run, want = reg.load_checkpoint(path), skel.fingerprint()
+    if run.skeleton != want:
+        raise _CliError(f"{path}: checkpoint was trained for skeleton "
+                        f"{run.skeleton['name']!r}, not {want['name']!r} (sha256 "
+                        f"{run.skeleton['sha256'][:12]} vs {want['sha256'][:12]})")
+    return run
+
+
 def _manifest_path(out_path) -> str:
     return str(out_path) + ".manifest.json"
 
@@ -94,35 +105,24 @@ def _write_manifest(path, subcommand, config, seed, inputs, outputs, started,
         fh.write("\n")
 
 
-def cmd_fk(args) -> int:
+def cmd_kinematics(args) -> int:
+    """fk and jacobian: one row of joints, or of Jacobian entries, per pose."""
     started = time.monotonic()
     skel = _resolve_skeleton(args.skeleton)
-    name, poses = fileio.read_pose_file(args.poses, expected_dims=skel.n_dofs)
-    joints = kin.forward_kinematics_batch(skel, poses)
-    fileio.write_joint_file(args.out, skel.name, joints)
-    _write_manifest(_manifest_path(args.out), "fk",
-                    {"skeleton": skel.name, "frames": int(len(poses))},
-                    None, [args.poses], [args.out], started)
-    print(f"fk: {len(poses)} poses -> {args.out}")
-    return EXIT_OK
-
-
-def cmd_jacobian(args) -> int:
-    started = time.monotonic()
-    skel = _resolve_skeleton(args.skeleton)
-    name, poses = fileio.read_pose_file(args.poses, expected_dims=skel.n_dofs)
-    with open(args.out, "w") as fh:
-        fh.write(f"# kinedeep-jacobian v1 skeleton={skel.name} "
-                 f"rows={3 * skel.n_joints} cols={skel.n_dofs}\n")
+    _, poses = fileio.read_pose_file(args.poses, expected_dims=skel.n_dofs)
+    if args.command == "fk":
+        fileio.write_joint_file(args.out, skel.name,
+                                kin.forward_kinematics_batch(skel, poses))
+    else:
         # one pose at a time: a Jacobian is 3*J*D values, so memory stays
         # flat in the number of poses
-        for pose in poses:
-            _, jac = kin.fk_jacobian_batch(skel, pose[None])
-            fh.write(",".join(repr(float(v)) for v in jac.reshape(-1)) + "\n")
-    _write_manifest(_manifest_path(args.out), "jacobian",
+        fileio.write_jacobian_file(
+            args.out, skel.name, (3 * skel.n_joints, skel.n_dofs),
+            (kin.fk_jacobian_batch(skel, pose[None])[1][0] for pose in poses))
+    _write_manifest(_manifest_path(args.out), args.command,
                     {"skeleton": skel.name, "frames": int(len(poses))},
                     None, [args.poses], [args.out], started)
-    print(f"jacobian: {len(poses)} poses -> {args.out}")
+    print(f"{args.command}: {len(poses)} poses -> {args.out}")
     return EXIT_OK
 
 
@@ -289,7 +289,7 @@ def cmd_train(args) -> int:
     sgd = reg.SgdConfig(batch_size=args.batch, learning_rate=base_lr,
                         epochs=args.epochs, lam=args.lam, staged=not args.flat_lr)
     run = _train_mode(skel, args.mode, train_data, val_data, sgd, args.seed)
-    reg.save_checkpoint(run, args.out)
+    reg.save_checkpoint(run, args.out, skel)
     if val_data is not None:
         joint_err, angle_err, invalid = reg.validation_stats(run, val_data, skel)
         print(f"val joint error {joint_err!r} mm, angle error {angle_err!r} deg, "
@@ -308,7 +308,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = time.monotonic()
     skel = _resolve_skeleton(args.skeleton)
-    run = reg.load_checkpoint(args.ckpt)
+    run = _load_checkpoint(args.ckpt, skel)
     data = _read_dataset(args.data, skel)
     predictions = reg.predict(run, data.features, skel)
     fitted = None
@@ -394,7 +394,7 @@ def cmd_reproduce(args) -> int:
                             epochs=args.epochs, lam=args.lam)
         run = _train_mode(skel, mode, train_data, None, sgd, args.seed)
         ckpt = os.path.join(args.out, f"{mode}.ckpt.json")
-        reg.save_checkpoint(run, ckpt)
+        reg.save_checkpoint(run, ckpt, skel)
         outputs.append(ckpt)
         stages_s[f"train_{mode}"] = lap()
         predictions = reg.predict(run, val_data.features, skel)
@@ -481,13 +481,13 @@ def build_parser() -> _Parser:
     add_skeleton(p)
     p.add_argument("--poses", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fk)
+    p.set_defaults(func=cmd_kinematics)
 
     p = sub.add_parser("jacobian", help="analytic Jacobians over a pose file")
     add_skeleton(p)
     p.add_argument("--poses", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_jacobian)
+    p.set_defaults(func=cmd_kinematics)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     add_skeleton(p)

@@ -1,6 +1,6 @@
-"""Text formats for poses, joint frames, and datasets.
+"""Text formats for poses, joint frames, datasets and Jacobians.
 
-All files are line-oriented with a single header line:
+All files are line-oriented tables with a single header line:
 
   poses    "# kinedeep-poses v1 skeleton=<name> dims=<D>"
            then one pose per line, D comma-separated values
@@ -10,16 +10,23 @@ All files are line-oriented with a single header line:
   dataset  "# kinedeep-dataset v1 skeleton=<name> sigma_mm=<s>
             occlusion=<p> seed=<n> n=<n>"
            then one sample per line, "features;theta;joints" with each
-           section comma-separated
+           section comma-separated; a reader checks n= against the rows
+  jacobian "# kinedeep-jacobian v1 skeleton=<name> rows=<3J> cols=<D>"
+           then one pose's analytic FK Jacobian per line, its 3J x D
+           entries (mm per unit of each DOF) comma-separated in row-major
+           order (joint, then axis, then DOF); written, never read back
 
-A header with no rows is zero records of the header's width: a joints file
-reads as frames of shape (0, K, 3), a poses file as poses of shape (0, D).
-A zero-byte file is zero frames (or poses) of the caller's expected width,
-or of width zero when none is given. Without a width field in the header,
-the first row sets the width.
+A row's sections are separated by ';', its values by ','. Each section has
+a fixed width: the header's (dims=, or 3 x joints=), else the first row's.
+A joint section's width must be a multiple of 3. A header with no rows is
+zero records of the header's width: a joints file reads as frames of shape
+(0, K, 3), a poses file as poses of shape (0, D). A zero-byte file is zero
+records of width zero, or of the caller's expected width of poses.
 
-Floats are written with repr (shortest round-trip), so write -> read -> write
-is byte-stable. Parse errors carry 1-based line numbers.
+Reading streams the file one line at a time, so only the parsed arrays are
+held, never the text. Floats are written with repr (shortest round-trip),
+so write -> read -> write is byte-stable. Parse errors carry 1-based line
+numbers.
 """
 from __future__ import annotations
 
@@ -30,21 +37,21 @@ from .bench import Dataset
 POSES_MAGIC = "kinedeep-poses"
 JOINTS_MAGIC = "kinedeep-joints"
 DATASET_MAGIC = "kinedeep-dataset"
+JACOBIAN_MAGIC = "kinedeep-jacobian"
 
 
 class FileFormatError(ValueError):
     """A data file violates its documented format."""
 
 
-def _fmt_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
-def _parse_row(text, line_no, path):
-    try:
-        return np.array([float(tok) for tok in text.split(",")], dtype=float)
-    except ValueError:
-        raise FileFormatError(f"{path}: malformed number on line {line_no}") from None
+def _write_table(path, header: str, *sections) -> None:
+    """The header line, then row i of every section joined by ';'. A section
+    is an iterable of 1-D rows; a generator keeps memory flat in N."""
+    with open(path, "w") as fh:
+        fh.write(f"# {header}\n")
+        for row in zip(*sections):
+            fh.write(";".join(",".join(repr(float(v)) for v in values)
+                              for values in row) + "\n")
 
 
 def _parse_header(line, magic, path):
@@ -60,17 +67,67 @@ def _parse_header(line, magic, path):
     return fields
 
 
+def _header_field(fields, key, kind, path):
+    try:
+        return kind(fields[key])
+    except ValueError:
+        raise FileFormatError(f"{path}: bad header field {key}") from None
+
+
+def _read_table(path, magic, sections):
+    """(header fields, one (N, width) array per section), line by line.
+
+    A section is (name, header width field or None, values per unit): poses
+    count values, joint frames count joints of 3 values.
+    """
+    rows = [[] for _ in sections]
+    with open(path) as fh:
+        header = fh.readline()
+        fields = _parse_header(header, magic, path) if header else {}
+        # None until the first row sets it
+        widths = [_header_field(fields, key, int, path) * unit if key in fields else None
+                  for _, key, unit in sections]
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.rstrip("\n").split(";")
+            if len(parts) != len(sections):
+                raise FileFormatError(
+                    f"{path}: line {line_no} has {len(parts)} sections, expected "
+                    + ";".join(name for name, *_ in sections))
+            for s, (part, (name, _, unit)) in enumerate(zip(parts, sections)):
+                tokens = part.split(",")
+                if widths[s] is None and len(tokens) % unit == 0:
+                    widths[s] = len(tokens)
+                if len(tokens) != widths[s]:
+                    want = f"a multiple of {unit}" if widths[s] is None else widths[s]
+                    raise FileFormatError(
+                        f"{path}: line {line_no} has {len(tokens)} {name} values, "
+                        f"expected {want}")
+                try:
+                    rows[s].append(np.array(tokens, dtype=float))
+                except ValueError:
+                    raise FileFormatError(
+                        f"{path}: malformed number on line {line_no}") from None
+    return fields, [np.stack(r) if r else np.zeros((0, w or 0))
+                    for r, w in zip(rows, widths)]
+
+
 def write_pose_file(path, skeleton_name: str, poses) -> None:
     poses = np.atleast_2d(np.asarray(poses, dtype=float))
-    with open(path, "w") as fh:
-        fh.write(f"# {POSES_MAGIC} v1 skeleton={skeleton_name} dims={poses.shape[1]}\n")
-        for row in poses:
-            fh.write(_fmt_row(row) + "\n")
+    _write_table(path, f"{POSES_MAGIC} v1 skeleton={skeleton_name} dims={poses.shape[1]}",
+                 poses)
 
 
 def read_pose_file(path, expected_dims=None):
     """Returns (skeleton name, poses (N, D)); N may be zero."""
-    return _read_table(path, POSES_MAGIC, "dims", expected_dims)
+    fields, (poses,) = _read_table(path, POSES_MAGIC, [("pose", "dims", 1)])
+    if expected_dims is not None and poses.shape[1] != expected_dims:
+        if poses.shape[1]:
+            raise FileFormatError(
+                f"{path}: poses carry {poses.shape[1]} values, expected {expected_dims}")
+        poses = np.zeros((0, expected_dims))
+    return fields.get("skeleton", ""), poses
 
 
 def write_joint_file(path, skeleton_name: str, joints) -> None:
@@ -78,106 +135,41 @@ def write_joint_file(path, skeleton_name: str, joints) -> None:
     if joints.ndim == 3:
         joints = joints.reshape(joints.shape[0], 3 * joints.shape[1])
     joints = np.atleast_2d(joints)
-    with open(path, "w") as fh:
-        fh.write(f"# {JOINTS_MAGIC} v1 skeleton={skeleton_name} joints={joints.shape[1] // 3}\n")
-        for row in joints:
-            fh.write(_fmt_row(row) + "\n")
+    _write_table(path, f"{JOINTS_MAGIC} v1 skeleton={skeleton_name} "
+                       f"joints={joints.shape[1] // 3}", joints)
 
 
-def read_joint_file(path, expected_joints=None):
+def read_joint_file(path):
     """Returns (skeleton name, frames (N, K, 3)); N may be zero."""
-    name, flat = _read_table(path, JOINTS_MAGIC, "joints", expected_joints,
-                             width_factor=3)
-    return name, flat.reshape(flat.shape[0], flat.shape[1] // 3, 3)
+    fields, (flat,) = _read_table(path, JOINTS_MAGIC, [("joint", "joints", 3)])
+    return fields.get("skeleton", ""), flat.reshape(flat.shape[0], flat.shape[1] // 3, 3)
 
 
-def _read_table(path, magic, width_key, expected=None, width_factor=1):
-    rows = []
-    name = ""
-    width = None
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        return name, np.zeros((0, 0)) if expected is None else np.zeros(
-            (0, expected * width_factor))
-    fields = _parse_header(lines[0], magic, path)
-    name = fields.get("skeleton", "")
-    if width_key in fields:
-        try:
-            width = int(fields[width_key]) * width_factor
-        except ValueError:
-            raise FileFormatError(f"{path}: bad header field {width_key}") from None
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip() or line.startswith("#"):
-            continue
-        row = _parse_row(line, i, path)
-        if width is None:
-            if row.size % width_factor:
-                raise FileFormatError(
-                    f"{path}: line {i} has {row.size} values, not a multiple "
-                    f"of {width_factor}"
-                )
-            width = row.size
-        if row.size != width:
-            raise FileFormatError(
-                f"{path}: line {i} has {row.size} values, expected {width}"
-            )
-        rows.append(row)
-    if expected is not None:
-        want = expected * width_factor
-        if width is not None and width != want:
-            raise FileFormatError(
-                f"{path}: rows carry {width} values, expected {want}"
-            )
-        width = want
-    data = np.stack(rows) if rows else np.zeros((0, width or 0))
-    return name, data
+def write_jacobian_file(path, skeleton_name: str, shape, jacobians) -> None:
+    """One (rows, cols) = `shape` Jacobian per line; `jacobians` may be a
+    generator, so they need not all be in memory at once."""
+    _write_table(path, f"{JACOBIAN_MAGIC} v1 skeleton={skeleton_name} "
+                       f"rows={shape[0]} cols={shape[1]}",
+                 (np.reshape(jac, -1) for jac in jacobians))
 
 
 def write_dataset(path, data: Dataset) -> None:
-    with open(path, "w") as fh:
-        fh.write(
-            f"# {DATASET_MAGIC} v1 skeleton={data.skeleton_name} "
-            f"sigma_mm={data.sigma_mm!r} occlusion={data.occlusion_prob!r} "
-            f"seed={data.seed} n={len(data)}\n"
-        )
-        for i in range(len(data)):
-            fh.write(_fmt_row(data.features[i]) + ";" +
-                     _fmt_row(data.thetas[i]) + ";" +
-                     _fmt_row(data.joints[i].reshape(-1)) + "\n")
+    _write_table(path, f"{DATASET_MAGIC} v1 skeleton={data.skeleton_name} "
+                       f"sigma_mm={data.sigma_mm!r} occlusion={data.occlusion_prob!r} "
+                       f"seed={data.seed} n={len(data)}",
+                 data.features, data.thetas, data.joints.reshape(len(data), -1))
 
 
 def read_dataset(path) -> Dataset:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FileFormatError(f"{path}: empty dataset file")
-    fields = _parse_header(lines[0], DATASET_MAGIC, path)
-    feats, thetas, joints = [], [], []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip() or line.startswith("#"):
-            continue
-        sections = line.split(";")
-        if len(sections) != 3:
-            raise FileFormatError(
-                f"{path}: line {i} has {len(sections)} sections, expected "
-                "features;theta;joints"
-            )
-        feats.append(_parse_row(sections[0], i, path))
-        thetas.append(_parse_row(sections[1], i, path))
-        joints.append(_parse_row(sections[2], i, path))
-    if not feats:
+    fields, (features, thetas, joints) = _read_table(
+        path, DATASET_MAGIC, [("features", None, 1), ("theta", None, 1), ("joints", None, 3)])
+    if not len(features):
         raise FileFormatError(f"{path}: dataset has no samples")
-    joints = np.stack(joints)
-    try:
-        return Dataset(
-            skeleton_name=fields.get("skeleton", ""),
-            sigma_mm=float(fields.get("sigma_mm", "nan")),
-            occlusion_prob=float(fields.get("occlusion", "nan")),
-            seed=int(fields.get("seed", "0")),
-            features=np.stack(feats),
-            thetas=np.stack(thetas),
-            joints=joints.reshape(joints.shape[0], -1, 3),
-        )
-    except ValueError as e:
-        raise FileFormatError(f"{path}: bad header ({e})") from None
+    meta = {"skeleton": "", "sigma_mm": "nan", "occlusion": "nan", "seed": "0", **fields}
+    if "n" in meta and _header_field(meta, "n", int, path) != len(features):
+        raise FileFormatError(
+            f"{path}: header says n={meta['n']} but the file holds {len(features)} samples")
+    return Dataset(meta["skeleton"], _header_field(meta, "sigma_mm", float, path),
+                   _header_field(meta, "occlusion", float, path),
+                   _header_field(meta, "seed", int, path),
+                   features, thetas, joints.reshape(len(joints), -1, 3))

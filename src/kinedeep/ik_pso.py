@@ -343,25 +343,17 @@ def _fit_frames(skel, targets, config):
     return results
 
 
-def fit_pose(skel: Skeleton, target, config: PsoConfig | None = None) -> FitResult:
-    """Fit a pose whose eval joints match `target` ((n_eval, 3) mm).
-
-    The target may be a joint set no pose reaches, such as a regressor's
-    prediction; the residual then measures how far it is from achievable
-    geometry.
-    """
-    config = config or PsoConfig()
-    return _fit_frames(skel, _target_eval(skel, target)[None], config)[0]
-
-
 def fit_batch(skel: Skeleton, targets, config: PsoConfig | None = None,
               warm_start: bool = False) -> list:
     """Fit a sequence of frames; optionally seed each fit from the previous.
 
+    Each target is one frame's eval joints, (n_eval, 3) mm or flattened. It
+    may be a joint set no pose reaches, such as a regressor's prediction;
+    the residual then measures how far it is from achievable geometry.
     Without `warm_start` a frame's result does not depend on the other
-    frames in the call: it equals ``fit_pose`` on that frame alone, bit for
-    bit. Every frame reuses the same config seed, so identical targets
-    produce identical results.
+    frames in the call: it equals a fit of that frame alone, bit for bit.
+    Every frame reuses the same config seed, so identical targets produce
+    identical results.
     """
     config = config or PsoConfig()
     targets = [_target_eval(skel, t) for t in targets]

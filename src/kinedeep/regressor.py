@@ -23,7 +23,7 @@ from .kinematics import fk_jacobian_batch
 from .skeleton import Skeleton
 
 CHECKPOINT_FORMAT = "kinedeep-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2 records the skeleton; 1 does not
 OUTPUT_GAIN = 50.0  # fixed output gain of the pose- and joint-regressing modes
 
 
@@ -94,7 +94,7 @@ STAGES = ((0.01, 0.01), (0.1, 0.015), (1.0 / 3.0, 0.025), (1.0, 0.45),
 
 
 class NumericalError(RuntimeError):
-    """Training produced a non-finite loss or gradient."""
+    """Training produced a non-finite loss, gradient or weight."""
 
 
 @dataclass(frozen=True)
@@ -151,19 +151,20 @@ class EpochStats:
 
 
 class TrainRun:
-    """Weights, optimizer state, mode, and per-epoch history."""
+    """Weights, momentum (zero at start, never saved), mode, per-epoch history."""
 
     def __init__(self, config: MlpConfig, mode: str, weights, biases,
-                 vel_w=None, vel_b=None, history=None):
+                 history=None, skeleton=None):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")
         self.config = config
         self.mode = mode
         self.weights = weights
         self.biases = biases
-        self.vel_w = vel_w if vel_w is not None else [np.zeros_like(w) for w in weights]
-        self.vel_b = vel_b if vel_b is not None else [np.zeros_like(b) for b in biases]
+        self.vel_w = [np.zeros_like(w) for w in weights]
+        self.vel_b = [np.zeros_like(b) for b in biases]
         self.history = history if history is not None else []
+        self.skeleton = skeleton  # the fingerprint a loaded checkpoint records
 
     @property
     def n_layers(self) -> int:
@@ -329,8 +330,11 @@ def validation_stats(run: TrainRun, dataset, skel: Skeleton):
     that emits joints gets NaN there (its angles exist only after a
     post-hoc fit, which is far too costly per epoch).
     """
-    report = bench.score(skel, predict(run, dataset.features, skel), dataset,
-                         thresholds=())
+    predictions = predict(run, dataset.features, skel)
+    if not np.all(np.isfinite(predictions)):
+        # finite but huge weights can overflow on the forward pass
+        raise NumericalError("non-finite network output on the validation set")
+    report = bench.score(skel, predictions, dataset, thresholds=())
     return (report.avg_joint_error_mm, report.avg_angle_error_deg,
             report.invalid_pose_fraction)
 
@@ -347,7 +351,9 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
     than 0.1%; momentum carries across stages. The penalty weight is
     ``Mode.penalty_weight(sgd.lam)``. Raises NumericalError (naming the
     epoch by its index in run.history, and the batch) if the loss or a
-    gradient goes non-finite, before that batch's update reaches the weights.
+    gradient goes non-finite, before that batch's update reaches the weights;
+    and, naming the epoch, if an epoch ends with a non-finite weight or bias
+    or with non-finite outputs on `val`.
     """
     if len(dataset) == 0:
         raise ValueError("training dataset is empty")
@@ -386,8 +392,13 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
                 sgd_step(run, grads, stage)
                 epoch_losses.append(value)
 
+            if not all(np.isfinite(p).all() for p in run.weights + run.biases):
+                raise NumericalError(f"non-finite weights after epoch {epoch}")
             if val is not None:
-                joint_err, angle_err, invalid = validation_stats(run, val, skel)
+                try:
+                    joint_err, angle_err, invalid = validation_stats(run, val, skel)
+                except NumericalError as e:
+                    raise NumericalError(f"{e} after epoch {epoch}") from None
             else:
                 joint_err = angle_err = invalid = float("nan")
             run.history.append(EpochStats(
@@ -406,10 +417,12 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
     return run
 
 
-def save_checkpoint(run: TrainRun, path) -> None:
+def save_checkpoint(run: TrainRun, path, skel: Skeleton) -> None:
+    """Write `run` as trained for `skel`, whose fingerprint it records."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
+        "skeleton": skel.fingerprint(),
         "mlp": {
             "layer_widths": list(run.config.layer_widths),
             "seed": run.config.seed,
@@ -420,8 +433,6 @@ def save_checkpoint(run: TrainRun, path) -> None:
         "mode": run.mode,
         "weights": [w.tolist() for w in run.weights],
         "biases": [b.tolist() for b in run.biases],
-        "vel_w": [v.tolist() for v in run.vel_w],
-        "vel_b": [v.tolist() for v in run.vel_b],
         "history": [
             [h.train_loss, h.val_joint_err_mm, h.val_angle_err_deg, h.val_invalid_frac]
             for h in run.history
@@ -463,7 +474,8 @@ def load_checkpoint(path) -> TrainRun:
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+        raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')} "
+                         f"(version {CHECKPOINT_VERSION} records the skeleton); retrain")
     raw_scale = payload["mlp"].get("output_scale")
     config = MlpConfig(
         layer_widths=tuple(payload["mlp"]["layer_widths"]),
@@ -472,13 +484,11 @@ def load_checkpoint(path) -> TrainRun:
         input_clip_abs=payload["mlp"].get("input_clip_abs"),
         output_scale=tuple(raw_scale) if raw_scale else None,
     )
-    run = TrainRun(
+    return TrainRun(
         config,
         payload["mode"],
         [np.array(w, dtype=float) for w in payload["weights"]],
         [np.array(b, dtype=float) for b in payload["biases"]],
-        vel_w=[np.array(v, dtype=float) for v in payload["vel_w"]],
-        vel_b=[np.array(v, dtype=float) for v in payload["vel_b"]],
         history=[EpochStats(*row) for row in payload["history"]],
+        skeleton=payload["skeleton"],
     )
-    return run

@@ -14,6 +14,7 @@ Angles are radians everywhere in the API; config files use degrees.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -152,7 +153,7 @@ class Skeleton:
         self.bone_lengths = np.array([j.bone_length for j in self.joints], dtype=float)
         self.rest_rotations = [_rest_rotation(j.rest_offset_deg) for j in self.joints]
 
-        dof_joint, dof_rot, dof_axis, lo, hi, names = [], [], [], [], [], []
+        dof_joint, dof_rot, dof_axis, lo, hi = [], [], [], [], []
         for u, joint in enumerate(self.joints):
             for dof in joint.dofs:
                 dof_joint.append(u)
@@ -160,14 +161,11 @@ class Skeleton:
                 dof_axis.append(axis_index(dof.axis))
                 lo.append(dof.lower)
                 hi.append(dof.upper)
-                tag = "r" if dof.is_rotation else "t"
-                names.append(f"{joint.name}:{tag}{dof.axis.lower()}")
         self.dof_joint = np.array(dof_joint, dtype=np.int64)
         self.dof_is_rotation = np.array(dof_rot, dtype=bool)
         self.dof_axis = np.array(dof_axis, dtype=np.int64)
         self.dof_lower = np.array(lo, dtype=float)
         self.dof_upper = np.array(hi, dtype=float)
-        self.dof_names = tuple(names)
         self.joint_dofs = tuple(
             tuple(d for d, v in enumerate(dof_joint) if v == u) for u in range(J)
         )
@@ -252,6 +250,12 @@ class Skeleton:
             "joints": joints,
             "eval_subset": [self.joints[i].name for i in self.eval_subset],
         }
+
+    def fingerprint(self) -> dict:
+        """Name and sha256 of the canonical to_dict() JSON; equal for a
+        skeleton and its save_skeleton/load_skeleton round trip."""
+        text = json.dumps(self.to_dict(), sort_keys=True)
+        return {"name": self.name, "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
 def _dof_to_dict(dof: DofSpec) -> dict:

@@ -261,6 +261,22 @@ def test_train_non_finite_gradient_names_history_epoch(tmp_path, monkeypatch, ca
     assert not ckpt.exists()
 
 
+def test_train_validation_overflow_exits_2(tmp_path, capsys):
+    # epoch 0 ends with finite loss, gradients and weights, but weights so
+    # large that the validation forward pass overflows
+    data = tmp_path / "data.csv"
+    assert run_cli("synth", "--n", "24", "--sigma", "5", "--occlusion", "0",
+                   "--seed", "4", "--out", str(data)) == 0
+    ckpt = tmp_path / "run.ckpt.json"
+    code = run_cli("train", "--train", str(data), "--val", str(data),
+                   "--epochs", "3", "--batch", "8", "--lr", "1.0",
+                   "--flat-lr", "--seed", "2", "--out", str(ckpt))
+    assert code == 2
+    assert "non-finite network output on the validation set after epoch 0" \
+        in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 @pytest.fixture()
 def bench_dataset(tmp_path):
     """A dataset made for the benchmark skeleton, and that skeleton's file."""
@@ -293,6 +309,24 @@ def test_eval_refuses_dataset_of_another_skeleton(bench_dataset, tmp_path, capsy
                    "--out", str(report)) == 1
     err = capsys.readouterr().err
     assert "'hand23-bench'" in err and "'hand23'" in err
+    assert not report.exists()
+
+
+def test_eval_refuses_checkpoint_of_another_skeleton(bench_dataset, tmp_path, capsys):
+    # both skeletons emit the same widths, so only the fingerprint tells
+    skel_path, bench_data = bench_dataset
+    data = tmp_path / "hand.ds"
+    assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
+    ckpt = tmp_path / "run.ckpt.json"
+    assert run_cli("train", "--train", str(data), "--epochs", "1",
+                   "--batch", "16", "--out", str(ckpt)) == 0
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert run_cli("eval", "--skeleton", str(skel_path), "--ckpt", str(ckpt),
+                   "--data", str(bench_data), "--out", str(report)) == 1
+    err = capsys.readouterr().err
+    assert "checkpoint was trained for skeleton 'hand23'" in err
+    assert "not 'hand23-bench'" in err
     assert not report.exists()
 
 

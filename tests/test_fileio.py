@@ -101,3 +101,42 @@ def test_dataset_bad_sections(tmp_path):
                     "1.0,2.0;3.0\n")
     with pytest.raises(fileio.FileFormatError, match="line 2"):
         fileio.read_dataset(path)
+
+
+DATASET_HEADER = "# kinedeep-dataset v1 skeleton=x sigma_mm=1.0 occlusion=0.0 seed=1"
+
+
+def test_dataset_ragged_features_cite_line(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(DATASET_HEADER + " n=2\n"
+                    "1.0,2.0;3.0;1.0,2.0,3.0\n"
+                    "1.0,2.0,9.0;3.0;1.0,2.0,3.0\n")
+    with pytest.raises(fileio.FileFormatError,
+                       match="line 3 has 3 features values, expected 2"):
+        fileio.read_dataset(path)
+
+
+def test_joint_section_not_a_multiple_of_3_cites_line(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(DATASET_HEADER + " n=1\n1.0,2.0;3.0;1.0,2.0,3.0,4.0\n")
+    with pytest.raises(fileio.FileFormatError,
+                       match="line 2 has 4 joints values, expected a multiple of 3"):
+        fileio.read_dataset(path)
+
+
+def test_dataset_row_count_must_match_header(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(DATASET_HEADER + " n=3\n"
+                    "1.0,2.0;3.0;1.0,2.0,3.0\n"
+                    "4.0,5.0;6.0;4.0,5.0,6.0\n")
+    with pytest.raises(fileio.FileFormatError, match="n=3 .* 2 samples"):
+        fileio.read_dataset(path)
+
+
+def test_jacobian_file_header_and_rows(tmp_path):
+    path = tmp_path / "jac.csv"
+    jacobians = (np.full((6, 2), float(k)) for k in range(3))  # lazy
+    fileio.write_jacobian_file(path, "x", (6, 2), jacobians)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# kinedeep-jacobian v1 skeleton=x rows=6 cols=2"
+    assert lines[1:] == [",".join([repr(float(k))] * 12) for k in range(3)]

