@@ -4,7 +4,16 @@ One binary with subcommands: fk, jacobian, gradcheck, ik, synth, train,
 eval, reproduce. Every run that writes artifacts also writes a JSON
 manifest next to them (resolved configuration, seed, inputs, outputs, tool
 version, wall-clock duration); re-running a command with the same seed
-reproduces its outputs byte for byte.
+reproduces its outputs byte for byte. The manifest and the other run
+records are the exception, because they hold wall times: train and
+reproduce write one JSON line per epoch beside each checkpoint
+(<checkpoint>.epochs.jsonl: stage learning rate, train loss, last-batch
+gradient norm, validation metrics when there is a validation set, seconds).
+
+reproduce trains its four modes in parallel, one worker process per
+available CPU, at most one per mode. Pin BLAS to one thread
+(OPENBLAS_NUM_THREADS=1 or the like): each worker keeps a CPU busy, and
+BLAS threads on top of the workers oversubscribe the CPUs.
 
 Exit codes: 0 success; 1 validation or parse error; 2 numerical failure
 (non-finite values); 3 an acceptance-style check failed (gradcheck
@@ -87,7 +96,7 @@ def _manifest_path(out_path) -> str:
 
 
 def _write_manifest(path, subcommand, config, seed, inputs, outputs, started,
-                    stages_s=None):
+                    **record):
     payload = {
         "tool": "kinedeep",
         "version": __version__,
@@ -98,8 +107,7 @@ def _write_manifest(path, subcommand, config, seed, inputs, outputs, started,
         "outputs": [str(p) for p in outputs],
         "duration_s": time.monotonic() - started,
     }
-    if stages_s is not None:
-        payload["stages_s"] = stages_s
+    payload.update(record)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -268,15 +276,23 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _train_mode(skel, mode, train_data, val_data, sgd, seed):
-    """A fresh network of `mode`, trained by `sgd`."""
+def _epochs_path(ckpt_path) -> str:
+    return str(ckpt_path) + ".epochs.jsonl"
+
+
+def _train_mode(skel, mode, train_data, val_data, sgd, seed, ckpt_path):
+    """A fresh network of `mode`, trained by `sgd`, its epochs recorded one
+    JSON line each beside the checkpoint path."""
     spec = reg.MODES[mode]
     cfg = reg.MlpConfig(
         layer_widths=(train_data.features.shape[1], 256, 256, spec.output_width(skel)),
         seed=seed, input_scale=0.01, input_clip_abs=400.0,
         output_scale=spec.output_scale(skel),
     )
-    return reg.train(reg.init(cfg, mode), train_data, skel, sgd, val=val_data)
+    # line-buffered: each epoch is on disk when it ends
+    with open(_epochs_path(ckpt_path), "w", buffering=1) as fh:
+        return reg.train(reg.init(cfg, mode), train_data, skel, sgd, val=val_data,
+                         on_epoch=lambda record: fh.write(json.dumps(record) + "\n"))
 
 
 def cmd_train(args) -> int:
@@ -288,19 +304,20 @@ def cmd_train(args) -> int:
     base_lr = args.lr if args.lr is not None else spec.base_lr
     sgd = reg.SgdConfig(batch_size=args.batch, learning_rate=base_lr,
                         epochs=args.epochs, lam=args.lam, staged=not args.flat_lr)
-    run = _train_mode(skel, args.mode, train_data, val_data, sgd, args.seed)
+    run = _train_mode(skel, args.mode, train_data, val_data, sgd, args.seed, args.out)
     reg.save_checkpoint(run, args.out, skel)
     if val_data is not None:
-        joint_err, angle_err, invalid = reg.validation_stats(run, val_data, skel)
-        print(f"val joint error {joint_err!r} mm, angle error {angle_err!r} deg, "
-              f"invalid fraction {invalid!r}")
+        last = run.history[-1]  # the validation stats of the saved weights
+        print(f"val joint error {last.val_joint_err_mm!r} mm, angle error "
+              f"{last.val_angle_err_deg!r} deg, invalid fraction "
+              f"{last.val_invalid_frac!r}")
     _write_manifest(_manifest_path(args.out), "train",
                     {"skeleton": skel.name, "mode": args.mode, "lr": base_lr,
                      "batch": args.batch, "epochs": args.epochs,
                      "lambda": spec.penalty_weight(args.lam),
                      "flat_lr": args.flat_lr},
                     args.seed, [args.train] + ([args.val] if args.val else []),
-                    [args.out], started)
+                    [args.out, _epochs_path(args.out)], started)
     print(f"train: mode {args.mode}, {len(run.history)} epochs -> {args.out}")
     return EXIT_OK
 
@@ -352,7 +369,67 @@ def _format_table(rows) -> str:
     return "\n".join(lines)
 
 
+def _mode_checkpoint(out_dir, mode) -> str:
+    return os.path.join(out_dir, f"{mode}.ckpt.json")
+
+
+def reproduce_mode(mode, skel, train_data, val_data, args):
+    """One mode of `reproduce`, start to end.
+
+    Trains the mode on `train_data`, saves its checkpoint (and its epoch
+    records) in args.out, predicts `val_data`, fits angles by IK to the
+    first args.fit_frames predictions of a joint-emitting mode, and scores.
+    Returns the MetricsReport and the mode's stage seconds: train_<mode>
+    (training and checkpoint write), ik_fit (0 unless the mode emits
+    joints) and evaluate (val forward pass and metrics).
+    """
+    spec = reg.MODES[mode]
+    started = time.monotonic()
+    sgd = reg.SgdConfig(batch_size=args.batch, learning_rate=spec.base_lr,
+                        epochs=args.epochs, lam=args.lam)
+    ckpt = _mode_checkpoint(args.out, mode)
+    run = _train_mode(skel, mode, train_data, None, sgd, args.seed, ckpt)
+    reg.save_checkpoint(run, ckpt, skel)
+    trained = time.monotonic()
+    stages_s = {f"train_{mode}": trained - started, "ik_fit": 0.0}
+    predictions = reg.predict(run, val_data.features, skel)
+    fitted = None
+    if not spec.emits_pose:
+        n_fit = min(args.fit_frames, len(val_data))
+        predictions, val_data = predictions[:n_fit], val_data.subset(range(n_fit))
+        fit_cfg = ik_pso.PsoConfig(seed=args.seed, iterations=150,
+                                   phase_iterations=75)
+        fit_started = time.monotonic()
+        fitted = np.stack([r.theta for r in ik_pso.fit_batch(
+            skel, predictions, fit_cfg)])
+        stages_s["ik_fit"] = time.monotonic() - fit_started
+    report = bench.evaluate(skel, predictions, val_data, fitted_poses=fitted)
+    stages_s["evaluate"] = time.monotonic() - trained - stages_s["ik_fit"]
+    return report, stages_s
+
+
+# reproduce_mode's arguments after the mode, set in each pool worker (never
+# in the parent) by the pool's initializer. Fork passes an initializer's
+# arguments without pickling, so the workers share the parent's datasets
+# instead of holding copies.
+_worker_inputs = ()
+
+
+def _set_worker_inputs(*inputs):
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _reproduce_mode_in_worker(mode):
+    return reproduce_mode(mode, *_worker_inputs)
+
+
 def cmd_reproduce(args) -> int:
+    # imported here, because only reproduce starts processes: at module level
+    # they would add ~15 ms to the start-up of every subcommand
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     started = time.monotonic()
     os.makedirs(args.out, exist_ok=True)
     # the interior margin undoes the benchmark skeleton's bound expansion;
@@ -361,20 +438,9 @@ def cmd_reproduce(args) -> int:
         skel, margin = sk.load_skeleton(args.skeleton), 0.0
     else:
         skel, margin = bench.benchmark_skeleton(), bench.benchmark_interior_margin()
-    t0 = time.monotonic()
 
     def log(msg):
-        print(f"[{time.monotonic()-t0:7.1f}s] {msg}", flush=True)
-
-    # wall seconds per stage, for the manifest
-    stages_s = {"evaluate": 0.0}
-    mark = time.monotonic()
-
-    def lap():
-        nonlocal mark
-        now = time.monotonic()
-        elapsed, mark = now - mark, now
-        return elapsed
+        print(f"[{time.monotonic()-started:7.1f}s] {msg}", flush=True)
 
     log(f"skeleton {skel.name}: J={skel.n_joints} D={skel.n_dofs}")
     train_data = bench.make_dataset(skel, n=args.train_n, noise_sigma_mm=args.sigma,
@@ -383,41 +449,42 @@ def cmd_reproduce(args) -> int:
     val_data = bench.make_dataset(skel, n=args.val_n, noise_sigma_mm=args.sigma,
                                   occlusion_prob=args.occlusion, seed=args.seed + 1,
                                   interior_margin=margin, pose_shape="central")
-    stages_s["datasets"] = lap()
+    # seconds per stage, for the manifest: the modes' stages are summed over
+    # the modes and run in parallel, so they overlap in wall time
+    stages_s = {"datasets": time.monotonic() - started}
     log(f"datasets: {args.train_n} train / {args.val_n} val, sigma "
         f"{args.sigma} mm, occlusion {args.occlusion}")
 
+    # The modes share only the read-only datasets, and each trains
+    # deterministically (and single-threaded, with BLAS pinned), so they run
+    # in parallel, one worker process per available CPU. The pool forks all
+    # its workers at the first submit, before it starts its own thread. The
+    # IK mode is the longest, so it goes first.
+    workers = min(len(reg.MODES), len(os.sched_getaffinity(0)))
+    log(f"training {len(reg.MODES)} modes on {workers} worker processes")
     table = {}
-    outputs = []
-    for mode, spec in reg.MODES.items():
-        sgd = reg.SgdConfig(batch_size=args.batch, learning_rate=spec.base_lr,
-                            epochs=args.epochs, lam=args.lam)
-        run = _train_mode(skel, mode, train_data, None, sgd, args.seed)
-        ckpt = os.path.join(args.out, f"{mode}.ckpt.json")
-        reg.save_checkpoint(run, ckpt, skel)
-        outputs.append(ckpt)
-        stages_s[f"train_{mode}"] = lap()
-        predictions = reg.predict(run, val_data.features, skel)
-        if spec.emits_pose:
-            report = bench.evaluate(skel, predictions, val_data)
-        else:
-            log(f"{mode}: trained ({len(run.history)} epochs); fitting "
-                f"{args.fit_frames} val frames")
-            n_fit = min(args.fit_frames, len(val_data))
-            fit_cfg = ik_pso.PsoConfig(seed=args.seed, iterations=150,
-                                       phase_iterations=75)
-            stages_s["evaluate"] += lap()
-            fitted = np.stack([r.theta for r in ik_pso.fit_batch(
-                skel, predictions[:n_fit], fit_cfg)])
-            stages_s["ik_fit"] = lap()
-            report = bench.evaluate(skel, predictions[:n_fit],
-                                    val_data.subset(range(n_fit)),
-                                    fitted_poses=fitted)
-        stages_s["evaluate"] += lap()
-        table[mode] = report
-        log(f"{mode}: joint {report.avg_joint_error_mm:.2f} mm, angle "
-            f"{report.avg_angle_error_deg:.2f} deg, invalid "
-            f"{report.invalid_pose_fraction:.4f}")
+    with ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
+                             initializer=_set_worker_inputs,
+                             initargs=(skel, train_data, val_data, args)) as pool:
+        futures = {pool.submit(_reproduce_mode_in_worker, mode): mode
+                   for mode in sorted(reg.MODES, key=lambda m: reg.MODES[m].emits_pose)}
+        try:
+            for future in as_completed(futures):
+                mode = futures[future]
+                try:
+                    report, mode_stages_s = future.result()
+                except reg.NumericalError as e:
+                    raise reg.NumericalError(f"{mode}: {e}") from None
+                for stage, seconds in mode_stages_s.items():
+                    stages_s[stage] = stages_s.get(stage, 0.0) + seconds
+                table[mode] = report
+                log(f"{mode}: joint {report.avg_joint_error_mm:.2f} mm, angle "
+                    f"{report.avg_angle_error_deg:.2f} deg, invalid "
+                    f"{report.invalid_pose_fraction:.4f}")
+        except BaseException:
+            # a failed mode fails the run: start no mode still queued
+            pool.shutdown(cancel_futures=True)
+            raise
 
     rows = [(m, table[m].avg_joint_error_mm, table[m].avg_angle_error_deg,
              table[m].invalid_pose_fraction) for m in reg.MODES]
@@ -448,6 +515,9 @@ def cmd_reproduce(args) -> int:
             "orderings": checks,
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    outputs = [path for mode in reg.MODES
+               for path in (_mode_checkpoint(args.out, mode),
+                            _epochs_path(_mode_checkpoint(args.out, mode)))]
     outputs += [table_txt, table_json]
     _write_manifest(os.path.join(args.out, "manifest.json"), "reproduce",
                     {"skeleton": skel.name, "train_n": args.train_n,
@@ -456,7 +526,8 @@ def cmd_reproduce(args) -> int:
                      "batch": args.batch, "lambda": args.lam,
                      "fit_frames": args.fit_frames,
                      "interior_margin": margin, "pose_shape": "central"},
-                    args.seed, [], outputs, started, stages_s=stages_s)
+                    args.seed, [], outputs, started, stages_s=stages_s,
+                    workers=workers)
 
     print(text)
     for name, ok in checks.items():
@@ -548,7 +619,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("reproduce",
-                       help="train all four modes and print the comparison table")
+                       help="train all four modes and print the comparison table",
+                       description="Train all four modes and print the comparison "
+                                   "table. The modes run in parallel, one worker "
+                                   "process per available CPU; pin BLAS to one "
+                                   "thread (OPENBLAS_NUM_THREADS=1) to avoid "
+                                   "oversubscribing the CPUs.")
     p.add_argument("--skeleton", default=None,
                    help="override the benchmark skeleton")
     p.add_argument("--out", required=True, help="output directory")

@@ -13,6 +13,7 @@ first-layer steps disproportionate at any single learning rate).
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -340,7 +341,7 @@ def validation_stats(run: TrainRun, dataset, skel: Skeleton):
 
 
 def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
-          val=None) -> TrainRun:
+          val=None, on_epoch=None) -> TrainRun:
     """Mini-batch SGD through the stages of the schedule.
 
     With ``sgd.staged`` the stages are STAGES: stage (f_lr, f_ep) runs at
@@ -354,6 +355,11 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
     gradient goes non-finite, before that batch's update reaches the weights;
     and, naming the epoch, if an epoch ends with a non-finite weight or bias
     or with non-finite outputs on `val`.
+
+    ``on_epoch``, when given, is called after each epoch with that epoch's
+    record: its history index, the stage learning rate, the train loss, the
+    L2 norm of the epoch's last batch gradient, the validation metrics (with
+    `val`; NaN as None) and the epoch's wall seconds.
     """
     if len(dataset) == 0:
         raise ValueError("training dataset is empty")
@@ -369,6 +375,7 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
         rng = np.random.default_rng([run.config.seed, 1])
         val_errors = []
         for _ in range(max(1, int(round(frac_ep * sgd.epochs)))):
+            epoch_started = time.monotonic()
             epoch = len(run.history)
             order = rng.permutation(n)
             epoch_losses = []
@@ -401,12 +408,28 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
                     raise NumericalError(f"{e} after epoch {epoch}") from None
             else:
                 joint_err = angle_err = invalid = float("nan")
-            run.history.append(EpochStats(
+            stats = EpochStats(
                 train_loss=float(np.mean(epoch_losses)),
                 val_joint_err_mm=joint_err,
                 val_angle_err_deg=angle_err,
                 val_invalid_frac=invalid,
-            ))
+            )
+            run.history.append(stats)
+            if on_epoch is not None:
+                record = {
+                    "epoch": epoch,
+                    "lr": stage.learning_rate,
+                    "train_loss": stats.train_loss,
+                    "grad_norm": float(np.sqrt(sum(np.vdot(g, g)
+                                                   for g in grads[0] + grads[1]))),
+                }
+                if val is not None:
+                    # NaN (the angles of a joint-emitting mode) as null
+                    record.update((key, None if np.isnan(v) else v)
+                                  for key, v in vars(stats).items()
+                                  if key.startswith("val_"))
+                record["seconds"] = time.monotonic() - epoch_started
+                on_epoch(record)
             if val is not None:
                 val_errors.append(joint_err)
                 if len(val_errors) > 10:

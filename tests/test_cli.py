@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -8,7 +9,7 @@ from kinedeep import bench, fileio, ik_pso
 from kinedeep import kinematics as kin
 from kinedeep import regressor as reg
 from kinedeep import skeleton as sk
-from kinedeep.cli import main
+from kinedeep.cli import build_parser, main, reproduce_mode
 
 
 def run_cli(*argv):
@@ -200,6 +201,41 @@ def test_synth_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_train_prints_last_epoch_without_second_validation_pass(
+        tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data.csv"
+    assert run_cli("synth", "--n", "24", "--sigma", "5", "--occlusion", "0.0",
+                   "--seed", "4", "--out", str(data)) == 0
+    real = reg.validation_stats
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reg, "validation_stats", counting)
+    ckpt = tmp_path / "run.ckpt.json"
+    capsys.readouterr()
+    assert run_cli("train", "--train", str(data), "--val", str(data),
+                   "--epochs", "3", "--batch", "8", "--seed", "2",
+                   "--out", str(ckpt)) == 0
+    run = reg.load_checkpoint(ckpt)
+    assert len(calls) == len(run.history)  # one pass per epoch, none after
+    last = run.history[-1]
+    assert (f"val joint error {last.val_joint_err_mm!r} mm, angle error "
+            f"{last.val_angle_err_deg!r} deg, invalid fraction "
+            f"{last.val_invalid_frac!r}") in capsys.readouterr().out
+    # one epoch record per history row, listed in the manifest
+    epochs = tmp_path / "run.ckpt.json.epochs.jsonl"
+    records = [json.loads(line) for line in epochs.read_text().splitlines()]
+    assert [r["epoch"] for r in records] == list(range(len(run.history)))
+    assert [r["train_loss"] for r in records] == [h.train_loss for h in run.history]
+    assert [r["val_joint_err_mm"] for r in records] == \
+        [h.val_joint_err_mm for h in run.history]
+    manifest = json.loads((tmp_path / "run.ckpt.json.manifest.json").read_text())
+    assert manifest["outputs"] == [str(ckpt), str(epochs)]
+
+
 def test_train_numerical_failure_exit_code(tmp_path):
     data = tmp_path / "data.csv"
     assert run_cli("synth", "--n", "32", "--sigma", "5", "--occlusion", "0.0",
@@ -353,10 +389,15 @@ def test_reproduce_smoke(tmp_path):
     assert set(stages) == {"datasets", "ik_fit", "evaluate",
                            *(f"train_{mode}" for mode in reg.MODES)}
     assert all(np.isfinite(v) and v >= 0.0 for v in stages.values())
+    assert manifest["workers"] == min(len(reg.MODES), len(os.sched_getaffinity(0)))
     assert manifest["config"]["skeleton"] == "hand23-bench"
     assert manifest["config"]["interior_margin"] == bench.benchmark_interior_margin()
     for mode in reg.MODES:
-        assert os.path.exists(out_a / f"{mode}.ckpt.json")
+        ckpt = out_a / f"{mode}.ckpt.json"
+        assert (out_b / f"{mode}.ckpt.json").read_bytes() == ckpt.read_bytes()
+        epochs = (out_a / f"{mode}.ckpt.json.epochs.jsonl").read_text().splitlines()
+        assert len(epochs) == len(reg.load_checkpoint(ckpt).history)
+        assert f"{ckpt}.epochs.jsonl" in manifest["outputs"]
 
 
 def test_reproduce_skeleton_file_samples_whole_ranges(tmp_path):
@@ -370,3 +411,47 @@ def test_reproduce_skeleton_file_samples_whole_ranges(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["skeleton"] == "hand23"
     assert manifest["config"]["interior_margin"] == 0.0
+
+
+REPRODUCE_TINY = ["reproduce", "--seed", "3", "--train-n", "64", "--val-n", "16",
+                  "--epochs", "3", "--batch", "32", "--fit-frames", "2"]
+
+
+def test_reproduce_pool_matches_in_process_modes(tmp_path):
+    # the pool's table and checkpoints equal reproduce_mode run here, mode by mode
+    pooled = tmp_path / "pooled"
+    assert run_cli(*REPRODUCE_TINY, "--out", str(pooled)) in (0, 3)
+    table = json.loads((pooled / "table.json").read_text())
+    args = build_parser().parse_args(REPRODUCE_TINY + ["--out", str(tmp_path / "here")])
+    os.makedirs(args.out)
+    skel, margin = bench.benchmark_skeleton(), bench.benchmark_interior_margin()
+    train_data, val_data = (
+        bench.make_dataset(skel, n=n, noise_sigma_mm=args.sigma,
+                           occlusion_prob=args.occlusion, seed=args.seed + i,
+                           interior_margin=margin, pose_shape="central")
+        for i, n in enumerate((args.train_n, args.val_n)))
+    for mode in reg.MODES:
+        report, stages = reproduce_mode(mode, skel, train_data, val_data, args)
+        assert set(stages) == {f"train_{mode}", "ik_fit", "evaluate"}
+        assert json.dumps(table["modes"][mode], sort_keys=True) == \
+            json.dumps(report.to_dict(), sort_keys=True)
+        name = f"{mode}.ckpt.json"
+        assert (pooled / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
+def test_reproduce_numerical_failure_in_a_worker_exits_2(tmp_path, monkeypatch, capsys):
+    # the workers are forked, so they train with the patched reg.train
+    real = reg.train
+
+    def failing(run, *args, **kwargs):
+        if run.mode == "ours_no_phy":
+            raise reg.NumericalError("non-finite loss at epoch 1 batch 0")
+        return real(run, *args, **kwargs)
+
+    monkeypatch.setattr(reg, "train", failing)
+    out = tmp_path / "run"
+    assert run_cli(*REPRODUCE_TINY, "--out", str(out)) == 2
+    assert "numerical failure: ours_no_phy: non-finite loss at epoch 1 batch 0" \
+        in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert not (out / "table.json").exists()

@@ -267,6 +267,68 @@ def test_train_history_length_and_val_metrics(hand):
         assert 0.0 <= h.val_invalid_frac <= 1.0
 
 
+@pytest.mark.parametrize("mode", ["ours", "direct_joint"])
+def test_on_epoch_records_each_epoch(hand, monkeypatch, mode):
+    # staged with val: each epoch's record carries its stage lr, the history
+    # row's loss and val metrics, and the norm of its last batch gradient
+    data = small_dataset(hand, n=20)
+    spec = reg.MODES[mode]
+    cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 16, spec.output_width(hand)),
+                        seed=7, input_scale=0.01, output_scale=spec.output_scale(hand))
+    sgd = reg.SgdConfig(batch_size=8, learning_rate=spec.base_lr, epochs=6)
+    plain = reg.train(reg.init(cfg, mode), data, hand, sgd, val=data)
+
+    backward = "backward_through_model" if spec.through_fk else "backward_direct"
+    real = getattr(reg, backward)
+    last_grads = []
+
+    def keep_grads(*args, **kwargs):
+        value, grads = real(*args, **kwargs)
+        last_grads.append(grads)
+        return value, grads
+
+    monkeypatch.setattr(reg, backward, keep_grads)
+    records = []
+    run = reg.train(reg.init(cfg, mode), data, hand, sgd, val=data,
+                    on_epoch=records.append)
+    # the records leave training untouched
+    assert all(np.array_equal(a, b) for a, b in zip(run.weights, plain.weights))
+    assert np.array_equal([astuple(h) for h in run.history],
+                          [astuple(h) for h in plain.history], equal_nan=True)
+
+    stage_lrs = [spec.base_lr * f for f, e in reg.STAGES
+                 for _ in range(max(1, round(e * sgd.epochs)))]
+    assert [r["epoch"] for r in records] == list(range(len(run.history)))
+    assert [r["lr"] for r in records] == stage_lrs[:len(records)]
+    batches = -(-len(data) // sgd.batch_size)
+    for record, stats in zip(records, run.history):
+        assert set(record) == {"epoch", "lr", "train_loss", "grad_norm",
+                               "val_joint_err_mm", "val_angle_err_deg",
+                               "val_invalid_frac", "seconds"}
+        assert record["train_loss"] == stats.train_loss
+        assert record["val_joint_err_mm"] == stats.val_joint_err_mm
+        if spec.emits_pose:
+            assert record["val_angle_err_deg"] == stats.val_angle_err_deg
+            assert record["val_invalid_frac"] == stats.val_invalid_frac
+        else:  # no angles without a fit: NaN in history, None in the record
+            assert record["val_angle_err_deg"] is None
+            assert record["val_invalid_frac"] is None
+        grads = last_grads[(record["epoch"] + 1) * batches - 1]
+        want = np.sqrt(sum(np.sum(g * g) for g in grads[0] + grads[1]))
+        assert record["grad_norm"] == pytest.approx(want, rel=1e-12)
+        assert record["seconds"] >= 0.0
+    json.dumps(records, allow_nan=False)  # strict JSON
+
+
+def test_on_epoch_record_without_val_has_no_val_metrics(hand):
+    data = small_dataset(hand, n=16)
+    records = []
+    reg.train(reg.init(whitened_config(hand, data), mode="ours"), data, hand,
+              train_config(epochs=2), on_epoch=records.append)
+    assert [set(r) for r in records] == [
+        {"epoch", "lr", "train_loss", "grad_norm", "seconds"}] * 2
+
+
 def test_train_empty_dataset_rejected(hand):
     data = small_dataset(hand)
     empty = data.subset([])
