@@ -5,7 +5,8 @@ eval, reproduce. Every run that writes artifacts also writes a JSON
 manifest next to them (resolved configuration, seed, inputs, outputs, tool
 version, wall-clock duration); re-running a command with the same seed
 reproduces its outputs byte for byte. The manifest and the other run
-records are the exception, because they hold wall times: train and
+records are the exception, because they hold wall times and, for train
+and reproduce, the peak resident memory in MiB (peak_rss_mb). train and
 reproduce write one JSON line per epoch beside each checkpoint
 (<checkpoint>.epochs.jsonl: stage learning rate, train loss, last-batch
 gradient norm, validation metrics when there is a validation set, seconds).
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -93,6 +95,12 @@ def _load_checkpoint(path, skel) -> reg.TrainRun:
 
 def _manifest_path(out_path) -> str:
     return str(out_path) + ".manifest.json"
+
+
+def _peak_rss_mb(who=resource.RUSAGE_SELF) -> float:
+    """Peak resident set size in MiB: of this process, or with
+    RUSAGE_CHILDREN of its largest waited-for child (ru_maxrss is in KiB)."""
+    return resource.getrusage(who).ru_maxrss / 1024.0
 
 
 def _write_manifest(path, subcommand, config, seed, inputs, outputs, started,
@@ -317,7 +325,8 @@ def cmd_train(args) -> int:
                      "lambda": spec.penalty_weight(args.lam),
                      "flat_lr": args.flat_lr},
                     args.seed, [args.train] + ([args.val] if args.val else []),
-                    [args.out, _epochs_path(args.out)], started)
+                    [args.out, _epochs_path(args.out)], started,
+                    peak_rss_mb=_peak_rss_mb())
     print(f"train: mode {args.mode}, {len(run.history)} epochs -> {args.out}")
     return EXIT_OK
 
@@ -527,7 +536,9 @@ def cmd_reproduce(args) -> int:
                      "fit_frames": args.fit_frames,
                      "interior_margin": margin, "pose_shape": "central"},
                     args.seed, [], outputs, started, stages_s=stages_s,
-                    workers=workers)
+                    workers=workers,
+                    peak_rss_mb={"parent": _peak_rss_mb(),
+                                 "workers": _peak_rss_mb(resource.RUSAGE_CHILDREN)})
 
     print(text)
     for name, ok in checks.items():

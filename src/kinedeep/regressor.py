@@ -9,6 +9,13 @@ and bitwise deterministic given (seed, data, config). ``input_scale``
 rescales raw mm features once at the input; it is part of the architecture
 and of checkpoints (raw joint coordinates span hundreds of mm, which makes
 first-layer steps disproportionate at any single learning rate).
+
+One layer loop, ``_layers``, serves inference and training. Inference
+(``forward``, hence ``predict`` and ``validation_stats``) keeps only the
+layer being computed and the one feeding it. Training keeps every layer's
+output for the backward pass, and takes each ReLU mask from those outputs;
+no pre-activation is stored. Checkpoints stream the weights to disk one
+row at a time.
 """
 from __future__ import annotations
 
@@ -204,8 +211,12 @@ def init(config: MlpConfig, mode: str) -> TrainRun:
     return TrainRun(config, mode, weights, biases)
 
 
-def _forward_acts(run: TrainRun, features: np.ndarray):
-    """Layer activations; hidden pre-activations kept for the ReLU mask."""
+def _layers(run: TrainRun, features: np.ndarray):
+    """Yield the scaled input, then each layer's output, one at a time.
+
+    Bias, ReLU and output gain are applied in place on each fresh matmul
+    result, never on the caller's features.
+    """
     h = np.asarray(features, dtype=float)
     if run.config.input_clip_abs is not None:
         # tames the occlusion sentinel (-1000 mm) into an in-scale flag
@@ -216,25 +227,23 @@ def _forward_acts(run: TrainRun, features: np.ndarray):
             f"feature width {h.shape[-1]} does not match input width "
             f"{run.config.layer_widths[0]}"
         )
-    acts = [h]
-    pre = []
+    yield h
     last = run.n_layers - 1
     for i, (w, b) in enumerate(zip(run.weights, run.biases)):
-        z = h @ w + b
+        h = h @ w
+        h += b
         if i < last:
-            pre.append(z)
-            h = np.maximum(z, 0.0)
-        else:
-            h = z
-            if run.config.output_scale is not None:
-                h = h * np.asarray(run.config.output_scale)
-        acts.append(h)
-    return acts, pre
+            np.maximum(h, 0.0, out=h)
+        elif run.config.output_scale is not None:
+            h *= np.asarray(run.config.output_scale)
+        yield h
 
 
 def forward(run: TrainRun, features: np.ndarray) -> np.ndarray:
     """Network outputs for a batch of feature rows."""
-    return _forward_acts(run, features)[0][-1]
+    for h in _layers(run, features):
+        pass  # only the current layer stays alive
+    return h
 
 
 def predict(run: TrainRun, features: np.ndarray, skel: Skeleton) -> np.ndarray:
@@ -245,8 +254,12 @@ def predict(run: TrainRun, features: np.ndarray, skel: Skeleton) -> np.ndarray:
     return out.reshape(len(out), len(skel.eval_subset), 3)
 
 
-def _backprop(run: TrainRun, acts, pre, delta):
-    """Gradients of the mean loss; `delta` is dLoss/d_output (already /N)."""
+def _backprop(run: TrainRun, acts, delta):
+    """Gradients of the mean loss; `delta` is dLoss/d_output (already /N).
+
+    Each ReLU mask is taken from the layer's output: acts[i] > 0 exactly
+    where its pre-activation is > 0, for every value (NaN and -0.0 included).
+    """
     grads_w = [None] * run.n_layers
     grads_b = [None] * run.n_layers
     if run.config.output_scale is not None:
@@ -255,7 +268,7 @@ def _backprop(run: TrainRun, acts, pre, delta):
         grads_w[i] = acts[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ run.weights[i].T) * (pre[i - 1] > 0.0)
+            delta = (delta @ run.weights[i].T) * (acts[i] > 0.0)
     return grads_w, grads_b
 
 
@@ -271,7 +284,7 @@ def backward_through_model(run: TrainRun, features, targets, skel: Skeleton,
         raise ValueError(f"mode {run.mode!r} does not use the kinematic layer")
     if not mode.hinge and lam != 0.0:
         raise ValueError(f"mode {run.mode!r} requires lambda = 0")
-    acts, pre = _forward_acts(run, features)
+    acts = list(_layers(run, features))
     poses = acts[-1]
     if not np.all(np.isfinite(poses)):
         raise NumericalError("non-finite network output")
@@ -285,7 +298,7 @@ def backward_through_model(run: TrainRun, features, targets, skel: Skeleton,
         total = jt_vals
         pose_grads = jt_grads
     value = float(total.mean())
-    grads = _backprop(run, acts, pre, pose_grads / n)
+    grads = _backprop(run, acts, pose_grads / n)
     return value, grads
 
 
@@ -293,7 +306,7 @@ def backward_direct(run: TrainRun, features, targets):
     """Plain squared-error loss 0.5*||output - target||^2, no model layer."""
     if MODES[run.mode].through_fk:
         raise ValueError(f"mode {run.mode!r} is not a direct-regression mode")
-    acts, pre = _forward_acts(run, features)
+    acts = list(_layers(run, features))
     out = acts[-1]
     targets = np.asarray(targets, dtype=float).reshape(out.shape[0], -1)
     if targets.shape[1] != out.shape[1]:
@@ -303,7 +316,7 @@ def backward_direct(run: TrainRun, features, targets):
         )
     resid = out - targets
     value = float(0.5 * np.einsum("nk,nk->n", resid, resid).mean())
-    grads = _backprop(run, acts, pre, resid / out.shape[0])
+    grads = _backprop(run, acts, resid / out.shape[0])
     return value, grads
 
 
@@ -454,8 +467,8 @@ def save_checkpoint(run: TrainRun, path, skel: Skeleton) -> None:
             "output_scale": list(run.config.output_scale) if run.config.output_scale else None,
         },
         "mode": run.mode,
-        "weights": [w.tolist() for w in run.weights],
-        "biases": [b.tolist() for b in run.biases],
+        "weights": run.weights,
+        "biases": run.biases,
         "history": [
             [h.train_loss, h.val_joint_err_mm, h.val_angle_err_deg, h.val_invalid_frac]
             for h in run.history
@@ -467,7 +480,8 @@ def save_checkpoint(run: TrainRun, path, skel: Skeleton) -> None:
 
 
 def _write_json(fh, obj) -> None:
-    """Write the bytes of json.dump(obj, fh), one innermost list at a time.
+    """Write the bytes of json.dump(obj, fh), one innermost list at a time;
+    an ndarray is written as its nested lists (tolist), one row at a time.
 
     json.dump runs the pure-Python encoder; json.dumps runs the C encoder
     but holds the whole text and its pieces in memory at once (10 MB more
@@ -480,7 +494,8 @@ def _write_json(fh, obj) -> None:
             fh.write((", " if i else "") + json.dumps(key) + ": ")
             _write_json(fh, value)
         fh.write("}")
-    elif isinstance(obj, list) and obj and isinstance(obj[0], (list, dict)):
+    elif (isinstance(obj, (list, np.ndarray)) and len(obj)
+          and isinstance(obj[0], (list, dict, np.ndarray))):
         fh.write("[")
         for i, value in enumerate(obj):
             if i:
@@ -488,7 +503,7 @@ def _write_json(fh, obj) -> None:
             _write_json(fh, value)
         fh.write("]")
     else:
-        fh.write(json.dumps(obj))
+        fh.write(json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj))
 
 
 def load_checkpoint(path) -> TrainRun:

@@ -12,6 +12,12 @@ Jacobian, the reference for the reverse-mode gradient of `kinedeep.loss`.
 a-time swarm + Gauss-Newton fitter, kept verbatim as the reference that the
 frame-batched `kinedeep.ik_pso` must match bit for bit.
 
+`mlp_forward_acts` and `mlp_backprop` are the MLP forward and backward
+passes as they were when the forward pass kept every activation and every
+hidden pre-activation, and took the ReLU mask from the pre-activations;
+kept verbatim as the reference that `kinedeep.regressor`'s one layer loop
+must match bit for bit.
+
 `per_stage_train` is the staged learning-rate schedule as six calls of
 `flat_train`, one per stage, the way the command line ran it before
 `reg.train` ran the stages itself; `flat_train` is the one-stage
@@ -356,6 +362,48 @@ def sequential_fit_batch(skel, targets, config=None, warm_start=False):
         raise ValueError("fit_batch needs at least one target frame")
     return results
 
+
+
+def mlp_forward_acts(run, features):
+    """Layer activations; hidden pre-activations kept for the ReLU mask."""
+    h = np.asarray(features, dtype=float)
+    if run.config.input_clip_abs is not None:
+        # tames the occlusion sentinel (-1000 mm) into an in-scale flag
+        h = np.clip(h, -run.config.input_clip_abs, run.config.input_clip_abs)
+    h = h * run.config.input_scale
+    if h.ndim != 2 or h.shape[1] != run.config.layer_widths[0]:
+        raise ValueError(
+            f"feature width {h.shape[-1]} does not match input width "
+            f"{run.config.layer_widths[0]}"
+        )
+    acts = [h]
+    pre = []
+    last = run.n_layers - 1
+    for i, (w, b) in enumerate(zip(run.weights, run.biases)):
+        z = h @ w + b
+        if i < last:
+            pre.append(z)
+            h = np.maximum(z, 0.0)
+        else:
+            h = z
+            if run.config.output_scale is not None:
+                h = h * np.asarray(run.config.output_scale)
+        acts.append(h)
+    return acts, pre
+
+
+def mlp_backprop(run, acts, pre, delta):
+    """Gradients of the mean loss; `delta` is dLoss/d_output (already /N)."""
+    grads_w = [None] * run.n_layers
+    grads_b = [None] * run.n_layers
+    if run.config.output_scale is not None:
+        delta = delta * np.asarray(run.config.output_scale)
+    for i in reversed(range(run.n_layers)):
+        grads_w[i] = acts[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ run.weights[i].T) * (pre[i - 1] > 0.0)
+    return grads_w, grads_b
 
 
 def flat_train(run, dataset, skel, sgd, val=None):

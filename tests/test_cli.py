@@ -165,6 +165,7 @@ def test_synth_train_eval_pipeline(tmp_path):
     assert manifest["config"]["lr"] == reg.MODES["ours_no_phy"].base_lr
     assert manifest["config"]["lambda"] == 0.0
     assert manifest["inputs"] == [str(data)]
+    assert manifest["peak_rss_mb"] > 0.0  # ru_maxrss, in MiB
     report = tmp_path / "report.json"
     curve = tmp_path / "curve.csv"
     assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(data),
@@ -390,6 +391,8 @@ def test_reproduce_smoke(tmp_path):
                            *(f"train_{mode}" for mode in reg.MODES)}
     assert all(np.isfinite(v) and v >= 0.0 for v in stages.values())
     assert manifest["workers"] == min(len(reg.MODES), len(os.sched_getaffinity(0)))
+    rss = manifest["peak_rss_mb"]
+    assert set(rss) == {"parent", "workers"} and min(rss.values()) > 0.0
     assert manifest["config"]["skeleton"] == "hand23-bench"
     assert manifest["config"]["interior_margin"] == bench.benchmark_interior_margin()
     for mode in reg.MODES:

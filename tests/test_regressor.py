@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import oracles
 from kinedeep import bench
+from kinedeep import loss as loss_mod
 from kinedeep import regressor as reg
 from kinedeep.kinematics import forward_kinematics_batch
 
@@ -174,6 +176,83 @@ def test_backward_direct_zero_residual(hand, rng):
     assert value == 0.0
     for g in gw + gb:
         assert np.array_equal(g, np.zeros_like(g))
+
+
+# --- naive MLP oracle -----------------------------------------------------------
+
+def oracle_case(hand, kind, mode):
+    """A small network of `mode` and features of one `kind`: occlusion
+    sentinels, exact-zero pre-activations, or a row that overflows."""
+    spec = reg.MODES[mode]
+    data = bench.make_dataset(hand, n=24, noise_sigma_mm=2.0,
+                              occlusion_prob=0.3 if kind == "occluded" else 0.0, seed=6)
+    features = data.features.copy()
+    # unclipped, one huge feature overflows to inf at the input scaling
+    overflow = kind == "overflow"
+    run = reg.init(reg.MlpConfig(
+        layer_widths=(features.shape[1], 16, 16, spec.output_width(hand)), seed=8,
+        input_scale=1e3 if overflow else 0.01, input_clip_abs=None if overflow else 400.0,
+        output_scale=spec.output_scale(hand)), mode)
+    if kind == "zero_preact":
+        run.weights[0][:, 3] = 0.0
+        run.weights[1][:, [2, 5]] = -0.0
+        run.biases[1][5] = -0.0
+    if overflow:
+        features[4, 0] = 1e308
+    if spec.theta_targets:
+        targets = data.thetas
+    else:
+        targets = data.joints[:, list(hand.eval_subset), :].reshape(len(data), -1)
+    return run, features, targets
+
+
+def oracle_gradients(run, acts, pre, targets, hand):
+    """Loss (lambda 1 for the kinematic modes) and gradients from the
+    oracle's activations and pre-activations."""
+    out, n = acts[-1], len(acts[0])
+    if reg.MODES[run.mode].through_fk:
+        jt_vals, jt_grads = loss_mod.joint_loss_batch(hand, out, targets)
+        phy_vals, phy_grads = loss_mod.phy_loss_batch(hand, out)
+        value = float((jt_vals + phy_vals).mean())
+        delta = (jt_grads + phy_grads) / n
+    else:
+        resid = out - targets
+        value = float(0.5 * np.einsum("nk,nk->n", resid, resid).mean())
+        delta = resid / n
+    return value, oracles.mlp_backprop(run, acts, pre, delta)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["occluded", "zero_preact", "overflow"])
+@pytest.mark.parametrize("mode", ["ours", "direct_joint"])
+def test_mlp_matches_naive_oracle_bit_for_bit(hand, kind, mode):
+    run, features, targets = oracle_case(hand, kind, mode)
+    original = features.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        acts, pre = oracles.mlp_forward_acts(run, features)
+        assert same_bits(reg.forward(run, features), acts[-1])
+        if kind == "overflow":
+            # the row reaches the first hidden layer as +-inf, the second as NaN
+            assert np.isinf(pre[0]).any() and np.isnan(pre[1]).any()
+        if kind == "zero_preact":
+            assert (pre[0][:, 3] == 0.0).all() and (pre[1][:, [2, 5]] == 0.0).all()
+        if mode == "ours" and kind == "overflow":
+            # a non-finite output stops training before the backward pass
+            with pytest.raises(reg.NumericalError, match="non-finite network output"):
+                reg.backward_through_model(run, features, targets, hand, lam=1.0)
+        else:
+            want_value, (want_w, want_b) = oracle_gradients(run, acts, pre, targets, hand)
+            if mode == "ours":
+                value, (got_w, got_b) = reg.backward_through_model(
+                    run, features, targets, hand, lam=1.0)
+            else:
+                value, (got_w, got_b) = reg.backward_direct(run, features, targets)
+            assert same_bits(np.float64(value), np.float64(want_value))
+            assert all(same_bits(g, w) for g, w in zip(got_w + got_b, want_w + want_b))
+    assert same_bits(features, original)  # the caller's features are never written
 
 
 # --- sgd ----------------------------------------------------------------------
@@ -515,3 +594,38 @@ def test_train_non_finite_weights_name_the_epoch(hand, monkeypatch):
     run = reg.init(whitened_config(hand, data), mode="ours")
     with pytest.raises(reg.NumericalError, match="non-finite weights after epoch 1"):
         reg.train(run, data, hand, train_config(epochs=3))
+
+
+# --- memory -------------------------------------------------------------------
+
+def default_sized_run():
+    """The network reproduce trains for a 42-feature, pose-emitting mode."""
+    return reg.init(reg.MlpConfig(layer_widths=(42, 256, 256, 26), seed=0,
+                                  input_scale=0.01, input_clip_abs=400.0), "ours")
+
+
+def traced_peak_bytes(fn, *args):
+    """Peak bytes that Python and numpy allocate while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_keeps_at_most_two_layers_alive(rng):
+    # inference holds the layer being computed and the one feeding it, not
+    # every layer's output (training's list) or any pre-activation
+    run = default_sized_run()
+    features = rng.normal(scale=100.0, size=(2000, 42))
+    hidden_bytes = 2000 * 256 * 8
+    assert traced_peak_bytes(reg.forward, run, features) < 2.25 * hidden_bytes
+
+
+def test_save_checkpoint_streams_the_weights(hand, tmp_path):
+    # the weights go out one row at a time, never as one nested list of
+    # Python floats (2.6 MB for this network)
+    run = default_sized_run()
+    peak = traced_peak_bytes(reg.save_checkpoint, run, tmp_path / "c.json", hand)
+    assert peak < 0.25 * 2**20
