@@ -34,6 +34,10 @@ DEFAULT_THRESHOLDS_MM = tuple(range(5, 85, 5))
 
 BENCH_BOUND_EXPANSION = 1.8
 
+# make_dataset runs FK over blocks of this many poses, which bounds its
+# temporaries; FK gives a pose the same bits alone or in a batch
+_FK_CHUNK_POSES = 4096
+
 
 def benchmark_skeleton() -> Skeleton:
     """The built-in hand recast for the synthetic benchmark.
@@ -168,9 +172,13 @@ def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
         thetas = lo + unit * (hi - lo)
     else:
         thetas = rng.uniform(lo, hi, size=(n, skel.n_dofs))
-    joints = forward_kinematics_batch(skel, thetas)
+    joints = np.empty((n, skel.n_joints, 3))
+    for start in range(0, n, _FK_CHUNK_POSES):
+        block = slice(start, start + _FK_CHUNK_POSES)
+        joints[block] = forward_kinematics_batch(skel, thetas[block])
     ev = list(skel.eval_subset)
-    features = joints[:, ev, :] + rng.normal(0.0, noise_sigma_mm, size=(n, len(ev), 3))
+    features = joints[:, ev, :]
+    features += rng.normal(0.0, noise_sigma_mm, size=(n, len(ev), 3))
     if occlusion_prob > 0.0:
         occluded = rng.uniform(size=(n, len(ev))) < occlusion_prob
         features[occluded] = OCCLUSION_SENTINEL_MM

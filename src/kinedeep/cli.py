@@ -23,7 +23,7 @@ tolerance or a reproduce ordering).
 The default skeleton is the built-in 23-joint hand, the config file
 hand23.json shipped inside the package; --skeleton or the KINEDEEP_SKELETON
 environment variable select another config file. train and eval refuse a
-dataset whose header names a different skeleton, and eval a checkpoint
+dataset whose metadata names a different skeleton, and eval a checkpoint
 whose recorded skeleton fingerprint differs.
 """
 from __future__ import annotations
@@ -599,7 +599,8 @@ def build_parser() -> _Parser:
     p.add_argument("--interior-margin", type=float, default=0.0)
     p.add_argument("--pose-shape", choices=("uniform", "central"),
                    default="uniform")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True,
+                   help="dataset path; the file is a .npz dataset, whatever its suffix")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a regressor on a dataset")

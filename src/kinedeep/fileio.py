@@ -1,34 +1,35 @@
-"""Text formats for poses, joint frames, datasets and Jacobians.
+"""Text formats for poses, joint frames and Jacobians; the binary dataset.
 
-All files are line-oriented tables with a single header line:
+A text file is a line-oriented table with a single header line:
 
   poses    "# kinedeep-poses v1 skeleton=<name> dims=<D>"
            then one pose per line, D comma-separated values
            (mm for translation DOFs, radians for rotations)
   joints   "# kinedeep-joints v1 skeleton=<name> joints=<K>"
            then one frame per line, 3*K comma-separated mm values
-  dataset  "# kinedeep-dataset v1 skeleton=<name> sigma_mm=<s>
-            occlusion=<p> seed=<n> n=<n>"
-           then one sample per line, "features;theta;joints" with each
-           section comma-separated; a reader checks n= against the rows
   jacobian "# kinedeep-jacobian v1 skeleton=<name> rows=<3J> cols=<D>"
            then one pose's analytic FK Jacobian per line, its 3J x D
            entries (mm per unit of each DOF) comma-separated in row-major
            order (joint, then axis, then DOF); written, never read back
 
-A row's sections are separated by ';', its values by ','. Each section has
-a fixed width: the header's (dims=, or 3 x joints=), else the first row's.
-A joint section's width must be a multiple of 3. A header with no rows is
-zero records of the header's width: a joints file reads as frames of shape
-(0, K, 3), a poses file as poses of shape (0, D). A zero-byte file is zero
-records of width zero, or of the caller's expected width of poses.
+Every row has the header's width (dims=, or 3 x joints=), else the first
+row's, which for joints must be a multiple of 3. A header with no rows is
+zero records of the header's width: (0, K, 3) frames or (0, D) poses. A
+zero-byte file is zero records of width zero, or of the caller's expected
+width of poses. Reading streams the file line by line and holds only the
+parsed array. Floats are written with repr (shortest round-trip), so write
+-> read -> write is byte-stable. Parse errors carry 1-based line numbers.
 
-Reading streams the file one line at a time, so only the parsed arrays are
-held, never the text. Floats are written with repr (shortest round-trip),
-so write -> read -> write is byte-stable. Parse errors carry 1-based line
-numbers.
+A dataset is one uncompressed .npz file, read with allow_pickle=False, of
+float64 members features (N, 3 * n_eval), thetas (N, D) and joints (N, 3J),
+and meta, a 0-d JSON string: magic "kinedeep-dataset", version 2, skeleton,
+sigma_mm, occlusion, seed and n, the sample count. Its zip entries carry
+numpy's fixed 1980 timestamp, so the same dataset gives the same bytes.
 """
 from __future__ import annotations
+
+import json
+import zipfile
 
 import numpy as np
 
@@ -38,79 +39,51 @@ POSES_MAGIC = "kinedeep-poses"
 JOINTS_MAGIC = "kinedeep-joints"
 DATASET_MAGIC = "kinedeep-dataset"
 JACOBIAN_MAGIC = "kinedeep-jacobian"
+DATASET_VERSION = 2
+_DATASET_ARRAYS = ("features", "thetas", "joints")
 
 
 class FileFormatError(ValueError):
     """A data file violates its documented format."""
 
 
-def _write_table(path, header: str, *sections) -> None:
-    """The header line, then row i of every section joined by ';'. A section
-    is an iterable of 1-D rows; a generator keeps memory flat in N."""
+def _write_table(path, header: str, rows) -> None:
+    """The header line, then one line per 1-D row (a generator keeps N flat)."""
     with open(path, "w") as fh:
         fh.write(f"# {header}\n")
-        for row in zip(*sections):
-            fh.write(";".join(",".join(repr(float(v)) for v in values)
-                              for values in row) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _parse_header(line, magic, path):
-    parts = line.lstrip("#").split()
-    if len(parts) < 2 or parts[0] != magic or parts[1] != "v1":
-        raise FileFormatError(f"{path}: expected a '{magic} v1' header on line 1")
-    fields = {}
-    for tok in parts[2:]:
-        if "=" not in tok:
-            raise FileFormatError(f"{path}: malformed header field {tok!r}")
-        key, value = tok.split("=", 1)
-        fields[key] = value
-    return fields
-
-
-def _header_field(fields, key, kind, path):
-    try:
-        return kind(fields[key])
-    except ValueError:
-        raise FileFormatError(f"{path}: bad header field {key}") from None
-
-
-def _read_table(path, magic, sections):
-    """(header fields, one (N, width) array per section), line by line.
-
-    A section is (name, header width field or None, values per unit): poses
-    count values, joint frames count joints of 3 values.
-    """
-    rows = [[] for _ in sections]
+def _read_table(path, magic, width_key, unit):
+    """(header fields, (N, width) array), line by line. The width is the header's
+    `width_key` field times `unit`, else the first row's, a multiple of `unit`."""
+    rows = []
     with open(path) as fh:
         header = fh.readline()
-        fields = _parse_header(header, magic, path) if header else {}
-        # None until the first row sets it
-        widths = [_header_field(fields, key, int, path) * unit if key in fields else None
-                  for _, key, unit in sections]
+        parts = header.lstrip("#").split()
+        if header and parts[:2] != [magic, "v1"]:
+            raise FileFormatError(f"{path}: expected a '{magic} v1' header on line 1")
+        try:  # width is None until the first row sets it
+            fields = dict(tok.split("=", 1) for tok in parts[2:])
+            width = int(fields[width_key]) * unit if width_key in fields else None
+        except ValueError:
+            raise FileFormatError(f"{path}: malformed header {header.strip()!r}") from None
         for line_no, line in enumerate(fh, start=2):
             if not line.strip() or line.startswith("#"):
                 continue
-            parts = line.rstrip("\n").split(";")
-            if len(parts) != len(sections):
+            tokens = line.rstrip("\n").split(",")
+            if width is None and len(tokens) % unit == 0:
+                width = len(tokens)
+            if len(tokens) != width:
+                want = f"a multiple of {unit}" if width is None else width
                 raise FileFormatError(
-                    f"{path}: line {line_no} has {len(parts)} sections, expected "
-                    + ";".join(name for name, *_ in sections))
-            for s, (part, (name, _, unit)) in enumerate(zip(parts, sections)):
-                tokens = part.split(",")
-                if widths[s] is None and len(tokens) % unit == 0:
-                    widths[s] = len(tokens)
-                if len(tokens) != widths[s]:
-                    want = f"a multiple of {unit}" if widths[s] is None else widths[s]
-                    raise FileFormatError(
-                        f"{path}: line {line_no} has {len(tokens)} {name} values, "
-                        f"expected {want}")
-                try:
-                    rows[s].append(np.array(tokens, dtype=float))
-                except ValueError:
-                    raise FileFormatError(
-                        f"{path}: malformed number on line {line_no}") from None
-    return fields, [np.stack(r) if r else np.zeros((0, w or 0))
-                    for r, w in zip(rows, widths)]
+                    f"{path}: line {line_no} has {len(tokens)} values, expected {want}")
+            try:
+                rows.append(np.array(tokens, dtype=float))
+            except ValueError:
+                raise FileFormatError(f"{path}: malformed number on line {line_no}") from None
+    return fields, np.stack(rows) if rows else np.zeros((0, width or 0))
 
 
 def write_pose_file(path, skeleton_name: str, poses) -> None:
@@ -121,7 +94,7 @@ def write_pose_file(path, skeleton_name: str, poses) -> None:
 
 def read_pose_file(path, expected_dims=None):
     """Returns (skeleton name, poses (N, D)); N may be zero."""
-    fields, (poses,) = _read_table(path, POSES_MAGIC, [("pose", "dims", 1)])
+    fields, poses = _read_table(path, POSES_MAGIC, "dims", 1)
     if expected_dims is not None and poses.shape[1] != expected_dims:
         if poses.shape[1]:
             raise FileFormatError(
@@ -141,7 +114,7 @@ def write_joint_file(path, skeleton_name: str, joints) -> None:
 
 def read_joint_file(path):
     """Returns (skeleton name, frames (N, K, 3)); N may be zero."""
-    fields, (flat,) = _read_table(path, JOINTS_MAGIC, [("joint", "joints", 3)])
+    fields, flat = _read_table(path, JOINTS_MAGIC, "joints", 3)
     return fields.get("skeleton", ""), flat.reshape(flat.shape[0], flat.shape[1] // 3, 3)
 
 
@@ -154,22 +127,48 @@ def write_jacobian_file(path, skeleton_name: str, shape, jacobians) -> None:
 
 
 def write_dataset(path, data: Dataset) -> None:
-    _write_table(path, f"{DATASET_MAGIC} v1 skeleton={data.skeleton_name} "
-                       f"sigma_mm={data.sigma_mm!r} occlusion={data.occlusion_prob!r} "
-                       f"seed={data.seed} n={len(data)}",
-                 data.features, data.thetas, data.joints.reshape(len(data), -1))
+    meta = {"magic": DATASET_MAGIC, "version": DATASET_VERSION,
+            "skeleton": data.skeleton_name, "sigma_mm": data.sigma_mm,
+            "occlusion": data.occlusion_prob, "seed": data.seed, "n": len(data)}
+    with open(path, "wb") as fh:  # given a path, savez would append ".npz"
+        np.savez(fh, features=data.features, thetas=data.thetas,
+                 joints=data.joints.reshape(len(data), -1), meta=np.array(json.dumps(meta)))
 
 
 def read_dataset(path) -> Dataset:
-    fields, (features, thetas, joints) = _read_table(
-        path, DATASET_MAGIC, [("features", None, 1), ("theta", None, 1), ("joints", None, 3)])
-    if not len(features):
+    text_head = f"# {DATASET_MAGIC} v1".encode()
+    with open(path, "rb") as fh:
+        head = fh.read(len(text_head))
+    if head == text_head:
+        raise FileFormatError(f"{path}: a text (v1) dataset; re-run synth")
+    if not head.startswith(b"PK\x03\x04"):
+        raise FileFormatError(f"{path}: not a .npz dataset")
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            members = {key: npz[key] for key in npz.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as e:
+        raise FileFormatError(f"{path}: unreadable .npz dataset: {e}") from None
+    if sorted(members) != sorted((*_DATASET_ARRAYS, "meta")):
+        raise FileFormatError(f"{path}: members {sorted(members)}, expected "
+                              f"{', '.join(_DATASET_ARRAYS)} and meta")
+    try:
+        meta = json.loads(str(members["meta"][()]))
+        if (meta["magic"], meta["version"]) != (DATASET_MAGIC, DATASET_VERSION):
+            raise ValueError
+        n, info = meta["n"], [meta[k] for k in ("skeleton", "sigma_mm", "occlusion", "seed")]
+    except (KeyError, TypeError, ValueError):
+        raise FileFormatError(f"{path}: meta is not a {DATASET_MAGIC} "
+                              f"version {DATASET_VERSION} record; re-run synth") from None
+    features, thetas, joints = arrays = [members[key] for key in _DATASET_ARRAYS]
+    for key, a in zip(_DATASET_ARRAYS, arrays):
+        if a.dtype != np.float64 or a.ndim != 2:
+            raise FileFormatError(f"{path}: {key} is {a.dtype} of shape {a.shape}, "
+                                  "expected float64 (N, width)")
+    rows = {key: len(a) for key, a in zip(_DATASET_ARRAYS, arrays)}
+    if set(rows.values()) != {n}:
+        raise FileFormatError(f"{path}: row counts {rows} are not all meta's n={n}")
+    if not n:
         raise FileFormatError(f"{path}: dataset has no samples")
-    meta = {"skeleton": "", "sigma_mm": "nan", "occlusion": "nan", "seed": "0", **fields}
-    if "n" in meta and _header_field(meta, "n", int, path) != len(features):
-        raise FileFormatError(
-            f"{path}: header says n={meta['n']} but the file holds {len(features)} samples")
-    return Dataset(meta["skeleton"], _header_field(meta, "sigma_mm", float, path),
-                   _header_field(meta, "occlusion", float, path),
-                   _header_field(meta, "seed", int, path),
-                   features, thetas, joints.reshape(len(joints), -1, 3))
+    if joints.shape[1] % 3:
+        raise FileFormatError(f"{path}: joints width {joints.shape[1]} is not a multiple of 3")
+    return Dataset(*info, features, thetas, joints.reshape(n, -1, 3))

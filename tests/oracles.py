@@ -23,13 +23,18 @@ must match bit for bit.
 `reg.train` ran the stages itself; `flat_train` is the one-stage
 `reg.train` of that time, kept verbatim. The staged `reg.train` must match
 it bit for bit.
+
+`one_pass_make_dataset` is `bench.make_dataset` as it was when forward
+kinematics ran over all n poses in one call, kept verbatim (less its
+argument checks) as the reference that the block-wise FK must match bit for
+bit.
 """
 import math
 from dataclasses import replace
 
 import numpy as np
 
-from kinedeep import ik_pso
+from kinedeep import bench, ik_pso
 from kinedeep import regressor as reg
 from kinedeep.kinematics import fk_jacobian_batch, forward_kinematics_batch
 from kinedeep.skeleton import clamp_pose
@@ -489,3 +494,31 @@ def per_stage_train(run, train_data, skel, base_lr, batch, epochs, lam,
         flat_train(run, train_data, skel, sgd, val=val_data)
         ran.append(len(run.history) - before)
     return ran
+
+
+def one_pass_make_dataset(skel, n, noise_sigma_mm, occlusion_prob, seed,
+                          interior_margin=0.0, pose_shape="uniform"):
+    rng = np.random.default_rng(seed)
+    span = skel.dof_upper - skel.dof_lower
+    lo = skel.dof_lower + interior_margin * span
+    hi = skel.dof_upper - interior_margin * span
+    if pose_shape == "central":
+        unit = rng.beta(3.0, 3.0, size=(n, skel.n_dofs))
+        thetas = lo + unit * (hi - lo)
+    else:
+        thetas = rng.uniform(lo, hi, size=(n, skel.n_dofs))
+    joints = forward_kinematics_batch(skel, thetas)
+    ev = list(skel.eval_subset)
+    features = joints[:, ev, :] + rng.normal(0.0, noise_sigma_mm, size=(n, len(ev), 3))
+    if occlusion_prob > 0.0:
+        occluded = rng.uniform(size=(n, len(ev))) < occlusion_prob
+        features[occluded] = bench.OCCLUSION_SENTINEL_MM
+    return bench.Dataset(
+        skeleton_name=skel.name,
+        sigma_mm=float(noise_sigma_mm),
+        occlusion_prob=float(occlusion_prob),
+        seed=int(seed),
+        features=features.reshape(n, -1),
+        thetas=thetas,
+        joints=joints,
+    )

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from kinedeep import bench, ik_pso
 from kinedeep import kinematics as kin
 from kinedeep import skeleton as sk
@@ -67,6 +69,34 @@ def test_make_dataset_deterministic(hand):
     b = bench.make_dataset(hand, n=40, noise_sigma_mm=3.0, occlusion_prob=0.1, seed=5)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.thetas, b.thetas)
+
+
+@pytest.mark.parametrize("n", [1, 4096, 4097])
+def test_make_dataset_matches_one_pass_oracle(hand, n):
+    # 4097 leaves one pose in the last FK block
+    benchmark = {"interior_margin": bench.benchmark_interior_margin(), "pose_shape": "central"}
+    for skel, kwargs in ((hand, {}), (bench.benchmark_skeleton(), benchmark)):
+        args = (skel, n, 10.0, 0.1, 5)
+        data = bench.make_dataset(*args, **kwargs)
+        want = oracles.one_pass_make_dataset(*args, **kwargs)
+        assert (data.skeleton_name, data.sigma_mm, data.occlusion_prob, data.seed) == \
+            (want.skeleton_name, want.sigma_mm, want.occlusion_prob, want.seed)
+        for name in ("features", "thetas", "joints"):
+            got, ref = getattr(data, name), getattr(want, name)
+            assert np.array_equal(got, ref) and got.strides == ref.strides
+
+
+def test_make_dataset_memory_peak_is_bounded(hand):
+    # FK over all poses at once peaked at 2.2x the kept arrays at this n
+    tracemalloc.start()
+    try:
+        data = bench.make_dataset(hand, n=20_000, noise_sigma_mm=10.0,
+                                  occlusion_prob=0.1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = data.features.nbytes + data.thetas.nbytes + data.joints.nbytes
+    assert peak < 1.5 * kept
 
 
 def test_make_dataset_rejects_bad_params(hand):

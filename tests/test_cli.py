@@ -202,6 +202,58 @@ def test_synth_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_synth_writes_exactly_the_path_given(tmp_path):
+    out = tmp_path / "data.ds"
+    assert run_cli("synth", "--n", "8", "--seed", "1", "--out", str(out)) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["data.ds", "data.ds.manifest.json"]
+    assert len(fileio.read_dataset(out)) == 8
+
+
+def test_train_and_eval_refuse_text_v1_dataset(tmp_path, capsys):
+    good = tmp_path / "good.ds"
+    assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(good)) == 0
+    ckpt = tmp_path / "run.ckpt.json"
+    assert run_cli("train", "--train", str(good), "--epochs", "1",
+                   "--batch", "16", "--out", str(ckpt)) == 0
+    old = tmp_path / "old.csv"
+    old.write_text("# kinedeep-dataset v1 skeleton=hand23 sigma_mm=1.0 occlusion=0.0 "
+                   "seed=1 n=1\n1.0,2.0;3.0;1.0,2.0,3.0\n")
+    capsys.readouterr()
+    out = tmp_path / "again.ckpt.json"
+    assert run_cli("train", "--train", str(old), "--epochs", "1",
+                   "--batch", "16", "--out", str(out)) == 1
+    assert "re-run synth" in capsys.readouterr().err
+    assert run_cli("train", "--train", str(good), "--val", str(old), "--epochs", "1",
+                   "--batch", "16", "--out", str(out)) == 1
+    assert "re-run synth" in capsys.readouterr().err
+    assert not out.exists()
+    report = tmp_path / "report.json"
+    assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(old),
+                   "--out", str(report)) == 1
+    assert "re-run synth" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_eval_refuses_malformed_npz_dataset(tmp_path, capsys):
+    data = tmp_path / "data.ds"
+    assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
+    ckpt = tmp_path / "run.ckpt.json"
+    assert run_cli("train", "--train", str(data), "--epochs", "1",
+                   "--batch", "16", "--out", str(ckpt)) == 0
+    with np.load(data) as npz:
+        members = dict(npz)
+    members["thetas"] = members["thetas"][:-1]
+    with open(data, "wb") as fh:
+        np.savez(fh, **members)
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(data),
+                   "--out", str(report)) == 1
+    assert "row counts" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_train_prints_last_epoch_without_second_validation_pass(
         tmp_path, monkeypatch, capsys):
     data = tmp_path / "data.csv"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,14 @@ def test_missing_header_rejected(tmp_path):
         fileio.read_pose_file(path)
 
 
+@pytest.mark.parametrize("header", ["dims=x", "dims"])
+def test_malformed_header_field_rejected(tmp_path, header):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# kinedeep-poses v1 skeleton=x {header}\n1.0,2.0\n")
+    with pytest.raises(fileio.FileFormatError, match="malformed header"):
+        fileio.read_pose_file(path)
+
+
 def test_empty_file_reads_as_no_frames(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -83,7 +93,7 @@ def test_expected_dims_enforced(hand, tmp_path):
 
 def test_dataset_roundtrip(hand, tmp_path):
     data = bench.make_dataset(hand, n=7, noise_sigma_mm=4.0, occlusion_prob=0.2, seed=3)
-    path = tmp_path / "data.csv"
+    path = tmp_path / "data.ds"
     fileio.write_dataset(path, data)
     again = fileio.read_dataset(path)
     assert again.skeleton_name == data.skeleton_name
@@ -93,43 +103,104 @@ def test_dataset_roundtrip(hand, tmp_path):
     assert np.array_equal(again.features, data.features)
     assert np.array_equal(again.thetas, data.thetas)
     assert np.array_equal(again.joints, data.joints)
+    copy = tmp_path / "copy.ds"
+    fileio.write_dataset(copy, again)
+    assert copy.read_bytes() == path.read_bytes()
 
 
-def test_dataset_bad_sections(tmp_path):
+def write_npz(path, n=2, **members):
+    """A dataset .npz whose members default to a valid 2-sample set."""
+    meta = {"magic": "kinedeep-dataset", "version": 2, "skeleton": "x",
+            "sigma_mm": 1.0, "occlusion": 0.0, "seed": 1, "n": n}
+    arrays = {"features": np.ones((2, 6)), "thetas": np.ones((2, 4)),
+              "joints": np.ones((2, 9)), "meta": np.array(json.dumps(meta))}
+    arrays.update(members)
+    with open(path, "wb") as fh:
+        np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
+    return path
+
+
+def test_dataset_valid_npz_reads(tmp_path):
+    data = fileio.read_dataset(write_npz(tmp_path / "data.ds"))
+    assert (data.skeleton_name, data.sigma_mm, data.occlusion_prob, data.seed) == \
+        ("x", 1.0, 0.0, 1)
+    assert data.joints.shape == (2, 3, 3)
+
+
+def test_dataset_members_with_different_row_counts(tmp_path):
+    path = write_npz(tmp_path / "data.ds", thetas=np.ones((3, 4)))
+    with pytest.raises(fileio.FileFormatError,
+                       match=r"row counts .*'thetas': 3.* not all meta's n=2"):
+        fileio.read_dataset(path)
+
+
+def test_dataset_joints_width_not_a_multiple_of_3(tmp_path):
+    path = write_npz(tmp_path / "data.ds", joints=np.ones((2, 4)))
+    with pytest.raises(fileio.FileFormatError,
+                       match="joints width 4 is not a multiple of 3"):
+        fileio.read_dataset(path)
+
+
+def test_dataset_row_count_must_match_meta(tmp_path):
+    path = write_npz(tmp_path / "data.ds", n=3)
+    with pytest.raises(fileio.FileFormatError, match="not all meta's n=3"):
+        fileio.read_dataset(path)
+
+
+def test_dataset_missing_member(tmp_path):
+    for missing in ("features", "thetas", "joints", "meta"):
+        path = write_npz(tmp_path / f"no_{missing}.ds", **{missing: None})
+        with pytest.raises(fileio.FileFormatError, match="members .*, expected features"):
+            fileio.read_dataset(path)
+
+
+def test_dataset_non_float_member(tmp_path):
+    path = write_npz(tmp_path / "data.ds", thetas=np.ones((2, 4), dtype=np.int64))
+    with pytest.raises(fileio.FileFormatError, match="thetas is int64 .* expected float64"):
+        fileio.read_dataset(path)
+
+
+def test_dataset_object_member_refused_without_pickle(tmp_path):
+    features = np.empty((2, 6), dtype=object)
+    features[:] = 1.0
+    path = write_npz(tmp_path / "data.ds", features=features)
+    with pytest.raises(fileio.FileFormatError, match="allow_pickle=False"):
+        fileio.read_dataset(path)
+
+
+def test_dataset_with_zero_samples(tmp_path):
+    path = write_npz(tmp_path / "data.ds", n=0, features=np.ones((0, 6)),
+                     thetas=np.ones((0, 4)), joints=np.ones((0, 9)))
+    with pytest.raises(fileio.FileFormatError, match="no samples"):
+        fileio.read_dataset(path)
+
+
+@pytest.mark.parametrize("meta", [
+    np.array(json.dumps({"magic": "kinedeep-dataset", "version": 1, "skeleton": "x",
+                         "sigma_mm": 1.0, "occlusion": 0.0, "seed": 1, "n": 2})),
+    np.array(json.dumps({"magic": "kinedeep-dataset", "version": 2})),
+    np.array("not json"),
+    np.array(2.0),
+])
+def test_dataset_bad_meta(tmp_path, meta):
+    path = write_npz(tmp_path / "data.ds", meta=meta)
+    with pytest.raises(fileio.FileFormatError, match="meta is not a kinedeep-dataset"):
+        fileio.read_dataset(path)
+
+
+def test_text_v1_dataset_refused(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("# kinedeep-dataset v1 skeleton=x sigma_mm=1.0 occlusion=0.0 seed=1 n=1\n"
-                    "1.0,2.0;3.0\n")
-    with pytest.raises(fileio.FileFormatError, match="line 2"):
+                    "1.0,2.0;3.0;1.0,2.0,3.0\n")
+    with pytest.raises(fileio.FileFormatError, match=r"text \(v1\) dataset; re-run synth"):
         fileio.read_dataset(path)
 
 
-DATASET_HEADER = "# kinedeep-dataset v1 skeleton=x sigma_mm=1.0 occlusion=0.0 seed=1"
-
-
-def test_dataset_ragged_features_cite_line(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text(DATASET_HEADER + " n=2\n"
-                    "1.0,2.0;3.0;1.0,2.0,3.0\n"
-                    "1.0,2.0,9.0;3.0;1.0,2.0,3.0\n")
-    with pytest.raises(fileio.FileFormatError,
-                       match="line 3 has 3 features values, expected 2"):
-        fileio.read_dataset(path)
-
-
-def test_joint_section_not_a_multiple_of_3_cites_line(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text(DATASET_HEADER + " n=1\n1.0,2.0;3.0;1.0,2.0,3.0,4.0\n")
-    with pytest.raises(fileio.FileFormatError,
-                       match="line 2 has 4 joints values, expected a multiple of 3"):
-        fileio.read_dataset(path)
-
-
-def test_dataset_row_count_must_match_header(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text(DATASET_HEADER + " n=3\n"
-                    "1.0,2.0;3.0;1.0,2.0,3.0\n"
-                    "4.0,5.0;6.0;4.0,5.0,6.0\n")
-    with pytest.raises(fileio.FileFormatError, match="n=3 .* 2 samples"):
+@pytest.mark.parametrize("content", [b"", b"1.0,2.0\n", b"PK\x03\x04 truncated"])
+def test_dataset_not_npz_refused(tmp_path, content):
+    path = tmp_path / "data.ds"
+    path.write_bytes(content)
+    with pytest.raises(fileio.FileFormatError, match=".npz dataset"):
         fileio.read_dataset(path)
 
 
