@@ -434,6 +434,8 @@ def _reproduce_mode_in_worker(mode):
 
 
 def cmd_reproduce(args) -> int:
+    if args.fit_frames < 1:
+        raise _CliError("--fit-frames must be >= 1")
     # imported here, because only reproduce starts processes: at module level
     # they would add ~15 ms to the start-up of every subcommand
     import multiprocessing as mp

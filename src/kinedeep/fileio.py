@@ -137,17 +137,19 @@ def write_dataset(path, data: Dataset) -> None:
 
 def read_dataset(path) -> Dataset:
     text_head = f"# {DATASET_MAGIC} v1".encode()
+    # np.load given a path leaks its handle when zipfile rejects the archive
     with open(path, "rb") as fh:
         head = fh.read(len(text_head))
-    if head == text_head:
-        raise FileFormatError(f"{path}: a text (v1) dataset; re-run synth")
-    if not head.startswith(b"PK\x03\x04"):
-        raise FileFormatError(f"{path}: not a .npz dataset")
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            members = {key: npz[key] for key in npz.files}
-    except (ValueError, EOFError, zipfile.BadZipFile) as e:
-        raise FileFormatError(f"{path}: unreadable .npz dataset: {e}") from None
+        if head == text_head:
+            raise FileFormatError(f"{path}: a text (v1) dataset; re-run synth")
+        if not head.startswith(b"PK\x03\x04"):
+            raise FileFormatError(f"{path}: not a .npz dataset")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                members = {key: npz[key] for key in npz.files}
+        except (ValueError, EOFError, zipfile.BadZipFile) as e:
+            raise FileFormatError(f"{path}: unreadable .npz dataset: {e}") from None
     if sorted(members) != sorted((*_DATASET_ARRAYS, "meta")):
         raise FileFormatError(f"{path}: members {sorted(members)}, expected "
                               f"{', '.join(_DATASET_ARRAYS)} and meta")

@@ -5,7 +5,7 @@ sequence of particle-swarm phases under a shared iteration budget: each
 phase draws a fresh swarm (uniformly inside the bounds, or around a given
 center pose), runs the standard global-best update
 
-    v <- inertia*v + cognitive*r1*(pbest - x) + social*r2*(gbest - x)
+    v <- INERTIA*v + COGNITIVE*r1*(pbest - x) + SOCIAL*r2*(gbest - x)
 
 with fresh uniform r1, r2 per particle and dimension, clamps positions to
 the DOF bounds each step (zeroing the velocity component that hit a bound),
@@ -21,7 +21,7 @@ residual then measures how far it sits from achievable geometry.
 Frames are fitted together. The swarms of all frames live in one
 (F, S, D) array, so a swarm iteration is one kinematics call over every
 frame still running, and a polish step one stacked solve. Each frame stops
-on its own: its swarm at ``tol_mm``, its later phases once it converged,
+on its own: its swarm at ``TOL_MM``, its later phases once it converged,
 its polish when no damping gives descent. Frames go through in chunks of
 at most ``_CHUNK_POSES`` particles.
 
@@ -48,32 +48,29 @@ from .skeleton import Skeleton, clamp_pose
 # frames. Results do not depend on it.
 _CHUNK_POSES = 4096
 
+# weights of the global-best velocity update in the module docstring
+INERTIA = 0.72
+COGNITIVE = 1.49
+SOCIAL = 1.49
+INIT_SIGMA_FRAC = 0.10    # Gaussian sigma around a center, fraction of range
+TOL_MM = 0.1              # a frame stops once its residual reaches this
+MAX_VELOCITY_FRAC = 0.5   # velocity clamp as fraction of range
+
 
 @dataclass(frozen=True)
 class PsoConfig:
     swarm_size: int = 64
     iterations: int = 300              # total swarm iterations across phases
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
     seed: int = 0
     init_center: tuple | None = None   # pose to seed the first phase around
-    init_sigma_frac: float = 0.10      # Gaussian sigma as fraction of range
-    tol_mm: float = 0.1                # stop when the residual reaches this
-    max_velocity_frac: float = 0.5     # velocity clamp as fraction of range
     phase_iterations: int = 75         # budget slice per restart phase
     polish_steps: int = 50             # Gauss-Newton steps per phase; 0 = off
-    record_trace: bool = False
 
     def __post_init__(self):
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be >= 2")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not 0.0 <= self.inertia < 1.0:
-            raise ValueError("inertia must lie in [0, 1)")
-        if self.cognitive < 0 or self.social < 0:
-            raise ValueError("cognitive and social weights must be >= 0")
         if self.phase_iterations < 1:
             raise ValueError("phase_iterations must be >= 1")
 
@@ -83,8 +80,7 @@ class FitResult:
     theta: np.ndarray
     residual_mm: float          # mean per-joint Euclidean error at theta
     iterations_used: int        # swarm iterations actually consumed
-    converged: bool             # residual_mm <= tol_mm
-    trace: tuple | None = None  # best joint loss after each swarm iteration
+    converged: bool             # residual_mm <= TOL_MM
 
 
 def _target_eval(skel, target):
@@ -124,7 +120,7 @@ class _Objective:
         return (pos - self.targets[frames]).reshape(len(frames), -1), jac
 
 
-def _swarm_phase(obj, rngs, frames, config, budget, center, traces):
+def _swarm_phase(obj, rngs, frames, config, budget, center):
     """One swarm run for each frame index in `frames`.
 
     Returns (theta (A, D), loss (A,), residual (A,), iterations used (A,)).
@@ -138,13 +134,13 @@ def _swarm_phase(obj, rngs, frames, config, budget, center, traces):
         X = np.stack([rngs[f].uniform(lower, upper, size=(S, D))
                       for f in frames])
     else:
-        X = np.stack([center + rngs[f].normal(0.0, config.init_sigma_frac,
+        X = np.stack([center + rngs[f].normal(0.0, INIT_SIGMA_FRAC,
                                               size=(S, D)) * span
                       for f in frames])
         X = np.clip(X, lower, upper)
         X[:, 0] = center  # keep the center itself in every swarm
     V = np.zeros_like(X)
-    vmax = config.max_velocity_frac * span
+    vmax = MAX_VELOCITY_FRAC * span
 
     fit, res = obj.batch(X.reshape(-1, D), np.repeat(frames, S))
     pbest = X.copy()
@@ -158,7 +154,7 @@ def _swarm_phase(obj, rngs, frames, config, budget, center, traces):
 
     used = np.zeros(len(frames), dtype=int)
     for _ in range(budget):
-        running = gbest_res[live] > config.tol_mm
+        running = gbest_res[live] > TOL_MM
         if not running.all():
             live = live[running]
             if live.size == 0:
@@ -167,9 +163,9 @@ def _swarm_phase(obj, rngs, frames, config, budget, center, traces):
             pbest_fit, pbest_res = pbest_fit[running], pbest_res[running]
         # r1 then r2 from each frame's own stream, as two (S, D) draws would
         r = np.stack([rngs[frames[i]].uniform(size=(2, S, D)) for i in live])
-        V = (config.inertia * V
-             + config.cognitive * r[:, 0] * (pbest - X)
-             + config.social * r[:, 1] * (gbest[live, None] - X))
+        V = (INERTIA * V
+             + COGNITIVE * r[:, 0] * (pbest - X)
+             + SOCIAL * r[:, 1] * (gbest[live, None] - X))
         np.clip(V, -vmax, vmax, out=V)
         X = X + V
         out = (X < lower) | (X > upper)
@@ -191,9 +187,6 @@ def _swarm_phase(obj, rngs, frames, config, budget, center, traces):
         gbest_fit[won] = pbest_fit[rows, g]
         gbest_res[won] = pbest_res[rows, g]
         used[live] += 1
-        if traces is not None:
-            for i in live:
-                traces[frames[i]].append(float(gbest_fit[i]))
     return gbest, gbest_fit, gbest_res, used
 
 
@@ -273,7 +266,6 @@ def _fit_chunk(skel, targets, config):
     F, D = len(targets), skel.n_dofs
     obj = _Objective(skel, targets)
     rngs = [np.random.default_rng(config.seed) for _ in range(F)]
-    traces = [[] for _ in range(F)] if config.record_trace else None
     everyone = np.arange(F)
 
     best_theta = np.zeros((F, D))
@@ -297,12 +289,12 @@ def _fit_chunk(skel, targets, config):
     budget = config.iterations
     while budget > 0:
         # a converged frame skips the remaining phases
-        frames = everyone[best_res > config.tol_mm]
+        frames = everyone[best_res > TOL_MM]
         if frames.size == 0:
             break
         phase_budget = min(config.phase_iterations, budget)
         theta, fit, res, used = _swarm_phase(obj, rngs, frames, config,
-                                             phase_budget, center, traces)
+                                             phase_budget, center)
         center = None  # only the first phase is drawn around the center
         budget -= phase_budget
         used_total[frames] += used
@@ -315,23 +307,11 @@ def _fit_chunk(skel, targets, config):
         best_fit[won] = fit[better]
         best_res[won] = res[better]
 
-    results = []
-    for f in range(F):
-        trace = None
-        if traces is not None:
-            # phases restart their own swarms; the reported trace is the
-            # running best joint loss of the whole fit, which is
-            # non-increasing
-            trace = tuple(np.minimum.accumulate(traces[f]).tolist()
-                          if traces[f] else ())
-        results.append(FitResult(
-            theta=best_theta[f],
-            residual_mm=float(best_res[f]),
-            iterations_used=int(used_total[f]),
-            converged=bool(best_res[f] <= config.tol_mm),
-            trace=trace,
-        ))
-    return results
+    return [FitResult(theta=best_theta[f],
+                      residual_mm=float(best_res[f]),
+                      iterations_used=int(used_total[f]),
+                      converged=bool(best_res[f] <= TOL_MM))
+            for f in range(F)]
 
 
 def _fit_frames(skel, targets, config):

@@ -9,6 +9,17 @@ sys.path.insert(0, os.path.dirname(__file__))
 from kinedeep import skeleton as sk
 
 
+def pytest_collection_modifyitems(items):
+    # any warning a test here raises is an error; a test that provokes one
+    # on purpose ignores it by message with its own filterwarnings mark,
+    # which is applied after this one and so wins. Tests outside this
+    # directory (the benchmark's smoke test) keep the default filters.
+    here = os.path.dirname(__file__)
+    for item in items:
+        if os.path.dirname(str(item.path)) == here:
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
+
+
 @pytest.fixture(scope="session")
 def hand():
     return sk.default_hand()

@@ -203,7 +203,7 @@ class _SequentialObjective:
         return float(loss[0]), float(per_joint[0])
 
 
-def _sequential_swarm_phase(obj, rng, config, budget, center, trace):
+def _sequential_swarm_phase(obj, rng, config, budget, center):
     """One swarm run; returns (theta, loss, residual, iterations used)."""
     skel = obj.skel
     lower, upper = skel.dof_lower, skel.dof_upper
@@ -213,11 +213,11 @@ def _sequential_swarm_phase(obj, rng, config, budget, center, trace):
     if center is None:
         X = rng.uniform(lower, upper, size=(S, D))
     else:
-        X = center + rng.normal(0.0, config.init_sigma_frac, size=(S, D)) * span
+        X = center + rng.normal(0.0, ik_pso.INIT_SIGMA_FRAC, size=(S, D)) * span
         X = np.clip(X, lower, upper)
         X[0] = center  # keep the center itself in the swarm
     V = np.zeros((S, D))
-    vmax = config.max_velocity_frac * span
+    vmax = ik_pso.MAX_VELOCITY_FRAC * span
 
     fit, per_joint = obj.batch(X)
     pbest = X.copy()
@@ -229,13 +229,13 @@ def _sequential_swarm_phase(obj, rng, config, budget, center, trace):
 
     used = 0
     for _ in range(budget):
-        if gbest_res <= config.tol_mm:
+        if gbest_res <= ik_pso.TOL_MM:
             break
         r1 = rng.uniform(size=(S, D))
         r2 = rng.uniform(size=(S, D))
-        V = (config.inertia * V
-             + config.cognitive * r1 * (pbest - X)
-             + config.social * r2 * (gbest - X))
+        V = (ik_pso.INERTIA * V
+             + ik_pso.COGNITIVE * r1 * (pbest - X)
+             + ik_pso.SOCIAL * r2 * (gbest - X))
         np.clip(V, -vmax, vmax, out=V)
         X = X + V
         out_low = X < lower
@@ -254,8 +254,6 @@ def _sequential_swarm_phase(obj, rng, config, budget, center, trace):
             gbest_fit = float(pbest_fit[g])
             gbest_res = obj.value(gbest)[1]
         used += 1
-        if trace is not None:
-            trace.append(gbest_fit)
     return gbest, gbest_fit, gbest_res, used
 
 
@@ -298,7 +296,6 @@ def sequential_fit_pose(skel, target, config=None):
     target = ik_pso._target_eval(skel, target)
     obj = _SequentialObjective(skel, target)
     rng = np.random.default_rng(config.seed)
-    trace = [] if config.record_trace else None
 
     best_theta = None
     best_fit = np.inf
@@ -319,12 +316,12 @@ def sequential_fit_pose(skel, target, config=None):
             best_fit, best_res = obj.value(init_center)
 
     first = True
-    while budget > 0 and best_res > config.tol_mm:
+    while budget > 0 and best_res > ik_pso.TOL_MM:
         center = init_center if first else None
         first = False
         phase_budget = min(config.phase_iterations, budget)
         theta, fit, res, used = _sequential_swarm_phase(
-            obj, rng, config, phase_budget, center, trace)
+            obj, rng, config, phase_budget, center)
         budget -= phase_budget
         used_total += used
         if config.polish_steps > 0:
@@ -333,17 +330,11 @@ def sequential_fit_pose(skel, target, config=None):
         if fit < best_fit:
             best_theta, best_fit, best_res = theta, fit, res
 
-    if trace is not None and trace:
-        # phases restart their own swarms; the reported trace is the running
-        # best joint loss of the whole fit, which is non-increasing
-        trace = np.minimum.accumulate(np.array(trace)).tolist()
-
     return ik_pso.FitResult(
         theta=best_theta,
         residual_mm=best_res,
         iterations_used=used_total,
-        converged=best_res <= config.tol_mm,
-        trace=tuple(trace) if trace is not None else None,
+        converged=best_res <= ik_pso.TOL_MM,
     )
 
 

@@ -134,7 +134,7 @@ def test_ik_recovers_pose(hand, rng, tmp_path):
     # per-frame telemetry, one entry per frame like iterations_used
     assert len(report["residual_mm"]) == len(report["iterations_used"]) == 1
     assert report["residual_mm"][0] == report["residual_mean_mm"]
-    assert report["converged"] == [report["residual_mm"][0] <= ik_pso.PsoConfig().tol_mm]
+    assert report["converged"] == [report["residual_mm"][0] <= ik_pso.TOL_MM]
 
 
 def test_ik_no_target_frames_exits_1(hand, tmp_path, capsys):
@@ -289,6 +289,8 @@ def test_train_prints_last_epoch_without_second_validation_pass(
     assert manifest["outputs"] == [str(ckpt), str(epochs)]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning",
+                            "ignore:invalid value encountered in matmul:RuntimeWarning")
 def test_train_numerical_failure_exit_code(tmp_path):
     data = tmp_path / "data.csv"
     assert run_cli("synth", "--n", "32", "--sigma", "5", "--occlusion", "0.0",
@@ -350,6 +352,8 @@ def test_train_non_finite_gradient_names_history_epoch(tmp_path, monkeypatch, ca
     assert not ckpt.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning",
+                            "ignore:invalid value encountered in matmul:RuntimeWarning")
 def test_train_validation_overflow_exits_2(tmp_path, capsys):
     # epoch 0 ends with finite loss, gradients and weights, but weights so
     # large that the validation forward pass overflows
@@ -421,6 +425,16 @@ def test_eval_refuses_checkpoint_of_another_skeleton(bench_dataset, tmp_path, ca
 
 def test_unknown_flag_exits_1(capsys):
     assert run_cli("fk", "--nonsense") == 1
+
+
+@pytest.mark.parametrize("fit_frames", ["0", "-3"])
+def test_reproduce_refuses_fit_frames_below_1_before_training(tmp_path, capsys,
+                                                              fit_frames):
+    out = tmp_path / "run"
+    assert run_cli("reproduce", "--train-n", "50", "--val-n", "20", "--epochs", "1",
+                   "--fit-frames", fit_frames, "--out", str(out)) == 1
+    assert "--fit-frames must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/*.ckpt.json"))
 
 
 def test_reproduce_smoke(tmp_path):

@@ -50,12 +50,18 @@ def test_deterministic_given_seed(hand, rng):
 
 
 def test_gbest_loss_non_increasing(hand, rng):
+    # a restart phase keeps the incumbent unless it beats it, so a second
+    # phase never worsens the fit of the first
     target = eval_joints(hand, sample_in_bounds(hand, rng))
-    cfg = ik_pso.PsoConfig(seed=8, record_trace=True, polish_steps=0,
-                           iterations=150)
-    result = ik_pso.fit_batch(hand, [target], cfg)[0]
-    trace = np.array(result.trace)
-    assert np.all(np.diff(trace) <= 0.0)
+    for polish_steps in (0, 50):
+        losses = []
+        for phases in (1, 2):
+            cfg = ik_pso.PsoConfig(seed=8, polish_steps=polish_steps,
+                                   iterations=75 * phases, phase_iterations=75)
+            theta = ik_pso.fit_batch(hand, [target], cfg)[0].theta
+            resid = eval_joints(hand, theta) - target
+            losses.append(0.5 * float(np.sum(resid * resid)))
+        assert losses[1] <= losses[0]
 
 
 def test_rejects_bad_target_shape(hand):
@@ -184,7 +190,6 @@ def assert_same_fit(got, want):
     assert got.residual_mm == want.residual_mm
     assert got.iterations_used == want.iterations_used
     assert got.converged == want.converged
-    assert got.trace == want.trace
 
 
 def assert_matches_sequential(skel, targets, cfg, **kwargs):
@@ -209,9 +214,9 @@ def mixed_targets(hand):
 # "incumbent": a pair of particles for one iteration often never improves
 # on the first incumbent, whose residual is then the result
 @pytest.mark.parametrize("extra", [
-    {}, {"polish_steps": 0}, {"record_trace": True},
+    {}, {"polish_steps": 0},
     {"polish_steps": 0, "swarm_size": 2, "iterations": 1, "phase_iterations": 1},
-], ids=["polish", "no_polish", "trace", "incumbent"])
+], ids=["polish", "no_polish", "incumbent"])
 def test_fit_batch_matches_sequential_fitter(hand, mixed_targets, extra):
     cfg = ik_pso.PsoConfig(seed=7, **{**SMALL, **extra})
     results = assert_matches_sequential(hand, mixed_targets, cfg)
@@ -228,8 +233,7 @@ def test_fit_pose_with_init_center_matches_sequential_fitter(hand, rng):
     for center in (theta + 0.05, sample_in_bounds(hand, rng)):
         for polish_steps in (50, 0):
             cfg = ik_pso.PsoConfig(seed=9, init_center=tuple(center),
-                                   polish_steps=polish_steps, record_trace=True,
-                                   **SMALL)
+                                   polish_steps=polish_steps, **SMALL)
             assert_same_fit(ik_pso.fit_batch(hand, [target], cfg)[0],
                             oracles.sequential_fit_pose(hand, target, cfg))
 
@@ -253,7 +257,7 @@ def test_batch_larger_than_one_chunk_matches_sequential_fitter(hand, mixed_targe
 
 
 def test_frame_alone_matches_frame_in_batch(hand, mixed_targets):
-    cfg = ik_pso.PsoConfig(seed=11, record_trace=True, **SMALL)
+    cfg = ik_pso.PsoConfig(seed=11, **SMALL)
     batch = ik_pso.fit_batch(hand, mixed_targets, cfg)
     for target, in_batch in zip(mixed_targets, batch):
         assert_same_fit(ik_pso.fit_batch(hand, [target], cfg)[0], in_batch)

@@ -416,6 +416,8 @@ def test_train_empty_dataset_rejected(hand):
         reg.train(run, empty, hand, train_config())
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning",
+                            "ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_train_non_finite_loss_reports_epoch_and_batch(hand):
     data = small_dataset(hand)
     run = reg.init(whitened_config(hand, data), mode="ours")
