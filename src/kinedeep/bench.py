@@ -36,7 +36,7 @@ BENCH_BOUND_EXPANSION = 1.8
 
 # make_dataset runs FK over blocks of this many poses, which bounds its
 # temporaries; FK gives a pose the same bits alone or in a batch
-_FK_CHUNK_POSES = 4096
+_FK_CHUNK_POSES = 1024
 
 
 def benchmark_skeleton() -> Skeleton:

@@ -6,15 +6,19 @@ manifest next to them (resolved configuration, seed, inputs, outputs, tool
 version, wall-clock duration); re-running a command with the same seed
 reproduces its outputs byte for byte. The manifest and the other run
 records are the exception, because they hold wall times and, for train
-and reproduce, the peak resident memory in MiB (peak_rss_mb). train and
-reproduce write one JSON line per epoch beside each checkpoint
-(<checkpoint>.epochs.jsonl: stage learning rate, train loss, last-batch
-gradient norm, validation metrics when there is a validation set, seconds).
+and reproduce, the peak resident memory in MiB (peak_rss_mb) and the minor
+page faults (minor_faults). train and reproduce write one JSON line per
+epoch beside each checkpoint (<checkpoint>.epochs.jsonl: stage learning
+rate, train loss, last-batch gradient norm, validation metrics when there
+is a validation set, seconds).
 
 reproduce trains its four modes in parallel, one worker process per
 available CPU, at most one per mode. Pin BLAS to one thread
 (OPENBLAS_NUM_THREADS=1 or the like): each worker keeps a CPU busy, and
 BLAS threads on top of the workers oversubscribe the CPUs.
+
+main first fixes glibc's malloc thresholds (_set_malloc_thresholds), which
+forked pool workers inherit.
 
 Exit codes: 0 success; 1 validation or parse error; 2 numerical failure
 (non-finite values); 3 an acceptance-style check failed (gradcheck
@@ -29,6 +33,7 @@ whose recorded skeleton fingerprint differs.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import resource
@@ -97,10 +102,14 @@ def _manifest_path(out_path) -> str:
     return str(out_path) + ".manifest.json"
 
 
-def _peak_rss_mb(who=resource.RUSAGE_SELF) -> float:
-    """Peak resident set size in MiB: of this process, or with
-    RUSAGE_CHILDREN of its largest waited-for child (ru_maxrss is in KiB)."""
-    return resource.getrusage(who).ru_maxrss / 1024.0
+def _memory_use(who=resource.RUSAGE_SELF) -> dict:
+    """Peak resident set size in MiB (ru_maxrss is in KiB) and minor page
+    faults: of this process, or with RUSAGE_CHILDREN of its waited-for
+    children, whose peak is the largest child's and whose faults are the
+    sum over all of them."""
+    usage = resource.getrusage(who)
+    return {"peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "minor_faults": usage.ru_minflt}
 
 
 def _write_manifest(path, subcommand, config, seed, inputs, outputs, started,
@@ -326,7 +335,7 @@ def cmd_train(args) -> int:
                      "flat_lr": args.flat_lr},
                     args.seed, [args.train] + ([args.val] if args.val else []),
                     [args.out, _epochs_path(args.out)], started,
-                    peak_rss_mb=_peak_rss_mb())
+                    **_memory_use())
     print(f"train: mode {args.mode}, {len(run.history)} epochs -> {args.out}")
     return EXIT_OK
 
@@ -436,6 +445,9 @@ def _reproduce_mode_in_worker(mode):
 def cmd_reproduce(args) -> int:
     if args.fit_frames < 1:
         raise _CliError("--fit-frames must be >= 1")
+    # checks --epochs, --batch and --lambda before any dataset is made; each
+    # mode builds its own, at its base learning rate
+    reg.SgdConfig(batch_size=args.batch, epochs=args.epochs, lam=args.lam)
     # imported here, because only reproduce starts processes: at module level
     # they would add ~15 ms to the start-up of every subcommand
     import multiprocessing as mp
@@ -530,6 +542,7 @@ def cmd_reproduce(args) -> int:
                for path in (_mode_checkpoint(args.out, mode),
                             _epochs_path(_mode_checkpoint(args.out, mode)))]
     outputs += [table_txt, table_json]
+    parent, children = _memory_use(), _memory_use(resource.RUSAGE_CHILDREN)
     _write_manifest(os.path.join(args.out, "manifest.json"), "reproduce",
                     {"skeleton": skel.name, "train_n": args.train_n,
                      "val_n": args.val_n, "sigma": args.sigma,
@@ -539,8 +552,10 @@ def cmd_reproduce(args) -> int:
                      "interior_margin": margin, "pose_shape": "central"},
                     args.seed, [], outputs, started, stages_s=stages_s,
                     workers=workers,
-                    peak_rss_mb={"parent": _peak_rss_mb(),
-                                 "workers": _peak_rss_mb(resource.RUSAGE_CHILDREN)})
+                    peak_rss_mb={"parent": parent["peak_rss_mb"],
+                                 "workers": children["peak_rss_mb"]},
+                    minor_faults={"parent": parent["minor_faults"],
+                                  "workers": children["minor_faults"]})
 
     print(text)
     for name, ok in checks.items():
@@ -657,7 +672,33 @@ def build_parser() -> _Parser:
     return parser
 
 
+# glibc mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+def _set_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 32 MiB.
+
+    glibc's own mmap threshold starts at 128 KiB and rises only to the
+    largest mapped block freed so far. Until then, an IK swarm's per-call
+    FK temporaries (up to ~2.3 MB, at a 4096-particle chunk) are mapped, or
+    trimmed off the heap top, and faulted in afresh on every call. Fixed
+    thresholds keep them in the heap. Calling this again changes nothing;
+    where the C library has no mallopt it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(M_TRIM_THRESHOLD, 32 << 20)
+
+
 def main(argv=None) -> int:
+    _set_malloc_thresholds()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -11,11 +11,12 @@ and of checkpoints (raw joint coordinates span hundreds of mm, which makes
 first-layer steps disproportionate at any single learning rate).
 
 One layer loop, ``_layers``, serves inference and training. Inference
-(``forward``, hence ``predict`` and ``validation_stats``) keeps only the
-layer being computed and the one feeding it. Training keeps every layer's
-output for the backward pass, and takes each ReLU mask from those outputs;
-no pre-activation is stored. Checkpoints stream the weights to disk one
-row at a time.
+(``forward``, hence ``predict`` and ``validation_stats``) runs it over row
+blocks of FORWARD_BLOCK_ROWS to 2 * FORWARD_BLOCK_ROWS - 1 rows, and keeps
+only two layers of one block alive: the one being computed and the one
+feeding it. Training keeps every layer's output for the backward pass, and
+takes each ReLU mask from those outputs; no pre-activation is stored.
+Checkpoints stream the weights to disk one row at a time.
 """
 from __future__ import annotations
 
@@ -33,6 +34,11 @@ from .skeleton import Skeleton
 CHECKPOINT_FORMAT = "kinedeep-checkpoint"
 CHECKPOINT_VERSION = 2  # 2 records the skeleton; 1 does not
 OUTPUT_GAIN = 50.0  # fixed output gain of the pose- and joint-regressing modes
+# Inference runs in row blocks of at least this many rows (fewer only when
+# there are fewer). OpenBLAS (0.3.31, measured) gives a row the same bits
+# in any block this tall, but blocks of 16-128 rows take its small-matrix
+# kernel, which rounds differently (~5e-14) on the last layer.
+FORWARD_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -240,10 +246,22 @@ def _layers(run: TrainRun, features: np.ndarray):
 
 
 def forward(run: TrainRun, features: np.ndarray) -> np.ndarray:
-    """Network outputs for a batch of feature rows."""
-    for h in _layers(run, features):
-        pass  # only the current layer stays alive
-    return h
+    """Network outputs for a batch of feature rows.
+
+    The layers run over max(1, n // FORWARD_BLOCK_ROWS) row blocks of
+    near-equal size, so two layers of one block (under 2 *
+    FORWARD_BLOCK_ROWS rows) are alive at a time. Each row gets the bits
+    of one pass over all rows.
+    """
+    n = len(features)
+    k = max(1, n // FORWARD_BLOCK_ROWS)
+    out = np.empty((n, run.config.layer_widths[-1]))
+    for i in range(k):
+        block = slice(i * n // k, (i + 1) * n // k)
+        for h in _layers(run, features[block]):
+            pass  # only the current layer stays alive
+        out[block] = h
+    return out
 
 
 def predict(run: TrainRun, features: np.ndarray, skel: Skeleton) -> np.ndarray:

@@ -18,6 +18,10 @@ hidden pre-activation, and took the ReLU mask from the pre-activations;
 kept verbatim as the reference that `kinedeep.regressor`'s one layer loop
 must match bit for bit.
 
+`one_pass_forward` is `reg.forward` as it was when inference ran the layer
+loop over all rows at once, kept verbatim as the reference that the
+row-blocked `reg.forward` must match bit for bit.
+
 `per_stage_train` is the staged learning-rate schedule as six calls of
 `flat_train`, one per stage, the way the command line ran it before
 `reg.train` ran the stages itself; `flat_train` is the one-stage
@@ -386,6 +390,13 @@ def mlp_forward_acts(run, features):
                 h = h * np.asarray(run.config.output_scale)
         acts.append(h)
     return acts, pre
+
+
+def one_pass_forward(run, features):
+    """Network outputs from one pass of `reg._layers` over all rows."""
+    for h in reg._layers(run, features):
+        pass  # only the current layer stays alive
+    return h
 
 
 def mlp_backprop(run, acts, pre, delta):

@@ -71,9 +71,10 @@ def test_make_dataset_deterministic(hand):
     assert np.array_equal(a.thetas, b.thetas)
 
 
-@pytest.mark.parametrize("n", [1, 4096, 4097])
+@pytest.mark.parametrize("n", [1, 1024, 1025, 4096, 4097])
 def test_make_dataset_matches_one_pass_oracle(hand, n):
-    # 4097 leaves one pose in the last FK block
+    # 1024 and 4096 fill whole 1024-pose FK blocks; 1025 and 4097 leave one
+    # pose in the last block
     benchmark = {"interior_margin": bench.benchmark_interior_margin(), "pose_shape": "central"}
     for skel, kwargs in ((hand, {}), (bench.benchmark_skeleton(), benchmark)):
         args = (skel, n, 10.0, 0.1, 5)

@@ -1,11 +1,13 @@
+import ctypes
 import json
 import multiprocessing
 import os
+import types
 
 import numpy as np
 import pytest
 
-from kinedeep import bench, fileio, ik_pso
+from kinedeep import bench, cli, fileio, ik_pso
 from kinedeep import kinematics as kin
 from kinedeep import regressor as reg
 from kinedeep import skeleton as sk
@@ -166,6 +168,7 @@ def test_synth_train_eval_pipeline(tmp_path):
     assert manifest["config"]["lambda"] == 0.0
     assert manifest["inputs"] == [str(data)]
     assert manifest["peak_rss_mb"] > 0.0  # ru_maxrss, in MiB
+    assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] > 0
     report = tmp_path / "report.json"
     curve = tmp_path / "curve.csv"
     assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(data),
@@ -437,6 +440,22 @@ def test_reproduce_refuses_fit_frames_below_1_before_training(tmp_path, capsys,
     assert not list(tmp_path.glob("**/*.ckpt.json"))
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epochs", "0", "epochs must be >= 1"),
+    ("--batch", "0", "batch_size must be >= 1"),
+    ("--lambda", "-1", "lambda must be >= 0"),
+])
+def test_reproduce_refuses_bad_training_settings_before_datasets(tmp_path, capsys,
+                                                                 flag, value, message):
+    out = tmp_path / "run"
+    assert run_cli("reproduce", "--train-n", "50", "--val-n", "20", "--epochs", "1",
+                   flag, value, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "datasets:" not in captured.out and "worker processes" not in captured.out
+    assert not out.exists()
+
+
 def test_reproduce_smoke(tmp_path):
     # tiny-budget smoke run: pipeline mechanics and determinism, not quality
     out_a = tmp_path / "a"
@@ -459,6 +478,9 @@ def test_reproduce_smoke(tmp_path):
     assert manifest["workers"] == min(len(reg.MODES), len(os.sched_getaffinity(0)))
     rss = manifest["peak_rss_mb"]
     assert set(rss) == {"parent", "workers"} and min(rss.values()) > 0.0
+    faults = manifest["minor_faults"]  # the workers' is a sum over them
+    assert set(faults) == {"parent", "workers"}
+    assert all(isinstance(v, int) and v > 0 for v in faults.values())
     assert manifest["config"]["skeleton"] == "hand23-bench"
     assert manifest["config"]["interior_margin"] == bench.benchmark_interior_margin()
     for mode in reg.MODES:
@@ -524,3 +546,47 @@ def test_reproduce_numerical_failure_in_a_worker_exits_2(tmp_path, monkeypatch, 
         in capsys.readouterr().err
     assert multiprocessing.active_children() == []
     assert not (out / "table.json").exists()
+
+
+# --- allocator ------------------------------------------------------------------
+
+def fake_libc(calls):
+    """A C library whose mallopt records its (parameter, value) calls."""
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+    return types.SimpleNamespace(mallopt=mallopt)
+
+
+def test_malloc_thresholds_set_exactly_mmap_and_trim(monkeypatch):
+    calls = []
+    libc = fake_libc(calls)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    cli._set_malloc_thresholds()
+    # glibc's M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1
+    assert calls == [(-3, 4 * 2**20), (-1, 32 * 2**20)]
+    assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+
+def test_malloc_thresholds_without_mallopt_do_nothing(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    cli._set_malloc_thresholds()
+
+    def no_library(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    cli._set_malloc_thresholds()
+
+
+def test_main_sets_the_same_thresholds_on_every_call(monkeypatch, capsys):
+    # tests call main in one process many times; each call sets the same
+    # two values again, and nothing else
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: fake_libc(calls))
+    for _ in range(3):
+        assert run_cli("fk", "--nonsense") == 1
+    assert calls == [(-3, 4 * 2**20), (-1, 32 * 2**20)] * 3
+    monkeypatch.undo()
+    for _ in range(3):  # and the process's own C library takes it again
+        cli._set_malloc_thresholds()

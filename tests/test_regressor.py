@@ -598,6 +598,20 @@ def test_train_non_finite_weights_name_the_epoch(hand, monkeypatch):
         reg.train(run, data, hand, train_config(epochs=3))
 
 
+@pytest.mark.parametrize("widths, mode", [((42, 256, 256, 26), "ours"),
+                                          ((42, 256, 256, 42), "direct_joint")])
+@pytest.mark.parametrize("n", [1, 511, 512, 1023, 1024, 2000, 2049])
+def test_forward_matches_one_pass_oracle(rng, widths, mode, n):
+    # row blocks start at 512 rows (1024 and 2049 split, 511 and 1023 do not),
+    # and every row keeps the bits of one pass over all rows
+    run = reg.init(reg.MlpConfig(layer_widths=widths, seed=0, input_scale=0.01,
+                                 input_clip_abs=400.0,
+                                 output_scale=(50.0,) * widths[-1]), mode)
+    features = rng.normal(scale=100.0, size=(n, 42))
+    got, want = reg.forward(run, features), oracles.one_pass_forward(run, features)
+    assert np.array_equal(got, want) and got.strides == want.strides
+
+
 # --- memory -------------------------------------------------------------------
 
 def default_sized_run():
@@ -617,12 +631,15 @@ def traced_peak_bytes(fn, *args):
 
 
 def test_forward_keeps_at_most_two_layers_alive(rng):
-    # inference holds the layer being computed and the one feeding it, not
-    # every layer's output (training's list) or any pre-activation
+    # inference holds the layer being computed and the one feeding it, of
+    # one row block, plus the output; not every layer's output (training's
+    # list), any pre-activation, or a layer of all 2000 rows
     run = default_sized_run()
     features = rng.normal(scale=100.0, size=(2000, 42))
-    hidden_bytes = 2000 * 256 * 8
-    assert traced_peak_bytes(reg.forward, run, features) < 2.25 * hidden_bytes
+    block_rows = 2 * reg.FORWARD_BLOCK_ROWS - 1
+    output_bytes = 2000 * 26 * 8
+    assert traced_peak_bytes(reg.forward, run, features) < \
+        2 * block_rows * 256 * 8 + output_bytes
 
 
 def test_save_checkpoint_streams_the_weights(hand, tmp_path):
