@@ -168,8 +168,10 @@ def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
     lo = skel.dof_lower + interior_margin * span
     hi = skel.dof_upper - interior_margin * span
     if pose_shape == "central":
-        unit = rng.beta(3.0, 3.0, size=(n, skel.n_dofs))
-        thetas = lo + unit * (hi - lo)
+        # in place: unit * (hi - lo) + lo has the bits of lo + unit * (hi - lo)
+        thetas = rng.beta(3.0, 3.0, size=(n, skel.n_dofs))
+        thetas *= hi - lo
+        thetas += lo
     else:
         thetas = rng.uniform(lo, hi, size=(n, skel.n_dofs))
     joints = np.empty((n, skel.n_joints, 3))
@@ -211,6 +213,11 @@ def evaluate(skel: Skeleton, predictions, ground_truth: Dataset,
         )
     if not _are_poses(skel, predictions) and fitted_poses is None:
         raise ValueError("joint-set predictions need fitted_poses for the angle metrics")
+    if fitted_poses is not None:
+        fitted_poses = np.asarray(fitted_poses, dtype=float)
+        if fitted_poses.shape != (n, skel.n_dofs):
+            raise ValueError(f"fitted_poses shape {fitted_poses.shape} does not match "
+                             f"{(n, skel.n_dofs)}, one pose per ground-truth frame")
     return score(skel, predictions, ground_truth, thresholds, fitted_poses)
 
 

@@ -40,13 +40,31 @@ parent, children before parents.
 Layout
 ------
 Every function takes a batch of poses (N, D); a single pose of length D is
-read as a batch of one. Internally the pose axis is last: a rotation is its
-three (3, N) columns, positions are (J, 3, N), and the recorded axes and
-pivots are (D, 3, N), so every step is an elementwise operation over
-contiguous pose vectors and no sum runs across poses. A pose therefore gets
-the same bits alone as in a batch. Positions come back C-contiguous
+read as a batch of one. Internally the pose axis is last: the rotations of
+G joints are three (G, 3, N) column arrays, and every step is an
+elementwise operation over contiguous pose vectors, so no sum runs across
+poses and a pose gets the same bits alone as in a batch. Positions come back C-contiguous
 (N, Js, 3) at every N, also for a subset of joints, so a row-wise reduction
 of the output (a pose's loss, its mean joint distance) keeps that property.
+
+The tree is walked one joint group at a time (``Skeleton.fk_layout``). A
+group is the joints at one depth that share a signature: a rest rotation or
+none, and the same DOF kinds and axes in order. The hand has 7: the root,
+the palm and thumb wrists, then the five finger bases, mids, ends and tips.
+Each step of a group is one numpy call on (G, 3, N) arrays. Internally the
+joints are in group order and the DOFs in a permuted order where each
+group's DOF slot is a contiguous run, rotation slots first, so trig runs
+over rotation DOFs only; positions are (J, 3, N) and the recorded axes and
+pivots (D, 3, N) in those orders, and the public functions map back in the
+``take`` that builds their output. A group reads its parents' frames by
+slice where they line up with its members, and gathers them from the few
+kept frames where not (the finger bases, whose parents are two wrists).
+
+Every element goes through the same float operations in the same order as
+in a walk that takes one joint at a time: a group applies each joint's own
+rest rotation, bone and DOF transforms elementwise, and the pullback adds
+each parent's children in descending joint index, one level of the tree
+after the other. So the outputs are the bytes of that walk.
 
 All math is float64; gradient-check tolerances are unreachable in 32-bit.
 Functions are pure and safe to call concurrently.
@@ -57,12 +75,16 @@ import numpy as np
 
 from .skeleton import Skeleton
 
-# the root frame's columns, broadcast over poses
-_EYE_COLUMNS = tuple(np.eye(3)[:, i:i + 1] for i in range(3))
+# the root frame's columns and origin, broadcast over one member and poses
+_ROOT_COLUMNS = tuple(np.eye(3)[None, :, i:i + 1] for i in range(3))
+_ROOT_ORIGIN = np.zeros((1, 3, 1))
+for _arr in _ROOT_COLUMNS + (_ROOT_ORIGIN,):
+    _arr.flags.writeable = False
 # (i+1, i+2) mod 3 per axis i: the two columns a rotation about axis i
 # mixes, as (c*first + s*second, c*second - s*first), and the factors of
 # component i of a cross product, a[first]*b[second] - a[second]*b[first]
-_CYCLIC = ((1, 2), (2, 0), (0, 1))
+_FIRST, _SECOND = [1, 2, 0], [2, 0, 1]
+_CYCLIC = tuple(zip(_FIRST, _SECOND))
 
 
 def _check_poses(skel: Skeleton, thetas: np.ndarray) -> np.ndarray:
@@ -79,40 +101,42 @@ def _check_poses(skel: Skeleton, thetas: np.ndarray) -> np.ndarray:
 
 
 def _fk_pass(skel: Skeleton, thetas: np.ndarray, record: bool):
-    """Walk the tree once for a batch of poses (N, D), poses last.
+    """Walk the tree once for a batch of poses (N, D), one joint group at a time.
 
-    Returns (positions (J, 3, N), axes (D, 3, N) or None, centers (D, 3, N)
-    or None), where axes/centers are each DOF's world axis and the point it
-    acts at.
+    Returns (positions (J, 3, N) in group order, axes (D, 3, N) or None,
+    centers (D, 3, N) or None in permuted DOF order), where axes/centers are
+    each DOF's world axis and the point it acts at.
     """
+    layout = skel.fk_layout
     N, D = thetas.shape
-    angles = np.ascontiguousarray(thetas.T)
-    cos, sin = np.cos(angles), np.sin(angles)
-    parents = skel.parent_index.tolist()
-    bones = skel.bone_lengths.tolist()
-    dof_axis = skel.dof_axis.tolist()
-    is_rotation = skel.dof_is_rotation.tolist()
+    angles = np.take(thetas.T, layout.dof_order, axis=0)
+    rot = angles[:layout.n_rotations]
+    cos, sin = np.cos(rot)[:, None], np.sin(rot)[:, None]
+    angles = angles[:, None]
     pos = np.empty((skel.n_joints, 3, N))
     axes = np.empty((D, 3, N)) if record else None
     cents = np.empty((D, 3, N)) if record else None
+    kept = np.empty((3, layout.n_kept, 3, N))
 
-    columns = []
-    for u, dofs in enumerate(skel.joint_dofs):
-        p = parents[u]
-        R = list(_EYE_COLUMNS if p < 0 else columns[p])
-        rest = skel.rest_rotations[u]
-        if rest is not None:
+    frames = []
+    for g in layout.groups:
+        if g.parent_rows is None:
+            R, t = list(_ROOT_COLUMNS), _ROOT_ORIGIN
+        elif g.parent_group >= 0:
+            R = [col[g.parent_frames] for col in frames[g.parent_group]]
+        else:
+            R = list(kept[:, g.parent_frames])
+        if g.rest is not None:
             # R @ rest written as sums: column j is sum_k R[k] * rest[k, j]
-            R = list(R[0][None] * rest[0][:, None, None]
-                     + R[1][None] * rest[1][:, None, None]
-                     + R[2][None] * rest[2][:, None, None])
-        t = np.zeros((3, 1)) if p < 0 else pos[p] + bones[u] * R[0]
-        for d in dofs:
-            ax = dof_axis[d]
+            R = list(R[0][None] * g.rest[0] + R[1][None] * g.rest[1]
+                     + R[2][None] * g.rest[2])
+        if g.parent_rows is not None:
+            t = pos[g.parent_rows] + g.bones * R[0]
+        for d, ax, is_rotation in g.dofs:
             if record:
                 axes[d] = R[ax]
                 cents[d] = t
-            if is_rotation[d]:
+            if is_rotation:
                 a, b = _CYCLIC[ax]
                 c, s = cos[d], sin[d]
                 Ra, Rb = R[a], R[b]
@@ -120,18 +144,26 @@ def _fk_pass(skel: Skeleton, thetas: np.ndarray, record: bool):
                 R[b] = c * Rb - s * Ra
             else:
                 t = t + angles[d] * R[ax]
-        columns.append(R)
-        pos[u] = t
+        pos[g.rows] = t
+        if g.kept is not None:
+            kept[0, g.kept], kept[1, g.kept], kept[2, g.kept] = R
+        frames.append(R if g.keep_frames else None)
     return pos, axes, cents
 
 
-def _joint_rows(skel: Skeleton, joint_indices) -> list:
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over axis 1, component i being a[first]*b[second] - a[second]*b[first]."""
+    return a[:, _FIRST] * b[:, _SECOND] - a[:, _SECOND] * b[:, _FIRST]
+
+
+def _rows(skel: Skeleton, joint_indices) -> np.ndarray:
+    """Rows in group order of the selected joints (default: all of them)."""
     if joint_indices is None:
-        return list(range(skel.n_joints))
-    return list(joint_indices)
+        return skel.fk_layout.joint_row
+    return skel.fk_layout.joint_row[list(joint_indices)]
 
 
-def _joints_first(pos: np.ndarray, rows: list) -> np.ndarray:
+def _joints_first(pos: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(J, 3, N) positions -> C-contiguous (N, len(rows), 3)."""
     return np.take(pos.transpose(2, 0, 1), rows, axis=1)
 
@@ -140,7 +172,7 @@ def forward_kinematics_batch(skel: Skeleton, thetas, joint_indices=None) -> np.n
     """Joint positions (N, J, 3) in mm for a batch of poses (N, D)."""
     thetas = _check_poses(skel, thetas)
     pos, _, _ = _fk_pass(skel, thetas, record=False)
-    return _joints_first(pos, _joint_rows(skel, joint_indices))
+    return _joints_first(pos, _rows(skel, joint_indices))
 
 
 def fk_jacobian_batch(skel: Skeleton, thetas, joint_indices=None):
@@ -152,21 +184,21 @@ def fk_jacobian_batch(skel: Skeleton, thetas, joint_indices=None):
     """
     thetas = _check_poses(skel, thetas)
     pos, axes, cents = _fk_pass(skel, thetas, record=True)
-    rows = _joint_rows(skel, joint_indices)
+    rows = _rows(skel, joint_indices)
+    slot = skel.fk_layout.dof_slot
     N, D = thetas.shape
 
     # only (joint, DOF) pairs on a root path are nonzero; fill all pairs of
     # one DOF kind at once. Advanced indices split by a slice put the pair
     # axis first, (pairs, N, 3); adjacent ones keep it in place, (N, pairs).
     jac = np.zeros((N, len(rows), 3, D))
-    on_path = skel.path_mask[rows]
+    on_path = skel.path_mask if joint_indices is None else skel.path_mask[list(joint_indices)]
     joint, dof = np.nonzero(on_path & ~skel.dof_is_rotation)
-    jac[:, joint, :, dof] = axes[dof].transpose(0, 2, 1)
+    jac[:, joint, :, dof] = axes[slot[dof]].transpose(0, 2, 1)
     joint, dof = np.nonzero(on_path & skel.dof_is_rotation)
-    a = axes[dof]
-    r = pos[np.asarray(rows)[joint]] - cents[dof]
-    for i, (j, k) in enumerate(_CYCLIC):
-        jac[:, joint, i, dof] = (a[:, j] * r[:, k] - a[:, k] * r[:, j]).T
+    a = axes[slot[dof]]
+    r = pos[rows[joint]] - cents[slot[dof]]
+    jac[:, joint, :, dof] = _cross(a, r).transpose(0, 2, 1)
     return _joints_first(pos, rows), jac.reshape(N, 3 * len(rows), D)
 
 
@@ -179,8 +211,9 @@ def fk_vjp_batch(skel: Skeleton, thetas, joint_indices=None):
     """
     thetas = _check_poses(skel, thetas)
     pos, axes, cents = _fk_pass(skel, thetas, record=True)
-    rows = _joint_rows(skel, joint_indices)
-    unique = len(set(rows)) == len(rows)
+    layout = skel.fk_layout
+    rows = _rows(skel, joint_indices)
+    unique = len(set(rows.tolist())) == len(rows)
     N = thetas.shape[0]
 
     def pullback(cotangent):
@@ -192,21 +225,20 @@ def fk_vjp_batch(skel: Skeleton, thetas, joint_indices=None):
             w[rows] = r.transpose(1, 2, 0)
         else:  # a joint selected twice gets both cotangents (add.at is slower)
             np.add.at(w, rows, r.transpose(1, 2, 0))
-        for i, (j, k) in enumerate(_CYCLIC):
-            q[:, i] = pos[:, j] * w[:, k] - pos[:, k] * w[:, j]
-        parents = skel.parent_index.tolist()
-        for u in range(skel.n_joints - 1, 0, -1):
-            sums[parents[u]] += sums[u]
+        q[:] = _cross(pos, w)
+        for parent_rows, child_rows in layout.sum_rounds:
+            sums[parent_rows] += sums[child_rows]
 
         # per DOF, its joint's subtree sums; v is the vector a_d is dotted
-        # with in the formulas of the module docstring
-        sub = sums[skel.dof_joint]
+        # with in the formulas of the module docstring: sum r for a
+        # translation DOF, and for a rotation DOF (the first n_rotations)
+        # sum p x r - c_d x sum r
+        sub = sums[layout.dof_row]
         sub_r, sub_q = sub[:, 0], sub[:, 1]
-        v = np.empty_like(sub_r)
-        for i, (j, k) in enumerate(_CYCLIC):
-            v[:, i] = sub_q[:, i] - (cents[:, j] * sub_r[:, k] - cents[:, k] * sub_r[:, j])
-        v = np.where(skel.dof_is_rotation[:, None, None], v, sub_r)
+        v = sub_r.copy()
+        n = layout.n_rotations
+        v[:n] = sub_q[:n] - _cross(cents[:n], sub_r[:n])
         grad = axes[:, 0] * v[:, 0] + axes[:, 1] * v[:, 1] + axes[:, 2] * v[:, 2]
-        return np.ascontiguousarray(grad.T)
+        return np.take(grad.T, layout.dof_slot, axis=1)
 
     return _joints_first(pos, rows), pullback

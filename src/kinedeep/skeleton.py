@@ -122,6 +122,189 @@ def _rest_rotation(rest_offset_deg):
     return mx @ my @ mz
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _index(rows):
+    """Rows as a basic slice when evenly spaced, else a read-only index array."""
+    step = rows[1] - rows[0] if len(rows) > 1 else 1
+    if step != 0 and all(b - a == step for a, b in zip(rows, rows[1:])):
+        stop = rows[-1] + step
+        return slice(rows[0], stop if stop >= 0 else None, step)
+    return _frozen(np.array(rows, dtype=np.int64))
+
+
+@dataclass(frozen=True)
+class JointGroup:
+    """Joints at one depth that forward kinematics runs as one batch.
+
+    The members share a signature: a rest rotation or none, and the same
+    DOF kinds and axes in the same order. Rows index joints in group order.
+
+      rows          slice of the members' rows
+      joints        the members' joint indices, in row order
+      parent_rows   the parents' rows (a slice, or an index array), or None
+                    for the root
+      parent_group  the group whose frames ``parent_frames`` slices, member
+                    by member, or -1 when ``parent_frames`` indexes the
+                    kept frames
+      bones         (G, 1, 1) bone lengths
+      rest          (3, 3, G, 1, 1) rest rotations, [k, j, g] being entry
+                    (k, j) of member g's, or None
+      dofs          per DOF slot: (its permuted DOFs, a slice; axis; is rotation)
+      kept          the kept frames this group writes, or None
+      keep_frames   a later group slices this group's frames
+    """
+
+    rows: slice
+    joints: tuple
+    parent_rows: object
+    parent_group: int
+    parent_frames: object
+    bones: np.ndarray
+    rest: np.ndarray | None
+    dofs: tuple
+    kept: slice | None
+    keep_frames: bool
+
+
+@dataclass(frozen=True)
+class FkLayout:
+    """The joint groups of a skeleton and the orders FK runs them in.
+
+      groups       a JointGroup per depth and signature, parents first
+      joint_row    (J,) each joint's row in group order
+      dof_order    (D,) the DOF at each permuted position: every group's
+                   DOF slots in group order, rotation slots first
+      dof_slot     (D,) each DOF's permuted position
+      dof_row      (D,) per permuted position, its joint's row
+      n_rotations  rotation DOFs, permuted positions [0, n_rotations)
+      n_kept       frames kept for groups whose parents are not one slice
+      sum_rounds   (parent rows, child rows) pairs that add subtree sums
+                   into parents: deepest level first, and each parent's
+                   children in descending joint index
+    """
+
+    groups: tuple
+    joint_row: np.ndarray
+    dof_order: np.ndarray
+    dof_slot: np.ndarray
+    dof_row: np.ndarray
+    n_rotations: int
+    n_kept: int
+    sum_rounds: tuple
+
+
+def _fk_layout(skel) -> FkLayout:
+    """The FkLayout of a skeleton whose joints and DOF tables are built."""
+    parents = skel.parent_index.tolist()
+    J = len(parents)
+    depth = [0] * J
+    for u in range(1, J):
+        depth[u] = depth[parents[u]] + 1
+    signature = [(skel.rest_rotations[u] is not None,
+                  tuple((d.kind, d.axis) for d in joint.dofs))
+                 for u, joint in enumerate(skel.joints)]
+
+    # one group per depth and signature, in order of first joint; members
+    # follow their parents' rows, so a chain's groups line up row by row
+    row, members, group_of = {}, [], {}
+    for level in range(max(depth) + 1):
+        by_signature = {}
+        for u in range(J):
+            if depth[u] == level:
+                by_signature.setdefault(signature[u], []).append(u)
+        for us in by_signature.values():
+            us.sort(key=lambda u: (row.get(parents[u], -1), u))
+            for u in us:
+                row[u] = len(row)
+                group_of[u] = len(members)
+            members.append(us)
+    start = [row[us[0]] for us in members]
+
+    # a group slices its parents' frames when they are one evenly spaced
+    # run of one group; otherwise it gathers them from the kept frames
+    sliced, kept_from = {}, set()
+    for gi, us in enumerate(members[1:], 1):
+        ps = [parents[u] for u in us]
+        pgs = {group_of[p] for p in ps}
+        local = _index([row[p] - start[group_of[p]] for p in ps])
+        if len(pgs) == 1 and isinstance(local, slice):
+            sliced[gi] = (pgs.pop(), local)
+        else:
+            kept_from |= pgs
+    kept, n_kept = {}, 0
+    for gi in sorted(kept_from):
+        kept[gi] = slice(n_kept, n_kept + len(members[gi]))
+        n_kept += len(members[gi])
+
+    rot, trans = [], []
+    for gi, us in enumerate(members):
+        for s in range(len(skel.joint_dofs[us[0]])):
+            block = [skel.joint_dofs[u][s] for u in us]
+            (rot if skel.dof_is_rotation[block[0]] else trans).append((gi, s, block))
+    permuted, dof_order = {}, []
+    for gi, s, block in rot + trans:
+        permuted[gi, s] = slice(len(dof_order), len(dof_order) + len(block))
+        dof_order.extend(block)
+
+    groups = []
+    for gi, us in enumerate(members):
+        ps = [parents[u] for u in us]
+        parent_group, parent_frames = sliced.get(gi, (-1, None))
+        if gi > 0 and parent_frames is None:
+            parent_frames = _index([kept[group_of[p]].start + row[p] - start[group_of[p]]
+                                    for p in ps])
+        rests = [skel.rest_rotations[u] for u in us]
+        rest = None
+        if rests[0] is not None:
+            rest = _frozen(np.ascontiguousarray(
+                np.transpose(rests, (1, 2, 0)))[..., None, None])
+        groups.append(JointGroup(
+            rows=slice(start[gi], start[gi] + len(us)),
+            joints=tuple(us),
+            parent_rows=None if gi == 0 else _index([row[p] for p in ps]),
+            parent_group=parent_group,
+            parent_frames=parent_frames,
+            bones=_frozen(skel.bone_lengths[us][:, None, None]),
+            rest=rest,
+            dofs=tuple((permuted[gi, s], int(skel.dof_axis[d]), bool(skel.dof_is_rotation[d]))
+                       for s, d in enumerate(skel.joint_dofs[us[0]])),
+            kept=kept.get(gi),
+            keep_frames=any(pg == gi for pg, _ in sliced.values()),
+        ))
+
+    # subtree sums: each level adds into the one above, in rounds that give
+    # every parent its children from the highest joint index down
+    sum_rounds = []
+    for level in range(max(depth), 0, -1):
+        rounds, taken = [], {}
+        for u in range(J - 1, 0, -1):
+            if depth[u] == level:
+                k = taken[parents[u]] = taken.get(parents[u], -1) + 1
+                if k == len(rounds):
+                    rounds.append([])
+                rounds[k].append((row[parents[u]], row[u]))
+        for pairs in rounds:
+            pairs.sort(key=lambda pair: pair[1])
+            sum_rounds.append((_index([p for p, _ in pairs]), _index([c for _, c in pairs])))
+
+    dof_order = np.array(dof_order, dtype=np.int64)
+    joint_row = np.array([row[u] for u in range(J)], dtype=np.int64)
+    return FkLayout(
+        groups=tuple(groups),
+        joint_row=_frozen(joint_row),
+        dof_order=_frozen(dof_order),
+        dof_slot=_frozen(np.argsort(dof_order)),
+        dof_row=_frozen(joint_row[skel.dof_joint[dof_order]]),
+        n_rotations=sum(len(block) for _, _, block in rot),
+        n_kept=n_kept,
+        sum_rounds=tuple(sum_rounds),
+    )
+
+
 class Skeleton:
     """Validated kinematic tree with precomputed lookup tables.
 
@@ -139,6 +322,7 @@ class Skeleton:
       dof_lower/dof_upper (D,) float
       path_mask      (J, D) bool, True where the DOF lies on the joint's
                      root path (inclusive)
+      fk_layout      the joint groups forward kinematics runs as batches
     """
 
     def __init__(self, joints, eval_subset=None, name="skeleton"):
@@ -177,6 +361,7 @@ class Skeleton:
                 mask[u, self.dof_joint == v] = True
                 v = self.parent_index[v]
         self.path_mask = mask
+        self.fk_layout = _fk_layout(self)
 
         if eval_subset is None:
             self.eval_subset = tuple(range(J))

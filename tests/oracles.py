@@ -32,6 +32,13 @@ it bit for bit.
 kinematics ran over all n poses in one call, kept verbatim (less its
 argument checks) as the reference that the block-wise FK must match bit for
 bit.
+
+`per_joint_fk_pass` is the kinematic layer's forward pass as it was when it
+walked the tree one joint at a time, and `per_joint_forward_kinematics_batch`,
+`per_joint_fk_jacobian_batch` and `per_joint_fk_vjp_batch` are the public
+functions of that time on top of it, the pullback summing subtrees joint by
+joint; all kept verbatim as the reference that the joint-group pass of
+`kinedeep.kinematics` must match byte for byte.
 """
 import math
 from dataclasses import replace
@@ -40,8 +47,8 @@ import numpy as np
 
 from kinedeep import bench, ik_pso
 from kinedeep import regressor as reg
-from kinedeep.kinematics import fk_jacobian_batch, forward_kinematics_batch
-from kinedeep.skeleton import clamp_pose
+from kinedeep.kinematics import _check_poses, fk_jacobian_batch, forward_kinematics_batch
+from kinedeep.skeleton import Skeleton, clamp_pose
 
 
 def mat_rot(axis: int, angle: float) -> np.ndarray:
@@ -524,3 +531,147 @@ def one_pass_make_dataset(skel, n, noise_sigma_mm, occlusion_prob, seed,
         thetas=thetas,
         joints=joints,
     )
+
+
+# --- the per-joint kinematic walk ---------------------------------------------
+
+# the root frame's columns, broadcast over poses
+_EYE_COLUMNS = tuple(np.eye(3)[:, i:i + 1] for i in range(3))
+# (i+1, i+2) mod 3 per axis i: the two columns a rotation about axis i
+# mixes, as (c*first + s*second, c*second - s*first), and the factors of
+# component i of a cross product, a[first]*b[second] - a[second]*b[first]
+_CYCLIC = ((1, 2), (2, 0), (0, 1))
+
+
+def per_joint_fk_pass(skel: Skeleton, thetas: np.ndarray, record: bool):
+    """Walk the tree once for a batch of poses (N, D), poses last.
+
+    Returns (positions (J, 3, N), axes (D, 3, N) or None, centers (D, 3, N)
+    or None), where axes/centers are each DOF's world axis and the point it
+    acts at.
+    """
+    N, D = thetas.shape
+    angles = np.ascontiguousarray(thetas.T)
+    cos, sin = np.cos(angles), np.sin(angles)
+    parents = skel.parent_index.tolist()
+    bones = skel.bone_lengths.tolist()
+    dof_axis = skel.dof_axis.tolist()
+    is_rotation = skel.dof_is_rotation.tolist()
+    pos = np.empty((skel.n_joints, 3, N))
+    axes = np.empty((D, 3, N)) if record else None
+    cents = np.empty((D, 3, N)) if record else None
+
+    columns = []
+    for u, dofs in enumerate(skel.joint_dofs):
+        p = parents[u]
+        R = list(_EYE_COLUMNS if p < 0 else columns[p])
+        rest = skel.rest_rotations[u]
+        if rest is not None:
+            # R @ rest written as sums: column j is sum_k R[k] * rest[k, j]
+            R = list(R[0][None] * rest[0][:, None, None]
+                     + R[1][None] * rest[1][:, None, None]
+                     + R[2][None] * rest[2][:, None, None])
+        t = np.zeros((3, 1)) if p < 0 else pos[p] + bones[u] * R[0]
+        for d in dofs:
+            ax = dof_axis[d]
+            if record:
+                axes[d] = R[ax]
+                cents[d] = t
+            if is_rotation[d]:
+                a, b = _CYCLIC[ax]
+                c, s = cos[d], sin[d]
+                Ra, Rb = R[a], R[b]
+                R[a] = c * Ra + s * Rb
+                R[b] = c * Rb - s * Ra
+            else:
+                t = t + angles[d] * R[ax]
+        columns.append(R)
+        pos[u] = t
+    return pos, axes, cents
+
+
+def _joint_rows(skel: Skeleton, joint_indices) -> list:
+    if joint_indices is None:
+        return list(range(skel.n_joints))
+    return list(joint_indices)
+
+
+def _joints_first(pos: np.ndarray, rows: list) -> np.ndarray:
+    """(J, 3, N) positions -> C-contiguous (N, len(rows), 3)."""
+    return np.take(pos.transpose(2, 0, 1), rows, axis=1)
+
+
+def per_joint_forward_kinematics_batch(skel: Skeleton, thetas, joint_indices=None) -> np.ndarray:
+    """Joint positions (N, J, 3) in mm for a batch of poses (N, D)."""
+    thetas = _check_poses(skel, thetas)
+    pos, _, _ = per_joint_fk_pass(skel, thetas, record=False)
+    return _joints_first(pos, _joint_rows(skel, joint_indices))
+
+
+def per_joint_fk_jacobian_batch(skel: Skeleton, thetas, joint_indices=None):
+    """Positions and Jacobians for a batch of poses.
+
+    Returns (positions (N, Js, 3), jacobian (N, 3*Js, D)). Jacobian rows are
+    joint-major x, y, z; units are mm per radian (mm per mm for translation
+    DOFs). Columns vanish for DOFs off the joint's root path.
+    """
+    thetas = _check_poses(skel, thetas)
+    pos, axes, cents = per_joint_fk_pass(skel, thetas, record=True)
+    rows = _joint_rows(skel, joint_indices)
+    N, D = thetas.shape
+
+    # only (joint, DOF) pairs on a root path are nonzero; fill all pairs of
+    # one DOF kind at once. Advanced indices split by a slice put the pair
+    # axis first, (pairs, N, 3); adjacent ones keep it in place, (N, pairs).
+    jac = np.zeros((N, len(rows), 3, D))
+    on_path = skel.path_mask[rows]
+    joint, dof = np.nonzero(on_path & ~skel.dof_is_rotation)
+    jac[:, joint, :, dof] = axes[dof].transpose(0, 2, 1)
+    joint, dof = np.nonzero(on_path & skel.dof_is_rotation)
+    a = axes[dof]
+    r = pos[np.asarray(rows)[joint]] - cents[dof]
+    for i, (j, k) in enumerate(_CYCLIC):
+        jac[:, joint, i, dof] = (a[:, j] * r[:, k] - a[:, k] * r[:, j]).T
+    return _joints_first(pos, rows), jac.reshape(N, 3 * len(rows), D)
+
+
+def per_joint_fk_vjp_batch(skel: Skeleton, thetas, joint_indices=None):
+    """Positions and their reverse-mode product for a batch of poses.
+
+    Returns (positions (N, Js, 3), pullback). ``pullback(cotangent)`` takes
+    one (N, Js, 3) or (N, 3*Js) array, such as a loss residual, and returns
+    J^T cotangent per pose, (N, D), without forming the Jacobian.
+    """
+    thetas = _check_poses(skel, thetas)
+    pos, axes, cents = per_joint_fk_pass(skel, thetas, record=True)
+    rows = _joint_rows(skel, joint_indices)
+    unique = len(set(rows)) == len(rows)
+    N = thetas.shape[0]
+
+    def pullback(cotangent):
+        r = np.asarray(cotangent, dtype=float).reshape(N, len(rows), 3)
+        # per joint: [summed cotangent w, p x w], then subtree sums
+        sums = np.zeros((skel.n_joints, 2, 3, N))
+        w, q = sums[:, 0], sums[:, 1]
+        if unique:
+            w[rows] = r.transpose(1, 2, 0)
+        else:  # a joint selected twice gets both cotangents (add.at is slower)
+            np.add.at(w, rows, r.transpose(1, 2, 0))
+        for i, (j, k) in enumerate(_CYCLIC):
+            q[:, i] = pos[:, j] * w[:, k] - pos[:, k] * w[:, j]
+        parents = skel.parent_index.tolist()
+        for u in range(skel.n_joints - 1, 0, -1):
+            sums[parents[u]] += sums[u]
+
+        # per DOF, its joint's subtree sums; v is the vector a_d is dotted
+        # with in the formulas of the module docstring
+        sub = sums[skel.dof_joint]
+        sub_r, sub_q = sub[:, 0], sub[:, 1]
+        v = np.empty_like(sub_r)
+        for i, (j, k) in enumerate(_CYCLIC):
+            v[:, i] = sub_q[:, i] - (cents[:, j] * sub_r[:, k] - cents[:, k] * sub_r[:, j])
+        v = np.where(skel.dof_is_rotation[:, None, None], v, sub_r)
+        grad = axes[:, 0] * v[:, 0] + axes[:, 1] * v[:, 1] + axes[:, 2] * v[:, 2]
+        return np.ascontiguousarray(grad.T)
+
+    return _joints_first(pos, rows), pullback

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -216,3 +217,13 @@ def test_report_serialization_roundtrip(hand):
     assert d["n_frames"] == 5
     assert isinstance(report.to_text(), str)
     assert report.curve_csv().startswith("threshold_mm,fraction")
+
+
+@pytest.mark.parametrize("shape", [(1, 26), (3, 5), (2, 26), (3, 26, 1)])
+def test_evaluate_rejects_fitted_poses_of_another_shape(hand, shape):
+    # a (1, D) set used to be broadcast over every frame, and (3, 5) raised
+    # IndexError, which the command line does not map to exit 1
+    data = bench.make_dataset(hand, n=3, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=11)
+    ev = list(hand.eval_subset)
+    with pytest.raises(ValueError, match=re.escape(f"{shape} does not match (3, 26)")):
+        bench.evaluate(hand, data.joints[:, ev, :], data, fitted_poses=np.zeros(shape))

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from conftest import sample_in_bounds
+from kinedeep import bench
 from kinedeep import kinematics as kin
 from kinedeep import skeleton as sk
 
@@ -281,3 +282,124 @@ def test_jacobian_rotation_entries_bounded_by_reach(hand, rng):
                 if hand.dof_is_rotation[d] and hand.path_mask[u, d]:
                     norm = np.linalg.norm(jac[3 * u:3 * u + 3, d])
                     assert norm <= reach[u, d] + 1e-9
+
+
+# --- joint groups: the bytes of the per-joint walk ----------------------------
+
+def _tree(name, rows, eval_subset=None):
+    """A skeleton from (name, parent, bone, dofs, rest_offset_deg) rows."""
+    rot = {a: sk.DofSpec("rotation", a, -2.5, 2.5) for a in "XYZ"}
+    trans = {a: sk.DofSpec("translation", a, -30.0, 30.0) for a in "XYZ"}
+    names = [row[0] for row in rows]
+    joints = [sk.JointSpec(jname, None if parent is None else names.index(parent), bone,
+                           dofs=tuple((rot if d[0] == "r" else trans)[d[1]] for d in dofs),
+                           rest_offset_deg=rest)
+              for jname, parent, bone, dofs, rest in rows]
+    return sk.Skeleton(joints, eval_subset=eval_subset, name=name)
+
+
+NO_REST = (0.0, 0.0, 0.0)
+SYNTHETIC_TREES = {
+    # one joint: rest rotation on the root, a translation after a rotation
+    "root_only": _tree("root_only", [
+        ("root", None, 0.0, ("tX", "rZ", "tY", "rX"), (10.0, -20.0, 30.0)),
+    ], eval_subset=[0]),
+    # the root's children have three signatures; x1/a1/y1 gather from one
+    # group at uneven rows, a2/y2 slice it with step 2, d1/d2 share a parent
+    "mixed_signatures": _tree("mixed_signatures", [
+        ("root", None, 0.0, ("tX", "tY", "tZ", "rX", "rY", "rZ"), NO_REST),
+        ("a", "root", 30.0, ("rZ",), NO_REST),
+        ("b", "root", 25.0, ("rY",), (0.0, 20.0, -40.0)),
+        ("x", "root", 28.0, ("rZ",), NO_REST),
+        ("c", "root", 20.0, ("rZ",), NO_REST),
+        ("d", "root", 15.0, (), NO_REST),
+        ("y", "root", 22.0, ("rZ",), NO_REST),
+        ("a1", "a", 10.0, ("rX",), NO_REST),
+        ("c1", "c", 12.0, ("rZ",), NO_REST),
+        ("b1", "b", 14.0, ("rY", "rZ"), (5.0, 0.0, 5.0)),
+        ("x1", "x", 9.0, ("rX",), NO_REST),
+        ("y1", "y", 8.0, ("rX",), NO_REST),
+        ("d1", "d", 9.0, (), NO_REST),
+        ("d2", "d", 7.0, (), NO_REST),
+        ("y2", "y1", 5.0, ("rY",), NO_REST),
+        ("a2", "a1", 6.0, ("rY",), NO_REST),
+        ("c2", "c1", 4.0, (), NO_REST),
+    ], eval_subset=[16, 9, 0, 14, 12]),
+    # b's chain is listed before a's below the first level
+    "interleaved_siblings": _tree("interleaved_siblings", [
+        ("root", None, 0.0, ("rZ",), NO_REST),
+        ("a", "root", 30.0, ("rY",), NO_REST),
+        ("b", "root", 32.0, ("rY",), (0.0, 0.0, 25.0)),
+        ("b1", "b", 20.0, ("rY",), NO_REST),
+        ("a1", "a", 21.0, ("rY",), NO_REST),
+        ("b2", "b1", 10.0, (), NO_REST),
+        ("a2", "a1", 11.0, (), NO_REST),
+    ], eval_subset=[6, 5, 0]),
+    # prismatic joints below the root, translations between rotations
+    "translation_below_root": _tree("translation_below_root", [
+        ("root", None, 0.0, ("rZ",), (0.0, 15.0, 0.0)),
+        ("slide", "root", 40.0, ("tX", "rZ"), NO_REST),
+        ("arm", "slide", 30.0, ("rY", "tZ", "rX"), NO_REST),
+        ("tip", "arm", 10.0, (), NO_REST),
+        ("slide2", "root", 35.0, ("tX", "rZ"), NO_REST),
+        ("arm2", "slide2", 28.0, ("rY", "tZ", "rX"), NO_REST),
+    ], eval_subset=[3, 5]),
+}
+
+
+def _skeleton(name):
+    if name == "hand":
+        return sk.default_hand()
+    if name == "benchmark":
+        return bench.benchmark_skeleton()
+    return SYNTHETIC_TREES[name]
+
+
+def _same_bytes(got, want):
+    # np.array_equal would take -0.0 for 0.0
+    return got.shape == want.shape and got.dtype == want.dtype and \
+        got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 1536])
+@pytest.mark.parametrize("name", ["hand", "benchmark", *SYNTHETIC_TREES])
+def test_joint_groups_give_the_bytes_of_the_per_joint_walk(name, n):
+    skel = _skeleton(name)
+    rng = np.random.default_rng(n)
+    thetas = sample_in_bounds(skel, rng, n=n).reshape(n, -1)
+    if n > 1:
+        thetas[0] = -0.0  # signed zeros reach every output
+    J = skel.n_joints
+    selections = (None, list(skel.eval_subset), [J - 1, 0, J - 1, J // 2])
+    for sel in selections:
+        got = kin.forward_kinematics_batch(skel, thetas, sel)
+        assert _same_bytes(got, oracles.per_joint_forward_kinematics_batch(skel, thetas, sel))
+        assert got.flags.c_contiguous
+
+        got_pos, got_jac = kin.fk_jacobian_batch(skel, thetas, sel)
+        want_pos, want_jac = oracles.per_joint_fk_jacobian_batch(skel, thetas, sel)
+        assert _same_bytes(got_pos, want_pos) and _same_bytes(got_jac, want_jac)
+
+        got_pos, got_pull = kin.fk_vjp_batch(skel, thetas, sel)
+        want_pos, want_pull = oracles.per_joint_fk_vjp_batch(skel, thetas, sel)
+        assert _same_bytes(got_pos, want_pos)
+        cotangent = rng.normal(size=got_pos.shape)
+        cotangent[..., 0] = np.where(cotangent[..., 0] > 0, 0.0, -0.0)
+        got_grad = got_pull(cotangent)
+        assert _same_bytes(got_grad, want_pull(cotangent))
+        assert got_grad.flags.c_contiguous
+
+
+def test_hand_forms_seven_joint_groups(hand):
+    # one numpy call per group step: the five fingers' chains share theirs
+    layout = hand.fk_layout
+    fingers = ("index", "middle", "ring", "pinky", "thumb")
+    assert [[hand.joints[u].name for u in g.joints] for g in layout.groups] == \
+        [["root"], ["wrist_palm"], ["wrist_thumb"]] + \
+        [[f"{f}_{part}" for f in fingers] for part in ("base", "mid", "end", "tip")]
+    # only the finger bases gather their parents' frames; the rest slice
+    assert [g.parent_group for g in layout.groups[1:]] == [0, 0, -1, 3, 4, 5]
+    assert layout.n_kept == 2 and layout.n_rotations == 23
+    for arr in (layout.joint_row, layout.dof_order, layout.dof_slot, layout.dof_row):
+        assert not arr.flags.writeable
+    assert not any(g.rest.flags.writeable for g in layout.groups if g.rest is not None)
