@@ -3,7 +3,10 @@
 Datasets stand in for the depth-image pipeline, which is out of scope here:
 a sample's features are the flattened eval-joint coordinates of a random
 in-bounds pose, corrupted by isotropic Gaussian noise and random per-joint
-occlusion (all three coordinates replaced by a sentinel). Labels are exact.
+occlusion (all three coordinates replaced by a sentinel). A dataset keeps
+only the poses and the features. Labels are exact: a sample's ground-truth
+joints are the forward kinematics of its stored pose (:func:`eval_joints`),
+computed where they are used, so they cannot disagree with the pose.
 
 Metrics follow the usual hand-pose protocol:
   * average joint error: mean over frames of the mean per-eval-joint
@@ -34,7 +37,7 @@ DEFAULT_THRESHOLDS_MM = tuple(range(5, 85, 5))
 
 BENCH_BOUND_EXPANSION = 1.8
 
-# make_dataset runs FK over blocks of this many poses, which bounds its
+# eval_joints runs FK over blocks of this many poses, which bounds its
 # temporaries; FK gives a pose the same bits alone or in a batch
 _FK_CHUNK_POSES = 1024
 
@@ -87,7 +90,8 @@ def benchmark_interior_margin() -> float:
 
 @dataclass
 class Dataset:
-    """Column-major sample store: row i of each array is sample i."""
+    """Column-major sample store: row i of each array is sample i. The
+    poses are the labels: eval_joints(skel, thetas) gives their joints."""
 
     skeleton_name: str
     sigma_mm: float
@@ -95,7 +99,6 @@ class Dataset:
     seed: int
     features: np.ndarray  # (N, 3 * n_eval)
     thetas: np.ndarray    # (N, D)
-    joints: np.ndarray    # (N, J, 3)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -103,8 +106,7 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         idx = list(indices)
         return Dataset(self.skeleton_name, self.sigma_mm, self.occlusion_prob,
-                       self.seed, self.features[idx], self.thetas[idx],
-                       self.joints[idx])
+                       self.seed, self.features[idx], self.thetas[idx])
 
 
 @dataclass
@@ -141,11 +143,22 @@ class MetricsReport:
         return "\n".join(rows) + "\n"
 
 
+def eval_joints(skel: Skeleton, thetas: np.ndarray) -> np.ndarray:
+    """Eval-joint positions (N, n_eval, 3) of poses (N, D), exact: one FK
+    pass over blocks of _FK_CHUNK_POSES poses, the bits of a single pass."""
+    ev = list(skel.eval_subset)
+    out = np.empty((len(thetas), len(ev), 3))
+    for start in range(0, len(thetas), _FK_CHUNK_POSES):
+        block = slice(start, start + _FK_CHUNK_POSES)
+        out[block] = forward_kinematics_batch(skel, thetas[block], joint_indices=ev)
+    return out
+
+
 def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
                  occlusion_prob: float, seed: int,
                  interior_margin: float = 0.0,
                  pose_shape: str = "uniform") -> Dataset:
-    """Sample n poses and build noisy eval-joint features with exact labels.
+    """Sample n poses and build their noisy eval-joint features.
 
     `interior_margin` shrinks the sampling box by that fraction of each
     DOF's range on both sides; `pose_shape` is "uniform" over that box or
@@ -174,15 +187,14 @@ def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
         thetas += lo
     else:
         thetas = rng.uniform(lo, hi, size=(n, skel.n_dofs))
-    joints = np.empty((n, skel.n_joints, 3))
+    features = eval_joints(skel, thetas)
+    # block by block, which bounds the draws' temporary; the blocks' draws
+    # are the numbers of one draw over all samples
     for start in range(0, n, _FK_CHUNK_POSES):
-        block = slice(start, start + _FK_CHUNK_POSES)
-        joints[block] = forward_kinematics_batch(skel, thetas[block])
-    ev = list(skel.eval_subset)
-    features = joints[:, ev, :]
-    features += rng.normal(0.0, noise_sigma_mm, size=(n, len(ev), 3))
+        block = features[start:start + _FK_CHUNK_POSES]
+        block += rng.normal(0.0, noise_sigma_mm, size=block.shape)
     if occlusion_prob > 0.0:
-        occluded = rng.uniform(size=(n, len(ev))) < occlusion_prob
+        occluded = rng.uniform(size=features.shape[:2]) < occlusion_prob
         features[occluded] = OCCLUSION_SENTINEL_MM
     return Dataset(
         skeleton_name=skel.name,
@@ -191,7 +203,6 @@ def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
         seed=int(seed),
         features=features.reshape(n, -1),
         thetas=thetas,
-        joints=joints,
     )
 
 
@@ -233,16 +244,15 @@ def score(skel: Skeleton, predictions, ground_truth: Dataset,
     NaN invalid fraction.
     """
     n = len(ground_truth)
-    ev = list(skel.eval_subset)
     if _are_poses(skel, predictions):
         pose_preds = predictions
-        pred_joints = forward_kinematics_batch(skel, pose_preds, joint_indices=ev)
+        pred_joints = eval_joints(skel, pose_preds)
     else:
-        pred_joints = predictions.reshape(n, len(ev), 3)
+        pred_joints = predictions.reshape(n, len(skel.eval_subset), 3)
         pose_preds = (None if fitted_poses is None
                       else np.asarray(fitted_poses, dtype=float))
 
-    resid = pred_joints - ground_truth.joints[:, ev, :]
+    resid = pred_joints - eval_joints(skel, ground_truth.thetas)
     sq = resid * resid
     err = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
     max_err = err.max(axis=1)

@@ -80,11 +80,17 @@ def _resolve_skeleton(path) -> sk.Skeleton:
 
 
 def _read_dataset(path, skel) -> bench.Dataset:
-    """A dataset file, refused unless it was made for `skel`."""
+    """A dataset file, refused unless it was made for `skel` and its arrays
+    have `skel`'s widths."""
     data = fileio.read_dataset(path)
     if data.skeleton_name != skel.name:
         raise _CliError(f"{path}: dataset was made for skeleton "
                         f"{data.skeleton_name!r}, not {skel.name!r}")
+    for key, width in (("features", 3 * len(skel.eval_subset)), ("thetas", skel.n_dofs)):
+        got = getattr(data, key).shape[1]
+        if got != width:
+            raise _CliError(f"{path}: {key} are {got} wide, skeleton {skel.name!r} "
+                            f"needs {width}")
     return data
 
 

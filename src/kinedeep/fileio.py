@@ -21,10 +21,12 @@ parsed array. Floats are written with repr (shortest round-trip), so write
 -> read -> write is byte-stable. Parse errors carry 1-based line numbers.
 
 A dataset is one uncompressed .npz file, read with allow_pickle=False, of
-float64 members features (N, 3 * n_eval), thetas (N, D) and joints (N, 3J),
-and meta, a 0-d JSON string: magic "kinedeep-dataset", version 2, skeleton,
-sigma_mm, occlusion, seed and n, the sample count. Its zip entries carry
-numpy's fixed 1980 timestamp, so the same dataset gives the same bytes.
+float64 members features (N, 3 * n_eval) and thetas (N, D), and meta, a 0-d
+JSON string: magic "kinedeep-dataset", version 3, skeleton, sigma_mm,
+occlusion, seed and n, the sample count. It stores no joint positions: the
+labels are the forward kinematics of thetas (bench.eval_joints). Its zip
+entries carry numpy's fixed 1980 timestamp, so the same dataset gives the
+same bytes.
 """
 from __future__ import annotations
 
@@ -39,8 +41,8 @@ POSES_MAGIC = "kinedeep-poses"
 JOINTS_MAGIC = "kinedeep-joints"
 DATASET_MAGIC = "kinedeep-dataset"
 JACOBIAN_MAGIC = "kinedeep-jacobian"
-DATASET_VERSION = 2
-_DATASET_ARRAYS = ("features", "thetas", "joints")
+DATASET_VERSION = 3
+_DATASET_ARRAYS = ("features", "thetas")
 
 
 class FileFormatError(ValueError):
@@ -132,7 +134,7 @@ def write_dataset(path, data: Dataset) -> None:
             "occlusion": data.occlusion_prob, "seed": data.seed, "n": len(data)}
     with open(path, "wb") as fh:  # given a path, savez would append ".npz"
         np.savez(fh, features=data.features, thetas=data.thetas,
-                 joints=data.joints.reshape(len(data), -1), meta=np.array(json.dumps(meta)))
+                 meta=np.array(json.dumps(meta)))
 
 
 def read_dataset(path) -> Dataset:
@@ -152,7 +154,7 @@ def read_dataset(path) -> Dataset:
             raise FileFormatError(f"{path}: unreadable .npz dataset: {e}") from None
     if sorted(members) != sorted((*_DATASET_ARRAYS, "meta")):
         raise FileFormatError(f"{path}: members {sorted(members)}, expected "
-                              f"{', '.join(_DATASET_ARRAYS)} and meta")
+                              f"{', '.join(_DATASET_ARRAYS)} and meta; re-run synth")
     try:
         meta = json.loads(str(members["meta"][()]))
         if (meta["magic"], meta["version"]) != (DATASET_MAGIC, DATASET_VERSION):
@@ -161,7 +163,7 @@ def read_dataset(path) -> Dataset:
     except (KeyError, TypeError, ValueError):
         raise FileFormatError(f"{path}: meta is not a {DATASET_MAGIC} "
                               f"version {DATASET_VERSION} record; re-run synth") from None
-    features, thetas, joints = arrays = [members[key] for key in _DATASET_ARRAYS]
+    arrays = [members[key] for key in _DATASET_ARRAYS]
     for key, a in zip(_DATASET_ARRAYS, arrays):
         if a.dtype != np.float64 or a.ndim != 2:
             raise FileFormatError(f"{path}: {key} is {a.dtype} of shape {a.shape}, "
@@ -171,6 +173,4 @@ def read_dataset(path) -> Dataset:
         raise FileFormatError(f"{path}: row counts {rows} are not all meta's n={n}")
     if not n:
         raise FileFormatError(f"{path}: dataset has no samples")
-    if joints.shape[1] % 3:
-        raise FileFormatError(f"{path}: joints width {joints.shape[1]} is not a multiple of 3")
-    return Dataset(*info, features, thetas, joints.reshape(n, -1, 3))
+    return Dataset(*info, *arrays)

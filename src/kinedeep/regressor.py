@@ -398,7 +398,7 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
     if mode.theta_targets:
         targets = dataset.thetas
     else:
-        targets = dataset.joints[:, list(skel.eval_subset), :].reshape(len(dataset), -1)
+        targets = bench.eval_joints(skel, dataset.thetas).reshape(len(dataset), -1)
     lam = mode.penalty_weight(sgd.lam)
     n = len(dataset)
     for frac_lr, frac_ep in STAGES if sgd.staged else ((1.0, 1.0),):

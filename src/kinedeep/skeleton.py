@@ -491,10 +491,12 @@ def _dof_from_dict(raw: dict, joint_name: str) -> DofSpec:
 
 def skeleton_from_dict(raw: dict, name=None) -> Skeleton:
     """Build and validate a Skeleton from its JSON-style dict form."""
-    if "joints" not in raw or not isinstance(raw["joints"], list):
+    if not isinstance(raw, dict) or not isinstance(raw.get("joints"), list):
         raise SkeletonError("config must contain a 'joints' list")
     name_to_index = {}
     for i, entry in enumerate(raw["joints"]):
+        if not isinstance(entry, dict):
+            raise SkeletonError(f"joint #{i} is not an object")
         jname = entry.get("name")
         if not jname:
             raise SkeletonError(f"joint #{i} has no name")
@@ -514,9 +516,10 @@ def skeleton_from_dict(raw: dict, name=None) -> Skeleton:
                     f"joint {jname!r}: unknown parent {parent_name!r}"
                 )
             parent = name_to_index[parent_name]
-        dofs = tuple(
-            _dof_from_dict(d, jname) for d in entry.get("dofs", [])
-        )
+        raw_dofs = entry.get("dofs", [])
+        if not isinstance(raw_dofs, list) or not all(isinstance(d, dict) for d in raw_dofs):
+            raise SkeletonError(f"joint {jname!r}: dofs must be a list of objects")
+        dofs = tuple(_dof_from_dict(d, jname) for d in raw_dofs)
         joints.append(
             JointSpec(
                 name=jname,
@@ -529,6 +532,8 @@ def skeleton_from_dict(raw: dict, name=None) -> Skeleton:
 
     eval_subset = None
     if "eval_subset" in raw:
+        if not isinstance(raw["eval_subset"], list):
+            raise SkeletonError("eval_subset must be a list of joint names")
         eval_subset = []
         for ename in raw["eval_subset"]:
             if ename not in name_to_index:

@@ -428,7 +428,9 @@ def flat_train(run, dataset, skel, sgd, val=None):
     if mode.theta_targets:
         targets = dataset.thetas
     else:
-        targets = dataset.joints[:, list(skel.eval_subset), :].reshape(len(dataset), -1)
+        targets = forward_kinematics_batch(skel, dataset.thetas,
+                                           joint_indices=list(skel.eval_subset))
+        targets = targets.reshape(len(dataset), -1)
     lam = mode.penalty_weight(sgd.lam)
     rng = np.random.default_rng([run.config.seed, 1])
     n = len(dataset)
@@ -516,9 +518,9 @@ def one_pass_make_dataset(skel, n, noise_sigma_mm, occlusion_prob, seed,
         thetas = lo + unit * (hi - lo)
     else:
         thetas = rng.uniform(lo, hi, size=(n, skel.n_dofs))
-    joints = forward_kinematics_batch(skel, thetas)
     ev = list(skel.eval_subset)
-    features = joints[:, ev, :] + rng.normal(0.0, noise_sigma_mm, size=(n, len(ev), 3))
+    joints = forward_kinematics_batch(skel, thetas)[:, ev, :]
+    features = joints + rng.normal(0.0, noise_sigma_mm, size=(n, len(ev), 3))
     if occlusion_prob > 0.0:
         occluded = rng.uniform(size=(n, len(ev))) < occlusion_prob
         features[occluded] = bench.OCCLUSION_SENTINEL_MM
@@ -529,7 +531,6 @@ def one_pass_make_dataset(skel, n, noise_sigma_mm, occlusion_prob, seed,
         seed=int(seed),
         features=features.reshape(n, -1),
         thetas=thetas,
-        joints=joints,
     )
 
 

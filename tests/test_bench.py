@@ -36,21 +36,36 @@ def test_sample_pose_spans_ranges(hand):
 def test_make_dataset_clean_features_match_joints(hand):
     data = bench.make_dataset(hand, n=50, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=3)
     ev = list(hand.eval_subset)
-    assert np.array_equal(data.features.reshape(50, len(ev), 3), data.joints[:, ev, :])
+    assert np.array_equal(data.features.reshape(50, len(ev), 3),
+                          bench.eval_joints(hand, data.thetas))
 
 
 def test_make_dataset_labels_exact(hand):
+    # the labels are the eval rows of the full FK of the stored poses
     data = bench.make_dataset(hand, n=20, noise_sigma_mm=8.0, occlusion_prob=0.2, seed=3)
     recomputed = kin.forward_kinematics_batch(hand, data.thetas)
-    assert np.array_equal(recomputed, data.joints)
+    assert np.array_equal(recomputed[:, list(hand.eval_subset)],
+                          bench.eval_joints(hand, data.thetas))
     assert np.all(data.thetas >= hand.dof_lower) and np.all(data.thetas <= hand.dof_upper)
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 4097])
+def test_eval_joints_give_the_bytes_of_one_fk_pass(hand, rng, n):
+    # 1023 to 1025 straddle one 1024-pose block; 4097 leaves one pose in a fifth
+    for skel in (hand, bench.benchmark_skeleton()):
+        thetas = rng.uniform(skel.dof_lower, skel.dof_upper, size=(n, skel.n_dofs))
+        got = bench.eval_joints(skel, thetas)
+        want = kin.forward_kinematics_batch(skel, thetas,
+                                            joint_indices=list(skel.eval_subset))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_make_dataset_noise_magnitude(hand):
     sigma = 5.0
     data = bench.make_dataset(hand, n=10_000, noise_sigma_mm=sigma, occlusion_prob=0.0, seed=12)
     ev = list(hand.eval_subset)
-    deviation = np.abs(data.features.reshape(len(data), len(ev), 3) - data.joints[:, ev, :])
+    deviation = np.abs(data.features.reshape(len(data), len(ev), 3)
+                       - bench.eval_joints(hand, data.thetas))
     expected = sigma * math.sqrt(2.0 / math.pi)  # mean of |N(0, sigma)|
     assert abs(deviation.mean() - expected) < 0.05 * expected
 
@@ -83,7 +98,7 @@ def test_make_dataset_matches_one_pass_oracle(hand, n):
         want = oracles.one_pass_make_dataset(*args, **kwargs)
         assert (data.skeleton_name, data.sigma_mm, data.occlusion_prob, data.seed) == \
             (want.skeleton_name, want.sigma_mm, want.occlusion_prob, want.seed)
-        for name in ("features", "thetas", "joints"):
+        for name in ("features", "thetas"):
             got, ref = getattr(data, name), getattr(want, name)
             assert np.array_equal(got, ref) and got.strides == ref.strides
 
@@ -97,7 +112,7 @@ def test_make_dataset_memory_peak_is_bounded(hand):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = data.features.nbytes + data.thetas.nbytes + data.joints.nbytes
+    kept = data.features.nbytes + data.thetas.nbytes
     assert peak < 1.5 * kept
 
 
@@ -114,7 +129,6 @@ def test_dataset_indexing(hand):
     data = bench.make_dataset(hand, n=6, noise_sigma_mm=1.0, occlusion_prob=0.0, seed=2)
     row = data.subset([3])
     assert np.array_equal(row.thetas[0], data.thetas[3])
-    assert np.array_equal(row.joints[0], data.joints[3])
     assert np.array_equal(row.features[0], data.features[3])
     assert len(data) == 6 and len(row) == 1
 
@@ -132,7 +146,7 @@ def test_evaluate_single_bad_joint_curve(hand):
     n = 10
     data = bench.make_dataset(hand, n=n, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=14)
     ev = list(hand.eval_subset)
-    preds = data.joints[:, ev, :].copy()
+    preds = bench.eval_joints(hand, data.thetas)
     preds[0, 2] += np.array([20.0, 0.0, 0.0])  # one joint in one frame off by 20 mm
     report = bench.evaluate(hand, preds, data, thresholds=[10.0, 25.0],
                             fitted_poses=data.thetas)
@@ -170,7 +184,6 @@ def test_evaluate_translation_invariance(hand, rng):
         data.skeleton_name, data.sigma_mm, data.occlusion_prob, data.seed,
         data.features,
         data.thetas + np.concatenate([[40.0, -10.0, 25.0], np.zeros(23)]),
-        data.joints + np.array([40.0, -10.0, 25.0]),
     )
     moved = bench.evaluate(hand, shifted_preds, shifted)
     assert np.isclose(moved.avg_joint_error_mm, base.avg_joint_error_mm, atol=1e-9)
@@ -188,17 +201,16 @@ def test_evaluate_angle_error_known_offset(hand):
 
 def test_evaluate_joint_predictions_need_fit_info(hand):
     data = bench.make_dataset(hand, n=4, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=2)
-    ev = list(hand.eval_subset)
     with pytest.raises(ValueError, match="fitted_poses"):
-        bench.evaluate(hand, data.joints[:, ev, :], data)
+        bench.evaluate(hand, bench.eval_joints(hand, data.thetas), data)
 
 
 def test_evaluate_joint_predictions_with_fit(hand):
     data = bench.make_dataset(hand, n=3, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=11)
-    ev = list(hand.eval_subset)
+    joints = bench.eval_joints(hand, data.thetas)
     cfg = ik_pso.PsoConfig(seed=1, iterations=150)
-    fitted = np.stack([r.theta for r in ik_pso.fit_batch(hand, data.joints[:, ev, :], cfg)])
-    report = bench.evaluate(hand, data.joints[:, ev, :], data, fitted_poses=fitted)
+    fitted = np.stack([r.theta for r in ik_pso.fit_batch(hand, joints, cfg)])
+    report = bench.evaluate(hand, joints, data, fitted_poses=fitted)
     assert report.avg_joint_error_mm == 0.0  # joint metrics use the joints directly
     assert report.invalid_pose_fraction == 0.0  # fitted poses are clamped
     assert math.isfinite(report.avg_angle_error_deg)
@@ -224,6 +236,6 @@ def test_evaluate_rejects_fitted_poses_of_another_shape(hand, shape):
     # a (1, D) set used to be broadcast over every frame, and (3, 5) raised
     # IndexError, which the command line does not map to exit 1
     data = bench.make_dataset(hand, n=3, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=11)
-    ev = list(hand.eval_subset)
+    joints = bench.eval_joints(hand, data.thetas)
     with pytest.raises(ValueError, match=re.escape(f"{shape} does not match (3, 26)")):
-        bench.evaluate(hand, data.joints[:, ev, :], data, fitted_poses=np.zeros(shape))
+        bench.evaluate(hand, joints, data, fitted_poses=np.zeros(shape))

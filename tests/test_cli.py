@@ -257,6 +257,73 @@ def test_eval_refuses_malformed_npz_dataset(tmp_path, capsys):
     assert not report.exists()
 
 
+def synth_and_train(tmp_path):
+    """A 16-sample hand23 dataset, and a checkpoint trained on it."""
+    data = tmp_path / "data.ds"
+    assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
+    ckpt = tmp_path / "run.ckpt.json"
+    assert run_cli("train", "--train", str(data), "--epochs", "1",
+                   "--batch", "16", "--out", str(ckpt)) == 0
+    with np.load(data) as npz:
+        members = dict(npz)
+    return data, ckpt, members
+
+
+def assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt, *messages):
+    capsys.readouterr()
+    out = tmp_path / "again.ckpt.json"
+    assert run_cli("train", "--mode", "ours", "--train", str(data), "--epochs", "1",
+                   "--batch", "16", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert all(m in err for m in messages), err
+    assert not out.exists()
+    report = tmp_path / "report.json"
+    assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(data),
+                   "--out", str(report)) == 1
+    err = capsys.readouterr().err
+    assert all(m in err for m in messages), err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("key, width", [("features", 42), ("thetas", 26)])
+def test_train_and_eval_refuse_dataset_widths_of_another_skeleton(
+        tmp_path, capsys, key, width):
+    # a 41-wide features array used to train and evaluate (exit 0), and a
+    # 25-wide thetas array to train, then fail with an IndexError traceback
+    data, ckpt, members = synth_and_train(tmp_path)
+    members[key] = members[key][:, :-1]
+    with open(data, "wb") as fh:
+        np.savez(fh, **members)
+    assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt,
+                                 f"{key} are {width - 1} wide", f"needs {width}")
+
+
+def test_train_and_eval_refuse_v2_dataset_with_joints(hand, tmp_path, capsys):
+    data, ckpt, members = synth_and_train(tmp_path)
+    meta = json.loads(str(members["meta"][()]))
+    meta["version"] = 2
+    members["meta"] = np.array(json.dumps(meta))
+    members["joints"] = kin.forward_kinematics_batch(hand, members["thetas"]).reshape(16, -1)
+    with open(data, "wb") as fh:
+        np.savez(fh, **members)
+    assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt, "re-run synth")
+
+
+@pytest.mark.parametrize("cfg", [
+    {"joints": [1]},
+    {"joints": [{"name": "root", "dofs": "xy"}]},
+    {"joints": [{"name": "root", "dofs": [1]}]},
+    {"joints": [{"name": "root"}], "eval_subset": 5},
+    5,
+])
+def test_malformed_skeleton_json_exits_1(tmp_path, capsys, cfg):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("gradcheck", "--skeleton", str(path), "--trials", "1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_train_prints_last_epoch_without_second_validation_pass(
         tmp_path, monkeypatch, capsys):
     data = tmp_path / "data.csv"

@@ -95,6 +95,8 @@ def test_dataset_roundtrip(hand, tmp_path):
     data = bench.make_dataset(hand, n=7, noise_sigma_mm=4.0, occlusion_prob=0.2, seed=3)
     path = tmp_path / "data.ds"
     fileio.write_dataset(path, data)
+    with np.load(path, allow_pickle=False) as npz:  # no joints: they are FK of thetas
+        assert sorted(npz.files) == ["features", "meta", "thetas"]
     again = fileio.read_dataset(path)
     assert again.skeleton_name == data.skeleton_name
     assert again.sigma_mm == data.sigma_mm
@@ -102,7 +104,6 @@ def test_dataset_roundtrip(hand, tmp_path):
     assert again.seed == data.seed
     assert np.array_equal(again.features, data.features)
     assert np.array_equal(again.thetas, data.thetas)
-    assert np.array_equal(again.joints, data.joints)
     copy = tmp_path / "copy.ds"
     fileio.write_dataset(copy, again)
     assert copy.read_bytes() == path.read_bytes()
@@ -110,10 +111,10 @@ def test_dataset_roundtrip(hand, tmp_path):
 
 def write_npz(path, n=2, **members):
     """A dataset .npz whose members default to a valid 2-sample set."""
-    meta = {"magic": "kinedeep-dataset", "version": 2, "skeleton": "x",
+    meta = {"magic": "kinedeep-dataset", "version": 3, "skeleton": "x",
             "sigma_mm": 1.0, "occlusion": 0.0, "seed": 1, "n": n}
     arrays = {"features": np.ones((2, 6)), "thetas": np.ones((2, 4)),
-              "joints": np.ones((2, 9)), "meta": np.array(json.dumps(meta))}
+              "meta": np.array(json.dumps(meta))}
     arrays.update(members)
     with open(path, "wb") as fh:
         np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
@@ -124,20 +125,13 @@ def test_dataset_valid_npz_reads(tmp_path):
     data = fileio.read_dataset(write_npz(tmp_path / "data.ds"))
     assert (data.skeleton_name, data.sigma_mm, data.occlusion_prob, data.seed) == \
         ("x", 1.0, 0.0, 1)
-    assert data.joints.shape == (2, 3, 3)
+    assert data.features.shape == (2, 6) and data.thetas.shape == (2, 4)
 
 
 def test_dataset_members_with_different_row_counts(tmp_path):
     path = write_npz(tmp_path / "data.ds", thetas=np.ones((3, 4)))
     with pytest.raises(fileio.FileFormatError,
                        match=r"row counts .*'thetas': 3.* not all meta's n=2"):
-        fileio.read_dataset(path)
-
-
-def test_dataset_joints_width_not_a_multiple_of_3(tmp_path):
-    path = write_npz(tmp_path / "data.ds", joints=np.ones((2, 4)))
-    with pytest.raises(fileio.FileFormatError,
-                       match="joints width 4 is not a multiple of 3"):
         fileio.read_dataset(path)
 
 
@@ -148,7 +142,7 @@ def test_dataset_row_count_must_match_meta(tmp_path):
 
 
 def test_dataset_missing_member(tmp_path):
-    for missing in ("features", "thetas", "joints", "meta"):
+    for missing in ("features", "thetas", "meta"):
         path = write_npz(tmp_path / f"no_{missing}.ds", **{missing: None})
         with pytest.raises(fileio.FileFormatError, match="members .*, expected features"):
             fileio.read_dataset(path)
@@ -170,7 +164,7 @@ def test_dataset_object_member_refused_without_pickle(tmp_path):
 
 def test_dataset_with_zero_samples(tmp_path):
     path = write_npz(tmp_path / "data.ds", n=0, features=np.ones((0, 6)),
-                     thetas=np.ones((0, 4)), joints=np.ones((0, 9)))
+                     thetas=np.ones((0, 4)))
     with pytest.raises(fileio.FileFormatError, match="no samples"):
         fileio.read_dataset(path)
 

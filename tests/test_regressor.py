@@ -202,7 +202,7 @@ def oracle_case(hand, kind, mode):
     if spec.theta_targets:
         targets = data.thetas
     else:
-        targets = data.joints[:, list(hand.eval_subset), :].reshape(len(data), -1)
+        targets = bench.eval_joints(hand, data.thetas).reshape(len(data), -1)
     return run, features, targets
 
 
