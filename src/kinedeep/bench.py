@@ -237,11 +237,14 @@ def _are_poses(skel: Skeleton, predictions: np.ndarray) -> bool:
 
 
 def score(skel: Skeleton, predictions, ground_truth: Dataset,
-          thresholds=DEFAULT_THRESHOLDS_MM, fitted_poses=None) -> MetricsReport:
+          thresholds=DEFAULT_THRESHOLDS_MM, fitted_poses=None,
+          true_joints=None) -> MetricsReport:
     """The metrics of :func:`evaluate`, without its checks and without a fit.
 
     Joint-set predictions with no `fitted_poses` get NaN angle error and
-    NaN invalid fraction.
+    NaN invalid fraction. `true_joints`, when given, must be
+    eval_joints(skel, ground_truth.thetas): a caller that scores the same
+    frames again and again computes them once.
     """
     n = len(ground_truth)
     if _are_poses(skel, predictions):
@@ -252,7 +255,9 @@ def score(skel: Skeleton, predictions, ground_truth: Dataset,
         pose_preds = (None if fitted_poses is None
                       else np.asarray(fitted_poses, dtype=float))
 
-    resid = pred_joints - eval_joints(skel, ground_truth.thetas)
+    if true_joints is None:
+        true_joints = eval_joints(skel, ground_truth.thetas)
+    resid = pred_joints - true_joints
     sq = resid * resid
     err = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
     max_err = err.max(axis=1)

@@ -12,8 +12,10 @@ epoch beside each checkpoint (<checkpoint>.epochs.jsonl: stage learning
 rate, train loss, last-batch gradient norm, validation metrics when there
 is a validation set, seconds).
 
-reproduce trains its four modes in parallel, one worker process per
-available CPU, at most one per mode. Pin BLAS to one thread
+reproduce trains its four modes in parallel, one training worker process
+per available CPU (at most one per mode), plus one worker that fits IK to
+direct_joint's predictions as soon as they exist; the manifest's tasks
+list records which worker ran what, and when. Pin BLAS to one thread
 (OPENBLAS_NUM_THREADS=1 or the like): each worker keeps a CPU busy, and
 BLAS threads on top of the workers oversubscribe the CPUs.
 
@@ -398,14 +400,15 @@ def _mode_checkpoint(out_dir, mode) -> str:
 
 
 def reproduce_mode(mode, skel, train_data, val_data, args):
-    """One mode of `reproduce`, start to end.
+    """One mode of `reproduce`: train, save, predict and, for a pose mode,
+    score.
 
-    Trains the mode on `train_data`, saves its checkpoint (and its epoch
-    records) in args.out, predicts `val_data`, fits angles by IK to the
-    first args.fit_frames predictions of a joint-emitting mode, and scores.
-    Returns the MetricsReport and the mode's stage seconds: train_<mode>
-    (training and checkpoint write), ik_fit (0 unless the mode emits
-    joints) and evaluate (val forward pass and metrics).
+    Trains the mode on `train_data` and saves its checkpoint (and its epoch
+    records) in args.out, then predicts all of `val_data`. Returns a pose
+    mode's MetricsReport, or a joint-emitting mode's predictions of the
+    first args.fit_frames val rows, which reproduce_fit scores; and the
+    mode's stage seconds: train_<mode> (training and checkpoint write) and
+    evaluate (val forward pass, and metrics).
     """
     spec = reg.MODES[mode]
     started = time.monotonic()
@@ -415,27 +418,37 @@ def reproduce_mode(mode, skel, train_data, val_data, args):
     run = _train_mode(skel, mode, train_data, None, sgd, args.seed, ckpt)
     reg.save_checkpoint(run, ckpt, skel)
     trained = time.monotonic()
-    stages_s = {f"train_{mode}": trained - started, "ik_fit": 0.0}
+    # all rows in one call, then the slice: under ~200 rows BLAS takes
+    # another kernel, which changes the predictions' bits
     predictions = reg.predict(run, val_data.features, skel)
-    fitted = None
-    if not spec.emits_pose:
-        n_fit = min(args.fit_frames, len(val_data))
-        predictions, val_data = predictions[:n_fit], val_data.subset(range(n_fit))
-        fit_cfg = ik_pso.PsoConfig(seed=args.seed, iterations=150,
-                                   phase_iterations=75)
-        fit_started = time.monotonic()
-        fitted = np.stack([r.theta for r in ik_pso.fit_batch(
-            skel, predictions, fit_cfg)])
-        stages_s["ik_fit"] = time.monotonic() - fit_started
-    report = bench.evaluate(skel, predictions, val_data, fitted_poses=fitted)
-    stages_s["evaluate"] = time.monotonic() - trained - stages_s["ik_fit"]
-    return report, stages_s
+    if spec.emits_pose:
+        outcome = bench.evaluate(skel, predictions, val_data)
+    else:
+        outcome = predictions[:args.fit_frames]
+    return outcome, {f"train_{mode}": trained - started,
+                     "evaluate": time.monotonic() - trained}
 
 
-# reproduce_mode's arguments after the mode, set in each pool worker (never
-# in the parent) by the pool's initializer. Fork passes an initializer's
-# arguments without pickling, so the workers share the parent's datasets
-# instead of holding copies.
+def reproduce_fit(predictions, skel, val_data, args):
+    """Fit angles by IK to a joint-emitting mode's predictions of the first
+    val rows, and score them. Returns the MetricsReport and the stage
+    seconds ik_fit and evaluate (metrics)."""
+    fit_cfg = ik_pso.PsoConfig(seed=args.seed, iterations=150, phase_iterations=75)
+    started = time.monotonic()
+    fitted = np.stack([r.theta for r in ik_pso.fit_batch(skel, predictions, fit_cfg)])
+    fit_s = time.monotonic() - started
+    report = bench.evaluate(skel, predictions, val_data.subset(range(len(predictions))),
+                            fitted_poses=fitted)
+    return report, {"ik_fit": fit_s, "evaluate": time.monotonic() - started - fit_s}
+
+
+# The name of reproduce's IK-fit task, beside the modes' training tasks.
+IK_FIT = "ik_fit"
+
+# (run start, then reproduce_mode's arguments after the mode), set in each
+# pool worker (never in the parent) by the pool's initializer. Fork passes an
+# initializer's arguments without pickling, so the workers share the
+# parent's datasets instead of holding copies.
 _worker_inputs = ()
 
 
@@ -444,8 +457,19 @@ def _set_worker_inputs(*inputs):
     _worker_inputs = inputs
 
 
-def _reproduce_mode_in_worker(mode):
-    return reproduce_mode(mode, *_worker_inputs)
+def _task_in_worker(task, *task_args):
+    """reproduce_mode(task), or reproduce_fit(*task_args) for IK_FIT, run in
+    a pool worker. Returns its result and the task's timeline entry: the
+    worker's pid and the task's start and end, in seconds from the run's
+    start (time.monotonic is one clock for every process)."""
+    run_started, skel, train_data, val_data, args = _worker_inputs
+    started = time.monotonic()
+    if task == IK_FIT:
+        result = reproduce_fit(*task_args, skel, val_data, args)
+    else:
+        result = reproduce_mode(task, skel, train_data, val_data, args)
+    return result, {"task": task, "pid": os.getpid(), "start_s": started - run_started,
+                    "end_s": time.monotonic() - run_started}
 
 
 def cmd_reproduce(args) -> int:
@@ -457,7 +481,7 @@ def cmd_reproduce(args) -> int:
     # imported here, because only reproduce starts processes: at module level
     # they would add ~15 ms to the start-up of every subcommand
     import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     started = time.monotonic()
     os.makedirs(args.out, exist_ok=True)
@@ -478,40 +502,59 @@ def cmd_reproduce(args) -> int:
     val_data = bench.make_dataset(skel, n=args.val_n, noise_sigma_mm=args.sigma,
                                   occlusion_prob=args.occlusion, seed=args.seed + 1,
                                   interior_margin=margin, pose_shape="central")
-    # seconds per stage, for the manifest: the modes' stages are summed over
-    # the modes and run in parallel, so they overlap in wall time
+    # seconds per stage, for the manifest: the tasks' stages are summed over
+    # the tasks and run in parallel, so they overlap in wall time
     stages_s = {"datasets": time.monotonic() - started}
     log(f"datasets: {args.train_n} train / {args.val_n} val, sigma "
         f"{args.sigma} mm, occlusion {args.occlusion}")
 
-    # The modes share only the read-only datasets, and each trains
+    # The tasks share only the read-only datasets, and each runs
     # deterministically (and single-threaded, with BLAS pinned), so they run
-    # in parallel, one worker process per available CPU. The pool forks all
-    # its workers at the first submit, before it starts its own thread. The
-    # IK mode is the longest, so it goes first.
-    workers = min(len(reg.MODES), len(os.sched_getaffinity(0)))
-    log(f"training {len(reg.MODES)} modes on {workers} worker processes")
-    table = {}
+    # in parallel: at most one training task per available CPU, and the IK
+    # fit of the joint-emitting mode on one more worker, from the moment that
+    # mode's predictions are back. The pool forks all its workers at the
+    # first submit, before it starts its own thread. The joint-emitting mode
+    # trains first, so its fit starts early.
+    slots = min(len(reg.MODES), len(os.sched_getaffinity(0)))
+    workers = slots + 1
+    log(f"training {len(reg.MODES)} modes on {slots} worker processes, "
+        f"fitting IK on one more")
+    queue = sorted(reg.MODES, key=lambda m: reg.MODES[m].emits_pose)
+    table, tasks = {}, []
     with ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
                              initializer=_set_worker_inputs,
-                             initargs=(skel, train_data, val_data, args)) as pool:
-        futures = {pool.submit(_reproduce_mode_in_worker, mode): mode
-                   for mode in sorted(reg.MODES, key=lambda m: reg.MODES[m].emits_pose)}
+                             initargs=(started, skel, train_data, val_data, args)) as pool:
+        pending = {}
+
+        def submit(task, *task_args):
+            pending[pool.submit(_task_in_worker, task, *task_args)] = task
+
         try:
-            for future in as_completed(futures):
-                mode = futures[future]
-                try:
-                    report, mode_stages_s = future.result()
-                except reg.NumericalError as e:
-                    raise reg.NumericalError(f"{mode}: {e}") from None
-                for stage, seconds in mode_stages_s.items():
-                    stages_s[stage] = stages_s.get(stage, 0.0) + seconds
-                table[mode] = report
-                log(f"{mode}: joint {report.avg_joint_error_mm:.2f} mm, angle "
-                    f"{report.avg_angle_error_deg:.2f} deg, invalid "
-                    f"{report.invalid_pose_fraction:.4f}")
+            for _ in range(slots):
+                submit(queue.pop(0))
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    task = pending.pop(future)
+                    try:
+                        (outcome, task_stages_s), entry = future.result()
+                    except reg.NumericalError as e:
+                        raise reg.NumericalError(f"{task}: {e}") from None
+                    tasks.append(entry)
+                    for stage, seconds in task_stages_s.items():
+                        stages_s[stage] = stages_s.get(stage, 0.0) + seconds
+                    if task != IK_FIT and queue:
+                        submit(queue.pop(0))  # the task's CPU is free
+                    if task == DIRECT_JOINT:  # the outcome is its predictions
+                        submit(IK_FIT, outcome)
+                        continue
+                    mode = DIRECT_JOINT if task == IK_FIT else task
+                    table[mode] = outcome
+                    log(f"{mode}: joint {outcome.avg_joint_error_mm:.2f} mm, angle "
+                        f"{outcome.avg_angle_error_deg:.2f} deg, invalid "
+                        f"{outcome.invalid_pose_fraction:.4f}")
         except BaseException:
-            # a failed mode fails the run: start no mode still queued
+            # a failed task fails the run: start no task still queued
             pool.shutdown(cancel_futures=True)
             raise
 
@@ -558,6 +601,7 @@ def cmd_reproduce(args) -> int:
                      "interior_margin": margin, "pose_shape": "central"},
                     args.seed, [], outputs, started, stages_s=stages_s,
                     workers=workers,
+                    tasks=sorted(tasks, key=lambda entry: entry["start_s"]),
                     peak_rss_mb={"parent": parent["peak_rss_mb"],
                                  "workers": children["peak_rss_mb"]},
                     minor_faults={"parent": parent["minor_faults"],
@@ -656,9 +700,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reproduce",
                        help="train all four modes and print the comparison table",
                        description="Train all four modes and print the comparison "
-                                   "table. The modes run in parallel, one worker "
-                                   "process per available CPU; pin BLAS to one "
-                                   "thread (OPENBLAS_NUM_THREADS=1) to avoid "
+                                   "table. The modes train in parallel, one worker "
+                                   "process per available CPU, plus one worker for "
+                                   "direct_joint's IK fit; pin BLAS to one thread "
+                                   "(OPENBLAS_NUM_THREADS=1) to avoid "
                                    "oversubscribing the CPUs.")
     p.add_argument("--skeleton", default=None,
                    help="override the benchmark skeleton")

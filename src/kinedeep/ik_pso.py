@@ -25,10 +25,13 @@ on its own: its swarm at ``TOL_MM``, its later phases once it converged,
 its polish when no damping gives descent. Frames go through in chunks of
 at most ``_CHUNK_POSES`` particles.
 
-Each frame has its own generator seeded with ``config.seed`` and draws in
-the order a fit of that frame alone would. Kinematics returns every batch
-in the same layout, the per-frame products are computed pose by pose, and
-ties in best-selection resolve to the lowest particle index. A frame's
+Each frame draws from a stream seeded with ``config.seed``, in the order a
+fit of that frame alone would. Frames whose streams are in the same state
+(every frame, until one stops early) share one generator and so one draw
+per iteration; a frame that stops while others of its group draw on keeps
+a copy of the state. Kinematics returns every batch in the same layout,
+the per-frame products are computed pose by pose, and ties in
+best-selection resolve to the lowest particle index. A frame's
 result is therefore reproducible bit for bit given (seed, config, target),
 and does not depend on the other frames in the call or on the chunking.
 ``fit_batch(warm_start=True)`` seeds each frame from the previous frame's
@@ -36,6 +39,7 @@ result, an inherently sequential chain, so it fits one frame at a time.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -120,8 +124,35 @@ class _Objective:
         return (pos - self.targets[frames]).reshape(len(frames), -1), jac
 
 
+def _streams(rngs, frames):
+    """The distinct generators of `frames`, in order of first use, and each
+    frame's index among them."""
+    index = {}
+    groups = np.array([index.setdefault(rngs[f], len(index)) for f in frames])
+    return list(index), groups
+
+
+def _detach(rngs, stopped, going_on):
+    """Give each frame of `stopped` that shares its generator with a frame of
+    `going_on` a copy of it, so that it keeps the state its own fit would
+    have while the others draw on."""
+    shared = {rngs[f] for f in going_on}
+    copies = {}
+    for f in stopped:
+        gen = rngs[f]
+        if gen in shared:
+            if gen not in copies:
+                copies[gen] = copy.deepcopy(gen)
+            rngs[f] = copies[gen]
+
+
 def _swarm_phase(obj, rngs, frames, config, budget, center):
     """One swarm run for each frame index in `frames`.
+
+    Frames whose ``rngs`` entry is the same generator are in the same state,
+    so they share each draw. The update runs in place, in the order of the
+    module docstring's formula, so every product has the bits of the plain
+    expression.
 
     Returns (theta (A, D), loss (A,), residual (A,), iterations used (A,)).
     """
@@ -130,14 +161,13 @@ def _swarm_phase(obj, rngs, frames, config, budget, center):
     span = upper - lower
     S, D = config.swarm_size, skel.n_dofs
 
+    gens, groups = _streams(rngs, frames)
     if center is None:
-        X = np.stack([rngs[f].uniform(lower, upper, size=(S, D))
-                      for f in frames])
+        X = np.stack([gen.uniform(lower, upper, size=(S, D)) for gen in gens])[groups]
     else:
-        X = np.stack([center + rngs[f].normal(0.0, INIT_SIGMA_FRAC,
-                                              size=(S, D)) * span
-                      for f in frames])
-        X = np.clip(X, lower, upper)
+        X = np.stack([center + gen.normal(0.0, INIT_SIGMA_FRAC, size=(S, D)) * span
+                      for gen in gens])[groups]
+        np.clip(X, lower, upper, out=X)
         X[:, 0] = center  # keep the center itself in every swarm
     V = np.zeros_like(X)
     vmax = MAX_VELOCITY_FRAC * span
@@ -153,31 +183,52 @@ def _swarm_phase(obj, rngs, frames, config, budget, center):
     gbest_res = pbest_res[live, g]
 
     used = np.zeros(len(frames), dtype=int)
+    resized = True
     for _ in range(budget):
         running = gbest_res[live] > TOL_MM
         if not running.all():
+            _detach(rngs, frames[live[~running]], frames[live[running]])
             live = live[running]
             if live.size == 0:
                 break
             X, V, pbest = X[running], V[running], pbest[running]
             pbest_fit, pbest_res = pbest_fit[running], pbest_res[running]
-        # r1 then r2 from each frame's own stream, as two (S, D) draws would
-        r = np.stack([rngs[frames[i]].uniform(size=(2, S, D)) for i in live])
-        V = (INERTIA * V
-             + COGNITIVE * r[:, 0] * (pbest - X)
-             + SOCIAL * r[:, 1] * (gbest[live, None] - X))
+            resized = True
+        if resized:
+            gens, groups = _streams(rngs, frames[live])
+            draws = np.empty((len(gens), 2, S, D))
+            step = np.empty_like(X)
+            low, high = np.empty(X.shape, dtype=bool), np.empty(X.shape, dtype=bool)
+            particle_frames = np.repeat(frames[live], S)
+            resized = False
+        # r1 then r2 from each stream, as two (S, D) uniform draws would be
+        for gen, r in zip(gens, draws):
+            gen.random(out=r)
+        draws[:, 0] *= COGNITIVE
+        draws[:, 1] *= SOCIAL
+        c1, c2 = (draws[0, 0], draws[0, 1]) if len(gens) == 1 else \
+            (draws[groups, 0], draws[groups, 1])
+        V *= INERTIA
+        np.subtract(pbest, X, out=step)
+        step *= c1
+        V += step
+        np.subtract(gbest[live, None], X, out=step)
+        step *= c2
+        V += step
         np.clip(V, -vmax, vmax, out=V)
-        X = X + V
-        out = (X < lower) | (X > upper)
-        X = np.clip(X, lower, upper)
-        V[out] = 0.0
+        X += V
+        np.less(X, lower, out=low)
+        np.greater(X, upper, out=high)
+        low |= high
+        np.clip(X, lower, upper, out=X)
+        np.copyto(V, 0.0, where=low)
 
-        fit, res = obj.batch(X.reshape(-1, D), np.repeat(frames[live], S))
+        fit, res = obj.batch(X.reshape(-1, D), particle_frames)
         fit, res = fit.reshape(-1, S), res.reshape(-1, S)
         better = fit < pbest_fit
-        pbest[better] = X[better]
-        pbest_fit[better] = fit[better]
-        pbest_res[better] = res[better]
+        np.copyto(pbest, X, where=better[..., None])
+        np.copyto(pbest_fit, fit, where=better)
+        np.copyto(pbest_res, res, where=better)
         rows = np.arange(live.size)
         g = np.argmin(pbest_fit, axis=1)
         improved = pbest_fit[rows, g] < gbest_fit[live]
@@ -265,7 +316,10 @@ def _fit_chunk(skel, targets, config):
     """Fit every frame of `targets` ((F, n_eval, 3)) with the same config."""
     F, D = len(targets), skel.n_dofs
     obj = _Objective(skel, targets)
-    rngs = [np.random.default_rng(config.seed) for _ in range(F)]
+    # every frame starts in the same state, so one generator serves all until
+    # a frame stops inside a swarm phase (_detach); a frame that skips a
+    # phase has converged and never draws again
+    rngs = [np.random.default_rng(config.seed)] * F
     everyone = np.arange(F)
 
     best_theta = np.zeros((F, D))

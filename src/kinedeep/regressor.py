@@ -355,8 +355,11 @@ def sgd_step(run: TrainRun, grads, sgd: SgdConfig) -> TrainRun:
     return run
 
 
-def validation_stats(run: TrainRun, dataset, skel: Skeleton):
+def validation_stats(run: TrainRun, dataset, skel: Skeleton, true_joints=None):
     """(joint err mm, angle err deg, invalid fraction) on a dataset.
+
+    `true_joints` are the dataset's eval-joint labels, when the caller has
+    them (bench.score).
 
     Angle and validity metrics apply to pose-emitting modes only; a mode
     that emits joints gets NaN there (its angles exist only after a
@@ -366,7 +369,8 @@ def validation_stats(run: TrainRun, dataset, skel: Skeleton):
     if not np.all(np.isfinite(predictions)):
         # finite but huge weights can overflow on the forward pass
         raise NumericalError("non-finite network output on the validation set")
-    report = bench.score(skel, predictions, dataset, thresholds=())
+    report = bench.score(skel, predictions, dataset, thresholds=(),
+                         true_joints=true_joints)
     return (report.avg_joint_error_mm, report.avg_angle_error_deg,
             report.invalid_pose_fraction)
 
@@ -399,6 +403,8 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
         targets = dataset.thetas
     else:
         targets = bench.eval_joints(skel, dataset.thetas).reshape(len(dataset), -1)
+    # the validation labels, once for every epoch's validation_stats
+    val_joints = None if val is None else bench.eval_joints(skel, val.thetas)
     lam = mode.penalty_weight(sgd.lam)
     n = len(dataset)
     for frac_lr, frac_ep in STAGES if sgd.staged else ((1.0, 1.0),):
@@ -434,7 +440,8 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
                 raise NumericalError(f"non-finite weights after epoch {epoch}")
             if val is not None:
                 try:
-                    joint_err, angle_err, invalid = validation_stats(run, val, skel)
+                    joint_err, angle_err, invalid = validation_stats(run, val, skel,
+                                                                     val_joints)
                 except NumericalError as e:
                     raise NumericalError(f"{e} after epoch {epoch}") from None
             else:

@@ -40,6 +40,8 @@ def axis_index(axis) -> int:
             return _AXIS_INDEX[axis.upper()]
         except KeyError:
             raise SkeletonError(f"unknown axis {axis!r}, expected one of {AXES}") from None
+    if not isinstance(axis, (int, float)):
+        raise SkeletonError(f"unknown axis {axis!r}, expected one of {AXES}")
     i = int(axis)
     if i not in (0, 1, 2):
         raise SkeletonError(f"axis index {axis!r} out of range")
@@ -459,6 +461,15 @@ def _dof_to_dict(dof: DofSpec) -> dict:
     }
 
 
+def _number(value, joint_name, key) -> float:
+    """float(value), or a SkeletonError naming the joint and the key."""
+    try:
+        return float(value)
+    except TypeError:
+        raise SkeletonError(f"joint {joint_name!r}: {key} must be a number, "
+                            f"not {value!r}") from None
+
+
 def _dof_from_dict(raw: dict, joint_name: str) -> DofSpec:
     try:
         kind = raw["kind"]
@@ -467,16 +478,16 @@ def _dof_from_dict(raw: dict, joint_name: str) -> DofSpec:
         raise SkeletonError(f"joint {joint_name!r}: dof missing key {e}") from None
     if kind == KIND_ROTATION:
         try:
-            lower = math.radians(float(raw["lower_deg"]))
-            upper = math.radians(float(raw["upper_deg"]))
+            lower = math.radians(_number(raw["lower_deg"], joint_name, "lower_deg"))
+            upper = math.radians(_number(raw["upper_deg"], joint_name, "upper_deg"))
         except KeyError as e:
             raise SkeletonError(
                 f"joint {joint_name!r}: rotation dof missing key {e}"
             ) from None
     elif kind == KIND_TRANSLATION:
         try:
-            lower = float(raw["lower_mm"])
-            upper = float(raw["upper_mm"])
+            lower = _number(raw["lower_mm"], joint_name, "lower_mm")
+            upper = _number(raw["upper_mm"], joint_name, "upper_mm")
         except KeyError as e:
             raise SkeletonError(
                 f"joint {joint_name!r}: translation dof missing key {e}"
@@ -498,8 +509,8 @@ def skeleton_from_dict(raw: dict, name=None) -> Skeleton:
         if not isinstance(entry, dict):
             raise SkeletonError(f"joint #{i} is not an object")
         jname = entry.get("name")
-        if not jname:
-            raise SkeletonError(f"joint #{i} has no name")
+        if not jname or not isinstance(jname, str):
+            raise SkeletonError(f"joint #{i} has no name (a non-empty string)")
         if jname in name_to_index:
             raise SkeletonError(f"duplicate joint name {jname!r}")
         name_to_index[jname] = i
@@ -511,7 +522,7 @@ def skeleton_from_dict(raw: dict, name=None) -> Skeleton:
         if parent_name is None:
             parent = None
         else:
-            if parent_name not in name_to_index:
+            if not isinstance(parent_name, str) or parent_name not in name_to_index:
                 raise SkeletonError(
                     f"joint {jname!r}: unknown parent {parent_name!r}"
                 )
@@ -520,13 +531,18 @@ def skeleton_from_dict(raw: dict, name=None) -> Skeleton:
         if not isinstance(raw_dofs, list) or not all(isinstance(d, dict) for d in raw_dofs):
             raise SkeletonError(f"joint {jname!r}: dofs must be a list of objects")
         dofs = tuple(_dof_from_dict(d, jname) for d in raw_dofs)
+        rest_offset = entry.get("rest_offset_deg", (0.0, 0.0, 0.0))
+        if not isinstance(rest_offset, (list, tuple)) or \
+                not all(isinstance(v, (int, float)) for v in rest_offset):
+            raise SkeletonError(f"joint {jname!r}: rest_offset_deg must be a list of numbers")
         joints.append(
             JointSpec(
                 name=jname,
                 parent=parent,
-                bone_length=float(entry.get("bone_length_mm", 0.0)),
+                bone_length=_number(entry.get("bone_length_mm", 0.0), jname,
+                                    "bone_length_mm"),
                 dofs=dofs,
-                rest_offset_deg=tuple(entry.get("rest_offset_deg", (0.0, 0.0, 0.0))),
+                rest_offset_deg=tuple(rest_offset),
             )
         )
 
@@ -536,7 +552,7 @@ def skeleton_from_dict(raw: dict, name=None) -> Skeleton:
             raise SkeletonError("eval_subset must be a list of joint names")
         eval_subset = []
         for ename in raw["eval_subset"]:
-            if ename not in name_to_index:
+            if not isinstance(ename, str) or ename not in name_to_index:
                 raise SkeletonError(f"eval_subset names unknown joint {ename!r}")
             eval_subset.append(name_to_index[ename])
     return Skeleton(joints, eval_subset=eval_subset,

@@ -11,7 +11,7 @@ from kinedeep import bench, cli, fileio, ik_pso
 from kinedeep import kinematics as kin
 from kinedeep import regressor as reg
 from kinedeep import skeleton as sk
-from kinedeep.cli import build_parser, main, reproduce_mode
+from kinedeep.cli import build_parser, main, reproduce_fit, reproduce_mode
 
 
 def run_cli(*argv):
@@ -315,6 +315,16 @@ def test_train_and_eval_refuse_v2_dataset_with_joints(hand, tmp_path, capsys):
     {"joints": [{"name": "root", "dofs": [1]}]},
     {"joints": [{"name": "root"}], "eval_subset": 5},
     5,
+    {"joints": [{"name": ["root"]}]},
+    {"joints": [{"name": "root"}, {"name": "tip", "parent": ["root"]}]},
+    {"joints": [{"name": "root"}], "eval_subset": [["root"]]},
+    {"joints": [{"name": "root", "bone_length_mm": [1.0]}]},
+    {"joints": [{"name": "root", "dofs": [{"kind": "rotation", "axis": "X",
+                                           "lower_deg": [0.0], "upper_deg": 10.0}]}]},
+    {"joints": [{"name": "root", "rest_offset_deg": 5}]},
+    {"joints": [{"name": "root", "rest_offset_deg": [[1.0], 0.0, 0.0]}]},
+    {"joints": [{"name": "root", "dofs": [{"kind": "rotation", "axis": ["X"],
+                                           "lower_deg": 0.0, "upper_deg": 10.0}]}]},
 ])
 def test_malformed_skeleton_json_exits_1(tmp_path, capsys, cfg):
     path = tmp_path / "bad.json"
@@ -542,7 +552,19 @@ def test_reproduce_smoke(tmp_path):
     assert set(stages) == {"datasets", "ik_fit", "evaluate",
                            *(f"train_{mode}" for mode in reg.MODES)}
     assert all(np.isfinite(v) and v >= 0.0 for v in stages.values())
-    assert manifest["workers"] == min(len(reg.MODES), len(os.sched_getaffinity(0)))
+    # one training worker per CPU, at most one per mode, and one for the IK fit
+    cpus = min(len(reg.MODES), len(os.sched_getaffinity(0)))
+    assert manifest["workers"] == cpus + 1
+    # the timeline follows from the dispatch order, not from timing
+    tasks = manifest["tasks"]
+    assert sorted(t["task"] for t in tasks) == sorted([*reg.MODES, "ik_fit"])
+    assert all(0.0 <= t["start_s"] <= t["end_s"] <= manifest["duration_s"]
+               and isinstance(t["pid"], int) for t in tasks)
+    by_task = {t["task"]: t for t in tasks}
+    assert by_task["ik_fit"]["start_s"] >= by_task["direct_joint"]["end_s"]
+    training = [t for t in tasks if t["task"] in reg.MODES]
+    for t in training:  # the most training tasks in flight is at a start
+        assert sum(u["start_s"] <= t["start_s"] < u["end_s"] for u in training) <= cpus
     rss = manifest["peak_rss_mb"]
     assert set(rss) == {"parent", "workers"} and min(rss.values()) > 0.0
     faults = manifest["minor_faults"]  # the workers' is a sum over them
@@ -576,7 +598,8 @@ REPRODUCE_TINY = ["reproduce", "--seed", "3", "--train-n", "64", "--val-n", "16"
 
 
 def test_reproduce_pool_matches_in_process_modes(tmp_path):
-    # the pool's table and checkpoints equal reproduce_mode run here, mode by mode
+    # the pool's table and checkpoints equal reproduce_mode (and, for
+    # direct_joint, reproduce_fit) run here, mode by mode
     pooled = tmp_path / "pooled"
     assert run_cli(*REPRODUCE_TINY, "--out", str(pooled)) in (0, 3)
     table = json.loads((pooled / "table.json").read_text())
@@ -590,7 +613,11 @@ def test_reproduce_pool_matches_in_process_modes(tmp_path):
         for i, n in enumerate((args.train_n, args.val_n)))
     for mode in reg.MODES:
         report, stages = reproduce_mode(mode, skel, train_data, val_data, args)
-        assert set(stages) == {f"train_{mode}", "ik_fit", "evaluate"}
+        assert set(stages) == {f"train_{mode}", "evaluate"}
+        if mode == "direct_joint":  # its predictions of the frames to fit
+            assert len(report) == args.fit_frames
+            report, stages = reproduce_fit(report, skel, val_data, args)
+            assert set(stages) == {"ik_fit", "evaluate"}
         assert json.dumps(table["modes"][mode], sort_keys=True) == \
             json.dumps(report.to_dict(), sort_keys=True)
         name = f"{mode}.ckpt.json"

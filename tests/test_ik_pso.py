@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -225,6 +226,44 @@ def test_fit_batch_matches_sequential_fitter(hand, mixed_targets, extra):
         assert results[0].converged and results[0].iterations_used < cfg.iterations
         assert not results[1].converged
         assert results[1].iterations_used == cfg.iterations
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["stops_first", "stops_last"])
+def test_frame_that_stops_early_keeps_its_stream(monkeypatch, order):
+    # both frames draw from one shared generator until the reachable one
+    # stops inside a phase; it then keeps a copy, while the other draws on
+    real_detach = ik_pso._detach
+    copies = []
+
+    def detach(rngs, stopped, going_on):
+        real_detach(rngs, stopped, going_on)
+        copies.extend(rngs[f] is not rngs[g] for f in stopped for g in going_on)
+
+    monkeypatch.setattr(ik_pso, "_detach", detach)
+    chain = planar_two_dof()
+    reachable = forward_kinematics_batch(chain, np.array([[1.1, -2.3]]))[0]
+    targets = np.stack([reachable, 3.0 * reachable])[list(order)]
+    cfg = ik_pso.PsoConfig(seed=0, **SMALL)
+    results = assert_matches_sequential(chain, targets, cfg)
+    reach, far = results[order.index(0)], results[order.index(1)]
+    assert reach.converged and reach.iterations_used < cfg.phase_iterations
+    assert far.iterations_used == cfg.iterations
+    assert copies and all(copies)
+
+
+def test_swarm_phase_streams_in_two_states_match_one_frame_at_a_time(hand, mixed_targets):
+    # frames 0 and 1 share a stream; frame 2's is two draws further on
+    cfg = ik_pso.PsoConfig(seed=7, **SMALL)
+    obj = ik_pso._Objective(hand, mixed_targets[:3])
+    shared, ahead = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed)
+    ahead.random(2)
+    starts = [shared, shared, ahead]
+    alone = [ik_pso._swarm_phase(obj, [copy.deepcopy(g)] * 3, np.array([f]), cfg, 20, None)
+             for f, g in enumerate(starts)]
+    together = ik_pso._swarm_phase(obj, list(starts), np.arange(3), cfg, 20, None)
+    for f, one in enumerate(alone):
+        for got, want in zip(together, one):
+            assert np.array_equal(got[f], want[0])
 
 
 def test_fit_pose_with_init_center_matches_sequential_fitter(hand, rng):

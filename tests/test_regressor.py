@@ -347,6 +347,28 @@ def test_train_history_length_and_val_metrics(hand):
 
 
 @pytest.mark.parametrize("mode", ["ours", "direct_joint"])
+def test_train_labels_the_validation_set_once(hand, monkeypatch, mode):
+    # the validation labels come from one FK pass per train call, not one
+    # per epoch
+    data, val = small_dataset(hand), small_dataset(hand, n=24, seed=6)
+    real = bench.eval_joints
+    val_passes = []
+
+    def counting(skel, thetas):
+        if thetas is val.thetas:
+            val_passes.append(1)
+        return real(skel, thetas)
+
+    monkeypatch.setattr(bench, "eval_joints", counting)
+    width = hand.n_dofs if mode == "ours" else 3 * len(hand.eval_subset)
+    cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 16, width), seed=7,
+                        input_scale=0.01)
+    for calls in (1, 2):
+        reg.train(reg.init(cfg, mode), data, hand, train_config(epochs=4), val=val)
+        assert len(val_passes) == calls
+
+
+@pytest.mark.parametrize("mode", ["ours", "direct_joint"])
 def test_on_epoch_records_each_epoch(hand, monkeypatch, mode):
     # staged with val: each epoch's record carries its stage lr, the history
     # row's loss and val metrics, and the norm of its last batch gradient
