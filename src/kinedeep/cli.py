@@ -15,9 +15,9 @@ is a validation set, seconds).
 reproduce trains its four modes in parallel, one training worker process
 per available CPU (at most one per mode), plus one worker that fits IK to
 direct_joint's predictions as soon as they exist; the manifest's tasks
-list records which worker ran what, and when. Pin BLAS to one thread
-(OPENBLAS_NUM_THREADS=1 or the like): each worker keeps a CPU busy, and
-BLAS threads on top of the workers oversubscribe the CPUs.
+list records which worker ran what, when, and its CPU seconds. Pin BLAS
+to one thread (OPENBLAS_NUM_THREADS=1 or the like): each worker keeps a
+CPU busy, and BLAS threads on top of the workers oversubscribe the CPUs.
 
 main first fixes glibc's malloc thresholds (_set_malloc_thresholds), which
 forked pool workers inherit.
@@ -460,16 +460,20 @@ def _set_worker_inputs(*inputs):
 def _task_in_worker(task, *task_args):
     """reproduce_mode(task), or reproduce_fit(*task_args) for IK_FIT, run in
     a pool worker. Returns its result and the task's timeline entry: the
-    worker's pid and the task's start and end, in seconds from the run's
-    start (time.monotonic is one clock for every process)."""
+    worker's pid, the task's start and end, in seconds from the run's start
+    (time.monotonic is one clock for every process), and the worker's user
+    plus system CPU seconds over the task (cpu_s: work, not waiting)."""
     run_started, skel, train_data, val_data, args = _worker_inputs
-    started = time.monotonic()
+    started, before = time.monotonic(), resource.getrusage(resource.RUSAGE_SELF)
     if task == IK_FIT:
         result = reproduce_fit(*task_args, skel, val_data, args)
     else:
         result = reproduce_mode(task, skel, train_data, val_data, args)
+    after = resource.getrusage(resource.RUSAGE_SELF)
     return result, {"task": task, "pid": os.getpid(), "start_s": started - run_started,
-                    "end_s": time.monotonic() - run_started}
+                    "end_s": time.monotonic() - run_started,
+                    "cpu_s": (after.ru_utime + after.ru_stime
+                              - before.ru_utime - before.ru_stime)}
 
 
 def cmd_reproduce(args) -> int:
@@ -484,7 +488,6 @@ def cmd_reproduce(args) -> int:
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     started = time.monotonic()
-    os.makedirs(args.out, exist_ok=True)
     # the interior margin undoes the benchmark skeleton's bound expansion;
     # a skeleton file's bounds are sampled whole
     if args.skeleton:
@@ -502,6 +505,7 @@ def cmd_reproduce(args) -> int:
     val_data = bench.make_dataset(skel, n=args.val_n, noise_sigma_mm=args.sigma,
                                   occlusion_prob=args.occlusion, seed=args.seed + 1,
                                   interior_margin=margin, pose_shape="central")
+    os.makedirs(args.out, exist_ok=True)  # only once every input is accepted
     # seconds per stage, for the manifest: the tasks' stages are summed over
     # the tasks and run in parallel, so they overlap in wall time
     stages_s = {"datasets": time.monotonic() - started}

@@ -16,7 +16,8 @@ blocks of FORWARD_BLOCK_ROWS to 2 * FORWARD_BLOCK_ROWS - 1 rows, and keeps
 only two layers of one block alive: the one being computed and the one
 feeding it. Training keeps every layer's output for the backward pass, and
 takes each ReLU mask from those outputs; no pre-activation is stored.
-Checkpoints stream the weights to disk one row at a time.
+A checkpoint is one JSON header line followed by each layer's weights and
+biases as .npy records (save_checkpoint).
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .kinematics import fk_jacobian_batch
 from .skeleton import Skeleton
 
 CHECKPOINT_FORMAT = "kinedeep-checkpoint"
-CHECKPOINT_VERSION = 2  # 2 records the skeleton; 1 does not
+CHECKPOINT_VERSION = 3  # 3: .npy layer records; 2: all JSON; 1: no skeleton
 OUTPUT_GAIN = 50.0  # fixed output gain of the pose- and joint-regressing modes
 # Inference runs in row blocks of at least this many rows (fewer only when
 # there are fewer). OpenBLAS (0.3.31, measured) gives a row the same bits
@@ -64,18 +65,13 @@ class Mode:
         """The targets are ground-truth poses; otherwise eval joints."""
         return self.emits_pose and not self.through_fk
 
-    @property
-    def gained(self) -> bool:
-        """The outputs carry OUTPUT_GAIN: whitened per DOF for poses
-        (pose_output_scale), flat for joint coordinates."""
-        return not self.theta_targets
-
     def output_width(self, skel: Skeleton) -> int:
         return skel.n_dofs if self.emits_pose else 3 * len(skel.eval_subset)
 
     def output_scale(self, skel: Skeleton) -> tuple | None:
-        """Fixed per-output gains for MlpConfig.output_scale."""
-        if not self.gained:
+        """Fixed per-output gains for MlpConfig.output_scale (none for pose
+        targets)."""
+        if self.theta_targets:
             return None
         if self.emits_pose:
             return pose_output_scale(skel)
@@ -479,8 +475,14 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
 
 
 def save_checkpoint(run: TrainRun, path, skel: Skeleton) -> None:
-    """Write `run` as trained for `skel`, whose fingerprint it records."""
-    payload = {
+    """Write `run` as trained for `skel`, whose fingerprint it records.
+
+    Line 1 is JSON: format, version, skeleton fingerprint, MLP config, mode
+    and history. Each layer's weights, then its biases, follow as .npy
+    records (np.save writes the float64 bytes without a copy). The
+    `.ckpt.json` suffix of train's and reproduce's files is historical.
+    """
+    header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "skeleton": skel.fingerprint(),
@@ -492,66 +494,58 @@ def save_checkpoint(run: TrainRun, path, skel: Skeleton) -> None:
             "output_scale": list(run.config.output_scale) if run.config.output_scale else None,
         },
         "mode": run.mode,
-        "weights": run.weights,
-        "biases": run.biases,
         "history": [
             [h.train_loss, h.val_joint_err_mm, h.val_angle_err_deg, h.val_invalid_frac]
             for h in run.history
         ],
     }
-    with open(path, "w") as fh:
-        _write_json(fh, payload)
-        fh.write("\n")
-
-
-def _write_json(fh, obj) -> None:
-    """Write the bytes of json.dump(obj, fh), one innermost list at a time;
-    an ndarray is written as its nested lists (tolist), one row at a time.
-
-    json.dump runs the pure-Python encoder; json.dumps runs the C encoder
-    but holds the whole text and its pieces in memory at once (10 MB more
-    peak for a checkpoint of the default network). Encoding each row with
-    json.dumps keeps the speed of the one and the memory of the other.
-    """
-    if isinstance(obj, dict):
-        fh.write("{")
-        for i, (key, value) in enumerate(obj.items()):
-            fh.write((", " if i else "") + json.dumps(key) + ": ")
-            _write_json(fh, value)
-        fh.write("}")
-    elif (isinstance(obj, (list, np.ndarray)) and len(obj)
-          and isinstance(obj[0], (list, dict, np.ndarray))):
-        fh.write("[")
-        for i, value in enumerate(obj):
-            if i:
-                fh.write(", ")
-            _write_json(fh, value)
-        fh.write("]")
-    else:
-        fh.write(json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj))
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        for w, b in zip(run.weights, run.biases):
+            np.save(fh, w)
+            np.save(fh, b)
 
 
 def load_checkpoint(path) -> TrainRun:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')} "
-                         f"(version {CHECKPOINT_VERSION} records the skeleton); retrain")
-    raw_scale = payload["mlp"].get("output_scale")
-    config = MlpConfig(
-        layer_widths=tuple(payload["mlp"]["layer_widths"]),
-        seed=int(payload["mlp"]["seed"]),
-        input_scale=float(payload["mlp"]["input_scale"]),
-        input_clip_abs=payload["mlp"].get("input_clip_abs"),
-        output_scale=tuple(raw_scale) if raw_scale else None,
-    )
+    """Read a checkpoint that save_checkpoint wrote; every refusal is a
+    ValueError that names the path."""
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+        except ValueError:  # not JSON, or not UTF-8
+            header = None
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')} "
+                             f"(this reader reads version {CHECKPOINT_VERSION}); retrain")
+        raw_scale = header["mlp"].get("output_scale")
+        config = MlpConfig(
+            layer_widths=tuple(header["mlp"]["layer_widths"]),
+            seed=int(header["mlp"]["seed"]),
+            input_scale=float(header["mlp"]["input_scale"]),
+            input_clip_abs=header["mlp"].get("input_clip_abs"),
+            output_scale=tuple(raw_scale) if raw_scale else None,
+        )
+        widths = config.layer_widths
+        arrays = []  # each layer's weights, then its biases
+        for shape in [s for pair in zip(widths, widths[1:]) for s in (pair, pair[1:])]:
+            record = f"layer {len(arrays) // 2} {('weights', 'biases')[len(arrays) % 2]}"
+            try:
+                a = np.lib.format.read_array(fh, allow_pickle=False)
+            except ValueError as e:  # short or malformed record
+                raise ValueError(f"{path}: {record}: {e}") from None
+            if a.dtype != np.float64 or a.shape != shape:
+                raise ValueError(f"{path}: {record} are {a.dtype} {a.shape}, expected "
+                                 f"float64 {shape}")
+            arrays.append(a)
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last layer")
     return TrainRun(
         config,
-        payload["mode"],
-        [np.array(w, dtype=float) for w in payload["weights"]],
-        [np.array(b, dtype=float) for b in payload["biases"]],
-        history=[EpochStats(*row) for row in payload["history"]],
-        skeleton=payload["skeleton"],
+        header["mode"],
+        arrays[0::2],
+        arrays[1::2],
+        history=[EpochStats(*row) for row in header["history"]],
+        skeleton=header["skeleton"],
     )

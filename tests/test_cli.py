@@ -12,6 +12,7 @@ from kinedeep import kinematics as kin
 from kinedeep import regressor as reg
 from kinedeep import skeleton as sk
 from kinedeep.cli import build_parser, main, reproduce_fit, reproduce_mode
+from test_regressor import CHECKPOINT_DAMAGE, checkpoint_parts
 
 
 def run_cli(*argv):
@@ -285,6 +286,20 @@ def assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt, *messages):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("case", CHECKPOINT_DAMAGE)
+def test_eval_refuses_damaged_checkpoint(tmp_path, capsys, case):
+    damage, message = CHECKPOINT_DAMAGE[case]
+    data, ckpt, _ = synth_and_train(tmp_path)
+    ckpt.write_bytes(damage(checkpoint_parts(ckpt)))
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(data),
+                   "--out", str(report)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: ") and message in err, err
+    assert "Traceback" not in err and not report.exists()
+
+
 @pytest.mark.parametrize("key, width", [("features", 42), ("thetas", 26)])
 def test_train_and_eval_refuse_dataset_widths_of_another_skeleton(
         tmp_path, capsys, key, width):
@@ -533,6 +548,24 @@ def test_reproduce_refuses_bad_training_settings_before_datasets(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--train-n", "0", "dataset size must be >= 1"),
+    ("--val-n", "0", "dataset size must be >= 1"),
+    ("--sigma", "-1", "noise sigma must be >= 0"),
+    ("--occlusion", "1.5", "occlusion probability must lie in [0, 1)"),
+    ("--skeleton", "missing.json", "No such file or directory"),
+])
+def test_reproduce_refuses_bad_inputs_without_making_the_out_dir(
+        tmp_path, capsys, monkeypatch, flag, value, message):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "run"
+    assert run_cli("reproduce", "--train-n", "50", "--val-n", "20", "--epochs", "1",
+                   flag, value, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert not out.exists()
+
+
 def test_reproduce_smoke(tmp_path):
     # tiny-budget smoke run: pipeline mechanics and determinism, not quality
     out_a = tmp_path / "a"
@@ -560,6 +593,8 @@ def test_reproduce_smoke(tmp_path):
     assert sorted(t["task"] for t in tasks) == sorted([*reg.MODES, "ik_fit"])
     assert all(0.0 <= t["start_s"] <= t["end_s"] <= manifest["duration_s"]
                and isinstance(t["pid"], int) for t in tasks)
+    # no upper bound: BLAS threads that are not pinned can outrun wall time
+    assert all(np.isfinite(t["cpu_s"]) and t["cpu_s"] >= 0.0 for t in tasks)
     by_task = {t["task"]: t for t in tasks}
     assert by_task["ik_fit"]["start_s"] >= by_task["direct_joint"]["end_s"]
     training = [t for t in tasks if t["task"] in reg.MODES]

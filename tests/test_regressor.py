@@ -1,3 +1,4 @@
+import io
 import json
 import tracemalloc
 from dataclasses import astuple
@@ -577,9 +578,15 @@ def test_checkpoint_roundtrip(hand, tmp_path):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert again.history == run.history
     assert np.array_equal(reg.forward(again, data.features), reg.forward(run, data.features))
-    # the text is json.dump's, byte for byte
-    text = path.read_text()
-    assert text == json.dumps(json.loads(text)) + "\n"
+    # the same run saves to the same bytes, and line 1 is the JSON header
+    # (the layers and no momentum follow it as .npy records)
+    again_path = tmp_path / "again.json"
+    reg.save_checkpoint(run, again_path, hand)
+    assert again_path.read_bytes() == path.read_bytes()
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+    assert header["version"] == 3
+    assert set(header) == {"format", "version", "skeleton", "mlp", "mode", "history"}
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
@@ -589,16 +596,74 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         reg.load_checkpoint(path)
 
 
-def test_checkpoint_version_1_refused_with_retrain_message(hand, tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_checkpoint_old_versions_refused_with_retrain_message(hand, tmp_path, version):
+    # versions 1 and 2 were one JSON object, weights and biases included;
+    # version 1 recorded no skeleton
+    payload = {"format": "kinedeep-checkpoint", "version": version,
+               "skeleton": hand.fingerprint(),
+               "mlp": {"layer_widths": [2, 3], "seed": 0, "input_scale": 1.0,
+                       "input_clip_abs": None, "output_scale": None},
+               "mode": "ours", "weights": [[[0.5, -0.25, 0.0], [0.0, 1.0, 2.0]]],
+               "biases": [[0.0, 0.0, 0.0]], "history": []}
+    if version == 1:
+        del payload["skeleton"]
     path = tmp_path / "ckpt.json"
-    reg.save_checkpoint(reg.init(reg.MlpConfig(layer_widths=(2, 3)), "ours"), path, hand)
-    payload = json.loads(path.read_text())
-    assert "vel_w" not in payload and "vel_b" not in payload
-    payload["version"] = 1
-    del payload["skeleton"]
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload) + "\n")
     with pytest.raises(ValueError, match="retrain"):
         reg.load_checkpoint(path)
+
+
+def npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def checkpoint_parts(path) -> list:
+    """A checkpoint's header line, then each of its .npy records, as bytes."""
+    data = path.read_bytes()
+    fh = io.BytesIO(data)
+    parts = [fh.readline()]
+    while fh.tell() < len(data):
+        start = fh.tell()
+        np.lib.format.read_array(fh, allow_pickle=False)
+        parts.append(data[start:fh.tell()])
+    return parts
+
+
+def replace_record(parts, i, change) -> bytes:
+    array = np.load(io.BytesIO(parts[i]), allow_pickle=False)
+    return b"".join(parts[:i] + [npy_bytes(change(array))] + parts[i + 1:])
+
+
+# Damaged checkpoints: a case maps the valid file's parts to the damaged
+# bytes, beside a fragment of the refusal. Records 1 and 2 are layer 0's
+# weights and biases; layer 0's weights are not square.
+CHECKPOINT_DAMAGE = {
+    "truncated_inside_an_array": (lambda p: b"".join(p)[:-3], "biases: "),
+    "truncated_inside_an_npy_header": (lambda p: p[0] + p[1][:20], "layer 0 weights: "),
+    "header_line_only": (lambda p: p[0], "layer 0 weights: "),
+    "trailing_bytes": (lambda p: b"".join(p) + b"\0", "trailing bytes"),
+    "transposed_weights": (lambda p: replace_record(p, 1, lambda w: w.T.copy()),
+                           "layer 0 weights are float64"),
+    "int64_bias": (lambda p: replace_record(p, 2, lambda b: b.astype(np.int64)),
+                   "layer 0 biases are int64"),
+    "random_bytes": (lambda p: np.random.default_rng(5).bytes(4096),
+                     "not a kinedeep-checkpoint file"),
+    "empty": (lambda p: b"", "not a kinedeep-checkpoint file"),
+}
+
+
+@pytest.mark.parametrize("case", CHECKPOINT_DAMAGE)
+def test_damaged_checkpoint_refused_naming_the_path(hand, tmp_path, case):
+    damage, message = CHECKPOINT_DAMAGE[case]
+    path = tmp_path / "ckpt.json"
+    reg.save_checkpoint(reg.init(reg.MlpConfig(layer_widths=(4, 3, 2)), "ours"), path, hand)
+    path.write_bytes(damage(checkpoint_parts(path)))
+    with pytest.raises(ValueError) as refused:
+        reg.load_checkpoint(path)
+    assert str(refused.value).startswith(f"{path}: ") and message in str(refused.value)
 
 
 def test_train_non_finite_weights_name_the_epoch(hand, monkeypatch):
