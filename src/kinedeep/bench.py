@@ -19,8 +19,10 @@ Metrics follow the usual hand-pose protocol:
   * invalid-pose fraction: frames with at least one rotation angle outside
     its bounds.
 
-For joint-set predictions the angle metrics are computed on poses fitted by
-:func:`kinedeep.ik_pso.fit_batch`, which the caller passes in.
+:func:`evaluate` is the one scoring function. For joint-set predictions the
+angle metrics are computed on poses fitted by
+:func:`kinedeep.ik_pso.fit_batch`, which the caller passes in; without
+them they are NaN.
 """
 from __future__ import annotations
 
@@ -207,11 +209,15 @@ def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
 
 
 def evaluate(skel: Skeleton, predictions, ground_truth: Dataset,
-             thresholds=DEFAULT_THRESHOLDS_MM, *, fitted_poses=None) -> MetricsReport:
+             thresholds=DEFAULT_THRESHOLDS_MM, *, fitted_poses=None,
+             true_joints=None) -> MetricsReport:
     """Score predicted poses (N, D) or eval-joint sets (N, n_eval, 3).
 
-    For joint-set predictions the angle metrics need `fitted_poses`, the
-    poses :func:`kinedeep.ik_pso.fit_batch` fitted to them.
+    Joint-set predictions take their angle metrics from `fitted_poses`, the
+    poses :func:`kinedeep.ik_pso.fit_batch` fitted to them; without those,
+    the angle error and the invalid fraction are NaN. `true_joints`, when
+    given, must be eval_joints(skel, ground_truth.thetas): a caller that
+    scores the same frames again and again computes them once.
     """
     thresholds = list(thresholds)
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
@@ -219,41 +225,17 @@ def evaluate(skel: Skeleton, predictions, ground_truth: Dataset,
     predictions = np.asarray(predictions, dtype=float)
     n = len(ground_truth)
     if predictions.shape[0] != n:
-        raise ValueError(
-            f"{predictions.shape[0]} predictions for {n} ground-truth frames"
-        )
-    if not _are_poses(skel, predictions) and fitted_poses is None:
-        raise ValueError("joint-set predictions need fitted_poses for the angle metrics")
+        raise ValueError(f"{predictions.shape[0]} predictions for {n} ground-truth frames")
     if fitted_poses is not None:
         fitted_poses = np.asarray(fitted_poses, dtype=float)
         if fitted_poses.shape != (n, skel.n_dofs):
             raise ValueError(f"fitted_poses shape {fitted_poses.shape} does not match "
                              f"{(n, skel.n_dofs)}, one pose per ground-truth frame")
-    return score(skel, predictions, ground_truth, thresholds, fitted_poses)
-
-
-def _are_poses(skel: Skeleton, predictions: np.ndarray) -> bool:
-    return predictions.ndim == 2 and predictions.shape[1] == skel.n_dofs
-
-
-def score(skel: Skeleton, predictions, ground_truth: Dataset,
-          thresholds=DEFAULT_THRESHOLDS_MM, fitted_poses=None,
-          true_joints=None) -> MetricsReport:
-    """The metrics of :func:`evaluate`, without its checks and without a fit.
-
-    Joint-set predictions with no `fitted_poses` get NaN angle error and
-    NaN invalid fraction. `true_joints`, when given, must be
-    eval_joints(skel, ground_truth.thetas): a caller that scores the same
-    frames again and again computes them once.
-    """
-    n = len(ground_truth)
-    if _are_poses(skel, predictions):
-        pose_preds = predictions
-        pred_joints = eval_joints(skel, pose_preds)
+    if predictions.ndim == 2 and predictions.shape[1] == skel.n_dofs:
+        pose_preds, pred_joints = predictions, eval_joints(skel, predictions)
     else:
+        pose_preds = fitted_poses
         pred_joints = predictions.reshape(n, len(skel.eval_subset), 3)
-        pose_preds = (None if fitted_poses is None
-                      else np.asarray(fitted_poses, dtype=float))
 
     if true_joints is None:
         true_joints = eval_joints(skel, ground_truth.thetas)

@@ -61,17 +61,14 @@ SKELETON_ENV = "KINEDEEP_SKELETON"
 # two direct-regression baselines, by their place in the mode table.
 OURS, OURS_NO_PHY, DIRECT_JOINT, DIRECT_PARAMETER = reg.MODES
 
-
-class _CliError(Exception):
-    def __init__(self, message, code=EXIT_INVALID):
-        super().__init__(message)
-        self.code = code
+# reproduce's IK fit iterations, and eval's default --fit-iters
+FIT_ITERATIONS = 150
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; here 1 means "bad input"
     def error(self, message):
-        raise _CliError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _resolve_skeleton(path) -> sk.Skeleton:
@@ -86,13 +83,13 @@ def _read_dataset(path, skel) -> bench.Dataset:
     have `skel`'s widths."""
     data = fileio.read_dataset(path)
     if data.skeleton_name != skel.name:
-        raise _CliError(f"{path}: dataset was made for skeleton "
-                        f"{data.skeleton_name!r}, not {skel.name!r}")
+        raise ValueError(f"{path}: dataset was made for skeleton "
+                         f"{data.skeleton_name!r}, not {skel.name!r}")
     for key, width in (("features", 3 * len(skel.eval_subset)), ("thetas", skel.n_dofs)):
         got = getattr(data, key).shape[1]
         if got != width:
-            raise _CliError(f"{path}: {key} are {got} wide, skeleton {skel.name!r} "
-                            f"needs {width}")
+            raise ValueError(f"{path}: {key} are {got} wide, skeleton {skel.name!r} "
+                             f"needs {width}")
     return data
 
 
@@ -100,9 +97,9 @@ def _load_checkpoint(path, skel) -> reg.TrainRun:
     """A checkpoint, refused unless it was trained for `skel`."""
     run, want = reg.load_checkpoint(path), skel.fingerprint()
     if run.skeleton != want:
-        raise _CliError(f"{path}: checkpoint was trained for skeleton "
-                        f"{run.skeleton['name']!r}, not {want['name']!r} (sha256 "
-                        f"{run.skeleton['sha256'][:12]} vs {want['sha256'][:12]})")
+        raise ValueError(f"{path}: checkpoint was trained for skeleton "
+                         f"{run.skeleton['name']!r}, not {want['name']!r} (sha256 "
+                         f"{run.skeleton['sha256'][:12]} vs {want['sha256'][:12]})")
     return run
 
 
@@ -224,7 +221,7 @@ def _gradcheck_net(skel, rng, samples):
 def cmd_gradcheck(args) -> int:
     skel = _resolve_skeleton(args.skeleton)
     if args.trials < 1:
-        raise _CliError("--trials must be >= 1")
+        raise ValueError("--trials must be >= 1")
     rng = np.random.default_rng(args.seed)
     fk_err = _gradcheck_fk(skel, rng, args.trials)
     loss_err = _gradcheck_loss(skel, rng, min(args.trials, 20))
@@ -247,7 +244,7 @@ def cmd_ik(args) -> int:
     if frames.shape[0] and frames.shape[1] == skel.n_joints:
         frames = frames[:, list(skel.eval_subset), :]
     elif frames.shape[0] and frames.shape[1] != n_eval:
-        raise _CliError(
+        raise ValueError(
             f"{args.targets}: frames carry {frames.shape[1]} joints, expected "
             f"{n_eval} (eval subset) or {skel.n_joints} (all)"
         )
@@ -348,17 +345,23 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _fit_and_evaluate(skel, predictions, data, seed, iterations) -> bench.MetricsReport:
+    """Score joint-set predictions, with the angle metrics of the poses IK fits."""
+    fit_cfg = ik_pso.PsoConfig(seed=seed, iterations=iterations)
+    fitted = np.stack([r.theta for r in ik_pso.fit_batch(skel, predictions, fit_cfg)])
+    return bench.evaluate(skel, predictions, data, fitted_poses=fitted)
+
+
 def cmd_eval(args) -> int:
     started = time.monotonic()
     skel = _resolve_skeleton(args.skeleton)
     run = _load_checkpoint(args.ckpt, skel)
     data = _read_dataset(args.data, skel)
     predictions = reg.predict(run, data.features, skel)
-    fitted = None
-    if not reg.MODES[run.mode].emits_pose:
-        fit_cfg = ik_pso.PsoConfig(seed=args.seed, iterations=args.fit_iters)
-        fitted = np.stack([r.theta for r in ik_pso.fit_batch(skel, predictions, fit_cfg)])
-    report = bench.evaluate(skel, predictions, data, fitted_poses=fitted)
+    if reg.MODES[run.mode].emits_pose:
+        report = bench.evaluate(skel, predictions, data)
+    else:
+        report = _fit_and_evaluate(skel, predictions, data, args.seed, args.fit_iters)
     with open(args.out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
@@ -406,40 +409,27 @@ def reproduce_mode(mode, skel, train_data, val_data, args):
     Trains the mode on `train_data` and saves its checkpoint (and its epoch
     records) in args.out, then predicts all of `val_data`. Returns a pose
     mode's MetricsReport, or a joint-emitting mode's predictions of the
-    first args.fit_frames val rows, which reproduce_fit scores; and the
-    mode's stage seconds: train_<mode> (training and checkpoint write) and
-    evaluate (val forward pass, and metrics).
+    first args.fit_frames val rows, which reproduce_fit scores.
     """
     spec = reg.MODES[mode]
-    started = time.monotonic()
     sgd = reg.SgdConfig(batch_size=args.batch, learning_rate=spec.base_lr,
                         epochs=args.epochs, lam=args.lam)
     ckpt = _mode_checkpoint(args.out, mode)
     run = _train_mode(skel, mode, train_data, None, sgd, args.seed, ckpt)
     reg.save_checkpoint(run, ckpt, skel)
-    trained = time.monotonic()
     # all rows in one call, then the slice: under ~200 rows BLAS takes
     # another kernel, which changes the predictions' bits
     predictions = reg.predict(run, val_data.features, skel)
     if spec.emits_pose:
-        outcome = bench.evaluate(skel, predictions, val_data)
-    else:
-        outcome = predictions[:args.fit_frames]
-    return outcome, {f"train_{mode}": trained - started,
-                     "evaluate": time.monotonic() - trained}
+        return bench.evaluate(skel, predictions, val_data)
+    return predictions[:args.fit_frames]
 
 
 def reproduce_fit(predictions, skel, val_data, args):
     """Fit angles by IK to a joint-emitting mode's predictions of the first
-    val rows, and score them. Returns the MetricsReport and the stage
-    seconds ik_fit and evaluate (metrics)."""
-    fit_cfg = ik_pso.PsoConfig(seed=args.seed, iterations=150, phase_iterations=75)
-    started = time.monotonic()
-    fitted = np.stack([r.theta for r in ik_pso.fit_batch(skel, predictions, fit_cfg)])
-    fit_s = time.monotonic() - started
-    report = bench.evaluate(skel, predictions, val_data.subset(range(len(predictions))),
-                            fitted_poses=fitted)
-    return report, {"ik_fit": fit_s, "evaluate": time.monotonic() - started - fit_s}
+    val rows, and score them."""
+    return _fit_and_evaluate(skel, predictions, val_data.subset(range(len(predictions))),
+                             args.seed, FIT_ITERATIONS)
 
 
 # The name of reproduce's IK-fit task, beside the modes' training tasks.
@@ -478,7 +468,7 @@ def _task_in_worker(task, *task_args):
 
 def cmd_reproduce(args) -> int:
     if args.fit_frames < 1:
-        raise _CliError("--fit-frames must be >= 1")
+        raise ValueError("--fit-frames must be >= 1")
     # checks --epochs, --batch and --lambda before any dataset is made; each
     # mode builds its own, at its base learning rate
     reg.SgdConfig(batch_size=args.batch, epochs=args.epochs, lam=args.lam)
@@ -506,9 +496,6 @@ def cmd_reproduce(args) -> int:
                                   occlusion_prob=args.occlusion, seed=args.seed + 1,
                                   interior_margin=margin, pose_shape="central")
     os.makedirs(args.out, exist_ok=True)  # only once every input is accepted
-    # seconds per stage, for the manifest: the tasks' stages are summed over
-    # the tasks and run in parallel, so they overlap in wall time
-    stages_s = {"datasets": time.monotonic() - started}
     log(f"datasets: {args.train_n} train / {args.val_n} val, sigma "
         f"{args.sigma} mm, occlusion {args.occlusion}")
 
@@ -541,12 +528,10 @@ def cmd_reproduce(args) -> int:
                 for future in done:
                     task = pending.pop(future)
                     try:
-                        (outcome, task_stages_s), entry = future.result()
+                        outcome, entry = future.result()
                     except reg.NumericalError as e:
                         raise reg.NumericalError(f"{task}: {e}") from None
                     tasks.append(entry)
-                    for stage, seconds in task_stages_s.items():
-                        stages_s[stage] = stages_s.get(stage, 0.0) + seconds
                     if task != IK_FIT and queue:
                         submit(queue.pop(0))  # the task's CPU is free
                     if task == DIRECT_JOINT:  # the outcome is its predictions
@@ -603,8 +588,7 @@ def cmd_reproduce(args) -> int:
                      "batch": args.batch, "lambda": args.lam,
                      "fit_frames": args.fit_frames,
                      "interior_margin": margin, "pose_shape": "central"},
-                    args.seed, [], outputs, started, stages_s=stages_s,
-                    workers=workers,
+                    args.seed, [], outputs, started, workers=workers,
                     tasks=sorted(tasks, key=lambda entry: entry["start_s"]),
                     peak_rss_mb={"parent": parent["peak_rss_mb"],
                                  "workers": children["peak_rss_mb"]},
@@ -697,7 +681,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="JSON report path")
     p.add_argument("--curve-csv", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fit-iters", type=int, default=150,
+    p.add_argument("--fit-iters", type=int, default=FIT_ITERATIONS,
                    help="swarm iterations for direct_joint angle fitting")
     p.set_defaults(func=cmd_eval)
 
@@ -758,9 +742,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as e:
-        print(str(e), file=sys.stderr)
-        return e.code
     except (sk.SkeletonError, fileio.FileFormatError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -22,6 +22,8 @@ biases as .npy records (save_checkpoint).
 from __future__ import annotations
 
 import json
+import math
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -355,7 +357,7 @@ def validation_stats(run: TrainRun, dataset, skel: Skeleton, true_joints=None):
     """(joint err mm, angle err deg, invalid fraction) on a dataset.
 
     `true_joints` are the dataset's eval-joint labels, when the caller has
-    them (bench.score).
+    them (bench.evaluate).
 
     Angle and validity metrics apply to pose-emitting modes only; a mode
     that emits joints gets NaN there (its angles exist only after a
@@ -365,8 +367,8 @@ def validation_stats(run: TrainRun, dataset, skel: Skeleton, true_joints=None):
     if not np.all(np.isfinite(predictions)):
         # finite but huge weights can overflow on the forward pass
         raise NumericalError("non-finite network output on the validation set")
-    report = bench.score(skel, predictions, dataset, thresholds=(),
-                         true_joints=true_joints)
+    report = bench.evaluate(skel, predictions, dataset, thresholds=(),
+                            true_joints=true_joints)
     return (report.avg_joint_error_mm, report.avg_angle_error_deg,
             report.invalid_pose_fraction)
 
@@ -506,9 +508,33 @@ def save_checkpoint(run: TrainRun, path, skel: Skeleton) -> None:
             np.save(fh, b)
 
 
+def _list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(x, kind) for x in value)
+
+
+_NUMBER = (int, float)
+# The header fields load_checkpoint reads ("mlp.x" is field x of "mlp"): what
+# each must hold, and its check. A missing field reads as None.
+_HEADER_FIELDS = (
+    ("skeleton", "an object with a name and a sha256", lambda v: isinstance(v, dict)
+     and all(isinstance(v.get(k), str) for k in ("name", "sha256"))),
+    ("mlp", "an object", lambda v: isinstance(v, dict)),
+    ("mlp.layer_widths", "a list of integers", lambda v: _list_of(v, int)),
+    ("mlp.seed", "an integer", lambda v: isinstance(v, int)),
+    ("mlp.input_scale", "a number", lambda v: isinstance(v, _NUMBER)),
+    ("mlp.input_clip_abs", "a number or null", lambda v: v is None or isinstance(v, _NUMBER)),
+    ("mlp.output_scale", "a list of numbers or null",
+     lambda v: v is None or _list_of(v, _NUMBER)),
+    ("mode", f"one of {', '.join(MODES)}", lambda v: isinstance(v, str) and v in MODES),
+    ("history", "a list of rows of 4 numbers", lambda v: _list_of(v, list)
+     and all(len(row) == 4 and _list_of(row, _NUMBER) for row in v)),
+)
+
+
 def load_checkpoint(path) -> TrainRun:
     """Read a checkpoint that save_checkpoint wrote; every refusal is a
-    ValueError that names the path."""
+    ValueError that names the path. A record's .npy header is checked
+    against the layer widths before its data is read."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())
@@ -519,33 +545,41 @@ def load_checkpoint(path) -> TrainRun:
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')} "
                              f"(this reader reads version {CHECKPOINT_VERSION}); retrain")
-        raw_scale = header["mlp"].get("output_scale")
-        config = MlpConfig(
-            layer_widths=tuple(header["mlp"]["layer_widths"]),
-            seed=int(header["mlp"]["seed"]),
-            input_scale=float(header["mlp"]["input_scale"]),
-            input_clip_abs=header["mlp"].get("input_clip_abs"),
-            output_scale=tuple(raw_scale) if raw_scale else None,
-        )
+        for field, expected, check in _HEADER_FIELDS:
+            value = header
+            for key in field.split("."):
+                value = value.get(key)
+            if not check(value):
+                raise ValueError(f"{path}: header field {field} is missing or not {expected}")
+        mlp = header["mlp"]
+        try:
+            config = MlpConfig(tuple(mlp["layer_widths"]), seed=int(mlp["seed"]),
+                               input_scale=float(mlp["input_scale"]),
+                               input_clip_abs=mlp.get("input_clip_abs"),
+                               output_scale=tuple(mlp["output_scale"] or ()) or None)
+        except ValueError as e:
+            raise ValueError(f"{path}: header field mlp: {e}") from None
         widths = config.layer_widths
         arrays = []  # each layer's weights, then its biases
         for shape in [s for pair in zip(widths, widths[1:]) for s in (pair, pair[1:])]:
             record = f"layer {len(arrays) // 2} {('weights', 'biases')[len(arrays) % 2]}"
-            try:
-                a = np.lib.format.read_array(fh, allow_pickle=False)
-            except ValueError as e:  # short or malformed record
+            try:  # np.save writes version 1.0, and 2.0 for headers over 64 KiB
+                version = np.lib.format.read_magic(fh)
+                read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                               else np.lib.format.read_array_header_2_0)
+                got, fortran_order, dtype = read_header(fh)
+            except ValueError as e:  # short or malformed record header
                 raise ValueError(f"{path}: {record}: {e}") from None
-            if a.dtype != np.float64 or a.shape != shape:
-                raise ValueError(f"{path}: {record} are {a.dtype} {a.shape}, expected "
-                                 f"float64 {shape}")
-            arrays.append(a)
+            if dtype != np.dtype("<f8") or fortran_order or got != shape:
+                raise ValueError(f"{path}: {record} are {dtype} {got}"
+                                 f"{' in Fortran order' if fortran_order else ''}, "
+                                 f"expected float64 {shape}")
+            if 8 * math.prod(shape) > os.fstat(fh.fileno()).st_size - fh.tell():
+                raise ValueError(f"{path}: {record}: the file ends inside the record")
+            arrays.append(np.empty(shape))
+            fh.readinto(arrays[-1])
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last layer")
-    return TrainRun(
-        config,
-        header["mode"],
-        arrays[0::2],
-        arrays[1::2],
-        history=[EpochStats(*row) for row in header["history"]],
-        skeleton=header["skeleton"],
-    )
+    return TrainRun(config, header["mode"], arrays[0::2], arrays[1::2],
+                    history=[EpochStats(*row) for row in header["history"]],
+                    skeleton=header["skeleton"])

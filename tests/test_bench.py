@@ -199,10 +199,12 @@ def test_evaluate_angle_error_known_offset(hand):
     assert np.isclose(report.avg_angle_error_deg, expected, rtol=1e-6)
 
 
-def test_evaluate_joint_predictions_need_fit_info(hand):
+def test_evaluate_joint_predictions_without_fit_get_nan_angle_metrics(hand):
     data = bench.make_dataset(hand, n=4, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=2)
-    with pytest.raises(ValueError, match="fitted_poses"):
-        bench.evaluate(hand, bench.eval_joints(hand, data.thetas), data)
+    report = bench.evaluate(hand, bench.eval_joints(hand, data.thetas), data)
+    assert report.avg_joint_error_mm == 0.0
+    assert math.isnan(report.avg_angle_error_deg)
+    assert math.isnan(report.invalid_pose_fraction)
 
 
 def test_evaluate_joint_predictions_with_fit(hand):

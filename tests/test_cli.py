@@ -152,6 +152,17 @@ def test_ik_no_target_frames_exits_1(hand, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ik_refuses_frames_of_another_joint_count(hand, tmp_path, capsys):
+    targets = tmp_path / "j5.txt"
+    fileio.write_joint_file(targets, hand.name, np.zeros((2, 5, 3)))
+    out = tmp_path / "fit.csv"
+    assert run_cli("ik", "--targets", str(targets), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {targets}: frames carry 5 joints, expected 14 "
+                          f"(eval subset) or 23 (all)"), err
+    assert not out.exists()
+
+
 def test_synth_train_eval_pipeline(tmp_path):
     data = tmp_path / "data.csv"
     assert run_cli("synth", "--n", "64", "--sigma", "5", "--occlusion", "0.0",
@@ -520,6 +531,7 @@ def test_eval_refuses_checkpoint_of_another_skeleton(bench_dataset, tmp_path, ca
 
 def test_unknown_flag_exits_1(capsys):
     assert run_cli("fk", "--nonsense") == 1
+    assert capsys.readouterr().err.startswith("error: kinedeep fk: ")
 
 
 @pytest.mark.parametrize("fit_frames", ["0", "-3"])
@@ -581,10 +593,7 @@ def test_reproduce_smoke(tmp_path):
     payload = json.loads((out_a / "table.json").read_text())
     assert set(payload["modes"]) == set(reg.MODES)
     manifest = json.loads((out_a / "manifest.json").read_text())
-    stages = manifest["stages_s"]
-    assert set(stages) == {"datasets", "ik_fit", "evaluate",
-                           *(f"train_{mode}" for mode in reg.MODES)}
-    assert all(np.isfinite(v) and v >= 0.0 for v in stages.values())
+    assert "stages_s" not in manifest  # the tasks timeline is the one timing record
     # one training worker per CPU, at most one per mode, and one for the IK fit
     cpus = min(len(reg.MODES), len(os.sched_getaffinity(0)))
     assert manifest["workers"] == cpus + 1
@@ -647,12 +656,10 @@ def test_reproduce_pool_matches_in_process_modes(tmp_path):
                            interior_margin=margin, pose_shape="central")
         for i, n in enumerate((args.train_n, args.val_n)))
     for mode in reg.MODES:
-        report, stages = reproduce_mode(mode, skel, train_data, val_data, args)
-        assert set(stages) == {f"train_{mode}", "evaluate"}
+        report = reproduce_mode(mode, skel, train_data, val_data, args)
         if mode == "direct_joint":  # its predictions of the frames to fit
             assert len(report) == args.fit_frames
-            report, stages = reproduce_fit(report, skel, val_data, args)
-            assert set(stages) == {"ik_fit", "evaluate"}
+            report = reproduce_fit(report, skel, val_data, args)
         assert json.dumps(table["modes"][mode], sort_keys=True) == \
             json.dumps(report.to_dict(), sort_keys=True)
         name = f"{mode}.ckpt.json"

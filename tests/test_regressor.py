@@ -513,6 +513,20 @@ def test_single_sample_overfit(hand):
     assert err < 1.0
 
 
+@pytest.mark.parametrize("mode, width", [("ours", 26), ("direct_joint", 42)])
+def test_validation_stats_are_evaluate_without_thresholds(hand, mode, width):
+    data = bench.make_dataset(hand, n=40, noise_sigma_mm=3.0, occlusion_prob=0.1, seed=6)
+    run = reg.init(reg.MlpConfig(layer_widths=(42, 16, width), seed=1, input_scale=0.01),
+                   mode)
+    predictions = reg.predict(run, data.features, hand)
+    for true_joints in (None, bench.eval_joints(hand, data.thetas)):
+        report = bench.evaluate(hand, predictions, data, thresholds=())
+        want = (report.avg_joint_error_mm, report.avg_angle_error_deg,
+                report.invalid_pose_fraction)
+        got = reg.validation_stats(run, data, hand, true_joints)
+        assert np.array(got).tobytes() == np.array(want).tobytes()  # NaN included
+
+
 def test_direct_joint_training_runs(hand):
     data = small_dataset(hand)
     cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 32, 3 * len(hand.eval_subset)),
@@ -637,6 +651,20 @@ def replace_record(parts, i, change) -> bytes:
     return b"".join(parts[:i] + [npy_bytes(change(array))] + parts[i + 1:])
 
 
+def replace_header(parts, change) -> bytes:
+    header = json.loads(parts[0])
+    change(header)
+    return b"".join([json.dumps(header).encode() + b"\n"] + parts[1:])
+
+
+def huge_npy_header() -> bytes:
+    """A .npy 1.0 header that claims 2**40 float64 values (8 TiB) and no data."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": (2**40,)})
+    return buf.getvalue()
+
+
 # Damaged checkpoints: a case maps the valid file's parts to the damaged
 # bytes, beside a fragment of the refusal. Records 1 and 2 are layer 0's
 # weights and biases; layer 0's weights are not square.
@@ -652,6 +680,17 @@ CHECKPOINT_DAMAGE = {
     "random_bytes": (lambda p: np.random.default_rng(5).bytes(4096),
                      "not a kinedeep-checkpoint file"),
     "empty": (lambda p: b"", "not a kinedeep-checkpoint file"),
+    "header_without_mlp": (lambda p: replace_header(p, lambda h: h.pop("mlp")),
+                           "header field mlp is missing or not an object"),
+    "header_without_mode": (lambda p: replace_header(p, lambda h: h.pop("mode")),
+                            "header field mode is missing or not one of ours"),
+    "mlp_is_a_list": (lambda p: replace_header(p, lambda h: h.update(mlp=[4, 3, 2])),
+                      "header field mlp is missing or not an object"),
+    "history_row_of_2_values": (
+        lambda p: replace_header(p, lambda h: h.update(history=[[1.0, 2.0]])),
+        "header field history is missing or not a list of rows of 4 numbers"),
+    "npy_header_claims_8_tib": (lambda p: p[0] + huge_npy_header() + b"".join(p[2:]),
+                                "layer 0 weights are float64 (1099511627776,)"),
 }
 
 
