@@ -170,8 +170,8 @@ def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
     """
     if n < 1:
         raise ValueError("dataset size must be >= 1")
-    if noise_sigma_mm < 0:
-        raise ValueError("noise sigma must be >= 0")
+    if not 0.0 <= noise_sigma_mm < np.inf:  # NaN fails too
+        raise ValueError("noise sigma must be >= 0 and finite")
     if not 0.0 <= occlusion_prob < 1.0:
         raise ValueError("occlusion probability must lie in [0, 1)")
     if not 0.0 <= interior_margin < 0.5:

@@ -13,9 +13,10 @@ rate, train loss, last-batch gradient norm, validation metrics when there
 is a validation set, seconds).
 
 reproduce trains its four modes in parallel, one training worker process
-per available CPU (at most one per mode), plus one worker that fits IK to
-direct_joint's predictions as soon as they exist; the manifest's tasks
-list records which worker ran what, when, and its CPU seconds. Pin BLAS
+per available CPU (at most one per mode), plus one worker that, as soon as
+direct_joint's checkpoint is saved, reads it and fits IK to its
+predictions; the manifest's tasks list records which worker ran what,
+when, and its CPU seconds. Pin BLAS
 to one thread (OPENBLAS_NUM_THREADS=1 or the like): each worker keeps a
 CPU busy, and BLAS threads on top of the workers oversubscribe the CPUs.
 
@@ -345,23 +346,27 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _fit_and_evaluate(skel, predictions, data, seed, iterations) -> bench.MetricsReport:
-    """Score joint-set predictions, with the angle metrics of the poses IK fits."""
-    fit_cfg = ik_pso.PsoConfig(seed=seed, iterations=iterations)
+def _score(run, skel, data, seed, fit_iterations, fit_frames=None) -> bench.MetricsReport:
+    """The metrics of a trained run on `data`: of every row for a pose mode;
+    for a joint-emitting mode, of the first `fit_frames` rows (default all),
+    with the angle metrics of the poses IK fits to its predictions."""
+    # all rows in one call, then the slice: under ~200 rows BLAS takes
+    # another kernel, which changes the predictions' bits
+    predictions = reg.predict(run, data.features, skel)
+    if reg.MODES[run.mode].emits_pose:
+        return bench.evaluate(skel, predictions, data)
+    predictions = predictions[:fit_frames]
+    fit_cfg = ik_pso.PsoConfig(seed=seed, iterations=fit_iterations)
     fitted = np.stack([r.theta for r in ik_pso.fit_batch(skel, predictions, fit_cfg)])
-    return bench.evaluate(skel, predictions, data, fitted_poses=fitted)
+    return bench.evaluate(skel, predictions, data.subset(range(len(predictions))),
+                          fitted_poses=fitted)
 
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
     skel = _resolve_skeleton(args.skeleton)
     run = _load_checkpoint(args.ckpt, skel)
-    data = _read_dataset(args.data, skel)
-    predictions = reg.predict(run, data.features, skel)
-    if reg.MODES[run.mode].emits_pose:
-        report = bench.evaluate(skel, predictions, data)
-    else:
-        report = _fit_and_evaluate(skel, predictions, data, args.seed, args.fit_iters)
+    report = _score(run, skel, _read_dataset(args.data, skel), args.seed, args.fit_iters)
     with open(args.out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
@@ -403,13 +408,10 @@ def _mode_checkpoint(out_dir, mode) -> str:
 
 
 def reproduce_mode(mode, skel, train_data, val_data, args):
-    """One mode of `reproduce`: train, save, predict and, for a pose mode,
-    score.
-
-    Trains the mode on `train_data` and saves its checkpoint (and its epoch
-    records) in args.out, then predicts all of `val_data`. Returns a pose
-    mode's MetricsReport, or a joint-emitting mode's predictions of the
-    first args.fit_frames val rows, which reproduce_fit scores.
+    """One mode of `reproduce`: train on `train_data` and save the
+    checkpoint (and its epoch records) in args.out. Returns a pose mode's
+    MetricsReport on `val_data`, or None for a joint-emitting mode, which
+    reproduce_fit scores from its checkpoint.
     """
     spec = reg.MODES[mode]
     sgd = reg.SgdConfig(batch_size=args.batch, learning_rate=spec.base_lr,
@@ -417,19 +419,16 @@ def reproduce_mode(mode, skel, train_data, val_data, args):
     ckpt = _mode_checkpoint(args.out, mode)
     run = _train_mode(skel, mode, train_data, None, sgd, args.seed, ckpt)
     reg.save_checkpoint(run, ckpt, skel)
-    # all rows in one call, then the slice: under ~200 rows BLAS takes
-    # another kernel, which changes the predictions' bits
-    predictions = reg.predict(run, val_data.features, skel)
     if spec.emits_pose:
-        return bench.evaluate(skel, predictions, val_data)
-    return predictions[:args.fit_frames]
+        return _score(run, skel, val_data, args.seed, FIT_ITERATIONS)
+    return None
 
 
-def reproduce_fit(predictions, skel, val_data, args):
-    """Fit angles by IK to a joint-emitting mode's predictions of the first
-    val rows, and score them."""
-    return _fit_and_evaluate(skel, predictions, val_data.subset(range(len(predictions))),
-                             args.seed, FIT_ITERATIONS)
+def reproduce_fit(skel, val_data, args):
+    """Score direct_joint's saved checkpoint on the first args.fit_frames
+    val rows, with angles fitted by IK."""
+    run = _load_checkpoint(_mode_checkpoint(args.out, DIRECT_JOINT), skel)
+    return _score(run, skel, val_data, args.seed, FIT_ITERATIONS, args.fit_frames)
 
 
 # The name of reproduce's IK-fit task, beside the modes' training tasks.
@@ -447,16 +446,17 @@ def _set_worker_inputs(*inputs):
     _worker_inputs = inputs
 
 
-def _task_in_worker(task, *task_args):
-    """reproduce_mode(task), or reproduce_fit(*task_args) for IK_FIT, run in
-    a pool worker. Returns its result and the task's timeline entry: the
-    worker's pid, the task's start and end, in seconds from the run's start
-    (time.monotonic is one clock for every process), and the worker's user
-    plus system CPU seconds over the task (cpu_s: work, not waiting)."""
+def _task_in_worker(task):
+    """reproduce_mode(task), or reproduce_fit for IK_FIT, run in a pool
+    worker. Returns its MetricsReport (None for a joint-emitting mode) and
+    the task's timeline entry: the worker's pid, the task's start and end,
+    in seconds from the run's start (time.monotonic is one clock for every
+    process), and the worker's user plus system CPU seconds over the task
+    (cpu_s: work, not waiting)."""
     run_started, skel, train_data, val_data, args = _worker_inputs
     started, before = time.monotonic(), resource.getrusage(resource.RUSAGE_SELF)
     if task == IK_FIT:
-        result = reproduce_fit(*task_args, skel, val_data, args)
+        result = reproduce_fit(skel, val_data, args)
     else:
         result = reproduce_mode(task, skel, train_data, val_data, args)
     after = resource.getrusage(resource.RUSAGE_SELF)
@@ -499,11 +499,11 @@ def cmd_reproduce(args) -> int:
     log(f"datasets: {args.train_n} train / {args.val_n} val, sigma "
         f"{args.sigma} mm, occlusion {args.occlusion}")
 
-    # The tasks share only the read-only datasets, and each runs
-    # deterministically (and single-threaded, with BLAS pinned), so they run
-    # in parallel: at most one training task per available CPU, and the IK
-    # fit of the joint-emitting mode on one more worker, from the moment that
-    # mode's predictions are back. The pool forks all its workers at the
+    # The tasks share only the read-only datasets and the checkpoints, and
+    # each runs deterministically (and single-threaded, with BLAS pinned), so
+    # they run in parallel: at most one training task per available CPU, and
+    # the IK fit of the joint-emitting mode on one more worker, from the
+    # moment that mode's checkpoint is saved. The pool forks all its workers at the
     # first submit, before it starts its own thread. The joint-emitting mode
     # trains first, so its fit starts early.
     slots = min(len(reg.MODES), len(os.sched_getaffinity(0)))
@@ -517,8 +517,8 @@ def cmd_reproduce(args) -> int:
                              initargs=(started, skel, train_data, val_data, args)) as pool:
         pending = {}
 
-        def submit(task, *task_args):
-            pending[pool.submit(_task_in_worker, task, *task_args)] = task
+        def submit(task):
+            pending[pool.submit(_task_in_worker, task)] = task
 
         try:
             for _ in range(slots):
@@ -534,8 +534,8 @@ def cmd_reproduce(args) -> int:
                     tasks.append(entry)
                     if task != IK_FIT and queue:
                         submit(queue.pop(0))  # the task's CPU is free
-                    if task == DIRECT_JOINT:  # the outcome is its predictions
-                        submit(IK_FIT, outcome)
+                    if task == DIRECT_JOINT:  # its checkpoint is saved
+                        submit(IK_FIT)
                         continue
                     mode = DIRECT_JOINT if task == IK_FIT else task
                     table[mode] = outcome
@@ -742,15 +742,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (sk.SkeletonError, fileio.FileFormatError, ValueError) as e:
+    except (ValueError, OSError) as e:  # SkeletonError and FileFormatError included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except reg.NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -168,6 +168,8 @@ def read_dataset(path) -> Dataset:
         if a.dtype != np.float64 or a.ndim != 2:
             raise FileFormatError(f"{path}: {key} is {a.dtype} of shape {a.shape}, "
                                   "expected float64 (N, width)")
+        if not np.isfinite(a).all():  # the occlusion sentinel is finite
+            raise FileFormatError(f"{path}: {key} holds non-finite values")
     rows = {key: len(a) for key, a in zip(_DATASET_ARRAYS, arrays)}
     if set(rows.values()) != {n}:
         raise FileFormatError(f"{path}: row counts {rows} are not all meta's n={n}")

@@ -146,12 +146,13 @@ class SgdConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        # written so that NaN fails each comparison
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be >= 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("lambda must be >= 0 and finite")
 
 
 @dataclass
@@ -263,8 +264,12 @@ def forward(run: TrainRun, features: np.ndarray) -> np.ndarray:
 
 
 def predict(run: TrainRun, features: np.ndarray, skel: Skeleton) -> np.ndarray:
-    """Network outputs as predictions: poses (N, D) or joint sets (N, n_eval, 3)."""
+    """Network outputs as predictions: poses (N, D) or joint sets (N, n_eval, 3).
+    Raises NumericalError if any output is not finite."""
     out = forward(run, features)
+    if not np.all(np.isfinite(out)):
+        # finite but huge weights can overflow on the forward pass
+        raise NumericalError("non-finite network output")
     if MODES[run.mode].emits_pose:
         return out
     return out.reshape(len(out), len(skel.eval_subset), 3)
@@ -364,9 +369,6 @@ def validation_stats(run: TrainRun, dataset, skel: Skeleton, true_joints=None):
     post-hoc fit, which is far too costly per epoch).
     """
     predictions = predict(run, dataset.features, skel)
-    if not np.all(np.isfinite(predictions)):
-        # finite but huge weights can overflow on the forward pass
-        raise NumericalError("non-finite network output on the validation set")
     report = bench.evaluate(skel, predictions, dataset, thresholds=(),
                             true_joints=true_joints)
     return (report.avg_joint_error_mm, report.avg_angle_error_deg,
@@ -441,7 +443,8 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
                     joint_err, angle_err, invalid = validation_stats(run, val, skel,
                                                                      val_joints)
                 except NumericalError as e:
-                    raise NumericalError(f"{e} after epoch {epoch}") from None
+                    raise NumericalError(
+                        f"{e} on the validation set after epoch {epoch}") from None
             else:
                 joint_err = angle_err = invalid = float("nan")
             stats = EpochStats(

@@ -119,8 +119,9 @@ def test_make_dataset_memory_peak_is_bounded(hand):
 def test_make_dataset_rejects_bad_params(hand):
     with pytest.raises(ValueError):
         bench.make_dataset(hand, n=0, noise_sigma_mm=1.0, occlusion_prob=0.0, seed=1)
-    with pytest.raises(ValueError):
-        bench.make_dataset(hand, n=5, noise_sigma_mm=-1.0, occlusion_prob=0.0, seed=1)
+    for sigma in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise sigma must be >= 0 and finite"):
+            bench.make_dataset(hand, n=5, noise_sigma_mm=sigma, occlusion_prob=0.0, seed=1)
     with pytest.raises(ValueError):
         bench.make_dataset(hand, n=5, noise_sigma_mm=1.0, occlusion_prob=1.0, seed=1)
 

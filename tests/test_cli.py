@@ -225,6 +225,14 @@ def test_synth_writes_exactly_the_path_given(tmp_path):
     assert len(fileio.read_dataset(out)) == 8
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_synth_refuses_non_finite_sigma(tmp_path, capsys, sigma):
+    out = tmp_path / "data.ds"
+    assert run_cli("synth", "--n", "8", "--sigma", sigma, "--out", str(out)) == 1
+    assert "noise sigma must be >= 0 and finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_train_and_eval_refuse_text_v1_dataset(tmp_path, capsys):
     good = tmp_path / "good.ds"
     assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(good)) == 0
@@ -324,6 +332,37 @@ def test_train_and_eval_refuse_dataset_widths_of_another_skeleton(
                                  f"{key} are {width - 1} wide", f"needs {width}")
 
 
+@pytest.mark.parametrize("key, value", [("features", np.inf), ("thetas", np.nan)])
+def test_train_and_eval_refuse_non_finite_dataset(tmp_path, capsys, key, value):
+    # unrefused, an inf feature is clipped to +-input_clip_abs and scored
+    data, ckpt, members = synth_and_train(tmp_path)
+    members[key][3, 5] = value
+    with open(data, "wb") as fh:
+        np.savez(fh, **members)
+    assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt,
+                                 f"{data}: {key} holds non-finite values")
+
+
+@pytest.mark.parametrize("mode", ["ours", "direct_joint"])
+def test_eval_of_non_finite_network_output_exits_2(hand, tmp_path, capsys, mode):
+    # the check is on the network output, not on the poses or IK targets
+    # made from it, which would blame the wrong input with exit 1
+    data = tmp_path / "data.ds"
+    assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
+    ckpt = tmp_path / "run.ckpt.json"
+    assert run_cli("train", "--mode", mode, "--train", str(data), "--epochs", "1",
+                   "--batch", "16", "--out", str(ckpt)) == 0
+    run = reg.load_checkpoint(ckpt)
+    run.biases[-1][0] = np.nan
+    reg.save_checkpoint(run, ckpt, hand)
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(data),
+                   "--out", str(report)) == 2
+    assert capsys.readouterr().err == "numerical failure: non-finite network output\n"
+    assert not report.exists()
+
+
 def test_train_and_eval_refuse_v2_dataset_with_joints(hand, tmp_path, capsys):
     data, ckpt, members = synth_and_train(tmp_path)
     meta = json.loads(str(members["meta"][()]))
@@ -406,6 +445,26 @@ def test_train_numerical_failure_exit_code(tmp_path):
                    "--epochs", "3", "--batch", "8", "--lr", "10.0",
                    "--flat-lr", "--seed", "2", "--out", str(ckpt))
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--lambda", "lambda must be >= 0 and finite"),
+    ("--lr", "learning_rate must be positive and finite"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_refuses_non_finite_rates_before_training(tmp_path, capsys, flag,
+                                                        message, value):
+    # unrefused, these train and then fail as a numerical failure (exit 2),
+    # leaving a partial epoch record behind
+    data = tmp_path / "data.ds"
+    assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "run.ckpt.json"
+    assert run_cli("train", "--train", str(data), "--epochs", "1", "--batch", "16",
+                   flag, value, "--out", str(ckpt)) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["data.ds", "data.ds.manifest.json"]
 
 
 def test_train_non_finite_gradient_exits_2(tmp_path, monkeypatch, capsys):
@@ -564,6 +623,8 @@ def test_reproduce_refuses_bad_training_settings_before_datasets(tmp_path, capsy
     ("--train-n", "0", "dataset size must be >= 1"),
     ("--val-n", "0", "dataset size must be >= 1"),
     ("--sigma", "-1", "noise sigma must be >= 0"),
+    ("--sigma", "nan", "noise sigma must be >= 0 and finite"),
+    ("--lambda", "nan", "lambda must be >= 0 and finite"),
     ("--occlusion", "1.5", "occlusion probability must lie in [0, 1)"),
     ("--skeleton", "missing.json", "No such file or directory"),
 ])
@@ -657,13 +718,38 @@ def test_reproduce_pool_matches_in_process_modes(tmp_path):
         for i, n in enumerate((args.train_n, args.val_n)))
     for mode in reg.MODES:
         report = reproduce_mode(mode, skel, train_data, val_data, args)
-        if mode == "direct_joint":  # its predictions of the frames to fit
-            assert len(report) == args.fit_frames
-            report = reproduce_fit(report, skel, val_data, args)
+        if mode == "direct_joint":  # scored from its saved checkpoint
+            assert report is None
+            report = reproduce_fit(skel, val_data, args)
         assert json.dumps(table["modes"][mode], sort_keys=True) == \
             json.dumps(report.to_dict(), sort_keys=True)
         name = f"{mode}.ckpt.json"
         assert (pooled / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
+def test_eval_of_each_reproduce_checkpoint_gives_its_table_entry(tmp_path):
+    # one scoring path: eval on reproduce's val set, written to a file, gives
+    # each mode's table entry, direct_joint's IK fit over every val row
+    # included (--fit-frames above --val-n fits them all)
+    argv = REPRODUCE_TINY + ["--fit-frames", "32"]
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--out", str(out)) in (0, 3)
+    table = json.loads((out / "table.json").read_text())
+    args = build_parser().parse_args(argv + ["--out", str(out)])
+    skel = bench.benchmark_skeleton()
+    skel_path, val = tmp_path / "bench.json", tmp_path / "val.ds"
+    sk.save_skeleton(skel, skel_path)
+    fileio.write_dataset(val, bench.make_dataset(
+        skel, n=args.val_n, noise_sigma_mm=args.sigma, occlusion_prob=args.occlusion,
+        seed=args.seed + 1, interior_margin=bench.benchmark_interior_margin(),
+        pose_shape="central"))
+    assert table["modes"]["direct_joint"]["n_frames"] == args.val_n
+    for mode in reg.MODES:
+        report = tmp_path / f"{mode}.json"
+        assert run_cli("eval", "--seed", str(args.seed), "--skeleton", str(skel_path),
+                       "--ckpt", str(out / f"{mode}.ckpt.json"), "--data", str(val),
+                       "--out", str(report)) == 0
+        assert json.loads(report.read_text()) == table["modes"][mode]
 
 
 def test_reproduce_numerical_failure_in_a_worker_exits_2(tmp_path, monkeypatch, capsys):

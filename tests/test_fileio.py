@@ -154,6 +154,21 @@ def test_dataset_non_float_member(tmp_path):
         fileio.read_dataset(path)
 
 
+def test_dataset_non_finite_member_refused(tmp_path):
+    for key in ("features", "thetas"):
+        for value in (np.nan, np.inf, -np.inf):
+            bad = np.ones((2, 6 if key == "features" else 4))
+            bad[1, 2] = value
+            path = write_npz(tmp_path / "data.ds", **{key: bad})
+            with pytest.raises(fileio.FileFormatError,
+                               match=f"{key} holds non-finite values"):
+                fileio.read_dataset(path)
+    # the occlusion sentinel is finite, so it passes
+    features = np.full((2, 6), bench.OCCLUSION_SENTINEL_MM)
+    data = fileio.read_dataset(write_npz(tmp_path / "data.ds", features=features))
+    assert (data.features == bench.OCCLUSION_SENTINEL_MM).all()
+
+
 def test_dataset_object_member_refused_without_pickle(tmp_path):
     features = np.empty((2, 6), dtype=object)
     features[:] = 1.0

@@ -289,8 +289,15 @@ def test_sgd_defaults_match_reference_values():
 
 
 def test_sgd_config_rejects_negative_lambda():
-    with pytest.raises(ValueError, match="lambda"):
-        reg.SgdConfig(lam=-1.0)
+    for lam in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lambda must be >= 0 and finite"):
+            reg.SgdConfig(lam=lam)
+
+
+def test_sgd_config_rejects_non_finite_learning_rate():
+    for lr in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            reg.SgdConfig(learning_rate=lr)
 
 
 def test_sgd_step_shape_mismatch():
