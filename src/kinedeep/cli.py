@@ -30,8 +30,9 @@ tolerance or a reproduce ordering).
 The default skeleton is the built-in 23-joint hand, the config file
 hand23.json shipped inside the package; --skeleton or the KINEDEEP_SKELETON
 environment variable select another config file. train and eval refuse a
-dataset whose metadata names a different skeleton, and eval a checkpoint
-whose recorded skeleton fingerprint differs.
+dataset whose metadata names a different skeleton, fk, jacobian and ik a
+pose or joint file whose header does, and eval a checkpoint whose recorded
+skeleton fingerprint differs.
 """
 from __future__ import annotations
 
@@ -94,6 +95,14 @@ def _read_dataset(path, skel) -> bench.Dataset:
     return data
 
 
+def _check_header_skeleton(path, kind, name, skel) -> None:
+    """Refuse a pose or joint file whose header names another skeleton; a
+    header without a skeleton= field is accepted."""
+    if name and name != skel.name:
+        raise ValueError(f"{path}: {kind} file was made for skeleton {name!r}, "
+                         f"not {skel.name!r}")
+
+
 def _load_checkpoint(path, skel) -> reg.TrainRun:
     """A checkpoint, refused unless it was trained for `skel`."""
     run, want = reg.load_checkpoint(path), skel.fingerprint()
@@ -120,9 +129,13 @@ def _memory_use(who=resource.RUSAGE_SELF) -> dict:
 
 def _write_manifest(path, subcommand, config, seed, inputs, outputs, started,
                     **record):
+    # the BLAS numpy was built against, less its local paths
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     payload = {
         "tool": "kinedeep",
         "version": __version__,
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
         "subcommand": subcommand,
         "config": config,
         "seed": seed,
@@ -140,7 +153,8 @@ def cmd_kinematics(args) -> int:
     """fk and jacobian: one row of joints, or of Jacobian entries, per pose."""
     started = time.monotonic()
     skel = _resolve_skeleton(args.skeleton)
-    _, poses = fileio.read_pose_file(args.poses, expected_dims=skel.n_dofs)
+    name, poses = fileio.read_pose_file(args.poses, expected_dims=skel.n_dofs)
+    _check_header_skeleton(args.poses, "pose", name, skel)
     if args.command == "fk":
         fileio.write_joint_file(args.out, skel.name,
                                 kin.forward_kinematics_batch(skel, poses))
@@ -241,6 +255,7 @@ def cmd_ik(args) -> int:
     started = time.monotonic()
     skel = _resolve_skeleton(args.skeleton)
     name, frames = fileio.read_joint_file(args.targets)
+    _check_header_skeleton(args.targets, "joint", name, skel)
     n_eval = len(skel.eval_subset)
     if frames.shape[0] and frames.shape[1] == skel.n_joints:
         frames = frames[:, list(skel.eval_subset), :]
@@ -254,7 +269,7 @@ def cmd_ik(args) -> int:
         polish_steps=50 if args.polish else 0,
     )
     fit_started = time.monotonic()
-    results = ik_pso.fit_batch(skel, frames, config, warm_start=args.warm_start)
+    results = ik_pso.fit_batch(skel, frames, config)
     fit_s = time.monotonic() - fit_started
     fileio.write_pose_file(args.out, skel.name, np.stack([r.theta for r in results]))
     mean, var = ik_pso.residual_stats(results)
@@ -273,8 +288,7 @@ def cmd_ik(args) -> int:
         fh.write("\n")
     _write_manifest(_manifest_path(args.out), "ik",
                     {"skeleton": skel.name, "swarm": args.swarm,
-                     "iters": args.iters, "warm_start": args.warm_start,
-                     "polish": args.polish},
+                     "iters": args.iters, "polish": args.polish},
                     args.seed, [args.targets], [args.out, report_path], started)
     print(f"ik: {len(results)} frames, residual mean {mean!r} mm, "
           f"variance {var!r} mm^2")
@@ -355,7 +369,9 @@ def _score(run, skel, data, seed, fit_iterations, fit_frames=None) -> bench.Metr
     predictions = reg.predict(run, data.features, skel)
     if reg.MODES[run.mode].emits_pose:
         return bench.evaluate(skel, predictions, data)
-    predictions = predictions[:fit_frames]
+    # neither the network nor the unfitted rows stay alive through the fit
+    del run
+    predictions = predictions[:fit_frames].copy()
     fit_cfg = ik_pso.PsoConfig(seed=seed, iterations=fit_iterations)
     fitted = np.stack([r.theta for r in ik_pso.fit_batch(skel, predictions, fit_cfg)])
     return bench.evaluate(skel, predictions, data.subset(range(len(predictions))),
@@ -427,8 +443,9 @@ def reproduce_mode(mode, skel, train_data, val_data, args):
 def reproduce_fit(skel, val_data, args):
     """Score direct_joint's saved checkpoint on the first args.fit_frames
     val rows, with angles fitted by IK."""
-    run = _load_checkpoint(_mode_checkpoint(args.out, DIRECT_JOINT), skel)
-    return _score(run, skel, val_data, args.seed, FIT_ITERATIONS, args.fit_frames)
+    # the checkpoint goes straight in, so that _score holds its only reference
+    return _score(_load_checkpoint(_mode_checkpoint(args.out, DIRECT_JOINT), skel),
+                  skel, val_data, args.seed, FIT_ITERATIONS, args.fit_frames)
 
 
 # The name of reproduce's IK-fit task, beside the modes' training tasks.
@@ -639,7 +656,6 @@ def build_parser() -> _Parser:
     p.add_argument("--swarm", type=int, default=64)
     p.add_argument("--iters", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--warm-start", action="store_true")
     p.add_argument("--polish", action=argparse.BooleanOptionalAction, default=True,
                    help="gradient polish after each swarm phase")
     p.add_argument("--report", default=None, help="JSON report path")

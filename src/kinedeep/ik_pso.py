@@ -2,8 +2,8 @@
 
 The optimizer minimizes the joint loss over the pose box. A fit runs a
 sequence of particle-swarm phases under a shared iteration budget: each
-phase draws a fresh swarm (uniformly inside the bounds, or around a given
-center pose), runs the standard global-best update
+phase draws a fresh swarm uniformly inside the bounds, runs the standard
+global-best update
 
     v <- INERTIA*v + COGNITIVE*r1*(pbest - x) + SOCIAL*r2*(gbest - x)
 
@@ -34,13 +34,11 @@ the per-frame products are computed pose by pose, and ties in
 best-selection resolve to the lowest particle index. A frame's
 result is therefore reproducible bit for bit given (seed, config, target),
 and does not depend on the other frames in the call or on the chunking.
-``fit_batch(warm_start=True)`` seeds each frame from the previous frame's
-result, an inherently sequential chain, so it fits one frame at a time.
 """
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +54,6 @@ _CHUNK_POSES = 4096
 INERTIA = 0.72
 COGNITIVE = 1.49
 SOCIAL = 1.49
-INIT_SIGMA_FRAC = 0.10    # Gaussian sigma around a center, fraction of range
 TOL_MM = 0.1              # a frame stops once its residual reaches this
 MAX_VELOCITY_FRAC = 0.5   # velocity clamp as fraction of range
 
@@ -66,7 +63,6 @@ class PsoConfig:
     swarm_size: int = 64
     iterations: int = 300              # total swarm iterations across phases
     seed: int = 0
-    init_center: tuple | None = None   # pose to seed the first phase around
     phase_iterations: int = 75         # budget slice per restart phase
     polish_steps: int = 50             # Gauss-Newton steps per phase; 0 = off
 
@@ -146,7 +142,7 @@ def _detach(rngs, stopped, going_on):
             rngs[f] = copies[gen]
 
 
-def _swarm_phase(obj, rngs, frames, config, budget, center):
+def _swarm_phase(obj, rngs, frames, config, budget):
     """One swarm run for each frame index in `frames`.
 
     Frames whose ``rngs`` entry is the same generator are in the same state,
@@ -158,19 +154,12 @@ def _swarm_phase(obj, rngs, frames, config, budget, center):
     """
     skel = obj.skel
     lower, upper = skel.dof_lower, skel.dof_upper
-    span = upper - lower
     S, D = config.swarm_size, skel.n_dofs
 
     gens, groups = _streams(rngs, frames)
-    if center is None:
-        X = np.stack([gen.uniform(lower, upper, size=(S, D)) for gen in gens])[groups]
-    else:
-        X = np.stack([center + gen.normal(0.0, INIT_SIGMA_FRAC, size=(S, D)) * span
-                      for gen in gens])[groups]
-        np.clip(X, lower, upper, out=X)
-        X[:, 0] = center  # keep the center itself in every swarm
+    X = np.stack([gen.uniform(lower, upper, size=(S, D)) for gen in gens])[groups]
     V = np.zeros_like(X)
-    vmax = MAX_VELOCITY_FRAC * span
+    vmax = MAX_VELOCITY_FRAC * (upper - lower)
 
     fit, res = obj.batch(X.reshape(-1, D), np.repeat(frames, S))
     pbest = X.copy()
@@ -327,19 +316,6 @@ def _fit_chunk(skel, targets, config):
     best_res = np.full(F, np.inf)
     used_total = np.zeros(F, dtype=int)
 
-    center = None
-    if config.init_center is not None:
-        center = clamp_pose(skel, np.asarray(config.init_center, dtype=float))
-        # a warm-start center is an incumbent: descend from it before
-        # spending any swarm iterations
-        start = np.tile(center, (F, 1))
-        if config.polish_steps > 0:
-            best_theta, best_fit, best_res = _gauss_newton_polish(
-                obj, everyone, start, config.polish_steps)
-        else:
-            best_theta = start
-            best_fit, best_res = obj.batch(start, everyone)
-
     budget = config.iterations
     while budget > 0:
         # a converged frame skips the remaining phases
@@ -347,9 +323,7 @@ def _fit_chunk(skel, targets, config):
         if frames.size == 0:
             break
         phase_budget = min(config.phase_iterations, budget)
-        theta, fit, res, used = _swarm_phase(obj, rngs, frames, config,
-                                             phase_budget, center)
-        center = None  # only the first phase is drawn around the center
+        theta, fit, res, used = _swarm_phase(obj, rngs, frames, config, phase_budget)
         budget -= phase_budget
         used_total[frames] += used
         if config.polish_steps > 0:
@@ -368,39 +342,25 @@ def _fit_chunk(skel, targets, config):
             for f in range(F)]
 
 
-def _fit_frames(skel, targets, config):
-    """Fit (F, n_eval, 3) targets in chunks of at most _CHUNK_POSES particles."""
-    per_chunk = max(1, _CHUNK_POSES // config.swarm_size)
-    results = []
-    for start in range(0, len(targets), per_chunk):
-        results += _fit_chunk(skel, targets[start:start + per_chunk], config)
-    return results
-
-
-def fit_batch(skel: Skeleton, targets, config: PsoConfig | None = None,
-              warm_start: bool = False) -> list:
-    """Fit a sequence of frames; optionally seed each fit from the previous.
+def fit_batch(skel: Skeleton, targets, config: PsoConfig | None = None) -> list:
+    """Fit each frame's pose to its target joints.
 
     Each target is one frame's eval joints, (n_eval, 3) mm or flattened. It
     may be a joint set no pose reaches, such as a regressor's prediction;
-    the residual then measures how far it is from achievable geometry.
-    Without `warm_start` a frame's result does not depend on the other
-    frames in the call: it equals a fit of that frame alone, bit for bit.
-    Every frame reuses the same config seed, so identical targets produce
-    identical results.
+    the residual then measures how far it is from achievable geometry. A
+    frame's result never depends on the other frames in the call: it equals
+    a fit of that frame alone, bit for bit. Every frame reuses the same
+    config seed, so identical targets produce identical results.
     """
     config = config or PsoConfig()
     targets = [_target_eval(skel, t) for t in targets]
     if not targets:
         raise ValueError("fit_batch needs at least one target frame")
-    if not warm_start:
-        return _fit_frames(skel, np.stack(targets), config)
+    targets = np.stack(targets)
+    per_chunk = max(1, _CHUNK_POSES // config.swarm_size)
     results = []
-    for target in targets:
-        frame_config = config
-        if results:
-            frame_config = replace(config, init_center=tuple(results[-1].theta))
-        results += _fit_frames(skel, target[None], frame_config)
+    for start in range(0, len(targets), per_chunk):
+        results += _fit_chunk(skel, targets[start:start + per_chunk], config)
     return results
 
 

@@ -41,7 +41,6 @@ joint; all kept verbatim as the reference that the joint-group pass of
 `kinedeep.kinematics` must match byte for byte.
 """
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -214,19 +213,14 @@ class _SequentialObjective:
         return float(loss[0]), float(per_joint[0])
 
 
-def _sequential_swarm_phase(obj, rng, config, budget, center):
+def _sequential_swarm_phase(obj, rng, config, budget):
     """One swarm run; returns (theta, loss, residual, iterations used)."""
     skel = obj.skel
     lower, upper = skel.dof_lower, skel.dof_upper
     span = upper - lower
     S, D = config.swarm_size, skel.n_dofs
 
-    if center is None:
-        X = rng.uniform(lower, upper, size=(S, D))
-    else:
-        X = center + rng.normal(0.0, ik_pso.INIT_SIGMA_FRAC, size=(S, D)) * span
-        X = np.clip(X, lower, upper)
-        X[0] = center  # keep the center itself in the swarm
+    X = rng.uniform(lower, upper, size=(S, D))
     V = np.zeros((S, D))
     vmax = ik_pso.MAX_VELOCITY_FRAC * span
 
@@ -314,25 +308,10 @@ def sequential_fit_pose(skel, target, config=None):
     budget = config.iterations
     used_total = 0
 
-    init_center = None
-    if config.init_center is not None:
-        init_center = clamp_pose(skel, np.asarray(config.init_center, dtype=float))
-        # a warm-start center is an incumbent: descend from it before
-        # spending any swarm iterations
-        if config.polish_steps > 0:
-            best_theta, best_fit, best_res = _sequential_polish(
-                obj, init_center, config.polish_steps)
-        else:
-            best_theta = init_center
-            best_fit, best_res = obj.value(init_center)
-
-    first = True
     while budget > 0 and best_res > ik_pso.TOL_MM:
-        center = init_center if first else None
-        first = False
         phase_budget = min(config.phase_iterations, budget)
         theta, fit, res, used = _sequential_swarm_phase(
-            obj, rng, config, phase_budget, center)
+            obj, rng, config, phase_budget)
         budget -= phase_budget
         used_total += used
         if config.polish_steps > 0:
@@ -349,22 +328,14 @@ def sequential_fit_pose(skel, target, config=None):
     )
 
 
-def sequential_fit_batch(skel, targets, config=None, warm_start=False):
-    """Fit a sequence of frames; optionally seed each fit from the previous.
+def sequential_fit_batch(skel, targets, config=None):
+    """Fit each frame on its own.
 
     Every frame reuses the same config seed, so identical targets produce
     identical results.
     """
     config = config or ik_pso.PsoConfig()
-    results = []
-    prev_theta = None
-    for target in targets:
-        if warm_start and prev_theta is not None:
-            frame_config = replace(config, init_center=tuple(prev_theta))
-        else:
-            frame_config = config
-        results.append(sequential_fit_pose(skel, target, frame_config))
-        prev_theta = results[-1].theta
+    results = [sequential_fit_pose(skel, target, config) for target in targets]
     if not results:
         raise ValueError("fit_batch needs at least one target frame")
     return results

@@ -163,6 +163,31 @@ def test_ik_refuses_frames_of_another_joint_count(hand, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fk", "jacobian"])
+def test_kinematics_refuses_pose_file_of_another_skeleton(hand, tmp_path, capsys,
+                                                          command):
+    poses = tmp_path / "poses.csv"
+    fileio.write_pose_file(poses, "some-other-hand", np.zeros((1, hand.n_dofs)))
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--poses", str(poses), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {poses}: pose file was made for skeleton 'some-other-hand', "
+        f"not 'hand23'\n")
+    assert not out.exists()
+
+
+def test_ik_refuses_joint_file_of_another_skeleton(hand, tmp_path, capsys):
+    targets = tmp_path / "targets.csv"
+    fileio.write_joint_file(targets, "some-other-hand",
+                            kin.forward_kinematics_batch(hand, np.zeros((1, hand.n_dofs))))
+    out = tmp_path / "fit.csv"
+    assert run_cli("ik", "--targets", str(targets), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {targets}: joint file was made for skeleton 'some-other-hand', "
+        f"not 'hand23'\n")
+    assert not out.exists()
+
+
 def test_synth_train_eval_pipeline(tmp_path):
     data = tmp_path / "data.csv"
     assert run_cli("synth", "--n", "64", "--sigma", "5", "--occlusion", "0.0",
@@ -181,6 +206,11 @@ def test_synth_train_eval_pipeline(tmp_path):
     assert manifest["inputs"] == [str(data)]
     assert manifest["peak_rss_mb"] > 0.0  # ru_maxrss, in MiB
     assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] > 0
+    # the numeric stack, without the build's local paths
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["numpy"] == np.__version__
+    assert manifest["blas"] == {key: blas.get(key) for key in
+                                ("name", "version", "openblas configuration")}
     report = tmp_path / "report.json"
     curve = tmp_path / "curve.csv"
     assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(data),
@@ -591,6 +621,9 @@ def test_eval_refuses_checkpoint_of_another_skeleton(bench_dataset, tmp_path, ca
 def test_unknown_flag_exits_1(capsys):
     assert run_cli("fk", "--nonsense") == 1
     assert capsys.readouterr().err.startswith("error: kinedeep fk: ")
+    assert run_cli("ik", "--targets", "t.csv", "--out", "fit.csv", "--warm-start") == 1
+    assert capsys.readouterr().err == \
+        "error: kinedeep: unrecognized arguments: --warm-start\n"
 
 
 @pytest.mark.parametrize("fit_frames", ["0", "-3"])

@@ -24,15 +24,6 @@ def test_recovers_known_pose(hand, rng):
     assert result.residual_mm < 1.0
 
 
-def test_canonical_pose_from_center(hand):
-    target = eval_joints(hand, np.zeros(hand.n_dofs))
-    cfg = ik_pso.PsoConfig(seed=2, init_center=tuple(np.zeros(hand.n_dofs)))
-    result = ik_pso.fit_batch(hand, [target], cfg)[0]
-    assert result.residual_mm < 1e-6
-    assert result.iterations_used <= 10
-    assert result.converged
-
-
 def test_result_respects_bounds(hand, rng):
     theta = sample_in_bounds(hand, rng)
     result = ik_pso.fit_batch(hand, [eval_joints(hand, theta)],
@@ -89,19 +80,6 @@ def test_fit_batch_identical_frames(hand, rng):
 def test_fit_batch_empty_rejected(hand):
     with pytest.raises(ValueError, match="at least one"):
         ik_pso.fit_batch(hand, [])
-
-
-def test_warm_start_reduces_iterations(hand, rng):
-    a = sample_in_bounds(hand, rng)
-    b = sample_in_bounds(hand, rng)
-    seq = np.array([a + (b - a) * t for t in np.linspace(0.0, 1.0, 20)])
-    targets = forward_kinematics_batch(hand, seq,
-                                       joint_indices=list(hand.eval_subset))
-    cfg = ik_pso.PsoConfig(seed=3)
-    cold = ik_pso.fit_batch(hand, targets, cfg, warm_start=False)
-    warm = ik_pso.fit_batch(hand, targets, cfg, warm_start=True)
-    assert sum(r.iterations_used for r in warm) < sum(r.iterations_used for r in cold)
-    assert max(r.residual_mm for r in warm) < 1.0
 
 
 def test_batch_mean_residual(hand, rng):
@@ -193,9 +171,9 @@ def assert_same_fit(got, want):
     assert got.converged == want.converged
 
 
-def assert_matches_sequential(skel, targets, cfg, **kwargs):
-    got = ik_pso.fit_batch(skel, targets, cfg, **kwargs)
-    want = oracles.sequential_fit_batch(skel, targets, cfg, **kwargs)
+def assert_matches_sequential(skel, targets, cfg):
+    got = ik_pso.fit_batch(skel, targets, cfg)
+    want = oracles.sequential_fit_batch(skel, targets, cfg)
     assert len(got) == len(want) == len(targets)
     for g, w in zip(got, want):
         assert_same_fit(g, w)
@@ -258,34 +236,12 @@ def test_swarm_phase_streams_in_two_states_match_one_frame_at_a_time(hand, mixed
     shared, ahead = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed)
     ahead.random(2)
     starts = [shared, shared, ahead]
-    alone = [ik_pso._swarm_phase(obj, [copy.deepcopy(g)] * 3, np.array([f]), cfg, 20, None)
+    alone = [ik_pso._swarm_phase(obj, [copy.deepcopy(g)] * 3, np.array([f]), cfg, 20)
              for f, g in enumerate(starts)]
-    together = ik_pso._swarm_phase(obj, list(starts), np.arange(3), cfg, 20, None)
+    together = ik_pso._swarm_phase(obj, list(starts), np.arange(3), cfg, 20)
     for f, one in enumerate(alone):
         for got, want in zip(together, one):
             assert np.array_equal(got[f], want[0])
-
-
-def test_fit_pose_with_init_center_matches_sequential_fitter(hand, rng):
-    theta = sample_in_bounds(hand, rng, margin=0.1)
-    target = eval_joints(hand, theta)
-    for center in (theta + 0.05, sample_in_bounds(hand, rng)):
-        for polish_steps in (50, 0):
-            cfg = ik_pso.PsoConfig(seed=9, init_center=tuple(center),
-                                   polish_steps=polish_steps, **SMALL)
-            assert_same_fit(ik_pso.fit_batch(hand, [target], cfg)[0],
-                            oracles.sequential_fit_pose(hand, target, cfg))
-
-
-def test_warm_start_matches_sequential_fitter(hand, rng):
-    a = sample_in_bounds(hand, rng)
-    b = sample_in_bounds(hand, rng)
-    seq = np.array([a + (b - a) * t for t in np.linspace(0.0, 1.0, 4)])
-    targets = forward_kinematics_batch(hand, seq,
-                                       joint_indices=list(hand.eval_subset))
-    targets[2] = off_model(hand, targets[2])
-    assert_matches_sequential(hand, targets, ik_pso.PsoConfig(seed=3, **SMALL),
-                              warm_start=True)
 
 
 def test_batch_larger_than_one_chunk_matches_sequential_fitter(hand, mixed_targets):
