@@ -39,9 +39,10 @@ DEFAULT_THRESHOLDS_MM = tuple(range(5, 85, 5))
 
 BENCH_BOUND_EXPANSION = 1.8
 
-# eval_joints runs FK over blocks of this many poses, which bounds its
-# temporaries; FK gives a pose the same bits alone or in a batch
-_FK_CHUNK_POSES = 1024
+# eval_joints and make_dataset run each per-sample step over blocks of this
+# many poses, which bounds its temporaries; FK gives a pose the same bits
+# alone or in a batch
+_BLOCK_POSES = 256
 
 
 def benchmark_skeleton() -> Skeleton:
@@ -147,11 +148,11 @@ class MetricsReport:
 
 def eval_joints(skel: Skeleton, thetas: np.ndarray) -> np.ndarray:
     """Eval-joint positions (N, n_eval, 3) of poses (N, D), exact: one FK
-    pass over blocks of _FK_CHUNK_POSES poses, the bits of a single pass."""
+    pass over blocks of _BLOCK_POSES poses, the bits of a single pass."""
     ev = list(skel.eval_subset)
     out = np.empty((len(thetas), len(ev), 3))
-    for start in range(0, len(thetas), _FK_CHUNK_POSES):
-        block = slice(start, start + _FK_CHUNK_POSES)
+    for start in range(0, len(thetas), _BLOCK_POSES):
+        block = slice(start, start + _BLOCK_POSES)
         out[block] = forward_kinematics_batch(skel, thetas[block], joint_indices=ev)
     return out
 
@@ -190,14 +191,16 @@ def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
     else:
         thetas = rng.uniform(lo, hi, size=(n, skel.n_dofs))
     features = eval_joints(skel, thetas)
-    # block by block, which bounds the draws' temporary; the blocks' draws
-    # are the numbers of one draw over all samples
-    for start in range(0, n, _FK_CHUNK_POSES):
-        block = features[start:start + _FK_CHUNK_POSES]
+    # block by block, which bounds the draws' temporaries; the blocks' draws
+    # are the numbers of one draw over all samples, and every noise draw
+    # comes before the first occlusion draw
+    for start in range(0, n, _BLOCK_POSES):
+        block = features[start:start + _BLOCK_POSES]
         block += rng.normal(0.0, noise_sigma_mm, size=block.shape)
     if occlusion_prob > 0.0:
-        occluded = rng.uniform(size=features.shape[:2]) < occlusion_prob
-        features[occluded] = OCCLUSION_SENTINEL_MM
+        for start in range(0, n, _BLOCK_POSES):
+            block = features[start:start + _BLOCK_POSES]
+            block[rng.uniform(size=block.shape[:2]) < occlusion_prob] = OCCLUSION_SENTINEL_MM
     return Dataset(
         skeleton_name=skel.name,
         sigma_mm=float(noise_sigma_mm),

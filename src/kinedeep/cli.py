@@ -380,6 +380,9 @@ def _score(run, skel, data, seed, fit_iterations, fit_frames=None) -> bench.Metr
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
+    # checked for every mode, though only a joint-emitting one fits IK
+    if args.fit_iters < 1:
+        raise ValueError("--fit-iters must be >= 1")
     skel = _resolve_skeleton(args.skeleton)
     run = _load_checkpoint(args.ckpt, skel)
     report = _score(run, skel, _read_dataset(args.data, skel), args.seed, args.fit_iters)

@@ -49,9 +49,15 @@ def test_make_dataset_labels_exact(hand):
     assert np.all(data.thetas >= hand.dof_lower) and np.all(data.thetas <= hand.dof_upper)
 
 
-@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 4097])
+# sizes at the edges of bench's pose blocks: B - 1 to B + 1 and 4B - 1 to
+# 4B + 1 straddle the end of the first and of the fourth block, 16B fills
+# sixteen blocks and 16B + 1 leaves one pose in a seventeenth
+B = bench._BLOCK_POSES
+BLOCK_EDGES = [1, B - 1, B, B + 1, 4 * B - 1, 4 * B, 4 * B + 1, 16 * B, 16 * B + 1]
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_eval_joints_give_the_bytes_of_one_fk_pass(hand, rng, n):
-    # 1023 to 1025 straddle one 1024-pose block; 4097 leaves one pose in a fifth
     for skel in (hand, bench.benchmark_skeleton()):
         thetas = rng.uniform(skel.dof_lower, skel.dof_upper, size=(n, skel.n_dofs))
         got = bench.eval_joints(skel, thetas)
@@ -87,10 +93,9 @@ def test_make_dataset_deterministic(hand):
     assert np.array_equal(a.thetas, b.thetas)
 
 
-@pytest.mark.parametrize("n", [1, 1024, 1025, 4096, 4097])
+@pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_make_dataset_matches_one_pass_oracle(hand, n):
-    # 1024 and 4096 fill whole 1024-pose FK blocks; 1025 and 4097 leave one
-    # pose in the last block
+    # the FK, the noise draw and the occlusion draw all run block by block
     benchmark = {"interior_margin": bench.benchmark_interior_margin(), "pose_shape": "central"}
     for skel, kwargs in ((hand, {}), (bench.benchmark_skeleton(), benchmark)):
         args = (skel, n, 10.0, 0.1, 5)
@@ -114,6 +119,24 @@ def test_make_dataset_memory_peak_is_bounded(hand):
         tracemalloc.stop()
     kept = data.features.nbytes + data.thetas.nbytes
     assert peak < 1.5 * kept
+
+
+@pytest.mark.parametrize("n", [2000, 20_000])
+def test_make_dataset_temporaries_stay_under_a_mib(n):
+    # reproduce's sampling; with 1024-pose FK blocks and the occlusion drawn
+    # for all samples at once, the peak was 2.49 MiB above the kept arrays
+    skel = bench.benchmark_skeleton()
+    args = (10.0, 0.1, 5)
+    kwargs = {"interior_margin": bench.benchmark_interior_margin(), "pose_shape": "central"}
+    bench.make_dataset(skel, 1, *args, **kwargs)  # imports numpy.random, once
+    tracemalloc.start()
+    try:
+        data = bench.make_dataset(skel, n, *args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = data.features.nbytes + data.thetas.nbytes
+    assert peak - kept < 1 << 20
 
 
 def test_make_dataset_rejects_bad_params(hand):

@@ -239,6 +239,25 @@ def test_direct_joint_eval_fits_angles(tmp_path):
     assert 0.0 <= payload["invalid_pose_fraction"] <= 1.0
 
 
+@pytest.mark.parametrize("mode", ["ours", "direct_joint"])
+@pytest.mark.parametrize("fit_iters", ["0", "-7"])
+def test_eval_refuses_fit_iters_below_one_for_every_mode(tmp_path, capsys, mode, fit_iters):
+    # a pose mode used to exit 0, since it fits no IK; direct_joint exited 1
+    # only after predicting, with a message that did not name the flag
+    data = tmp_path / "data.ds"
+    assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
+    ckpt = tmp_path / "run.ckpt.json"
+    assert run_cli("train", "--mode", mode, "--train", str(data), "--epochs", "1",
+                   "--batch", "16", "--out", str(ckpt)) == 0
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    for checkpoint in (ckpt, tmp_path / "missing.ckpt.json"):  # nothing is loaded
+        assert run_cli("eval", "--ckpt", str(checkpoint), "--data", str(data),
+                       "--fit-iters", fit_iters, "--out", str(report)) == 1
+        assert capsys.readouterr().err == "error: --fit-iters must be >= 1\n"
+    assert not report.exists()
+
+
 def test_synth_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
