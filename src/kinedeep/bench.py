@@ -19,14 +19,14 @@ Metrics follow the usual hand-pose protocol:
   * invalid-pose fraction: frames with at least one rotation angle outside
     its bounds.
 
-:func:`evaluate` is the one scoring function. For joint-set predictions the
-angle metrics are computed on poses fitted by
-:func:`kinedeep.ik_pso.fit_batch`, which the caller passes in; without
-them they are NaN.
+:func:`evaluate` is the one scoring function. It takes the predictions and
+the true poses, row for row. For joint-set predictions the angle metrics
+are computed on poses fitted by :func:`kinedeep.ik_pso.fit_batch`, which
+the caller passes in; without them they are NaN.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -106,11 +106,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def subset(self, indices) -> "Dataset":
-        idx = list(indices)
-        return Dataset(self.skeleton_name, self.sigma_mm, self.occlusion_prob,
-                       self.seed, self.features[idx], self.thetas[idx])
-
 
 @dataclass
 class MetricsReport:
@@ -121,13 +116,7 @@ class MetricsReport:
     n_frames: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "avg_joint_error_mm": self.avg_joint_error_mm,
-            "max_error_curve": [[t, f] for t, f in self.max_error_curve],
-            "avg_angle_error_deg": self.avg_angle_error_deg,
-            "invalid_pose_fraction": self.invalid_pose_fraction,
-            "n_frames": self.n_frames,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = [
@@ -211,22 +200,23 @@ def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
     )
 
 
-def evaluate(skel: Skeleton, predictions, ground_truth: Dataset,
+def evaluate(skel: Skeleton, predictions, true_thetas,
              thresholds=DEFAULT_THRESHOLDS_MM, *, fitted_poses=None,
              true_joints=None) -> MetricsReport:
-    """Score predicted poses (N, D) or eval-joint sets (N, n_eval, 3).
+    """Score predicted poses (N, D) or eval-joint sets (N, n_eval, 3)
+    against the true poses `true_thetas` (N, D), row for row.
 
     Joint-set predictions take their angle metrics from `fitted_poses`, the
     poses :func:`kinedeep.ik_pso.fit_batch` fitted to them; without those,
     the angle error and the invalid fraction are NaN. `true_joints`, when
-    given, must be eval_joints(skel, ground_truth.thetas): a caller that
-    scores the same frames again and again computes them once.
+    given, must be eval_joints(skel, true_thetas): a caller that scores the
+    same frames again and again computes them once.
     """
     thresholds = list(thresholds)
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be strictly ascending")
     predictions = np.asarray(predictions, dtype=float)
-    n = len(ground_truth)
+    n = len(true_thetas)
     if predictions.shape[0] != n:
         raise ValueError(f"{predictions.shape[0]} predictions for {n} ground-truth frames")
     if fitted_poses is not None:
@@ -241,7 +231,7 @@ def evaluate(skel: Skeleton, predictions, ground_truth: Dataset,
         pred_joints = predictions.reshape(n, len(skel.eval_subset), 3)
 
     if true_joints is None:
-        true_joints = eval_joints(skel, ground_truth.thetas)
+        true_joints = eval_joints(skel, true_thetas)
     resid = pred_joints - true_joints
     sq = resid * resid
     err = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
@@ -252,7 +242,7 @@ def evaluate(skel: Skeleton, predictions, ground_truth: Dataset,
         avg_angle = invalid_fraction = float("nan")
     else:
         rot = skel.dof_is_rotation
-        diff = np.abs(pose_preds[:, rot] - ground_truth.thetas[:, rot])
+        diff = np.abs(pose_preds[:, rot] - true_thetas[:, rot])
         avg_angle = float(np.degrees(diff.mean()))
         invalid = (pose_preds[:, rot] < skel.dof_lower[rot]) | \
                   (pose_preds[:, rot] > skel.dof_upper[rot])

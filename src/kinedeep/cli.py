@@ -253,6 +253,10 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ik(args) -> int:
     started = time.monotonic()
+    if args.iters < 1:
+        raise ValueError("--iters must be >= 1")
+    if args.swarm < 2:
+        raise ValueError("--swarm must be >= 2")
     skel = _resolve_skeleton(args.skeleton)
     name, frames = fileio.read_joint_file(args.targets)
     _check_header_skeleton(args.targets, "joint", name, skel)
@@ -269,17 +273,17 @@ def cmd_ik(args) -> int:
         polish_steps=50 if args.polish else 0,
     )
     fit_started = time.monotonic()
-    results = ik_pso.fit_batch(skel, frames, config)
+    result = ik_pso.fit_batch(skel, frames, config)
     fit_s = time.monotonic() - fit_started
-    fileio.write_pose_file(args.out, skel.name, np.stack([r.theta for r in results]))
-    mean, var = ik_pso.residual_stats(results)
+    fileio.write_pose_file(args.out, skel.name, result.theta)
+    mean, var = ik_pso.residual_stats(result)
     report = {
-        "frames": len(results),
+        "frames": len(result.theta),
         "residual_mean_mm": mean,
         "residual_variance_mm2": var,
-        "residual_mm": [r.residual_mm for r in results],
-        "converged": [r.converged for r in results],
-        "iterations_used": [r.iterations_used for r in results],
+        "residual_mm": result.residual_mm.tolist(),
+        "converged": result.converged.tolist(),
+        "iterations_used": result.iterations_used.tolist(),
         "fit_s": fit_s,
     }
     report_path = args.report or str(args.out) + ".report.json"
@@ -290,7 +294,7 @@ def cmd_ik(args) -> int:
                     {"skeleton": skel.name, "swarm": args.swarm,
                      "iters": args.iters, "polish": args.polish},
                     args.seed, [args.targets], [args.out, report_path], started)
-    print(f"ik: {len(results)} frames, residual mean {mean!r} mm, "
+    print(f"ik: {len(result.theta)} frames, residual mean {mean!r} mm, "
           f"variance {var!r} mm^2")
     return EXIT_OK
 
@@ -368,13 +372,13 @@ def _score(run, skel, data, seed, fit_iterations, fit_frames=None) -> bench.Metr
     # another kernel, which changes the predictions' bits
     predictions = reg.predict(run, data.features, skel)
     if reg.MODES[run.mode].emits_pose:
-        return bench.evaluate(skel, predictions, data)
+        return bench.evaluate(skel, predictions, data.thetas)
     # neither the network nor the unfitted rows stay alive through the fit
     del run
     predictions = predictions[:fit_frames].copy()
     fit_cfg = ik_pso.PsoConfig(seed=seed, iterations=fit_iterations)
-    fitted = np.stack([r.theta for r in ik_pso.fit_batch(skel, predictions, fit_cfg)])
-    return bench.evaluate(skel, predictions, data.subset(range(len(predictions))),
+    fitted = ik_pso.fit_batch(skel, predictions, fit_cfg).theta
+    return bench.evaluate(skel, predictions, data.thetas[:len(predictions)],
                           fitted_poses=fitted)
 
 

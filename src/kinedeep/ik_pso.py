@@ -18,12 +18,14 @@ swarm alone does slowly on this badly conditioned objective. Set
 be a joint set no pose reaches, such as a regressor's prediction; the
 residual then measures how far it sits from achievable geometry.
 
-Frames are fitted together. The swarms of all frames live in one
-(F, S, D) array, so a swarm iteration is one kinematics call over every
-frame still running, and a polish step one stacked solve. Each frame stops
-on its own: its swarm at ``TOL_MM``, its later phases once it converged,
-its polish when no damping gives descent. Frames go through in chunks of
-at most ``_CHUNK_POSES`` particles.
+Each phase gets ``PHASE_ITERATIONS`` of the budget (the last one what is
+left). Frames are fitted together: targets come in as one (F, n_eval, 3)
+array and the outcome goes out as one ``FitResult`` of per-frame arrays.
+The swarms of all frames live in one (F, S, D) array, so a swarm iteration
+is one kinematics call over every frame still running, and a polish step
+one stacked solve. Each frame stops on its own: its swarm at ``TOL_MM``,
+its later phases once it converged, its polish when no damping gives
+descent. Frames go through in chunks of at most ``_CHUNK_POSES`` particles.
 
 Each frame draws from a stream seeded with ``config.seed``, in the order a
 fit of that frame alone would. Frames whose streams are in the same state
@@ -55,6 +57,7 @@ INERTIA = 0.72
 COGNITIVE = 1.49
 SOCIAL = 1.49
 TOL_MM = 0.1              # a frame stops once its residual reaches this
+PHASE_ITERATIONS = 75     # budget slice per restart phase
 MAX_VELOCITY_FRAC = 0.5   # velocity clamp as fraction of range
 
 
@@ -63,7 +66,6 @@ class PsoConfig:
     swarm_size: int = 64
     iterations: int = 300              # total swarm iterations across phases
     seed: int = 0
-    phase_iterations: int = 75         # budget slice per restart phase
     polish_steps: int = 50             # Gauss-Newton steps per phase; 0 = off
 
     def __post_init__(self):
@@ -71,31 +73,15 @@ class PsoConfig:
             raise ValueError("swarm_size must be >= 2")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.phase_iterations < 1:
-            raise ValueError("phase_iterations must be >= 1")
 
 
 @dataclass
 class FitResult:
-    theta: np.ndarray
-    residual_mm: float          # mean per-joint Euclidean error at theta
-    iterations_used: int        # swarm iterations actually consumed
-    converged: bool             # residual_mm <= TOL_MM
-
-
-def _target_eval(skel, target):
-    target = np.asarray(target, dtype=float)
-    n_eval = len(skel.eval_subset)
-    if target.shape == (3 * n_eval,):
-        target = target.reshape(n_eval, 3)
-    if target.shape != (n_eval, 3):
-        raise ValueError(
-            f"target shape {target.shape} does not match the eval subset "
-            f"({n_eval} joints)"
-        )
-    if not np.all(np.isfinite(target)):
-        raise ValueError("target contains non-finite values")
-    return target
+    """Row f of each array is frame f's outcome."""
+    theta: np.ndarray            # (F, D)
+    residual_mm: np.ndarray      # (F,) mean per-joint Euclidean error at theta
+    iterations_used: np.ndarray  # (F,) int, swarm iterations actually consumed
+    converged: np.ndarray        # (F,) bool, residual_mm <= TOL_MM
 
 
 class _Objective:
@@ -302,7 +288,8 @@ def _gauss_newton_polish(obj, frames, theta, steps):
 
 
 def _fit_chunk(skel, targets, config):
-    """Fit every frame of `targets` ((F, n_eval, 3)) with the same config."""
+    """Fit every frame of `targets` ((F, n_eval, 3)) with the same config;
+    returns (theta (F, D), residual (F,), iterations used (F,))."""
     F, D = len(targets), skel.n_dofs
     obj = _Objective(skel, targets)
     # every frame starts in the same state, so one generator serves all until
@@ -322,7 +309,7 @@ def _fit_chunk(skel, targets, config):
         frames = everyone[best_res > TOL_MM]
         if frames.size == 0:
             break
-        phase_budget = min(config.phase_iterations, budget)
+        phase_budget = min(PHASE_ITERATIONS, budget)
         theta, fit, res, used = _swarm_phase(obj, rngs, frames, config, phase_budget)
         budget -= phase_budget
         used_total[frames] += used
@@ -335,36 +322,38 @@ def _fit_chunk(skel, targets, config):
         best_fit[won] = fit[better]
         best_res[won] = res[better]
 
-    return [FitResult(theta=best_theta[f],
-                      residual_mm=float(best_res[f]),
-                      iterations_used=int(used_total[f]),
-                      converged=bool(best_res[f] <= TOL_MM))
-            for f in range(F)]
+    return best_theta, best_res, used_total
 
 
-def fit_batch(skel: Skeleton, targets, config: PsoConfig | None = None) -> list:
+def fit_batch(skel: Skeleton, targets, config: PsoConfig | None = None) -> FitResult:
     """Fit each frame's pose to its target joints.
 
-    Each target is one frame's eval joints, (n_eval, 3) mm or flattened. It
-    may be a joint set no pose reaches, such as a regressor's prediction;
-    the residual then measures how far it is from achievable geometry. A
+    `targets` is (F, n_eval, 3) mm, one frame's eval joints per row. A
+    target may be a joint set no pose reaches, such as a regressor's
+    prediction; the residual then measures how far it is from achievable
+    geometry. Each phase of the budget runs at most PHASE_ITERATIONS swarm
+    iterations. Returns one FitResult whose row f is frame f's outcome. A
     frame's result never depends on the other frames in the call: it equals
     a fit of that frame alone, bit for bit. Every frame reuses the same
     config seed, so identical targets produce identical results.
     """
     config = config or PsoConfig()
-    targets = [_target_eval(skel, t) for t in targets]
-    if not targets:
+    targets = np.asarray(targets, dtype=float)
+    n_eval = len(skel.eval_subset)
+    if targets.shape[:1] == (0,):
         raise ValueError("fit_batch needs at least one target frame")
-    targets = np.stack(targets)
+    if targets.shape[1:] != (n_eval, 3):
+        raise ValueError(f"targets shape {targets.shape} does not match the eval "
+                         f"subset: (frames, {n_eval}, 3)")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("targets contain non-finite values")
     per_chunk = max(1, _CHUNK_POSES // config.swarm_size)
-    results = []
-    for start in range(0, len(targets), per_chunk):
-        results += _fit_chunk(skel, targets[start:start + per_chunk], config)
-    return results
+    chunks = [_fit_chunk(skel, targets[start:start + per_chunk], config)
+              for start in range(0, len(targets), per_chunk)]
+    theta, residual, used = (np.concatenate(part) for part in zip(*chunks))
+    return FitResult(theta, residual, used, residual <= TOL_MM)
 
 
-def residual_stats(results) -> tuple:
-    """(mean, population variance) of residual_mm across fit results."""
-    residuals = np.array([r.residual_mm for r in results], dtype=float)
-    return float(residuals.mean()), float(residuals.var())
+def residual_stats(result: FitResult) -> tuple:
+    """(mean, population variance) of a fit's per-frame residuals."""
+    return float(result.residual_mm.mean()), float(result.residual_mm.var())

@@ -1,6 +1,6 @@
 """Joint-location loss, angle-range penalty, and their pose gradients.
 
-The joint term is summed (not averaged) over the selected joints:
+The joint term is summed (not averaged) over the eval joints:
 0.5 * ||joints(pose) - target||^2 in mm^2. Its gradient, J^T times the
 residual, is accumulated in reverse mode by the kinematics
 (`fk_vjp_batch`), so the Jacobian itself is never formed. The range
@@ -21,13 +21,10 @@ from .kinematics import fk_vjp_batch
 from .skeleton import Skeleton
 
 
-def joint_loss_batch(skel: Skeleton, thetas, targets, joint_indices=None):
-    """Batched joint loss: values (N,), gradients (N, D).
-
-    `targets` is (N, n_sel, 3) or (N, 3*n_sel) matching the selected joints
-    (default: the skeleton's eval subset).
-    """
-    sel = list(joint_indices) if joint_indices is not None else list(skel.eval_subset)
+def joint_loss_batch(skel: Skeleton, thetas, targets):
+    """Batched joint loss over the skeleton's eval subset: values (N,),
+    gradients (N, D). `targets` is (N, n_eval, 3) or (N, 3*n_eval)."""
+    sel = list(skel.eval_subset)
     thetas = np.asarray(thetas, dtype=float)
     targets = np.asarray(targets, dtype=float).reshape(thetas.shape[0], len(sel) * 3)
     pos, pullback = fk_vjp_batch(skel, thetas, joint_indices=sel)

@@ -123,12 +123,17 @@ class MlpConfig:
             raise ValueError("need at least input and output widths")
         if any(w <= 0 for w in self.layer_widths):
             raise ValueError(f"zero-width layer in {self.layer_widths}")
+        # written so that NaN fails each comparison
+        if not 0.0 < self.input_scale < math.inf:
+            raise ValueError("input_scale must be positive and finite")
+        if self.input_clip_abs is not None and not 0.0 < self.input_clip_abs < math.inf:
+            raise ValueError("input_clip_abs must be positive and finite when set")
         if self.output_scale is not None:
             scale = tuple(float(s) for s in self.output_scale)
             if len(scale) != self.layer_widths[-1]:
                 raise ValueError("output_scale length must match the output width")
-            if any(s <= 0 for s in scale):
-                raise ValueError("output_scale entries must be positive")
+            if not all(0.0 < s < math.inf for s in scale):
+                raise ValueError("output_scale entries must be positive and finite")
             object.__setattr__(self, "output_scale", scale)
 
 
@@ -369,7 +374,7 @@ def validation_stats(run: TrainRun, dataset, skel: Skeleton, true_joints=None):
     post-hoc fit, which is far too costly per epoch).
     """
     predictions = predict(run, dataset.features, skel)
-    report = bench.evaluate(skel, predictions, dataset, thresholds=(),
+    report = bench.evaluate(skel, predictions, dataset.thetas, thresholds=(),
                             true_joints=true_joints)
     return (report.avg_joint_error_mm, report.avg_angle_error_deg,
             report.invalid_pose_fraction)

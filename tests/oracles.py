@@ -296,9 +296,10 @@ def _sequential_polish(obj, theta, steps):
 
 
 def sequential_fit_pose(skel, target, config=None):
-    """Fit a pose whose eval joints match `target` ((n_eval, 3) mm)."""
+    """Fit a pose whose eval joints match `target` ((n_eval, 3) mm); returns
+    (theta, residual_mm, iterations_used, converged)."""
     config = config or ik_pso.PsoConfig()
-    target = ik_pso._target_eval(skel, target)
+    target = np.asarray(target, dtype=float).reshape(len(skel.eval_subset), 3)
     obj = _SequentialObjective(skel, target)
     rng = np.random.default_rng(config.seed)
 
@@ -309,7 +310,7 @@ def sequential_fit_pose(skel, target, config=None):
     used_total = 0
 
     while budget > 0 and best_res > ik_pso.TOL_MM:
-        phase_budget = min(config.phase_iterations, budget)
+        phase_budget = min(ik_pso.PHASE_ITERATIONS, budget)
         theta, fit, res, used = _sequential_swarm_phase(
             obj, rng, config, phase_budget)
         budget -= phase_budget
@@ -320,16 +321,11 @@ def sequential_fit_pose(skel, target, config=None):
         if fit < best_fit:
             best_theta, best_fit, best_res = theta, fit, res
 
-    return ik_pso.FitResult(
-        theta=best_theta,
-        residual_mm=best_res,
-        iterations_used=used_total,
-        converged=best_res <= ik_pso.TOL_MM,
-    )
+    return best_theta, best_res, used_total, best_res <= ik_pso.TOL_MM
 
 
 def sequential_fit_batch(skel, targets, config=None):
-    """Fit each frame on its own.
+    """Fit each frame on its own; row f of the FitResult is frame f's fit.
 
     Every frame reuses the same config seed, so identical targets produce
     identical results.
@@ -338,7 +334,7 @@ def sequential_fit_batch(skel, targets, config=None):
     results = [sequential_fit_pose(skel, target, config) for target in targets]
     if not results:
         raise ValueError("fit_batch needs at least one target frame")
-    return results
+    return ik_pso.FitResult(*(np.array(field) for field in zip(*results)))
 
 
 

@@ -149,17 +149,9 @@ def test_make_dataset_rejects_bad_params(hand):
         bench.make_dataset(hand, n=5, noise_sigma_mm=1.0, occlusion_prob=1.0, seed=1)
 
 
-def test_dataset_indexing(hand):
-    data = bench.make_dataset(hand, n=6, noise_sigma_mm=1.0, occlusion_prob=0.0, seed=2)
-    row = data.subset([3])
-    assert np.array_equal(row.thetas[0], data.thetas[3])
-    assert np.array_equal(row.features[0], data.features[3])
-    assert len(data) == 6 and len(row) == 1
-
-
 def test_evaluate_perfect_predictions(hand):
     data = bench.make_dataset(hand, n=30, noise_sigma_mm=5.0, occlusion_prob=0.0, seed=9)
-    report = bench.evaluate(hand, data.thetas, data)
+    report = bench.evaluate(hand, data.thetas, data.thetas)
     assert report.avg_joint_error_mm == 0.0
     assert report.avg_angle_error_deg == 0.0
     assert report.invalid_pose_fraction == 0.0
@@ -172,7 +164,7 @@ def test_evaluate_single_bad_joint_curve(hand):
     ev = list(hand.eval_subset)
     preds = bench.eval_joints(hand, data.thetas)
     preds[0, 2] += np.array([20.0, 0.0, 0.0])  # one joint in one frame off by 20 mm
-    report = bench.evaluate(hand, preds, data, thresholds=[10.0, 25.0],
+    report = bench.evaluate(hand, preds, data.thetas, thresholds=[10.0, 25.0],
                             fitted_poses=data.thetas)
     assert report.max_error_curve[0] == (10.0, 1.0 - 1.0 / n)
     assert report.max_error_curve[1] == (25.0, 1.0)
@@ -182,7 +174,7 @@ def test_evaluate_single_bad_joint_curve(hand):
 def test_evaluate_curve_monotone(hand, rng):
     data = bench.make_dataset(hand, n=40, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=3)
     preds = data.thetas + rng.normal(scale=0.05, size=data.thetas.shape)
-    report = bench.evaluate(hand, preds, data)
+    report = bench.evaluate(hand, preds, data.thetas)
     fracs = [f for _, f in report.max_error_curve]
     assert all(b >= a for a, b in zip(fracs, fracs[1:]))
     assert all(0.0 <= f <= 1.0 for f in fracs)
@@ -194,21 +186,17 @@ def test_evaluate_invalid_fraction_counts_out_of_range_angles(hand):
     rot = np.flatnonzero(hand.dof_is_rotation)
     preds[0, rot[3]] = hand.dof_upper[rot[3]] + 0.05
     preds[5, rot[7]] = hand.dof_lower[rot[7]] - 0.02
-    report = bench.evaluate(hand, preds, data)
+    report = bench.evaluate(hand, preds, data.thetas)
     assert np.isclose(report.invalid_pose_fraction, 2.0 / 8.0)
 
 
 def test_evaluate_translation_invariance(hand, rng):
     data = bench.make_dataset(hand, n=15, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=6)
     preds = data.thetas + rng.normal(scale=0.03, size=data.thetas.shape)
-    base = bench.evaluate(hand, preds, data)
+    base = bench.evaluate(hand, preds, data.thetas)
     shifted_preds = preds.copy()
     shifted_preds[:, :3] += np.array([40.0, -10.0, 25.0])
-    shifted = bench.Dataset(
-        data.skeleton_name, data.sigma_mm, data.occlusion_prob, data.seed,
-        data.features,
-        data.thetas + np.concatenate([[40.0, -10.0, 25.0], np.zeros(23)]),
-    )
+    shifted = data.thetas + np.concatenate([[40.0, -10.0, 25.0], np.zeros(23)])
     moved = bench.evaluate(hand, shifted_preds, shifted)
     assert np.isclose(moved.avg_joint_error_mm, base.avg_joint_error_mm, atol=1e-9)
 
@@ -218,14 +206,14 @@ def test_evaluate_angle_error_known_offset(hand):
     preds = data.thetas.copy()
     rot = np.flatnonzero(hand.dof_is_rotation)
     preds[:, rot[0]] += 0.1  # constant 0.1 rad on one rotation DOF
-    report = bench.evaluate(hand, preds, data)
+    report = bench.evaluate(hand, preds, data.thetas)
     expected = math.degrees(0.1) / len(rot)
     assert np.isclose(report.avg_angle_error_deg, expected, rtol=1e-6)
 
 
 def test_evaluate_joint_predictions_without_fit_get_nan_angle_metrics(hand):
     data = bench.make_dataset(hand, n=4, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=2)
-    report = bench.evaluate(hand, bench.eval_joints(hand, data.thetas), data)
+    report = bench.evaluate(hand, bench.eval_joints(hand, data.thetas), data.thetas)
     assert report.avg_joint_error_mm == 0.0
     assert math.isnan(report.avg_angle_error_deg)
     assert math.isnan(report.invalid_pose_fraction)
@@ -235,8 +223,8 @@ def test_evaluate_joint_predictions_with_fit(hand):
     data = bench.make_dataset(hand, n=3, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=11)
     joints = bench.eval_joints(hand, data.thetas)
     cfg = ik_pso.PsoConfig(seed=1, iterations=150)
-    fitted = np.stack([r.theta for r in ik_pso.fit_batch(hand, joints, cfg)])
-    report = bench.evaluate(hand, joints, data, fitted_poses=fitted)
+    fitted = ik_pso.fit_batch(hand, joints, cfg).theta
+    report = bench.evaluate(hand, joints, data.thetas, fitted_poses=fitted)
     assert report.avg_joint_error_mm == 0.0  # joint metrics use the joints directly
     assert report.invalid_pose_fraction == 0.0  # fitted poses are clamped
     assert math.isfinite(report.avg_angle_error_deg)
@@ -245,12 +233,12 @@ def test_evaluate_joint_predictions_with_fit(hand):
 def test_evaluate_rejects_unsorted_thresholds(hand):
     data = bench.make_dataset(hand, n=3, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=1)
     with pytest.raises(ValueError, match="ascending"):
-        bench.evaluate(hand, data.thetas, data, thresholds=[10.0, 5.0])
+        bench.evaluate(hand, data.thetas, data.thetas, thresholds=[10.0, 5.0])
 
 
 def test_report_serialization_roundtrip(hand):
     data = bench.make_dataset(hand, n=5, noise_sigma_mm=2.0, occlusion_prob=0.0, seed=3)
-    report = bench.evaluate(hand, data.thetas, data)
+    report = bench.evaluate(hand, data.thetas, data.thetas)
     d = report.to_dict()
     assert d["n_frames"] == 5
     assert isinstance(report.to_text(), str)
@@ -264,4 +252,4 @@ def test_evaluate_rejects_fitted_poses_of_another_shape(hand, shape):
     data = bench.make_dataset(hand, n=3, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=11)
     joints = bench.eval_joints(hand, data.thetas)
     with pytest.raises(ValueError, match=re.escape(f"{shape} does not match (3, 26)")):
-        bench.evaluate(hand, joints, data, fitted_poses=np.zeros(shape))
+        bench.evaluate(hand, joints, data.thetas, fitted_poses=np.zeros(shape))

@@ -163,6 +163,22 @@ def test_ik_refuses_frames_of_another_joint_count(hand, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [("--iters", "0", "--iters must be >= 1"),
+                                                  ("--swarm", "1", "--swarm must be >= 2")])
+def test_ik_refuses_bad_iters_and_swarm_before_reading_targets(hand, tmp_path, capsys,
+                                                               flag, value, message):
+    # both used to be refused only after the targets were read, by
+    # PsoConfig, with a message that did not name the flag
+    targets = tmp_path / "targets.csv"
+    fileio.write_joint_file(targets, hand.name,
+                            kin.forward_kinematics_batch(hand, np.zeros((1, hand.n_dofs))))
+    out = tmp_path / "fit.csv"
+    for path in (targets, tmp_path / "missing.csv"):  # nothing is read
+        assert run_cli("ik", "--targets", str(path), "--out", str(out), flag, value) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["fk", "jacobian"])
 def test_kinematics_refuses_pose_file_of_another_skeleton(hand, tmp_path, capsys,
                                                           command):

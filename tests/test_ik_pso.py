@@ -17,28 +17,35 @@ def eval_joints(skel, theta):
         joint_indices=list(skel.eval_subset))[0]
 
 
+def frame(result, f):
+    """Frame f of a fit, as the fit of that frame alone would return it."""
+    return ik_pso.FitResult(*(field[f:f + 1] for field in vars(result).values()))
+
+
+def assert_same_fit(got, want):
+    for name, field in vars(got).items():
+        assert np.array_equal(field, getattr(want, name)), name
+
+
 def test_recovers_known_pose(hand, rng):
     theta = sample_in_bounds(hand, rng)
     target = eval_joints(hand, theta)
-    result = ik_pso.fit_batch(hand, [target], ik_pso.PsoConfig(seed=11))[0]
-    assert result.residual_mm < 1.0
+    result = ik_pso.fit_batch(hand, [target], ik_pso.PsoConfig(seed=11))
+    assert result.residual_mm[0] < 1.0
 
 
 def test_result_respects_bounds(hand, rng):
     theta = sample_in_bounds(hand, rng)
     result = ik_pso.fit_batch(hand, [eval_joints(hand, theta)],
-                              ik_pso.PsoConfig(seed=4))[0]
+                              ik_pso.PsoConfig(seed=4))
     assert np.array_equal(sk.clamp_pose(hand, result.theta), result.theta)
 
 
 def test_deterministic_given_seed(hand, rng):
     target = eval_joints(hand, sample_in_bounds(hand, rng))
     cfg = ik_pso.PsoConfig(seed=21)
-    a = ik_pso.fit_batch(hand, [target], cfg)[0]
-    b = ik_pso.fit_batch(hand, [target], cfg)[0]
-    assert np.array_equal(a.theta, b.theta)
-    assert a.residual_mm == b.residual_mm
-    assert a.iterations_used == b.iterations_used
+    assert_same_fit(ik_pso.fit_batch(hand, [target], cfg),
+                    ik_pso.fit_batch(hand, [target], cfg))
 
 
 def test_gbest_loss_non_increasing(hand, rng):
@@ -49,8 +56,8 @@ def test_gbest_loss_non_increasing(hand, rng):
         losses = []
         for phases in (1, 2):
             cfg = ik_pso.PsoConfig(seed=8, polish_steps=polish_steps,
-                                   iterations=75 * phases, phase_iterations=75)
-            theta = ik_pso.fit_batch(hand, [target], cfg)[0].theta
+                                   iterations=ik_pso.PHASE_ITERATIONS * phases)
+            theta = ik_pso.fit_batch(hand, [target], cfg).theta[0]
             resid = eval_joints(hand, theta) - target
             losses.append(0.5 * float(np.sum(resid * resid)))
         assert losses[1] <= losses[0]
@@ -71,10 +78,9 @@ def test_rejects_non_finite_target(hand):
 def test_fit_batch_identical_frames(hand, rng):
     target = eval_joints(hand, sample_in_bounds(hand, rng))
     cfg = ik_pso.PsoConfig(seed=13)
-    results = ik_pso.fit_batch(hand, [target, target, target], cfg)
-    for r in results[1:]:
-        assert np.array_equal(r.theta, results[0].theta)
-        assert r.residual_mm == results[0].residual_mm
+    result = ik_pso.fit_batch(hand, [target, target, target], cfg)
+    for f in (1, 2):
+        assert_same_fit(frame(result, f), frame(result, 0))
 
 
 def test_fit_batch_empty_rejected(hand):
@@ -86,8 +92,14 @@ def test_batch_mean_residual(hand, rng):
     thetas = sample_in_bounds(hand, rng, n=12)
     targets = forward_kinematics_batch(hand, thetas,
                                        joint_indices=list(hand.eval_subset))
-    results = ik_pso.fit_batch(hand, targets, ik_pso.PsoConfig(seed=5))
-    mean, var = ik_pso.residual_stats(results)
+    result = ik_pso.fit_batch(hand, targets, ik_pso.PsoConfig(seed=5))
+    # one array per field, row f for frame f
+    assert result.theta.shape == (12, hand.n_dofs) and result.theta.dtype == np.float64
+    assert result.residual_mm.shape == (12,) and result.residual_mm.dtype == np.float64
+    assert result.iterations_used.shape == (12,) and result.iterations_used.dtype == np.int64
+    assert result.converged.shape == (12,) and result.converged.dtype == np.bool_
+    assert np.array_equal(result.converged, result.residual_mm <= ik_pso.TOL_MM)
+    mean, var = ik_pso.residual_stats(result)
     assert mean < 1.0
     assert var >= 0.0
 
@@ -107,10 +119,10 @@ def test_fit_pose_residual_grows_off_model(hand, rng):
     theta = sample_in_bounds(hand, rng)
     target = eval_joints(hand, theta)
     cfg = ik_pso.PsoConfig(seed=17)
-    valid = ik_pso.fit_batch(hand, [target], cfg)[0]
-    assert valid.residual_mm < 1.0
-    invalid = ik_pso.fit_batch(hand, [off_model(hand, target)], cfg)[0]
-    assert invalid.residual_mm > valid.residual_mm + 0.5
+    valid, invalid = ik_pso.fit_batch(hand, [target, off_model(hand, target)],
+                                      cfg).residual_mm
+    assert valid < 1.0
+    assert invalid > valid + 0.5
 
 
 def test_pure_swarm_mode_still_works(hand, rng):
@@ -118,8 +130,8 @@ def test_pure_swarm_mode_still_works(hand, rng):
     theta = sample_in_bounds(hand, rng)
     target = eval_joints(hand, theta)
     result = ik_pso.fit_batch(hand, [target],
-                              ik_pso.PsoConfig(seed=1, polish_steps=0))[0]
-    assert result.residual_mm < 60.0  # derivative-free: coarse but sane
+                              ik_pso.PsoConfig(seed=1, polish_steps=0))
+    assert result.residual_mm[0] < 60.0  # derivative-free: coarse but sane
     assert np.array_equal(sk.clamp_pose(hand, result.theta), result.theta)
 
 
@@ -151,32 +163,26 @@ def test_two_dof_chain_matches_grid_search(rng):
         if loss[k] < best_loss:
             best_loss, best_pose = float(loss[k]), chunk[k]
 
-    result = ik_pso.fit_batch(chain, [target], ik_pso.PsoConfig(seed=6))[0]
-    joints = forward_kinematics_batch(chain, result.theta[None])
+    theta = ik_pso.fit_batch(chain, [target], ik_pso.PsoConfig(seed=6)).theta[0]
+    joints = forward_kinematics_batch(chain, theta[None])
     pso_loss = 0.5 * float(np.sum((joints[0] - target) ** 2))
-    angle_gap = np.degrees(np.abs(result.theta - best_pose))
+    angle_gap = np.degrees(np.abs(theta - best_pose))
     assert np.all(angle_gap <= 0.5) or pso_loss <= best_loss
 
 
 # The frame-batched fitter against the one-frame-at-a-time reference in
 # tests/oracles.py: every field of every frame must be equal, bit for bit.
 
-SMALL = dict(swarm_size=16, iterations=60, phase_iterations=20)
-
-
-def assert_same_fit(got, want):
-    assert np.array_equal(got.theta, want.theta)
-    assert got.residual_mm == want.residual_mm
-    assert got.iterations_used == want.iterations_used
-    assert got.converged == want.converged
+# a full phase, then a restart phase of 5 iterations
+SMALL = dict(swarm_size=16, iterations=ik_pso.PHASE_ITERATIONS + 5)
 
 
 def assert_matches_sequential(skel, targets, cfg):
     got = ik_pso.fit_batch(skel, targets, cfg)
     want = oracles.sequential_fit_batch(skel, targets, cfg)
-    assert len(got) == len(want) == len(targets)
-    for g, w in zip(got, want):
-        assert_same_fit(g, w)
+    assert len(got.theta) == len(want.theta) == len(targets)
+    for f in range(len(targets)):
+        assert_same_fit(frame(got, f), frame(want, f))
     return got
 
 
@@ -194,16 +200,16 @@ def mixed_targets(hand):
 # on the first incumbent, whose residual is then the result
 @pytest.mark.parametrize("extra", [
     {}, {"polish_steps": 0},
-    {"polish_steps": 0, "swarm_size": 2, "iterations": 1, "phase_iterations": 1},
+    {"polish_steps": 0, "swarm_size": 2, "iterations": 1},
 ], ids=["polish", "no_polish", "incumbent"])
 def test_fit_batch_matches_sequential_fitter(hand, mixed_targets, extra):
     cfg = ik_pso.PsoConfig(seed=7, **{**SMALL, **extra})
-    results = assert_matches_sequential(hand, mixed_targets, cfg)
+    result = assert_matches_sequential(hand, mixed_targets, cfg)
     if not extra:
         # the batch mixes frames that stop early with full-budget ones
-        assert results[0].converged and results[0].iterations_used < cfg.iterations
-        assert not results[1].converged
-        assert results[1].iterations_used == cfg.iterations
+        assert result.converged[0] and result.iterations_used[0] < cfg.iterations
+        assert not result.converged[1]
+        assert result.iterations_used[1] == cfg.iterations
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["stops_first", "stops_last"])
@@ -222,10 +228,11 @@ def test_frame_that_stops_early_keeps_its_stream(monkeypatch, order):
     reachable = forward_kinematics_batch(chain, np.array([[1.1, -2.3]]))[0]
     targets = np.stack([reachable, 3.0 * reachable])[list(order)]
     cfg = ik_pso.PsoConfig(seed=0, **SMALL)
-    results = assert_matches_sequential(chain, targets, cfg)
-    reach, far = results[order.index(0)], results[order.index(1)]
-    assert reach.converged and reach.iterations_used < cfg.phase_iterations
-    assert far.iterations_used == cfg.iterations
+    result = assert_matches_sequential(chain, targets, cfg)
+    reach, far = order.index(0), order.index(1)
+    assert result.converged[reach]
+    assert result.iterations_used[reach] < ik_pso.PHASE_ITERATIONS
+    assert result.iterations_used[far] == cfg.iterations
     assert copies and all(copies)
 
 
@@ -245,8 +252,7 @@ def test_swarm_phase_streams_in_two_states_match_one_frame_at_a_time(hand, mixed
 
 
 def test_batch_larger_than_one_chunk_matches_sequential_fitter(hand, mixed_targets):
-    cfg = ik_pso.PsoConfig(seed=5, swarm_size=2048, iterations=4,
-                           phase_iterations=2, polish_steps=5)
+    cfg = ik_pso.PsoConfig(seed=5, swarm_size=2048, iterations=4, polish_steps=5)
     assert len(mixed_targets[:3]) * cfg.swarm_size > ik_pso._CHUNK_POSES
     assert_matches_sequential(hand, mixed_targets[:3], cfg)
 
@@ -254,8 +260,8 @@ def test_batch_larger_than_one_chunk_matches_sequential_fitter(hand, mixed_targe
 def test_frame_alone_matches_frame_in_batch(hand, mixed_targets):
     cfg = ik_pso.PsoConfig(seed=11, **SMALL)
     batch = ik_pso.fit_batch(hand, mixed_targets, cfg)
-    for target, in_batch in zip(mixed_targets, batch):
-        assert_same_fit(ik_pso.fit_batch(hand, [target], cfg)[0], in_batch)
+    for f, target in enumerate(mixed_targets):
+        assert_same_fit(ik_pso.fit_batch(hand, [target], cfg), frame(batch, f))
 
 
 def test_singular_solve_matches_sequential_fitter(hand, mixed_targets,

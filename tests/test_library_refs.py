@@ -1,9 +1,12 @@
-"""Every function and class of the library has a caller outside tests.
+"""Every function and class of the library has a caller outside tests, and
+every optional parameter a caller outside tests that passes it.
 
 A top-level definition in a module of src/kinedeep/ (the package's
 __init__.py only re-exports) counts as used when library code outside its
 own body, or the benchmark harness in perfbench/, names it as a bare name
-or as an attribute. Code that only tests call is dead weight.
+or as an attribute. A defaulted or keyword-only parameter counts as used
+when a call in src/kinedeep/ or perfbench/ to a function of its name passes
+it, by keyword or by position. Code that only tests call is dead weight.
 """
 import ast
 import pathlib
@@ -39,3 +42,59 @@ def test_every_library_definition_has_a_non_test_caller():
             if node.name not in elsewhere | outside:
                 uncalled.append(f"{name}.{node.name}")
     assert uncalled == []
+
+
+def calls_by_name(trees):
+    """Each called name (a bare name or an attribute) -> list of (number of
+    positional arguments, keyword names); a starred argument passes every
+    position, a ** argument every keyword."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append(
+                (float("inf") if starred else len(node.args), keywords))
+    return calls
+
+
+def optional_parameters(tree):
+    """(called name, parameter, its position in a call) for every defaulted
+    or keyword-only parameter; a method's self is not a call's argument, and
+    __init__ is called through its class name."""
+    found = []
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef)
+    for scope in (s for s in ast.walk(tree) if isinstance(s, scopes)):
+        for node in scope.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            method = isinstance(scope, ast.ClassDef) and not any(
+                getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            name = scope.name if method and node.name == "__init__" else node.name
+            positional = node.args.posonlyargs + node.args.args
+            first_default = len(positional) - len(node.args.defaults)
+            for i, arg in enumerate(positional):
+                if i >= first_default:
+                    found.append((name, arg.arg, i - method))
+            found += [(name, arg.arg, None) for arg in node.args.kwonlyargs]
+    return found
+
+
+def test_every_optional_parameter_is_passed_by_a_non_test_caller():
+    # a defaulted or keyword-only parameter that only tests set is a knob
+    # the program never turns
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted((ROOT / "src" / "kinedeep").glob("*.py"))}
+    calls = calls_by_name(list(trees.values()) + [
+        ast.parse(p.read_text()) for p in (ROOT / "perfbench").glob("*.py")])
+    unpassed = [
+        f"{module}.{name}({param})"
+        for module, tree in trees.items()
+        for name, param, position in optional_parameters(tree)
+        if not any(param in keywords or (position is not None and position < n)
+                   for n, keywords in calls.get(name, []))]
+    assert unpassed == []

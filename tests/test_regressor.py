@@ -1,7 +1,8 @@
 import io
 import json
+import math
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -440,7 +441,7 @@ def test_on_epoch_record_without_val_has_no_val_metrics(hand):
 
 def test_train_empty_dataset_rejected(hand):
     data = small_dataset(hand)
-    empty = data.subset([])
+    empty = replace(data, features=data.features[:0], thetas=data.thetas[:0])
     run = reg.init(whitened_config(hand, data), mode="ours")
     with pytest.raises(ValueError, match="empty"):
         reg.train(run, empty, hand, train_config())
@@ -527,7 +528,7 @@ def test_validation_stats_are_evaluate_without_thresholds(hand, mode, width):
                    mode)
     predictions = reg.predict(run, data.features, hand)
     for true_joints in (None, bench.eval_joints(hand, data.thetas)):
-        report = bench.evaluate(hand, predictions, data, thresholds=())
+        report = bench.evaluate(hand, predictions, data.thetas, thresholds=())
         want = (report.avg_joint_error_mm, report.avg_angle_error_deg,
                 report.invalid_pose_fraction)
         got = reg.validation_stats(run, data, hand, true_joints)
@@ -664,6 +665,10 @@ def replace_header(parts, change) -> bytes:
     return b"".join([json.dumps(header).encode() + b"\n"] + parts[1:])
 
 
+def replace_mlp(**fields):
+    return lambda parts: replace_header(parts, lambda h: h["mlp"].update(fields))
+
+
 def huge_npy_header() -> bytes:
     """A .npy 1.0 header that claims 2**40 float64 values (8 TiB) and no data."""
     buf = io.BytesIO()
@@ -698,6 +703,16 @@ CHECKPOINT_DAMAGE = {
         "header field history is missing or not a list of rows of 4 numbers"),
     "npy_header_claims_8_tib": (lambda p: p[0] + huge_npy_header() + b"".join(p[2:]),
                                 "layer 0 weights are float64 (1099511627776,)"),
+    **{f"input_scale_{v}": (replace_mlp(input_scale=v),
+                            "header field mlp: input_scale must be positive and finite")
+       for v in (0.0, -0.01, math.nan)},
+    **{f"input_clip_abs_{v}": (replace_mlp(input_clip_abs=v), "header field mlp: "
+                               "input_clip_abs must be positive and finite when set")
+       for v in (-1.0, math.inf)},
+    "output_scale_nan": (
+        lambda p: replace_header(p, lambda h: h["mlp"].update(
+            output_scale=[math.nan] + [1.0] * (h["mlp"]["layer_widths"][-1] - 1))),
+        "header field mlp: output_scale entries must be positive and finite"),
 }
 
 
