@@ -260,10 +260,12 @@ def cmd_ik(args) -> int:
     skel = _resolve_skeleton(args.skeleton)
     name, frames = fileio.read_joint_file(args.targets)
     _check_header_skeleton(args.targets, "joint", name, skel)
+    if not len(frames):
+        raise ValueError(f"{args.targets}: no frames to fit")
     n_eval = len(skel.eval_subset)
-    if frames.shape[0] and frames.shape[1] == skel.n_joints:
+    if frames.shape[1] == skel.n_joints:
         frames = frames[:, list(skel.eval_subset), :]
-    elif frames.shape[0] and frames.shape[1] != n_eval:
+    elif frames.shape[1] != n_eval:
         raise ValueError(
             f"{args.targets}: frames carry {frames.shape[1]} joints, expected "
             f"{n_eval} (eval subset) or {skel.n_joints} (all)"

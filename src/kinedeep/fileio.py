@@ -18,7 +18,8 @@ zero records of the header's width: (0, K, 3) frames or (0, D) poses. A
 zero-byte file is zero records of width zero, or of the caller's expected
 width of poses. Reading streams the file line by line and holds only the
 parsed array. Floats are written with repr (shortest round-trip), so write
--> read -> write is byte-stable. Parse errors carry 1-based line numbers.
+-> read -> write is byte-stable. A non-finite value (nan, inf) is refused.
+Parse errors carry 1-based line numbers.
 
 A dataset is one uncompressed .npz file, read with allow_pickle=False, of
 float64 members features (N, 3 * n_eval) and thetas (N, D), and meta, a 0-d
@@ -85,6 +86,8 @@ def _read_table(path, magic, width_key, unit):
                 rows.append(np.array(tokens, dtype=float))
             except ValueError:
                 raise FileFormatError(f"{path}: malformed number on line {line_no}") from None
+            if not np.isfinite(rows[-1]).all():
+                raise FileFormatError(f"{path}: non-finite value on line {line_no}")
     return fields, np.stack(rows) if rows else np.zeros((0, width or 0))
 
 

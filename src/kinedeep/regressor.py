@@ -12,10 +12,14 @@ first-layer steps disproportionate at any single learning rate).
 
 One layer loop, ``_layers``, serves inference and training. Inference
 (``forward``, hence ``predict`` and ``validation_stats``) runs it over row
-blocks of FORWARD_BLOCK_ROWS to 2 * FORWARD_BLOCK_ROWS - 1 rows, and keeps
-only two layers of one block alive: the one being computed and the one
-feeding it. Training keeps every layer's output for the backward pass, and
-takes each ReLU mask from those outputs; no pre-activation is stored.
+blocks of FORWARD_BLOCK_ROWS (192) to 2 * FORWARD_BLOCK_ROWS - 1 rows, and
+keeps only two layers of one block alive: the one being computed and the one
+feeding it. A row gets the bits of one pass over all rows in any block of at
+least 151 rows on the 256 -> 26 output layer and 94 rows on a 256 -> 42 one
+(OpenBLAS 0.3.31, measured; shorter blocks take its small-matrix kernel).
+Training keeps every layer's output for the backward pass, and takes each
+ReLU mask from those outputs; no pre-activation is stored. It holds one
+step's gradients at a time, and none while it validates.
 A checkpoint is one JSON header line followed by each layer's weights and
 biases as .npy records (save_checkpoint).
 """
@@ -38,10 +42,11 @@ CHECKPOINT_FORMAT = "kinedeep-checkpoint"
 CHECKPOINT_VERSION = 3  # 3: .npy layer records; 2: all JSON; 1: no skeleton
 OUTPUT_GAIN = 50.0  # fixed output gain of the pose- and joint-regressing modes
 # Inference runs in row blocks of at least this many rows (fewer only when
-# there are fewer). OpenBLAS (0.3.31, measured) gives a row the same bits
-# in any block this tall, but blocks of 16-128 rows take its small-matrix
-# kernel, which rounds differently (~5e-14) on the last layer.
-FORWARD_BLOCK_ROWS = 512
+# there are fewer). OpenBLAS 0.3.31 rounds differently (~5e-14) in its
+# small-matrix kernel, taken when M*K*N <= 1e6: measured against a 2000-row
+# pass, a block keeps the bits from 151 rows on a 256 -> 26 layer and from
+# 94 rows on a 256 -> 42 one. 192 is 27 % above 151.
+FORWARD_BLOCK_ROWS = 192
 
 
 @dataclass(frozen=True)
@@ -426,6 +431,7 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
                 idx = order[start:start + sgd.batch_size]
                 feats = dataset.features[idx]
                 tgt = targets[idx]
+                grads = None  # one gradient set alive at a time
                 try:
                     if mode.through_fk:
                         value, grads = backward_through_model(run, feats, tgt, skel, lam)
@@ -441,6 +447,8 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
                 sgd_step(run, grads, stage)
                 epoch_losses.append(value)
 
+            grad_norm = float(np.sqrt(sum(np.vdot(g, g) for g in grads[0] + grads[1])))
+            grads = None  # none alive through validation
             if not all(np.isfinite(p).all() for p in run.weights + run.biases):
                 raise NumericalError(f"non-finite weights after epoch {epoch}")
             if val is not None:
@@ -464,8 +472,7 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
                     "epoch": epoch,
                     "lr": stage.learning_rate,
                     "train_loss": stats.train_loss,
-                    "grad_norm": float(np.sqrt(sum(np.vdot(g, g)
-                                                   for g in grads[0] + grads[1]))),
+                    "grad_norm": grad_norm,
                 }
                 if val is not None:
                     # NaN (the angles of a joint-emitting mode) as null

@@ -147,8 +147,47 @@ def test_ik_no_target_frames_exits_1(hand, tmp_path, capsys):
     out = tmp_path / "fit.csv"
     assert run_cli("ik", "--targets", str(targets), "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert "at least one target frame" in err
+    assert err == f"error: {targets}: no frames to fit\n"
     assert "reshape" not in err
+    assert not out.exists()
+
+
+def test_ik_refuses_a_zero_byte_joint_file(tmp_path, capsys):
+    targets = tmp_path / "targets.csv"
+    targets.write_text("")
+    out = tmp_path / "fit.csv"
+    assert run_cli("ik", "--targets", str(targets), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {targets}: no frames to fit\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fk", "jacobian"])
+def test_kinematics_of_a_header_only_pose_file_writes_no_rows(hand, tmp_path, command):
+    poses = tmp_path / "poses.csv"
+    fileio.write_pose_file(poses, hand.name, np.zeros((0, hand.n_dofs)))
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--poses", str(poses), "--out", str(out)) == 0
+    assert out.read_text().count("\n") == 1  # the header line alone
+
+
+@pytest.mark.parametrize("command", ["fk", "jacobian", "ik"])
+def test_non_finite_input_leaves_no_output(hand, tmp_path, capsys, command):
+    # the first row is fine and the second holds a NaN: no command may write
+    # the first row's result and then fail
+    thetas = np.zeros((2, hand.n_dofs))
+    path = tmp_path / "in.csv"
+    if command == "ik":
+        joints = kin.forward_kinematics_batch(hand, thetas)
+        joints[1, 3, 0] = np.nan
+        fileio.write_joint_file(path, hand.name, joints)
+        flag = "--targets"
+    else:
+        thetas[1, 5] = np.nan
+        fileio.write_pose_file(path, hand.name, thetas)
+        flag = "--poses"
+    out = tmp_path / "out.csv"
+    assert run_cli(command, flag, str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {path}: non-finite value on line 3\n"
     assert not out.exists()
 
 

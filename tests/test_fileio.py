@@ -39,6 +39,17 @@ def test_malformed_line_cites_line_number(tmp_path):
         fileio.read_pose_file(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity"])
+@pytest.mark.parametrize("read", [fileio.read_pose_file, fileio.read_joint_file])
+def test_non_finite_value_cites_path_and_line(tmp_path, read, value):
+    path = tmp_path / "bad.csv"
+    magic = "kinedeep-poses" if read is fileio.read_pose_file else "kinedeep-joints"
+    path.write_text(f"# {magic} v1\n1.0,2.0,3.0\n1.0,{value},3.0\n")
+    with pytest.raises(fileio.FileFormatError) as excinfo:
+        read(path)
+    assert str(excinfo.value) == f"{path}: non-finite value on line 3"
+
+
 def test_wrong_width_cites_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# kinedeep-poses v1 skeleton=x dims=2\n1.0,2.0\n1.0,2.0,3.0\n")

@@ -748,10 +748,12 @@ def test_train_non_finite_weights_name_the_epoch(hand, monkeypatch):
 
 @pytest.mark.parametrize("widths, mode", [((42, 256, 256, 26), "ours"),
                                           ((42, 256, 256, 42), "direct_joint")])
-@pytest.mark.parametrize("n", [1, 511, 512, 1023, 1024, 2000, 2049])
+@pytest.mark.parametrize("n", [1, 191, 192, 383, 384, 500, 511, 512, 1023, 1024,
+                               2000, 2049])
 def test_forward_matches_one_pass_oracle(rng, widths, mode, n):
-    # row blocks start at 512 rows (1024 and 2049 split, 511 and 1023 do not),
-    # and every row keeps the bits of one pass over all rows
+    # row blocks start at 192 rows (384 splits, 191 and 383 do not; 500 runs
+    # as two blocks of 250, 2049 as ten of 204-205), and every row keeps the
+    # bits of one pass over all rows
     run = reg.init(reg.MlpConfig(layer_widths=widths, seed=0, input_scale=0.01,
                                  input_clip_abs=400.0,
                                  output_scale=(50.0,) * widths[-1]), mode)
@@ -788,6 +790,41 @@ def test_forward_keeps_at_most_two_layers_alive(rng):
     output_bytes = 2000 * 26 * 8
     assert traced_peak_bytes(reg.forward, run, features) < \
         2 * block_rows * 256 * 8 + output_bytes
+
+
+def test_validation_stats_runs_the_val_set_in_row_blocks(hand):
+    # 500 rows run as two 250-row blocks: two 256-wide layers of one block
+    # are 1.0 MiB, of a single 500-row block 1.95 MiB
+    run = default_sized_run()
+    val = bench.make_dataset(hand, n=500, noise_sigma_mm=2.0, occlusion_prob=0.0, seed=5)
+    val_joints = bench.eval_joints(hand, val.thetas)
+    reg.validation_stats(run, val, hand, val_joints)  # warm-up: lazy imports
+    peak = traced_peak_bytes(reg.validation_stats, run, val, hand, val_joints)
+    assert peak < 1.5 * 2**20
+
+
+def test_train_holds_at_most_one_gradient_set(hand, monkeypatch):
+    # the previous step's gradients (0.64 MiB for this network) are dropped
+    # before the next are computed, and the last step's before validation,
+    # so every backward and validation pass starts with the traced memory
+    # of the first backward pass
+    data = small_dataset(hand, n=256)
+    run = reg.init(replace(default_sized_run().config,
+                           output_scale=reg.pose_output_scale(hand)), "ours")
+    at_entry = []
+
+    def recording(fn):
+        def wrapper(*args):
+            at_entry.append(tracemalloc.get_traced_memory()[0])
+            return fn(*args)
+        return wrapper
+
+    for name in ("backward_through_model", "validation_stats"):
+        monkeypatch.setattr(reg, name, recording(getattr(reg, name)))
+    traced_peak_bytes(reg.train, run, data, hand, train_config(batch_size=64, epochs=2),
+                      data)
+    assert len(at_entry) == 10  # 4 steps and a validation, twice
+    assert max(at_entry) - at_entry[0] < 0.1 * 2**20
 
 
 def test_save_checkpoint_streams_the_weights(hand, tmp_path):
