@@ -5,7 +5,7 @@ evaluation benchmark."""
 __version__ = "0.1.0"
 
 from .skeleton import (  # noqa: F401
-    DofSpec, JointSpec, Skeleton, SkeletonError,
+    Skeleton, SkeletonError,
     clamp_pose, default_hand, load_skeleton, save_skeleton,
 )
 from .kinematics import fk_jacobian_batch, forward_kinematics_batch  # noqa: F401

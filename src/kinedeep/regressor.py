@@ -41,6 +41,7 @@ from .skeleton import Skeleton
 CHECKPOINT_FORMAT = "kinedeep-checkpoint"
 CHECKPOINT_VERSION = 3  # 3: .npy layer records; 2: all JSON; 1: no skeleton
 OUTPUT_GAIN = 50.0  # fixed output gain of the pose- and joint-regressing modes
+MOMENTUM = 0.9  # SGD momentum of every mode and stage
 # Inference runs in row blocks of at least this many rows (fewer only when
 # there are fewer). OpenBLAS 0.3.31 rounds differently (~5e-14) in its
 # small-matrix kernel, taken when M*K*N <= 1e6: measured against a 2000-row
@@ -146,7 +147,6 @@ class MlpConfig:
 class SgdConfig:
     batch_size: int = 512
     learning_rate: float = 0.003
-    momentum: float = 0.9
     epochs: int = 200
     lam: float = 1.0
     staged: bool = True  # run the STAGES schedule; otherwise one flat stage
@@ -154,8 +154,6 @@ class SgdConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
         # written so that NaN fails each comparison
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
@@ -362,7 +360,7 @@ def sgd_step(run: TrainRun, grads, sgd: SgdConfig) -> TrainRun:
             )
         for w, v, g in ((run.weights[i], run.vel_w[i], grads_w[i]),
                         (run.biases[i], run.vel_b[i], grads_b[i])):
-            v *= sgd.momentum
+            v *= MOMENTUM
             v -= sgd.learning_rate * g
             w += v
     return run

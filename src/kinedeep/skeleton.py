@@ -1,20 +1,48 @@
 """Kinematic tree definition, validation, and the built-in 23-joint hand.
 
-The built-in hand is the config file ``hand23.json`` shipped inside the
-package; ``default_hand()`` loads it like any other skeleton file.
-
 A skeleton is an ordered list of joints forming a rooted tree. Each joint
-carries the length of the bone connecting it to its parent (mm), an optional
-fixed rest-pose rotation offset, and an ordered list of degrees of freedom.
-The flat concatenation of all DOFs, in joint order, defines the layout of a
+carries the length of the bone connecting it to its parent, an optional
+fixed rest-pose rotation, and an ordered list of degrees of freedom. The
+flat concatenation of all DOFs, in joint order, defines the layout of a
 pose vector: for the default hand that is 3 global translations (mm), 3
 global rotations, then 20 finger angles (radians).
 
-Angles are radians everywhere in the API; config files use degrees.
+Every skeleton is built from its config, a JSON object: ``load_skeleton``
+reads one from a file, ``skeleton_from_dict`` takes it parsed, and the
+built-in hand is the config file ``hand23.json`` shipped inside the package.
+The keys, with their units and defaults:
+
+  name                  the skeleton's name, a non-empty string. Default:
+                        the config file's base name, else "skeleton"
+  joints                a list of joint objects, each after its parent:
+    name                a non-empty string, unique in the skeleton
+    parent              the parent joint's name; missing or null for the
+                        root, of which there is exactly one
+    bone_length_mm      length of the bone from the parent (mm, >= 0, and
+                        0 at the root). Default 0
+    rest_offset_deg     three fixed rotations (degrees about X, Y, Z,
+                        applied in that order) baked into the joint's frame
+                        before its DOFs; they shape the rest pose (finger
+                        splay) without consuming DOFs. Default [0, 0, 0]
+    dofs                a list of DOF objects, in pose order. Default []
+      kind              "rotation" or "translation"
+      axis              "X", "Y" or "Z"; lower case is read too, and
+                        written back in upper case
+      lower_deg, upper_deg
+                        a rotation's bounds (degrees, lower <= upper,
+                        within [-180, 180])
+      lower_mm, upper_mm
+                        a translation's bounds (mm, lower <= upper)
+  eval_subset           the names of the joints the benchmark scores.
+                        Default: every joint
+
+Every number must be a finite JSON number: a string, true or false, NaN or
+Infinity is refused with a SkeletonError that names the joint and the key.
+Angles are radians everywhere in the API; only configs use degrees.
 """
 from __future__ import annotations
 
-import hashlib
+import copy
 import json
 import math
 import os
@@ -23,91 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 
 AXES = ("X", "Y", "Z")
-_AXIS_INDEX = {"X": 0, "Y": 1, "Z": 2}
-
-KIND_TRANSLATION = "translation"
-KIND_ROTATION = "rotation"
 
 
 class SkeletonError(ValueError):
     """A skeleton config violates a structural invariant."""
-
-
-def axis_index(axis) -> int:
-    """Map an axis name ('X'|'Y'|'Z', case-insensitive) or index to 0..2."""
-    if isinstance(axis, str):
-        try:
-            return _AXIS_INDEX[axis.upper()]
-        except KeyError:
-            raise SkeletonError(f"unknown axis {axis!r}, expected one of {AXES}") from None
-    if not isinstance(axis, (int, float)):
-        raise SkeletonError(f"unknown axis {axis!r}, expected one of {AXES}")
-    i = int(axis)
-    if i not in (0, 1, 2):
-        raise SkeletonError(f"axis index {axis!r} out of range")
-    return i
-
-
-@dataclass(frozen=True)
-class DofSpec:
-    """One degree of freedom: a rotation angle or a translation component.
-
-    Bounds are radians for rotations (within [-pi, pi]) and mm for
-    translations.
-    """
-
-    kind: str
-    axis: str
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if self.kind not in (KIND_TRANSLATION, KIND_ROTATION):
-            raise SkeletonError(f"unknown dof kind {self.kind!r}")
-        object.__setattr__(self, "axis", AXES[axis_index(self.axis)])
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise SkeletonError("dof bounds must be finite")
-        if self.lower > self.upper:
-            raise SkeletonError(
-                f"dof lower bound {self.lower} exceeds upper bound {self.upper}"
-            )
-        if self.kind == KIND_ROTATION:
-            # Closed interval: -pi is accepted so a full +-180 deg range is
-            # representable; ranges never exceed one period.
-            if self.lower < -math.pi - 1e-12 or self.upper > math.pi + 1e-12:
-                raise SkeletonError(
-                    f"rotation bounds [{self.lower}, {self.upper}] outside [-pi, pi]"
-                )
-
-    @property
-    def is_rotation(self) -> bool:
-        return self.kind == KIND_ROTATION
-
-
-@dataclass(frozen=True)
-class JointSpec:
-    """A joint: its parent link, incoming bone length, and DOF list.
-
-    ``rest_offset_deg`` is a fixed rotation (X, Y, Z degrees, applied in that
-    order) baked into the joint's local frame before its DOF transforms; it
-    shapes the rest pose (finger splay) without consuming DOFs.
-    """
-
-    name: str
-    parent: int | None
-    bone_length: float
-    dofs: tuple[DofSpec, ...] = ()
-    rest_offset_deg: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "dofs", tuple(self.dofs))
-        object.__setattr__(self, "rest_offset_deg", tuple(self.rest_offset_deg))
-        if not self.name:
-            raise SkeletonError("joint name must be non-empty")
-        if self.bone_length < 0:
-            raise SkeletonError(f"joint {self.name!r}: negative bone length")
-        if len(self.rest_offset_deg) != 3:
-            raise SkeletonError(f"joint {self.name!r}: rest_offset_deg needs 3 values")
 
 
 def _rest_rotation(rest_offset_deg):
@@ -200,15 +147,16 @@ class FkLayout:
 
 
 def _fk_layout(skel) -> FkLayout:
-    """The FkLayout of a skeleton whose joints and DOF tables are built."""
+    """The FkLayout of a skeleton whose joint and DOF tables are built."""
     parents = skel.parent_index.tolist()
     J = len(parents)
     depth = [0] * J
     for u in range(1, J):
         depth[u] = depth[parents[u]] + 1
     signature = [(skel.rest_rotations[u] is not None,
-                  tuple((d.kind, d.axis) for d in joint.dofs))
-                 for u, joint in enumerate(skel.joints)]
+                  tuple((bool(skel.dof_is_rotation[d]), int(skel.dof_axis[d]))
+                        for d in dofs))
+                 for u, dofs in enumerate(skel.joint_dofs)]
 
     # one group per depth and signature, in order of first joint; members
     # follow their parents' rows, so a chain's groups line up row by row
@@ -310,10 +258,12 @@ def _fk_layout(skel) -> FkLayout:
 class Skeleton:
     """Validated kinematic tree with precomputed lookup tables.
 
-    Immutable after construction (all arrays are write-protected), so
-    instances can be shared freely across threads.
+    Built only by skeleton_from_dict. Immutable after construction (all
+    arrays are write-protected), so instances can be shared freely across
+    threads.
 
     Derived attributes used by the kinematics code:
+      joint_names    (J,) tuple of str
       parent_index   (J,) int, -1 at the root
       bone_lengths   (J,) float mm
       rest_rotations list of 3x3 arrays or None per joint
@@ -327,26 +277,27 @@ class Skeleton:
       fk_layout      the joint groups forward kinematics runs as batches
     """
 
-    def __init__(self, joints, eval_subset=None, name="skeleton"):
-        self.name = str(name)
-        self.joints = tuple(joints)
-        self._validate_tree()
-
-        J = len(self.joints)
-        self.parent_index = np.array(
-            [-1 if j.parent is None else j.parent for j in self.joints], dtype=np.int64
-        )
-        self.bone_lengths = np.array([j.bone_length for j in self.joints], dtype=float)
-        self.rest_rotations = [_rest_rotation(j.rest_offset_deg) for j in self.joints]
+    def __init__(self, config, joints, eval_subset):
+        """`config` is the canonical dict; `joints` holds, per joint, the
+        checked row (name, parent index or -1, bone mm, rest offset degrees,
+        DOFs), each DOF being (is rotation, axis 0..2, lower, upper) in
+        radians or mm."""
+        self._config = config
+        self.name = config["name"]
+        self.joint_names = tuple(row[0] for row in joints)
+        J = len(joints)
+        self.parent_index = np.array([row[1] for row in joints], dtype=np.int64)
+        self.bone_lengths = np.array([row[2] for row in joints], dtype=float)
+        self.rest_rotations = [_rest_rotation(row[3]) for row in joints]
 
         dof_joint, dof_rot, dof_axis, lo, hi = [], [], [], [], []
-        for u, joint in enumerate(self.joints):
-            for dof in joint.dofs:
+        for u, row in enumerate(joints):
+            for is_rotation, axis, lower, upper in row[4]:
                 dof_joint.append(u)
-                dof_rot.append(dof.is_rotation)
-                dof_axis.append(axis_index(dof.axis))
-                lo.append(dof.lower)
-                hi.append(dof.upper)
+                dof_rot.append(is_rotation)
+                dof_axis.append(axis)
+                lo.append(lower)
+                hi.append(upper)
         self.dof_joint = np.array(dof_joint, dtype=np.int64)
         self.dof_is_rotation = np.array(dof_rot, dtype=bool)
         self.dof_axis = np.array(dof_axis, dtype=np.int64)
@@ -364,14 +315,7 @@ class Skeleton:
                 v = self.parent_index[v]
         self.path_mask = mask
         self.fk_layout = _fk_layout(self)
-
-        if eval_subset is None:
-            self.eval_subset = tuple(range(J))
-        else:
-            self.eval_subset = tuple(int(i) for i in eval_subset)
-            bad = [i for i in self.eval_subset if not 0 <= i < J]
-            if bad:
-                raise SkeletonError(f"eval_subset indices out of range: {bad}")
+        self.eval_subset = tuple(eval_subset)
 
         for arr in (self.parent_index, self.bone_lengths, self.dof_joint,
                     self.dof_is_rotation, self.dof_axis, self.dof_lower,
@@ -381,182 +325,148 @@ class Skeleton:
             if r is not None:
                 r.flags.writeable = False
 
-    def _validate_tree(self):
-        seen = set()
-        roots = []
-        for u, joint in enumerate(self.joints):
-            if joint.name in seen:
-                raise SkeletonError(f"duplicate joint name {joint.name!r}")
-            seen.add(joint.name)
-            if joint.parent is None:
-                roots.append(joint.name)
-                if joint.bone_length != 0:
-                    raise SkeletonError(
-                        f"root joint {joint.name!r} must have bone length 0"
-                    )
-            else:
-                p = joint.parent
-                if p == u:
-                    raise SkeletonError(f"cycle: joint {joint.name!r} is its own parent")
-                if not 0 <= p < len(self.joints):
-                    raise SkeletonError(
-                        f"joint {joint.name!r}: parent index {p} out of range"
-                    )
-                if p > u:
-                    raise SkeletonError(
-                        f"joint {joint.name!r} appears before its parent "
-                        f"{self.joints[p].name!r} (order must be topological)"
-                    )
-        if len(roots) != 1:
-            raise SkeletonError(
-                f"expected exactly one root joint, found {len(roots)}: {roots}"
-            )
-
     @property
     def n_joints(self) -> int:
-        return len(self.joints)
+        return len(self.joint_names)
 
     @property
     def n_dofs(self) -> int:
         return len(self.dof_joint)
 
     def to_dict(self) -> dict:
-        joints = []
-        for j in self.joints:
-            entry = {
-                "name": j.name,
-                "parent": None if j.parent is None else self.joints[j.parent].name,
-                "bone_length_mm": j.bone_length,
-                "dofs": [_dof_to_dict(d) for d in j.dofs],
-            }
-            if any(v != 0 for v in j.rest_offset_deg):
-                entry["rest_offset_deg"] = list(j.rest_offset_deg)
-            joints.append(entry)
-        return {
-            "name": self.name,
-            "joints": joints,
-            "eval_subset": [self.joints[i].name for i in self.eval_subset],
-        }
+        """The canonical config, a fresh copy the caller may change."""
+        return copy.deepcopy(self._config)
 
     def fingerprint(self) -> dict:
         """Name and sha256 of the canonical to_dict() JSON; equal for a
         skeleton and its save_skeleton/load_skeleton round trip."""
-        text = json.dumps(self.to_dict(), sort_keys=True)
+        # imported here: hashlib loads OpenSSL's libcrypto, which only the
+        # commands that read or write checkpoints need
+        import hashlib
+
+        text = json.dumps(self._config, sort_keys=True)
         return {"name": self.name, "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
-def _dof_to_dict(dof: DofSpec) -> dict:
-    if dof.is_rotation:
-        return {
-            "kind": dof.kind,
-            "axis": dof.axis,
-            "lower_deg": math.degrees(dof.lower),
-            "upper_deg": math.degrees(dof.upper),
-        }
-    return {
-        "kind": dof.kind,
-        "axis": dof.axis,
-        "lower_mm": dof.lower,
-        "upper_mm": dof.upper,
-    }
-
-
-def _number(value, joint_name, key) -> float:
-    """float(value), or a SkeletonError naming the joint and the key."""
+def _finite(value, where: str, key: str):
+    """`value` if it is a finite JSON number, else a SkeletonError naming
+    where it is and its key."""
     try:
-        return float(value)
-    except TypeError:
-        raise SkeletonError(f"joint {joint_name!r}: {key} must be a number, "
-                            f"not {value!r}") from None
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise SkeletonError(f"{where}: {key} must be a finite number, not {value!r}")
+    return value
 
 
-def _dof_from_dict(raw: dict, joint_name: str) -> DofSpec:
-    try:
-        kind = raw["kind"]
-        axis = raw["axis"]
-    except KeyError as e:
-        raise SkeletonError(f"joint {joint_name!r}: dof missing key {e}") from None
-    if kind == KIND_ROTATION:
-        try:
-            lower = math.radians(_number(raw["lower_deg"], joint_name, "lower_deg"))
-            upper = math.radians(_number(raw["upper_deg"], joint_name, "upper_deg"))
-        except KeyError as e:
-            raise SkeletonError(
-                f"joint {joint_name!r}: rotation dof missing key {e}"
-            ) from None
-    elif kind == KIND_TRANSLATION:
-        try:
-            lower = _number(raw["lower_mm"], joint_name, "lower_mm")
-            upper = _number(raw["upper_mm"], joint_name, "upper_mm")
-        except KeyError as e:
-            raise SkeletonError(
-                f"joint {joint_name!r}: translation dof missing key {e}"
-            ) from None
+def _dof(raw, where: str, key: str):
+    """(canonical dict, table row) of one DOF object; see Skeleton."""
+    if not isinstance(raw, dict):
+        raise SkeletonError(f"{where}: {key} must be an object, not {raw!r}")
+    kind, axis = raw.get("kind"), raw.get("axis")
+    if kind not in ("rotation", "translation"):
+        raise SkeletonError(f"{where}: {key}.kind must be 'rotation' or "
+                            f"'translation', not {kind!r}")
+    if not isinstance(axis, str) or axis.upper() not in AXES:
+        raise SkeletonError(f"{where}: {key}.axis must be 'X', 'Y' or 'Z', not {axis!r}")
+    unit = "deg" if kind == "rotation" else "mm"
+    bounds = []
+    for end in (f"lower_{unit}", f"upper_{unit}"):
+        if end not in raw:
+            raise SkeletonError(f"{where}: {key} has no {end}")
+        bounds.append(float(_finite(raw[end], where, f"{key}.{end}")))
+    if bounds[0] > bounds[1]:
+        raise SkeletonError(f"{where}: {key} lower bound {bounds[0]} exceeds "
+                            f"upper bound {bounds[1]}")
+    if kind == "translation":
+        lower, upper = bounds
+        entry = {"kind": kind, "axis": axis.upper(), "lower_mm": lower, "upper_mm": upper}
     else:
-        raise SkeletonError(f"joint {joint_name!r}: unknown dof kind {kind!r}")
-    try:
-        return DofSpec(kind, axis, lower, upper)
-    except SkeletonError as e:
-        raise SkeletonError(f"joint {joint_name!r}: {e}") from None
+        lower, upper = (math.radians(v) for v in bounds)
+        # closed interval: -180 is accepted so a full +-180 deg range is
+        # representable; ranges never exceed one period
+        if lower < -math.pi - 1e-12 or upper > math.pi + 1e-12:
+            raise SkeletonError(f"{where}: {key} rotation bounds {bounds} deg lie "
+                                f"outside [-180, 180]")
+        entry = {"kind": kind, "axis": axis.upper(),
+                 "lower_deg": math.degrees(lower), "upper_deg": math.degrees(upper)}
+    return entry, (kind == "rotation", AXES.index(axis.upper()), lower, upper)
 
 
 def skeleton_from_dict(raw: dict, name=None) -> Skeleton:
-    """Build and validate a Skeleton from its JSON-style dict form."""
+    """Check every field of a skeleton config (see the module docstring) and
+    build its Skeleton; `name` names a config that has no name."""
     if not isinstance(raw, dict) or not isinstance(raw.get("joints"), list):
         raise SkeletonError("config must contain a 'joints' list")
-    name_to_index = {}
-    for i, entry in enumerate(raw["joints"]):
-        if not isinstance(entry, dict):
-            raise SkeletonError(f"joint #{i} is not an object")
-        jname = entry.get("name")
+    skel_name = raw.get("name", name or "skeleton")
+    if not isinstance(skel_name, str) or not skel_name:
+        raise SkeletonError(f"name must be a non-empty string, not {skel_name!r}")
+
+    index, entries, rows, roots = {}, [], [], []
+    for u, joint in enumerate(raw["joints"]):
+        if not isinstance(joint, dict):
+            raise SkeletonError(f"joint #{u} is not an object")
+        jname = joint.get("name")
         if not jname or not isinstance(jname, str):
-            raise SkeletonError(f"joint #{i} has no name (a non-empty string)")
-        if jname in name_to_index:
+            raise SkeletonError(f"joint #{u} has no name (a non-empty string)")
+        if jname in index:
             raise SkeletonError(f"duplicate joint name {jname!r}")
-        name_to_index[jname] = i
+        where = f"joint {jname!r}"
 
-    joints = []
-    for entry in raw["joints"]:
-        jname = entry["name"]
-        parent_name = entry.get("parent")
-        if parent_name is None:
-            parent = None
+        parent = joint.get("parent")
+        if parent is None:
+            p = -1
+            roots.append(jname)
+        elif not isinstance(parent, str):
+            raise SkeletonError(f"{where}: unknown parent {parent!r}")
+        elif parent == jname:
+            raise SkeletonError(f"cycle: joint {jname!r} is its own parent")
+        elif parent in index:
+            p = index[parent]
+        elif any(isinstance(j, dict) and j.get("name") == parent
+                 for j in raw["joints"][u + 1:]):
+            raise SkeletonError(f"{where} appears before its parent {parent!r} "
+                                f"(order must be topological)")
         else:
-            if not isinstance(parent_name, str) or parent_name not in name_to_index:
-                raise SkeletonError(
-                    f"joint {jname!r}: unknown parent {parent_name!r}"
-                )
-            parent = name_to_index[parent_name]
-        raw_dofs = entry.get("dofs", [])
-        if not isinstance(raw_dofs, list) or not all(isinstance(d, dict) for d in raw_dofs):
-            raise SkeletonError(f"joint {jname!r}: dofs must be a list of objects")
-        dofs = tuple(_dof_from_dict(d, jname) for d in raw_dofs)
-        rest_offset = entry.get("rest_offset_deg", (0.0, 0.0, 0.0))
-        if not isinstance(rest_offset, (list, tuple)) or \
-                not all(isinstance(v, (int, float)) for v in rest_offset):
-            raise SkeletonError(f"joint {jname!r}: rest_offset_deg must be a list of numbers")
-        joints.append(
-            JointSpec(
-                name=jname,
-                parent=parent,
-                bone_length=_number(entry.get("bone_length_mm", 0.0), jname,
-                                    "bone_length_mm"),
-                dofs=dofs,
-                rest_offset_deg=tuple(rest_offset),
-            )
-        )
+            raise SkeletonError(f"{where}: unknown parent {parent!r}")
 
-    eval_subset = None
-    if "eval_subset" in raw:
-        if not isinstance(raw["eval_subset"], list):
-            raise SkeletonError("eval_subset must be a list of joint names")
-        eval_subset = []
-        for ename in raw["eval_subset"]:
-            if not isinstance(ename, str) or ename not in name_to_index:
-                raise SkeletonError(f"eval_subset names unknown joint {ename!r}")
-            eval_subset.append(name_to_index[ename])
-    return Skeleton(joints, eval_subset=eval_subset,
-                    name=raw.get("name", name or "skeleton"))
+        bone = float(_finite(joint.get("bone_length_mm", 0.0), where, "bone_length_mm"))
+        if bone < 0:
+            raise SkeletonError(f"{where}: bone_length_mm must be >= 0, not {bone}")
+        if p < 0 and bone != 0:
+            raise SkeletonError(f"root joint {jname!r} must have bone_length_mm 0")
+
+        rest = joint.get("rest_offset_deg", (0.0, 0.0, 0.0))
+        if not isinstance(rest, (list, tuple)) or len(rest) != 3:
+            raise SkeletonError(f"{where}: rest_offset_deg must be a list of 3 numbers, "
+                                f"not {rest!r}")
+        rest = tuple(_finite(v, where, f"rest_offset_deg[{i}]") for i, v in enumerate(rest))
+
+        raw_dofs = joint.get("dofs", [])
+        if not isinstance(raw_dofs, list):
+            raise SkeletonError(f"{where}: dofs must be a list of objects")
+        dofs = [_dof(d, where, f"dofs[{k}]") for k, d in enumerate(raw_dofs)]
+
+        entry = {"name": jname, "parent": parent, "bone_length_mm": bone,
+                 "dofs": [dof for dof, _ in dofs]}
+        if any(v != 0 for v in rest):
+            entry["rest_offset_deg"] = list(rest)
+        index[jname] = u
+        entries.append(entry)
+        rows.append((jname, p, bone, rest, tuple(row for _, row in dofs)))
+    if len(roots) != 1:
+        raise SkeletonError(f"expected exactly one root joint, found {len(roots)}: {roots}")
+
+    eval_names = raw.get("eval_subset", list(index))
+    if not isinstance(eval_names, list):
+        raise SkeletonError("eval_subset must be a list of joint names")
+    for ename in eval_names:
+        if not isinstance(ename, str) or ename not in index:
+            raise SkeletonError(f"eval_subset names unknown joint {ename!r}")
+    config = {"name": skel_name, "joints": entries, "eval_subset": list(eval_names)}
+    return Skeleton(config, rows, [index[e] for e in eval_names])
 
 
 def load_skeleton(path) -> Skeleton:

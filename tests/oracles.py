@@ -101,30 +101,35 @@ def chain_matrices(skel, theta, joint: int, replace_dof=None):
     its elementwise derivative (zero matrix contribution if the DOF is not
     on this joint's chain).
     """
+    joints = skel.to_dict()["joints"]
+    index = {spec["name"]: u for u, spec in enumerate(joints)}
     path = []
     u = joint
     while u is not None:
         path.append(u)
-        u = skel.joints[u].parent
+        parent = joints[u]["parent"]
+        u = None if parent is None else index[parent]
     path.reverse()
 
-    dof_base = np.cumsum([0] + [len(j.dofs) for j in skel.joints])
+    dof_base = np.cumsum([0] + [len(j["dofs"]) for j in joints])
     mats = []
     found = replace_dof is None
     for u in path:
-        spec = skel.joints[u]
-        if any(v != 0 for v in spec.rest_offset_deg):
-            mats.append(_rest_mat(spec.rest_offset_deg))
-        if spec.parent is not None:
-            mats.append(mat_trans(0, spec.bone_length))
-        for k, dof in enumerate(spec.dofs):
+        spec = joints[u]
+        rest_offset_deg = spec.get("rest_offset_deg", (0.0, 0.0, 0.0))
+        if any(v != 0 for v in rest_offset_deg):
+            mats.append(_rest_mat(rest_offset_deg))
+        if spec["parent"] is not None:
+            mats.append(mat_trans(0, spec["bone_length_mm"]))
+        for k, dof in enumerate(spec["dofs"]):
             d = dof_base[u] + k
-            ax = _AXIS[dof.axis]
+            ax = _AXIS[dof["axis"]]
             val = theta[d]
+            is_rotation = dof["kind"] == "rotation"
             if d == replace_dof:
                 found = True
-                mats.append(mat_drot(ax, val) if dof.is_rotation else mat_dtrans(ax))
-            elif dof.is_rotation:
+                mats.append(mat_drot(ax, val) if is_rotation else mat_dtrans(ax))
+            elif is_rotation:
                 mats.append(mat_rot(ax, val))
             else:
                 mats.append(mat_trans(ax, val))

@@ -1,7 +1,10 @@
 import ctypes
 import json
+import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -478,6 +481,38 @@ def test_train_and_eval_refuse_v2_dataset_with_joints(hand, tmp_path, capsys):
     assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt, "re-run synth")
 
 
+def _palm(**fields):
+    """A two-joint config whose second joint, 'palm', has the given fields;
+    with sound fields it passes gradcheck."""
+    rot_z = {"kind": "rotation", "axis": "Z", "lower_deg": -90.0, "upper_deg": 90.0}
+    return {"joints": [{"name": "root", "dofs": [rot_z]},
+                       {"name": "palm", "parent": "root", "bone_length_mm": 30.0,
+                        **fields}]}
+
+
+def _palm_dof(**fields):
+    return _palm(dofs=[{"kind": "rotation", "axis": "X", "lower_deg": -10.0,
+                        "upper_deg": 10.0, **fields}])
+
+
+# configs that name their fault's joint ('palm') and key -> (config, key)
+BAD_FIELDS = {
+    "nan_bone": (_palm(bone_length_mm=math.nan), "bone_length_mm"),
+    "inf_bone": (_palm(bone_length_mm=math.inf), "bone_length_mm"),
+    "string_bone": (_palm(bone_length_mm="12.5"), "bone_length_mm"),
+    "true_bone": (_palm(bone_length_mm=True), "bone_length_mm"),
+    "nan_rest": (_palm(rest_offset_deg=[0.0, math.nan, 0.0]), "rest_offset_deg[1]"),
+    "inf_rest": (_palm(rest_offset_deg=[math.inf, 0.0, 0.0]), "rest_offset_deg[0]"),
+    "true_rest": (_palm(rest_offset_deg=[0.0, 0.0, True]), "rest_offset_deg[2]"),
+    "string_bound": (_palm_dof(upper_deg="12.5"), "dofs[0].upper_deg"),
+    "true_bound": (_palm_dof(lower_deg=True), "dofs[0].lower_deg"),
+    "nan_bound": (_palm_dof(lower_deg=math.nan), "dofs[0].lower_deg"),
+    "float_axis": (_palm_dof(axis=2.7), "dofs[0].axis"),
+    "true_axis": (_palm_dof(axis=True), "dofs[0].axis"),
+    "int_axis": (_palm_dof(axis=2), "dofs[0].axis"),
+}
+
+
 @pytest.mark.parametrize("cfg", [
     {"joints": [1]},
     {"joints": [{"name": "root", "dofs": "xy"}]},
@@ -494,6 +529,7 @@ def test_train_and_eval_refuse_v2_dataset_with_joints(hand, tmp_path, capsys):
     {"joints": [{"name": "root", "rest_offset_deg": [[1.0], 0.0, 0.0]}]},
     {"joints": [{"name": "root", "dofs": [{"kind": "rotation", "axis": ["X"],
                                            "lower_deg": 0.0, "upper_deg": 10.0}]}]},
+    *(pytest.param(cfg, id=case) for case, (cfg, _) in BAD_FIELDS.items()),
 ])
 def test_malformed_skeleton_json_exits_1(tmp_path, capsys, cfg):
     path = tmp_path / "bad.json"
@@ -501,6 +537,44 @@ def test_malformed_skeleton_json_exits_1(tmp_path, capsys, cfg):
     assert run_cli("gradcheck", "--skeleton", str(path), "--trials", "1") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", BAD_FIELDS)
+def test_skeleton_refusal_names_joint_and_key(case):
+    cfg, key = BAD_FIELDS[case]
+    with pytest.raises(sk.SkeletonError) as refused:
+        sk.skeleton_from_dict(cfg)
+    message = str(refused.value)
+    assert message.startswith("joint 'palm': ") and key in message, message
+
+
+def test_fk_refuses_non_finite_bone_and_writes_nothing(hand, pose_file, tmp_path, capsys):
+    # unrefused, the palm's NaN bone reaches every joint below it
+    path, _ = pose_file
+    cfg = hand.to_dict()
+    cfg["joints"][1]["bone_length_mm"] = math.nan
+    skel_path = tmp_path / "nan_bone.json"
+    skel_path.write_text(json.dumps(cfg))
+    out = tmp_path / "joints.csv"
+    assert run_cli("fk", "--skeleton", str(skel_path), "--poses", str(path),
+                   "--out", str(out)) == 1
+    assert "bone_length_mm" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == sorted([path.name, skel_path.name])
+
+
+def test_fk_leaves_hashlib_unloaded(pose_file, tmp_path):
+    # hashlib loads OpenSSL's libcrypto; only the skeleton fingerprint, which
+    # fk never computes, needs it
+    path, _ = pose_file
+    script = ("import sys\n"
+              "from kinedeep.cli import main\n"
+              f"assert main(['fk', '--poses', {str(path)!r}, "
+              f"'--out', {str(tmp_path / 'joints.csv')!r}]) == 0\n"
+              "print('loaded' if '_hashlib' in sys.modules else 'unloaded')\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "unloaded"
 
 
 def test_train_prints_last_epoch_without_second_validation_pass(

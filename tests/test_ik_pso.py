@@ -109,7 +109,7 @@ def off_model(skel, target):
     stretch, so no pose reproduces it (a displaced fingertip would not do:
     the finger can bend to reach it)."""
     broken = target.copy()
-    base = [j.name for j in skel.joints].index("index_base")
+    base = skel.joint_names.index("index_base")
     base_slot = list(skel.eval_subset).index(base)
     broken[base_slot] += np.array([30.0, 0.0, 0.0])
     return broken
@@ -136,14 +136,13 @@ def test_pure_swarm_mode_still_works(hand, rng):
 
 
 def planar_two_dof():
-    rot_z = sk.DofSpec("rotation", "Z", -math.pi, math.pi)
-    joints = [
-        sk.JointSpec("root", None, 0.0),
-        sk.JointSpec("b", 0, 40.0, dofs=(rot_z,)),
-        sk.JointSpec("c", 1, 30.0, dofs=(rot_z,)),
-        sk.JointSpec("tip", 2, 20.0),
-    ]
-    return sk.Skeleton(joints, name="planar2")
+    rot_z = {"kind": "rotation", "axis": "Z", "lower_deg": -180.0, "upper_deg": 180.0}
+    return sk.skeleton_from_dict({"name": "planar2", "joints": [
+        {"name": "root"},
+        {"name": "b", "parent": "root", "bone_length_mm": 40.0, "dofs": [rot_z]},
+        {"name": "c", "parent": "b", "bone_length_mm": 30.0, "dofs": [rot_z]},
+        {"name": "tip", "parent": "c", "bone_length_mm": 20.0},
+    ]})
 
 
 def test_two_dof_chain_matches_grid_search(rng):

@@ -23,14 +23,13 @@ def jacobian(skel, theta, joint_indices=None):
 
 def planar_chain(lengths=(30.0, 20.0, 10.0)):
     """root -> b -> c -> tip along X with Z rotations at b and c."""
-    rot_z = sk.DofSpec("rotation", "Z", -math.pi, math.pi)
-    joints = [
-        sk.JointSpec("root", None, 0.0),
-        sk.JointSpec("b", 0, lengths[0], dofs=(rot_z,)),
-        sk.JointSpec("c", 1, lengths[1], dofs=(rot_z,)),
-        sk.JointSpec("tip", 2, lengths[2]),
-    ]
-    return sk.Skeleton(joints, name="chain")
+    rot_z = {"kind": "rotation", "axis": "Z", "lower_deg": -180.0, "upper_deg": 180.0}
+    return sk.skeleton_from_dict({"name": "chain", "joints": [
+        {"name": "root"},
+        {"name": "b", "parent": "root", "bone_length_mm": lengths[0], "dofs": [rot_z]},
+        {"name": "c", "parent": "b", "bone_length_mm": lengths[1], "dofs": [rot_z]},
+        {"name": "tip", "parent": "c", "bone_length_mm": lengths[2]},
+    ]})
 
 
 # --- elementary transforms (the oracle's matrices) --------------------------
@@ -120,7 +119,7 @@ def test_rest_pose_matches_fixture(hand):
             name, x, y, z = line.strip().split(",")
             names.append(name)
             table.append([float(x), float(y), float(z)])
-    assert names == [j.name for j in hand.joints]
+    assert names == list(hand.joint_names)
     pos = fk(hand, np.zeros(hand.n_dofs))
     assert np.allclose(pos, np.array(table), atol=1e-9)
 
@@ -244,10 +243,10 @@ def test_jacobian_matches_replace_rule_oracle(hand, rng):
 def test_jacobian_cross_finger_sparsity(hand, rng):
     theta = sample_in_bounds(hand, rng)
     _, jac = jacobian(hand, theta)
-    tip = [j.name for j in hand.joints].index("index_tip")
+    tip = hand.joint_names.index("index_tip")
     block = jac[3 * tip:3 * tip + 3]
     for d in range(hand.n_dofs):
-        owner = hand.joints[hand.dof_joint[d]].name
+        owner = hand.joint_names[hand.dof_joint[d]]
         if owner.startswith(("middle", "ring", "pinky", "thumb")):
             assert np.array_equal(block[:, d], np.zeros(3))
 
@@ -286,16 +285,22 @@ def test_jacobian_rotation_entries_bounded_by_reach(hand, rng):
 
 # --- joint groups: the bytes of the per-joint walk ----------------------------
 
-def _tree(name, rows, eval_subset=None):
-    """A skeleton from (name, parent, bone, dofs, rest_offset_deg) rows."""
-    rot = {a: sk.DofSpec("rotation", a, -2.5, 2.5) for a in "XYZ"}
-    trans = {a: sk.DofSpec("translation", a, -30.0, 30.0) for a in "XYZ"}
-    names = [row[0] for row in rows]
-    joints = [sk.JointSpec(jname, None if parent is None else names.index(parent), bone,
-                           dofs=tuple((rot if d[0] == "r" else trans)[d[1]] for d in dofs),
-                           rest_offset_deg=rest)
+def _tree(name, rows, eval_subset):
+    """A skeleton from (name, parent, bone, dofs, rest_offset_deg) rows; a
+    DOF is "r" (+-143 deg) or "t" (+-30 mm) and its axis, and eval_subset
+    lists row numbers."""
+    bounds = {"r": ("rotation", "lower_deg", "upper_deg", 143.0),
+              "t": ("translation", "lower_mm", "upper_mm", 30.0)}
+
+    def dof(code):
+        kind, lower, upper, limit = bounds[code[0]]
+        return {"kind": kind, "axis": code[1], lower: -limit, upper: limit}
+
+    joints = [{"name": jname, "parent": parent, "bone_length_mm": bone,
+               "dofs": [dof(d) for d in dofs], "rest_offset_deg": list(rest)}
               for jname, parent, bone, dofs, rest in rows]
-    return sk.Skeleton(joints, eval_subset=eval_subset, name=name)
+    return sk.skeleton_from_dict({"name": name, "joints": joints,
+                                  "eval_subset": [rows[i][0] for i in eval_subset]})
 
 
 NO_REST = (0.0, 0.0, 0.0)
@@ -394,7 +399,7 @@ def test_hand_forms_seven_joint_groups(hand):
     # one numpy call per group step: the five fingers' chains share theirs
     layout = hand.fk_layout
     fingers = ("index", "middle", "ring", "pinky", "thumb")
-    assert [[hand.joints[u].name for u in g.joints] for g in layout.groups] == \
+    assert [[hand.joint_names[u] for u in g.joints] for g in layout.groups] == \
         [["root"], ["wrist_palm"], ["wrist_thumb"]] + \
         [[f"{f}_{part}" for f in fingers] for part in ("base", "mid", "end", "tip")]
     # only the finger bases gather their parents' frames; the rest slice

@@ -6,7 +6,8 @@ __init__.py only re-exports) counts as used when library code outside its
 own body, or the benchmark harness in perfbench/, names it as a bare name
 or as an attribute. A defaulted or keyword-only parameter counts as used
 when a call in src/kinedeep/ or perfbench/ to a function of its name passes
-it, by keyword or by position. Code that only tests call is dead weight.
+it, by keyword or by position; so does a defaulted field of a dataclass,
+passed to its class. Code that only tests call is dead weight.
 """
 import ast
 import pathlib
@@ -84,6 +85,21 @@ def optional_parameters(tree):
     return found
 
 
+def dataclass_fields(tree):
+    """(class name, field, its position in a call) for every defaulted
+    field of a dataclass."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or not any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                for d in node.decorator_list):
+            continue
+        fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+        found += [(node.name, s.target.id, i)
+                  for i, s in enumerate(fields) if s.value is not None]
+    return found
+
+
 def test_every_optional_parameter_is_passed_by_a_non_test_caller():
     # a defaulted or keyword-only parameter that only tests set is a knob
     # the program never turns
@@ -94,7 +110,7 @@ def test_every_optional_parameter_is_passed_by_a_non_test_caller():
     unpassed = [
         f"{module}.{name}({param})"
         for module, tree in trees.items()
-        for name, param, position in optional_parameters(tree)
+        for name, param, position in optional_parameters(tree) + dataclass_fields(tree)
         if not any(param in keywords or (position is not None and position < n)
                    for n, keywords in calls.get(name, []))]
     assert unpassed == []

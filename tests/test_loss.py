@@ -77,7 +77,9 @@ def test_joint_loss_gradient_matches_jacobian_oracle(hand):
     # alone and in batches
     rng = np.random.default_rng(606)
     for base in (hand, bench.benchmark_skeleton()):
-        for skel in (base, sk.Skeleton(base.joints, name=base.name)):
+        every_joint = base.to_dict()
+        del every_joint["eval_subset"]
+        for skel in (base, sk.skeleton_from_dict(every_joint)):
             sel = list(skel.eval_subset)
             for n in (1, 64, 4096):
                 thetas = rng.uniform(skel.dof_lower, skel.dof_upper, size=(n, skel.n_dofs))

@@ -259,11 +259,12 @@ def test_mlp_matches_naive_oracle_bit_for_bit(hand, kind, mode):
 
 # --- sgd ----------------------------------------------------------------------
 
-def test_sgd_step_momentum_zero_is_plain_descent():
+def test_sgd_first_step_is_plain_descent():
+    # the velocity starts at zero, so the first step is -lr*g at any momentum
     run = reg.init(reg.MlpConfig(layer_widths=(2, 3), seed=1), mode="direct_parameter")
     w0 = [w.copy() for w in run.weights]
     grads = ([np.ones_like(run.weights[0])], [np.ones_like(run.biases[0])])
-    sgd = reg.SgdConfig(batch_size=1, learning_rate=0.1, momentum=0.0, epochs=1)
+    sgd = reg.SgdConfig(batch_size=1, learning_rate=0.1, epochs=1)
     reg.sgd_step(run, grads, sgd)
     assert np.allclose(run.weights[0], w0[0] - 0.1)
 
@@ -274,8 +275,8 @@ def test_sgd_two_steps_constant_gradient_closed_form():
     w0 = [w.copy() for w in run.weights]
     g = np.full_like(run.weights[0], 2.0)
     grads = ([g], [np.zeros_like(run.biases[0])])
-    lr, mu = 0.05, 0.9
-    sgd = reg.SgdConfig(batch_size=1, learning_rate=lr, momentum=mu, epochs=1)
+    lr, mu = 0.05, reg.MOMENTUM
+    sgd = reg.SgdConfig(batch_size=1, learning_rate=lr, epochs=1)
     reg.sgd_step(run, grads, sgd)
     reg.sgd_step(run, grads, sgd)
     assert np.allclose(run.weights[0], w0[0] - lr * g * (2.0 + mu))
@@ -285,7 +286,7 @@ def test_sgd_defaults_match_reference_values():
     sgd = reg.SgdConfig()
     assert sgd.batch_size == 512
     assert sgd.learning_rate == 0.003
-    assert sgd.momentum == 0.9
+    assert reg.MOMENTUM == 0.9
     assert sgd.lam == 1.0
 
 
@@ -315,8 +316,7 @@ def small_dataset(hand, n=32, seed=5):
 
 
 def train_config(**kw):
-    base = dict(batch_size=8, learning_rate=1e-7, momentum=0.9, epochs=5, lam=1.0,
-                staged=False)
+    base = dict(batch_size=8, learning_rate=1e-7, epochs=5, lam=1.0, staged=False)
     base.update(kw)
     return reg.SgdConfig(**base)
 
@@ -490,7 +490,7 @@ def test_mode_equivalence_ours_lambda_zero(hand):
         assert np.array_equal(wa, wb)
 
 
-def test_loss_non_increasing_small_lr_frozen_batch(hand, rng):
+def test_loss_non_increasing_small_lr_frozen_batch(hand, rng, monkeypatch):
     # descent sanity: 10 steps at lr 1e-5, momentum 0, one frozen batch.
     # Targets sit near the current outputs (smooth mid-training regime);
     # blast-off distances need warm-up rates, which is not what this checks.
@@ -501,7 +501,8 @@ def test_loss_non_increasing_small_lr_frozen_batch(hand, rng):
                    hand.dof_lower, hand.dof_upper)
     targets = eval_targets(hand, near).reshape(len(data), -1)
     losses = []
-    sgd = reg.SgdConfig(batch_size=8, learning_rate=1e-5, momentum=0.0, epochs=1, lam=0.0)
+    monkeypatch.setattr(reg, "MOMENTUM", 0.0)
+    sgd = reg.SgdConfig(batch_size=8, learning_rate=1e-5, epochs=1, lam=0.0)
     for _ in range(10):
         value, grads = reg.backward_through_model(run, data.features, targets, hand, lam=0.0)
         losses.append(value)
@@ -514,8 +515,8 @@ def test_loss_non_increasing_small_lr_frozen_batch(hand, rng):
 def test_single_sample_overfit(hand):
     data = bench.make_dataset(hand, n=1, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=42)
     run = reg.init(whitened_config(hand, data), mode="ours_no_phy")
-    sgd = reg.SgdConfig(batch_size=1, learning_rate=2e-5, momentum=0.9, epochs=2000,
-                        lam=0.0, staged=False)
+    sgd = reg.SgdConfig(batch_size=1, learning_rate=2e-5, epochs=2000, lam=0.0,
+                        staged=False)
     reg.train(run, data, hand, sgd)
     err, _, _ = reg.validation_stats(run, data, hand)
     assert err < 1.0

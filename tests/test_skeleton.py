@@ -43,15 +43,15 @@ def test_default_hand_dof_split(hand):
 
 
 def test_default_hand_tips_have_no_dofs(hand):
-    for u, joint in enumerate(hand.joints):
-        if joint.name.endswith("_tip"):
-            assert joint.dofs == ()
+    for u, name in enumerate(hand.joint_names):
+        if name.endswith("_tip"):
+            assert hand.joint_dofs[u] == ()
 
 
 def test_default_hand_finger_depth(hand):
     # root -> wrist -> base -> mid -> end -> tip
     for finger in ("thumb", "index", "middle", "ring", "pinky"):
-        u = [j.name for j in hand.joints].index(f"{finger}_tip")
+        u = hand.joint_names.index(f"{finger}_tip")
         depth = 0
         while u >= 0:
             depth += 1
@@ -85,31 +85,35 @@ def test_self_parent_is_cycle(tmp_path):
 
 def test_child_before_parent_rejected():
     joints = [
-        sk.JointSpec("root", None, 0.0),
-        sk.JointSpec("late_child", 2, 5.0),
-        sk.JointSpec("mid", 0, 5.0),
+        {"name": "root"},
+        {"name": "late_child", "parent": "mid", "bone_length_mm": 5.0},
+        {"name": "mid", "parent": "root", "bone_length_mm": 5.0},
     ]
     with pytest.raises(sk.SkeletonError, match="topological"):
-        sk.Skeleton(joints)
+        sk.skeleton_from_dict({"joints": joints})
 
 
 def test_two_roots_rejected():
-    joints = [sk.JointSpec("a", None, 0.0), sk.JointSpec("b", None, 0.0)]
+    joints = [{"name": "a"}, {"name": "b"}]
     with pytest.raises(sk.SkeletonError, match="root"):
-        sk.Skeleton(joints)
+        sk.skeleton_from_dict({"joints": joints})
 
 
 def test_duplicate_names_rejected():
-    joints = [sk.JointSpec("a", None, 0.0), sk.JointSpec("a", 0, 1.0)]
+    joints = [{"name": "a"}, {"name": "a", "parent": "a", "bone_length_mm": 1.0}]
     with pytest.raises(sk.SkeletonError, match="duplicate"):
-        sk.Skeleton(joints)
+        sk.skeleton_from_dict({"joints": joints})
 
 
 def test_bad_bounds_rejected():
+    def one_dof(lower, upper):
+        return {"joints": [{"name": "root", "dofs": [
+            {"kind": "rotation", "axis": "X", "lower_deg": lower, "upper_deg": upper}]}]}
+
     with pytest.raises(sk.SkeletonError, match="lower bound"):
-        sk.DofSpec("rotation", "X", 0.5, -0.5)
-    with pytest.raises(sk.SkeletonError, match="pi"):
-        sk.DofSpec("rotation", "X", -1.0, 4.0)
+        sk.skeleton_from_dict(one_dof(30.0, -30.0))
+    with pytest.raises(sk.SkeletonError, match=r"outside \[-180, 180\]"):
+        sk.skeleton_from_dict(one_dof(-57.0, 229.0))
 
 
 def test_error_names_offending_joint(tmp_path):
@@ -150,6 +154,34 @@ def test_fingerprint_survives_save_load(hand, tmp_path):
         assert sk.load_skeleton(path).fingerprint() == skel.fingerprint()
     assert hand.fingerprint()["name"] == "hand23"
     assert hand.fingerprint()["sha256"] != bench_skel.fingerprint()["sha256"]
+
+
+def test_fingerprints_are_pinned(hand):
+    # every checkpoint records one of these; a change refuses them all
+    assert hand.fingerprint() == {"name": "hand23", "sha256":
+        "e3433ca590b89df225b16a9191f5c9418fe8955bf78dc9ca4690182945790806"}
+    assert bench.benchmark_skeleton().fingerprint() == {"name": "hand23-bench", "sha256":
+        "f592722546008958a489cd4ae811cd4c27cc7ee633b506a76366d7349bb0021e"}
+
+
+def test_to_dict_is_a_fresh_copy(hand):
+    want = hand.fingerprint()
+    raw = hand.to_dict()
+    raw["name"] = "changed"
+    raw["joints"][1]["bone_length_mm"] = 1.0
+    raw["joints"][0]["dofs"][0]["lower_mm"] = 0.0
+    raw["eval_subset"].pop()
+    assert hand.fingerprint() == want
+    assert hand.to_dict() != raw
+
+
+def test_lower_case_axis_is_written_in_upper_case():
+    cfg = single_joint_config()
+    for dof in cfg["joints"][0]["dofs"]:
+        dof["axis"] = dof["axis"].lower()
+    skel = sk.skeleton_from_dict(cfg)
+    assert [d["axis"] for d in skel.to_dict()["joints"][0]["dofs"]] == list("XYZXYZ")
+    assert skel.fingerprint() == sk.skeleton_from_dict(single_joint_config()).fingerprint()
 
 
 def test_default_hand_round_trips_packaged_file(hand):
