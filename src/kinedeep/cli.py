@@ -12,16 +12,11 @@ epoch beside each checkpoint (<checkpoint>.epochs.jsonl: stage learning
 rate, train loss, last-batch gradient norm, validation metrics when there
 is a validation set, seconds).
 
-reproduce trains its four modes in parallel, one training worker process
-per available CPU (at most one per mode), plus one worker that, as soon as
-direct_joint's checkpoint is saved, reads it and fits IK to its
-predictions; the manifest's tasks list records which worker ran what,
-when, and its CPU seconds. Pin BLAS
-to one thread (OPENBLAS_NUM_THREADS=1 or the like): each worker keeps a
-CPU busy, and BLAS threads on top of the workers oversubscribe the CPUs.
-
-main first fixes glibc's malloc thresholds (_set_malloc_thresholds), which
-forked pool workers inherit.
+reproduce runs the comparison that the reproduce module defines (the
+worker processes, their schedule and the claims), then writes its table
+and manifest; the manifest's tasks list records which worker ran what,
+when, and its CPU seconds. main first fixes glibc's malloc thresholds
+(_set_malloc_thresholds), which reproduce's forked pool workers inherit.
 
 Exit codes: 0 success; 1 validation or parse error; 2 numerical failure
 (non-finite values); 3 an acceptance-style check failed (gradcheck
@@ -50,6 +45,7 @@ from . import __version__, bench, fileio, ik_pso
 from . import kinematics as kin
 from . import loss as loss_mod
 from . import regressor as reg
+from . import reproduce as rp
 from . import skeleton as sk
 
 EXIT_OK = 0
@@ -58,14 +54,6 @@ EXIT_NUMERICAL = 2
 EXIT_CHECK_FAILED = 3
 
 SKELETON_ENV = "KINEDEEP_SKELETON"
-
-# The paper's network, its ablation without the angle-range penalty and the
-# two direct-regression baselines, by their place in the mode table.
-OURS, OURS_NO_PHY, DIRECT_JOINT, DIRECT_PARAMETER = reg.MODES
-
-# reproduce's IK fit iterations, and eval's default --fit-iters
-FIT_ITERATIONS = 150
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; here 1 means "bad input"
@@ -101,16 +89,6 @@ def _check_header_skeleton(path, kind, name, skel) -> None:
     if name and name != skel.name:
         raise ValueError(f"{path}: {kind} file was made for skeleton {name!r}, "
                          f"not {skel.name!r}")
-
-
-def _load_checkpoint(path, skel) -> reg.TrainRun:
-    """A checkpoint, refused unless it was trained for `skel`."""
-    run, want = reg.load_checkpoint(path), skel.fingerprint()
-    if run.skeleton != want:
-        raise ValueError(f"{path}: checkpoint was trained for skeleton "
-                         f"{run.skeleton['name']!r}, not {want['name']!r} (sha256 "
-                         f"{run.skeleton['sha256'][:12]} vs {want['sha256'][:12]})")
-    return run
 
 
 def _manifest_path(out_path) -> str:
@@ -210,7 +188,7 @@ def _gradcheck_loss(skel, rng, trials):
 
 def _gradcheck_net(skel, rng, samples):
     run = reg.init(reg.MlpConfig((6, 8, skel.n_dofs), seed=int(rng.integers(2**31))),
-                   OURS)
+                   rp.OURS)
     feats = rng.normal(size=(samples, 6))
     thetas = rng.uniform(skel.dof_lower, skel.dof_upper, size=(samples, skel.n_dofs))
     targets = kin.forward_kinematics_batch(skel, thetas,
@@ -270,10 +248,8 @@ def cmd_ik(args) -> int:
             f"{args.targets}: frames carry {frames.shape[1]} joints, expected "
             f"{n_eval} (eval subset) or {skel.n_joints} (all)"
         )
-    config = ik_pso.PsoConfig(
-        swarm_size=args.swarm, iterations=args.iters, seed=args.seed,
-        polish_steps=50 if args.polish else 0,
-    )
+    config = ik_pso.PsoConfig(swarm_size=args.swarm, iterations=args.iters,
+                              seed=args.seed)
     fit_started = time.monotonic()
     result = ik_pso.fit_batch(skel, frames, config)
     fit_s = time.monotonic() - fit_started
@@ -294,7 +270,7 @@ def cmd_ik(args) -> int:
         fh.write("\n")
     _write_manifest(_manifest_path(args.out), "ik",
                     {"skeleton": skel.name, "swarm": args.swarm,
-                     "iters": args.iters, "polish": args.polish},
+                     "iters": args.iters},
                     args.seed, [args.targets], [args.out, report_path], started)
     print(f"ik: {len(result.theta)} frames, residual mean {mean!r} mm, "
           f"variance {var!r} mm^2")
@@ -319,25 +295,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _epochs_path(ckpt_path) -> str:
-    return str(ckpt_path) + ".epochs.jsonl"
-
-
-def _train_mode(skel, mode, train_data, val_data, sgd, seed, ckpt_path):
-    """A fresh network of `mode`, trained by `sgd`, its epochs recorded one
-    JSON line each beside the checkpoint path."""
-    spec = reg.MODES[mode]
-    cfg = reg.MlpConfig(
-        layer_widths=(train_data.features.shape[1], 256, 256, spec.output_width(skel)),
-        seed=seed, input_scale=0.01, input_clip_abs=400.0,
-        output_scale=spec.output_scale(skel),
-    )
-    # line-buffered: each epoch is on disk when it ends
-    with open(_epochs_path(ckpt_path), "w", buffering=1) as fh:
-        return reg.train(reg.init(cfg, mode), train_data, skel, sgd, val=val_data,
-                         on_epoch=lambda record: fh.write(json.dumps(record) + "\n"))
-
-
 def cmd_train(args) -> int:
     started = time.monotonic()
     skel = _resolve_skeleton(args.skeleton)
@@ -346,8 +303,8 @@ def cmd_train(args) -> int:
     spec = reg.MODES[args.mode]
     base_lr = args.lr if args.lr is not None else spec.base_lr
     sgd = reg.SgdConfig(batch_size=args.batch, learning_rate=base_lr,
-                        epochs=args.epochs, lam=args.lam, staged=not args.flat_lr)
-    run = _train_mode(skel, args.mode, train_data, val_data, sgd, args.seed, args.out)
+                        epochs=args.epochs, lam=args.lam)
+    run = rp.train_mode(skel, args.mode, train_data, val_data, sgd, args.seed, args.out)
     reg.save_checkpoint(run, args.out, skel)
     if val_data is not None:
         last = run.history[-1]  # the validation stats of the saved weights
@@ -357,31 +314,12 @@ def cmd_train(args) -> int:
     _write_manifest(_manifest_path(args.out), "train",
                     {"skeleton": skel.name, "mode": args.mode, "lr": base_lr,
                      "batch": args.batch, "epochs": args.epochs,
-                     "lambda": spec.penalty_weight(args.lam),
-                     "flat_lr": args.flat_lr},
+                     "lambda": spec.penalty_weight(args.lam)},
                     args.seed, [args.train] + ([args.val] if args.val else []),
-                    [args.out, _epochs_path(args.out)], started,
+                    [args.out, rp.epochs_path(args.out)], started,
                     **_memory_use())
     print(f"train: mode {args.mode}, {len(run.history)} epochs -> {args.out}")
     return EXIT_OK
-
-
-def _score(run, skel, data, seed, fit_iterations, fit_frames=None) -> bench.MetricsReport:
-    """The metrics of a trained run on `data`: of every row for a pose mode;
-    for a joint-emitting mode, of the first `fit_frames` rows (default all),
-    with the angle metrics of the poses IK fits to its predictions."""
-    # all rows in one call, then the slice: under ~200 rows BLAS takes
-    # another kernel, which changes the predictions' bits
-    predictions = reg.predict(run, data.features, skel)
-    if reg.MODES[run.mode].emits_pose:
-        return bench.evaluate(skel, predictions, data.thetas)
-    # neither the network nor the unfitted rows stay alive through the fit
-    del run
-    predictions = predictions[:fit_frames].copy()
-    fit_cfg = ik_pso.PsoConfig(seed=seed, iterations=fit_iterations)
-    fitted = ik_pso.fit_batch(skel, predictions, fit_cfg).theta
-    return bench.evaluate(skel, predictions, data.thetas[:len(predictions)],
-                          fitted_poses=fitted)
 
 
 def cmd_eval(args) -> int:
@@ -390,8 +328,8 @@ def cmd_eval(args) -> int:
     if args.fit_iters < 1:
         raise ValueError("--fit-iters must be >= 1")
     skel = _resolve_skeleton(args.skeleton)
-    run = _load_checkpoint(args.ckpt, skel)
-    report = _score(run, skel, _read_dataset(args.data, skel), args.seed, args.fit_iters)
+    run = rp.load_checkpoint_for(args.ckpt, skel)
+    report = rp.score(run, skel, _read_dataset(args.data, skel), args.seed, args.fit_iters)
     with open(args.out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
@@ -408,101 +346,12 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-# Published reference errors on the NYU protocol; a different data domain,
-# printed for context only and never compared against.
-_NYU_REFERENCE = (
-    (DIRECT_JOINT, 17.2, 21.4, None),
-    (DIRECT_PARAMETER, 26.7, 12.2, None),
-    (OURS_NO_PHY, 16.9, 12.0, 0.186),
-    (OURS, 16.9, 12.2, 0.009),
-)
-
-
-def _format_table(rows) -> str:
-    lines = [f"{'mode':18s} {'joint err (mm)':>16s} {'angle err (deg)':>16s} "
-             f"{'invalid frac':>13s}"]
-    for mode, joint, angle, invalid in rows:
-        inv = "-" if invalid is None or np.isnan(invalid) else repr(round(invalid, 6))
-        lines.append(f"{mode:18s} {round(joint, 4)!r:>16} {round(angle, 4)!r:>16} "
-                     f"{inv:>13s}")
-    return "\n".join(lines)
-
-
-def _mode_checkpoint(out_dir, mode) -> str:
-    return os.path.join(out_dir, f"{mode}.ckpt.json")
-
-
-def reproduce_mode(mode, skel, train_data, val_data, args):
-    """One mode of `reproduce`: train on `train_data` and save the
-    checkpoint (and its epoch records) in args.out. Returns a pose mode's
-    MetricsReport on `val_data`, or None for a joint-emitting mode, which
-    reproduce_fit scores from its checkpoint.
-    """
-    spec = reg.MODES[mode]
-    sgd = reg.SgdConfig(batch_size=args.batch, learning_rate=spec.base_lr,
-                        epochs=args.epochs, lam=args.lam)
-    ckpt = _mode_checkpoint(args.out, mode)
-    run = _train_mode(skel, mode, train_data, None, sgd, args.seed, ckpt)
-    reg.save_checkpoint(run, ckpt, skel)
-    if spec.emits_pose:
-        return _score(run, skel, val_data, args.seed, FIT_ITERATIONS)
-    return None
-
-
-def reproduce_fit(skel, val_data, args):
-    """Score direct_joint's saved checkpoint on the first args.fit_frames
-    val rows, with angles fitted by IK."""
-    # the checkpoint goes straight in, so that _score holds its only reference
-    return _score(_load_checkpoint(_mode_checkpoint(args.out, DIRECT_JOINT), skel),
-                  skel, val_data, args.seed, FIT_ITERATIONS, args.fit_frames)
-
-
-# The name of reproduce's IK-fit task, beside the modes' training tasks.
-IK_FIT = "ik_fit"
-
-# (run start, then reproduce_mode's arguments after the mode), set in each
-# pool worker (never in the parent) by the pool's initializer. Fork passes an
-# initializer's arguments without pickling, so the workers share the
-# parent's datasets instead of holding copies.
-_worker_inputs = ()
-
-
-def _set_worker_inputs(*inputs):
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _task_in_worker(task):
-    """reproduce_mode(task), or reproduce_fit for IK_FIT, run in a pool
-    worker. Returns its MetricsReport (None for a joint-emitting mode) and
-    the task's timeline entry: the worker's pid, the task's start and end,
-    in seconds from the run's start (time.monotonic is one clock for every
-    process), and the worker's user plus system CPU seconds over the task
-    (cpu_s: work, not waiting)."""
-    run_started, skel, train_data, val_data, args = _worker_inputs
-    started, before = time.monotonic(), resource.getrusage(resource.RUSAGE_SELF)
-    if task == IK_FIT:
-        result = reproduce_fit(skel, val_data, args)
-    else:
-        result = reproduce_mode(task, skel, train_data, val_data, args)
-    after = resource.getrusage(resource.RUSAGE_SELF)
-    return result, {"task": task, "pid": os.getpid(), "start_s": started - run_started,
-                    "end_s": time.monotonic() - run_started,
-                    "cpu_s": (after.ru_utime + after.ru_stime
-                              - before.ru_utime - before.ru_stime)}
-
-
 def cmd_reproduce(args) -> int:
     if args.fit_frames < 1:
         raise ValueError("--fit-frames must be >= 1")
     # checks --epochs, --batch and --lambda before any dataset is made; each
     # mode builds its own, at its base learning rate
     reg.SgdConfig(batch_size=args.batch, epochs=args.epochs, lam=args.lam)
-    # imported here, because only reproduce starts processes: at module level
-    # they would add ~15 ms to the start-up of every subcommand
-    import multiprocessing as mp
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
     started = time.monotonic()
     # the interior margin undoes the benchmark skeleton's bound expansion;
     # a skeleton file's bounds are sampled whole
@@ -510,87 +359,8 @@ def cmd_reproduce(args) -> int:
         skel, margin = sk.load_skeleton(args.skeleton), 0.0
     else:
         skel, margin = bench.benchmark_skeleton(), bench.benchmark_interior_margin()
-
-    def log(msg):
-        print(f"[{time.monotonic()-started:7.1f}s] {msg}", flush=True)
-
-    log(f"skeleton {skel.name}: J={skel.n_joints} D={skel.n_dofs}")
-    train_data = bench.make_dataset(skel, n=args.train_n, noise_sigma_mm=args.sigma,
-                                    occlusion_prob=args.occlusion, seed=args.seed,
-                                    interior_margin=margin, pose_shape="central")
-    val_data = bench.make_dataset(skel, n=args.val_n, noise_sigma_mm=args.sigma,
-                                  occlusion_prob=args.occlusion, seed=args.seed + 1,
-                                  interior_margin=margin, pose_shape="central")
-    os.makedirs(args.out, exist_ok=True)  # only once every input is accepted
-    log(f"datasets: {args.train_n} train / {args.val_n} val, sigma "
-        f"{args.sigma} mm, occlusion {args.occlusion}")
-
-    # The tasks share only the read-only datasets and the checkpoints, and
-    # each runs deterministically (and single-threaded, with BLAS pinned), so
-    # they run in parallel: at most one training task per available CPU, and
-    # the IK fit of the joint-emitting mode on one more worker, from the
-    # moment that mode's checkpoint is saved. The pool forks all its workers at the
-    # first submit, before it starts its own thread. The joint-emitting mode
-    # trains first, so its fit starts early.
-    slots = min(len(reg.MODES), len(os.sched_getaffinity(0)))
-    workers = slots + 1
-    log(f"training {len(reg.MODES)} modes on {slots} worker processes, "
-        f"fitting IK on one more")
-    queue = sorted(reg.MODES, key=lambda m: reg.MODES[m].emits_pose)
-    table, tasks = {}, []
-    with ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
-                             initializer=_set_worker_inputs,
-                             initargs=(started, skel, train_data, val_data, args)) as pool:
-        pending = {}
-
-        def submit(task):
-            pending[pool.submit(_task_in_worker, task)] = task
-
-        try:
-            for _ in range(slots):
-                submit(queue.pop(0))
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    task = pending.pop(future)
-                    try:
-                        outcome, entry = future.result()
-                    except reg.NumericalError as e:
-                        raise reg.NumericalError(f"{task}: {e}") from None
-                    tasks.append(entry)
-                    if task != IK_FIT and queue:
-                        submit(queue.pop(0))  # the task's CPU is free
-                    if task == DIRECT_JOINT:  # its checkpoint is saved
-                        submit(IK_FIT)
-                        continue
-                    mode = DIRECT_JOINT if task == IK_FIT else task
-                    table[mode] = outcome
-                    log(f"{mode}: joint {outcome.avg_joint_error_mm:.2f} mm, angle "
-                        f"{outcome.avg_angle_error_deg:.2f} deg, invalid "
-                        f"{outcome.invalid_pose_fraction:.4f}")
-        except BaseException:
-            # a failed task fails the run: start no task still queued
-            pool.shutdown(cancel_futures=True)
-            raise
-
-    rows = [(m, table[m].avg_joint_error_mm, table[m].avg_angle_error_deg,
-             table[m].invalid_pose_fraction) for m in reg.MODES]
-    text = _format_table(rows)
-    text += ("\n\ncontext: published NYU-protocol reference errors "
-             "(different data domain, not comparable):\n")
-    text += _format_table(_NYU_REFERENCE)
-    text += "\n"
-
-    ours = table[OURS]
-    checks = {
-        "ours_joint_le_direct_parameter": bool(
-            ours.avg_joint_error_mm <= table[DIRECT_PARAMETER].avg_joint_error_mm),
-        "ours_angle_lt_direct_joint_ik": bool(
-            ours.avg_angle_error_deg < table[DIRECT_JOINT].avg_angle_error_deg),
-        "ours_invalid_le_1pct": bool(ours.invalid_pose_fraction <= 0.01),
-        "ours_invalid_lt_no_phy": bool(
-            ours.invalid_pose_fraction < table[OURS_NO_PHY].invalid_pose_fraction),
-    }
+    table, tasks, workers = rp.run(skel, margin, args, started)
+    text, checks = rp.table_text(table), rp.orderings(table)
 
     table_txt = os.path.join(args.out, "table.txt")
     with open(table_txt, "w") as fh:
@@ -603,8 +373,8 @@ def cmd_reproduce(args) -> int:
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
     outputs = [path for mode in reg.MODES
-               for path in (_mode_checkpoint(args.out, mode),
-                            _epochs_path(_mode_checkpoint(args.out, mode)))]
+               for path in (rp.mode_checkpoint(args.out, mode),
+                            rp.epochs_path(rp.mode_checkpoint(args.out, mode)))]
     outputs += [table_txt, table_json]
     parent, children = _memory_use(), _memory_use(resource.RUSAGE_CHILDREN)
     _write_manifest(os.path.join(args.out, "manifest.json"), "reproduce",
@@ -614,8 +384,7 @@ def cmd_reproduce(args) -> int:
                      "batch": args.batch, "lambda": args.lam,
                      "fit_frames": args.fit_frames,
                      "interior_margin": margin, "pose_shape": "central"},
-                    args.seed, [], outputs, started, workers=workers,
-                    tasks=sorted(tasks, key=lambda entry: entry["start_s"]),
+                    args.seed, [], outputs, started, workers=workers, tasks=tasks,
                     peak_rss_mb={"parent": parent["peak_rss_mb"],
                                  "workers": children["peak_rss_mb"]},
                     minor_faults={"parent": parent["minor_faults"],
@@ -624,9 +393,7 @@ def cmd_reproduce(args) -> int:
     print(text)
     for name, ok in checks.items():
         print(f"check {name}: {'PASS' if ok else 'FAIL'}")
-    if all(checks.values()):
-        return EXIT_OK
-    return EXIT_CHECK_FAILED
+    return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
 
 
 def build_parser() -> _Parser:
@@ -665,8 +432,6 @@ def build_parser() -> _Parser:
     p.add_argument("--swarm", type=int, default=64)
     p.add_argument("--iters", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--polish", action=argparse.BooleanOptionalAction, default=True,
-                   help="gradient polish after each swarm phase")
     p.add_argument("--report", default=None, help="JSON report path")
     p.set_defaults(func=cmd_ik)
 
@@ -694,8 +459,6 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--flat-lr", action="store_true",
-                   help="single flat learning rate instead of the staged plan")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.set_defaults(func=cmd_train)
 
@@ -706,7 +469,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="JSON report path")
     p.add_argument("--curve-csv", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fit-iters", type=int, default=FIT_ITERATIONS,
+    p.add_argument("--fit-iters", type=int, default=rp.FIT_ITERATIONS,
                    help="swarm iterations for direct_joint angle fitting")
     p.set_defaults(func=cmd_eval)
 

@@ -23,15 +23,17 @@ Parse errors carry 1-based line numbers.
 
 A dataset is one uncompressed .npz file, read with allow_pickle=False, of
 float64 members features (N, 3 * n_eval) and thetas (N, D), and meta, a 0-d
-JSON string: magic "kinedeep-dataset", version 3, skeleton, sigma_mm,
-occlusion, seed and n, the sample count. It stores no joint positions: the
-labels are the forward kinematics of thetas (bench.eval_joints). Its zip
-entries carry numpy's fixed 1980 timestamp, so the same dataset gives the
-same bytes.
+JSON string: magic "kinedeep-dataset", version 3, skeleton (a non-empty
+string), sigma_mm and occlusion (finite numbers), seed and n, the sample
+count (integers); true and false are not numbers. It stores no joint
+positions: the labels are the forward kinematics of thetas
+(bench.eval_joints). Its zip entries carry numpy's fixed 1980 timestamp, so
+the same dataset gives the same bytes.
 """
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 
 import numpy as np
@@ -48,6 +50,28 @@ _DATASET_ARRAYS = ("features", "thetas")
 
 class FileFormatError(ValueError):
     """A data file violates its documented format."""
+
+
+def _finite_number(value) -> bool:
+    try:  # true and false are not numbers
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# what each field of a dataset's meta record must be, in Dataset's order
+_META_FIELDS = {
+    "skeleton": lambda value: isinstance(value, str) and value != "",
+    "sigma_mm": _finite_number,
+    "occlusion": _finite_number,
+    "seed": _integer,
+    "n": _integer,
+}
 
 
 def _write_table(path, header: str, rows) -> None:
@@ -162,10 +186,16 @@ def read_dataset(path) -> Dataset:
         meta = json.loads(str(members["meta"][()]))
         if (meta["magic"], meta["version"]) != (DATASET_MAGIC, DATASET_VERSION):
             raise ValueError
-        n, info = meta["n"], [meta[k] for k in ("skeleton", "sigma_mm", "occlusion", "seed")]
+        fields = {key: meta[key] for key in _META_FIELDS}
     except (KeyError, TypeError, ValueError):
         raise FileFormatError(f"{path}: meta is not a {DATASET_MAGIC} "
                               f"version {DATASET_VERSION} record; re-run synth") from None
+    for key, value in fields.items():
+        if not _META_FIELDS[key](value):
+            raise FileFormatError(f"{path}: meta is not a {DATASET_MAGIC} version "
+                                  f"{DATASET_VERSION} record ({key} is {value!r}); "
+                                  f"re-run synth")
+    n = fields.pop("n")
     arrays = [members[key] for key in _DATASET_ARRAYS]
     for key, a in zip(_DATASET_ARRAYS, arrays):
         if a.dtype != np.float64 or a.ndim != 2:
@@ -178,4 +208,4 @@ def read_dataset(path) -> Dataset:
         raise FileFormatError(f"{path}: row counts {rows} are not all meta's n={n}")
     if not n:
         raise FileFormatError(f"{path}: dataset has no samples")
-    return Dataset(*info, *arrays)
+    return Dataset(*fields.values(), *arrays)

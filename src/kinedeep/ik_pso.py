@@ -13,8 +13,8 @@ and hands its incumbent to a damped Gauss-Newton polish that descends the
 joint loss with the analytic kinematics Jacobian. Restart phases recover
 from bad swarm collapses (a global-rotation basin missed by one phase is
 usually found by another); the polish finishes inside a basin, which the
-swarm alone does slowly on this badly conditioned objective. Set
-``polish_steps=0`` for the pure derivative-free behaviour. The target may
+swarm alone does slowly on this badly conditioned objective. A polish
+takes at most ``POLISH_STEPS`` steps. The target may
 be a joint set no pose reaches, such as a regressor's prediction; the
 residual then measures how far it sits from achievable geometry.
 
@@ -58,6 +58,7 @@ COGNITIVE = 1.49
 SOCIAL = 1.49
 TOL_MM = 0.1              # a frame stops once its residual reaches this
 PHASE_ITERATIONS = 75     # budget slice per restart phase
+POLISH_STEPS = 50         # Gauss-Newton steps after each swarm phase
 MAX_VELOCITY_FRAC = 0.5   # velocity clamp as fraction of range
 
 
@@ -66,7 +67,6 @@ class PsoConfig:
     swarm_size: int = 64
     iterations: int = 300              # total swarm iterations across phases
     seed: int = 0
-    polish_steps: int = 50             # Gauss-Newton steps per phase; 0 = off
 
     def __post_init__(self):
         if self.swarm_size < 2:
@@ -313,9 +313,7 @@ def _fit_chunk(skel, targets, config):
         theta, fit, res, used = _swarm_phase(obj, rngs, frames, config, phase_budget)
         budget -= phase_budget
         used_total[frames] += used
-        if config.polish_steps > 0:
-            theta, fit, res = _gauss_newton_polish(obj, frames, theta,
-                                                   config.polish_steps)
+        theta, fit, res = _gauss_newton_polish(obj, frames, theta, POLISH_STEPS)
         better = fit < best_fit[frames]
         won = frames[better]
         best_theta[won] = theta[better]

@@ -149,7 +149,6 @@ class SgdConfig:
     learning_rate: float = 0.003
     epochs: int = 200
     lam: float = 1.0
-    staged: bool = True  # run the STAGES schedule; otherwise one flat stage
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -385,11 +384,10 @@ def validation_stats(run: TrainRun, dataset, skel: Skeleton, true_joints=None):
 
 def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
           val=None, on_epoch=None) -> TrainRun:
-    """Mini-batch SGD through the stages of the schedule.
+    """Mini-batch SGD through the stages of the schedule, STAGES.
 
-    With ``sgd.staged`` the stages are STAGES: stage (f_lr, f_ep) runs at
-    f_lr * learning_rate for max(1, round(f_ep * epochs)) epochs; otherwise
-    there is one stage at learning_rate for all epochs. Each stage starts
+    Stage (f_lr, f_ep) runs at f_lr * learning_rate for
+    max(1, round(f_ep * epochs)) epochs. Each stage starts
     the shuffle from the same seed and ends early when the best validation
     joint error of its last 10 epochs improves on its earlier best by less
     than 0.1%; momentum carries across stages. The penalty weight is
@@ -415,7 +413,7 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
     val_joints = None if val is None else bench.eval_joints(skel, val.thetas)
     lam = mode.penalty_weight(sgd.lam)
     n = len(dataset)
-    for frac_lr, frac_ep in STAGES if sgd.staged else ((1.0, 1.0),):
+    for frac_lr, frac_ep in STAGES:
         stage = replace(sgd, learning_rate=sgd.learning_rate * frac_lr)
         rng = np.random.default_rng([run.config.seed, 1])
         val_errors = []

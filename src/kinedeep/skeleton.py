@@ -38,6 +38,8 @@ The keys, with their units and defaults:
 
 Every number must be a finite JSON number: a string, true or false, NaN or
 Infinity is refused with a SkeletonError that names the joint and the key.
+So is a key not listed here, at any level: a DOF takes the bound pair of
+its kind only.
 Angles are radians everywhere in the API; only configs use degrees.
 """
 from __future__ import annotations
@@ -361,6 +363,19 @@ def _finite(value, where: str, key: str):
     return value
 
 
+_CONFIG_KEYS = ("name", "joints", "eval_subset")
+_JOINT_KEYS = ("name", "parent", "bone_length_mm", "rest_offset_deg", "dofs")
+
+
+def _known_keys(raw: dict, keys, where: str) -> None:
+    """A SkeletonError naming where it is and the first key of `raw` not in
+    `keys`, if there is one."""
+    for key in raw:
+        if key not in keys:
+            raise SkeletonError(f"{where}: unknown key {key!r}, expected one of "
+                                f"{', '.join(keys)}")
+
+
 def _dof(raw, where: str, key: str):
     """(canonical dict, table row) of one DOF object; see Skeleton."""
     if not isinstance(raw, dict):
@@ -372,8 +387,10 @@ def _dof(raw, where: str, key: str):
     if not isinstance(axis, str) or axis.upper() not in AXES:
         raise SkeletonError(f"{where}: {key}.axis must be 'X', 'Y' or 'Z', not {axis!r}")
     unit = "deg" if kind == "rotation" else "mm"
+    ends = (f"lower_{unit}", f"upper_{unit}")
+    _known_keys(raw, ("kind", "axis", *ends), f"{where}: {key}")
     bounds = []
-    for end in (f"lower_{unit}", f"upper_{unit}"):
+    for end in ends:
         if end not in raw:
             raise SkeletonError(f"{where}: {key} has no {end}")
         bounds.append(float(_finite(raw[end], where, f"{key}.{end}")))
@@ -400,6 +417,7 @@ def skeleton_from_dict(raw: dict, name=None) -> Skeleton:
     build its Skeleton; `name` names a config that has no name."""
     if not isinstance(raw, dict) or not isinstance(raw.get("joints"), list):
         raise SkeletonError("config must contain a 'joints' list")
+    _known_keys(raw, _CONFIG_KEYS, "config")
     skel_name = raw.get("name", name or "skeleton")
     if not isinstance(skel_name, str) or not skel_name:
         raise SkeletonError(f"name must be a non-empty string, not {skel_name!r}")
@@ -414,6 +432,7 @@ def skeleton_from_dict(raw: dict, name=None) -> Skeleton:
         if jname in index:
             raise SkeletonError(f"duplicate joint name {jname!r}")
         where = f"joint {jname!r}"
+        _known_keys(joint, _JOINT_KEYS, where)
 
         parent = joint.get("parent")
         if parent is None:

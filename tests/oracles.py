@@ -320,9 +320,8 @@ def sequential_fit_pose(skel, target, config=None):
             obj, rng, config, phase_budget)
         budget -= phase_budget
         used_total += used
-        if config.polish_steps > 0:
-            theta, fit, res = _sequential_polish(obj, theta,
-                                                 config.polish_steps)
+        if ik_pso.POLISH_STEPS > 0:
+            theta, fit, res = _sequential_polish(obj, theta, ik_pso.POLISH_STEPS)
         if fit < best_fit:
             best_theta, best_fit, best_res = theta, fit, res
 

@@ -10,12 +10,14 @@ import types
 import numpy as np
 import pytest
 
-from kinedeep import bench, cli, fileio, ik_pso
+from kinedeep import bench, cli, fileio, ik_pso, reproduce
 from kinedeep import kinematics as kin
 from kinedeep import regressor as reg
 from kinedeep import skeleton as sk
-from kinedeep.cli import build_parser, main, reproduce_fit, reproduce_mode
+from kinedeep.cli import build_parser, main
+from kinedeep.reproduce import reproduce_fit, reproduce_mode
 from test_regressor import CHECKPOINT_DAMAGE, checkpoint_parts
+from test_reproduce import ORDERINGS
 
 
 def run_cli(*argv):
@@ -510,6 +512,9 @@ BAD_FIELDS = {
     "float_axis": (_palm_dof(axis=2.7), "dofs[0].axis"),
     "true_axis": (_palm_dof(axis=True), "dofs[0].axis"),
     "int_axis": (_palm_dof(axis=2), "dofs[0].axis"),
+    "misspelt_bone": (_palm(bone_lenght_mm=30.0), "bone_lenght_mm"),
+    "misspelt_bound": (_palm_dof(uper_deg=10.0), "uper_deg"),
+    "mm_bound_on_rotation": (_palm_dof(lower_mm=-10.0), "lower_mm"),
 }
 
 
@@ -530,6 +535,8 @@ BAD_FIELDS = {
     {"joints": [{"name": "root", "dofs": [{"kind": "rotation", "axis": ["X"],
                                            "lower_deg": 0.0, "upper_deg": 10.0}]}]},
     *(pytest.param(cfg, id=case) for case, (cfg, _) in BAD_FIELDS.items()),
+    pytest.param({"joints": [{"name": "root"}], "eval_subsets": ["root"]},
+                 id="misspelt_eval_subset"),
 ])
 def test_malformed_skeleton_json_exits_1(tmp_path, capsys, cfg):
     path = tmp_path / "bad.json"
@@ -562,19 +569,27 @@ def test_fk_refuses_non_finite_bone_and_writes_nothing(hand, pose_file, tmp_path
     assert sorted(os.listdir(tmp_path)) == sorted([path.name, skel_path.name])
 
 
-def test_fk_leaves_hashlib_unloaded(pose_file, tmp_path):
-    # hashlib loads OpenSSL's libcrypto; only the skeleton fingerprint, which
-    # fk never computes, needs it
-    path, _ = pose_file
+@pytest.mark.parametrize("argv, unloaded", [
+    ("fk --poses {poses} --out {tmp}/joints.csv", ["_hashlib"]),
+    ("synth --n 8 --out {tmp}/new.ds", ["multiprocessing", "concurrent.futures"]),
+    ("train --train {data} --epochs 1 --batch 8 --out {tmp}/run.ckpt",
+     ["multiprocessing", "concurrent.futures"]),
+], ids=["fk", "synth", "train"])
+def test_command_leaves_modules_unloaded(pose_file, tmp_path, argv, unloaded):
+    # hashlib loads OpenSSL's libcrypto, which only the skeleton fingerprint
+    # needs, and fk computes none; only reproduce starts processes, and the
+    # process modules would add start-up time and memory to every command
+    data = tmp_path / "data.ds"
+    assert run_cli("synth", "--n", "8", "--seed", "4", "--out", str(data)) == 0
+    argv = argv.format(poses=pose_file[0], tmp=tmp_path, data=data).split()
     script = ("import sys\n"
               "from kinedeep.cli import main\n"
-              f"assert main(['fk', '--poses', {str(path)!r}, "
-              f"'--out', {str(tmp_path / 'joints.csv')!r}]) == 0\n"
-              "print('loaded' if '_hashlib' in sys.modules else 'unloaded')\n")
+              f"assert main({argv!r}) == 0\n"
+              f"print([m for m in {unloaded!r} if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "unloaded"
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_train_prints_last_epoch_without_second_validation_pass(
@@ -614,14 +629,16 @@ def test_train_prints_last_epoch_without_second_validation_pass(
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning",
                             "ignore:invalid value encountered in matmul:RuntimeWarning")
-def test_train_numerical_failure_exit_code(tmp_path):
+def test_train_numerical_failure_exit_code(tmp_path, monkeypatch):
+    # one stage at the full rate from the first epoch
+    monkeypatch.setattr(reg, "STAGES", ((1.0, 1.0),))
     data = tmp_path / "data.csv"
     assert run_cli("synth", "--n", "32", "--sigma", "5", "--occlusion", "0.0",
                    "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "run.ckpt.json"
     code = run_cli("train", "--mode", "ours", "--train", str(data),
                    "--epochs", "3", "--batch", "8", "--lr", "10.0",
-                   "--flat-lr", "--seed", "2", "--out", str(ckpt))
+                   "--seed", "2", "--out", str(ckpt))
     assert code == 2
 
 
@@ -697,16 +714,18 @@ def test_train_non_finite_gradient_names_history_epoch(tmp_path, monkeypatch, ca
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning",
                             "ignore:invalid value encountered in matmul:RuntimeWarning")
-def test_train_validation_overflow_exits_2(tmp_path, capsys):
+def test_train_validation_overflow_exits_2(tmp_path, monkeypatch, capsys):
     # epoch 0 ends with finite loss, gradients and weights, but weights so
-    # large that the validation forward pass overflows
+    # large that the validation forward pass overflows: one stage at the
+    # full rate from the first epoch
+    monkeypatch.setattr(reg, "STAGES", ((1.0, 1.0),))
     data = tmp_path / "data.csv"
     assert run_cli("synth", "--n", "24", "--sigma", "5", "--occlusion", "0",
                    "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "run.ckpt.json"
     code = run_cli("train", "--train", str(data), "--val", str(data),
                    "--epochs", "3", "--batch", "8", "--lr", "1.0",
-                   "--flat-lr", "--seed", "2", "--out", str(ckpt))
+                   "--seed", "2", "--out", str(ckpt))
     assert code == 2
     assert "non-finite network output on the validation set after epoch 0" \
         in capsys.readouterr().err
@@ -769,9 +788,13 @@ def test_eval_refuses_checkpoint_of_another_skeleton(bench_dataset, tmp_path, ca
 def test_unknown_flag_exits_1(capsys):
     assert run_cli("fk", "--nonsense") == 1
     assert capsys.readouterr().err.startswith("error: kinedeep fk: ")
-    assert run_cli("ik", "--targets", "t.csv", "--out", "fit.csv", "--warm-start") == 1
-    assert capsys.readouterr().err == \
-        "error: kinedeep: unrecognized arguments: --warm-start\n"
+    for argv in (["ik", "--targets", "t.csv", "--out", "fit.csv", "--warm-start"],
+                 ["ik", "--targets", "t.csv", "--out", "fit.csv", "--polish"],
+                 ["ik", "--targets", "t.csv", "--out", "fit.csv", "--no-polish"],
+                 ["train", "--train", "t.ds", "--out", "run.ckpt", "--flat-lr"]):
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == \
+            f"error: kinedeep: unrecognized arguments: {argv[-1]}\n"
 
 
 @pytest.mark.parametrize("fit_frames", ["0", "-3"])
@@ -906,6 +929,21 @@ def test_reproduce_pool_matches_in_process_modes(tmp_path):
             json.dumps(report.to_dict(), sort_keys=True)
         name = f"{mode}.ckpt.json"
         assert (pooled / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
+@pytest.mark.parametrize("failing", [None, "ours_invalid_lt_no_phy"])
+def test_reproduce_exits_0_exactly_when_every_ordering_passes(tmp_path, monkeypatch,
+                                                             failing):
+    # the parent computes the orderings once the workers are done, so the
+    # forked workers are unaffected
+    checks = {name: name != failing for name in ORDERINGS}
+    tables = []
+    monkeypatch.setattr(reproduce, "orderings",
+                        lambda table: tables.append(table) or checks)
+    out = tmp_path / "run"
+    assert run_cli(*REPRODUCE_TINY, "--out", str(out)) == (0 if failing is None else 3)
+    assert [set(table) for table in tables] == [set(reg.MODES)]
+    assert json.loads((out / "table.json").read_text())["orderings"] == checks
 
 
 def test_eval_of_each_reproduce_checkpoint_gives_its_table_entry(tmp_path):

@@ -195,17 +195,40 @@ def test_dataset_with_zero_samples(tmp_path):
         fileio.read_dataset(path)
 
 
+def one_row_meta(**fields):
+    """The meta record of a valid one-row dataset, with `fields` changed."""
+    meta = {"magic": "kinedeep-dataset", "version": 3, "skeleton": "x",
+            "sigma_mm": 1.0, "occlusion": 0.0, "seed": 1, "n": 1}
+    return np.array(json.dumps({**meta, **fields}))
+
+
 @pytest.mark.parametrize("meta", [
     np.array(json.dumps({"magic": "kinedeep-dataset", "version": 1, "skeleton": "x",
                          "sigma_mm": 1.0, "occlusion": 0.0, "seed": 1, "n": 2})),
     np.array(json.dumps({"magic": "kinedeep-dataset", "version": 2})),
     np.array("not json"),
     np.array(2.0),
+    one_row_meta(skeleton=5),
+    one_row_meta(skeleton=""),
+    one_row_meta(sigma_mm="ten"),
+    one_row_meta(sigma_mm=float("nan")),
+    one_row_meta(occlusion="x"),
+    one_row_meta(occlusion=True),
+    one_row_meta(seed=[1]),
+    one_row_meta(seed=1.5),
+    one_row_meta(n=True),
 ])
 def test_dataset_bad_meta(tmp_path, meta):
-    path = write_npz(tmp_path / "data.ds", meta=meta)
+    path = write_npz(tmp_path / "data.ds", meta=meta, features=np.ones((1, 6)),
+                     thetas=np.ones((1, 4)))
     with pytest.raises(fileio.FileFormatError, match="meta is not a kinedeep-dataset"):
         fileio.read_dataset(path)
+
+
+def test_dataset_one_row_meta_reads(tmp_path):
+    path = write_npz(tmp_path / "data.ds", meta=one_row_meta(), features=np.ones((1, 6)),
+                     thetas=np.ones((1, 4)))
+    assert len(fileio.read_dataset(path)) == 1
 
 
 def test_text_v1_dataset_refused(tmp_path):

@@ -48,15 +48,15 @@ def test_deterministic_given_seed(hand, rng):
                     ik_pso.fit_batch(hand, [target], cfg))
 
 
-def test_gbest_loss_non_increasing(hand, rng):
+def test_gbest_loss_non_increasing(hand, rng, monkeypatch):
     # a restart phase keeps the incumbent unless it beats it, so a second
     # phase never worsens the fit of the first
     target = eval_joints(hand, sample_in_bounds(hand, rng))
     for polish_steps in (0, 50):
+        monkeypatch.setattr(ik_pso, "POLISH_STEPS", polish_steps)
         losses = []
         for phases in (1, 2):
-            cfg = ik_pso.PsoConfig(seed=8, polish_steps=polish_steps,
-                                   iterations=ik_pso.PHASE_ITERATIONS * phases)
+            cfg = ik_pso.PsoConfig(seed=8, iterations=ik_pso.PHASE_ITERATIONS * phases)
             theta = ik_pso.fit_batch(hand, [target], cfg).theta[0]
             resid = eval_joints(hand, theta) - target
             losses.append(0.5 * float(np.sum(resid * resid)))
@@ -125,12 +125,12 @@ def test_fit_pose_residual_grows_off_model(hand, rng):
     assert invalid > valid + 0.5
 
 
-def test_pure_swarm_mode_still_works(hand, rng):
-    # polish_steps=0 disables the gradient stage entirely
+def test_pure_swarm_mode_still_works(hand, rng, monkeypatch):
+    # no polish steps leaves the swarm alone
+    monkeypatch.setattr(ik_pso, "POLISH_STEPS", 0)
     theta = sample_in_bounds(hand, rng)
     target = eval_joints(hand, theta)
-    result = ik_pso.fit_batch(hand, [target],
-                              ik_pso.PsoConfig(seed=1, polish_steps=0))
+    result = ik_pso.fit_batch(hand, [target], ik_pso.PsoConfig(seed=1))
     assert result.residual_mm[0] < 60.0  # derivative-free: coarse but sane
     assert np.array_equal(sk.clamp_pose(hand, result.theta), result.theta)
 
@@ -197,14 +197,16 @@ def mixed_targets(hand):
 
 # "incumbent": a pair of particles for one iteration often never improves
 # on the first incumbent, whose residual is then the result
-@pytest.mark.parametrize("extra", [
-    {}, {"polish_steps": 0},
-    {"polish_steps": 0, "swarm_size": 2, "iterations": 1},
+@pytest.mark.parametrize("polish_steps, extra", [
+    (ik_pso.POLISH_STEPS, {}), (0, {}),
+    (0, {"swarm_size": 2, "iterations": 1}),
 ], ids=["polish", "no_polish", "incumbent"])
-def test_fit_batch_matches_sequential_fitter(hand, mixed_targets, extra):
+def test_fit_batch_matches_sequential_fitter(hand, mixed_targets, monkeypatch,
+                                             polish_steps, extra):
+    monkeypatch.setattr(ik_pso, "POLISH_STEPS", polish_steps)
     cfg = ik_pso.PsoConfig(seed=7, **{**SMALL, **extra})
     result = assert_matches_sequential(hand, mixed_targets, cfg)
-    if not extra:
+    if polish_steps and not extra:
         # the batch mixes frames that stop early with full-budget ones
         assert result.converged[0] and result.iterations_used[0] < cfg.iterations
         assert not result.converged[1]
@@ -250,8 +252,10 @@ def test_swarm_phase_streams_in_two_states_match_one_frame_at_a_time(hand, mixed
             assert np.array_equal(got[f], want[0])
 
 
-def test_batch_larger_than_one_chunk_matches_sequential_fitter(hand, mixed_targets):
-    cfg = ik_pso.PsoConfig(seed=5, swarm_size=2048, iterations=4, polish_steps=5)
+def test_batch_larger_than_one_chunk_matches_sequential_fitter(hand, mixed_targets,
+                                                              monkeypatch):
+    monkeypatch.setattr(ik_pso, "POLISH_STEPS", 5)
+    cfg = ik_pso.PsoConfig(seed=5, swarm_size=2048, iterations=4)
     assert len(mixed_targets[:3]) * cfg.swarm_size > ik_pso._CHUNK_POSES
     assert_matches_sequential(hand, mixed_targets[:3], cfg)
 

@@ -315,8 +315,15 @@ def small_dataset(hand, n=32, seed=5):
     return bench.make_dataset(hand, n=n, noise_sigma_mm=2.0, occlusion_prob=0.0, seed=seed)
 
 
+@pytest.fixture()
+def one_stage(monkeypatch):
+    """reg.train with one stage, at the base rate for every epoch."""
+    monkeypatch.setattr(reg, "STAGES", ((1.0, 1.0),))
+
+
 def train_config(**kw):
-    base = dict(batch_size=8, learning_rate=1e-7, epochs=5, lam=1.0, staged=False)
+    """Settings for a test run; the test runs them with `one_stage`."""
+    base = dict(batch_size=8, learning_rate=1e-7, epochs=5, lam=1.0)
     base.update(kw)
     return reg.SgdConfig(**base)
 
@@ -329,6 +336,7 @@ def whitened_config(hand, data, widths=(32,), seed=7):
     )
 
 
+@pytest.mark.usefixtures("one_stage")
 def test_train_deterministic(hand):
     data = small_dataset(hand)
     runs = []
@@ -343,6 +351,7 @@ def test_train_deterministic(hand):
         assert ha == hb
 
 
+@pytest.mark.usefixtures("one_stage")
 def test_train_history_length_and_val_metrics(hand):
     data = small_dataset(hand)
     run = reg.init(whitened_config(hand, data), mode="ours")
@@ -356,6 +365,7 @@ def test_train_history_length_and_val_metrics(hand):
 
 
 @pytest.mark.parametrize("mode", ["ours", "direct_joint"])
+@pytest.mark.usefixtures("one_stage")
 def test_train_labels_the_validation_set_once(hand, monkeypatch, mode):
     # the validation labels come from one FK pass per train call, not one
     # per epoch
@@ -430,6 +440,7 @@ def test_on_epoch_records_each_epoch(hand, monkeypatch, mode):
     json.dumps(records, allow_nan=False)  # strict JSON
 
 
+@pytest.mark.usefixtures("one_stage")
 def test_on_epoch_record_without_val_has_no_val_metrics(hand):
     data = small_dataset(hand, n=16)
     records = []
@@ -449,6 +460,7 @@ def test_train_empty_dataset_rejected(hand):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning",
                             "ignore:invalid value encountered in subtract:RuntimeWarning")
+@pytest.mark.usefixtures("one_stage")
 def test_train_non_finite_loss_reports_epoch_and_batch(hand):
     data = small_dataset(hand)
     run = reg.init(whitened_config(hand, data), mode="ours")
@@ -457,6 +469,7 @@ def test_train_non_finite_loss_reports_epoch_and_batch(hand):
         reg.train(run, data, hand, sgd)
 
 
+@pytest.mark.usefixtures("one_stage")
 def test_train_non_finite_gradient_reports_its_batch(hand, monkeypatch):
     # a finite loss with an overflowed gradient: the error names that batch,
     # and the bad update never reaches the weights
@@ -480,6 +493,7 @@ def test_train_non_finite_gradient_reports_its_batch(hand, monkeypatch):
     assert all(np.isfinite(w).all() for w in run.weights)
 
 
+@pytest.mark.usefixtures("one_stage")
 def test_mode_equivalence_ours_lambda_zero(hand):
     data = small_dataset(hand)
     a = reg.init(whitened_config(hand, data), mode="ours")
@@ -512,11 +526,11 @@ def test_loss_non_increasing_small_lr_frozen_batch(hand, rng, monkeypatch):
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
+@pytest.mark.usefixtures("one_stage")
 def test_single_sample_overfit(hand):
     data = bench.make_dataset(hand, n=1, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=42)
     run = reg.init(whitened_config(hand, data), mode="ours_no_phy")
-    sgd = reg.SgdConfig(batch_size=1, learning_rate=2e-5, epochs=2000, lam=0.0,
-                        staged=False)
+    sgd = reg.SgdConfig(batch_size=1, learning_rate=2e-5, epochs=2000, lam=0.0)
     reg.train(run, data, hand, sgd)
     err, _, _ = reg.validation_stats(run, data, hand)
     assert err < 1.0
@@ -536,6 +550,7 @@ def test_validation_stats_are_evaluate_without_thresholds(hand, mode, width):
         assert np.array(got).tobytes() == np.array(want).tobytes()  # NaN included
 
 
+@pytest.mark.usefixtures("one_stage")
 def test_direct_joint_training_runs(hand):
     data = small_dataset(hand)
     cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 32, 3 * len(hand.eval_subset)),
@@ -548,6 +563,7 @@ def test_direct_joint_training_runs(hand):
     assert np.isnan(run.history[-1].val_invalid_frac)
 
 
+@pytest.mark.usefixtures("one_stage")
 def test_early_stop_on_plateau(hand):
     data = small_dataset(hand, n=16)
     run = reg.init(whitened_config(hand, data), mode="ours_no_phy")
@@ -587,6 +603,7 @@ def test_staged_train_matches_per_stage_oracle(hand, mode):
                           [astuple(h) for h in oracle.history], equal_nan=True)
 
 
+@pytest.mark.usefixtures("one_stage")
 def test_checkpoint_roundtrip(hand, tmp_path):
     data = small_dataset(hand)
     run = reg.init(whitened_config(hand, data), mode="ours")
@@ -728,6 +745,7 @@ def test_damaged_checkpoint_refused_naming_the_path(hand, tmp_path, case):
     assert str(refused.value).startswith(f"{path}: ") and message in str(refused.value)
 
 
+@pytest.mark.usefixtures("one_stage")
 def test_train_non_finite_weights_name_the_epoch(hand, monkeypatch):
     # the last update of epoch 1 leaves an infinite weight; no later batch
     # of that epoch can trip over it, so the epoch-end check must
@@ -804,6 +822,7 @@ def test_validation_stats_runs_the_val_set_in_row_blocks(hand):
     assert peak < 1.5 * 2**20
 
 
+@pytest.mark.usefixtures("one_stage")
 def test_train_holds_at_most_one_gradient_set(hand, monkeypatch):
     # the previous step's gradients (0.64 MiB for this network) are dropped
     # before the next are computed, and the last step's before validation,
