@@ -3,10 +3,13 @@
 Datasets stand in for the depth-image pipeline, which is out of scope here:
 a sample's features are the flattened eval-joint coordinates of a random
 in-bounds pose, corrupted by isotropic Gaussian noise and random per-joint
-occlusion (all three coordinates replaced by a sentinel). A dataset keeps
-only the poses and the features. Labels are exact: a sample's ground-truth
-joints are the forward kinematics of its stored pose (:func:`eval_joints`),
-computed where they are used, so they cannot disagree with the pose.
+occlusion (all three coordinates replaced by a sentinel). Where in the
+bounds poses are drawn is the caller's choice, with no default: synth's
+--interior-margin and --pose-shape, or reproduce's central core. A dataset
+keeps only the poses and the features. Labels are exact: a sample's
+ground-truth joints are the forward kinematics of its stored pose
+(:func:`eval_joints`), computed where they are used, so they cannot
+disagree with the pose.
 
 Metrics follow the usual hand-pose protocol:
   * average joint error: mean over frames of the mean per-eval-joint
@@ -113,7 +116,7 @@ class MetricsReport:
     max_error_curve: list  # [(threshold_mm, fraction)], thresholds ascending
     avg_angle_error_deg: float
     invalid_pose_fraction: float
-    n_frames: int = 0
+    n_frames: int
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -129,11 +132,6 @@ class MetricsReport:
         lines += [f"  {t:6.1f} : {f!r}" for t, f in self.max_error_curve]
         return "\n".join(lines)
 
-    def curve_csv(self) -> str:
-        rows = ["threshold_mm,fraction"]
-        rows += [f"{t!r},{f!r}" for t, f in self.max_error_curve]
-        return "\n".join(rows) + "\n"
-
 
 def eval_joints(skel: Skeleton, thetas: np.ndarray) -> np.ndarray:
     """Eval-joint positions (N, n_eval, 3) of poses (N, D), exact: one FK
@@ -147,16 +145,14 @@ def eval_joints(skel: Skeleton, thetas: np.ndarray) -> np.ndarray:
 
 
 def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
-                 occlusion_prob: float, seed: int,
-                 interior_margin: float = 0.0,
-                 pose_shape: str = "uniform") -> Dataset:
+                 occlusion_prob: float, seed: int, interior_margin: float,
+                 pose_shape: str) -> Dataset:
     """Sample n poses and build their noisy eval-joint features.
 
     `interior_margin` shrinks the sampling box by that fraction of each
     DOF's range on both sides; `pose_shape` is "uniform" over that box or
     "central" (Beta(3,3) per DOF), which mimics recorded pose collections:
     mass in the middle of each range, vanishing density at the limits.
-    The defaults sample every DOF uniformly within its bounds.
     """
     if n < 1:
         raise ValueError("dataset size must be >= 1")

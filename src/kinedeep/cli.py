@@ -23,11 +23,12 @@ Exit codes: 0 success; 1 validation or parse error; 2 numerical failure
 tolerance or a reproduce ordering).
 
 The default skeleton is the built-in 23-joint hand, the config file
-hand23.json shipped inside the package; --skeleton or the KINEDEEP_SKELETON
-environment variable select another config file. train and eval refuse a
-dataset whose metadata names a different skeleton, fk, jacobian and ik a
-pose or joint file whose header does, and eval a checkpoint whose recorded
-skeleton fingerprint differs.
+hand23.json shipped inside the package; --skeleton (and no environment
+variable) selects another config file. reproduce writes the skeleton it
+trained on as <out>/skeleton.json, for eval --skeleton. train and eval
+refuse a dataset whose metadata names a different skeleton, fk, jacobian
+and ik a pose or joint file whose header does, and eval a checkpoint whose
+recorded skeleton fingerprint differs.
 """
 from __future__ import annotations
 
@@ -53,7 +54,6 @@ EXIT_INVALID = 1
 EXIT_NUMERICAL = 2
 EXIT_CHECK_FAILED = 3
 
-SKELETON_ENV = "KINEDEEP_SKELETON"
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; here 1 means "bad input"
@@ -62,7 +62,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_skeleton(path) -> sk.Skeleton:
-    path = path or os.environ.get(SKELETON_ENV)
     if path is None:
         return sk.default_hand()
     return sk.load_skeleton(path)
@@ -333,25 +332,20 @@ def cmd_eval(args) -> int:
     with open(args.out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
-    if args.curve_csv:
-        with open(args.curve_csv, "w") as fh:
-            fh.write(report.curve_csv())
     print(report.to_text())
     _write_manifest(_manifest_path(args.out), "eval",
                     {"skeleton": skel.name, "mode": run.mode,
                      "fit_iters": args.fit_iters},
-                    args.seed, [args.ckpt, args.data],
-                    [args.out] + ([args.curve_csv] if args.curve_csv else []),
-                    started)
+                    args.seed, [args.ckpt, args.data], [args.out], started)
     return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
     if args.fit_frames < 1:
         raise ValueError("--fit-frames must be >= 1")
-    # checks --epochs, --batch and --lambda before any dataset is made; each
-    # mode builds its own, at its base learning rate
-    reg.SgdConfig(batch_size=args.batch, epochs=args.epochs, lam=args.lam)
+    # checks --epochs, --batch and --lambda before any dataset is made
+    for mode in reg.MODES:
+        rp.mode_sgd(mode, args)
     started = time.monotonic()
     # the interior margin undoes the benchmark skeleton's bound expansion;
     # a skeleton file's bounds are sampled whole
@@ -362,6 +356,8 @@ def cmd_reproduce(args) -> int:
     table, tasks, workers = rp.run(skel, margin, args, started)
     text, checks = rp.table_text(table), rp.orderings(table)
 
+    skeleton_json = os.path.join(args.out, "skeleton.json")
+    sk.save_skeleton(skel, skeleton_json)
     table_txt = os.path.join(args.out, "table.txt")
     with open(table_txt, "w") as fh:
         fh.write(text)
@@ -375,7 +371,7 @@ def cmd_reproduce(args) -> int:
     outputs = [path for mode in reg.MODES
                for path in (rp.mode_checkpoint(args.out, mode),
                             rp.epochs_path(rp.mode_checkpoint(args.out, mode)))]
-    outputs += [table_txt, table_json]
+    outputs += [skeleton_json, table_txt, table_json]
     parent, children = _memory_use(), _memory_use(resource.RUSAGE_CHILDREN)
     _write_manifest(os.path.join(args.out, "manifest.json"), "reproduce",
                     {"skeleton": skel.name, "train_n": args.train_n,
@@ -404,8 +400,7 @@ def build_parser() -> _Parser:
 
     def add_skeleton(p):
         p.add_argument("--skeleton", default=None,
-                       help=f"skeleton config (default: ${SKELETON_ENV}, "
-                            f"else the packaged hand23.json)")
+                       help="skeleton config (default: the packaged hand23.json)")
 
     p = sub.add_parser("fk", help="forward kinematics over a pose file")
     add_skeleton(p)
@@ -467,7 +462,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="JSON report path")
-    p.add_argument("--curve-csv", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fit-iters", type=int, default=rp.FIT_ITERATIONS,
                    help="swarm iterations for direct_joint angle fitting")

@@ -121,10 +121,10 @@ def write_pose_file(path, skeleton_name: str, poses) -> None:
                  poses)
 
 
-def read_pose_file(path, expected_dims=None):
-    """Returns (skeleton name, poses (N, D)); N may be zero."""
+def read_pose_file(path, expected_dims):
+    """Returns (skeleton name, poses (N, expected_dims)); N may be zero."""
     fields, poses = _read_table(path, POSES_MAGIC, "dims", 1)
-    if expected_dims is not None and poses.shape[1] != expected_dims:
+    if poses.shape[1] != expected_dims:
         if poses.shape[1]:
             raise FileFormatError(
                 f"{path}: poses carry {poses.shape[1]} values, expected {expected_dims}")

@@ -323,7 +323,7 @@ def _fit_chunk(skel, targets, config):
     return best_theta, best_res, used_total
 
 
-def fit_batch(skel: Skeleton, targets, config: PsoConfig | None = None) -> FitResult:
+def fit_batch(skel: Skeleton, targets, config: PsoConfig) -> FitResult:
     """Fit each frame's pose to its target joints.
 
     `targets` is (F, n_eval, 3) mm, one frame's eval joints per row. A
@@ -335,7 +335,6 @@ def fit_batch(skel: Skeleton, targets, config: PsoConfig | None = None) -> FitRe
     a fit of that frame alone, bit for bit. Every frame reuses the same
     config seed, so identical targets produce identical results.
     """
-    config = config or PsoConfig()
     targets = np.asarray(targets, dtype=float)
     n_eval = len(skel.eval_subset)
     if targets.shape[:1] == (0,):

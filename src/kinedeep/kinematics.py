@@ -27,7 +27,7 @@ its joint's subtree (the joint itself included) by
 
 and a translation DOF moves them by ``a_d``; all other joints stay put.
 ``fk_jacobian_batch`` assembles these columns. ``fk_vjp_batch`` never forms
-them: for a cotangent ``r_k`` per selected joint (a loss residual, say) it
+them: for a cotangent ``r_k`` per eval joint (a loss residual, say) it
 returns J^T r in reverse mode (Griewank & Walther, *Evaluating Derivatives*,
 2008; Featherstone, *Rigid Body Dynamics Algorithms*, 2008):
 
@@ -39,9 +39,9 @@ parent, children before parents.
 
 Layout
 ------
-Every function takes a batch of poses (N, D); a single pose of length D is
-read as a batch of one. Internally the pose axis is last: the rotations of
-G joints are three (G, 3, N) column arrays, and every step is an
+Every function takes a batch of poses (N, D), and only that: a single pose
+is a batch of one, (1, D). Internally the pose axis is last: the rotations
+of G joints are three (G, 3, N) column arrays, and every step is an
 elementwise operation over contiguous pose vectors, so no sum runs across
 poses and a pose gets the same bits alone as in a batch. Positions come back C-contiguous
 (N, Js, 3) at every N, also for a subset of joints, so a row-wise reduction
@@ -89,11 +89,9 @@ _CYCLIC = tuple(zip(_FIRST, _SECOND))
 
 def _check_poses(skel: Skeleton, thetas: np.ndarray) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim == 1:
-        thetas = thetas[None, :]
     if thetas.ndim != 2 or thetas.shape[1] != skel.n_dofs:
         raise ValueError(
-            f"pose array shape {thetas.shape} does not match D={skel.n_dofs}"
+            f"pose array shape {thetas.shape} is not a batch (N, {skel.n_dofs})"
         )
     if not np.all(np.isfinite(thetas)):
         raise ValueError("pose contains non-finite values")
@@ -202,29 +200,27 @@ def fk_jacobian_batch(skel: Skeleton, thetas, joint_indices=None):
     return _joints_first(pos, rows), jac.reshape(N, 3 * len(rows), D)
 
 
-def fk_vjp_batch(skel: Skeleton, thetas, joint_indices=None):
-    """Positions and their reverse-mode product for a batch of poses.
+def fk_vjp_batch(skel: Skeleton, thetas):
+    """Eval-joint positions and their reverse-mode product for a batch of poses.
 
-    Returns (positions (N, Js, 3), pullback). ``pullback(cotangent)`` takes
-    one (N, Js, 3) or (N, 3*Js) array, such as a loss residual, and returns
-    J^T cotangent per pose, (N, D), without forming the Jacobian.
+    Returns (positions (N, n_eval, 3), pullback). ``pullback(cotangent)``
+    takes one (N, n_eval, 3) or (N, 3*n_eval) array, such as a loss
+    residual, and returns J^T cotangent per pose, (N, D), without forming
+    the Jacobian.
     """
     thetas = _check_poses(skel, thetas)
     pos, axes, cents = _fk_pass(skel, thetas, record=True)
     layout = skel.fk_layout
-    rows = _rows(skel, joint_indices)
-    unique = len(set(rows.tolist())) == len(rows)
+    rows = _rows(skel, skel.eval_subset)
     N = thetas.shape[0]
 
     def pullback(cotangent):
         r = np.asarray(cotangent, dtype=float).reshape(N, len(rows), 3)
-        # per joint: [summed cotangent w, p x w], then subtree sums
+        # per joint: [summed cotangent w, p x w], then subtree sums; the eval
+        # joints are distinct, so each gets its own cotangent
         sums = np.zeros((skel.n_joints, 2, 3, N))
         w, q = sums[:, 0], sums[:, 1]
-        if unique:
-            w[rows] = r.transpose(1, 2, 0)
-        else:  # a joint selected twice gets both cotangents (add.at is slower)
-            np.add.at(w, rows, r.transpose(1, 2, 0))
+        w[rows] = r.transpose(1, 2, 0)
         q[:] = _cross(pos, w)
         for parent_rows, child_rows in layout.sum_rounds:
             sums[parent_rows] += sums[child_rows]

@@ -27,7 +27,7 @@ def joint_loss_batch(skel: Skeleton, thetas, targets):
     sel = list(skel.eval_subset)
     thetas = np.asarray(thetas, dtype=float)
     targets = np.asarray(targets, dtype=float).reshape(thetas.shape[0], len(sel) * 3)
-    pos, pullback = fk_vjp_batch(skel, thetas, joint_indices=sel)
+    pos, pullback = fk_vjp_batch(skel, thetas)
     resid = pos.reshape(thetas.shape[0], -1) - targets
     values = 0.5 * np.einsum("nk,nk->n", resid, resid)
     return values, pullback(resid)

@@ -118,7 +118,7 @@ class NumericalError(RuntimeError):
 @dataclass(frozen=True)
 class MlpConfig:
     layer_widths: tuple  # input, hidden..., output
-    seed: int = 0
+    seed: int
     input_scale: float = 1.0
     input_clip_abs: float | None = None  # clamp |feature| before scaling
     output_scale: tuple | None = None  # fixed per-output gains, default 1
@@ -145,10 +145,10 @@ class MlpConfig:
 
 @dataclass(frozen=True)
 class SgdConfig:
-    batch_size: int = 512
-    learning_rate: float = 0.003
-    epochs: int = 200
-    lam: float = 1.0
+    batch_size: int
+    learning_rate: float
+    epochs: int
+    lam: float
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -365,11 +365,11 @@ def sgd_step(run: TrainRun, grads, sgd: SgdConfig) -> TrainRun:
     return run
 
 
-def validation_stats(run: TrainRun, dataset, skel: Skeleton, true_joints=None):
+def validation_stats(run: TrainRun, dataset, skel: Skeleton, true_joints):
     """(joint err mm, angle err deg, invalid fraction) on a dataset.
 
-    `true_joints` are the dataset's eval-joint labels, when the caller has
-    them (bench.evaluate).
+    `true_joints` are the dataset's eval-joint labels (bench.eval_joints),
+    which the caller computes once for every epoch.
 
     Angle and validity metrics apply to pose-emitting modes only; a mode
     that emits joints gets NaN there (its angles exist only after a
@@ -383,7 +383,7 @@ def validation_stats(run: TrainRun, dataset, skel: Skeleton, true_joints=None):
 
 
 def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
-          val=None, on_epoch=None) -> TrainRun:
+          val, on_epoch) -> TrainRun:
     """Mini-batch SGD through the stages of the schedule, STAGES.
 
     Stage (f_lr, f_ep) runs at f_lr * learning_rate for
@@ -395,12 +395,12 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
     epoch by its index in run.history, and the batch) if the loss or a
     gradient goes non-finite, before that batch's update reaches the weights;
     and, naming the epoch, if an epoch ends with a non-finite weight or bias
-    or with non-finite outputs on `val`.
+    or with non-finite outputs on `val`, the validation set or None.
 
-    ``on_epoch``, when given, is called after each epoch with that epoch's
-    record: its history index, the stage learning rate, the train loss, the
-    L2 norm of the epoch's last batch gradient, the validation metrics (with
-    `val`; NaN as None) and the epoch's wall seconds.
+    ``on_epoch`` is called after each epoch with that epoch's record: its
+    history index, the stage learning rate, the train loss, the L2 norm of
+    the epoch's last batch gradient, the validation metrics (with `val`;
+    NaN as None) and the epoch's wall seconds.
     """
     if len(dataset) == 0:
         raise ValueError("training dataset is empty")
@@ -463,20 +463,19 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
                 val_invalid_frac=invalid,
             )
             run.history.append(stats)
-            if on_epoch is not None:
-                record = {
-                    "epoch": epoch,
-                    "lr": stage.learning_rate,
-                    "train_loss": stats.train_loss,
-                    "grad_norm": grad_norm,
-                }
-                if val is not None:
-                    # NaN (the angles of a joint-emitting mode) as null
-                    record.update((key, None if np.isnan(v) else v)
-                                  for key, v in vars(stats).items()
-                                  if key.startswith("val_"))
-                record["seconds"] = time.monotonic() - epoch_started
-                on_epoch(record)
+            record = {
+                "epoch": epoch,
+                "lr": stage.learning_rate,
+                "train_loss": stats.train_loss,
+                "grad_norm": grad_norm,
+            }
+            if val is not None:
+                # NaN (the angles of a joint-emitting mode) as null
+                record.update((key, None if np.isnan(v) else v)
+                              for key, v in vars(stats).items()
+                              if key.startswith("val_"))
+            record["seconds"] = time.monotonic() - epoch_started
+            on_epoch(record)
             if val is not None:
                 val_errors.append(joint_err)
                 if len(val_errors) > 10:
@@ -519,8 +518,12 @@ def save_checkpoint(run: TrainRun, path, skel: Skeleton) -> None:
             np.save(fh, b)
 
 
+def _is(value, kind) -> bool:  # true and false are not numbers
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _list_of(value, kind) -> bool:
-    return isinstance(value, list) and all(isinstance(x, kind) for x in value)
+    return isinstance(value, list) and all(_is(x, kind) for x in value)
 
 
 _NUMBER = (int, float)
@@ -531,9 +534,9 @@ _HEADER_FIELDS = (
      and all(isinstance(v.get(k), str) for k in ("name", "sha256"))),
     ("mlp", "an object", lambda v: isinstance(v, dict)),
     ("mlp.layer_widths", "a list of integers", lambda v: _list_of(v, int)),
-    ("mlp.seed", "an integer", lambda v: isinstance(v, int)),
-    ("mlp.input_scale", "a number", lambda v: isinstance(v, _NUMBER)),
-    ("mlp.input_clip_abs", "a number or null", lambda v: v is None or isinstance(v, _NUMBER)),
+    ("mlp.seed", "an integer", lambda v: _is(v, int)),
+    ("mlp.input_scale", "a number", lambda v: _is(v, _NUMBER)),
+    ("mlp.input_clip_abs", "a number or null", lambda v: v is None or _is(v, _NUMBER)),
     ("mlp.output_scale", "a list of numbers or null",
      lambda v: v is None or _list_of(v, _NUMBER)),
     ("mode", f"one of {', '.join(MODES)}", lambda v: isinstance(v, str) and v in MODES),

@@ -91,19 +91,23 @@ def score(run, skel, data, seed, fit_iterations, fit_frames=None) -> bench.Metri
                           fitted_poses=fitted)
 
 
+def mode_sgd(mode, args) -> reg.SgdConfig:
+    """`reproduce`'s schedule for `mode`: args' batch size, epochs and
+    lambda at the mode's base learning rate."""
+    return reg.SgdConfig(batch_size=args.batch, learning_rate=reg.MODES[mode].base_lr,
+                         epochs=args.epochs, lam=args.lam)
+
+
 def reproduce_mode(mode, skel, train_data, val_data, args):
     """One mode of `reproduce`: train on `train_data` and save the
     checkpoint (and its epoch records) in args.out. Returns a pose mode's
     MetricsReport on `val_data`, or None for a joint-emitting mode, which
     reproduce_fit scores from its checkpoint.
     """
-    spec = reg.MODES[mode]
-    sgd = reg.SgdConfig(batch_size=args.batch, learning_rate=spec.base_lr,
-                        epochs=args.epochs, lam=args.lam)
     ckpt = mode_checkpoint(args.out, mode)
-    run = train_mode(skel, mode, train_data, None, sgd, args.seed, ckpt)
+    run = train_mode(skel, mode, train_data, None, mode_sgd(mode, args), args.seed, ckpt)
     reg.save_checkpoint(run, ckpt, skel)
-    if spec.emits_pose:
+    if reg.MODES[mode].emits_pose:
         return score(run, skel, val_data, args.seed, FIT_ITERATIONS)
     return None
 

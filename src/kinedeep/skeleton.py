@@ -33,8 +33,8 @@ The keys, with their units and defaults:
                         within [-180, 180])
       lower_mm, upper_mm
                         a translation's bounds (mm, lower <= upper)
-  eval_subset           the names of the joints the benchmark scores.
-                        Default: every joint
+  eval_subset           the names of the joints the benchmark scores, each
+                        at most once. Default: every joint
 
 Every number must be a finite JSON number: a string, true or false, NaN or
 Infinity is refused with a SkeletonError that names the joint and the key.
@@ -484,6 +484,8 @@ def skeleton_from_dict(raw: dict, name=None) -> Skeleton:
     for ename in eval_names:
         if not isinstance(ename, str) or ename not in index:
             raise SkeletonError(f"eval_subset names unknown joint {ename!r}")
+        if eval_names.count(ename) > 1:
+            raise SkeletonError(f"eval_subset names joint {ename!r} more than once")
     config = {"name": skel_name, "joints": entries, "eval_subset": list(eval_names)}
     return Skeleton(config, rows, [index[e] for e in eval_names])
 

@@ -37,8 +37,9 @@ bit.
 walked the tree one joint at a time, and `per_joint_forward_kinematics_batch`,
 `per_joint_fk_jacobian_batch` and `per_joint_fk_vjp_batch` are the public
 functions of that time on top of it, the pullback summing subtrees joint by
-joint; all kept verbatim as the reference that the joint-group pass of
-`kinedeep.kinematics` must match byte for byte.
+joint; all kept verbatim (less the pullback's choice of joints: like the
+library's, it is over the eval subset) as the reference that the
+joint-group pass of `kinedeep.kinematics` must match byte for byte.
 """
 import math
 
@@ -430,7 +431,8 @@ def flat_train(run, dataset, skel, sgd, val=None):
             epoch_losses.append(value)
 
         if val is not None:
-            joint_err, angle_err, invalid = reg.validation_stats(run, val, skel)
+            joint_err, angle_err, invalid = reg.validation_stats(
+                run, val, skel, bench.eval_joints(skel, val.thetas))
         else:
             joint_err = angle_err = invalid = float("nan")
         run.history.append(reg.EpochStats(
@@ -607,17 +609,17 @@ def per_joint_fk_jacobian_batch(skel: Skeleton, thetas, joint_indices=None):
     return _joints_first(pos, rows), jac.reshape(N, 3 * len(rows), D)
 
 
-def per_joint_fk_vjp_batch(skel: Skeleton, thetas, joint_indices=None):
-    """Positions and their reverse-mode product for a batch of poses.
+def per_joint_fk_vjp_batch(skel: Skeleton, thetas):
+    """Eval-joint positions and their reverse-mode product for a batch of poses.
 
-    Returns (positions (N, Js, 3), pullback). ``pullback(cotangent)`` takes
-    one (N, Js, 3) or (N, 3*Js) array, such as a loss residual, and returns
-    J^T cotangent per pose, (N, D), without forming the Jacobian.
+    Returns (positions (N, n_eval, 3), pullback). ``pullback(cotangent)``
+    takes one (N, n_eval, 3) or (N, 3*n_eval) array, such as a loss
+    residual, and returns J^T cotangent per pose, (N, D), without forming
+    the Jacobian.
     """
     thetas = _check_poses(skel, thetas)
     pos, axes, cents = per_joint_fk_pass(skel, thetas, record=True)
-    rows = _joint_rows(skel, joint_indices)
-    unique = len(set(rows)) == len(rows)
+    rows = list(skel.eval_subset)
     N = thetas.shape[0]
 
     def pullback(cotangent):
@@ -625,10 +627,7 @@ def per_joint_fk_vjp_batch(skel: Skeleton, thetas, joint_indices=None):
         # per joint: [summed cotangent w, p x w], then subtree sums
         sums = np.zeros((skel.n_joints, 2, 3, N))
         w, q = sums[:, 0], sums[:, 1]
-        if unique:
-            w[rows] = r.transpose(1, 2, 0)
-        else:  # a joint selected twice gets both cotangents (add.at is slower)
-            np.add.at(w, rows, r.transpose(1, 2, 0))
+        w[rows] = r.transpose(1, 2, 0)
         for i, (j, k) in enumerate(_CYCLIC):
             q[:, i] = pos[:, j] * w[:, k] - pos[:, k] * w[:, j]
         parents = skel.parent_index.tolist()

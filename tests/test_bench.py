@@ -14,7 +14,7 @@ from kinedeep import skeleton as sk
 def sample_poses(hand, n, seed):
     """The poses of a noise-free dataset: uniform within the bounds."""
     return bench.make_dataset(hand, n=n, noise_sigma_mm=0.0, occlusion_prob=0.0,
-                              seed=seed).thetas
+                              seed=seed, interior_margin=0.0, pose_shape="uniform").thetas
 
 
 def test_sample_pose_in_bounds(hand):
@@ -34,7 +34,8 @@ def test_sample_pose_spans_ranges(hand):
 
 
 def test_make_dataset_clean_features_match_joints(hand):
-    data = bench.make_dataset(hand, n=50, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=3)
+    data = bench.make_dataset(hand, n=50, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=3,
+                              interior_margin=0.0, pose_shape="uniform")
     ev = list(hand.eval_subset)
     assert np.array_equal(data.features.reshape(50, len(ev), 3),
                           bench.eval_joints(hand, data.thetas))
@@ -42,7 +43,8 @@ def test_make_dataset_clean_features_match_joints(hand):
 
 def test_make_dataset_labels_exact(hand):
     # the labels are the eval rows of the full FK of the stored poses
-    data = bench.make_dataset(hand, n=20, noise_sigma_mm=8.0, occlusion_prob=0.2, seed=3)
+    data = bench.make_dataset(hand, n=20, noise_sigma_mm=8.0, occlusion_prob=0.2, seed=3,
+                              interior_margin=0.0, pose_shape="uniform")
     recomputed = kin.forward_kinematics_batch(hand, data.thetas)
     assert np.array_equal(recomputed[:, list(hand.eval_subset)],
                           bench.eval_joints(hand, data.thetas))
@@ -68,7 +70,8 @@ def test_eval_joints_give_the_bytes_of_one_fk_pass(hand, rng, n):
 
 def test_make_dataset_noise_magnitude(hand):
     sigma = 5.0
-    data = bench.make_dataset(hand, n=10_000, noise_sigma_mm=sigma, occlusion_prob=0.0, seed=12)
+    data = bench.make_dataset(hand, n=10_000, noise_sigma_mm=sigma, occlusion_prob=0.0, seed=12,
+                              interior_margin=0.0, pose_shape="uniform")
     ev = list(hand.eval_subset)
     deviation = np.abs(data.features.reshape(len(data), len(ev), 3)
                        - bench.eval_joints(hand, data.thetas))
@@ -78,7 +81,8 @@ def test_make_dataset_noise_magnitude(hand):
 
 def test_make_dataset_occlusion_sentinel(hand):
     prob = 0.3
-    data = bench.make_dataset(hand, n=2000, noise_sigma_mm=0.0, occlusion_prob=prob, seed=7)
+    data = bench.make_dataset(hand, n=2000, noise_sigma_mm=0.0, occlusion_prob=prob, seed=7,
+                              interior_margin=0.0, pose_shape="uniform")
     ev = list(hand.eval_subset)
     feats = data.features.reshape(len(data), len(ev), 3)
     occluded = np.all(feats == bench.OCCLUSION_SENTINEL_MM, axis=2)
@@ -87,8 +91,10 @@ def test_make_dataset_occlusion_sentinel(hand):
 
 
 def test_make_dataset_deterministic(hand):
-    a = bench.make_dataset(hand, n=40, noise_sigma_mm=3.0, occlusion_prob=0.1, seed=5)
-    b = bench.make_dataset(hand, n=40, noise_sigma_mm=3.0, occlusion_prob=0.1, seed=5)
+    a = bench.make_dataset(hand, n=40, noise_sigma_mm=3.0, occlusion_prob=0.1, seed=5,
+                           interior_margin=0.0, pose_shape="uniform")
+    b = bench.make_dataset(hand, n=40, noise_sigma_mm=3.0, occlusion_prob=0.1, seed=5,
+                           interior_margin=0.0, pose_shape="uniform")
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.thetas, b.thetas)
 
@@ -97,7 +103,8 @@ def test_make_dataset_deterministic(hand):
 def test_make_dataset_matches_one_pass_oracle(hand, n):
     # the FK, the noise draw and the occlusion draw all run block by block
     benchmark = {"interior_margin": bench.benchmark_interior_margin(), "pose_shape": "central"}
-    for skel, kwargs in ((hand, {}), (bench.benchmark_skeleton(), benchmark)):
+    uniform = {"interior_margin": 0.0, "pose_shape": "uniform"}
+    for skel, kwargs in ((hand, uniform), (bench.benchmark_skeleton(), benchmark)):
         args = (skel, n, 10.0, 0.1, 5)
         data = bench.make_dataset(*args, **kwargs)
         want = oracles.one_pass_make_dataset(*args, **kwargs)
@@ -113,7 +120,8 @@ def test_make_dataset_memory_peak_is_bounded(hand):
     tracemalloc.start()
     try:
         data = bench.make_dataset(hand, n=20_000, noise_sigma_mm=10.0,
-                                  occlusion_prob=0.1, seed=0)
+                                  occlusion_prob=0.1, seed=0,
+                                  interior_margin=0.0, pose_shape="uniform")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -141,16 +149,20 @@ def test_make_dataset_temporaries_stay_under_a_mib(n):
 
 def test_make_dataset_rejects_bad_params(hand):
     with pytest.raises(ValueError):
-        bench.make_dataset(hand, n=0, noise_sigma_mm=1.0, occlusion_prob=0.0, seed=1)
+        bench.make_dataset(hand, n=0, noise_sigma_mm=1.0, occlusion_prob=0.0, seed=1,
+                           interior_margin=0.0, pose_shape="uniform")
     for sigma in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="noise sigma must be >= 0 and finite"):
-            bench.make_dataset(hand, n=5, noise_sigma_mm=sigma, occlusion_prob=0.0, seed=1)
+            bench.make_dataset(hand, n=5, noise_sigma_mm=sigma, occlusion_prob=0.0, seed=1,
+                               interior_margin=0.0, pose_shape="uniform")
     with pytest.raises(ValueError):
-        bench.make_dataset(hand, n=5, noise_sigma_mm=1.0, occlusion_prob=1.0, seed=1)
+        bench.make_dataset(hand, n=5, noise_sigma_mm=1.0, occlusion_prob=1.0, seed=1,
+                           interior_margin=0.0, pose_shape="uniform")
 
 
 def test_evaluate_perfect_predictions(hand):
-    data = bench.make_dataset(hand, n=30, noise_sigma_mm=5.0, occlusion_prob=0.0, seed=9)
+    data = bench.make_dataset(hand, n=30, noise_sigma_mm=5.0, occlusion_prob=0.0, seed=9,
+                              interior_margin=0.0, pose_shape="uniform")
     report = bench.evaluate(hand, data.thetas, data.thetas)
     assert report.avg_joint_error_mm == 0.0
     assert report.avg_angle_error_deg == 0.0
@@ -160,7 +172,8 @@ def test_evaluate_perfect_predictions(hand):
 
 def test_evaluate_single_bad_joint_curve(hand):
     n = 10
-    data = bench.make_dataset(hand, n=n, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=14)
+    data = bench.make_dataset(hand, n=n, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=14,
+                              interior_margin=0.0, pose_shape="uniform")
     ev = list(hand.eval_subset)
     preds = bench.eval_joints(hand, data.thetas)
     preds[0, 2] += np.array([20.0, 0.0, 0.0])  # one joint in one frame off by 20 mm
@@ -172,7 +185,8 @@ def test_evaluate_single_bad_joint_curve(hand):
 
 
 def test_evaluate_curve_monotone(hand, rng):
-    data = bench.make_dataset(hand, n=40, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=3)
+    data = bench.make_dataset(hand, n=40, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=3,
+                              interior_margin=0.0, pose_shape="uniform")
     preds = data.thetas + rng.normal(scale=0.05, size=data.thetas.shape)
     report = bench.evaluate(hand, preds, data.thetas)
     fracs = [f for _, f in report.max_error_curve]
@@ -181,7 +195,8 @@ def test_evaluate_curve_monotone(hand, rng):
 
 
 def test_evaluate_invalid_fraction_counts_out_of_range_angles(hand):
-    data = bench.make_dataset(hand, n=8, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=4)
+    data = bench.make_dataset(hand, n=8, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=4,
+                              interior_margin=0.0, pose_shape="uniform")
     preds = data.thetas.copy()
     rot = np.flatnonzero(hand.dof_is_rotation)
     preds[0, rot[3]] = hand.dof_upper[rot[3]] + 0.05
@@ -191,7 +206,8 @@ def test_evaluate_invalid_fraction_counts_out_of_range_angles(hand):
 
 
 def test_evaluate_translation_invariance(hand, rng):
-    data = bench.make_dataset(hand, n=15, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=6)
+    data = bench.make_dataset(hand, n=15, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=6,
+                              interior_margin=0.0, pose_shape="uniform")
     preds = data.thetas + rng.normal(scale=0.03, size=data.thetas.shape)
     base = bench.evaluate(hand, preds, data.thetas)
     shifted_preds = preds.copy()
@@ -202,7 +218,8 @@ def test_evaluate_translation_invariance(hand, rng):
 
 
 def test_evaluate_angle_error_known_offset(hand):
-    data = bench.make_dataset(hand, n=12, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=8)
+    data = bench.make_dataset(hand, n=12, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=8,
+                              interior_margin=0.0, pose_shape="uniform")
     preds = data.thetas.copy()
     rot = np.flatnonzero(hand.dof_is_rotation)
     preds[:, rot[0]] += 0.1  # constant 0.1 rad on one rotation DOF
@@ -212,7 +229,8 @@ def test_evaluate_angle_error_known_offset(hand):
 
 
 def test_evaluate_joint_predictions_without_fit_get_nan_angle_metrics(hand):
-    data = bench.make_dataset(hand, n=4, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=2)
+    data = bench.make_dataset(hand, n=4, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=2,
+                              interior_margin=0.0, pose_shape="uniform")
     report = bench.evaluate(hand, bench.eval_joints(hand, data.thetas), data.thetas)
     assert report.avg_joint_error_mm == 0.0
     assert math.isnan(report.avg_angle_error_deg)
@@ -220,7 +238,8 @@ def test_evaluate_joint_predictions_without_fit_get_nan_angle_metrics(hand):
 
 
 def test_evaluate_joint_predictions_with_fit(hand):
-    data = bench.make_dataset(hand, n=3, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=11)
+    data = bench.make_dataset(hand, n=3, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=11,
+                              interior_margin=0.0, pose_shape="uniform")
     joints = bench.eval_joints(hand, data.thetas)
     cfg = ik_pso.PsoConfig(seed=1, iterations=150)
     fitted = ik_pso.fit_batch(hand, joints, cfg).theta
@@ -231,25 +250,28 @@ def test_evaluate_joint_predictions_with_fit(hand):
 
 
 def test_evaluate_rejects_unsorted_thresholds(hand):
-    data = bench.make_dataset(hand, n=3, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=1)
+    data = bench.make_dataset(hand, n=3, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=1,
+                              interior_margin=0.0, pose_shape="uniform")
     with pytest.raises(ValueError, match="ascending"):
         bench.evaluate(hand, data.thetas, data.thetas, thresholds=[10.0, 5.0])
 
 
 def test_report_serialization_roundtrip(hand):
-    data = bench.make_dataset(hand, n=5, noise_sigma_mm=2.0, occlusion_prob=0.0, seed=3)
+    data = bench.make_dataset(hand, n=5, noise_sigma_mm=2.0, occlusion_prob=0.0, seed=3,
+                              interior_margin=0.0, pose_shape="uniform")
     report = bench.evaluate(hand, data.thetas, data.thetas)
     d = report.to_dict()
     assert d["n_frames"] == 5
     assert isinstance(report.to_text(), str)
-    assert report.curve_csv().startswith("threshold_mm,fraction")
+    assert d["max_error_curve"] == [(float(t), 1.0) for t in bench.DEFAULT_THRESHOLDS_MM]
 
 
 @pytest.mark.parametrize("shape", [(1, 26), (3, 5), (2, 26), (3, 26, 1)])
 def test_evaluate_rejects_fitted_poses_of_another_shape(hand, shape):
     # a (1, D) set used to be broadcast over every frame, and (3, 5) raised
     # IndexError, which the command line does not map to exit 1
-    data = bench.make_dataset(hand, n=3, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=11)
+    data = bench.make_dataset(hand, n=3, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=11,
+                              interior_margin=0.0, pose_shape="uniform")
     joints = bench.eval_joints(hand, data.thetas)
     with pytest.raises(ValueError, match=re.escape(f"{shape} does not match (3, 26)")):
         bench.evaluate(hand, joints, data.thetas, fitted_poses=np.zeros(shape))

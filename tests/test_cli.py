@@ -100,27 +100,6 @@ def test_gradcheck_corrupt_skeleton(tmp_path, capsys):
     assert run_cli("gradcheck", "--skeleton", str(cfg), "--trials", "2") == 1
 
 
-def test_skeleton_env_var(tmp_path, monkeypatch, rng):
-    # a one-joint skeleton via the environment variable
-    cfg = {
-        "name": "dot",
-        "joints": [{
-            "name": "root", "parent": None, "bone_length_mm": 0.0,
-            "dofs": [{"kind": "translation", "axis": "X",
-                      "lower_mm": -10.0, "upper_mm": 10.0}],
-        }],
-    }
-    cfg_path = tmp_path / "dot.json"
-    cfg_path.write_text(json.dumps(cfg))
-    monkeypatch.setenv("KINEDEEP_SKELETON", str(cfg_path))
-    poses = tmp_path / "poses.csv"
-    fileio.write_pose_file(poses, "dot", np.array([[3.0]]))
-    out = tmp_path / "joints.csv"
-    assert run_cli("fk", "--poses", str(poses), "--out", str(out)) == 0
-    _, frames = fileio.read_joint_file(out)
-    assert np.allclose(frames[0, 0], [3.0, 0.0, 0.0])
-
-
 def test_ik_recovers_pose(hand, rng, tmp_path):
     theta = rng.uniform(hand.dof_lower, hand.dof_upper, size=(1, hand.n_dofs))
     joints = kin.forward_kinematics_batch(hand, theta)
@@ -130,7 +109,7 @@ def test_ik_recovers_pose(hand, rng, tmp_path):
     code = run_cli("ik", "--targets", str(targets), "--out", str(out),
                    "--seed", "5")
     assert code == 0
-    _, fitted = fileio.read_pose_file(out)
+    _, fitted = fileio.read_pose_file(out, expected_dims=hand.n_dofs)
     fit_joints = kin.forward_kinematics_batch(hand, fitted)
     err = np.linalg.norm(
         fit_joints[0][list(hand.eval_subset)] - joints[0][list(hand.eval_subset)],
@@ -272,12 +251,13 @@ def test_synth_train_eval_pipeline(tmp_path):
     assert manifest["blas"] == {key: blas.get(key) for key in
                                 ("name", "version", "openblas configuration")}
     report = tmp_path / "report.json"
-    curve = tmp_path / "curve.csv"
     assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(data),
-                   "--out", str(report), "--curve-csv", str(curve)) == 0
+                   "--out", str(report)) == 0
     payload = json.loads(report.read_text())
     assert payload["n_frames"] == 64
-    assert curve.read_text().startswith("threshold_mm")
+    # the max-error curve, one point per threshold, is part of the report
+    assert [t for t, _ in payload["max_error_curve"]] == \
+        [float(t) for t in bench.DEFAULT_THRESHOLDS_MM]
 
 
 def test_direct_joint_eval_fits_angles(tmp_path):
@@ -537,6 +517,8 @@ BAD_FIELDS = {
     *(pytest.param(cfg, id=case) for case, (cfg, _) in BAD_FIELDS.items()),
     pytest.param({"joints": [{"name": "root"}], "eval_subsets": ["root"]},
                  id="misspelt_eval_subset"),
+    pytest.param({"joints": [{"name": "root"}, {"name": "tip", "parent": "root"}],
+                  "eval_subset": ["tip", "tip", "root"]}, id="repeated_eval_subset_name"),
 ])
 def test_malformed_skeleton_json_exits_1(tmp_path, capsys, cfg):
     path = tmp_path / "bad.json"
@@ -880,6 +862,7 @@ def test_reproduce_smoke(tmp_path):
     assert set(faults) == {"parent", "workers"}
     assert all(isinstance(v, int) and v > 0 for v in faults.values())
     assert manifest["config"]["skeleton"] == "hand23-bench"
+    assert str(out_a / "skeleton.json") in manifest["outputs"]
     assert manifest["config"]["interior_margin"] == bench.benchmark_interior_margin()
     for mode in reg.MODES:
         ckpt = out_a / f"{mode}.ckpt.json"
@@ -955,9 +938,9 @@ def test_eval_of_each_reproduce_checkpoint_gives_its_table_entry(tmp_path):
     assert run_cli(*argv, "--out", str(out)) in (0, 3)
     table = json.loads((out / "table.json").read_text())
     args = build_parser().parse_args(argv + ["--out", str(out)])
-    skel = bench.benchmark_skeleton()
-    skel_path, val = tmp_path / "bench.json", tmp_path / "val.ds"
-    sk.save_skeleton(skel, skel_path)
+    # the skeleton reproduce trained on, as it wrote it
+    skel_path, val = out / "skeleton.json", tmp_path / "val.ds"
+    skel = sk.load_skeleton(skel_path)
     fileio.write_dataset(val, bench.make_dataset(
         skel, n=args.val_n, noise_sigma_mm=args.sigma, occlusion_prob=args.occlusion,
         seed=args.seed + 1, interior_margin=bench.benchmark_interior_margin(),

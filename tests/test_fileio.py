@@ -10,7 +10,7 @@ def test_pose_file_roundtrip(hand, rng, tmp_path):
     poses = rng.uniform(hand.dof_lower, hand.dof_upper, size=(5, hand.n_dofs))
     path = tmp_path / "poses.csv"
     fileio.write_pose_file(path, hand.name, poses)
-    name, again = fileio.read_pose_file(path)
+    name, again = fileio.read_pose_file(path, expected_dims=hand.n_dofs)
     assert name == hand.name
     assert np.array_equal(again, poses)
 
@@ -19,7 +19,8 @@ def test_pose_file_write_is_byte_stable(hand, rng, tmp_path):
     poses = rng.uniform(hand.dof_lower, hand.dof_upper, size=(3, hand.n_dofs))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     fileio.write_pose_file(a, hand.name, poses)
-    fileio.write_pose_file(b, hand.name, fileio.read_pose_file(a)[1])
+    _, poses = fileio.read_pose_file(a, expected_dims=hand.n_dofs)
+    fileio.write_pose_file(b, hand.name, poses)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -36,17 +37,18 @@ def test_malformed_line_cites_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# kinedeep-poses v1 skeleton=x dims=2\n1.0,2.0\n1.0,zap\n")
     with pytest.raises(fileio.FileFormatError, match="line 3"):
-        fileio.read_pose_file(path)
+        fileio.read_pose_file(path, expected_dims=2)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity"])
 @pytest.mark.parametrize("read", [fileio.read_pose_file, fileio.read_joint_file])
 def test_non_finite_value_cites_path_and_line(tmp_path, read, value):
     path = tmp_path / "bad.csv"
-    magic = "kinedeep-poses" if read is fileio.read_pose_file else "kinedeep-joints"
+    poses = read is fileio.read_pose_file
+    magic = "kinedeep-poses" if poses else "kinedeep-joints"
     path.write_text(f"# {magic} v1\n1.0,2.0,3.0\n1.0,{value},3.0\n")
     with pytest.raises(fileio.FileFormatError) as excinfo:
-        read(path)
+        read(path, **({"expected_dims": 3} if poses else {}))
     assert str(excinfo.value) == f"{path}: non-finite value on line 3"
 
 
@@ -54,14 +56,14 @@ def test_wrong_width_cites_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# kinedeep-poses v1 skeleton=x dims=2\n1.0,2.0\n1.0,2.0,3.0\n")
     with pytest.raises(fileio.FileFormatError, match="line 3"):
-        fileio.read_pose_file(path)
+        fileio.read_pose_file(path, expected_dims=2)
 
 
 def test_missing_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n")
     with pytest.raises(fileio.FileFormatError, match="header"):
-        fileio.read_pose_file(path)
+        fileio.read_pose_file(path, expected_dims=2)
 
 
 @pytest.mark.parametrize("header", ["dims=x", "dims"])
@@ -69,14 +71,14 @@ def test_malformed_header_field_rejected(tmp_path, header):
     path = tmp_path / "bad.csv"
     path.write_text(f"# kinedeep-poses v1 skeleton=x {header}\n1.0,2.0\n")
     with pytest.raises(fileio.FileFormatError, match="malformed header"):
-        fileio.read_pose_file(path)
+        fileio.read_pose_file(path, expected_dims=2)
 
 
-def test_empty_file_reads_as_no_frames(tmp_path):
+def test_empty_file_reads_as_no_frames(hand, tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    name, poses = fileio.read_pose_file(path)
-    assert poses.shape[0] == 0
+    name, poses = fileio.read_pose_file(path, expected_dims=hand.n_dofs)
+    assert poses.shape == (0, hand.n_dofs)
 
 
 def test_empty_joint_file_reads_as_no_frames(tmp_path):
@@ -103,7 +105,8 @@ def test_expected_dims_enforced(hand, tmp_path):
 
 
 def test_dataset_roundtrip(hand, tmp_path):
-    data = bench.make_dataset(hand, n=7, noise_sigma_mm=4.0, occlusion_prob=0.2, seed=3)
+    data = bench.make_dataset(hand, n=7, noise_sigma_mm=4.0, occlusion_prob=0.2, seed=3,
+                              interior_margin=0.0, pose_shape="uniform")
     path = tmp_path / "data.ds"
     fileio.write_dataset(path, data)
     with np.load(path, allow_pickle=False) as npz:  # no joints: they are FK of thetas

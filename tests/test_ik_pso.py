@@ -65,14 +65,14 @@ def test_gbest_loss_non_increasing(hand, rng, monkeypatch):
 
 def test_rejects_bad_target_shape(hand):
     with pytest.raises(ValueError, match="eval subset"):
-        ik_pso.fit_batch(hand, [np.zeros((3, 3))])
+        ik_pso.fit_batch(hand, [np.zeros((3, 3))], ik_pso.PsoConfig())
 
 
 def test_rejects_non_finite_target(hand):
     target = np.zeros((len(hand.eval_subset), 3))
     target[2, 1] = np.inf
     with pytest.raises(ValueError, match="finite"):
-        ik_pso.fit_batch(hand, [target])
+        ik_pso.fit_batch(hand, [target], ik_pso.PsoConfig())
 
 
 def test_fit_batch_identical_frames(hand, rng):
@@ -85,7 +85,7 @@ def test_fit_batch_identical_frames(hand, rng):
 
 def test_fit_batch_empty_rejected(hand):
     with pytest.raises(ValueError, match="at least one"):
-        ik_pso.fit_batch(hand, [])
+        ik_pso.fit_batch(hand, [], ik_pso.PsoConfig())
 
 
 def test_batch_mean_residual(hand, rng):

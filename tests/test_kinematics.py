@@ -170,6 +170,10 @@ def test_eval_joints_c_contiguous_at_every_batch_size(hand, rng):
 def test_fk_rejects_bad_shape(hand):
     with pytest.raises(ValueError, match="shape"):
         fk(hand, np.zeros(9))
+    # a single pose is a batch of one, (1, D); a bare (D,) vector is refused
+    for call in (kin.forward_kinematics_batch, kin.fk_jacobian_batch, kin.fk_vjp_batch):
+        with pytest.raises(ValueError, match="shape"):
+            call(hand, np.zeros(hand.n_dofs))
 
 
 def test_fk_rejects_non_finite(hand):
@@ -385,14 +389,15 @@ def test_joint_groups_give_the_bytes_of_the_per_joint_walk(name, n):
         want_pos, want_jac = oracles.per_joint_fk_jacobian_batch(skel, thetas, sel)
         assert _same_bytes(got_pos, want_pos) and _same_bytes(got_jac, want_jac)
 
-        got_pos, got_pull = kin.fk_vjp_batch(skel, thetas, sel)
-        want_pos, want_pull = oracles.per_joint_fk_vjp_batch(skel, thetas, sel)
-        assert _same_bytes(got_pos, want_pos)
-        cotangent = rng.normal(size=got_pos.shape)
-        cotangent[..., 0] = np.where(cotangent[..., 0] > 0, 0.0, -0.0)
-        got_grad = got_pull(cotangent)
-        assert _same_bytes(got_grad, want_pull(cotangent))
-        assert got_grad.flags.c_contiguous
+    # the pullback is over the eval subset, the joints the loss scores
+    got_pos, got_pull = kin.fk_vjp_batch(skel, thetas)
+    want_pos, want_pull = oracles.per_joint_fk_vjp_batch(skel, thetas)
+    assert _same_bytes(got_pos, want_pos)
+    cotangent = rng.normal(size=got_pos.shape)
+    cotangent[..., 0] = np.where(cotangent[..., 0] > 0, 0.0, -0.0)
+    got_grad = got_pull(cotangent)
+    assert _same_bytes(got_grad, want_pull(cotangent))
+    assert got_grad.flags.c_contiguous
 
 
 def test_hand_forms_seven_joint_groups(hand):

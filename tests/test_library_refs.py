@@ -1,13 +1,16 @@
-"""Every function and class of the library has a caller outside tests, and
-every optional parameter a caller outside tests that passes it.
+"""Every function and class of the library has a caller outside tests,
+every optional parameter a caller outside tests that passes it, and every
+default a caller outside tests that relies on it.
 
 A top-level definition in a module of src/kinedeep/ (the package's
 __init__.py only re-exports) counts as used when library code outside its
 own body, or the benchmark harness in perfbench/, names it as a bare name
-or as an attribute. A defaulted or keyword-only parameter counts as used
-when a call in src/kinedeep/ or perfbench/ to a function of its name passes
-it, by keyword or by position; so does a defaulted field of a dataclass,
-passed to its class. Code that only tests call is dead weight.
+or as an attribute. A defaulted parameter counts as used when a call in
+src/kinedeep/ or perfbench/ to a function of its name passes it, by keyword
+or by position; so does a defaulted field of a dataclass, passed to its
+class. A default counts as relied on when such a call leaves its parameter
+or field out. Code that only tests call is dead weight, and so is a default
+that only tests rely on.
 """
 import ast
 import pathlib
@@ -65,8 +68,9 @@ def calls_by_name(trees):
 
 def optional_parameters(tree):
     """(called name, parameter, its position in a call) for every defaulted
-    or keyword-only parameter; a method's self is not a call's argument, and
-    __init__ is called through its class name."""
+    parameter, keyword-only ones included (at position None); a method's
+    self is not a call's argument, and __init__ is called through its class
+    name."""
     found = []
     scopes = (ast.Module, ast.ClassDef, ast.FunctionDef)
     for scope in (s for s in ast.walk(tree) if isinstance(s, scopes)):
@@ -81,7 +85,9 @@ def optional_parameters(tree):
             for i, arg in enumerate(positional):
                 if i >= first_default:
                     found.append((name, arg.arg, i - method))
-            found += [(name, arg.arg, None) for arg in node.args.kwonlyargs]
+            found += [(name, arg.arg, None) for arg, default
+                      in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                      if default is not None]
     return found
 
 
@@ -100,17 +106,40 @@ def dataclass_fields(tree):
     return found
 
 
-def test_every_optional_parameter_is_passed_by_a_non_test_caller():
-    # a defaulted or keyword-only parameter that only tests set is a knob
-    # the program never turns
+def program_calls():
+    """(module name -> parsed module of src/kinedeep/, calls_by_name over
+    those modules and perfbench/'s)."""
     trees = {p.stem: ast.parse(p.read_text())
              for p in sorted((ROOT / "src" / "kinedeep").glob("*.py"))}
     calls = calls_by_name(list(trees.values()) + [
         ast.parse(p.read_text()) for p in (ROOT / "perfbench").glob("*.py")])
+    return trees, calls
+
+
+def passes(call, param, position) -> bool:
+    n, keywords = call
+    return param in keywords or (position is not None and position < n)
+
+
+def test_every_optional_parameter_is_passed_by_a_non_test_caller():
+    # a defaulted parameter that only tests set is a knob the program never
+    # turns
+    trees, calls = program_calls()
     unpassed = [
         f"{module}.{name}({param})"
         for module, tree in trees.items()
         for name, param, position in optional_parameters(tree) + dataclass_fields(tree)
-        if not any(param in keywords or (position is not None and position < n)
-                   for n, keywords in calls.get(name, []))]
+        if not any(passes(call, param, position) for call in calls.get(name, []))]
     assert unpassed == []
+
+
+def test_every_default_is_relied_on_by_a_non_test_caller():
+    # a default that every program call overrides is a second source of a
+    # value the program sets elsewhere, and only tests read it
+    trees, calls = program_calls()
+    overridden = [
+        f"{module}.{name}({param})"
+        for module, tree in trees.items()
+        for name, param, position in optional_parameters(tree) + dataclass_fields(tree)
+        if calls.get(name) and all(passes(call, param, position) for call in calls[name])]
+    assert overridden == []

@@ -49,7 +49,7 @@ def test_init_zero_biases_and_bounded_weights():
 
 def test_init_rejects_zero_width():
     with pytest.raises(ValueError, match="width"):
-        reg.MlpConfig(layer_widths=(4, 0, 2))
+        reg.MlpConfig(layer_widths=(4, 0, 2), seed=0)
 
 
 # --- forward ------------------------------------------------------------------
@@ -187,7 +187,8 @@ def oracle_case(hand, kind, mode):
     sentinels, exact-zero pre-activations, or a row that overflows."""
     spec = reg.MODES[mode]
     data = bench.make_dataset(hand, n=24, noise_sigma_mm=2.0,
-                              occlusion_prob=0.3 if kind == "occluded" else 0.0, seed=6)
+                              occlusion_prob=0.3 if kind == "occluded" else 0.0, seed=6,
+                              interior_margin=0.0, pose_shape="uniform")
     features = data.features.copy()
     # unclipped, one huge feature overflows to inf at the input scaling
     overflow = kind == "overflow"
@@ -264,7 +265,7 @@ def test_sgd_first_step_is_plain_descent():
     run = reg.init(reg.MlpConfig(layer_widths=(2, 3), seed=1), mode="direct_parameter")
     w0 = [w.copy() for w in run.weights]
     grads = ([np.ones_like(run.weights[0])], [np.ones_like(run.biases[0])])
-    sgd = reg.SgdConfig(batch_size=1, learning_rate=0.1, epochs=1)
+    sgd = reg.SgdConfig(batch_size=1, learning_rate=0.1, epochs=1, lam=1.0)
     reg.sgd_step(run, grads, sgd)
     assert np.allclose(run.weights[0], w0[0] - 0.1)
 
@@ -275,44 +276,41 @@ def test_sgd_two_steps_constant_gradient_closed_form():
     w0 = [w.copy() for w in run.weights]
     g = np.full_like(run.weights[0], 2.0)
     grads = ([g], [np.zeros_like(run.biases[0])])
-    lr, mu = 0.05, reg.MOMENTUM
-    sgd = reg.SgdConfig(batch_size=1, learning_rate=lr, epochs=1)
+    lr, mu = 0.05, 0.9  # the reference momentum, reg.MOMENTUM
+    sgd = reg.SgdConfig(batch_size=1, learning_rate=lr, epochs=1, lam=1.0)
     reg.sgd_step(run, grads, sgd)
     reg.sgd_step(run, grads, sgd)
     assert np.allclose(run.weights[0], w0[0] - lr * g * (2.0 + mu))
 
 
-def test_sgd_defaults_match_reference_values():
-    sgd = reg.SgdConfig()
-    assert sgd.batch_size == 512
-    assert sgd.learning_rate == 0.003
-    assert reg.MOMENTUM == 0.9
-    assert sgd.lam == 1.0
-
-
 def test_sgd_config_rejects_negative_lambda():
     for lam in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="lambda must be >= 0 and finite"):
-            reg.SgdConfig(lam=lam)
+            train_config(lam=lam)
 
 
 def test_sgd_config_rejects_non_finite_learning_rate():
     for lr in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
-            reg.SgdConfig(learning_rate=lr)
+            train_config(learning_rate=lr)
 
 
 def test_sgd_step_shape_mismatch():
     run = reg.init(reg.MlpConfig(layer_widths=(2, 3), seed=1), mode="direct_parameter")
     grads = ([np.ones((4, 4))], [np.ones(3)])
     with pytest.raises(ValueError, match="shape"):
-        reg.sgd_step(run, grads, reg.SgdConfig())
+        reg.sgd_step(run, grads, train_config())
 
 
 # --- training -----------------------------------------------------------------
 
+def discard(record):
+    """An on_epoch that keeps no record."""
+
+
 def small_dataset(hand, n=32, seed=5):
-    return bench.make_dataset(hand, n=n, noise_sigma_mm=2.0, occlusion_prob=0.0, seed=seed)
+    return bench.make_dataset(hand, n=n, noise_sigma_mm=2.0, occlusion_prob=0.0, seed=seed,
+                              interior_margin=0.0, pose_shape="uniform")
 
 
 @pytest.fixture()
@@ -342,7 +340,7 @@ def test_train_deterministic(hand):
     runs = []
     for _ in range(2):
         run = reg.init(whitened_config(hand, data), mode="ours")
-        reg.train(run, data, hand, train_config(), val=data)
+        reg.train(run, data, hand, train_config(), val=data, on_epoch=discard)
         runs.append(run)
     for wa, wb in zip(runs[0].weights, runs[1].weights):
         assert np.array_equal(wa, wb)
@@ -355,7 +353,7 @@ def test_train_deterministic(hand):
 def test_train_history_length_and_val_metrics(hand):
     data = small_dataset(hand)
     run = reg.init(whitened_config(hand, data), mode="ours")
-    reg.train(run, data, hand, train_config(epochs=4), val=data)
+    reg.train(run, data, hand, train_config(epochs=4), val=data, on_epoch=discard)
     assert len(run.history) == 4
     for h in run.history:
         assert np.isfinite(h.train_loss)
@@ -383,7 +381,8 @@ def test_train_labels_the_validation_set_once(hand, monkeypatch, mode):
     cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 16, width), seed=7,
                         input_scale=0.01)
     for calls in (1, 2):
-        reg.train(reg.init(cfg, mode), data, hand, train_config(epochs=4), val=val)
+        reg.train(reg.init(cfg, mode), data, hand, train_config(epochs=4), val=val,
+                  on_epoch=discard)
         assert len(val_passes) == calls
 
 
@@ -395,8 +394,8 @@ def test_on_epoch_records_each_epoch(hand, monkeypatch, mode):
     spec = reg.MODES[mode]
     cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 16, spec.output_width(hand)),
                         seed=7, input_scale=0.01, output_scale=spec.output_scale(hand))
-    sgd = reg.SgdConfig(batch_size=8, learning_rate=spec.base_lr, epochs=6)
-    plain = reg.train(reg.init(cfg, mode), data, hand, sgd, val=data)
+    sgd = reg.SgdConfig(batch_size=8, learning_rate=spec.base_lr, epochs=6, lam=1.0)
+    plain = reg.train(reg.init(cfg, mode), data, hand, sgd, val=data, on_epoch=discard)
 
     backward = "backward_through_model" if spec.through_fk else "backward_direct"
     real = getattr(reg, backward)
@@ -445,7 +444,7 @@ def test_on_epoch_record_without_val_has_no_val_metrics(hand):
     data = small_dataset(hand, n=16)
     records = []
     reg.train(reg.init(whitened_config(hand, data), mode="ours"), data, hand,
-              train_config(epochs=2), on_epoch=records.append)
+              train_config(epochs=2), val=None, on_epoch=records.append)
     assert [set(r) for r in records] == [
         {"epoch", "lr", "train_loss", "grad_norm", "seconds"}] * 2
 
@@ -455,7 +454,7 @@ def test_train_empty_dataset_rejected(hand):
     empty = replace(data, features=data.features[:0], thetas=data.thetas[:0])
     run = reg.init(whitened_config(hand, data), mode="ours")
     with pytest.raises(ValueError, match="empty"):
-        reg.train(run, empty, hand, train_config())
+        reg.train(run, empty, hand, train_config(), val=None, on_epoch=discard)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning",
@@ -466,7 +465,7 @@ def test_train_non_finite_loss_reports_epoch_and_batch(hand):
     run = reg.init(whitened_config(hand, data), mode="ours")
     sgd = train_config(learning_rate=5.0, epochs=3)  # guaranteed blow-up
     with pytest.raises(reg.NumericalError, match="epoch"):
-        reg.train(run, data, hand, sgd)
+        reg.train(run, data, hand, sgd, val=None, on_epoch=discard)
 
 
 @pytest.mark.usefixtures("one_stage")
@@ -488,7 +487,7 @@ def test_train_non_finite_gradient_reports_its_batch(hand, monkeypatch):
     monkeypatch.setattr(reg, "backward_through_model", overflowing)
     with pytest.raises(reg.NumericalError,
                        match="^non-finite gradient at epoch 1 batch 2$"):
-        reg.train(run, data, hand, train_config(epochs=3))
+        reg.train(run, data, hand, train_config(epochs=3), val=None, on_epoch=discard)
     assert np.isfinite(calls[-1])
     assert all(np.isfinite(w).all() for w in run.weights)
 
@@ -497,9 +496,9 @@ def test_train_non_finite_gradient_reports_its_batch(hand, monkeypatch):
 def test_mode_equivalence_ours_lambda_zero(hand):
     data = small_dataset(hand)
     a = reg.init(whitened_config(hand, data), mode="ours")
-    reg.train(a, data, hand, train_config(lam=0.0))
+    reg.train(a, data, hand, train_config(lam=0.0), val=None, on_epoch=discard)
     b = reg.init(whitened_config(hand, data), mode="ours_no_phy")
-    reg.train(b, data, hand, train_config(lam=0.0))
+    reg.train(b, data, hand, train_config(lam=0.0), val=None, on_epoch=discard)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
@@ -528,17 +527,19 @@ def test_loss_non_increasing_small_lr_frozen_batch(hand, rng, monkeypatch):
 
 @pytest.mark.usefixtures("one_stage")
 def test_single_sample_overfit(hand):
-    data = bench.make_dataset(hand, n=1, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=42)
+    data = bench.make_dataset(hand, n=1, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=42,
+                              interior_margin=0.0, pose_shape="uniform")
     run = reg.init(whitened_config(hand, data), mode="ours_no_phy")
     sgd = reg.SgdConfig(batch_size=1, learning_rate=2e-5, epochs=2000, lam=0.0)
-    reg.train(run, data, hand, sgd)
-    err, _, _ = reg.validation_stats(run, data, hand)
+    reg.train(run, data, hand, sgd, val=None, on_epoch=discard)
+    err, _, _ = reg.validation_stats(run, data, hand, bench.eval_joints(hand, data.thetas))
     assert err < 1.0
 
 
 @pytest.mark.parametrize("mode, width", [("ours", 26), ("direct_joint", 42)])
 def test_validation_stats_are_evaluate_without_thresholds(hand, mode, width):
-    data = bench.make_dataset(hand, n=40, noise_sigma_mm=3.0, occlusion_prob=0.1, seed=6)
+    data = bench.make_dataset(hand, n=40, noise_sigma_mm=3.0, occlusion_prob=0.1, seed=6,
+                              interior_margin=0.0, pose_shape="uniform")
     run = reg.init(reg.MlpConfig(layer_widths=(42, 16, width), seed=1, input_scale=0.01),
                    mode)
     predictions = reg.predict(run, data.features, hand)
@@ -556,7 +557,8 @@ def test_direct_joint_training_runs(hand):
     cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 32, 3 * len(hand.eval_subset)),
                         seed=7, input_scale=0.01)
     run = reg.init(cfg, mode="direct_joint")
-    reg.train(run, data, hand, train_config(learning_rate=1e-4, epochs=3), val=data)
+    reg.train(run, data, hand, train_config(learning_rate=1e-4, epochs=3), val=data,
+              on_epoch=discard)
     assert len(run.history) == 3
     assert np.isfinite(run.history[-1].val_joint_err_mm)
     assert np.isnan(run.history[-1].val_angle_err_deg)
@@ -569,7 +571,7 @@ def test_early_stop_on_plateau(hand):
     run = reg.init(whitened_config(hand, data), mode="ours_no_phy")
     # lr so small nothing improves: should stop after ~11 epochs, not 60
     sgd = train_config(learning_rate=1e-16, epochs=60, lam=0.0)
-    reg.train(run, data, hand, sgd, val=data)
+    reg.train(run, data, hand, sgd, val=data, on_epoch=discard)
     assert len(run.history) <= 12
 
 
@@ -594,8 +596,8 @@ def test_staged_train_matches_per_stage_oracle(hand, mode):
     else:
         assert ran == planned
     run = reg.init(cfg, mode)
-    reg.train(run, data, hand, reg.SgdConfig(batch_size=8, learning_rate=spec.base_lr,
-                                             epochs=epochs, lam=1.0), val=val)
+    sgd = reg.SgdConfig(batch_size=8, learning_rate=spec.base_lr, epochs=epochs, lam=1.0)
+    reg.train(run, data, hand, sgd, val=val, on_epoch=discard)
     for got, want in ((run.weights, oracle.weights), (run.biases, oracle.biases),
                       (run.vel_w, oracle.vel_w), (run.vel_b, oracle.vel_b)):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -607,7 +609,7 @@ def test_staged_train_matches_per_stage_oracle(hand, mode):
 def test_checkpoint_roundtrip(hand, tmp_path):
     data = small_dataset(hand)
     run = reg.init(whitened_config(hand, data), mode="ours")
-    reg.train(run, data, hand, train_config(epochs=2), val=data)
+    reg.train(run, data, hand, train_config(epochs=2), val=data, on_epoch=discard)
     path = tmp_path / "ckpt.json"
     reg.save_checkpoint(run, path, hand)
     again = reg.load_checkpoint(path)
@@ -731,6 +733,16 @@ CHECKPOINT_DAMAGE = {
         lambda p: replace_header(p, lambda h: h["mlp"].update(
             output_scale=[math.nan] + [1.0] * (h["mlp"]["layer_widths"][-1] - 1))),
         "header field mlp: output_scale entries must be positive and finite"),
+    # JSON's true and false are not numbers, though Python's bool is an int
+    "input_scale_true": (replace_mlp(input_scale=True),
+                         "header field mlp.input_scale is missing or not a number"),
+    "input_clip_abs_true": (replace_mlp(input_clip_abs=True), "header field "
+                            "mlp.input_clip_abs is missing or not a number or null"),
+    "seed_true": (replace_mlp(seed=True),
+                  "header field mlp.seed is missing or not an integer"),
+    "history_row_with_true": (
+        lambda p: replace_header(p, lambda h: h.update(history=[[True, 1.0, 2.0, 3.0]])),
+        "header field history is missing or not a list of rows of 4 numbers"),
 }
 
 
@@ -738,7 +750,8 @@ CHECKPOINT_DAMAGE = {
 def test_damaged_checkpoint_refused_naming_the_path(hand, tmp_path, case):
     damage, message = CHECKPOINT_DAMAGE[case]
     path = tmp_path / "ckpt.json"
-    reg.save_checkpoint(reg.init(reg.MlpConfig(layer_widths=(4, 3, 2)), "ours"), path, hand)
+    reg.save_checkpoint(reg.init(reg.MlpConfig(layer_widths=(4, 3, 2), seed=0), "ours"),
+                        path, hand)
     path.write_bytes(damage(checkpoint_parts(path)))
     with pytest.raises(ValueError) as refused:
         reg.load_checkpoint(path)
@@ -762,7 +775,7 @@ def test_train_non_finite_weights_name_the_epoch(hand, monkeypatch):
     monkeypatch.setattr(reg, "sgd_step", poisoning)
     run = reg.init(whitened_config(hand, data), mode="ours")
     with pytest.raises(reg.NumericalError, match="non-finite weights after epoch 1"):
-        reg.train(run, data, hand, train_config(epochs=3))
+        reg.train(run, data, hand, train_config(epochs=3), val=None, on_epoch=discard)
 
 
 @pytest.mark.parametrize("widths, mode", [((42, 256, 256, 26), "ours"),
@@ -815,7 +828,8 @@ def test_validation_stats_runs_the_val_set_in_row_blocks(hand):
     # 500 rows run as two 250-row blocks: two 256-wide layers of one block
     # are 1.0 MiB, of a single 500-row block 1.95 MiB
     run = default_sized_run()
-    val = bench.make_dataset(hand, n=500, noise_sigma_mm=2.0, occlusion_prob=0.0, seed=5)
+    val = bench.make_dataset(hand, n=500, noise_sigma_mm=2.0, occlusion_prob=0.0, seed=5,
+                             interior_margin=0.0, pose_shape="uniform")
     val_joints = bench.eval_joints(hand, val.thetas)
     reg.validation_stats(run, val, hand, val_joints)  # warm-up: lazy imports
     peak = traced_peak_bytes(reg.validation_stats, run, val, hand, val_joints)
@@ -842,7 +856,7 @@ def test_train_holds_at_most_one_gradient_set(hand, monkeypatch):
     for name in ("backward_through_model", "validation_stats"):
         monkeypatch.setattr(reg, name, recording(getattr(reg, name)))
     traced_peak_bytes(reg.train, run, data, hand, train_config(batch_size=64, epochs=2),
-                      data)
+                      data, discard)
     assert len(at_entry) == 10  # 4 steps and a validation, twice
     assert max(at_entry) - at_entry[0] < 0.1 * 2**20
 

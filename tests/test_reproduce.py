@@ -12,7 +12,7 @@ ORDERINGS = ["ours_joint_le_direct_parameter", "ours_angle_lt_direct_joint_ik",
 def reports(ours_joint=10.0, ours_angle=10.0, ours_invalid=0.0, no_phy_invalid=0.5):
     """The four modes' reports; by default ours passes every ordering."""
     def report(joint=20.0, angle=20.0, invalid=0.5):
-        return bench.MetricsReport(joint, [], angle, invalid)
+        return bench.MetricsReport(joint, [], angle, invalid, n_frames=100)
 
     return {reproduce.OURS: report(ours_joint, ours_angle, ours_invalid),
             reproduce.OURS_NO_PHY: report(invalid=no_phy_invalid),

@@ -103,6 +103,10 @@ def test_duplicate_names_rejected():
     joints = [{"name": "a"}, {"name": "a", "parent": "a", "bone_length_mm": 1.0}]
     with pytest.raises(sk.SkeletonError, match="duplicate"):
         sk.skeleton_from_dict({"joints": joints})
+    # an eval joint named twice would count twice in the loss and the metrics
+    joints = [{"name": "root"}, {"name": "tip", "parent": "root", "bone_length_mm": 1.0}]
+    with pytest.raises(sk.SkeletonError, match="eval_subset names joint 'tip' more than once"):
+        sk.skeleton_from_dict({"joints": joints, "eval_subset": ["tip", "tip", "root"]})
 
 
 def test_bad_bounds_rejected():
