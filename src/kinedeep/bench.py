@@ -15,7 +15,7 @@ Metrics follow the usual hand-pose protocol:
   * average joint error: mean over frames of the mean per-eval-joint
     Euclidean distance, mm;
   * max-error curve: fraction of frames whose worst eval joint lies within
-    each threshold;
+    each threshold of THRESHOLDS_MM (5 to 80 mm in 5 mm steps);
   * average angle error: mean absolute difference over rotation DOFs
     (global rotation included, translation excluded), degrees, as a plain
     difference without wrap-around;
@@ -37,7 +37,7 @@ from .kinematics import forward_kinematics_batch
 from .skeleton import Skeleton, default_hand, skeleton_from_dict
 
 OCCLUSION_SENTINEL_MM = -1000.0
-DEFAULT_THRESHOLDS_MM = tuple(range(5, 85, 5))
+THRESHOLDS_MM = tuple(range(5, 85, 5))
 
 
 BENCH_BOUND_EXPANSION = 1.8
@@ -196,8 +196,7 @@ def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
     )
 
 
-def evaluate(skel: Skeleton, predictions, true_thetas,
-             thresholds=DEFAULT_THRESHOLDS_MM, *, fitted_poses=None,
+def evaluate(skel: Skeleton, predictions, true_thetas, *, fitted_poses=None,
              true_joints=None) -> MetricsReport:
     """Score predicted poses (N, D) or eval-joint sets (N, n_eval, 3)
     against the true poses `true_thetas` (N, D), row for row.
@@ -208,9 +207,6 @@ def evaluate(skel: Skeleton, predictions, true_thetas,
     given, must be eval_joints(skel, true_thetas): a caller that scores the
     same frames again and again computes them once.
     """
-    thresholds = list(thresholds)
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be strictly ascending")
     predictions = np.asarray(predictions, dtype=float)
     n = len(true_thetas)
     if predictions.shape[0] != n:
@@ -232,7 +228,7 @@ def evaluate(skel: Skeleton, predictions, true_thetas,
     sq = resid * resid
     err = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
     max_err = err.max(axis=1)
-    curve = [(float(t), float(np.mean(max_err <= t))) for t in thresholds]
+    curve = [(float(t), float(np.mean(max_err <= t))) for t in THRESHOLDS_MM]
 
     if pose_preds is None:
         avg_angle = invalid_fraction = float("nan")

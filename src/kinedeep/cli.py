@@ -192,7 +192,7 @@ def _gradcheck_net(skel, rng, samples):
     thetas = rng.uniform(skel.dof_lower, skel.dof_upper, size=(samples, skel.n_dofs))
     targets = kin.forward_kinematics_batch(skel, thetas,
                                            joint_indices=list(skel.eval_subset))
-    _, (gw, gb) = reg.backward_through_model(run, feats, targets, skel, lam=1.0)
+    _, (gw, gb) = reg.backward_through_model(run, feats, targets, skel)
     worst = 0.0
     h = 1e-5
     for li, mat in enumerate(run.weights):
@@ -201,9 +201,9 @@ def _gradcheck_net(skel, rng, samples):
             i = it.multi_index
             orig = mat[i]
             mat[i] = orig + h
-            up, _ = reg.backward_through_model(run, feats, targets, skel, lam=1.0)
+            up, _ = reg.backward_through_model(run, feats, targets, skel)
             mat[i] = orig - h
-            dn, _ = reg.backward_through_model(run, feats, targets, skel, lam=1.0)
+            dn, _ = reg.backward_through_model(run, feats, targets, skel)
             mat[i] = orig
             fd = (up - dn) / (2 * h)
             worst = max(worst, abs(gw[li][i] - fd) / (1.0 + abs(fd)))
@@ -263,7 +263,7 @@ def cmd_ik(args) -> int:
         "iterations_used": result.iterations_used.tolist(),
         "fit_s": fit_s,
     }
-    report_path = args.report or str(args.out) + ".report.json"
+    report_path = str(args.out) + ".report.json"
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
@@ -296,13 +296,11 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.monotonic()
+    sgd = reg.SgdConfig(batch_size=args.batch, epochs=args.epochs)
     skel = _resolve_skeleton(args.skeleton)
     train_data = _read_dataset(args.train, skel)
     val_data = _read_dataset(args.val, skel) if args.val else None
     spec = reg.MODES[args.mode]
-    base_lr = args.lr if args.lr is not None else spec.base_lr
-    sgd = reg.SgdConfig(batch_size=args.batch, learning_rate=base_lr,
-                        epochs=args.epochs, lam=args.lam)
     run = rp.train_mode(skel, args.mode, train_data, val_data, sgd, args.seed, args.out)
     reg.save_checkpoint(run, args.out, skel)
     if val_data is not None:
@@ -311,9 +309,9 @@ def cmd_train(args) -> int:
               f"{last.val_angle_err_deg!r} deg, invalid fraction "
               f"{last.val_invalid_frac!r}")
     _write_manifest(_manifest_path(args.out), "train",
-                    {"skeleton": skel.name, "mode": args.mode, "lr": base_lr,
+                    {"skeleton": skel.name, "mode": args.mode, "lr": spec.base_lr,
                      "batch": args.batch, "epochs": args.epochs,
-                     "lambda": spec.penalty_weight(args.lam)},
+                     "lambda": spec.penalty},
                     args.seed, [args.train] + ([args.val] if args.val else []),
                     [args.out, rp.epochs_path(args.out)], started,
                     **_memory_use())
@@ -343,9 +341,8 @@ def cmd_eval(args) -> int:
 def cmd_reproduce(args) -> int:
     if args.fit_frames < 1:
         raise ValueError("--fit-frames must be >= 1")
-    # checks --epochs, --batch and --lambda before any dataset is made
-    for mode in reg.MODES:
-        rp.mode_sgd(mode, args)
+    # refuses --epochs and --batch below 1 before any dataset is made
+    reg.SgdConfig(batch_size=args.batch, epochs=args.epochs)
     started = time.monotonic()
     # the interior margin undoes the benchmark skeleton's bound expansion;
     # a skeleton file's bounds are sampled whole
@@ -377,8 +374,7 @@ def cmd_reproduce(args) -> int:
                     {"skeleton": skel.name, "train_n": args.train_n,
                      "val_n": args.val_n, "sigma": args.sigma,
                      "occlusion": args.occlusion, "epochs": args.epochs,
-                     "batch": args.batch, "lambda": args.lam,
-                     "fit_frames": args.fit_frames,
+                     "batch": args.batch, "fit_frames": args.fit_frames,
                      "interior_margin": margin, "pose_shape": "central"},
                     args.seed, [], outputs, started, workers=workers, tasks=tasks,
                     peak_rss_mb={"parent": parent["peak_rss_mb"],
@@ -427,7 +423,6 @@ def build_parser() -> _Parser:
     p.add_argument("--swarm", type=int, default=64)
     p.add_argument("--iters", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", default=None, help="JSON report path")
     p.set_defaults(func=cmd_ik)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -443,16 +438,18 @@ def build_parser() -> _Parser:
                    help="dataset path; the file is a .npz dataset, whatever its suffix")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train a regressor on a dataset")
+    p = sub.add_parser("train", help="train a regressor on a dataset",
+                       description="Train one mode's regressor on a dataset. The "
+                                   "mode fixes the base learning rate and the "
+                                   "angle-range penalty weight (lambda): "
+                                   + ", ".join(f"{m} {s.base_lr:g} and {s.penalty:g}"
+                                               for m, s in reg.MODES.items()) + ".")
     add_skeleton(p)
     p.add_argument("--mode", choices=reg.MODES, default="ours")
     p.add_argument("--train", required=True, help="training dataset file")
     p.add_argument("--val", default=None, help="validation dataset file")
-    p.add_argument("--lr", type=float, default=None,
-                   help="base learning rate (default per mode)")
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.set_defaults(func=cmd_train)
@@ -485,7 +482,6 @@ def build_parser() -> _Parser:
     p.add_argument("--occlusion", type=float, default=0.1)
     p.add_argument("--epochs", type=int, default=300)
     p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--fit-frames", type=int, default=2000,
                    help="val frames to fit for direct_joint angle metrics")
     p.set_defaults(func=cmd_reproduce)

@@ -116,7 +116,8 @@ def _read_table(path, magic, width_key, unit):
 
 
 def write_pose_file(path, skeleton_name: str, poses) -> None:
-    poses = np.atleast_2d(np.asarray(poses, dtype=float))
+    """Poses (N, D), one per line."""
+    poses = np.asarray(poses, dtype=float)
     _write_table(path, f"{POSES_MAGIC} v1 skeleton={skeleton_name} dims={poses.shape[1]}",
                  poses)
 
@@ -133,12 +134,11 @@ def read_pose_file(path, expected_dims):
 
 
 def write_joint_file(path, skeleton_name: str, joints) -> None:
+    """Frames of joints (N, K, 3), one frame per line."""
     joints = np.asarray(joints, dtype=float)
-    if joints.ndim == 3:
-        joints = joints.reshape(joints.shape[0], 3 * joints.shape[1])
-    joints = np.atleast_2d(joints)
     _write_table(path, f"{JOINTS_MAGIC} v1 skeleton={skeleton_name} "
-                       f"joints={joints.shape[1] // 3}", joints)
+                       f"joints={joints.shape[1]}",
+                 joints.reshape(len(joints), 3 * joints.shape[1]))
 
 
 def read_joint_file(path):

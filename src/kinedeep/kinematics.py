@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .skeleton import Skeleton
+from .skeleton import Skeleton, check_pose_batch
 
 # the root frame's columns and origin, broadcast over one member and poses
 _ROOT_COLUMNS = tuple(np.eye(3)[None, :, i:i + 1] for i in range(3))
@@ -88,11 +88,7 @@ _CYCLIC = tuple(zip(_FIRST, _SECOND))
 
 
 def _check_poses(skel: Skeleton, thetas: np.ndarray) -> np.ndarray:
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != skel.n_dofs:
-        raise ValueError(
-            f"pose array shape {thetas.shape} is not a batch (N, {skel.n_dofs})"
-        )
+    thetas = check_pose_batch(skel, thetas)
     if not np.all(np.isfinite(thetas)):
         raise ValueError("pose contains non-finite values")
     return thetas

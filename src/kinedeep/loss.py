@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kinematics import fk_vjp_batch
-from .skeleton import Skeleton
+from .skeleton import Skeleton, check_pose_batch
 
 
 def joint_loss_batch(skel: Skeleton, thetas, targets):
@@ -34,12 +34,9 @@ def joint_loss_batch(skel: Skeleton, thetas, targets):
 
 
 def phy_loss_batch(skel: Skeleton, thetas):
-    """Batched angle-range hinge: values (N,), subgradients (N, D)."""
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.shape[-1] != skel.n_dofs:
-        raise ValueError(
-            f"pose has {thetas.shape[-1]} components, skeleton has {skel.n_dofs} DOFs"
-        )
+    """Batched angle-range hinge over poses (N, D): values (N,), subgradients
+    (N, D)."""
+    thetas = check_pose_batch(skel, thetas)
     rot = skel.dof_is_rotation
     below = np.maximum(skel.dof_lower - thetas, 0.0) * rot
     above = np.maximum(thetas - skel.dof_upper, 0.0) * rot

@@ -2,7 +2,8 @@
 
 The network is a plain ReLU MLP (linear output). The paper's four training
 modes differ only in how that output is read and trained; ``MODES`` below is
-the one place that describes them.
+the one place that describes them, and a mode's row fixes its learning rate
+and its angle-range penalty weight.
 
 Optimization is stochastic gradient descent with momentum, single-threaded
 and bitwise deterministic given (seed, data, config). ``input_scale``
@@ -29,7 +30,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,13 +60,16 @@ class Mode:
                    angles exist only after a post-hoc IK fit
     through_fk     the loss is the joint loss through forward kinematics;
                    otherwise plain squared error against the targets
-    hinge          the angle-range penalty applies; otherwise lambda is 0
+    penalty        the weight (lambda) of the angle-range penalty in the loss
     base_lr        base learning rate of the training schedule
+
+    The row is the mode's whole training recipe: nothing else sets its rate
+    or its penalty weight.
     """
 
     emits_pose: bool
     through_fk: bool
-    hinge: bool
+    penalty: float
     base_lr: float
 
     @property
@@ -85,20 +89,16 @@ class Mode:
             return pose_output_scale(skel)
         return (OUTPUT_GAIN,) * self.output_width(skel)
 
-    def penalty_weight(self, lam: float) -> float:
-        """The angle-range penalty weight this mode trains with."""
-        return lam if self.hinge else 0.0
-
 
 # ours: the paper's network, FK layer plus angle-range penalty; ours_no_phy:
 # the same without the penalty; direct_joint and direct_parameter: plain
 # regression of joints and of the raw pose (mixed units: mm for translation
 # DOFs, radians for angles). Order is the order of the comparison table.
 MODES = {
-    "ours": Mode(emits_pose=True, through_fk=True, hinge=True, base_lr=1e-6),
-    "ours_no_phy": Mode(emits_pose=True, through_fk=True, hinge=False, base_lr=1e-6),
-    "direct_joint": Mode(emits_pose=False, through_fk=False, hinge=False, base_lr=1e-6),
-    "direct_parameter": Mode(emits_pose=True, through_fk=False, hinge=False,
+    "ours": Mode(emits_pose=True, through_fk=True, penalty=1.0, base_lr=1e-6),
+    "ours_no_phy": Mode(emits_pose=True, through_fk=True, penalty=0.0, base_lr=1e-6),
+    "direct_joint": Mode(emits_pose=False, through_fk=False, penalty=0.0, base_lr=1e-6),
+    "direct_parameter": Mode(emits_pose=True, through_fk=False, penalty=0.0,
                              base_lr=3e-4),
 }
 
@@ -146,20 +146,13 @@ class MlpConfig:
 @dataclass(frozen=True)
 class SgdConfig:
     batch_size: int
-    learning_rate: float
     epochs: int
-    lam: float
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        # written so that NaN fails each comparison
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not 0.0 <= self.lam < math.inf:
-            raise ValueError("lambda must be >= 0 and finite")
 
 
 @dataclass
@@ -300,28 +293,27 @@ def _backprop(run: TrainRun, acts, delta):
     return grads_w, grads_b
 
 
-def backward_through_model(run: TrainRun, features, targets, skel: Skeleton,
-                           lam: float):
+def backward_through_model(run: TrainRun, features, targets, skel: Skeleton):
     """Loss and weight gradients with the kinematic layer on the output.
 
     `targets` are ground-truth eval-joint coordinates, (N, n_eval, 3) or
-    flattened. Returns (mean loss over the batch, (weight grads, bias grads)).
+    flattened. The loss is the joint loss plus the mode's penalty weight
+    times the angle-range penalty. Returns (mean loss over the batch,
+    (weight grads, bias grads)).
     """
     mode = MODES[run.mode]
     if not mode.through_fk:
         raise ValueError(f"mode {run.mode!r} does not use the kinematic layer")
-    if not mode.hinge and lam != 0.0:
-        raise ValueError(f"mode {run.mode!r} requires lambda = 0")
     acts = list(_layers(run, features))
     poses = acts[-1]
     if not np.all(np.isfinite(poses)):
         raise NumericalError("non-finite network output")
     n = poses.shape[0]
     jt_vals, jt_grads = loss_mod.joint_loss_batch(skel, poses, targets)
-    if lam != 0.0:
+    if mode.penalty != 0.0:
         phy_vals, phy_grads = loss_mod.phy_loss_batch(skel, poses)
-        total = jt_vals + lam * phy_vals
-        pose_grads = jt_grads + lam * phy_grads
+        total = jt_vals + mode.penalty * phy_vals
+        pose_grads = jt_grads + mode.penalty * phy_grads
     else:
         total = jt_vals
         pose_grads = jt_grads
@@ -348,7 +340,7 @@ def backward_direct(run: TrainRun, features, targets):
     return value, grads
 
 
-def sgd_step(run: TrainRun, grads, sgd: SgdConfig) -> TrainRun:
+def sgd_step(run: TrainRun, grads, lr: float) -> TrainRun:
     """Momentum update in place: v <- mu*v - lr*g; w <- w + v."""
     grads_w, grads_b = grads
     for i in range(run.n_layers):
@@ -360,7 +352,7 @@ def sgd_step(run: TrainRun, grads, sgd: SgdConfig) -> TrainRun:
         for w, v, g in ((run.weights[i], run.vel_w[i], grads_w[i]),
                         (run.biases[i], run.vel_b[i], grads_b[i])):
             v *= MOMENTUM
-            v -= sgd.learning_rate * g
+            v -= lr * g
             w += v
     return run
 
@@ -376,8 +368,7 @@ def validation_stats(run: TrainRun, dataset, skel: Skeleton, true_joints):
     post-hoc fit, which is far too costly per epoch).
     """
     predictions = predict(run, dataset.features, skel)
-    report = bench.evaluate(skel, predictions, dataset.thetas, thresholds=(),
-                            true_joints=true_joints)
+    report = bench.evaluate(skel, predictions, dataset.thetas, true_joints=true_joints)
     return (report.avg_joint_error_mm, report.avg_angle_error_deg,
             report.invalid_pose_fraction)
 
@@ -386,12 +377,12 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
           val, on_epoch) -> TrainRun:
     """Mini-batch SGD through the stages of the schedule, STAGES.
 
-    Stage (f_lr, f_ep) runs at f_lr * learning_rate for
-    max(1, round(f_ep * epochs)) epochs. Each stage starts
+    Stage (f_lr, f_ep) runs at f_lr times the mode's base_lr for
+    max(1, round(f_ep * sgd.epochs)) epochs. Each stage starts
     the shuffle from the same seed and ends early when the best validation
     joint error of its last 10 epochs improves on its earlier best by less
-    than 0.1%; momentum carries across stages. The penalty weight is
-    ``Mode.penalty_weight(sgd.lam)``. Raises NumericalError (naming the
+    than 0.1%; momentum carries across stages. The penalty weight is the
+    mode's ``penalty``. Raises NumericalError (naming the
     epoch by its index in run.history, and the batch) if the loss or a
     gradient goes non-finite, before that batch's update reaches the weights;
     and, naming the epoch, if an epoch ends with a non-finite weight or bias
@@ -411,10 +402,9 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
         targets = bench.eval_joints(skel, dataset.thetas).reshape(len(dataset), -1)
     # the validation labels, once for every epoch's validation_stats
     val_joints = None if val is None else bench.eval_joints(skel, val.thetas)
-    lam = mode.penalty_weight(sgd.lam)
     n = len(dataset)
     for frac_lr, frac_ep in STAGES:
-        stage = replace(sgd, learning_rate=sgd.learning_rate * frac_lr)
+        lr = mode.base_lr * frac_lr
         rng = np.random.default_rng([run.config.seed, 1])
         val_errors = []
         for _ in range(max(1, int(round(frac_ep * sgd.epochs)))):
@@ -430,7 +420,7 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
                 grads = None  # one gradient set alive at a time
                 try:
                     if mode.through_fk:
-                        value, grads = backward_through_model(run, feats, tgt, skel, lam)
+                        value, grads = backward_through_model(run, feats, tgt, skel)
                     else:
                         value, grads = backward_direct(run, feats, tgt)
                 except NumericalError as e:
@@ -440,7 +430,7 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
                 if not all(np.isfinite(g).all() for g in grads[0] + grads[1]):
                     raise NumericalError(
                         f"non-finite gradient at epoch {epoch} batch {batch}")
-                sgd_step(run, grads, stage)
+                sgd_step(run, grads, lr)
                 epoch_losses.append(value)
 
             grad_norm = float(np.sqrt(sum(np.vdot(g, g) for g in grads[0] + grads[1])))
@@ -465,7 +455,7 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
             run.history.append(stats)
             record = {
                 "epoch": epoch,
-                "lr": stage.learning_rate,
+                "lr": lr,
                 "train_loss": stats.train_loss,
                 "grad_norm": grad_norm,
             }

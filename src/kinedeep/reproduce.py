@@ -91,13 +91,6 @@ def score(run, skel, data, seed, fit_iterations, fit_frames=None) -> bench.Metri
                           fitted_poses=fitted)
 
 
-def mode_sgd(mode, args) -> reg.SgdConfig:
-    """`reproduce`'s schedule for `mode`: args' batch size, epochs and
-    lambda at the mode's base learning rate."""
-    return reg.SgdConfig(batch_size=args.batch, learning_rate=reg.MODES[mode].base_lr,
-                         epochs=args.epochs, lam=args.lam)
-
-
 def reproduce_mode(mode, skel, train_data, val_data, args):
     """One mode of `reproduce`: train on `train_data` and save the
     checkpoint (and its epoch records) in args.out. Returns a pose mode's
@@ -105,7 +98,8 @@ def reproduce_mode(mode, skel, train_data, val_data, args):
     reproduce_fit scores from its checkpoint.
     """
     ckpt = mode_checkpoint(args.out, mode)
-    run = train_mode(skel, mode, train_data, None, mode_sgd(mode, args), args.seed, ckpt)
+    sgd = reg.SgdConfig(batch_size=args.batch, epochs=args.epochs)
+    run = train_mode(skel, mode, train_data, None, sgd, args.seed, ckpt)
     reg.save_checkpoint(run, ckpt, skel)
     if reg.MODES[mode].emits_pose:
         return score(run, skel, val_data, args.seed, FIT_ITERATIONS)
@@ -182,8 +176,11 @@ def run(skel, margin, args, started):
     # the IK fit of the joint-emitting mode on one more worker, from the
     # moment that mode's checkpoint is saved. The pool forks all its workers at the
     # first submit, before it starts its own thread. The joint-emitting mode
-    # trains first, so its fit starts early.
-    slots = min(len(reg.MODES), len(os.sched_getaffinity(0)))
+    # trains first, so its fit starts early. Where os has no
+    # sched_getaffinity (macOS), every CPU counts as available.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    slots = min(len(reg.MODES), cpus)
     workers = slots + 1
     log(f"training {len(reg.MODES)} modes on {slots} worker processes, "
         f"fitting IK on one more")

@@ -507,14 +507,18 @@ def save_skeleton(skel: Skeleton, path) -> None:
         fh.write("\n")
 
 
-def clamp_pose(skel: Skeleton, theta) -> np.ndarray:
-    """Clamp every pose component into its DOF's [lower, upper] interval."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1] != skel.n_dofs:
-        raise ValueError(
-            f"pose has {theta.shape[-1]} components, skeleton has {skel.n_dofs} DOFs"
-        )
-    return np.clip(theta, skel.dof_lower, skel.dof_upper)
+def check_pose_batch(skel: Skeleton, thetas) -> np.ndarray:
+    """`thetas` as a float array, refused unless it is a batch of poses (N, D)."""
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != skel.n_dofs:
+        raise ValueError(f"pose array shape {thetas.shape} is not a batch (N, {skel.n_dofs})")
+    return thetas
+
+
+def clamp_pose(skel: Skeleton, thetas) -> np.ndarray:
+    """Clamp every component of a batch of poses (N, D) into its DOF's
+    [lower, upper] interval."""
+    return np.clip(check_pose_batch(skel, thetas), skel.dof_lower, skel.dof_upper)
 
 
 HAND23_PATH = os.path.join(os.path.dirname(__file__), "hand23.json")

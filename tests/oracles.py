@@ -25,7 +25,8 @@ row-blocked `reg.forward` must match bit for bit.
 `per_stage_train` is the staged learning-rate schedule as six calls of
 `flat_train`, one per stage, the way the command line ran it before
 `reg.train` ran the stages itself; `flat_train` is the one-stage
-`reg.train` of that time, kept verbatim. The staged `reg.train` must match
+`reg.train` of that time, kept verbatim but for its rate, an argument, and
+its penalty weight, which it reads from the mode's row. The staged `reg.train` must match
 it bit for bit.
 
 `one_pass_make_dataset` is `bench.make_dataset` as it was when forward
@@ -48,7 +49,7 @@ import numpy as np
 from kinedeep import bench, ik_pso
 from kinedeep import regressor as reg
 from kinedeep.kinematics import _check_poses, fk_jacobian_batch, forward_kinematics_batch
-from kinedeep.skeleton import Skeleton, clamp_pose
+from kinedeep.skeleton import Skeleton
 
 
 def mat_rot(axis: int, angle: float) -> np.ndarray:
@@ -288,7 +289,7 @@ def _sequential_polish(obj, theta, steps):
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
-            candidate = clamp_pose(skel, theta + step)
+            candidate = np.clip(theta + step, skel.dof_lower, skel.dof_upper)
             cand_value, cand_residual = obj.value(candidate)
             if cand_value < value:
                 theta, value, residual = candidate, cand_value, cand_residual
@@ -392,8 +393,9 @@ def mlp_backprop(run, acts, pre, delta):
     return grads_w, grads_b
 
 
-def flat_train(run, dataset, skel, sgd, val=None):
-    """The one-stage `reg.train` as it was before it ran the stages itself."""
+def flat_train(run, dataset, skel, sgd, lr, val=None):
+    """The one-stage `reg.train`, at rate `lr`, as it was before it ran the
+    stages itself."""
     if len(dataset) == 0:
         raise ValueError("training dataset is empty")
     mode = reg.MODES[run.mode]
@@ -403,7 +405,6 @@ def flat_train(run, dataset, skel, sgd, val=None):
         targets = forward_kinematics_batch(skel, dataset.thetas,
                                            joint_indices=list(skel.eval_subset))
         targets = targets.reshape(len(dataset), -1)
-    lam = mode.penalty_weight(sgd.lam)
     rng = np.random.default_rng([run.config.seed, 1])
     n = len(dataset)
     val_errors = []
@@ -417,7 +418,7 @@ def flat_train(run, dataset, skel, sgd, val=None):
             tgt = targets[idx]
             try:
                 if mode.through_fk:
-                    value, grads = reg.backward_through_model(run, feats, tgt, skel, lam)
+                    value, grads = reg.backward_through_model(run, feats, tgt, skel)
                 else:
                     value, grads = reg.backward_direct(run, feats, tgt)
             except reg.NumericalError as e:
@@ -427,7 +428,7 @@ def flat_train(run, dataset, skel, sgd, val=None):
             if not all(np.isfinite(g).all() for g in grads[0] + grads[1]):
                 raise reg.NumericalError(
                     f"non-finite gradient at epoch {epoch} batch {batch}")
-            reg.sgd_step(run, grads, sgd)
+            reg.sgd_step(run, grads, lr)
             epoch_losses.append(value)
 
         if val is not None:
@@ -468,14 +469,13 @@ def _stages(base_lr, epochs):
     return out
 
 
-def per_stage_train(run, train_data, skel, base_lr, batch, epochs, lam,
-                    val_data=None):
+def per_stage_train(run, train_data, skel, base_lr, batch, epochs, val_data=None):
     """Train `run` through the schedule; returns the epochs each stage ran."""
     ran = []
     for lr, ep in _stages(base_lr, epochs):
-        sgd = reg.SgdConfig(batch_size=batch, learning_rate=lr, epochs=ep, lam=lam)
+        sgd = reg.SgdConfig(batch_size=batch, epochs=ep)
         before = len(run.history)
-        flat_train(run, train_data, skel, sgd, val=val_data)
+        flat_train(run, train_data, skel, sgd, lr, val=val_data)
         ran.append(len(run.history) - before)
     return ran
 

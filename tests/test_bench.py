@@ -18,7 +18,7 @@ def sample_poses(hand, n, seed):
 
 
 def test_sample_pose_in_bounds(hand):
-    theta = sample_poses(hand, 1, seed=4)[0]
+    theta = sample_poses(hand, 1, seed=4)
     assert np.array_equal(sk.clamp_pose(hand, theta), theta)
 
 
@@ -177,10 +177,10 @@ def test_evaluate_single_bad_joint_curve(hand):
     ev = list(hand.eval_subset)
     preds = bench.eval_joints(hand, data.thetas)
     preds[0, 2] += np.array([20.0, 0.0, 0.0])  # one joint in one frame off by 20 mm
-    report = bench.evaluate(hand, preds, data.thetas, thresholds=[10.0, 25.0],
-                            fitted_poses=data.thetas)
-    assert report.max_error_curve[0] == (10.0, 1.0 - 1.0 / n)
-    assert report.max_error_curve[1] == (25.0, 1.0)
+    report = bench.evaluate(hand, preds, data.thetas, fitted_poses=data.thetas)
+    curve = dict(report.max_error_curve)
+    assert curve[10.0] == 1.0 - 1.0 / n
+    assert curve[25.0] == 1.0
     assert np.isclose(report.avg_joint_error_mm, 20.0 / (n * len(ev)))
 
 
@@ -249,13 +249,6 @@ def test_evaluate_joint_predictions_with_fit(hand):
     assert math.isfinite(report.avg_angle_error_deg)
 
 
-def test_evaluate_rejects_unsorted_thresholds(hand):
-    data = bench.make_dataset(hand, n=3, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=1,
-                              interior_margin=0.0, pose_shape="uniform")
-    with pytest.raises(ValueError, match="ascending"):
-        bench.evaluate(hand, data.thetas, data.thetas, thresholds=[10.0, 5.0])
-
-
 def test_report_serialization_roundtrip(hand):
     data = bench.make_dataset(hand, n=5, noise_sigma_mm=2.0, occlusion_prob=0.0, seed=3,
                               interior_margin=0.0, pose_shape="uniform")
@@ -263,7 +256,7 @@ def test_report_serialization_roundtrip(hand):
     d = report.to_dict()
     assert d["n_frames"] == 5
     assert isinstance(report.to_text(), str)
-    assert d["max_error_curve"] == [(float(t), 1.0) for t in bench.DEFAULT_THRESHOLDS_MM]
+    assert d["max_error_curve"] == [(float(t), 1.0) for t in bench.THRESHOLDS_MM]
 
 
 @pytest.mark.parametrize("shape", [(1, 26), (3, 5), (2, 26), (3, 26, 1)])

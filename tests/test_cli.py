@@ -238,7 +238,7 @@ def test_synth_train_eval_pipeline(tmp_path):
     run = reg.load_checkpoint(ckpt)
     assert run.mode == "ours_no_phy"
     assert len(run.history) >= 4  # staged plan rounds each stage up to >= 1
-    # the manifest records what ran: the mode's base lr and its forced lambda
+    # the manifest records what ran: its mode's base lr and penalty weight
     manifest = json.loads((tmp_path / "run.ckpt.json.manifest.json").read_text())
     assert manifest["config"]["lr"] == reg.MODES["ours_no_phy"].base_lr
     assert manifest["config"]["lambda"] == 0.0
@@ -257,7 +257,7 @@ def test_synth_train_eval_pipeline(tmp_path):
     assert payload["n_frames"] == 64
     # the max-error curve, one point per threshold, is part of the report
     assert [t for t, _ in payload["max_error_curve"]] == \
-        [float(t) for t in bench.DEFAULT_THRESHOLDS_MM]
+        [float(t) for t in bench.THRESHOLDS_MM]
 
 
 def test_direct_joint_eval_fits_angles(tmp_path):
@@ -609,39 +609,35 @@ def test_train_prints_last_epoch_without_second_validation_pass(
     assert manifest["outputs"] == [str(ckpt), str(epochs)]
 
 
+@pytest.mark.parametrize("mode", reg.MODES)
+def test_train_manifest_records_the_mode_row(tmp_path, mode):
+    # the rate and the penalty weight that train ran with are its mode's row
+    data = tmp_path / "data.ds"
+    assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
+    ckpt = tmp_path / "run.ckpt.json"
+    assert run_cli("train", "--mode", mode, "--train", str(data), "--epochs", "1",
+                   "--batch", "16", "--out", str(ckpt)) == 0
+    config = json.loads((tmp_path / "run.ckpt.json.manifest.json").read_text())["config"]
+    assert (config["lr"], config["lambda"]) == (reg.MODES[mode].base_lr,
+                                                reg.MODES[mode].penalty)
+    records = [json.loads(line) for line in
+               (tmp_path / "run.ckpt.json.epochs.jsonl").read_text().splitlines()]
+    assert [r["lr"] for r in records] == [reg.MODES[mode].base_lr * f for f, _ in reg.STAGES]
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning",
                             "ignore:invalid value encountered in matmul:RuntimeWarning")
 def test_train_numerical_failure_exit_code(tmp_path, monkeypatch):
-    # one stage at the full rate from the first epoch
-    monkeypatch.setattr(reg, "STAGES", ((1.0, 1.0),))
+    # one stage at 1e7 times ours's base rate (lr 10) from the first epoch
+    monkeypatch.setattr(reg, "STAGES", ((1e7, 1.0),))
     data = tmp_path / "data.csv"
     assert run_cli("synth", "--n", "32", "--sigma", "5", "--occlusion", "0.0",
                    "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "run.ckpt.json"
     code = run_cli("train", "--mode", "ours", "--train", str(data),
-                   "--epochs", "3", "--batch", "8", "--lr", "10.0",
+                   "--epochs", "3", "--batch", "8",
                    "--seed", "2", "--out", str(ckpt))
     assert code == 2
-
-
-@pytest.mark.parametrize("flag, message", [
-    ("--lambda", "lambda must be >= 0 and finite"),
-    ("--lr", "learning_rate must be positive and finite"),
-])
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_train_refuses_non_finite_rates_before_training(tmp_path, capsys, flag,
-                                                        message, value):
-    # unrefused, these train and then fail as a numerical failure (exit 2),
-    # leaving a partial epoch record behind
-    data = tmp_path / "data.ds"
-    assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
-    capsys.readouterr()
-    ckpt = tmp_path / "run.ckpt.json"
-    assert run_cli("train", "--train", str(data), "--epochs", "1", "--batch", "16",
-                   flag, value, "--out", str(ckpt)) == 1
-    assert message in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == \
-        ["data.ds", "data.ds.manifest.json"]
 
 
 def test_train_non_finite_gradient_exits_2(tmp_path, monkeypatch, capsys):
@@ -698,15 +694,15 @@ def test_train_non_finite_gradient_names_history_epoch(tmp_path, monkeypatch, ca
                             "ignore:invalid value encountered in matmul:RuntimeWarning")
 def test_train_validation_overflow_exits_2(tmp_path, monkeypatch, capsys):
     # epoch 0 ends with finite loss, gradients and weights, but weights so
-    # large that the validation forward pass overflows: one stage at the
-    # full rate from the first epoch
-    monkeypatch.setattr(reg, "STAGES", ((1.0, 1.0),))
+    # large that the validation forward pass overflows: one stage at 1e6
+    # times ours's base rate (lr 1) from the first epoch
+    monkeypatch.setattr(reg, "STAGES", ((1e6, 1.0),))
     data = tmp_path / "data.csv"
     assert run_cli("synth", "--n", "24", "--sigma", "5", "--occlusion", "0",
                    "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "run.ckpt.json"
     code = run_cli("train", "--train", str(data), "--val", str(data),
-                   "--epochs", "3", "--batch", "8", "--lr", "1.0",
+                   "--epochs", "3", "--batch", "8",
                    "--seed", "2", "--out", str(ckpt))
     assert code == 2
     assert "non-finite network output on the validation set after epoch 0" \
@@ -770,13 +766,17 @@ def test_eval_refuses_checkpoint_of_another_skeleton(bench_dataset, tmp_path, ca
 def test_unknown_flag_exits_1(capsys):
     assert run_cli("fk", "--nonsense") == 1
     assert capsys.readouterr().err.startswith("error: kinedeep fk: ")
-    for argv in (["ik", "--targets", "t.csv", "--out", "fit.csv", "--warm-start"],
-                 ["ik", "--targets", "t.csv", "--out", "fit.csv", "--polish"],
-                 ["ik", "--targets", "t.csv", "--out", "fit.csv", "--no-polish"],
-                 ["train", "--train", "t.ds", "--out", "run.ckpt", "--flat-lr"]):
-        assert run_cli(*argv) == 1
+    # removed flags; train's rate and lambda are its mode's row in reg.MODES
+    ik = ["ik", "--targets", "t.csv", "--out", "fit.csv"]
+    train = ["train", "--train", "t.ds", "--out", "run.ckpt"]
+    reproduce = ["reproduce", "--out", "run"]
+    for argv, removed in ((ik, ["--warm-start"]), (ik, ["--polish"]),
+                          (ik, ["--no-polish"]), (ik, ["--report", "r.json"]),
+                          (train, ["--flat-lr"]), (train, ["--lr", "1e-6"]),
+                          (train, ["--lambda", "0"]), (reproduce, ["--lambda", "0"])):
+        assert run_cli(*argv, *removed) == 1
         assert capsys.readouterr().err == \
-            f"error: kinedeep: unrecognized arguments: {argv[-1]}\n"
+            f"error: kinedeep: unrecognized arguments: {' '.join(removed)}\n"
 
 
 @pytest.mark.parametrize("fit_frames", ["0", "-3"])
@@ -792,7 +792,6 @@ def test_reproduce_refuses_fit_frames_below_1_before_training(tmp_path, capsys,
 @pytest.mark.parametrize("flag, value, message", [
     ("--epochs", "0", "epochs must be >= 1"),
     ("--batch", "0", "batch_size must be >= 1"),
-    ("--lambda", "-1", "lambda must be >= 0"),
 ])
 def test_reproduce_refuses_bad_training_settings_before_datasets(tmp_path, capsys,
                                                                  flag, value, message):
@@ -810,7 +809,6 @@ def test_reproduce_refuses_bad_training_settings_before_datasets(tmp_path, capsy
     ("--val-n", "0", "dataset size must be >= 1"),
     ("--sigma", "-1", "noise sigma must be >= 0"),
     ("--sigma", "nan", "noise sigma must be >= 0 and finite"),
-    ("--lambda", "nan", "lambda must be >= 0 and finite"),
     ("--occlusion", "1.5", "occlusion probability must lie in [0, 1)"),
     ("--skeleton", "missing.json", "No such file or directory"),
 ])
@@ -823,6 +821,16 @@ def test_reproduce_refuses_bad_inputs_without_making_the_out_dir(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
     assert not out.exists()
+
+
+def test_reproduce_runs_where_os_has_no_sched_getaffinity(tmp_path, monkeypatch):
+    # as on macOS: every CPU counts as available
+    monkeypatch.delattr(os, "sched_getaffinity")
+    out = tmp_path / "run"
+    assert run_cli("reproduce", "--train-n", "48", "--val-n", "16", "--epochs", "1",
+                   "--batch", "16", "--fit-frames", "2", "--out", str(out)) in (0, 3)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["workers"] == min(len(reg.MODES), os.cpu_count()) + 1
 
 
 def test_reproduce_smoke(tmp_path):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import oracles
 from conftest import sample_in_bounds
@@ -149,6 +150,12 @@ def test_phy_loss_monotone_in_violation(hand):
         (value,), _ = phy_loss_1(hand, theta)
         assert value > prev
         prev = value
+
+
+def test_phy_loss_refuses_anything_but_a_batch(hand):
+    for shape in ((hand.n_dofs,), (1, 25), (2, 1, hand.n_dofs)):
+        with pytest.raises(ValueError, match=r"is not a batch \(N, 26\)"):
+            loss.phy_loss_batch(hand, np.zeros(shape))
 
 
 def test_total_loss_gradient_finite_difference_away_from_kinks(hand, rng):

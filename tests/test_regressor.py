@@ -114,8 +114,8 @@ def test_backward_through_model_matches_finite_differences(hand, rng):
     feats = rng.normal(size=(2, 6))
     thetas = rng.uniform(hand.dof_lower, hand.dof_upper, size=(2, 26))
     targets = eval_targets(hand, thetas)
-    value, (gw, gb) = reg.backward_through_model(run, feats, targets, hand, lam=1.0)
-    fd = fd_weight_grads(run, lambda: reg.backward_through_model(run, feats, targets, hand, lam=1.0)[0])
+    value, (gw, gb) = reg.backward_through_model(run, feats, targets, hand)
+    fd = fd_weight_grads(run, lambda: reg.backward_through_model(run, feats, targets, hand)[0])
     worst = max(oracles.rel_err(a, f) for a, f in zip(gw + gb, fd))
     assert worst < 1e-5
 
@@ -139,35 +139,36 @@ def test_perfect_prediction_zero_loss_and_grads(hand, rng):
     run.biases[-1] += 0.0
     out = reg.forward(run, feats)
     targets = eval_targets(hand, out)
-    value, (gw, gb) = reg.backward_through_model(run, feats, targets, hand, lam=0.0)
+    value, (gw, gb) = reg.backward_through_model(run, feats, targets, hand)
     assert value == 0.0
     for g in gw + gb:
         assert np.array_equal(g, np.zeros_like(g))
 
 
-def test_lambda_zero_matches_no_phy_mode(hand, rng):
-    feats = rng.normal(size=(4, 6))
+def test_ours_is_no_phy_plus_the_hinge(hand, rng):
+    # the same network: ours's loss and gradients are ours_no_phy's plus
+    # those of the angle-range hinge at weight 1, its row's penalty
+    assert reg.MODES["ours"].penalty == 1.0
+    feats = rng.normal(scale=3.0, size=(4, 6))
     thetas = rng.uniform(hand.dof_lower, hand.dof_upper, size=(4, 26))
     targets = eval_targets(hand, thetas)
     a = tiny_run(hand, mode="ours", seed=9)
     b = tiny_run(hand, mode="ours_no_phy", seed=9)
-    va, ga = reg.backward_through_model(a, feats, targets, hand, lam=0.0)
-    vb, gb_ = reg.backward_through_model(b, feats, targets, hand, lam=0.0)
-    assert va == vb
-    for x, y in zip(ga[0] + ga[1], gb_[0] + gb_[1]):
-        assert np.array_equal(x, y)
-
-
-def test_no_phy_mode_rejects_nonzero_lambda(hand, rng):
-    run = tiny_run(hand, mode="ours_no_phy")
-    with pytest.raises(ValueError, match="lambda"):
-        reg.backward_through_model(run, np.zeros((1, 6)), np.zeros((1, 14, 3)), hand, lam=1.0)
+    va, ga = reg.backward_through_model(a, feats, targets, hand)
+    vb, gb_ = reg.backward_through_model(b, feats, targets, hand)
+    acts, pre = oracles.mlp_forward_acts(a, feats)
+    phy_vals, phy_grads = loss_mod.phy_loss_batch(hand, acts[-1])
+    assert phy_vals.min() > 0.0  # every pose is out of range somewhere
+    hinge_w, hinge_b = oracles.mlp_backprop(a, acts, pre, phy_grads / len(feats))
+    assert va == pytest.approx(vb + phy_vals.mean(), rel=1e-12)
+    for x, y, h in zip(ga[0] + ga[1], gb_[0] + gb_[1], hinge_w + hinge_b):
+        assert np.allclose(x, y + h, rtol=1e-12, atol=1e-12)
 
 
 def test_direct_modes_reject_model_backward(hand):
     run = tiny_run(hand, mode="direct_joint")
     with pytest.raises(ValueError, match="kinematic"):
-        reg.backward_through_model(run, np.zeros((1, 6)), np.zeros((1, 14, 3)), hand, lam=0.0)
+        reg.backward_through_model(run, np.zeros((1, 6)), np.zeros((1, 14, 3)), hand)
 
 
 def test_backward_direct_zero_residual(hand, rng):
@@ -245,12 +246,12 @@ def test_mlp_matches_naive_oracle_bit_for_bit(hand, kind, mode):
         if mode == "ours" and kind == "overflow":
             # a non-finite output stops training before the backward pass
             with pytest.raises(reg.NumericalError, match="non-finite network output"):
-                reg.backward_through_model(run, features, targets, hand, lam=1.0)
+                reg.backward_through_model(run, features, targets, hand)
         else:
             want_value, (want_w, want_b) = oracle_gradients(run, acts, pre, targets, hand)
             if mode == "ours":
                 value, (got_w, got_b) = reg.backward_through_model(
-                    run, features, targets, hand, lam=1.0)
+                    run, features, targets, hand)
             else:
                 value, (got_w, got_b) = reg.backward_direct(run, features, targets)
             assert same_bits(np.float64(value), np.float64(want_value))
@@ -265,8 +266,7 @@ def test_sgd_first_step_is_plain_descent():
     run = reg.init(reg.MlpConfig(layer_widths=(2, 3), seed=1), mode="direct_parameter")
     w0 = [w.copy() for w in run.weights]
     grads = ([np.ones_like(run.weights[0])], [np.ones_like(run.biases[0])])
-    sgd = reg.SgdConfig(batch_size=1, learning_rate=0.1, epochs=1, lam=1.0)
-    reg.sgd_step(run, grads, sgd)
+    reg.sgd_step(run, grads, 0.1)
     assert np.allclose(run.weights[0], w0[0] - 0.1)
 
 
@@ -277,29 +277,23 @@ def test_sgd_two_steps_constant_gradient_closed_form():
     g = np.full_like(run.weights[0], 2.0)
     grads = ([g], [np.zeros_like(run.biases[0])])
     lr, mu = 0.05, 0.9  # the reference momentum, reg.MOMENTUM
-    sgd = reg.SgdConfig(batch_size=1, learning_rate=lr, epochs=1, lam=1.0)
-    reg.sgd_step(run, grads, sgd)
-    reg.sgd_step(run, grads, sgd)
+    reg.sgd_step(run, grads, lr)
+    reg.sgd_step(run, grads, lr)
     assert np.allclose(run.weights[0], w0[0] - lr * g * (2.0 + mu))
 
 
-def test_sgd_config_rejects_negative_lambda():
-    for lam in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="lambda must be >= 0 and finite"):
-            train_config(lam=lam)
-
-
-def test_sgd_config_rejects_non_finite_learning_rate():
-    for lr in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
-            train_config(learning_rate=lr)
+@pytest.mark.parametrize("field, message", [("batch_size", "batch_size must be >= 1"),
+                                            ("epochs", "epochs must be >= 1")])
+def test_sgd_config_rejects_settings_below_1(field, message):
+    with pytest.raises(ValueError, match=message):
+        train_config(**{field: 0})
 
 
 def test_sgd_step_shape_mismatch():
     run = reg.init(reg.MlpConfig(layer_widths=(2, 3), seed=1), mode="direct_parameter")
     grads = ([np.ones((4, 4))], [np.ones(3)])
     with pytest.raises(ValueError, match="shape"):
-        reg.sgd_step(run, grads, train_config())
+        reg.sgd_step(run, grads, 1e-7)
 
 
 # --- training -----------------------------------------------------------------
@@ -313,15 +307,21 @@ def small_dataset(hand, n=32, seed=5):
                               interior_margin=0.0, pose_shape="uniform")
 
 
+def one_stage_at(monkeypatch, lr, mode):
+    """reg.train with one stage, at rate `lr` for `mode`, for every epoch."""
+    monkeypatch.setattr(reg, "STAGES", ((lr / reg.MODES[mode].base_lr, 1.0),))
+
+
 @pytest.fixture()
 def one_stage(monkeypatch):
-    """reg.train with one stage, at the base rate for every epoch."""
-    monkeypatch.setattr(reg, "STAGES", ((1.0, 1.0),))
+    """reg.train with one stage, at a tenth of the mode's base rate for
+    every epoch: 1e-7 for every mode but direct_parameter."""
+    monkeypatch.setattr(reg, "STAGES", ((0.1, 1.0),))
 
 
 def train_config(**kw):
     """Settings for a test run; the test runs them with `one_stage`."""
-    base = dict(batch_size=8, learning_rate=1e-7, epochs=5, lam=1.0)
+    base = dict(batch_size=8, epochs=5)
     base.update(kw)
     return reg.SgdConfig(**base)
 
@@ -386,7 +386,7 @@ def test_train_labels_the_validation_set_once(hand, monkeypatch, mode):
         assert len(val_passes) == calls
 
 
-@pytest.mark.parametrize("mode", ["ours", "direct_joint"])
+@pytest.mark.parametrize("mode", reg.MODES)
 def test_on_epoch_records_each_epoch(hand, monkeypatch, mode):
     # staged with val: each epoch's record carries its stage lr, the history
     # row's loss and val metrics, and the norm of its last batch gradient
@@ -394,7 +394,7 @@ def test_on_epoch_records_each_epoch(hand, monkeypatch, mode):
     spec = reg.MODES[mode]
     cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 16, spec.output_width(hand)),
                         seed=7, input_scale=0.01, output_scale=spec.output_scale(hand))
-    sgd = reg.SgdConfig(batch_size=8, learning_rate=spec.base_lr, epochs=6, lam=1.0)
+    sgd = reg.SgdConfig(batch_size=8, epochs=6)
     plain = reg.train(reg.init(cfg, mode), data, hand, sgd, val=data, on_epoch=discard)
 
     backward = "backward_through_model" if spec.through_fk else "backward_direct"
@@ -459,11 +459,11 @@ def test_train_empty_dataset_rejected(hand):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning",
                             "ignore:invalid value encountered in subtract:RuntimeWarning")
-@pytest.mark.usefixtures("one_stage")
-def test_train_non_finite_loss_reports_epoch_and_batch(hand):
+def test_train_non_finite_loss_reports_epoch_and_batch(hand, monkeypatch):
     data = small_dataset(hand)
     run = reg.init(whitened_config(hand, data), mode="ours")
-    sgd = train_config(learning_rate=5.0, epochs=3)  # guaranteed blow-up
+    one_stage_at(monkeypatch, 5.0, "ours")  # guaranteed blow-up
+    sgd = train_config(epochs=3)
     with pytest.raises(reg.NumericalError, match="epoch"):
         reg.train(run, data, hand, sgd, val=None, on_epoch=discard)
 
@@ -493,12 +493,15 @@ def test_train_non_finite_gradient_reports_its_batch(hand, monkeypatch):
 
 
 @pytest.mark.usefixtures("one_stage")
-def test_mode_equivalence_ours_lambda_zero(hand):
+def test_mode_equivalence_ours_lambda_zero(hand, monkeypatch):
+    # ours's row at penalty 0 is ours_no_phy's, and trains the same weights
+    monkeypatch.setitem(reg.MODES, "ours", replace(reg.MODES["ours"], penalty=0.0))
+    assert reg.MODES["ours"] == reg.MODES["ours_no_phy"]
     data = small_dataset(hand)
     a = reg.init(whitened_config(hand, data), mode="ours")
-    reg.train(a, data, hand, train_config(lam=0.0), val=None, on_epoch=discard)
+    reg.train(a, data, hand, train_config(), val=None, on_epoch=discard)
     b = reg.init(whitened_config(hand, data), mode="ours_no_phy")
-    reg.train(b, data, hand, train_config(lam=0.0), val=None, on_epoch=discard)
+    reg.train(b, data, hand, train_config(), val=None, on_epoch=discard)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
@@ -515,22 +518,21 @@ def test_loss_non_increasing_small_lr_frozen_batch(hand, rng, monkeypatch):
     targets = eval_targets(hand, near).reshape(len(data), -1)
     losses = []
     monkeypatch.setattr(reg, "MOMENTUM", 0.0)
-    sgd = reg.SgdConfig(batch_size=8, learning_rate=1e-5, epochs=1, lam=0.0)
     for _ in range(10):
-        value, grads = reg.backward_through_model(run, data.features, targets, hand, lam=0.0)
+        value, grads = reg.backward_through_model(run, data.features, targets, hand)
         losses.append(value)
-        reg.sgd_step(run, grads, sgd)
-    value, _ = reg.backward_through_model(run, data.features, targets, hand, lam=0.0)
+        reg.sgd_step(run, grads, 1e-5)
+    value, _ = reg.backward_through_model(run, data.features, targets, hand)
     losses.append(value)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
-@pytest.mark.usefixtures("one_stage")
-def test_single_sample_overfit(hand):
+def test_single_sample_overfit(hand, monkeypatch):
     data = bench.make_dataset(hand, n=1, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=42,
                               interior_margin=0.0, pose_shape="uniform")
     run = reg.init(whitened_config(hand, data), mode="ours_no_phy")
-    sgd = reg.SgdConfig(batch_size=1, learning_rate=2e-5, epochs=2000, lam=0.0)
+    one_stage_at(monkeypatch, 2e-5, "ours_no_phy")
+    sgd = reg.SgdConfig(batch_size=1, epochs=2000)
     reg.train(run, data, hand, sgd, val=None, on_epoch=discard)
     err, _, _ = reg.validation_stats(run, data, hand, bench.eval_joints(hand, data.thetas))
     assert err < 1.0
@@ -538,39 +540,39 @@ def test_single_sample_overfit(hand):
 
 @pytest.mark.parametrize("mode, width", [("ours", 26), ("direct_joint", 42)])
 def test_validation_stats_are_evaluate_without_thresholds(hand, mode, width):
+    # evaluate's metrics, less its max-error curve
     data = bench.make_dataset(hand, n=40, noise_sigma_mm=3.0, occlusion_prob=0.1, seed=6,
                               interior_margin=0.0, pose_shape="uniform")
     run = reg.init(reg.MlpConfig(layer_widths=(42, 16, width), seed=1, input_scale=0.01),
                    mode)
     predictions = reg.predict(run, data.features, hand)
     for true_joints in (None, bench.eval_joints(hand, data.thetas)):
-        report = bench.evaluate(hand, predictions, data.thetas, thresholds=())
+        report = bench.evaluate(hand, predictions, data.thetas)
         want = (report.avg_joint_error_mm, report.avg_angle_error_deg,
                 report.invalid_pose_fraction)
         got = reg.validation_stats(run, data, hand, true_joints)
         assert np.array(got).tobytes() == np.array(want).tobytes()  # NaN included
 
 
-@pytest.mark.usefixtures("one_stage")
-def test_direct_joint_training_runs(hand):
+def test_direct_joint_training_runs(hand, monkeypatch):
     data = small_dataset(hand)
     cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 32, 3 * len(hand.eval_subset)),
                         seed=7, input_scale=0.01)
     run = reg.init(cfg, mode="direct_joint")
-    reg.train(run, data, hand, train_config(learning_rate=1e-4, epochs=3), val=data,
-              on_epoch=discard)
+    one_stage_at(monkeypatch, 1e-4, "direct_joint")
+    reg.train(run, data, hand, train_config(epochs=3), val=data, on_epoch=discard)
     assert len(run.history) == 3
     assert np.isfinite(run.history[-1].val_joint_err_mm)
     assert np.isnan(run.history[-1].val_angle_err_deg)
     assert np.isnan(run.history[-1].val_invalid_frac)
 
 
-@pytest.mark.usefixtures("one_stage")
-def test_early_stop_on_plateau(hand):
+def test_early_stop_on_plateau(hand, monkeypatch):
     data = small_dataset(hand, n=16)
     run = reg.init(whitened_config(hand, data), mode="ours_no_phy")
     # lr so small nothing improves: should stop after ~11 epochs, not 60
-    sgd = train_config(learning_rate=1e-16, epochs=60, lam=0.0)
+    one_stage_at(monkeypatch, 1e-16, "ours_no_phy")
+    sgd = train_config(epochs=60)
     reg.train(run, data, hand, sgd, val=data, on_epoch=discard)
     assert len(run.history) <= 12
 
@@ -588,15 +590,14 @@ def test_staged_train_matches_per_stage_oracle(hand, mode):
     cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 32, hand.n_dofs),
                         seed=7, input_scale=0.01, output_scale=spec.output_scale(hand))
     oracle = reg.init(cfg, mode)
-    ran = oracles.per_stage_train(oracle, data, hand, spec.base_lr, 8, epochs, 1.0,
-                                  val_data=val)
+    ran = oracles.per_stage_train(oracle, data, hand, spec.base_lr, 8, epochs, val_data=val)
     planned = [max(1, int(round(f * epochs))) for _, f in reg.STAGES]
     if mode == "ours":
         assert ran[3] < planned[3]
     else:
         assert ran == planned
     run = reg.init(cfg, mode)
-    sgd = reg.SgdConfig(batch_size=8, learning_rate=spec.base_lr, epochs=epochs, lam=1.0)
+    sgd = reg.SgdConfig(batch_size=8, epochs=epochs)
     reg.train(run, data, hand, sgd, val=val, on_epoch=discard)
     for got, want in ((run.weights, oracle.weights), (run.biases, oracle.biases),
                       (run.vel_w, oracle.vel_w), (run.vel_b, oracle.vel_b)):
@@ -765,8 +766,8 @@ def test_train_non_finite_weights_name_the_epoch(hand, monkeypatch):
     data = small_dataset(hand, n=16)
     real, calls = reg.sgd_step, []
 
-    def poisoning(run, grads, sgd):
-        real(run, grads, sgd)
+    def poisoning(run, grads, lr):
+        real(run, grads, lr)
         calls.append(None)
         if len(calls) == 4:  # 2 batches an epoch: epoch 1, batch 1
             run.weights[0][0, 0] = np.inf

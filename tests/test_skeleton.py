@@ -197,33 +197,35 @@ def test_default_hand_round_trips_packaged_file(hand):
 
 
 def test_clamp_zero_pose_unchanged(hand):
-    theta = np.zeros(hand.n_dofs)
+    theta = np.zeros((1, hand.n_dofs))
     assert np.array_equal(sk.clamp_pose(hand, theta), theta)
 
 
 def test_clamp_overrun_component(hand):
-    theta = np.zeros(hand.n_dofs)
+    theta = np.zeros((1, hand.n_dofs))
     d = 7  # a finger rotation
-    theta[d] = hand.dof_upper[d] + 0.5
+    theta[0, d] = hand.dof_upper[d] + 0.5
     clamped = sk.clamp_pose(hand, theta)
-    assert clamped[d] == hand.dof_upper[d]
+    assert clamped[0, d] == hand.dof_upper[d]
     mask = np.ones(hand.n_dofs, dtype=bool)
     mask[d] = False
-    assert np.array_equal(clamped[mask], theta[mask])
+    assert np.array_equal(clamped[:, mask], theta[:, mask])
 
 
 def test_clamp_in_range_is_fixpoint(hand, rng):
     for _ in range(20):
-        theta = sample_in_bounds(hand, rng)
+        theta = sample_in_bounds(hand, rng)[None]
         assert np.array_equal(sk.clamp_pose(hand, theta), theta)
 
 
 def test_clamp_idempotent(hand, rng):
-    theta = rng.normal(scale=5.0, size=hand.n_dofs)
+    theta = rng.normal(scale=5.0, size=(3, hand.n_dofs))
     once = sk.clamp_pose(hand, theta)
     assert np.array_equal(sk.clamp_pose(hand, once), once)
 
 
 def test_clamp_dimension_mismatch(hand):
-    with pytest.raises(ValueError, match="26"):
-        sk.clamp_pose(hand, np.zeros(25))
+    # only a batch of poses (N, D) is clamped
+    for shape in ((1, 25), (26,), (2, 1, 26)):
+        with pytest.raises(ValueError, match=r"is not a batch \(N, 26\)"):
+            sk.clamp_pose(hand, np.zeros(shape))
