@@ -10,13 +10,10 @@ from .skeleton import (  # noqa: F401
 )
 from .kinematics import fk_jacobian_batch, forward_kinematics_batch  # noqa: F401
 from .loss import joint_loss_batch, phy_loss_batch  # noqa: F401
-from .ik_pso import (  # noqa: F401
-    FitResult, PsoConfig, fit_batch,
-)
+from .ik_pso import FitResult, fit_batch  # noqa: F401
 from .bench import (  # noqa: F401
     Dataset, MetricsReport, benchmark_skeleton, evaluate, make_dataset,
 )
 from .regressor import (  # noqa: F401
-    MlpConfig, NumericalError, SgdConfig, TrainRun, load_checkpoint,
-    save_checkpoint, train,
+    MlpConfig, NumericalError, TrainRun, load_checkpoint, save_checkpoint, train,
 )

@@ -18,6 +18,12 @@ and manifest; the manifest's tasks list records which worker ran what,
 when, and its CPU seconds. main first fixes glibc's malloc thresholds
 (_set_malloc_thresholds), which reproduce's forked pool workers inherit.
 
+The training recipe of each mode is regressor's and the fitting recipe
+ik_pso's: module constants, which no flag overrides. A command sets only
+the epoch count, the fit budget (ik --iters, eval --fit-iters), sizes and
+seeds. The parser refuses a count flag (--epochs, --trials, --iters,
+--fit-iters, --fit-frames) below 1 before any file is read.
+
 Exit codes: 0 success; 1 validation or parse error; 2 numerical failure
 (non-finite values); 3 an acceptance-style check failed (gradcheck
 tolerance or a reproduce ordering).
@@ -61,6 +67,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+def count(text) -> int:
+    """The argparse type of a count flag: an integer, at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
+
+
 def _resolve_skeleton(path) -> sk.Skeleton:
     if path is None:
         return sk.default_hand()
@@ -83,9 +97,8 @@ def _read_dataset(path, skel) -> bench.Dataset:
 
 
 def _check_header_skeleton(path, kind, name, skel) -> None:
-    """Refuse a pose or joint file whose header names another skeleton; a
-    header without a skeleton= field is accepted."""
-    if name and name != skel.name:
+    """Refuse a pose or joint file whose header names another skeleton."""
+    if name != skel.name:
         raise ValueError(f"{path}: {kind} file was made for skeleton {name!r}, "
                          f"not {skel.name!r}")
 
@@ -212,8 +225,6 @@ def _gradcheck_net(skel, rng, samples):
 
 def cmd_gradcheck(args) -> int:
     skel = _resolve_skeleton(args.skeleton)
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     rng = np.random.default_rng(args.seed)
     fk_err = _gradcheck_fk(skel, rng, args.trials)
     loss_err = _gradcheck_loss(skel, rng, min(args.trials, 20))
@@ -230,10 +241,6 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ik(args) -> int:
     started = time.monotonic()
-    if args.iters < 1:
-        raise ValueError("--iters must be >= 1")
-    if args.swarm < 2:
-        raise ValueError("--swarm must be >= 2")
     skel = _resolve_skeleton(args.skeleton)
     name, frames = fileio.read_joint_file(args.targets)
     _check_header_skeleton(args.targets, "joint", name, skel)
@@ -247,10 +254,8 @@ def cmd_ik(args) -> int:
             f"{args.targets}: frames carry {frames.shape[1]} joints, expected "
             f"{n_eval} (eval subset) or {skel.n_joints} (all)"
         )
-    config = ik_pso.PsoConfig(swarm_size=args.swarm, iterations=args.iters,
-                              seed=args.seed)
     fit_started = time.monotonic()
-    result = ik_pso.fit_batch(skel, frames, config)
+    result = ik_pso.fit_batch(skel, frames, args.iters, args.seed)
     fit_s = time.monotonic() - fit_started
     fileio.write_pose_file(args.out, skel.name, result.theta)
     mean, var = ik_pso.residual_stats(result)
@@ -268,7 +273,7 @@ def cmd_ik(args) -> int:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     _write_manifest(_manifest_path(args.out), "ik",
-                    {"skeleton": skel.name, "swarm": args.swarm,
+                    {"skeleton": skel.name, "swarm": ik_pso.SWARM_SIZE,
                      "iters": args.iters},
                     args.seed, [args.targets], [args.out, report_path], started)
     print(f"ik: {len(result.theta)} frames, residual mean {mean!r} mm, "
@@ -296,12 +301,12 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.monotonic()
-    sgd = reg.SgdConfig(batch_size=args.batch, epochs=args.epochs)
     skel = _resolve_skeleton(args.skeleton)
     train_data = _read_dataset(args.train, skel)
     val_data = _read_dataset(args.val, skel) if args.val else None
     spec = reg.MODES[args.mode]
-    run = rp.train_mode(skel, args.mode, train_data, val_data, sgd, args.seed, args.out)
+    run = rp.train_mode(skel, args.mode, train_data, val_data, args.epochs, args.seed,
+                        args.out)
     reg.save_checkpoint(run, args.out, skel)
     if val_data is not None:
         last = run.history[-1]  # the validation stats of the saved weights
@@ -310,7 +315,7 @@ def cmd_train(args) -> int:
               f"{last.val_invalid_frac!r}")
     _write_manifest(_manifest_path(args.out), "train",
                     {"skeleton": skel.name, "mode": args.mode, "lr": spec.base_lr,
-                     "batch": args.batch, "epochs": args.epochs,
+                     "batch": reg.BATCH_SIZE, "epochs": args.epochs,
                      "lambda": spec.penalty},
                     args.seed, [args.train] + ([args.val] if args.val else []),
                     [args.out, rp.epochs_path(args.out)], started,
@@ -321,9 +326,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    # checked for every mode, though only a joint-emitting one fits IK
-    if args.fit_iters < 1:
-        raise ValueError("--fit-iters must be >= 1")
     skel = _resolve_skeleton(args.skeleton)
     run = rp.load_checkpoint_for(args.ckpt, skel)
     report = rp.score(run, skel, _read_dataset(args.data, skel), args.seed, args.fit_iters)
@@ -339,10 +341,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.fit_frames < 1:
-        raise ValueError("--fit-frames must be >= 1")
-    # refuses --epochs and --batch below 1 before any dataset is made
-    reg.SgdConfig(batch_size=args.batch, epochs=args.epochs)
     started = time.monotonic()
     # the interior margin undoes the benchmark skeleton's bound expansion;
     # a skeleton file's bounds are sampled whole
@@ -374,7 +372,7 @@ def cmd_reproduce(args) -> int:
                     {"skeleton": skel.name, "train_n": args.train_n,
                      "val_n": args.val_n, "sigma": args.sigma,
                      "occlusion": args.occlusion, "epochs": args.epochs,
-                     "batch": args.batch, "fit_frames": args.fit_frames,
+                     "batch": reg.BATCH_SIZE, "fit_frames": args.fit_frames,
                      "interior_margin": margin, "pose_shape": "central"},
                     args.seed, [], outputs, started, workers=workers, tasks=tasks,
                     peak_rss_mb={"parent": parent["peak_rss_mb"],
@@ -412,7 +410,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     add_skeleton(p)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -420,8 +418,7 @@ def build_parser() -> _Parser:
     add_skeleton(p)
     p.add_argument("--targets", required=True, help="joint file")
     p.add_argument("--out", required=True, help="pose file to write")
-    p.add_argument("--swarm", type=int, default=64)
-    p.add_argument("--iters", type=int, default=300)
+    p.add_argument("--iters", type=count, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ik)
 
@@ -443,13 +440,16 @@ def build_parser() -> _Parser:
                                    "mode fixes the base learning rate and the "
                                    "angle-range penalty weight (lambda): "
                                    + ", ".join(f"{m} {s.base_lr:g} and {s.penalty:g}"
-                                               for m, s in reg.MODES.items()) + ".")
+                                               for m, s in reg.MODES.items())
+                                   + f". Every mode runs the same staged schedule "
+                                   f"in mini-batches of {reg.BATCH_SIZE} with "
+                                   f"momentum {reg.MOMENTUM:g}; only the epoch "
+                                   f"count is set here.")
     add_skeleton(p)
     p.add_argument("--mode", choices=reg.MODES, default="ours")
     p.add_argument("--train", required=True, help="training dataset file")
     p.add_argument("--val", default=None, help="validation dataset file")
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--epochs", type=count, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.set_defaults(func=cmd_train)
@@ -460,7 +460,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="JSON report path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fit-iters", type=int, default=rp.FIT_ITERATIONS,
+    p.add_argument("--fit-iters", type=count, default=rp.FIT_ITERATIONS,
                    help="swarm iterations for direct_joint angle fitting")
     p.set_defaults(func=cmd_eval)
 
@@ -480,9 +480,8 @@ def build_parser() -> _Parser:
     p.add_argument("--val-n", type=int, default=2000)
     p.add_argument("--sigma", type=float, default=10.0)
     p.add_argument("--occlusion", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--fit-frames", type=int, default=2000,
+    p.add_argument("--epochs", type=count, default=300)
+    p.add_argument("--fit-frames", type=count, default=2000,
                    help="val frames to fit for direct_joint angle metrics")
     p.set_defaults(func=cmd_reproduce)
 

@@ -12,14 +12,16 @@ A text file is a line-oriented table with a single header line:
            entries (mm per unit of each DOF) comma-separated in row-major
            order (joint, then axis, then DOF); written, never read back
 
-Every row has the header's width (dims=, or 3 x joints=), else the first
-row's, which for joints must be a multiple of 3. A header with no rows is
-zero records of the header's width: (0, K, 3) frames or (0, D) poses. A
-zero-byte file is zero records of width zero, or of the caller's expected
-width of poses. Reading streams the file line by line and holds only the
-parsed array. Floats are written with repr (shortest round-trip), so write
--> read -> write is byte-stable. A non-finite value (nan, inf) is refused.
-Parse errors carry 1-based line numbers.
+A pose or joint header holds skeleton= (a non-empty name) and dims= or
+joints= (an integer >= 0), each exactly once; a header that lacks one,
+repeats one, holds another field or a malformed value is refused, naming
+the field. Every row has the header's width (dims=, or 3 x joints=). A
+header with no rows is zero records: (0, K, 3) frames or (0, D) poses. A
+zero-byte file has no header and is refused. Reading streams the file line
+by line and holds only the parsed array. Floats are written with repr
+(shortest round-trip), so write -> read -> write is byte-stable. A
+non-finite value (nan, inf) is refused. Parse errors carry 1-based line
+numbers.
 
 A dataset is one uncompressed .npz file, read with allow_pickle=False, of
 float64 members features (N, 3 * n_eval) and thetas (N, D), and meta, a 0-d
@@ -33,12 +35,12 @@ the same dataset gives the same bytes.
 from __future__ import annotations
 
 import json
-import math
 import zipfile
 
 import numpy as np
 
 from .bench import Dataset
+from .skeleton import finite_number
 
 POSES_MAGIC = "kinedeep-poses"
 JOINTS_MAGIC = "kinedeep-joints"
@@ -52,14 +54,6 @@ class FileFormatError(ValueError):
     """A data file violates its documented format."""
 
 
-def _finite_number(value) -> bool:
-    try:  # true and false are not numbers
-        return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -67,8 +61,8 @@ def _integer(value) -> bool:
 # what each field of a dataset's meta record must be, in Dataset's order
 _META_FIELDS = {
     "skeleton": lambda value: isinstance(value, str) and value != "",
-    "sigma_mm": _finite_number,
-    "occlusion": _finite_number,
+    "sigma_mm": finite_number,
+    "occlusion": finite_number,
     "seed": _integer,
     "n": _integer,
 }
@@ -82,37 +76,53 @@ def _write_table(path, header: str, rows) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _read_header(path, line, magic, width_key) -> tuple:
+    """(skeleton name, count) of the header line
+    "# <magic> v1 skeleton=<name> <width_key>=<count>"."""
+    parts = line.lstrip("#").split()
+    if parts[:2] != [magic, "v1"]:
+        raise FileFormatError(f"{path}: expected a '{magic} v1' header on line 1")
+    fields = {}
+    for token in parts[2:]:
+        key, _, value = token.partition("=")
+        if key not in ("skeleton", width_key):
+            raise FileFormatError(f"{path}: unknown header field {key!r}, expected "
+                                  f"skeleton= and {width_key}=")
+        if key in fields:
+            raise FileFormatError(f"{path}: header field {key}= is repeated")
+        fields[key] = value
+    for key, valid, expected in (
+            ("skeleton", lambda v: v != "", "a non-empty name"),
+            (width_key, lambda v: v.isascii() and v.isdigit(), "an integer >= 0")):
+        if key not in fields:
+            raise FileFormatError(f"{path}: header field {key}= is missing")
+        if not valid(fields[key]):
+            raise FileFormatError(f"{path}: malformed header field "
+                                  f"{key}={fields[key]!r}, expected {expected}")
+    return fields["skeleton"], int(fields[width_key])
+
+
 def _read_table(path, magic, width_key, unit):
-    """(header fields, (N, width) array), line by line. The width is the header's
-    `width_key` field times `unit`, else the first row's, a multiple of `unit`."""
+    """(skeleton name, (N, width) array), line by line; the width is the
+    header's `width_key` field times `unit`."""
     rows = []
     with open(path) as fh:
-        header = fh.readline()
-        parts = header.lstrip("#").split()
-        if header and parts[:2] != [magic, "v1"]:
-            raise FileFormatError(f"{path}: expected a '{magic} v1' header on line 1")
-        try:  # width is None until the first row sets it
-            fields = dict(tok.split("=", 1) for tok in parts[2:])
-            width = int(fields[width_key]) * unit if width_key in fields else None
-        except ValueError:
-            raise FileFormatError(f"{path}: malformed header {header.strip()!r}") from None
+        name, count = _read_header(path, fh.readline(), magic, width_key)
+        width = count * unit
         for line_no, line in enumerate(fh, start=2):
             if not line.strip() or line.startswith("#"):
                 continue
             tokens = line.rstrip("\n").split(",")
-            if width is None and len(tokens) % unit == 0:
-                width = len(tokens)
             if len(tokens) != width:
-                want = f"a multiple of {unit}" if width is None else width
                 raise FileFormatError(
-                    f"{path}: line {line_no} has {len(tokens)} values, expected {want}")
+                    f"{path}: line {line_no} has {len(tokens)} values, expected {width}")
             try:
                 rows.append(np.array(tokens, dtype=float))
             except ValueError:
                 raise FileFormatError(f"{path}: malformed number on line {line_no}") from None
             if not np.isfinite(rows[-1]).all():
                 raise FileFormatError(f"{path}: non-finite value on line {line_no}")
-    return fields, np.stack(rows) if rows else np.zeros((0, width or 0))
+    return name, np.stack(rows) if rows else np.zeros((0, width))
 
 
 def write_pose_file(path, skeleton_name: str, poses) -> None:
@@ -124,13 +134,11 @@ def write_pose_file(path, skeleton_name: str, poses) -> None:
 
 def read_pose_file(path, expected_dims):
     """Returns (skeleton name, poses (N, expected_dims)); N may be zero."""
-    fields, poses = _read_table(path, POSES_MAGIC, "dims", 1)
+    name, poses = _read_table(path, POSES_MAGIC, "dims", 1)
     if poses.shape[1] != expected_dims:
-        if poses.shape[1]:
-            raise FileFormatError(
-                f"{path}: poses carry {poses.shape[1]} values, expected {expected_dims}")
-        poses = np.zeros((0, expected_dims))
-    return fields.get("skeleton", ""), poses
+        raise FileFormatError(
+            f"{path}: poses carry {poses.shape[1]} values, expected {expected_dims}")
+    return name, poses
 
 
 def write_joint_file(path, skeleton_name: str, joints) -> None:
@@ -143,8 +151,8 @@ def write_joint_file(path, skeleton_name: str, joints) -> None:
 
 def read_joint_file(path):
     """Returns (skeleton name, frames (N, K, 3)); N may be zero."""
-    fields, flat = _read_table(path, JOINTS_MAGIC, "joints", 3)
-    return fields.get("skeleton", ""), flat.reshape(flat.shape[0], flat.shape[1] // 3, 3)
+    name, flat = _read_table(path, JOINTS_MAGIC, "joints", 3)
+    return name, flat.reshape(flat.shape[0], flat.shape[1] // 3, 3)
 
 
 def write_jacobian_file(path, skeleton_name: str, shape, jacobians) -> None:

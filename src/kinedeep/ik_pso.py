@@ -27,15 +27,19 @@ one stacked solve. Each frame stops on its own: its swarm at ``TOL_MM``,
 its later phases once it converged, its polish when no damping gives
 descent. Frames go through in chunks of at most ``_CHUNK_POSES`` particles.
 
-Each frame draws from a stream seeded with ``config.seed``, in the order a
-fit of that frame alone would. Frames whose streams are in the same state
+A fit's recipe is the module constants: ``SWARM_SIZE`` particles per
+frame, ``PHASE_ITERATIONS`` and ``POLISH_STEPS``. Only the iteration budget
+and the seed are the caller's.
+
+Each frame draws from a stream seeded with ``seed``, in the order a fit
+of that frame alone would. Frames whose streams are in the same state
 (every frame, until one stops early) share one generator and so one draw
 per iteration; a frame that stops while others of its group draw on keeps
 a copy of the state. Kinematics returns every batch in the same layout,
 the per-frame products are computed pose by pose, and ties in
-best-selection resolve to the lowest particle index. A frame's
-result is therefore reproducible bit for bit given (seed, config, target),
-and does not depend on the other frames in the call or on the chunking.
+best-selection resolve to the lowest particle index. A frame's result is
+therefore reproducible bit for bit given (seed, iterations, target), and
+does not depend on the other frames in the call or on the chunking.
 """
 from __future__ import annotations
 
@@ -48,7 +52,7 @@ from .kinematics import fk_jacobian_batch, forward_kinematics_batch
 from .skeleton import Skeleton, clamp_pose
 
 # Most particles fitted together: frames go through in chunks of
-# _CHUNK_POSES // swarm_size, which keeps peak memory flat in the number of
+# _CHUNK_POSES // SWARM_SIZE, which keeps peak memory flat in the number of
 # frames. Results do not depend on it.
 _CHUNK_POSES = 4096
 
@@ -56,23 +60,11 @@ _CHUNK_POSES = 4096
 INERTIA = 0.72
 COGNITIVE = 1.49
 SOCIAL = 1.49
+SWARM_SIZE = 64           # particles per frame in each swarm phase
 TOL_MM = 0.1              # a frame stops once its residual reaches this
 PHASE_ITERATIONS = 75     # budget slice per restart phase
 POLISH_STEPS = 50         # Gauss-Newton steps after each swarm phase
 MAX_VELOCITY_FRAC = 0.5   # velocity clamp as fraction of range
-
-
-@dataclass(frozen=True)
-class PsoConfig:
-    swarm_size: int = 64
-    iterations: int = 300              # total swarm iterations across phases
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.swarm_size < 2:
-            raise ValueError("swarm_size must be >= 2")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
 
 
 @dataclass
@@ -128,7 +120,7 @@ def _detach(rngs, stopped, going_on):
             rngs[f] = copies[gen]
 
 
-def _swarm_phase(obj, rngs, frames, config, budget):
+def _swarm_phase(obj, rngs, frames, budget):
     """One swarm run for each frame index in `frames`.
 
     Frames whose ``rngs`` entry is the same generator are in the same state,
@@ -140,7 +132,7 @@ def _swarm_phase(obj, rngs, frames, config, budget):
     """
     skel = obj.skel
     lower, upper = skel.dof_lower, skel.dof_upper
-    S, D = config.swarm_size, skel.n_dofs
+    S, D = SWARM_SIZE, skel.n_dofs
 
     gens, groups = _streams(rngs, frames)
     X = np.stack([gen.uniform(lower, upper, size=(S, D)) for gen in gens])[groups]
@@ -287,15 +279,15 @@ def _gauss_newton_polish(obj, frames, theta, steps):
     return theta, value, residual
 
 
-def _fit_chunk(skel, targets, config):
-    """Fit every frame of `targets` ((F, n_eval, 3)) with the same config;
-    returns (theta (F, D), residual (F,), iterations used (F,))."""
+def _fit_chunk(skel, targets, iterations, seed):
+    """Fit every frame of `targets` ((F, n_eval, 3)) with the same budget
+    and seed; returns (theta (F, D), residual (F,), iterations used (F,))."""
     F, D = len(targets), skel.n_dofs
     obj = _Objective(skel, targets)
     # every frame starts in the same state, so one generator serves all until
     # a frame stops inside a swarm phase (_detach); a frame that skips a
     # phase has converged and never draws again
-    rngs = [np.random.default_rng(config.seed)] * F
+    rngs = [np.random.default_rng(seed)] * F
     everyone = np.arange(F)
 
     best_theta = np.zeros((F, D))
@@ -303,14 +295,14 @@ def _fit_chunk(skel, targets, config):
     best_res = np.full(F, np.inf)
     used_total = np.zeros(F, dtype=int)
 
-    budget = config.iterations
+    budget = iterations
     while budget > 0:
         # a converged frame skips the remaining phases
         frames = everyone[best_res > TOL_MM]
         if frames.size == 0:
             break
         phase_budget = min(PHASE_ITERATIONS, budget)
-        theta, fit, res, used = _swarm_phase(obj, rngs, frames, config, phase_budget)
+        theta, fit, res, used = _swarm_phase(obj, rngs, frames, phase_budget)
         budget -= phase_budget
         used_total[frames] += used
         theta, fit, res = _gauss_newton_polish(obj, frames, theta, POLISH_STEPS)
@@ -323,18 +315,20 @@ def _fit_chunk(skel, targets, config):
     return best_theta, best_res, used_total
 
 
-def fit_batch(skel: Skeleton, targets, config: PsoConfig) -> FitResult:
+def fit_batch(skel: Skeleton, targets, iterations: int, seed: int) -> FitResult:
     """Fit each frame's pose to its target joints.
 
     `targets` is (F, n_eval, 3) mm, one frame's eval joints per row. A
     target may be a joint set no pose reaches, such as a regressor's
     prediction; the residual then measures how far it is from achievable
-    geometry. Each phase of the budget runs at most PHASE_ITERATIONS swarm
-    iterations. Returns one FitResult whose row f is frame f's outcome. A
-    frame's result never depends on the other frames in the call: it equals
-    a fit of that frame alone, bit for bit. Every frame reuses the same
-    config seed, so identical targets produce identical results.
+    geometry. `iterations` is the swarm budget across all phases; each
+    phase runs at most PHASE_ITERATIONS of it. Returns one FitResult whose
+    row f is frame f's outcome. A frame's result never depends on the other
+    frames in the call: it equals a fit of that frame alone, bit for bit. Every frame reuses the same
+    seed, so identical targets produce identical results.
     """
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     targets = np.asarray(targets, dtype=float)
     n_eval = len(skel.eval_subset)
     if targets.shape[:1] == (0,):
@@ -344,8 +338,8 @@ def fit_batch(skel: Skeleton, targets, config: PsoConfig) -> FitResult:
                          f"subset: (frames, {n_eval}, 3)")
     if not np.all(np.isfinite(targets)):
         raise ValueError("targets contain non-finite values")
-    per_chunk = max(1, _CHUNK_POSES // config.swarm_size)
-    chunks = [_fit_chunk(skel, targets[start:start + per_chunk], config)
+    per_chunk = max(1, _CHUNK_POSES // SWARM_SIZE)
+    chunks = [_fit_chunk(skel, targets[start:start + per_chunk], iterations, seed)
               for start in range(0, len(targets), per_chunk)]
     theta, residual, used = (np.concatenate(part) for part in zip(*chunks))
     return FitResult(theta, residual, used, residual <= TOL_MM)

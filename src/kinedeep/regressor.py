@@ -3,10 +3,12 @@
 The network is a plain ReLU MLP (linear output). The paper's four training
 modes differ only in how that output is read and trained; ``MODES`` below is
 the one place that describes them, and a mode's row fixes its learning rate
-and its angle-range penalty weight.
+and its angle-range penalty weight. The row, the schedule ``STAGES``,
+``MOMENTUM`` and ``BATCH_SIZE`` are the whole training recipe; only the
+epoch count is the caller's.
 
 Optimization is stochastic gradient descent with momentum, single-threaded
-and bitwise deterministic given (seed, data, config). ``input_scale``
+and bitwise deterministic given (seed, data, epochs). ``input_scale``
 rescales raw mm features once at the input; it is part of the architecture
 and of checkpoints (raw joint coordinates span hundreds of mm, which makes
 first-layer steps disproportionate at any single learning rate).
@@ -43,6 +45,7 @@ CHECKPOINT_FORMAT = "kinedeep-checkpoint"
 CHECKPOINT_VERSION = 3  # 3: .npy layer records; 2: all JSON; 1: no skeleton
 OUTPUT_GAIN = 50.0  # fixed output gain of the pose- and joint-regressing modes
 MOMENTUM = 0.9  # SGD momentum of every mode and stage
+BATCH_SIZE = 64  # SGD mini-batch size of every mode and stage
 # Inference runs in row blocks of at least this many rows (fewer only when
 # there are fewer). OpenBLAS 0.3.31 rounds differently (~5e-14) in its
 # small-matrix kernel, taken when M*K*N <= 1e6: measured against a 2000-row
@@ -63,8 +66,8 @@ class Mode:
     penalty        the weight (lambda) of the angle-range penalty in the loss
     base_lr        base learning rate of the training schedule
 
-    The row is the mode's whole training recipe: nothing else sets its rate
-    or its penalty weight.
+    With STAGES, MOMENTUM and BATCH_SIZE the row is the mode's whole
+    training recipe: nothing else sets its rate or its penalty weight.
     """
 
     emits_pose: bool
@@ -141,18 +144,6 @@ class MlpConfig:
             if not all(0.0 < s < math.inf for s in scale):
                 raise ValueError("output_scale entries must be positive and finite")
             object.__setattr__(self, "output_scale", scale)
-
-
-@dataclass(frozen=True)
-class SgdConfig:
-    batch_size: int
-    epochs: int
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
 
 
 @dataclass
@@ -373,12 +364,12 @@ def validation_stats(run: TrainRun, dataset, skel: Skeleton, true_joints):
             report.invalid_pose_fraction)
 
 
-def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
+def train(run: TrainRun, dataset, skel: Skeleton, epochs: int,
           val, on_epoch) -> TrainRun:
-    """Mini-batch SGD through the stages of the schedule, STAGES.
+    """Mini-batch SGD, BATCH_SIZE rows a batch, through the stages of STAGES.
 
     Stage (f_lr, f_ep) runs at f_lr times the mode's base_lr for
-    max(1, round(f_ep * sgd.epochs)) epochs. Each stage starts
+    max(1, round(f_ep * epochs)) epochs. Each stage starts
     the shuffle from the same seed and ends early when the best validation
     joint error of its last 10 epochs improves on its earlier best by less
     than 0.1%; momentum carries across stages. The penalty weight is the
@@ -393,6 +384,8 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
     the epoch's last batch gradient, the validation metrics (with `val`;
     NaN as None) and the epoch's wall seconds.
     """
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
     if len(dataset) == 0:
         raise ValueError("training dataset is empty")
     mode = MODES[run.mode]
@@ -407,14 +400,14 @@ def train(run: TrainRun, dataset, skel: Skeleton, sgd: SgdConfig,
         lr = mode.base_lr * frac_lr
         rng = np.random.default_rng([run.config.seed, 1])
         val_errors = []
-        for _ in range(max(1, int(round(frac_ep * sgd.epochs)))):
+        for _ in range(max(1, int(round(frac_ep * epochs)))):
             epoch_started = time.monotonic()
             epoch = len(run.history)
             order = rng.permutation(n)
             epoch_losses = []
-            for start in range(0, n, sgd.batch_size):
-                batch = start // sgd.batch_size
-                idx = order[start:start + sgd.batch_size]
+            for start in range(0, n, BATCH_SIZE):
+                batch = start // BATCH_SIZE
+                idx = order[start:start + BATCH_SIZE]
                 feats = dataset.features[idx]
                 tgt = targets[idx]
                 grads = None  # one gradient set alive at a time
@@ -560,7 +553,8 @@ def load_checkpoint(path) -> TrainRun:
             config = MlpConfig(tuple(mlp["layer_widths"]), seed=int(mlp["seed"]),
                                input_scale=float(mlp["input_scale"]),
                                input_clip_abs=mlp.get("input_clip_abs"),
-                               output_scale=tuple(mlp["output_scale"] or ()) or None)
+                               output_scale=None if mlp["output_scale"] is None
+                               else tuple(mlp["output_scale"]))
         except ValueError as e:
             raise ValueError(f"{path}: header field mlp: {e}") from None
         widths = config.layer_widths

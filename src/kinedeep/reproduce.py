@@ -16,6 +16,9 @@ errors. Both are pure functions of the reports.
 
 train_mode, score and load_checkpoint_for are the training, scoring and
 checkpoint-loading steps that the train and eval commands share with run.
+The training and fitting recipes are regressor's and ik_pso's constants;
+run sets only the epoch count, the fit budget (FIT_ITERATIONS), the number
+of frames fitted, the dataset sizes and the seed.
 """
 from __future__ import annotations
 
@@ -58,9 +61,10 @@ def load_checkpoint_for(path, skel) -> reg.TrainRun:
     return run
 
 
-def train_mode(skel, mode, train_data, val_data, sgd, seed, ckpt_path):
-    """A fresh network of `mode`, trained by `sgd`, its epochs recorded one
-    JSON line each beside the checkpoint path."""
+def train_mode(skel, mode, train_data, val_data, epochs, seed, ckpt_path):
+    """A fresh network of `mode`, trained for `epochs` by the mode's
+    recipe, its epochs recorded one JSON line each beside the checkpoint
+    path."""
     spec = reg.MODES[mode]
     cfg = reg.MlpConfig(
         layer_widths=(train_data.features.shape[1], 256, 256, spec.output_width(skel)),
@@ -69,7 +73,7 @@ def train_mode(skel, mode, train_data, val_data, sgd, seed, ckpt_path):
     )
     # line-buffered: each epoch is on disk when it ends
     with open(epochs_path(ckpt_path), "w", buffering=1) as fh:
-        return reg.train(reg.init(cfg, mode), train_data, skel, sgd, val=val_data,
+        return reg.train(reg.init(cfg, mode), train_data, skel, epochs, val=val_data,
                          on_epoch=lambda record: fh.write(json.dumps(record) + "\n"))
 
 
@@ -85,8 +89,7 @@ def score(run, skel, data, seed, fit_iterations, fit_frames=None) -> bench.Metri
     # neither the network nor the unfitted rows stay alive through the fit
     del run
     predictions = predictions[:fit_frames].copy()
-    fit_cfg = ik_pso.PsoConfig(seed=seed, iterations=fit_iterations)
-    fitted = ik_pso.fit_batch(skel, predictions, fit_cfg).theta
+    fitted = ik_pso.fit_batch(skel, predictions, fit_iterations, seed).theta
     return bench.evaluate(skel, predictions, data.thetas[:len(predictions)],
                           fitted_poses=fitted)
 
@@ -98,8 +101,7 @@ def reproduce_mode(mode, skel, train_data, val_data, args):
     reproduce_fit scores from its checkpoint.
     """
     ckpt = mode_checkpoint(args.out, mode)
-    sgd = reg.SgdConfig(batch_size=args.batch, epochs=args.epochs)
-    run = train_mode(skel, mode, train_data, None, sgd, args.seed, ckpt)
+    run = train_mode(skel, mode, train_data, None, args.epochs, args.seed, ckpt)
     reg.save_checkpoint(run, ckpt, skel)
     if reg.MODES[mode].emits_pose:
         return score(run, skel, val_data, args.seed, FIT_ITERATIONS)

@@ -350,15 +350,19 @@ class Skeleton:
         return {"name": self.name, "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
+def finite_number(value) -> bool:
+    """Whether `value` is a finite JSON number; true and false are not."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _finite(value, where: str, key: str):
     """`value` if it is a finite JSON number, else a SkeletonError naming
     where it is and its key."""
-    try:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value))
-    except OverflowError:  # an integer beyond the float range
-        ok = False
-    if not ok:
+    if not finite_number(value):
         raise SkeletonError(f"{where}: {key} must be a finite number, not {value!r}")
     return value
 

@@ -9,7 +9,8 @@ frame conventions.
 Jacobian, the reference for the reverse-mode gradient of `kinedeep.loss`.
 
 `sequential_fit_pose` / `sequential_fit_batch` are the original one-frame-at-
-a-time swarm + Gauss-Newton fitter, kept verbatim as the reference that the
+a-time swarm + Gauss-Newton fitter, kept verbatim but for its swarm size,
+which it reads from `ik_pso.SWARM_SIZE`, as the reference that the
 frame-batched `kinedeep.ik_pso` must match bit for bit.
 
 `mlp_forward_acts` and `mlp_backprop` are the MLP forward and backward
@@ -25,9 +26,10 @@ row-blocked `reg.forward` must match bit for bit.
 `per_stage_train` is the staged learning-rate schedule as six calls of
 `flat_train`, one per stage, the way the command line ran it before
 `reg.train` ran the stages itself; `flat_train` is the one-stage
-`reg.train` of that time, kept verbatim but for its rate, an argument, and
-its penalty weight, which it reads from the mode's row. The staged `reg.train` must match
-it bit for bit.
+`reg.train` of that time, kept verbatim but for its rate, an argument, its
+penalty weight, which it reads from the mode's row, and its batch size,
+which it reads from `reg.BATCH_SIZE`. The staged `reg.train` must match it
+bit for bit.
 
 `one_pass_make_dataset` is `bench.make_dataset` as it was when forward
 kinematics ran over all n poses in one call, kept verbatim (less its
@@ -220,12 +222,12 @@ class _SequentialObjective:
         return float(loss[0]), float(per_joint[0])
 
 
-def _sequential_swarm_phase(obj, rng, config, budget):
+def _sequential_swarm_phase(obj, rng, budget):
     """One swarm run; returns (theta, loss, residual, iterations used)."""
     skel = obj.skel
     lower, upper = skel.dof_lower, skel.dof_upper
     span = upper - lower
-    S, D = config.swarm_size, skel.n_dofs
+    S, D = ik_pso.SWARM_SIZE, skel.n_dofs
 
     X = rng.uniform(lower, upper, size=(S, D))
     V = np.zeros((S, D))
@@ -302,24 +304,22 @@ def _sequential_polish(obj, theta, steps):
     return theta, value, residual
 
 
-def sequential_fit_pose(skel, target, config=None):
+def sequential_fit_pose(skel, target, iterations, seed):
     """Fit a pose whose eval joints match `target` ((n_eval, 3) mm); returns
     (theta, residual_mm, iterations_used, converged)."""
-    config = config or ik_pso.PsoConfig()
     target = np.asarray(target, dtype=float).reshape(len(skel.eval_subset), 3)
     obj = _SequentialObjective(skel, target)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
 
     best_theta = None
     best_fit = np.inf
     best_res = np.inf
-    budget = config.iterations
+    budget = iterations
     used_total = 0
 
     while budget > 0 and best_res > ik_pso.TOL_MM:
         phase_budget = min(ik_pso.PHASE_ITERATIONS, budget)
-        theta, fit, res, used = _sequential_swarm_phase(
-            obj, rng, config, phase_budget)
+        theta, fit, res, used = _sequential_swarm_phase(obj, rng, phase_budget)
         budget -= phase_budget
         used_total += used
         if ik_pso.POLISH_STEPS > 0:
@@ -330,14 +330,13 @@ def sequential_fit_pose(skel, target, config=None):
     return best_theta, best_res, used_total, best_res <= ik_pso.TOL_MM
 
 
-def sequential_fit_batch(skel, targets, config=None):
+def sequential_fit_batch(skel, targets, iterations, seed):
     """Fit each frame on its own; row f of the FitResult is frame f's fit.
 
-    Every frame reuses the same config seed, so identical targets produce
-    identical results.
+    Every frame reuses the same seed, so identical targets produce identical
+    results.
     """
-    config = config or ik_pso.PsoConfig()
-    results = [sequential_fit_pose(skel, target, config) for target in targets]
+    results = [sequential_fit_pose(skel, target, iterations, seed) for target in targets]
     if not results:
         raise ValueError("fit_batch needs at least one target frame")
     return ik_pso.FitResult(*(np.array(field) for field in zip(*results)))
@@ -393,9 +392,9 @@ def mlp_backprop(run, acts, pre, delta):
     return grads_w, grads_b
 
 
-def flat_train(run, dataset, skel, sgd, lr, val=None):
-    """The one-stage `reg.train`, at rate `lr`, as it was before it ran the
-    stages itself."""
+def flat_train(run, dataset, skel, epochs, lr, val=None):
+    """The one-stage `reg.train`, at rate `lr` in batches of
+    `reg.BATCH_SIZE`, as it was before it ran the stages itself."""
     if len(dataset) == 0:
         raise ValueError("training dataset is empty")
     mode = reg.MODES[run.mode]
@@ -408,12 +407,12 @@ def flat_train(run, dataset, skel, sgd, lr, val=None):
     rng = np.random.default_rng([run.config.seed, 1])
     n = len(dataset)
     val_errors = []
-    for epoch in range(sgd.epochs):
+    for epoch in range(epochs):
         order = rng.permutation(n)
         epoch_losses = []
-        for start in range(0, n, sgd.batch_size):
-            batch = start // sgd.batch_size
-            idx = order[start:start + sgd.batch_size]
+        for start in range(0, n, reg.BATCH_SIZE):
+            batch = start // reg.BATCH_SIZE
+            idx = order[start:start + reg.BATCH_SIZE]
             feats = dataset.features[idx]
             tgt = targets[idx]
             try:
@@ -469,13 +468,12 @@ def _stages(base_lr, epochs):
     return out
 
 
-def per_stage_train(run, train_data, skel, base_lr, batch, epochs, val_data=None):
+def per_stage_train(run, train_data, skel, base_lr, epochs, val_data=None):
     """Train `run` through the schedule; returns the epochs each stage ran."""
     ran = []
     for lr, ep in _stages(base_lr, epochs):
-        sgd = reg.SgdConfig(batch_size=batch, epochs=ep)
         before = len(run.history)
-        flat_train(run, train_data, skel, sgd, lr, val=val_data)
+        flat_train(run, train_data, skel, ep, lr, val=val_data)
         ran.append(len(run.history) - before)
     return ran
 

@@ -241,8 +241,7 @@ def test_evaluate_joint_predictions_with_fit(hand):
     data = bench.make_dataset(hand, n=3, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=11,
                               interior_margin=0.0, pose_shape="uniform")
     joints = bench.eval_joints(hand, data.thetas)
-    cfg = ik_pso.PsoConfig(seed=1, iterations=150)
-    fitted = ik_pso.fit_batch(hand, joints, cfg).theta
+    fitted = ik_pso.fit_batch(hand, joints, 150, 1).theta
     report = bench.evaluate(hand, joints, data.thetas, fitted_poses=fitted)
     assert report.avg_joint_error_mm == 0.0  # joint metrics use the joints directly
     assert report.invalid_pose_fraction == 0.0  # fitted poses are clamped

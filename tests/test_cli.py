@@ -55,13 +55,34 @@ def test_fk_rest_pose_matches_fixture(hand, tmp_path):
     assert np.allclose(frames[0], np.array(table), atol=1e-9)
 
 
-def test_fk_empty_pose_file(tmp_path):
+def test_fk_empty_pose_file(tmp_path, capsys):
+    # a zero-byte file has no header; it used to read as zero poses
     path = tmp_path / "empty.csv"
     path.write_text("")
     out = tmp_path / "joints.csv"
-    assert run_cli("fk", "--poses", str(path), "--out", str(out)) == 0
-    _, frames = fileio.read_joint_file(out)
-    assert frames.shape[0] == 0
+    assert run_cli("fk", "--poses", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == \
+        f"error: {path}: expected a 'kinedeep-poses v1' header on line 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fields, names", [
+    ("dims=26", "skeleton= is missing"),
+    ("skeleton=hand23 dimz=26", "unknown header field 'dimz'"),
+    ("skeleton=hand23 dims=-2", "header field dims='-2'"),
+    ("skeleton=hand23 dims=26 skeleton=hand23", "skeleton= is repeated"),
+], ids=["no_skeleton", "misspelt_dims", "negative_dims", "repeated_skeleton"])
+def test_fk_refuses_a_malformed_pose_header(tmp_path, capsys, fields, names):
+    # no_skeleton and misspelt_dims used to exit 0, and a header-only file
+    # with dims=-2 exited 1 with numpy's "negative dimensions are not
+    # allowed", naming no path
+    path = tmp_path / "poses.csv"
+    path.write_text(f"# kinedeep-poses v1 {fields}\n" + ",".join(["0.0"] * 26) + "\n")
+    out = tmp_path / "joints.csv"
+    assert run_cli("fk", "--poses", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and names in err, err
+    assert not out.exists()
 
 
 def test_fk_malformed_line_exits_1(tmp_path, capsys):
@@ -122,6 +143,8 @@ def test_ik_recovers_pose(hand, rng, tmp_path):
     assert len(report["residual_mm"]) == len(report["iterations_used"]) == 1
     assert report["residual_mm"][0] == report["residual_mean_mm"]
     assert report["converged"] == [report["residual_mm"][0] <= ik_pso.TOL_MM]
+    manifest = json.loads((tmp_path / "fit.csv.manifest.json").read_text())
+    assert manifest["config"]["swarm"] == ik_pso.SWARM_SIZE == 64
 
 
 def test_ik_no_target_frames_exits_1(hand, tmp_path, capsys):
@@ -141,7 +164,8 @@ def test_ik_refuses_a_zero_byte_joint_file(tmp_path, capsys):
     targets.write_text("")
     out = tmp_path / "fit.csv"
     assert run_cli("ik", "--targets", str(targets), "--out", str(out)) == 1
-    assert capsys.readouterr().err == f"error: {targets}: no frames to fit\n"
+    assert capsys.readouterr().err == \
+        f"error: {targets}: expected a 'kinedeep-joints v1' header on line 1\n"
     assert not out.exists()
 
 
@@ -186,20 +210,20 @@ def test_ik_refuses_frames_of_another_joint_count(hand, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value, message", [("--iters", "0", "--iters must be >= 1"),
-                                                  ("--swarm", "1", "--swarm must be >= 2")])
-def test_ik_refuses_bad_iters_and_swarm_before_reading_targets(hand, tmp_path, capsys,
-                                                               flag, value, message):
-    # both used to be refused only after the targets were read, by
-    # PsoConfig, with a message that did not name the flag
-    targets = tmp_path / "targets.csv"
-    fileio.write_joint_file(targets, hand.name,
-                            kin.forward_kinematics_batch(hand, np.zeros((1, hand.n_dofs))))
-    out = tmp_path / "fit.csv"
-    for path in (targets, tmp_path / "missing.csv"):  # nothing is read
-        assert run_cli("ik", "--targets", str(path), "--out", str(out), flag, value) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
+@pytest.mark.parametrize("argv, flag", [
+    ("train --train {missing} --epochs 0 --out {tmp}/run.ckpt", "--epochs"),
+    ("reproduce --train-n 50 --val-n 20 --epochs 0 --out {tmp}/run", "--epochs"),
+    ("gradcheck --skeleton {missing} --trials 0", "--trials"),
+    ("ik --targets {missing} --iters 0 --out {tmp}/fit.csv", "--iters"),
+], ids=["train-epochs", "reproduce-epochs", "gradcheck-trials", "ik-iters"])
+def test_count_flag_below_1_exits_1_before_any_input(tmp_path, capsys, argv, flag):
+    # the parser refuses it, naming the flag, before any file is read, any
+    # dataset made or any output written
+    argv = argv.format(missing=tmp_path / "missing", tmp=tmp_path).split()
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: kinedeep {argv[0]}: argument {flag}: must be >= 1, not 0\n"
+    assert captured.out == "" and not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["fk", "jacobian"])
@@ -227,14 +251,14 @@ def test_ik_refuses_joint_file_of_another_skeleton(hand, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_synth_train_eval_pipeline(tmp_path):
+def test_synth_train_eval_pipeline(tmp_path, monkeypatch):
+    monkeypatch.setattr(reg, "BATCH_SIZE", 16)
     data = tmp_path / "data.csv"
     assert run_cli("synth", "--n", "64", "--sigma", "5", "--occlusion", "0.0",
                    "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "run.ckpt.json"
     assert run_cli("train", "--mode", "ours_no_phy", "--train", str(data),
-                   "--epochs", "4", "--batch", "16",
-                   "--seed", "2", "--out", str(ckpt)) == 0
+                   "--epochs", "4", "--seed", "2", "--out", str(ckpt)) == 0
     run = reg.load_checkpoint(ckpt)
     assert run.mode == "ours_no_phy"
     assert len(run.history) >= 4  # staged plan rounds each stage up to >= 1
@@ -260,14 +284,15 @@ def test_synth_train_eval_pipeline(tmp_path):
         [float(t) for t in bench.THRESHOLDS_MM]
 
 
-def test_direct_joint_eval_fits_angles(tmp_path):
+def test_direct_joint_eval_fits_angles(tmp_path, monkeypatch):
+    monkeypatch.setattr(reg, "BATCH_SIZE", 4)
     data = tmp_path / "data.csv"
     assert run_cli("synth", "--n", "12", "--sigma", "5", "--occlusion", "0.0",
                    "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "dj.ckpt.json"
     assert run_cli("train", "--mode", "direct_joint", "--train", str(data),
-                   "--val", str(data), "--epochs", "2", "--batch", "4",
-                   "--seed", "2", "--out", str(ckpt)) == 0
+                   "--val", str(data), "--epochs", "2", "--seed", "2",
+                   "--out", str(ckpt)) == 0
     manifest = json.loads((tmp_path / "dj.ckpt.json.manifest.json").read_text())
     assert manifest["inputs"] == [str(data), str(data)]
     report = tmp_path / "report.json"
@@ -288,13 +313,14 @@ def test_eval_refuses_fit_iters_below_one_for_every_mode(tmp_path, capsys, mode,
     assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "run.ckpt.json"
     assert run_cli("train", "--mode", mode, "--train", str(data), "--epochs", "1",
-                   "--batch", "16", "--out", str(ckpt)) == 0
+                   "--out", str(ckpt)) == 0
     capsys.readouterr()
     report = tmp_path / "report.json"
     for checkpoint in (ckpt, tmp_path / "missing.ckpt.json"):  # nothing is loaded
         assert run_cli("eval", "--ckpt", str(checkpoint), "--data", str(data),
                        "--fit-iters", fit_iters, "--out", str(report)) == 1
-        assert capsys.readouterr().err == "error: --fit-iters must be >= 1\n"
+        assert capsys.readouterr().err == \
+            f"error: kinedeep eval: argument --fit-iters: must be >= 1, not {fit_iters}\n"
     assert not report.exists()
 
 
@@ -327,17 +353,17 @@ def test_train_and_eval_refuse_text_v1_dataset(tmp_path, capsys):
     assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(good)) == 0
     ckpt = tmp_path / "run.ckpt.json"
     assert run_cli("train", "--train", str(good), "--epochs", "1",
-                   "--batch", "16", "--out", str(ckpt)) == 0
+                   "--out", str(ckpt)) == 0
     old = tmp_path / "old.csv"
     old.write_text("# kinedeep-dataset v1 skeleton=hand23 sigma_mm=1.0 occlusion=0.0 "
                    "seed=1 n=1\n1.0,2.0;3.0;1.0,2.0,3.0\n")
     capsys.readouterr()
     out = tmp_path / "again.ckpt.json"
     assert run_cli("train", "--train", str(old), "--epochs", "1",
-                   "--batch", "16", "--out", str(out)) == 1
+                   "--out", str(out)) == 1
     assert "re-run synth" in capsys.readouterr().err
     assert run_cli("train", "--train", str(good), "--val", str(old), "--epochs", "1",
-                   "--batch", "16", "--out", str(out)) == 1
+                   "--out", str(out)) == 1
     assert "re-run synth" in capsys.readouterr().err
     assert not out.exists()
     report = tmp_path / "report.json"
@@ -352,7 +378,7 @@ def test_eval_refuses_malformed_npz_dataset(tmp_path, capsys):
     assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "run.ckpt.json"
     assert run_cli("train", "--train", str(data), "--epochs", "1",
-                   "--batch", "16", "--out", str(ckpt)) == 0
+                   "--out", str(ckpt)) == 0
     with np.load(data) as npz:
         members = dict(npz)
     members["thetas"] = members["thetas"][:-1]
@@ -372,7 +398,7 @@ def synth_and_train(tmp_path):
     assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "run.ckpt.json"
     assert run_cli("train", "--train", str(data), "--epochs", "1",
-                   "--batch", "16", "--out", str(ckpt)) == 0
+                   "--out", str(ckpt)) == 0
     with np.load(data) as npz:
         members = dict(npz)
     return data, ckpt, members
@@ -382,7 +408,7 @@ def assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt, *messages):
     capsys.readouterr()
     out = tmp_path / "again.ckpt.json"
     assert run_cli("train", "--mode", "ours", "--train", str(data), "--epochs", "1",
-                   "--batch", "16", "--out", str(out)) == 1
+                   "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert all(m in err for m in messages), err
     assert not out.exists()
@@ -440,7 +466,7 @@ def test_eval_of_non_finite_network_output_exits_2(hand, tmp_path, capsys, mode)
     assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "run.ckpt.json"
     assert run_cli("train", "--mode", mode, "--train", str(data), "--epochs", "1",
-                   "--batch", "16", "--out", str(ckpt)) == 0
+                   "--out", str(ckpt)) == 0
     run = reg.load_checkpoint(ckpt)
     run.biases[-1][0] = np.nan
     reg.save_checkpoint(run, ckpt, hand)
@@ -554,7 +580,7 @@ def test_fk_refuses_non_finite_bone_and_writes_nothing(hand, pose_file, tmp_path
 @pytest.mark.parametrize("argv, unloaded", [
     ("fk --poses {poses} --out {tmp}/joints.csv", ["_hashlib"]),
     ("synth --n 8 --out {tmp}/new.ds", ["multiprocessing", "concurrent.futures"]),
-    ("train --train {data} --epochs 1 --batch 8 --out {tmp}/run.ckpt",
+    ("train --train {data} --epochs 1 --out {tmp}/run.ckpt",
      ["multiprocessing", "concurrent.futures"]),
 ], ids=["fk", "synth", "train"])
 def test_command_leaves_modules_unloaded(pose_file, tmp_path, argv, unloaded):
@@ -587,11 +613,11 @@ def test_train_prints_last_epoch_without_second_validation_pass(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(reg, "validation_stats", counting)
+    monkeypatch.setattr(reg, "BATCH_SIZE", 8)
     ckpt = tmp_path / "run.ckpt.json"
     capsys.readouterr()
     assert run_cli("train", "--train", str(data), "--val", str(data),
-                   "--epochs", "3", "--batch", "8", "--seed", "2",
-                   "--out", str(ckpt)) == 0
+                   "--epochs", "3", "--seed", "2", "--out", str(ckpt)) == 0
     run = reg.load_checkpoint(ckpt)
     assert len(calls) == len(run.history)  # one pass per epoch, none after
     last = run.history[-1]
@@ -616,10 +642,11 @@ def test_train_manifest_records_the_mode_row(tmp_path, mode):
     assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "run.ckpt.json"
     assert run_cli("train", "--mode", mode, "--train", str(data), "--epochs", "1",
-                   "--batch", "16", "--out", str(ckpt)) == 0
+                   "--out", str(ckpt)) == 0
     config = json.loads((tmp_path / "run.ckpt.json.manifest.json").read_text())["config"]
     assert (config["lr"], config["lambda"]) == (reg.MODES[mode].base_lr,
                                                 reg.MODES[mode].penalty)
+    assert config["batch"] == reg.BATCH_SIZE == 64
     records = [json.loads(line) for line in
                (tmp_path / "run.ckpt.json.epochs.jsonl").read_text().splitlines()]
     assert [r["lr"] for r in records] == [reg.MODES[mode].base_lr * f for f, _ in reg.STAGES]
@@ -630,13 +657,13 @@ def test_train_manifest_records_the_mode_row(tmp_path, mode):
 def test_train_numerical_failure_exit_code(tmp_path, monkeypatch):
     # one stage at 1e7 times ours's base rate (lr 10) from the first epoch
     monkeypatch.setattr(reg, "STAGES", ((1e7, 1.0),))
+    monkeypatch.setattr(reg, "BATCH_SIZE", 8)
     data = tmp_path / "data.csv"
     assert run_cli("synth", "--n", "32", "--sigma", "5", "--occlusion", "0.0",
                    "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "run.ckpt.json"
     code = run_cli("train", "--mode", "ours", "--train", str(data),
-                   "--epochs", "3", "--batch", "8",
-                   "--seed", "2", "--out", str(ckpt))
+                   "--epochs", "3", "--seed", "2", "--out", str(ckpt))
     assert code == 2
 
 
@@ -655,10 +682,10 @@ def test_train_non_finite_gradient_exits_2(tmp_path, monkeypatch, capsys):
         return value, (grads_w, grads_b)
 
     monkeypatch.setattr(reg, "backward_through_model", overflowing)
+    monkeypatch.setattr(reg, "BATCH_SIZE", 8)
     ckpt = tmp_path / "run.ckpt.json"
     code = run_cli("train", "--mode", "ours", "--train", str(data),
-                   "--epochs", "3", "--batch", "8", "--seed", "2",
-                   "--out", str(ckpt))
+                   "--epochs", "3", "--seed", "2", "--out", str(ckpt))
     assert code == 2
     assert "non-finite gradient at epoch 0 batch 1" in capsys.readouterr().err
     assert not ckpt.exists()
@@ -681,10 +708,10 @@ def test_train_non_finite_gradient_names_history_epoch(tmp_path, monkeypatch, ca
         return value, (grads_w, grads_b)
 
     monkeypatch.setattr(reg, "backward_through_model", overflowing)
+    monkeypatch.setattr(reg, "BATCH_SIZE", 8)
     ckpt = tmp_path / "run.ckpt.json"
     code = run_cli("train", "--mode", "ours", "--train", str(data),
-                   "--epochs", "3", "--batch", "8", "--seed", "2",
-                   "--out", str(ckpt))
+                   "--epochs", "3", "--seed", "2", "--out", str(ckpt))
     assert code == 2
     assert "non-finite gradient at epoch 4 batch 1" in capsys.readouterr().err
     assert not ckpt.exists()
@@ -697,13 +724,13 @@ def test_train_validation_overflow_exits_2(tmp_path, monkeypatch, capsys):
     # large that the validation forward pass overflows: one stage at 1e6
     # times ours's base rate (lr 1) from the first epoch
     monkeypatch.setattr(reg, "STAGES", ((1e6, 1.0),))
+    monkeypatch.setattr(reg, "BATCH_SIZE", 8)
     data = tmp_path / "data.csv"
     assert run_cli("synth", "--n", "24", "--sigma", "5", "--occlusion", "0",
                    "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "run.ckpt.json"
     code = run_cli("train", "--train", str(data), "--val", str(data),
-                   "--epochs", "3", "--batch", "8",
-                   "--seed", "2", "--out", str(ckpt))
+                   "--epochs", "3", "--seed", "2", "--out", str(ckpt))
     assert code == 2
     assert "non-finite network output on the validation set after epoch 0" \
         in capsys.readouterr().err
@@ -725,7 +752,7 @@ def test_train_refuses_dataset_of_another_skeleton(bench_dataset, tmp_path, caps
     _, data = bench_dataset
     ckpt = tmp_path / "run.ckpt.json"
     assert run_cli("train", "--train", str(data), "--epochs", "1",
-                   "--batch", "16", "--out", str(ckpt)) == 1
+                   "--out", str(ckpt)) == 1
     err = capsys.readouterr().err
     assert "'hand23-bench'" in err and "'hand23'" in err
     assert not ckpt.exists()
@@ -735,7 +762,7 @@ def test_eval_refuses_dataset_of_another_skeleton(bench_dataset, tmp_path, capsy
     skel_path, data = bench_dataset
     ckpt = tmp_path / "run.ckpt.json"
     assert run_cli("train", "--skeleton", str(skel_path), "--train", str(data),
-                   "--epochs", "1", "--batch", "16", "--out", str(ckpt)) == 0
+                   "--epochs", "1", "--out", str(ckpt)) == 0
     capsys.readouterr()
     report = tmp_path / "report.json"
     assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(data),
@@ -752,7 +779,7 @@ def test_eval_refuses_checkpoint_of_another_skeleton(bench_dataset, tmp_path, ca
     assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "run.ckpt.json"
     assert run_cli("train", "--train", str(data), "--epochs", "1",
-                   "--batch", "16", "--out", str(ckpt)) == 0
+                   "--out", str(ckpt)) == 0
     capsys.readouterr()
     report = tmp_path / "report.json"
     assert run_cli("eval", "--skeleton", str(skel_path), "--ckpt", str(ckpt),
@@ -766,14 +793,18 @@ def test_eval_refuses_checkpoint_of_another_skeleton(bench_dataset, tmp_path, ca
 def test_unknown_flag_exits_1(capsys):
     assert run_cli("fk", "--nonsense") == 1
     assert capsys.readouterr().err.startswith("error: kinedeep fk: ")
-    # removed flags; train's rate and lambda are its mode's row in reg.MODES
+    # removed flags; the training recipe is regressor's (a mode's row in
+    # reg.MODES, STAGES, MOMENTUM and BATCH_SIZE) and the fitting recipe
+    # ik_pso's (SWARM_SIZE, PHASE_ITERATIONS and POLISH_STEPS)
     ik = ["ik", "--targets", "t.csv", "--out", "fit.csv"]
     train = ["train", "--train", "t.ds", "--out", "run.ckpt"]
     reproduce = ["reproduce", "--out", "run"]
     for argv, removed in ((ik, ["--warm-start"]), (ik, ["--polish"]),
                           (ik, ["--no-polish"]), (ik, ["--report", "r.json"]),
-                          (train, ["--flat-lr"]), (train, ["--lr", "1e-6"]),
-                          (train, ["--lambda", "0"]), (reproduce, ["--lambda", "0"])):
+                          (ik, ["--swarm", "64"]), (train, ["--flat-lr"]),
+                          (train, ["--lr", "1e-6"]), (train, ["--lambda", "0"]),
+                          (train, ["--batch", "64"]), (reproduce, ["--lambda", "0"]),
+                          (reproduce, ["--batch", "64"])):
         assert run_cli(*argv, *removed) == 1
         assert capsys.readouterr().err == \
             f"error: kinedeep: unrecognized arguments: {' '.join(removed)}\n"
@@ -785,23 +816,9 @@ def test_reproduce_refuses_fit_frames_below_1_before_training(tmp_path, capsys,
     out = tmp_path / "run"
     assert run_cli("reproduce", "--train-n", "50", "--val-n", "20", "--epochs", "1",
                    "--fit-frames", fit_frames, "--out", str(out)) == 1
-    assert "--fit-frames must be >= 1" in capsys.readouterr().err
-    assert not list(tmp_path.glob("**/*.ckpt.json"))
-
-
-@pytest.mark.parametrize("flag, value, message", [
-    ("--epochs", "0", "epochs must be >= 1"),
-    ("--batch", "0", "batch_size must be >= 1"),
-])
-def test_reproduce_refuses_bad_training_settings_before_datasets(tmp_path, capsys,
-                                                                 flag, value, message):
-    out = tmp_path / "run"
-    assert run_cli("reproduce", "--train-n", "50", "--val-n", "20", "--epochs", "1",
-                   flag, value, "--out", str(out)) == 1
-    captured = capsys.readouterr()
-    assert message in captured.err
-    assert "datasets:" not in captured.out and "worker processes" not in captured.out
-    assert not out.exists()
+    assert capsys.readouterr().err == (f"error: kinedeep reproduce: argument "
+                                       f"--fit-frames: must be >= 1, not {fit_frames}\n")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -826,19 +843,27 @@ def test_reproduce_refuses_bad_inputs_without_making_the_out_dir(
 def test_reproduce_runs_where_os_has_no_sched_getaffinity(tmp_path, monkeypatch):
     # as on macOS: every CPU counts as available
     monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(reg, "BATCH_SIZE", 16)
     out = tmp_path / "run"
     assert run_cli("reproduce", "--train-n", "48", "--val-n", "16", "--epochs", "1",
-                   "--batch", "16", "--fit-frames", "2", "--out", str(out)) in (0, 3)
+                   "--fit-frames", "2", "--out", str(out)) in (0, 3)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["workers"] == min(len(reg.MODES), os.cpu_count()) + 1
 
 
+@pytest.fixture()
+def batches_of_32(monkeypatch):
+    """reproduce's modes train in mini-batches of 32."""
+    monkeypatch.setattr(reg, "BATCH_SIZE", 32)
+
+
+@pytest.mark.usefixtures("batches_of_32")
 def test_reproduce_smoke(tmp_path):
     # tiny-budget smoke run: pipeline mechanics and determinism, not quality
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     args = ["reproduce", "--seed", "3", "--train-n", "96", "--val-n", "24",
-            "--epochs", "6", "--batch", "32", "--fit-frames", "2"]
+            "--epochs", "6", "--fit-frames", "2"]
     code_a = run_cli(*args, "--out", str(out_a))
     code_b = run_cli(*args, "--out", str(out_b))
     assert code_a in (0, 3) and code_b == code_a  # orderings may fail at toy scale
@@ -870,6 +895,7 @@ def test_reproduce_smoke(tmp_path):
     assert set(faults) == {"parent", "workers"}
     assert all(isinstance(v, int) and v > 0 for v in faults.values())
     assert manifest["config"]["skeleton"] == "hand23-bench"
+    assert manifest["config"]["batch"] == 32  # the recipe that ran
     assert str(out_a / "skeleton.json") in manifest["outputs"]
     assert manifest["config"]["interior_margin"] == bench.benchmark_interior_margin()
     for mode in reg.MODES:
@@ -886,17 +912,19 @@ def test_reproduce_skeleton_file_samples_whole_ranges(tmp_path):
     out = tmp_path / "run"
     code = run_cli("reproduce", "--skeleton", sk.HAND23_PATH, "--seed", "3",
                    "--train-n", "16", "--val-n", "4", "--epochs", "1",
-                   "--batch", "16", "--fit-frames", "1", "--out", str(out))
+                   "--fit-frames", "1", "--out", str(out))
     assert code in (0, 3)  # orderings may fail at toy scale
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["skeleton"] == "hand23"
     assert manifest["config"]["interior_margin"] == 0.0
 
 
+# run with batches_of_32
 REPRODUCE_TINY = ["reproduce", "--seed", "3", "--train-n", "64", "--val-n", "16",
-                  "--epochs", "3", "--batch", "32", "--fit-frames", "2"]
+                  "--epochs", "3", "--fit-frames", "2"]
 
 
+@pytest.mark.usefixtures("batches_of_32")
 def test_reproduce_pool_matches_in_process_modes(tmp_path):
     # the pool's table and checkpoints equal reproduce_mode (and, for
     # direct_joint, reproduce_fit) run here, mode by mode
@@ -923,6 +951,7 @@ def test_reproduce_pool_matches_in_process_modes(tmp_path):
 
 
 @pytest.mark.parametrize("failing", [None, "ours_invalid_lt_no_phy"])
+@pytest.mark.usefixtures("batches_of_32")
 def test_reproduce_exits_0_exactly_when_every_ordering_passes(tmp_path, monkeypatch,
                                                              failing):
     # the parent computes the orderings once the workers are done, so the
@@ -937,6 +966,7 @@ def test_reproduce_exits_0_exactly_when_every_ordering_passes(tmp_path, monkeypa
     assert json.loads((out / "table.json").read_text())["orderings"] == checks
 
 
+@pytest.mark.usefixtures("batches_of_32")
 def test_eval_of_each_reproduce_checkpoint_gives_its_table_entry(tmp_path):
     # one scoring path: eval on reproduce's val set, written to a file, gives
     # each mode's table entry, direct_joint's IK fit over every val row
@@ -962,6 +992,7 @@ def test_eval_of_each_reproduce_checkpoint_gives_its_table_entry(tmp_path):
         assert json.loads(report.read_text()) == table["modes"][mode]
 
 
+@pytest.mark.usefixtures("batches_of_32")
 def test_reproduce_numerical_failure_in_a_worker_exits_2(tmp_path, monkeypatch, capsys):
     # the workers are forked, so they train with the patched reg.train
     real = reg.train

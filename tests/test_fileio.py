@@ -45,8 +45,9 @@ def test_malformed_line_cites_line_number(tmp_path):
 def test_non_finite_value_cites_path_and_line(tmp_path, read, value):
     path = tmp_path / "bad.csv"
     poses = read is fileio.read_pose_file
-    magic = "kinedeep-poses" if poses else "kinedeep-joints"
-    path.write_text(f"# {magic} v1\n1.0,2.0,3.0\n1.0,{value},3.0\n")
+    header = "kinedeep-poses v1 skeleton=x dims=3" if poses else \
+        "kinedeep-joints v1 skeleton=x joints=1"
+    path.write_text(f"# {header}\n1.0,2.0,3.0\n1.0,{value},3.0\n")
     with pytest.raises(fileio.FileFormatError) as excinfo:
         read(path, **({"expected_dims": 3} if poses else {}))
     assert str(excinfo.value) == f"{path}: non-finite value on line 3"
@@ -75,9 +76,10 @@ def test_malformed_header_field_rejected(tmp_path, header):
 
 
 def test_empty_file_reads_as_no_frames(hand, tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
+    path = tmp_path / "header_only.csv"
+    path.write_text("# kinedeep-poses v1 skeleton=hand23 dims=26\n")
     name, poses = fileio.read_pose_file(path, expected_dims=hand.n_dofs)
+    assert name == "hand23"
     assert poses.shape == (0, hand.n_dofs)
 
 
@@ -88,13 +90,43 @@ def test_empty_joint_file_reads_as_no_frames(tmp_path):
     assert name == "hand23"
     assert frames.shape == (0, 23, 3)
 
-    path.write_text("")
-    _, frames = fileio.read_joint_file(path)
-    assert frames.shape[0] == 0
+    path.write_text("")  # no header
+    with pytest.raises(fileio.FileFormatError, match="header on line 1"):
+        fileio.read_joint_file(path)
 
-    path.write_text("# kinedeep-joints v1 skeleton=x\n1.0,2.0,3.0,4.0\n")
+    path.write_text("# kinedeep-joints v1 skeleton=x joints=1\n1.0,2.0,3.0,4.0\n")
     with pytest.raises(fileio.FileFormatError, match="line 2"):
         fileio.read_joint_file(path)
+
+
+# header fields after the magic and version -> the refusal, which names the field
+BAD_HEADER_FIELDS = {
+    "no_skeleton": ("{width}=1", "header field skeleton= is missing"),
+    "no_width": ("skeleton=x", "header field {width}= is missing"),
+    "empty_skeleton": ("skeleton= {width}=1",
+                       "malformed header field skeleton='', expected a non-empty name"),
+    "negative_width": ("skeleton=x {width}=-2",
+                       "malformed header field {width}='-2', expected an integer >= 0"),
+    "fractional_width": ("skeleton=x {width}=1.5", "malformed header field {width}='1.5'"),
+    "unknown_field": ("skeleton=x {width}=1 dimz=1", "unknown header field 'dimz'"),
+    "repeated_skeleton": ("skeleton=x skeleton=y {width}=1",
+                          "header field skeleton= is repeated"),
+    "repeated_width": ("skeleton=x {width}=1 {width}=1", "header field {width}= is repeated"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_HEADER_FIELDS)
+@pytest.mark.parametrize("read", [fileio.read_pose_file, fileio.read_joint_file])
+def test_bad_header_field_is_refused_naming_path_and_field(tmp_path, read, case):
+    fields, message = BAD_HEADER_FIELDS[case]
+    poses = read is fileio.read_pose_file
+    magic, width = ("kinedeep-poses", "dims") if poses else ("kinedeep-joints", "joints")
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# {magic} v1 {fields.format(width=width)}\n")
+    with pytest.raises(fileio.FileFormatError) as refused:
+        read(path, **({"expected_dims": 1} if poses else {}))
+    assert str(refused.value).startswith(f"{path}: ")
+    assert message.format(width=width) in str(refused.value)
 
 
 def test_expected_dims_enforced(hand, tmp_path):

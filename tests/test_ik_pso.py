@@ -17,6 +17,10 @@ def eval_joints(skel, theta):
         joint_indices=list(skel.eval_subset))[0]
 
 
+# the fit budget of ik's default --iters
+ITERATIONS = 300
+
+
 def frame(result, f):
     """Frame f of a fit, as the fit of that frame alone would return it."""
     return ik_pso.FitResult(*(field[f:f + 1] for field in vars(result).values()))
@@ -30,22 +34,21 @@ def assert_same_fit(got, want):
 def test_recovers_known_pose(hand, rng):
     theta = sample_in_bounds(hand, rng)
     target = eval_joints(hand, theta)
-    result = ik_pso.fit_batch(hand, [target], ik_pso.PsoConfig(seed=11))
+    result = ik_pso.fit_batch(hand, [target], ITERATIONS, 11)
     assert result.residual_mm[0] < 1.0
 
 
 def test_result_respects_bounds(hand, rng):
     theta = sample_in_bounds(hand, rng)
     result = ik_pso.fit_batch(hand, [eval_joints(hand, theta)],
-                              ik_pso.PsoConfig(seed=4))
+                              ITERATIONS, 4)
     assert np.array_equal(sk.clamp_pose(hand, result.theta), result.theta)
 
 
 def test_deterministic_given_seed(hand, rng):
     target = eval_joints(hand, sample_in_bounds(hand, rng))
-    cfg = ik_pso.PsoConfig(seed=21)
-    assert_same_fit(ik_pso.fit_batch(hand, [target], cfg),
-                    ik_pso.fit_batch(hand, [target], cfg))
+    assert_same_fit(ik_pso.fit_batch(hand, [target], ITERATIONS, 21),
+                    ik_pso.fit_batch(hand, [target], ITERATIONS, 21))
 
 
 def test_gbest_loss_non_increasing(hand, rng, monkeypatch):
@@ -56,8 +59,8 @@ def test_gbest_loss_non_increasing(hand, rng, monkeypatch):
         monkeypatch.setattr(ik_pso, "POLISH_STEPS", polish_steps)
         losses = []
         for phases in (1, 2):
-            cfg = ik_pso.PsoConfig(seed=8, iterations=ik_pso.PHASE_ITERATIONS * phases)
-            theta = ik_pso.fit_batch(hand, [target], cfg).theta[0]
+            theta = ik_pso.fit_batch(hand, [target], ik_pso.PHASE_ITERATIONS * phases,
+                                     8).theta[0]
             resid = eval_joints(hand, theta) - target
             losses.append(0.5 * float(np.sum(resid * resid)))
         assert losses[1] <= losses[0]
@@ -65,34 +68,40 @@ def test_gbest_loss_non_increasing(hand, rng, monkeypatch):
 
 def test_rejects_bad_target_shape(hand):
     with pytest.raises(ValueError, match="eval subset"):
-        ik_pso.fit_batch(hand, [np.zeros((3, 3))], ik_pso.PsoConfig())
+        ik_pso.fit_batch(hand, [np.zeros((3, 3))], ITERATIONS, 0)
 
 
 def test_rejects_non_finite_target(hand):
     target = np.zeros((len(hand.eval_subset), 3))
     target[2, 1] = np.inf
     with pytest.raises(ValueError, match="finite"):
-        ik_pso.fit_batch(hand, [target], ik_pso.PsoConfig())
+        ik_pso.fit_batch(hand, [target], ITERATIONS, 0)
 
 
 def test_fit_batch_identical_frames(hand, rng):
     target = eval_joints(hand, sample_in_bounds(hand, rng))
-    cfg = ik_pso.PsoConfig(seed=13)
-    result = ik_pso.fit_batch(hand, [target, target, target], cfg)
+    result = ik_pso.fit_batch(hand, [target, target, target], ITERATIONS, 13)
     for f in (1, 2):
         assert_same_fit(frame(result, f), frame(result, 0))
 
 
 def test_fit_batch_empty_rejected(hand):
     with pytest.raises(ValueError, match="at least one"):
-        ik_pso.fit_batch(hand, [], ik_pso.PsoConfig())
+        ik_pso.fit_batch(hand, [], ITERATIONS, 0)
+
+
+@pytest.mark.parametrize("iterations", [0, -1])
+def test_fit_batch_refuses_iterations_below_1(hand, iterations):
+    target = np.zeros((len(hand.eval_subset), 3))
+    with pytest.raises(ValueError, match="^iterations must be >= 1$"):
+        ik_pso.fit_batch(hand, [target], iterations, 0)
 
 
 def test_batch_mean_residual(hand, rng):
     thetas = sample_in_bounds(hand, rng, n=12)
     targets = forward_kinematics_batch(hand, thetas,
                                        joint_indices=list(hand.eval_subset))
-    result = ik_pso.fit_batch(hand, targets, ik_pso.PsoConfig(seed=5))
+    result = ik_pso.fit_batch(hand, targets, ITERATIONS, 5)
     # one array per field, row f for frame f
     assert result.theta.shape == (12, hand.n_dofs) and result.theta.dtype == np.float64
     assert result.residual_mm.shape == (12,) and result.residual_mm.dtype == np.float64
@@ -118,9 +127,8 @@ def off_model(skel, target):
 def test_fit_pose_residual_grows_off_model(hand, rng):
     theta = sample_in_bounds(hand, rng)
     target = eval_joints(hand, theta)
-    cfg = ik_pso.PsoConfig(seed=17)
     valid, invalid = ik_pso.fit_batch(hand, [target, off_model(hand, target)],
-                                      cfg).residual_mm
+                                      ITERATIONS, 17).residual_mm
     assert valid < 1.0
     assert invalid > valid + 0.5
 
@@ -130,7 +138,7 @@ def test_pure_swarm_mode_still_works(hand, rng, monkeypatch):
     monkeypatch.setattr(ik_pso, "POLISH_STEPS", 0)
     theta = sample_in_bounds(hand, rng)
     target = eval_joints(hand, theta)
-    result = ik_pso.fit_batch(hand, [target], ik_pso.PsoConfig(seed=1))
+    result = ik_pso.fit_batch(hand, [target], ITERATIONS, 1)
     assert result.residual_mm[0] < 60.0  # derivative-free: coarse but sane
     assert np.array_equal(sk.clamp_pose(hand, result.theta), result.theta)
 
@@ -162,7 +170,7 @@ def test_two_dof_chain_matches_grid_search(rng):
         if loss[k] < best_loss:
             best_loss, best_pose = float(loss[k]), chunk[k]
 
-    theta = ik_pso.fit_batch(chain, [target], ik_pso.PsoConfig(seed=6)).theta[0]
+    theta = ik_pso.fit_batch(chain, [target], ITERATIONS, 6).theta[0]
     joints = forward_kinematics_batch(chain, theta[None])
     pso_loss = 0.5 * float(np.sum((joints[0] - target) ** 2))
     angle_gap = np.degrees(np.abs(theta - best_pose))
@@ -173,12 +181,18 @@ def test_two_dof_chain_matches_grid_search(rng):
 # tests/oracles.py: every field of every frame must be equal, bit for bit.
 
 # a full phase, then a restart phase of 5 iterations
-SMALL = dict(swarm_size=16, iterations=ik_pso.PHASE_ITERATIONS + 5)
+SMALL_ITERATIONS = ik_pso.PHASE_ITERATIONS + 5
 
 
-def assert_matches_sequential(skel, targets, cfg):
-    got = ik_pso.fit_batch(skel, targets, cfg)
-    want = oracles.sequential_fit_batch(skel, targets, cfg)
+@pytest.fixture()
+def small_swarm(monkeypatch):
+    """Swarms of 16 particles."""
+    monkeypatch.setattr(ik_pso, "SWARM_SIZE", 16)
+
+
+def assert_matches_sequential(skel, targets, iterations, seed):
+    got = ik_pso.fit_batch(skel, targets, iterations, seed)
+    want = oracles.sequential_fit_batch(skel, targets, iterations, seed)
     assert len(got.theta) == len(want.theta) == len(targets)
     for f in range(len(targets)):
         assert_same_fit(frame(got, f), frame(want, f))
@@ -197,23 +211,23 @@ def mixed_targets(hand):
 
 # "incumbent": a pair of particles for one iteration often never improves
 # on the first incumbent, whose residual is then the result
-@pytest.mark.parametrize("polish_steps, extra", [
-    (ik_pso.POLISH_STEPS, {}), (0, {}),
-    (0, {"swarm_size": 2, "iterations": 1}),
+@pytest.mark.parametrize("polish_steps, swarm_size, iterations", [
+    (ik_pso.POLISH_STEPS, 16, SMALL_ITERATIONS), (0, 16, SMALL_ITERATIONS), (0, 2, 1),
 ], ids=["polish", "no_polish", "incumbent"])
 def test_fit_batch_matches_sequential_fitter(hand, mixed_targets, monkeypatch,
-                                             polish_steps, extra):
+                                             polish_steps, swarm_size, iterations):
     monkeypatch.setattr(ik_pso, "POLISH_STEPS", polish_steps)
-    cfg = ik_pso.PsoConfig(seed=7, **{**SMALL, **extra})
-    result = assert_matches_sequential(hand, mixed_targets, cfg)
-    if polish_steps and not extra:
+    monkeypatch.setattr(ik_pso, "SWARM_SIZE", swarm_size)
+    result = assert_matches_sequential(hand, mixed_targets, iterations, 7)
+    if polish_steps:
         # the batch mixes frames that stop early with full-budget ones
-        assert result.converged[0] and result.iterations_used[0] < cfg.iterations
+        assert result.converged[0] and result.iterations_used[0] < iterations
         assert not result.converged[1]
-        assert result.iterations_used[1] == cfg.iterations
+        assert result.iterations_used[1] == iterations
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["stops_first", "stops_last"])
+@pytest.mark.usefixtures("small_swarm")
 def test_frame_that_stops_early_keeps_its_stream(monkeypatch, order):
     # both frames draw from one shared generator until the reachable one
     # stops inside a phase; it then keeps a copy, while the other draws on
@@ -228,25 +242,24 @@ def test_frame_that_stops_early_keeps_its_stream(monkeypatch, order):
     chain = planar_two_dof()
     reachable = forward_kinematics_batch(chain, np.array([[1.1, -2.3]]))[0]
     targets = np.stack([reachable, 3.0 * reachable])[list(order)]
-    cfg = ik_pso.PsoConfig(seed=0, **SMALL)
-    result = assert_matches_sequential(chain, targets, cfg)
+    result = assert_matches_sequential(chain, targets, SMALL_ITERATIONS, 0)
     reach, far = order.index(0), order.index(1)
     assert result.converged[reach]
     assert result.iterations_used[reach] < ik_pso.PHASE_ITERATIONS
-    assert result.iterations_used[far] == cfg.iterations
+    assert result.iterations_used[far] == SMALL_ITERATIONS
     assert copies and all(copies)
 
 
+@pytest.mark.usefixtures("small_swarm")
 def test_swarm_phase_streams_in_two_states_match_one_frame_at_a_time(hand, mixed_targets):
     # frames 0 and 1 share a stream; frame 2's is two draws further on
-    cfg = ik_pso.PsoConfig(seed=7, **SMALL)
     obj = ik_pso._Objective(hand, mixed_targets[:3])
-    shared, ahead = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed)
+    shared, ahead = np.random.default_rng(7), np.random.default_rng(7)
     ahead.random(2)
     starts = [shared, shared, ahead]
-    alone = [ik_pso._swarm_phase(obj, [copy.deepcopy(g)] * 3, np.array([f]), cfg, 20)
+    alone = [ik_pso._swarm_phase(obj, [copy.deepcopy(g)] * 3, np.array([f]), 20)
              for f, g in enumerate(starts)]
-    together = ik_pso._swarm_phase(obj, list(starts), np.arange(3), cfg, 20)
+    together = ik_pso._swarm_phase(obj, list(starts), np.arange(3), 20)
     for f, one in enumerate(alone):
         for got, want in zip(together, one):
             assert np.array_equal(got[f], want[0])
@@ -255,18 +268,20 @@ def test_swarm_phase_streams_in_two_states_match_one_frame_at_a_time(hand, mixed
 def test_batch_larger_than_one_chunk_matches_sequential_fitter(hand, mixed_targets,
                                                               monkeypatch):
     monkeypatch.setattr(ik_pso, "POLISH_STEPS", 5)
-    cfg = ik_pso.PsoConfig(seed=5, swarm_size=2048, iterations=4)
-    assert len(mixed_targets[:3]) * cfg.swarm_size > ik_pso._CHUNK_POSES
-    assert_matches_sequential(hand, mixed_targets[:3], cfg)
+    monkeypatch.setattr(ik_pso, "SWARM_SIZE", 2048)
+    assert len(mixed_targets[:3]) * ik_pso.SWARM_SIZE > ik_pso._CHUNK_POSES
+    assert_matches_sequential(hand, mixed_targets[:3], 4, 5)
 
 
+@pytest.mark.usefixtures("small_swarm")
 def test_frame_alone_matches_frame_in_batch(hand, mixed_targets):
-    cfg = ik_pso.PsoConfig(seed=11, **SMALL)
-    batch = ik_pso.fit_batch(hand, mixed_targets, cfg)
+    batch = ik_pso.fit_batch(hand, mixed_targets, SMALL_ITERATIONS, 11)
     for f, target in enumerate(mixed_targets):
-        assert_same_fit(ik_pso.fit_batch(hand, [target], cfg), frame(batch, f))
+        assert_same_fit(ik_pso.fit_batch(hand, [target], SMALL_ITERATIONS, 11),
+                        frame(batch, f))
 
 
+@pytest.mark.usefixtures("small_swarm")
 def test_singular_solve_matches_sequential_fitter(hand, mixed_targets,
                                                   monkeypatch):
     # Damped normal equations are never exactly singular on this hand, so
@@ -285,6 +300,5 @@ def test_singular_solve_matches_sequential_fitter(hand, mixed_targets,
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", flaky_solve)
-    cfg = ik_pso.PsoConfig(seed=7, **SMALL)
-    assert_matches_sequential(hand, mixed_targets, cfg)
+    assert_matches_sequential(hand, mixed_targets, SMALL_ITERATIONS, 7)
     assert stacked_failures

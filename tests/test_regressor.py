@@ -282,13 +282,6 @@ def test_sgd_two_steps_constant_gradient_closed_form():
     assert np.allclose(run.weights[0], w0[0] - lr * g * (2.0 + mu))
 
 
-@pytest.mark.parametrize("field, message", [("batch_size", "batch_size must be >= 1"),
-                                            ("epochs", "epochs must be >= 1")])
-def test_sgd_config_rejects_settings_below_1(field, message):
-    with pytest.raises(ValueError, match=message):
-        train_config(**{field: 0})
-
-
 def test_sgd_step_shape_mismatch():
     run = reg.init(reg.MlpConfig(layer_widths=(2, 3), seed=1), mode="direct_parameter")
     grads = ([np.ones((4, 4))], [np.ones(3)])
@@ -319,11 +312,11 @@ def one_stage(monkeypatch):
     monkeypatch.setattr(reg, "STAGES", ((0.1, 1.0),))
 
 
-def train_config(**kw):
-    """Settings for a test run; the test runs them with `one_stage`."""
-    base = dict(batch_size=8, epochs=5)
-    base.update(kw)
-    return reg.SgdConfig(**base)
+@pytest.fixture(autouse=True)
+def batches_of_8(monkeypatch):
+    """Every test here trains in mini-batches of 8, unless it sets its own
+    reg.BATCH_SIZE."""
+    monkeypatch.setattr(reg, "BATCH_SIZE", 8)
 
 
 def whitened_config(hand, data, widths=(32,), seed=7):
@@ -340,7 +333,7 @@ def test_train_deterministic(hand):
     runs = []
     for _ in range(2):
         run = reg.init(whitened_config(hand, data), mode="ours")
-        reg.train(run, data, hand, train_config(), val=data, on_epoch=discard)
+        reg.train(run, data, hand, 5, val=data, on_epoch=discard)
         runs.append(run)
     for wa, wb in zip(runs[0].weights, runs[1].weights):
         assert np.array_equal(wa, wb)
@@ -353,7 +346,7 @@ def test_train_deterministic(hand):
 def test_train_history_length_and_val_metrics(hand):
     data = small_dataset(hand)
     run = reg.init(whitened_config(hand, data), mode="ours")
-    reg.train(run, data, hand, train_config(epochs=4), val=data, on_epoch=discard)
+    reg.train(run, data, hand, 4, val=data, on_epoch=discard)
     assert len(run.history) == 4
     for h in run.history:
         assert np.isfinite(h.train_loss)
@@ -381,7 +374,7 @@ def test_train_labels_the_validation_set_once(hand, monkeypatch, mode):
     cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 16, width), seed=7,
                         input_scale=0.01)
     for calls in (1, 2):
-        reg.train(reg.init(cfg, mode), data, hand, train_config(epochs=4), val=val,
+        reg.train(reg.init(cfg, mode), data, hand, 4, val=val,
                   on_epoch=discard)
         assert len(val_passes) == calls
 
@@ -394,8 +387,8 @@ def test_on_epoch_records_each_epoch(hand, monkeypatch, mode):
     spec = reg.MODES[mode]
     cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 16, spec.output_width(hand)),
                         seed=7, input_scale=0.01, output_scale=spec.output_scale(hand))
-    sgd = reg.SgdConfig(batch_size=8, epochs=6)
-    plain = reg.train(reg.init(cfg, mode), data, hand, sgd, val=data, on_epoch=discard)
+    epochs = 6
+    plain = reg.train(reg.init(cfg, mode), data, hand, epochs, val=data, on_epoch=discard)
 
     backward = "backward_through_model" if spec.through_fk else "backward_direct"
     real = getattr(reg, backward)
@@ -408,7 +401,7 @@ def test_on_epoch_records_each_epoch(hand, monkeypatch, mode):
 
     monkeypatch.setattr(reg, backward, keep_grads)
     records = []
-    run = reg.train(reg.init(cfg, mode), data, hand, sgd, val=data,
+    run = reg.train(reg.init(cfg, mode), data, hand, epochs, val=data,
                     on_epoch=records.append)
     # the records leave training untouched
     assert all(np.array_equal(a, b) for a, b in zip(run.weights, plain.weights))
@@ -416,10 +409,10 @@ def test_on_epoch_records_each_epoch(hand, monkeypatch, mode):
                           [astuple(h) for h in plain.history], equal_nan=True)
 
     stage_lrs = [spec.base_lr * f for f, e in reg.STAGES
-                 for _ in range(max(1, round(e * sgd.epochs)))]
+                 for _ in range(max(1, round(e * epochs)))]
     assert [r["epoch"] for r in records] == list(range(len(run.history)))
     assert [r["lr"] for r in records] == stage_lrs[:len(records)]
-    batches = -(-len(data) // sgd.batch_size)
+    batches = -(-len(data) // reg.BATCH_SIZE)
     for record, stats in zip(records, run.history):
         assert set(record) == {"epoch", "lr", "train_loss", "grad_norm",
                                "val_joint_err_mm", "val_angle_err_deg",
@@ -444,9 +437,16 @@ def test_on_epoch_record_without_val_has_no_val_metrics(hand):
     data = small_dataset(hand, n=16)
     records = []
     reg.train(reg.init(whitened_config(hand, data), mode="ours"), data, hand,
-              train_config(epochs=2), val=None, on_epoch=records.append)
+              2, val=None, on_epoch=records.append)
     assert [set(r) for r in records] == [
         {"epoch", "lr", "train_loss", "grad_norm", "seconds"}] * 2
+
+
+def test_train_refuses_epochs_below_1(hand):
+    data = small_dataset(hand)
+    run = reg.init(whitened_config(hand, data), mode="ours")
+    with pytest.raises(ValueError, match="^epochs must be >= 1$"):
+        reg.train(run, data, hand, 0, val=None, on_epoch=discard)
 
 
 def test_train_empty_dataset_rejected(hand):
@@ -454,7 +454,7 @@ def test_train_empty_dataset_rejected(hand):
     empty = replace(data, features=data.features[:0], thetas=data.thetas[:0])
     run = reg.init(whitened_config(hand, data), mode="ours")
     with pytest.raises(ValueError, match="empty"):
-        reg.train(run, empty, hand, train_config(), val=None, on_epoch=discard)
+        reg.train(run, empty, hand, 5, val=None, on_epoch=discard)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning",
@@ -463,9 +463,8 @@ def test_train_non_finite_loss_reports_epoch_and_batch(hand, monkeypatch):
     data = small_dataset(hand)
     run = reg.init(whitened_config(hand, data), mode="ours")
     one_stage_at(monkeypatch, 5.0, "ours")  # guaranteed blow-up
-    sgd = train_config(epochs=3)
     with pytest.raises(reg.NumericalError, match="epoch"):
-        reg.train(run, data, hand, sgd, val=None, on_epoch=discard)
+        reg.train(run, data, hand, 3, val=None, on_epoch=discard)
 
 
 @pytest.mark.usefixtures("one_stage")
@@ -487,7 +486,7 @@ def test_train_non_finite_gradient_reports_its_batch(hand, monkeypatch):
     monkeypatch.setattr(reg, "backward_through_model", overflowing)
     with pytest.raises(reg.NumericalError,
                        match="^non-finite gradient at epoch 1 batch 2$"):
-        reg.train(run, data, hand, train_config(epochs=3), val=None, on_epoch=discard)
+        reg.train(run, data, hand, 3, val=None, on_epoch=discard)
     assert np.isfinite(calls[-1])
     assert all(np.isfinite(w).all() for w in run.weights)
 
@@ -499,9 +498,9 @@ def test_mode_equivalence_ours_lambda_zero(hand, monkeypatch):
     assert reg.MODES["ours"] == reg.MODES["ours_no_phy"]
     data = small_dataset(hand)
     a = reg.init(whitened_config(hand, data), mode="ours")
-    reg.train(a, data, hand, train_config(), val=None, on_epoch=discard)
+    reg.train(a, data, hand, 5, val=None, on_epoch=discard)
     b = reg.init(whitened_config(hand, data), mode="ours_no_phy")
-    reg.train(b, data, hand, train_config(), val=None, on_epoch=discard)
+    reg.train(b, data, hand, 5, val=None, on_epoch=discard)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
@@ -532,8 +531,8 @@ def test_single_sample_overfit(hand, monkeypatch):
                               interior_margin=0.0, pose_shape="uniform")
     run = reg.init(whitened_config(hand, data), mode="ours_no_phy")
     one_stage_at(monkeypatch, 2e-5, "ours_no_phy")
-    sgd = reg.SgdConfig(batch_size=1, epochs=2000)
-    reg.train(run, data, hand, sgd, val=None, on_epoch=discard)
+    monkeypatch.setattr(reg, "BATCH_SIZE", 1)
+    reg.train(run, data, hand, 2000, val=None, on_epoch=discard)
     err, _, _ = reg.validation_stats(run, data, hand, bench.eval_joints(hand, data.thetas))
     assert err < 1.0
 
@@ -560,7 +559,7 @@ def test_direct_joint_training_runs(hand, monkeypatch):
                         seed=7, input_scale=0.01)
     run = reg.init(cfg, mode="direct_joint")
     one_stage_at(monkeypatch, 1e-4, "direct_joint")
-    reg.train(run, data, hand, train_config(epochs=3), val=data, on_epoch=discard)
+    reg.train(run, data, hand, 3, val=data, on_epoch=discard)
     assert len(run.history) == 3
     assert np.isfinite(run.history[-1].val_joint_err_mm)
     assert np.isnan(run.history[-1].val_angle_err_deg)
@@ -572,8 +571,7 @@ def test_early_stop_on_plateau(hand, monkeypatch):
     run = reg.init(whitened_config(hand, data), mode="ours_no_phy")
     # lr so small nothing improves: should stop after ~11 epochs, not 60
     one_stage_at(monkeypatch, 1e-16, "ours_no_phy")
-    sgd = train_config(epochs=60)
-    reg.train(run, data, hand, sgd, val=data, on_epoch=discard)
+    reg.train(run, data, hand, 60, val=data, on_epoch=discard)
     assert len(run.history) <= 12
 
 
@@ -590,15 +588,14 @@ def test_staged_train_matches_per_stage_oracle(hand, mode):
     cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 32, hand.n_dofs),
                         seed=7, input_scale=0.01, output_scale=spec.output_scale(hand))
     oracle = reg.init(cfg, mode)
-    ran = oracles.per_stage_train(oracle, data, hand, spec.base_lr, 8, epochs, val_data=val)
+    ran = oracles.per_stage_train(oracle, data, hand, spec.base_lr, epochs, val_data=val)
     planned = [max(1, int(round(f * epochs))) for _, f in reg.STAGES]
     if mode == "ours":
         assert ran[3] < planned[3]
     else:
         assert ran == planned
     run = reg.init(cfg, mode)
-    sgd = reg.SgdConfig(batch_size=8, epochs=epochs)
-    reg.train(run, data, hand, sgd, val=val, on_epoch=discard)
+    reg.train(run, data, hand, epochs, val=val, on_epoch=discard)
     for got, want in ((run.weights, oracle.weights), (run.biases, oracle.biases),
                       (run.vel_w, oracle.vel_w), (run.vel_b, oracle.vel_b)):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -610,7 +607,7 @@ def test_staged_train_matches_per_stage_oracle(hand, mode):
 def test_checkpoint_roundtrip(hand, tmp_path):
     data = small_dataset(hand)
     run = reg.init(whitened_config(hand, data), mode="ours")
-    reg.train(run, data, hand, train_config(epochs=2), val=data, on_epoch=discard)
+    reg.train(run, data, hand, 2, val=data, on_epoch=discard)
     path = tmp_path / "ckpt.json"
     reg.save_checkpoint(run, path, hand)
     again = reg.load_checkpoint(path)
@@ -730,6 +727,9 @@ CHECKPOINT_DAMAGE = {
     **{f"input_clip_abs_{v}": (replace_mlp(input_clip_abs=v), "header field mlp: "
                                "input_clip_abs must be positive and finite when set")
        for v in (-1.0, math.inf)},
+    "output_scale_empty": (
+        lambda p: replace_header(p, lambda h: h["mlp"].update(output_scale=[])),
+        "header field mlp: output_scale length must match the output width"),
     "output_scale_nan": (
         lambda p: replace_header(p, lambda h: h["mlp"].update(
             output_scale=[math.nan] + [1.0] * (h["mlp"]["layer_widths"][-1] - 1))),
@@ -776,7 +776,7 @@ def test_train_non_finite_weights_name_the_epoch(hand, monkeypatch):
     monkeypatch.setattr(reg, "sgd_step", poisoning)
     run = reg.init(whitened_config(hand, data), mode="ours")
     with pytest.raises(reg.NumericalError, match="non-finite weights after epoch 1"):
-        reg.train(run, data, hand, train_config(epochs=3), val=None, on_epoch=discard)
+        reg.train(run, data, hand, 3, val=None, on_epoch=discard)
 
 
 @pytest.mark.parametrize("widths, mode", [((42, 256, 256, 26), "ours"),
@@ -856,8 +856,8 @@ def test_train_holds_at_most_one_gradient_set(hand, monkeypatch):
 
     for name in ("backward_through_model", "validation_stats"):
         monkeypatch.setattr(reg, name, recording(getattr(reg, name)))
-    traced_peak_bytes(reg.train, run, data, hand, train_config(batch_size=64, epochs=2),
-                      data, discard)
+    monkeypatch.setattr(reg, "BATCH_SIZE", 64)
+    traced_peak_bytes(reg.train, run, data, hand, 2, data, discard)
     assert len(at_entry) == 10  # 4 steps and a validation, twice
     assert max(at_entry) - at_entry[0] < 0.1 * 2**20
 
