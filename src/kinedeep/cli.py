@@ -22,7 +22,8 @@ The training recipe of each mode is regressor's and the fitting recipe
 ik_pso's: module constants, which no flag overrides. A command sets only
 the epoch count, the fit budget (ik --iters, eval --fit-iters), sizes and
 seeds. The parser refuses a count flag (--epochs, --trials, --iters,
---fit-iters, --fit-frames) below 1 before any file is read.
+--fit-iters, --fit-frames and the dataset sizes --n, --train-n, --val-n)
+below 1 before any file is read.
 
 Exit codes: 0 success; 1 validation or parse error; 2 numerical failure
 (non-finite values); 3 an acceptance-style check failed (gradcheck
@@ -424,7 +425,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     add_skeleton(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=count, required=True)
     p.add_argument("--sigma", type=float, default=10.0, help="noise sigma, mm")
     p.add_argument("--occlusion", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
@@ -476,8 +477,8 @@ def build_parser() -> _Parser:
                    help="override the benchmark skeleton")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-n", type=int, default=20000)
-    p.add_argument("--val-n", type=int, default=2000)
+    p.add_argument("--train-n", type=count, default=20000)
+    p.add_argument("--val-n", type=count, default=2000)
     p.add_argument("--sigma", type=float, default=10.0)
     p.add_argument("--occlusion", type=float, default=0.1)
     p.add_argument("--epochs", type=count, default=300)

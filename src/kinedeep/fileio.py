@@ -14,14 +14,14 @@ A text file is a line-oriented table with a single header line:
 
 A pose or joint header holds skeleton= (a non-empty name) and dims= or
 joints= (an integer >= 0), each exactly once; a header that lacks one,
-repeats one, holds another field or a malformed value is refused, naming
-the field. Every row has the header's width (dims=, or 3 x joints=). A
-header with no rows is zero records: (0, K, 3) frames or (0, D) poses. A
-zero-byte file has no header and is refused. Reading streams the file line
-by line and holds only the parsed array. Floats are written with repr
-(shortest round-trip), so write -> read -> write is byte-stable. A
-non-finite value (nan, inf) is refused. Parse errors carry 1-based line
-numbers.
+repeats one, holds another field, a malformed value or a width beyond
+numpy's array limit is refused, naming the field. Every row has the
+header's width (dims=, or 3 x joints=). A header with no rows is zero
+records: (0, K, 3) frames or (0, D) poses. A zero-byte file has no header
+and is refused. Reading streams the file line by line and holds only the
+parsed array. Floats are written with repr (shortest round-trip), so
+write -> read -> write is byte-stable. A non-finite value (nan, inf) is
+refused. Parse errors carry 1-based line numbers.
 
 A dataset is one uncompressed .npz file, read with allow_pickle=False, of
 float64 members features (N, 3 * n_eval) and thetas (N, D), and meta, a 0-d
@@ -109,6 +109,8 @@ def _read_table(path, magic, width_key, unit):
     with open(path) as fh:
         name, count = _read_header(path, fh.readline(), magic, width_key)
         width = count * unit
+        if width > np.iinfo(np.intp).max:
+            raise FileFormatError(f"{path}: header field {width_key}={count} is out of range")
         for line_no, line in enumerate(fh, start=2):
             if not line.strip() or line.startswith("#"):
                 continue

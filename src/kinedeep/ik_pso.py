@@ -24,26 +24,26 @@ array and the outcome goes out as one ``FitResult`` of per-frame arrays.
 The swarms of all frames live in one (F, S, D) array, so a swarm iteration
 is one kinematics call over every frame still running, and a polish step
 one stacked solve. Each frame stops on its own: its swarm at ``TOL_MM``,
-its later phases once it converged, its polish when no damping gives
-descent. Frames go through in chunks of at most ``_CHUNK_POSES`` particles.
+its polish when no damping gives descent, and its fit once its swarm's
+best residual or its best result met ``TOL_MM``. Frames go through in
+chunks of at most ``_CHUNK_POSES`` particles.
 
 A fit's recipe is the module constants: ``SWARM_SIZE`` particles per
 frame, ``PHASE_ITERATIONS`` and ``POLISH_STEPS``. Only the iteration budget
 and the seed are the caller's.
 
-Each frame draws from a stream seeded with ``seed``, in the order a fit
-of that frame alone would. Frames whose streams are in the same state
-(every frame, until one stops early) share one generator and so one draw
-per iteration; a frame that stops while others of its group draw on keeps
-a copy of the state. Kinematics returns every batch in the same layout,
-the per-frame products are computed pose by pose, and ties in
-best-selection resolve to the lowest particle index. A frame's result is
-therefore reproducible bit for bit given (seed, iterations, target), and
-does not depend on the other frames in the call or on the chunking.
+Every frame of a chunk draws from one generator seeded with ``seed``. A
+frame stops drawing only when its fit is done, and then never draws
+again, so every frame still running has drawn what a fit of that frame
+alone would have: one draw serves them all. Kinematics returns every batch
+in the same layout, the per-frame products are computed pose by pose, and
+ties in best-selection resolve to the lowest particle index. A frame's
+result is therefore reproducible bit for bit given (seed, iterations,
+target), and does not depend on the other frames in the call or on the
+chunking.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,35 +98,15 @@ class _Objective:
         return (pos - self.targets[frames]).reshape(len(frames), -1), jac
 
 
-def _streams(rngs, frames):
-    """The distinct generators of `frames`, in order of first use, and each
-    frame's index among them."""
-    index = {}
-    groups = np.array([index.setdefault(rngs[f], len(index)) for f in frames])
-    return list(index), groups
+def _swarm_phase(obj, rng, frames, budget):
+    """One swarm run for each frame index in `frames`, all drawing from `rng`.
 
-
-def _detach(rngs, stopped, going_on):
-    """Give each frame of `stopped` that shares its generator with a frame of
-    `going_on` a copy of it, so that it keeps the state its own fit would
-    have while the others draw on."""
-    shared = {rngs[f] for f in going_on}
-    copies = {}
-    for f in stopped:
-        gen = rngs[f]
-        if gen in shared:
-            if gen not in copies:
-                copies[gen] = copy.deepcopy(gen)
-            rngs[f] = copies[gen]
-
-
-def _swarm_phase(obj, rngs, frames, budget):
-    """One swarm run for each frame index in `frames`.
-
-    Frames whose ``rngs`` entry is the same generator are in the same state,
-    so they share each draw. The update runs in place, in the order of the
-    module docstring's formula, so every product has the bits of the plain
-    expression.
+    Every frame gets the same draws: its start swarm is one (S, D) uniform
+    draw, and each iteration's r1 and r2 one (2, S, D) draw, the values a
+    fit of that frame alone takes. A frame stops once its best residual
+    meets TOL_MM. V and X are updated in place, term by term in the order
+    of the module docstring's formula, so they have the plain expression's
+    bits.
 
     Returns (theta (A, D), loss (A,), residual (A,), iterations used (A,)).
     """
@@ -134,8 +114,7 @@ def _swarm_phase(obj, rngs, frames, budget):
     lower, upper = skel.dof_lower, skel.dof_upper
     S, D = SWARM_SIZE, skel.n_dofs
 
-    gens, groups = _streams(rngs, frames)
-    X = np.stack([gen.uniform(lower, upper, size=(S, D)) for gen in gens])[groups]
+    X = np.repeat(rng.uniform(lower, upper, size=(1, S, D)), len(frames), axis=0)
     V = np.zeros_like(X)
     vmax = MAX_VELOCITY_FRAC * (upper - lower)
 
@@ -150,47 +129,25 @@ def _swarm_phase(obj, rngs, frames, budget):
     gbest_res = pbest_res[live, g]
 
     used = np.zeros(len(frames), dtype=int)
-    resized = True
     for _ in range(budget):
         running = gbest_res[live] > TOL_MM
         if not running.all():
-            _detach(rngs, frames[live[~running]], frames[live[running]])
             live = live[running]
             if live.size == 0:
                 break
             X, V, pbest = X[running], V[running], pbest[running]
             pbest_fit, pbest_res = pbest_fit[running], pbest_res[running]
-            resized = True
-        if resized:
-            gens, groups = _streams(rngs, frames[live])
-            draws = np.empty((len(gens), 2, S, D))
-            step = np.empty_like(X)
-            low, high = np.empty(X.shape, dtype=bool), np.empty(X.shape, dtype=bool)
-            particle_frames = np.repeat(frames[live], S)
-            resized = False
-        # r1 then r2 from each stream, as two (S, D) uniform draws would be
-        for gen, r in zip(gens, draws):
-            gen.random(out=r)
-        draws[:, 0] *= COGNITIVE
-        draws[:, 1] *= SOCIAL
-        c1, c2 = (draws[0, 0], draws[0, 1]) if len(gens) == 1 else \
-            (draws[groups, 0], draws[groups, 1])
+        r1, r2 = rng.random((2, S, D))
         V *= INERTIA
-        np.subtract(pbest, X, out=step)
-        step *= c1
-        V += step
-        np.subtract(gbest[live, None], X, out=step)
-        step *= c2
-        V += step
+        V += COGNITIVE * r1 * (pbest - X)
+        V += SOCIAL * r2 * (gbest[live, None] - X)
         np.clip(V, -vmax, vmax, out=V)
         X += V
-        np.less(X, lower, out=low)
-        np.greater(X, upper, out=high)
-        low |= high
+        hit = (X < lower) | (X > upper)
         np.clip(X, lower, upper, out=X)
-        np.copyto(V, 0.0, where=low)
+        V[hit] = 0.0
 
-        fit, res = obj.batch(X.reshape(-1, D), particle_frames)
+        fit, res = obj.batch(X.reshape(-1, D), np.repeat(frames[live], S))
         fit, res = fit.reshape(-1, S), res.reshape(-1, S)
         better = fit < pbest_fit
         np.copyto(pbest, X, where=better[..., None])
@@ -284,33 +241,35 @@ def _fit_chunk(skel, targets, iterations, seed):
     and seed; returns (theta (F, D), residual (F,), iterations used (F,))."""
     F, D = len(targets), skel.n_dofs
     obj = _Objective(skel, targets)
-    # every frame starts in the same state, so one generator serves all until
-    # a frame stops inside a swarm phase (_detach); a frame that skips a
-    # phase has converged and never draws again
-    rngs = [np.random.default_rng(seed)] * F
+    rng = np.random.default_rng(seed)
     everyone = np.arange(F)
 
     best_theta = np.zeros((F, D))
     best_fit = np.full(F, np.inf)
     best_res = np.full(F, np.inf)
+    done = np.zeros(F, dtype=bool)
     used_total = np.zeros(F, dtype=int)
 
     budget = iterations
     while budget > 0:
-        # a converged frame skips the remaining phases
-        frames = everyone[best_res > TOL_MM]
+        frames = everyone[~done]
         if frames.size == 0:
             break
         phase_budget = min(PHASE_ITERATIONS, budget)
-        theta, fit, res, used = _swarm_phase(obj, rngs, frames, phase_budget)
+        theta, fit, res, used = _swarm_phase(obj, rng, frames, phase_budget)
         budget -= phase_budget
         used_total[frames] += used
+        # done even if the polish (which takes a lower loss, not a lower
+        # residual) lifts it back above TOL_MM: a frame that stopped inside
+        # the swarm must never draw again, so the others share one stream
+        done[frames] = res <= TOL_MM
         theta, fit, res = _gauss_newton_polish(obj, frames, theta, POLISH_STEPS)
         better = fit < best_fit[frames]
         won = frames[better]
         best_theta[won] = theta[better]
         best_fit[won] = fit[better]
         best_res[won] = res[better]
+        done |= best_res <= TOL_MM
 
     return best_theta, best_res, used_total
 

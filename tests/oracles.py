@@ -10,8 +10,10 @@ Jacobian, the reference for the reverse-mode gradient of `kinedeep.loss`.
 
 `sequential_fit_pose` / `sequential_fit_batch` are the original one-frame-at-
 a-time swarm + Gauss-Newton fitter, kept verbatim but for its swarm size,
-which it reads from `ik_pso.SWARM_SIZE`, as the reference that the
-frame-batched `kinedeep.ik_pso` must match bit for bit.
+which it reads from `ik_pso.SWARM_SIZE`, and its stopping policy: it stops
+after a phase whose swarm met `ik_pso.TOL_MM`, as it does once its best
+result meets it. It is the reference that the frame-batched
+`kinedeep.ik_pso` must match bit for bit.
 
 `mlp_forward_acts` and `mlp_backprop` are the MLP forward and backward
 passes as they were when the forward pass kept every activation and every
@@ -314,14 +316,16 @@ def sequential_fit_pose(skel, target, iterations, seed):
     best_theta = None
     best_fit = np.inf
     best_res = np.inf
+    swarm_met_tol = False
     budget = iterations
     used_total = 0
 
-    while budget > 0 and best_res > ik_pso.TOL_MM:
+    while budget > 0 and best_res > ik_pso.TOL_MM and not swarm_met_tol:
         phase_budget = min(ik_pso.PHASE_ITERATIONS, budget)
         theta, fit, res, used = _sequential_swarm_phase(obj, rng, phase_budget)
         budget -= phase_budget
         used_total += used
+        swarm_met_tol = res <= ik_pso.TOL_MM
         if ik_pso.POLISH_STEPS > 0:
             theta, fit, res = _sequential_polish(obj, theta, ik_pso.POLISH_STEPS)
         if fit < best_fit:

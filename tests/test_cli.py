@@ -215,7 +215,8 @@ def test_ik_refuses_frames_of_another_joint_count(hand, tmp_path, capsys):
     ("reproduce --train-n 50 --val-n 20 --epochs 0 --out {tmp}/run", "--epochs"),
     ("gradcheck --skeleton {missing} --trials 0", "--trials"),
     ("ik --targets {missing} --iters 0 --out {tmp}/fit.csv", "--iters"),
-], ids=["train-epochs", "reproduce-epochs", "gradcheck-trials", "ik-iters"])
+    ("synth --skeleton {missing} --n 0 --out {tmp}/data.npz", "--n"),
+], ids=["train-epochs", "reproduce-epochs", "gradcheck-trials", "ik-iters", "synth-n"])
 def test_count_flag_below_1_exits_1_before_any_input(tmp_path, capsys, argv, flag):
     # the parser refuses it, naming the flag, before any file is read, any
     # dataset made or any output written
@@ -822,8 +823,8 @@ def test_reproduce_refuses_fit_frames_below_1_before_training(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--train-n", "0", "dataset size must be >= 1"),
-    ("--val-n", "0", "dataset size must be >= 1"),
+    ("--train-n", "0", "argument --train-n: must be >= 1, not 0"),
+    ("--val-n", "0", "argument --val-n: must be >= 1, not 0"),
     ("--sigma", "-1", "noise sigma must be >= 0"),
     ("--sigma", "nan", "noise sigma must be >= 0 and finite"),
     ("--occlusion", "1.5", "occlusion probability must lie in [0, 1)"),

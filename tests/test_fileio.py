@@ -108,6 +108,8 @@ BAD_HEADER_FIELDS = {
     "negative_width": ("skeleton=x {width}=-2",
                        "malformed header field {width}='-2', expected an integer >= 0"),
     "fractional_width": ("skeleton=x {width}=1.5", "malformed header field {width}='1.5'"),
+    "huge_width": ("skeleton=x {width}=99999999999999999999",
+                   "header field {width}=99999999999999999999 is out of range"),
     "unknown_field": ("skeleton=x {width}=1 dimz=1", "unknown header field 'dimz'"),
     "repeated_skeleton": ("skeleton=x skeleton=y {width}=1",
                           "header field skeleton= is repeated"),

@@ -1,4 +1,3 @@
-import copy
 import math
 
 import numpy as np
@@ -228,17 +227,9 @@ def test_fit_batch_matches_sequential_fitter(hand, mixed_targets, monkeypatch,
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["stops_first", "stops_last"])
 @pytest.mark.usefixtures("small_swarm")
-def test_frame_that_stops_early_keeps_its_stream(monkeypatch, order):
-    # both frames draw from one shared generator until the reachable one
-    # stops inside a phase; it then keeps a copy, while the other draws on
-    real_detach = ik_pso._detach
-    copies = []
-
-    def detach(rngs, stopped, going_on):
-        real_detach(rngs, stopped, going_on)
-        copies.extend(rngs[f] is not rngs[g] for f in stopped for g in going_on)
-
-    monkeypatch.setattr(ik_pso, "_detach", detach)
+def test_frame_that_stops_early_matches_its_fit_alone(order):
+    # the reachable frame stops inside the first phase while the other draws
+    # on from the same generator to the end of its budget
     chain = planar_two_dof()
     reachable = forward_kinematics_batch(chain, np.array([[1.1, -2.3]]))[0]
     targets = np.stack([reachable, 3.0 * reachable])[list(order)]
@@ -247,22 +238,31 @@ def test_frame_that_stops_early_keeps_its_stream(monkeypatch, order):
     assert result.converged[reach]
     assert result.iterations_used[reach] < ik_pso.PHASE_ITERATIONS
     assert result.iterations_used[far] == SMALL_ITERATIONS
-    assert copies and all(copies)
 
 
 @pytest.mark.usefixtures("small_swarm")
-def test_swarm_phase_streams_in_two_states_match_one_frame_at_a_time(hand, mixed_targets):
-    # frames 0 and 1 share a stream; frame 2's is two draws further on
-    obj = ik_pso._Objective(hand, mixed_targets[:3])
-    shared, ahead = np.random.default_rng(7), np.random.default_rng(7)
-    ahead.random(2)
-    starts = [shared, shared, ahead]
-    alone = [ik_pso._swarm_phase(obj, [copy.deepcopy(g)] * 3, np.array([f]), 20)
-             for f, g in enumerate(starts)]
-    together = ik_pso._swarm_phase(obj, list(starts), np.arange(3), 20)
-    for f, one in enumerate(alone):
-        for got, want in zip(together, one):
-            assert np.array_equal(got[f], want[0])
+def test_frame_whose_swarm_met_tol_gets_no_second_phase(monkeypatch):
+    # a polish accepts a lower loss, not a lower mean distance, so it may
+    # leave the residual above TOL_MM; the frame is done all the same
+    real_phase, real_polish = ik_pso._swarm_phase, ik_pso._gauss_newton_polish
+    phases = []
+
+    def swarm_phase(*args):
+        phases.append(real_phase(*args))
+        return phases[-1]
+
+    def polish(*args):
+        theta, value, residual = real_polish(*args)
+        return theta, value, np.maximum(residual, 2 * ik_pso.TOL_MM)
+
+    monkeypatch.setattr(ik_pso, "_swarm_phase", swarm_phase)
+    monkeypatch.setattr(ik_pso, "_gauss_newton_polish", polish)
+    chain = planar_two_dof()
+    target = forward_kinematics_batch(chain, np.array([[1.1, -2.3]]))[0]
+    result = ik_pso.fit_batch(chain, [target], SMALL_ITERATIONS, 0)
+    assert len(phases) == 1 and phases[0][2][0] <= ik_pso.TOL_MM
+    assert result.residual_mm[0] == 2 * ik_pso.TOL_MM and not result.converged[0]
+    assert result.iterations_used[0] < ik_pso.PHASE_ITERATIONS
 
 
 def test_batch_larger_than_one_chunk_matches_sequential_fitter(hand, mixed_targets,
