@@ -10,7 +10,9 @@ and reproduce, the peak resident memory in MiB (peak_rss_mb) and the minor
 page faults (minor_faults). train and reproduce write one JSON line per
 epoch beside each checkpoint (<checkpoint>.epochs.jsonl: stage learning
 rate, train loss, last-batch gradient norm, validation metrics when there
-is a validation set, seconds).
+is a validation set, seconds). Validation is recorded per epoch and never
+changes the weights or the epoch count: train at its defaults, with or
+without --val, trains reproduce's network.
 
 reproduce runs the comparison that the reproduce module defines (the
 worker processes, their schedule and the claims), then writes its table
@@ -102,6 +104,15 @@ def _check_header_skeleton(path, kind, name, skel) -> None:
     if name != skel.name:
         raise ValueError(f"{path}: {kind} file was made for skeleton {name!r}, "
                          f"not {skel.name!r}")
+
+
+def _check_writable(path) -> None:
+    """Refuse an output file that cannot be written, before any work (it is
+    still written last, so a failed run leaves none)."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(folder, os.W_OK):
+        raise ValueError(f"{path}: cannot be written: it is a directory, or its "
+                         f"directory is missing or read-only")
 
 
 def _manifest_path(out_path) -> str:
@@ -242,19 +253,16 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ik(args) -> int:
     started = time.monotonic()
+    _check_writable(args.out)
     skel = _resolve_skeleton(args.skeleton)
     name, frames = fileio.read_joint_file(args.targets)
     _check_header_skeleton(args.targets, "joint", name, skel)
     if not len(frames):
         raise ValueError(f"{args.targets}: no frames to fit")
-    n_eval = len(skel.eval_subset)
-    if frames.shape[1] == skel.n_joints:
-        frames = frames[:, list(skel.eval_subset), :]
-    elif frames.shape[1] != n_eval:
-        raise ValueError(
-            f"{args.targets}: frames carry {frames.shape[1]} joints, expected "
-            f"{n_eval} (eval subset) or {skel.n_joints} (all)"
-        )
+    if frames.shape[1] != skel.n_joints:
+        raise ValueError(f"{args.targets}: frames carry {frames.shape[1]} joints, "
+                         f"expected all {skel.n_joints}, as fk writes them")
+    frames = frames[:, list(skel.eval_subset), :]
     fit_started = time.monotonic()
     result = ik_pso.fit_batch(skel, frames, args.iters, args.seed)
     fit_s = time.monotonic() - fit_started
@@ -327,6 +335,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
+    _check_writable(args.out)
     skel = _resolve_skeleton(args.skeleton)
     run = rp.load_checkpoint_for(args.ckpt, skel)
     report = rp.score(run, skel, _read_dataset(args.data, skel), args.seed, args.fit_iters)
@@ -417,7 +426,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ik", help="fit poses to target joint frames")
     add_skeleton(p)
-    p.add_argument("--targets", required=True, help="joint file")
+    p.add_argument("--targets", required=True, help="joint file of all joints (fk output)")
     p.add_argument("--out", required=True, help="pose file to write")
     p.add_argument("--iters", type=count, default=300)
     p.add_argument("--seed", type=int, default=0)
@@ -445,12 +454,16 @@ def build_parser() -> _Parser:
                                    + f". Every mode runs the same staged schedule "
                                    f"in mini-batches of {reg.BATCH_SIZE} with "
                                    f"momentum {reg.MOMENTUM:g}; only the epoch "
-                                   f"count is set here.")
+                                   f"count is set here. Validation is recorded "
+                                   f"per epoch and never changes the weights or "
+                                   f"the epoch count.")
     add_skeleton(p)
     p.add_argument("--mode", choices=reg.MODES, default="ours")
     p.add_argument("--train", required=True, help="training dataset file")
-    p.add_argument("--val", default=None, help="validation dataset file")
-    p.add_argument("--epochs", type=count, default=200)
+    p.add_argument("--val", default=None,
+                   help="validation dataset file, scored after every epoch; it "
+                        "never changes the weights or the epoch count")
+    p.add_argument("--epochs", type=count, default=rp.EPOCHS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.set_defaults(func=cmd_train)
@@ -481,7 +494,7 @@ def build_parser() -> _Parser:
     p.add_argument("--val-n", type=count, default=2000)
     p.add_argument("--sigma", type=float, default=10.0)
     p.add_argument("--occlusion", type=float, default=0.1)
-    p.add_argument("--epochs", type=count, default=300)
+    p.add_argument("--epochs", type=count, default=rp.EPOCHS)
     p.add_argument("--fit-frames", type=count, default=2000,
                    help="val frames to fit for direct_joint angle metrics")
     p.set_defaults(func=cmd_reproduce)

@@ -369,15 +369,14 @@ def train(run: TrainRun, dataset, skel: Skeleton, epochs: int,
     """Mini-batch SGD, BATCH_SIZE rows a batch, through the stages of STAGES.
 
     Stage (f_lr, f_ep) runs at f_lr times the mode's base_lr for
-    max(1, round(f_ep * epochs)) epochs. Each stage starts
-    the shuffle from the same seed and ends early when the best validation
-    joint error of its last 10 epochs improves on its earlier best by less
-    than 0.1%; momentum carries across stages. The penalty weight is the
-    mode's ``penalty``. Raises NumericalError (naming the
-    epoch by its index in run.history, and the batch) if the loss or a
-    gradient goes non-finite, before that batch's update reaches the weights;
-    and, naming the epoch, if an epoch ends with a non-finite weight or bias
-    or with non-finite outputs on `val`, the validation set or None.
+    max(1, round(f_ep * epochs)) epochs. Each stage starts the shuffle from
+    the same seed; momentum carries across stages. The penalty weight is
+    the mode's ``penalty``. Validation on `val`, the validation set or None,
+    is recorded per epoch and never changes the weights or the epoch count.
+    Raises NumericalError (naming the epoch by its index in run.history, and
+    the batch) if the loss or a gradient goes non-finite, before that batch's
+    update reaches the weights; and, naming the epoch, if an epoch ends with
+    a non-finite weight or bias or with non-finite outputs on `val`.
 
     ``on_epoch`` is called after each epoch with that epoch's record: its
     history index, the stage learning rate, the train loss, the L2 norm of
@@ -399,7 +398,6 @@ def train(run: TrainRun, dataset, skel: Skeleton, epochs: int,
     for frac_lr, frac_ep in STAGES:
         lr = mode.base_lr * frac_lr
         rng = np.random.default_rng([run.config.seed, 1])
-        val_errors = []
         for _ in range(max(1, int(round(frac_ep * epochs)))):
             epoch_started = time.monotonic()
             epoch = len(run.history)
@@ -430,28 +428,17 @@ def train(run: TrainRun, dataset, skel: Skeleton, epochs: int,
             grads = None  # none alive through validation
             if not all(np.isfinite(p).all() for p in run.weights + run.biases):
                 raise NumericalError(f"non-finite weights after epoch {epoch}")
+            val_stats = (float("nan"),) * 3
             if val is not None:
                 try:
-                    joint_err, angle_err, invalid = validation_stats(run, val, skel,
-                                                                     val_joints)
+                    val_stats = validation_stats(run, val, skel, val_joints)
                 except NumericalError as e:
                     raise NumericalError(
                         f"{e} on the validation set after epoch {epoch}") from None
-            else:
-                joint_err = angle_err = invalid = float("nan")
-            stats = EpochStats(
-                train_loss=float(np.mean(epoch_losses)),
-                val_joint_err_mm=joint_err,
-                val_angle_err_deg=angle_err,
-                val_invalid_frac=invalid,
-            )
+            stats = EpochStats(float(np.mean(epoch_losses)), *val_stats)
             run.history.append(stats)
-            record = {
-                "epoch": epoch,
-                "lr": lr,
-                "train_loss": stats.train_loss,
-                "grad_norm": grad_norm,
-            }
+            record = {"epoch": epoch, "lr": lr, "train_loss": stats.train_loss,
+                      "grad_norm": grad_norm}
             if val is not None:
                 # NaN (the angles of a joint-emitting mode) as null
                 record.update((key, None if np.isnan(v) else v)
@@ -459,13 +446,6 @@ def train(run: TrainRun, dataset, skel: Skeleton, epochs: int,
                               if key.startswith("val_"))
             record["seconds"] = time.monotonic() - epoch_started
             on_epoch(record)
-            if val is not None:
-                val_errors.append(joint_err)
-                if len(val_errors) > 10:
-                    recent = min(val_errors[-10:])
-                    earlier = min(val_errors[:-10])
-                    if recent > earlier * (1.0 - 1e-3):
-                        break
     return run
 
 

@@ -36,6 +36,9 @@ from . import regressor as reg
 # two direct-regression baselines, by their place in the mode table.
 OURS, OURS_NO_PHY, DIRECT_JOINT, DIRECT_PARAMETER = reg.MODES
 
+# the default epoch budget of train --epochs and reproduce --epochs
+EPOCHS = 300
+
 # reproduce's IK fit iterations, and eval's default --fit-iters
 FIT_ITERATIONS = 150
 

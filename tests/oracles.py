@@ -29,9 +29,10 @@ row-blocked `reg.forward` must match bit for bit.
 `flat_train`, one per stage, the way the command line ran it before
 `reg.train` ran the stages itself; `flat_train` is the one-stage
 `reg.train` of that time, kept verbatim but for its rate, an argument, its
-penalty weight, which it reads from the mode's row, and its batch size,
-which it reads from `reg.BATCH_SIZE`. The staged `reg.train` must match it
-bit for bit.
+penalty weight, which it reads from the mode's row, its batch size, which
+it reads from `reg.BATCH_SIZE`, and its stop on a validation plateau, which
+is gone from `reg.train` too. The staged `reg.train` must match it bit for
+bit.
 
 `one_pass_make_dataset` is `bench.make_dataset` as it was when forward
 kinematics ran over all n poses in one call, kept verbatim (less its
@@ -410,7 +411,6 @@ def flat_train(run, dataset, skel, epochs, lr, val=None):
         targets = targets.reshape(len(dataset), -1)
     rng = np.random.default_rng([run.config.seed, 1])
     n = len(dataset)
-    val_errors = []
     for epoch in range(epochs):
         order = rng.permutation(n)
         epoch_losses = []
@@ -445,13 +445,6 @@ def flat_train(run, dataset, skel, epochs, lr, val=None):
             val_angle_err_deg=angle_err,
             val_invalid_frac=invalid,
         ))
-        if val is not None:
-            val_errors.append(joint_err)
-            if len(val_errors) > 10:
-                recent = min(val_errors[-10:])
-                earlier = min(val_errors[:-10])
-                if recent > earlier * (1.0 - 1e-3):
-                    break
     return run
 
 

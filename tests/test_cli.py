@@ -205,8 +205,13 @@ def test_ik_refuses_frames_of_another_joint_count(hand, tmp_path, capsys):
     out = tmp_path / "fit.csv"
     assert run_cli("ik", "--targets", str(targets), "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {targets}: frames carry 5 joints, expected 14 "
-                          f"(eval subset) or 23 (all)"), err
+    assert err == (f"error: {targets}: frames carry 5 joints, expected all 23, "
+                   f"as fk writes them\n")
+    assert not out.exists()
+    # the eval subset alone is refused too: no command writes it
+    fileio.write_joint_file(targets, hand.name, np.zeros((2, len(hand.eval_subset), 3)))
+    assert run_cli("ik", "--targets", str(targets), "--out", str(out)) == 1
+    assert "frames carry 14 joints, expected all 23" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -225,6 +230,43 @@ def test_count_flag_below_1_exits_1_before_any_input(tmp_path, capsys, argv, fla
     captured = capsys.readouterr()
     assert captured.err == f"error: kinedeep {argv[0]}: argument {flag}: must be >= 1, not 0\n"
     assert captured.out == "" and not list(tmp_path.iterdir())
+
+
+def test_train_and_reproduce_share_the_epoch_default_and_eval_the_fit_budget():
+    parser = build_parser()
+    for argv in (["train", "--train", "t.ds", "--out", "t.ckpt"], ["reproduce", "--out", "r"]):
+        assert parser.parse_args(argv).epochs == reproduce.EPOCHS
+    args = parser.parse_args(["eval", "--ckpt", "t.ckpt", "--data", "t.ds", "--out", "e.json"])
+    assert args.fit_iters == reproduce.FIT_ITERATIONS
+
+
+@pytest.mark.parametrize("out", ["{tmp}/nodir/out", "{tmp}"], ids=["missing-dir", "dir"])
+@pytest.mark.parametrize("command", ["eval", "ik"])
+def test_unwritable_out_exits_1_before_the_work(hand, tmp_path, capsys, monkeypatch,
+                                                command, out):
+    # eval scores and ik fits only once --out is known to be writable, and
+    # writes nothing on refusal
+    calls = []
+
+    def work(*args):
+        calls.append(args)
+        raise ValueError("the work ran")
+
+    monkeypatch.setattr(reproduce, "score", work)
+    monkeypatch.setattr(ik_pso, "fit_batch", work)
+    if command == "eval":
+        data, ckpt, _ = synth_and_train(tmp_path)
+        argv = ["eval", "--ckpt", str(ckpt), "--data", str(data)]
+    else:
+        targets = tmp_path / "targets.csv"
+        fileio.write_joint_file(targets, hand.name, np.zeros((2, hand.n_joints, 3)))
+        argv = ["ik", "--targets", str(targets)]
+    out = out.format(tmp=tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", out) == 1
+    assert capsys.readouterr().err.startswith(f"error: {out}: cannot be written")
+    assert calls == [] and sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("command", ["fk", "jacobian"])
