@@ -20,10 +20,10 @@ and manifest; the manifest's tasks list records which worker ran what,
 when, and its CPU seconds. main first fixes glibc's malloc thresholds
 (_set_malloc_thresholds), which reproduce's forked pool workers inherit.
 
-The training recipe of each mode is regressor's and the fitting recipe
-ik_pso's: module constants, which no flag overrides. A command sets only
-the epoch count, the fit budget (ik --iters, eval --fit-iters), sizes and
-seeds. The parser refuses a count flag (--epochs, --trials, --iters,
+The network architecture and training recipe of each mode are regressor's
+and the fitting recipe ik_pso's: module constants, which no flag overrides.
+A command sets only the epoch count, the fit budget (ik --iters, eval
+--fit-iters), sizes and seeds. The parser refuses a count flag (--epochs, --trials, --iters,
 --fit-iters, --fit-frames and the dataset sizes --n, --train-n, --val-n)
 below 1 before any file is read.
 
@@ -154,6 +154,7 @@ def _write_manifest(path, subcommand, config, seed, inputs, outputs, started,
 def cmd_kinematics(args) -> int:
     """fk and jacobian: one row of joints, or of Jacobian entries, per pose."""
     started = time.monotonic()
+    _check_writable(args.out)
     skel = _resolve_skeleton(args.skeleton)
     name, poses = fileio.read_pose_file(args.poses, expected_dims=skel.n_dofs)
     _check_header_skeleton(args.poses, "pose", name, skel)
@@ -211,9 +212,13 @@ def _gradcheck_loss(skel, rng, trials):
 
 
 def _gradcheck_net(skel, rng, samples):
-    run = reg.init(reg.MlpConfig((6, 8, skel.n_dofs), seed=int(rng.integers(2**31))),
+    """Weight gradients of a small ours network (the input clip and scale
+    and the output gains of every trained network) through the kinematic
+    layer, against central differences, on features in mm."""
+    run = reg.init(reg.MlpConfig((6, 8, skel.n_dofs), seed=int(rng.integers(2**31)),
+                                 output_scale=reg.MODES[rp.OURS].output_scale(skel)),
                    rp.OURS)
-    feats = rng.normal(size=(samples, 6))
+    feats = rng.normal(size=(samples, 6)) * 100.0
     thetas = rng.uniform(skel.dof_lower, skel.dof_upper, size=(samples, skel.n_dofs))
     targets = kin.forward_kinematics_batch(skel, thetas,
                                            joint_indices=list(skel.eval_subset))
@@ -292,6 +297,7 @@ def cmd_ik(args) -> int:
 
 def cmd_synth(args) -> int:
     started = time.monotonic()
+    _check_writable(args.out)
     skel = _resolve_skeleton(args.skeleton)
     data = bench.make_dataset(skel, n=args.n, noise_sigma_mm=args.sigma,
                               occlusion_prob=args.occlusion, seed=args.seed,
@@ -310,6 +316,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.monotonic()
+    _check_writable(args.out)
     skel = _resolve_skeleton(args.skeleton)
     train_data = _read_dataset(args.train, skel)
     val_data = _read_dataset(args.val, skel) if args.val else None

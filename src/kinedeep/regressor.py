@@ -7,11 +7,15 @@ and its angle-range penalty weight. The row, the schedule ``STAGES``,
 ``MOMENTUM`` and ``BATCH_SIZE`` are the whole training recipe; only the
 epoch count is the caller's.
 
+The architecture is constants too: every network clips its mm features to
++-INPUT_CLIP_MM, scales them by INPUT_SCALE (raw joint coordinates span
+hundreds of mm, which makes first-layer steps disproportionate at any single
+learning rate), runs HIDDEN_WIDTHS hidden layers, and multiplies its output
+by its mode's fixed per-output gains (Mode.output_scale), which its
+MlpConfig and its checkpoint carry.
+
 Optimization is stochastic gradient descent with momentum, single-threaded
-and bitwise deterministic given (seed, data, epochs). ``input_scale``
-rescales raw mm features once at the input; it is part of the architecture
-and of checkpoints (raw joint coordinates span hundreds of mm, which makes
-first-layer steps disproportionate at any single learning rate).
+and bitwise deterministic given (seed, data, epochs).
 
 One layer loop, ``_layers``, serves inference and training. Inference
 (``forward``, hence ``predict`` and ``validation_stats``) runs it over row
@@ -42,7 +46,12 @@ from .kinematics import fk_jacobian_batch
 from .skeleton import Skeleton
 
 CHECKPOINT_FORMAT = "kinedeep-checkpoint"
-CHECKPOINT_VERSION = 3  # 3: .npy layer records; 2: all JSON; 1: no skeleton
+# 4: no input scale or clip fields, output gains always; 3: .npy layer
+# records; 2: all JSON; 1: no skeleton
+CHECKPOINT_VERSION = 4
+INPUT_CLIP_MM = 400.0  # |feature| clamp: the occlusion sentinel (-1000 mm) becomes a flag
+INPUT_SCALE = 0.01  # mm features to network units, after the clip
+HIDDEN_WIDTHS = (256, 256)  # the hidden layers of every trained network
 OUTPUT_GAIN = 50.0  # fixed output gain of the pose- and joint-regressing modes
 MOMENTUM = 0.9  # SGD momentum of every mode and stage
 BATCH_SIZE = 64  # SGD mini-batch size of every mode and stage
@@ -83,11 +92,11 @@ class Mode:
     def output_width(self, skel: Skeleton) -> int:
         return skel.n_dofs if self.emits_pose else 3 * len(skel.eval_subset)
 
-    def output_scale(self, skel: Skeleton) -> tuple | None:
-        """Fixed per-output gains for MlpConfig.output_scale (none for pose
-        targets)."""
+    def output_scale(self, skel: Skeleton) -> tuple:
+        """Fixed per-output gains for MlpConfig.output_scale: 1 for pose
+        targets (x * 1.0 is exact, so the gain changes no bit)."""
         if self.theta_targets:
-            return None
+            return (1.0,) * self.output_width(skel)
         if self.emits_pose:
             return pose_output_scale(skel)
         return (OUTPUT_GAIN,) * self.output_width(skel)
@@ -122,9 +131,7 @@ class NumericalError(RuntimeError):
 class MlpConfig:
     layer_widths: tuple  # input, hidden..., output
     seed: int
-    input_scale: float = 1.0
-    input_clip_abs: float | None = None  # clamp |feature| before scaling
-    output_scale: tuple | None = None  # fixed per-output gains, default 1
+    output_scale: tuple  # fixed per-output gains
 
     def __post_init__(self):
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
@@ -132,18 +139,13 @@ class MlpConfig:
             raise ValueError("need at least input and output widths")
         if any(w <= 0 for w in self.layer_widths):
             raise ValueError(f"zero-width layer in {self.layer_widths}")
-        # written so that NaN fails each comparison
-        if not 0.0 < self.input_scale < math.inf:
-            raise ValueError("input_scale must be positive and finite")
-        if self.input_clip_abs is not None and not 0.0 < self.input_clip_abs < math.inf:
-            raise ValueError("input_clip_abs must be positive and finite when set")
-        if self.output_scale is not None:
-            scale = tuple(float(s) for s in self.output_scale)
-            if len(scale) != self.layer_widths[-1]:
-                raise ValueError("output_scale length must match the output width")
-            if not all(0.0 < s < math.inf for s in scale):
-                raise ValueError("output_scale entries must be positive and finite")
-            object.__setattr__(self, "output_scale", scale)
+        scale = tuple(float(s) for s in self.output_scale)
+        if len(scale) != self.layer_widths[-1]:
+            raise ValueError("output_scale length must match the output width")
+        # written so that NaN fails the comparison
+        if not all(0.0 < s < math.inf for s in scale):
+            raise ValueError("output_scale entries must be positive and finite")
+        object.__setattr__(self, "output_scale", scale)
 
 
 @dataclass
@@ -208,16 +210,14 @@ def init(config: MlpConfig, mode: str) -> TrainRun:
 
 
 def _layers(run: TrainRun, features: np.ndarray):
-    """Yield the scaled input, then each layer's output, one at a time.
+    """Yield the clipped and scaled input, then each layer's output, one at
+    a time.
 
-    Bias, ReLU and output gain are applied in place on each fresh matmul
-    result, never on the caller's features.
+    The scale, bias, ReLU and output gain are applied in place on each fresh
+    clip or matmul result, never on the caller's features.
     """
-    h = np.asarray(features, dtype=float)
-    if run.config.input_clip_abs is not None:
-        # tames the occlusion sentinel (-1000 mm) into an in-scale flag
-        h = np.clip(h, -run.config.input_clip_abs, run.config.input_clip_abs)
-    h = h * run.config.input_scale
+    h = np.clip(np.asarray(features, dtype=float), -INPUT_CLIP_MM, INPUT_CLIP_MM)
+    h *= INPUT_SCALE
     if h.ndim != 2 or h.shape[1] != run.config.layer_widths[0]:
         raise ValueError(
             f"feature width {h.shape[-1]} does not match input width "
@@ -230,7 +230,7 @@ def _layers(run: TrainRun, features: np.ndarray):
         h += b
         if i < last:
             np.maximum(h, 0.0, out=h)
-        elif run.config.output_scale is not None:
+        else:
             h *= np.asarray(run.config.output_scale)
         yield h
 
@@ -274,8 +274,7 @@ def _backprop(run: TrainRun, acts, delta):
     """
     grads_w = [None] * run.n_layers
     grads_b = [None] * run.n_layers
-    if run.config.output_scale is not None:
-        delta = delta * np.asarray(run.config.output_scale)
+    delta = delta * np.asarray(run.config.output_scale)
     for i in reversed(range(run.n_layers)):
         grads_w[i] = acts[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
@@ -464,9 +463,7 @@ def save_checkpoint(run: TrainRun, path, skel: Skeleton) -> None:
         "mlp": {
             "layer_widths": list(run.config.layer_widths),
             "seed": run.config.seed,
-            "input_scale": run.config.input_scale,
-            "input_clip_abs": run.config.input_clip_abs,
-            "output_scale": list(run.config.output_scale) if run.config.output_scale else None,
+            "output_scale": list(run.config.output_scale),
         },
         "mode": run.mode,
         "history": [
@@ -498,10 +495,7 @@ _HEADER_FIELDS = (
     ("mlp", "an object", lambda v: isinstance(v, dict)),
     ("mlp.layer_widths", "a list of integers", lambda v: _list_of(v, int)),
     ("mlp.seed", "an integer", lambda v: _is(v, int)),
-    ("mlp.input_scale", "a number", lambda v: _is(v, _NUMBER)),
-    ("mlp.input_clip_abs", "a number or null", lambda v: v is None or _is(v, _NUMBER)),
-    ("mlp.output_scale", "a list of numbers or null",
-     lambda v: v is None or _list_of(v, _NUMBER)),
+    ("mlp.output_scale", "a list of numbers", lambda v: _list_of(v, _NUMBER)),
     ("mode", f"one of {', '.join(MODES)}", lambda v: isinstance(v, str) and v in MODES),
     ("history", "a list of rows of 4 numbers", lambda v: _list_of(v, list)
      and all(len(row) == 4 and _list_of(row, _NUMBER) for row in v)),
@@ -531,10 +525,7 @@ def load_checkpoint(path) -> TrainRun:
         mlp = header["mlp"]
         try:
             config = MlpConfig(tuple(mlp["layer_widths"]), seed=int(mlp["seed"]),
-                               input_scale=float(mlp["input_scale"]),
-                               input_clip_abs=mlp.get("input_clip_abs"),
-                               output_scale=None if mlp["output_scale"] is None
-                               else tuple(mlp["output_scale"]))
+                               output_scale=tuple(mlp["output_scale"]))
         except ValueError as e:
             raise ValueError(f"{path}: header field mlp: {e}") from None
         widths = config.layer_widths

@@ -70,9 +70,9 @@ def train_mode(skel, mode, train_data, val_data, epochs, seed, ckpt_path):
     path."""
     spec = reg.MODES[mode]
     cfg = reg.MlpConfig(
-        layer_widths=(train_data.features.shape[1], 256, 256, spec.output_width(skel)),
-        seed=seed, input_scale=0.01, input_clip_abs=400.0,
-        output_scale=spec.output_scale(skel),
+        layer_widths=(train_data.features.shape[1], *reg.HIDDEN_WIDTHS,
+                      spec.output_width(skel)),
+        seed=seed, output_scale=spec.output_scale(skel),
     )
     # line-buffered: each epoch is on disk when it ends
     with open(epochs_path(ckpt_path), "w", buffering=1) as fh:

@@ -351,10 +351,9 @@ def sequential_fit_batch(skel, targets, iterations, seed):
 def mlp_forward_acts(run, features):
     """Layer activations; hidden pre-activations kept for the ReLU mask."""
     h = np.asarray(features, dtype=float)
-    if run.config.input_clip_abs is not None:
-        # tames the occlusion sentinel (-1000 mm) into an in-scale flag
-        h = np.clip(h, -run.config.input_clip_abs, run.config.input_clip_abs)
-    h = h * run.config.input_scale
+    # tames the occlusion sentinel (-1000 mm) into an in-scale flag
+    h = np.clip(h, -reg.INPUT_CLIP_MM, reg.INPUT_CLIP_MM)
+    h = h * reg.INPUT_SCALE
     if h.ndim != 2 or h.shape[1] != run.config.layer_widths[0]:
         raise ValueError(
             f"feature width {h.shape[-1]} does not match input width "
@@ -369,9 +368,7 @@ def mlp_forward_acts(run, features):
             pre.append(z)
             h = np.maximum(z, 0.0)
         else:
-            h = z
-            if run.config.output_scale is not None:
-                h = h * np.asarray(run.config.output_scale)
+            h = z * np.asarray(run.config.output_scale)
         acts.append(h)
     return acts, pre
 
@@ -387,8 +384,7 @@ def mlp_backprop(run, acts, pre, delta):
     """Gradients of the mean loss; `delta` is dLoss/d_output (already /N)."""
     grads_w = [None] * run.n_layers
     grads_b = [None] * run.n_layers
-    if run.config.output_scale is not None:
-        delta = delta * np.asarray(run.config.output_scale)
+    delta = delta * np.asarray(run.config.output_scale)
     for i in reversed(range(run.n_layers)):
         grads_w[i] = acts[i].T @ delta
         grads_b[i] = delta.sum(axis=0)

@@ -111,6 +111,25 @@ def test_gradcheck_passes(tmp_path):
     assert run_cli("gradcheck", "--trials", "5", "--seed", "3") == 0
 
 
+@pytest.mark.parametrize("fault", ["output-gain", "input-scale"])
+def test_gradcheck_fails_a_backward_pass_that_skips_a_step(monkeypatch, capsys, fault):
+    # the network check runs the trained networks' input scale and output
+    # gains: a backward pass that leaves either out fails it, exit 3
+    real = reg._backprop
+
+    def faulty(run, acts, delta):
+        if fault == "output-gain":
+            return real(run, acts, delta / np.asarray(run.config.output_scale))
+        return real(run, [acts[0] / reg.INPUT_SCALE] + acts[1:], delta)
+
+    monkeypatch.setattr(reg, "_backprop", faulty)
+    assert run_cli("gradcheck", "--trials", "2", "--seed", "3") == 3
+    lines = capsys.readouterr().out.splitlines()
+    fk_err, loss_err, net_err = (float(line.split()[4]) for line in lines[:3])
+    assert fk_err < 1e-6 and loss_err < 1e-6 and net_err >= 1e-5
+    assert lines[3] == "gradcheck: FAIL"
+
+
 def test_gradcheck_rejects_bad_trials():
     assert run_cli("gradcheck", "--trials", "0") == 1
 
@@ -241,32 +260,38 @@ def test_train_and_reproduce_share_the_epoch_default_and_eval_the_fit_budget():
 
 
 @pytest.mark.parametrize("out", ["{tmp}/nodir/out", "{tmp}"], ids=["missing-dir", "dir"])
-@pytest.mark.parametrize("command", ["eval", "ik"])
-def test_unwritable_out_exits_1_before_the_work(hand, tmp_path, capsys, monkeypatch,
-                                                command, out):
-    # eval scores and ik fits only once --out is known to be writable, and
-    # writes nothing on refusal
+@pytest.mark.parametrize("command", ["eval", "ik", "train", "synth", "fk", "jacobian"])
+def test_unwritable_out_exits_1_before_the_work(hand, pose_file, tmp_path, capsys,
+                                                monkeypatch, command, out):
+    # each command does its work (scores, fits, trains, makes a dataset or
+    # runs the kinematics) only once --out is known to be writable, and
+    # writes nothing on refusal: no checkpoint and no epoch records either
+    data, ckpt, _ = synth_and_train(tmp_path)
+    targets = tmp_path / "targets.csv"
+    fileio.write_joint_file(targets, hand.name, np.zeros((2, hand.n_joints, 3)))
+    argv = {"eval": ["--ckpt", str(ckpt), "--data", str(data)],
+            "ik": ["--targets", str(targets)],
+            "train": ["--train", str(data)],
+            "synth": ["--n", "4"],
+            "fk": ["--poses", str(pose_file[0])],
+            "jacobian": ["--poses", str(pose_file[0])]}[command]
     calls = []
 
-    def work(*args):
+    def work(*args, **kwargs):
         calls.append(args)
         raise ValueError("the work ran")
 
-    monkeypatch.setattr(reproduce, "score", work)
-    monkeypatch.setattr(ik_pso, "fit_batch", work)
-    if command == "eval":
-        data, ckpt, _ = synth_and_train(tmp_path)
-        argv = ["eval", "--ckpt", str(ckpt), "--data", str(data)]
-    else:
-        targets = tmp_path / "targets.csv"
-        fileio.write_joint_file(targets, hand.name, np.zeros((2, hand.n_joints, 3)))
-        argv = ["ik", "--targets", str(targets)]
+    for module, name in ((reproduce, "score"), (ik_pso, "fit_batch"),
+                         (reproduce, "train_mode"), (bench, "make_dataset"),
+                         (kin, "forward_kinematics_batch"), (kin, "fk_jacobian_batch")):
+        monkeypatch.setattr(module, name, work)
     out = out.format(tmp=tmp_path)
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
-    assert run_cli(*argv, "--out", out) == 1
+    assert run_cli(command, *argv, "--out", out) == 1
     assert capsys.readouterr().err.startswith(f"error: {out}: cannot be written")
     assert calls == [] and sorted(tmp_path.rglob("*")) == before
+    assert not os.path.exists(reproduce.epochs_path(out))
 
 
 @pytest.mark.parametrize("command", ["fk", "jacobian"])
@@ -492,7 +517,7 @@ def test_train_and_eval_refuse_dataset_widths_of_another_skeleton(
 
 @pytest.mark.parametrize("key, value", [("features", np.inf), ("thetas", np.nan)])
 def test_train_and_eval_refuse_non_finite_dataset(tmp_path, capsys, key, value):
-    # unrefused, an inf feature is clipped to +-input_clip_abs and scored
+    # unrefused, an inf feature is clipped to +-INPUT_CLIP_MM and scored
     data, ckpt, members = synth_and_train(tmp_path)
     members[key][3, 5] = value
     with open(data, "wb") as fh:

@@ -18,14 +18,19 @@ def eval_targets(hand, thetas):
     return forward_kinematics_batch(hand, thetas, joint_indices=list(hand.eval_subset))
 
 
+def unit_gain_config(widths, seed):
+    """An MlpConfig of gain 1 on every output."""
+    return reg.MlpConfig(layer_widths=widths, seed=seed, output_scale=(1.0,) * widths[-1])
+
+
 def tiny_run(hand, mode="ours", seed=3, widths=(6, 8, 26)):
-    return reg.init(reg.MlpConfig(layer_widths=widths, seed=seed), mode=mode)
+    return reg.init(unit_gain_config(widths, seed), mode=mode)
 
 
 # --- init ---------------------------------------------------------------------
 
 def test_init_deterministic():
-    cfg = reg.MlpConfig(layer_widths=(69, 256, 256, 26), seed=17)
+    cfg = unit_gain_config((69, 256, 256, 26), seed=17)
     a = reg.init(cfg, "ours")
     b = reg.init(cfg, "ours")
     for wa, wb in zip(a.weights, b.weights):
@@ -33,13 +38,13 @@ def test_init_deterministic():
 
 
 def test_init_shapes():
-    run = reg.init(reg.MlpConfig(layer_widths=(69, 256, 256, 26), seed=0), "ours")
+    run = reg.init(unit_gain_config((69, 256, 256, 26), seed=0), "ours")
     assert [w.shape for w in run.weights] == [(69, 256), (256, 256), (256, 26)]
     assert [b.shape for b in run.biases] == [(256,), (256,), (26,)]
 
 
 def test_init_zero_biases_and_bounded_weights():
-    run = reg.init(reg.MlpConfig(layer_widths=(16, 32, 8), seed=5), "ours")
+    run = reg.init(unit_gain_config((16, 32, 8), seed=5), "ours")
     for b in run.biases:
         assert np.array_equal(b, np.zeros_like(b))
     for w in run.weights:
@@ -49,7 +54,7 @@ def test_init_zero_biases_and_bounded_weights():
 
 def test_init_rejects_zero_width():
     with pytest.raises(ValueError, match="width"):
-        reg.MlpConfig(layer_widths=(4, 0, 2), seed=0)
+        unit_gain_config((4, 0, 2), seed=0)
 
 
 # --- forward ------------------------------------------------------------------
@@ -63,24 +68,28 @@ def test_forward_zero_weights_zero_output(hand):
 
 
 def test_forward_hand_computed_example():
-    # one hidden unit: out = w2 * relu(w1 . x + b1) + b2
-    run = reg.init(reg.MlpConfig(layer_widths=(2, 1, 1), seed=0), "ours")
+    # one hidden unit: out = g * (w2 * relu(w1 . x + b1) + b2), with x the
+    # features clipped to +-400 mm and scaled by 0.01
+    assert (reg.INPUT_CLIP_MM, reg.INPUT_SCALE) == (400.0, 0.01)
+    run = reg.init(reg.MlpConfig(layer_widths=(2, 1, 1), seed=0, output_scale=(2.0,)),
+                   "ours")
     run.weights[0][:] = np.array([[2.0], [-1.0]])
     run.biases[0][:] = np.array([0.5])
     run.weights[1][:] = np.array([[3.0]])
     run.biases[1][:] = np.array([-1.0])
-    x = np.array([[1.0, 1.0], [0.0, 1.0]])
-    # sample 1: relu(2 - 1 + 0.5) = 1.5 -> 3*1.5 - 1 = 3.5
-    # sample 2: relu(-1 + 0.5) = 0 -> -1
+    x = np.array([[100.0, 100.0], [0.0, 100.0], [900.0, 0.0]])
+    # sample 1: relu(2 - 1 + 0.5) = 1.5 -> 2 * (3*1.5 - 1) = 7
+    # sample 2: relu(-1 + 0.5) = 0 -> 2 * -1 = -2
+    # sample 3: 900 mm clips to 400: relu(8 + 0.5) = 8.5 -> 2 * (3*8.5 - 1) = 49
     out = reg.forward(run, x)
-    assert np.allclose(out, [[3.5], [-1.0]])
+    assert np.allclose(out, [[7.0], [-2.0], [49.0]])
 
 
 def test_forward_relu_blocks_negative_preactivations():
-    run = reg.init(reg.MlpConfig(layer_widths=(1, 1, 1), seed=0), "ours")
+    run = reg.init(unit_gain_config((1, 1, 1), seed=0), "ours")
     run.weights[0][:] = np.array([[1.0]])
     run.weights[1][:] = np.array([[5.0]])
-    assert reg.forward(run, np.array([[-3.0]]))[0, 0] == 0.0
+    assert reg.forward(run, np.array([[-300.0]]))[0, 0] == 0.0
 
 
 def test_forward_rejects_width_mismatch(hand):
@@ -110,8 +119,10 @@ def fd_weight_grads(run, loss_fn, h=1e-5):
 
 
 def test_backward_through_model_matches_finite_differences(hand, rng):
-    run = tiny_run(hand, mode="ours")
-    feats = rng.normal(size=(2, 6))
+    # ours's own output gains, on features in mm
+    run = reg.init(reg.MlpConfig((6, 8, 26), seed=3,
+                                 output_scale=reg.MODES["ours"].output_scale(hand)), "ours")
+    feats = rng.normal(scale=100.0, size=(2, 6))
     thetas = rng.uniform(hand.dof_lower, hand.dof_upper, size=(2, 26))
     targets = eval_targets(hand, thetas)
     value, (gw, gb) = reg.backward_through_model(run, feats, targets, hand)
@@ -121,8 +132,8 @@ def test_backward_through_model_matches_finite_differences(hand, rng):
 
 
 def test_backward_direct_matches_finite_differences(hand, rng):
-    run = reg.init(reg.MlpConfig(layer_widths=(6, 8, 10), seed=4), mode="direct_parameter")
-    feats = rng.normal(size=(3, 6))
+    run = reg.init(unit_gain_config((6, 8, 10), seed=4), mode="direct_parameter")
+    feats = rng.normal(scale=100.0, size=(3, 6))
     targets = rng.normal(size=(3, 10))
     value, (gw, gb) = reg.backward_direct(run, feats, targets)
     fd = fd_weight_grads(run, lambda: reg.backward_direct(run, feats, targets)[0])
@@ -149,7 +160,7 @@ def test_ours_is_no_phy_plus_the_hinge(hand, rng):
     # the same network: ours's loss and gradients are ours_no_phy's plus
     # those of the angle-range hinge at weight 1, its row's penalty
     assert reg.MODES["ours"].penalty == 1.0
-    feats = rng.normal(scale=3.0, size=(4, 6))
+    feats = rng.normal(scale=300.0, size=(4, 6))
     thetas = rng.uniform(hand.dof_lower, hand.dof_upper, size=(4, 26))
     targets = eval_targets(hand, thetas)
     a = tiny_run(hand, mode="ours", seed=9)
@@ -172,7 +183,7 @@ def test_direct_modes_reject_model_backward(hand):
 
 
 def test_backward_direct_zero_residual(hand, rng):
-    run = reg.init(reg.MlpConfig(layer_widths=(5, 7, 9), seed=2), mode="direct_joint")
+    run = reg.init(unit_gain_config((5, 7, 9), seed=2), mode="direct_joint")
     feats = rng.normal(size=(3, 5))
     targets = reg.forward(run, feats)
     value, (gw, gb) = reg.backward_direct(run, feats, targets)
@@ -191,18 +202,19 @@ def oracle_case(hand, kind, mode):
                               occlusion_prob=0.3 if kind == "occluded" else 0.0, seed=6,
                               interior_margin=0.0, pose_shape="uniform")
     features = data.features.copy()
-    # unclipped, one huge feature overflows to inf at the input scaling
-    overflow = kind == "overflow"
     run = reg.init(reg.MlpConfig(
         layer_widths=(features.shape[1], 16, 16, spec.output_width(hand)), seed=8,
-        input_scale=1e3 if overflow else 0.01, input_clip_abs=None if overflow else 400.0,
         output_scale=spec.output_scale(hand)), mode)
     if kind == "zero_preact":
         run.weights[0][:, 3] = 0.0
         run.weights[1][:, [2, 5]] = -0.0
         run.biases[1][5] = -0.0
-    if overflow:
+    if kind == "overflow":
+        # feature 0 is zero but in row 4, where it sits at the clip (4.0
+        # once scaled): a huge first-layer weight on it overflows that row
+        features[:, 0] = 0.0
         features[4, 0] = 1e308
+        run.weights[0][0] = 1e308
     if spec.theta_targets:
         targets = data.thetas
     else:
@@ -263,7 +275,7 @@ def test_mlp_matches_naive_oracle_bit_for_bit(hand, kind, mode):
 
 def test_sgd_first_step_is_plain_descent():
     # the velocity starts at zero, so the first step is -lr*g at any momentum
-    run = reg.init(reg.MlpConfig(layer_widths=(2, 3), seed=1), mode="direct_parameter")
+    run = reg.init(unit_gain_config((2, 3), seed=1), mode="direct_parameter")
     w0 = [w.copy() for w in run.weights]
     grads = ([np.ones_like(run.weights[0])], [np.ones_like(run.biases[0])])
     reg.sgd_step(run, grads, 0.1)
@@ -272,7 +284,7 @@ def test_sgd_first_step_is_plain_descent():
 
 def test_sgd_two_steps_constant_gradient_closed_form():
     # displacement after two steps with constant gradient g: -lr*g*(2 + mu)
-    run = reg.init(reg.MlpConfig(layer_widths=(2, 3), seed=1), mode="direct_parameter")
+    run = reg.init(unit_gain_config((2, 3), seed=1), mode="direct_parameter")
     w0 = [w.copy() for w in run.weights]
     g = np.full_like(run.weights[0], 2.0)
     grads = ([g], [np.zeros_like(run.biases[0])])
@@ -283,7 +295,7 @@ def test_sgd_two_steps_constant_gradient_closed_form():
 
 
 def test_sgd_step_shape_mismatch():
-    run = reg.init(reg.MlpConfig(layer_widths=(2, 3), seed=1), mode="direct_parameter")
+    run = reg.init(unit_gain_config((2, 3), seed=1), mode="direct_parameter")
     grads = ([np.ones((4, 4))], [np.ones(3)])
     with pytest.raises(ValueError, match="shape"):
         reg.sgd_step(run, grads, 1e-7)
@@ -322,8 +334,7 @@ def batches_of_8(monkeypatch):
 def whitened_config(hand, data, widths=(32,), seed=7):
     return reg.MlpConfig(
         layer_widths=(data.features.shape[1], *widths, hand.n_dofs),
-        seed=seed, input_scale=0.01,
-        output_scale=reg.pose_output_scale(hand),
+        seed=seed, output_scale=reg.pose_output_scale(hand),
     )
 
 
@@ -371,8 +382,7 @@ def test_train_labels_the_validation_set_once(hand, monkeypatch, mode):
 
     monkeypatch.setattr(bench, "eval_joints", counting)
     width = hand.n_dofs if mode == "ours" else 3 * len(hand.eval_subset)
-    cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 16, width), seed=7,
-                        input_scale=0.01)
+    cfg = unit_gain_config((data.features.shape[1], 16, width), seed=7)
     for calls in (1, 2):
         reg.train(reg.init(cfg, mode), data, hand, 4, val=val,
                   on_epoch=discard)
@@ -386,7 +396,7 @@ def test_on_epoch_records_each_epoch(hand, monkeypatch, mode):
     data = small_dataset(hand, n=20)
     spec = reg.MODES[mode]
     cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 16, spec.output_width(hand)),
-                        seed=7, input_scale=0.01, output_scale=spec.output_scale(hand))
+                        seed=7, output_scale=spec.output_scale(hand))
     epochs = 6
     plain = reg.train(reg.init(cfg, mode), data, hand, epochs, val=data, on_epoch=discard)
 
@@ -542,8 +552,7 @@ def test_validation_stats_are_evaluate_without_thresholds(hand, mode, width):
     # evaluate's metrics, less its max-error curve
     data = bench.make_dataset(hand, n=40, noise_sigma_mm=3.0, occlusion_prob=0.1, seed=6,
                               interior_margin=0.0, pose_shape="uniform")
-    run = reg.init(reg.MlpConfig(layer_widths=(42, 16, width), seed=1, input_scale=0.01),
-                   mode)
+    run = reg.init(unit_gain_config((42, 16, width), seed=1), mode)
     predictions = reg.predict(run, data.features, hand)
     for true_joints in (None, bench.eval_joints(hand, data.thetas)):
         report = bench.evaluate(hand, predictions, data.thetas)
@@ -555,8 +564,7 @@ def test_validation_stats_are_evaluate_without_thresholds(hand, mode, width):
 
 def test_direct_joint_training_runs(hand, monkeypatch):
     data = small_dataset(hand)
-    cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 32, 3 * len(hand.eval_subset)),
-                        seed=7, input_scale=0.01)
+    cfg = unit_gain_config((data.features.shape[1], 32, 3 * len(hand.eval_subset)), seed=7)
     run = reg.init(cfg, mode="direct_joint")
     one_stage_at(monkeypatch, 1e-4, "direct_joint")
     reg.train(run, data, hand, 3, val=data, on_epoch=discard)
@@ -596,7 +604,7 @@ def test_staged_train_matches_per_stage_oracle(hand, mode):
     else:
         val, epochs = None, 12
     cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 32, hand.n_dofs),
-                        seed=7, input_scale=0.01, output_scale=spec.output_scale(hand))
+                        seed=7, output_scale=spec.output_scale(hand))
     oracle = reg.init(cfg, mode)
     ran = oracles.per_stage_train(oracle, data, hand, spec.base_lr, epochs, val_data=val)
     assert ran == [max(1, int(round(f * epochs))) for _, f in reg.STAGES]
@@ -607,6 +615,15 @@ def test_staged_train_matches_per_stage_oracle(hand, mode):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert np.array_equal([astuple(h) for h in run.history],
                           [astuple(h) for h in oracle.history], equal_nan=True)
+
+
+def header_paths(header, fields, prefix=""):
+    """Each key of `header`, and "x.y" for each key y of an object x that
+    `fields` names a field of."""
+    for key, value in header.items():
+        yield prefix + key
+        if isinstance(value, dict) and any(f.startswith(f"{prefix}{key}.") for f in fields):
+            yield from header_paths(value, fields, f"{prefix}{key}.")
 
 
 @pytest.mark.usefixtures("one_stage")
@@ -631,8 +648,11 @@ def test_checkpoint_roundtrip(hand, tmp_path):
     assert again_path.read_bytes() == path.read_bytes()
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
-    assert header["version"] == 3
-    assert set(header) == {"format", "version", "skeleton", "mlp", "mode", "history"}
+    assert header["version"] == 4
+    # every key written is a checked field: one never checked cannot come
+    # back, and neither can a checked field that is never written
+    fields = [name for name, _, _ in reg._HEADER_FIELDS]
+    assert sorted(header_paths(header, fields)) == sorted(fields + ["format", "version"])
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
@@ -642,10 +662,12 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         reg.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_checkpoint_old_versions_refused_with_retrain_message(hand, tmp_path, version):
     # versions 1 and 2 were one JSON object, weights and biases included;
-    # version 1 recorded no skeleton
+    # version 1 recorded no skeleton; up to version 3 the header held the
+    # input scale and clip, and null output gains for gain 1 (its layers
+    # follow as .npy records, but the header line is refused first)
     payload = {"format": "kinedeep-checkpoint", "version": version,
                "skeleton": hand.fingerprint(),
                "mlp": {"layer_widths": [2, 3], "seed": 0, "input_scale": 1.0,
@@ -727,12 +749,8 @@ CHECKPOINT_DAMAGE = {
         "header field history is missing or not a list of rows of 4 numbers"),
     "npy_header_claims_8_tib": (lambda p: p[0] + huge_npy_header() + b"".join(p[2:]),
                                 "layer 0 weights are float64 (1099511627776,)"),
-    **{f"input_scale_{v}": (replace_mlp(input_scale=v),
-                            "header field mlp: input_scale must be positive and finite")
-       for v in (0.0, -0.01, math.nan)},
-    **{f"input_clip_abs_{v}": (replace_mlp(input_clip_abs=v), "header field mlp: "
-                               "input_clip_abs must be positive and finite when set")
-       for v in (-1.0, math.inf)},
+    "output_scale_null": (replace_mlp(output_scale=None), "header field "
+                          "mlp.output_scale is missing or not a list of numbers"),
     "output_scale_empty": (
         lambda p: replace_header(p, lambda h: h["mlp"].update(output_scale=[])),
         "header field mlp: output_scale length must match the output width"),
@@ -741,10 +759,6 @@ CHECKPOINT_DAMAGE = {
             output_scale=[math.nan] + [1.0] * (h["mlp"]["layer_widths"][-1] - 1))),
         "header field mlp: output_scale entries must be positive and finite"),
     # JSON's true and false are not numbers, though Python's bool is an int
-    "input_scale_true": (replace_mlp(input_scale=True),
-                         "header field mlp.input_scale is missing or not a number"),
-    "input_clip_abs_true": (replace_mlp(input_clip_abs=True), "header field "
-                            "mlp.input_clip_abs is missing or not a number or null"),
     "seed_true": (replace_mlp(seed=True),
                   "header field mlp.seed is missing or not an integer"),
     "history_row_with_true": (
@@ -757,8 +771,7 @@ CHECKPOINT_DAMAGE = {
 def test_damaged_checkpoint_refused_naming_the_path(hand, tmp_path, case):
     damage, message = CHECKPOINT_DAMAGE[case]
     path = tmp_path / "ckpt.json"
-    reg.save_checkpoint(reg.init(reg.MlpConfig(layer_widths=(4, 3, 2), seed=0), "ours"),
-                        path, hand)
+    reg.save_checkpoint(reg.init(unit_gain_config((4, 3, 2), seed=0), "ours"), path, hand)
     path.write_bytes(damage(checkpoint_parts(path)))
     with pytest.raises(ValueError) as refused:
         reg.load_checkpoint(path)
@@ -793,9 +806,8 @@ def test_forward_matches_one_pass_oracle(rng, widths, mode, n):
     # row blocks start at 192 rows (384 splits, 191 and 383 do not; 500 runs
     # as two blocks of 250, 2049 as ten of 204-205), and every row keeps the
     # bits of one pass over all rows
-    run = reg.init(reg.MlpConfig(layer_widths=widths, seed=0, input_scale=0.01,
-                                 input_clip_abs=400.0,
-                                 output_scale=(50.0,) * widths[-1]), mode)
+    run = reg.init(reg.MlpConfig(layer_widths=widths, seed=0,
+                                 output_scale=(reg.OUTPUT_GAIN,) * widths[-1]), mode)
     features = rng.normal(scale=100.0, size=(n, 42))
     got, want = reg.forward(run, features), oracles.one_pass_forward(run, features)
     assert np.array_equal(got, want) and got.strides == want.strides
@@ -803,10 +815,10 @@ def test_forward_matches_one_pass_oracle(rng, widths, mode, n):
 
 # --- memory -------------------------------------------------------------------
 
-def default_sized_run():
-    """The network reproduce trains for a 42-feature, pose-emitting mode."""
-    return reg.init(reg.MlpConfig(layer_widths=(42, 256, 256, 26), seed=0,
-                                  input_scale=0.01, input_clip_abs=400.0), "ours")
+def default_sized_run(hand):
+    """The network reproduce trains for ours on the default hand."""
+    return reg.init(reg.MlpConfig(layer_widths=(42, *reg.HIDDEN_WIDTHS, 26), seed=0,
+                                  output_scale=reg.MODES["ours"].output_scale(hand)), "ours")
 
 
 def traced_peak_bytes(fn, *args):
@@ -819,11 +831,11 @@ def traced_peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def test_forward_keeps_at_most_two_layers_alive(rng):
+def test_forward_keeps_at_most_two_layers_alive(hand, rng):
     # inference holds the layer being computed and the one feeding it, of
     # one row block, plus the output; not every layer's output (training's
     # list), any pre-activation, or a layer of all 2000 rows
-    run = default_sized_run()
+    run = default_sized_run(hand)
     features = rng.normal(scale=100.0, size=(2000, 42))
     block_rows = 2 * reg.FORWARD_BLOCK_ROWS - 1
     output_bytes = 2000 * 26 * 8
@@ -834,7 +846,7 @@ def test_forward_keeps_at_most_two_layers_alive(rng):
 def test_validation_stats_runs_the_val_set_in_row_blocks(hand):
     # 500 rows run as two 250-row blocks: two 256-wide layers of one block
     # are 1.0 MiB, of a single 500-row block 1.95 MiB
-    run = default_sized_run()
+    run = default_sized_run(hand)
     val = bench.make_dataset(hand, n=500, noise_sigma_mm=2.0, occlusion_prob=0.0, seed=5,
                              interior_margin=0.0, pose_shape="uniform")
     val_joints = bench.eval_joints(hand, val.thetas)
@@ -850,8 +862,7 @@ def test_train_holds_at_most_one_gradient_set(hand, monkeypatch):
     # so every backward and validation pass starts with the traced memory
     # of the first backward pass
     data = small_dataset(hand, n=256)
-    run = reg.init(replace(default_sized_run().config,
-                           output_scale=reg.pose_output_scale(hand)), "ours")
+    run = default_sized_run(hand)
     at_entry = []
 
     def recording(fn):
@@ -871,6 +882,6 @@ def test_train_holds_at_most_one_gradient_set(hand, monkeypatch):
 def test_save_checkpoint_streams_the_weights(hand, tmp_path):
     # the weights go out one row at a time, never as one nested list of
     # Python floats (2.6 MB for this network)
-    run = default_sized_run()
+    run = default_sized_run(hand)
     peak = traced_peak_bytes(reg.save_checkpoint, run, tmp_path / "c.json", hand)
     assert peak < 0.25 * 2**20
