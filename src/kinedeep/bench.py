@@ -36,6 +36,9 @@ import numpy as np
 from .kinematics import forward_kinematics_batch
 from .skeleton import Skeleton, default_hand, skeleton_from_dict
 
+# synth's and reproduce's noise: sigma per coordinate, chance of occlusion per joint
+NOISE_SIGMA_MM = 10.0
+OCCLUSION_PROB = 0.1
 OCCLUSION_SENTINEL_MM = -1000.0
 THRESHOLDS_MM = tuple(range(5, 85, 5))
 
@@ -96,13 +99,10 @@ def benchmark_interior_margin() -> float:
 
 @dataclass
 class Dataset:
-    """Column-major sample store: row i of each array is sample i. The
-    poses are the labels: eval_joints(skel, thetas) gives their joints."""
+    """Row i of each array is sample i. The poses are the labels (eval_joints
+    gives their joints); synth's manifest records how they were drawn."""
 
     skeleton_name: str
-    sigma_mm: float
-    occlusion_prob: float
-    seed: int
     features: np.ndarray  # (N, 3 * n_eval)
     thetas: np.ndarray    # (N, D)
 
@@ -186,14 +186,13 @@ def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
         for start in range(0, n, _BLOCK_POSES):
             block = features[start:start + _BLOCK_POSES]
             block[rng.uniform(size=block.shape[:2]) < occlusion_prob] = OCCLUSION_SENTINEL_MM
-    return Dataset(
-        skeleton_name=skel.name,
-        sigma_mm=float(noise_sigma_mm),
-        occlusion_prob=float(occlusion_prob),
-        seed=int(seed),
-        features=features.reshape(n, -1),
-        thetas=thetas,
-    )
+    return Dataset(skel.name, features.reshape(n, -1), thetas)
+
+
+def joint_distances(resid: np.ndarray) -> np.ndarray:
+    """Per-joint Euclidean distance of residuals (..., 3): metrics' and IK's."""
+    sq = resid * resid
+    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
 def evaluate(skel: Skeleton, predictions, true_thetas, *, fitted_poses=None,
@@ -224,9 +223,7 @@ def evaluate(skel: Skeleton, predictions, true_thetas, *, fitted_poses=None,
 
     if true_joints is None:
         true_joints = eval_joints(skel, true_thetas)
-    resid = pred_joints - true_joints
-    sq = resid * resid
-    err = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+    err = joint_distances(pred_joints - true_joints)
     max_err = err.max(axis=1)
     curve = [(float(t), float(np.mean(max_err <= t))) for t in THRESHOLDS_MM]
 

@@ -12,7 +12,8 @@ epoch beside each checkpoint (<checkpoint>.epochs.jsonl: stage learning
 rate, train loss, last-batch gradient norm, validation metrics when there
 is a validation set, seconds). Validation is recorded per epoch and never
 changes the weights or the epoch count: train at its defaults, with or
-without --val, trains reproduce's network.
+without --val, trains reproduce's network. Before any work, a command
+refuses an --out, or a file it writes beside --out, that cannot be written.
 
 reproduce runs the comparison that the reproduce module defines (the
 worker processes, their schedule and the claims), then writes its table
@@ -106,13 +107,15 @@ def _check_header_skeleton(path, kind, name, skel) -> None:
                          f"not {skel.name!r}")
 
 
-def _check_writable(path) -> None:
-    """Refuse an output file that cannot be written, before any work (it is
-    still written last, so a failed run leaves none)."""
-    folder = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not os.access(folder, os.W_OK):
-        raise ValueError(f"{path}: cannot be written: it is a directory, or its "
-                         f"directory is missing or read-only")
+def _check_writable(*paths) -> None:
+    """Refuse output files, --out and every file written beside it, if one
+    cannot be written, before any work (they are still written last, so a
+    failed run leaves none)."""
+    for path in paths:
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not os.access(folder, os.W_OK):
+            raise ValueError(f"{path}: cannot be written: it is a directory, or its "
+                             f"directory is missing or read-only")
 
 
 def _manifest_path(out_path) -> str:
@@ -154,7 +157,7 @@ def _write_manifest(path, subcommand, config, seed, inputs, outputs, started,
 def cmd_kinematics(args) -> int:
     """fk and jacobian: one row of joints, or of Jacobian entries, per pose."""
     started = time.monotonic()
-    _check_writable(args.out)
+    _check_writable(args.out, _manifest_path(args.out))
     skel = _resolve_skeleton(args.skeleton)
     name, poses = fileio.read_pose_file(args.poses, expected_dims=skel.n_dofs)
     _check_header_skeleton(args.poses, "pose", name, skel)
@@ -258,7 +261,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ik(args) -> int:
     started = time.monotonic()
-    _check_writable(args.out)
+    report_path = str(args.out) + ".report.json"
+    _check_writable(args.out, report_path, _manifest_path(args.out))
     skel = _resolve_skeleton(args.skeleton)
     name, frames = fileio.read_joint_file(args.targets)
     _check_header_skeleton(args.targets, "joint", name, skel)
@@ -282,7 +286,6 @@ def cmd_ik(args) -> int:
         "iterations_used": result.iterations_used.tolist(),
         "fit_s": fit_s,
     }
-    report_path = str(args.out) + ".report.json"
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
@@ -297,7 +300,7 @@ def cmd_ik(args) -> int:
 
 def cmd_synth(args) -> int:
     started = time.monotonic()
-    _check_writable(args.out)
+    _check_writable(args.out, _manifest_path(args.out))
     skel = _resolve_skeleton(args.skeleton)
     data = bench.make_dataset(skel, n=args.n, noise_sigma_mm=args.sigma,
                               occlusion_prob=args.occlusion, seed=args.seed,
@@ -316,7 +319,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.monotonic()
-    _check_writable(args.out)
+    _check_writable(args.out, rp.epochs_path(args.out), _manifest_path(args.out))
     skel = _resolve_skeleton(args.skeleton)
     train_data = _read_dataset(args.train, skel)
     val_data = _read_dataset(args.val, skel) if args.val else None
@@ -342,7 +345,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    _check_writable(args.out)
+    _check_writable(args.out, _manifest_path(args.out))
     skel = _resolve_skeleton(args.skeleton)
     run = rp.load_checkpoint_for(args.ckpt, skel)
     report = rp.score(run, skel, _read_dataset(args.data, skel), args.seed, args.fit_iters)
@@ -442,8 +445,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     add_skeleton(p)
     p.add_argument("--n", type=count, required=True)
-    p.add_argument("--sigma", type=float, default=10.0, help="noise sigma, mm")
-    p.add_argument("--occlusion", type=float, default=0.1)
+    p.add_argument("--sigma", type=float, default=bench.NOISE_SIGMA_MM,
+                   help="noise sigma, mm")
+    p.add_argument("--occlusion", type=float, default=bench.OCCLUSION_PROB)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--interior-margin", type=float, default=0.0)
     p.add_argument("--pose-shape", choices=("uniform", "central"),
@@ -499,8 +503,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-n", type=count, default=20000)
     p.add_argument("--val-n", type=count, default=2000)
-    p.add_argument("--sigma", type=float, default=10.0)
-    p.add_argument("--occlusion", type=float, default=0.1)
+    p.add_argument("--sigma", type=float, default=bench.NOISE_SIGMA_MM)
+    p.add_argument("--occlusion", type=float, default=bench.OCCLUSION_PROB)
     p.add_argument("--epochs", type=count, default=rp.EPOCHS)
     p.add_argument("--fit-frames", type=count, default=2000,
                    help="val frames to fit for direct_joint angle metrics")

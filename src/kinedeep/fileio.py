@@ -24,13 +24,13 @@ write -> read -> write is byte-stable. A non-finite value (nan, inf) is
 refused. Parse errors carry 1-based line numbers.
 
 A dataset is one uncompressed .npz file, read with allow_pickle=False, of
-float64 members features (N, 3 * n_eval) and thetas (N, D), and meta, a 0-d
-JSON string: magic "kinedeep-dataset", version 3, skeleton (a non-empty
-string), sigma_mm and occlusion (finite numbers), seed and n, the sample
-count (integers); true and false are not numbers. It stores no joint
-positions: the labels are the forward kinematics of thetas
-(bench.eval_joints). Its zip entries carry numpy's fixed 1980 timestamp, so
-the same dataset gives the same bytes.
+float64 members features (N, 3 * n_eval) and thetas (N, D), N >= 1, and
+meta, a 0-d JSON string of exactly magic "kinedeep-dataset", version 4 and
+skeleton (a non-empty string). The .npy headers record the shapes, and
+synth's manifest how the samples were drawn. It stores no joint positions:
+the labels are the forward kinematics of thetas (bench.eval_joints). Its
+zip entries carry numpy's fixed 1980 timestamp, so the same dataset gives
+the same bytes.
 """
 from __future__ import annotations
 
@@ -40,32 +40,17 @@ import zipfile
 import numpy as np
 
 from .bench import Dataset
-from .skeleton import finite_number
 
 POSES_MAGIC = "kinedeep-poses"
 JOINTS_MAGIC = "kinedeep-joints"
 DATASET_MAGIC = "kinedeep-dataset"
 JACOBIAN_MAGIC = "kinedeep-jacobian"
-DATASET_VERSION = 3
+DATASET_VERSION = 4
 _DATASET_ARRAYS = ("features", "thetas")
 
 
 class FileFormatError(ValueError):
     """A data file violates its documented format."""
-
-
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# what each field of a dataset's meta record must be, in Dataset's order
-_META_FIELDS = {
-    "skeleton": lambda value: isinstance(value, str) and value != "",
-    "sigma_mm": finite_number,
-    "occlusion": finite_number,
-    "seed": _integer,
-    "n": _integer,
-}
 
 
 def _write_table(path, header: str, rows) -> None:
@@ -167,21 +152,16 @@ def write_jacobian_file(path, skeleton_name: str, shape, jacobians) -> None:
 
 def write_dataset(path, data: Dataset) -> None:
     meta = {"magic": DATASET_MAGIC, "version": DATASET_VERSION,
-            "skeleton": data.skeleton_name, "sigma_mm": data.sigma_mm,
-            "occlusion": data.occlusion_prob, "seed": data.seed, "n": len(data)}
+            "skeleton": data.skeleton_name}
     with open(path, "wb") as fh:  # given a path, savez would append ".npz"
         np.savez(fh, features=data.features, thetas=data.thetas,
                  meta=np.array(json.dumps(meta)))
 
 
 def read_dataset(path) -> Dataset:
-    text_head = f"# {DATASET_MAGIC} v1".encode()
     # np.load given a path leaks its handle when zipfile rejects the archive
     with open(path, "rb") as fh:
-        head = fh.read(len(text_head))
-        if head == text_head:
-            raise FileFormatError(f"{path}: a text (v1) dataset; re-run synth")
-        if not head.startswith(b"PK\x03\x04"):
+        if fh.read(4) != b"PK\x03\x04":
             raise FileFormatError(f"{path}: not a .npz dataset")
         fh.seek(0)
         try:
@@ -194,18 +174,13 @@ def read_dataset(path) -> Dataset:
                               f"{', '.join(_DATASET_ARRAYS)} and meta; re-run synth")
     try:
         meta = json.loads(str(members["meta"][()]))
-        if (meta["magic"], meta["version"]) != (DATASET_MAGIC, DATASET_VERSION):
+        name = meta["skeleton"]
+        if not (isinstance(name, str) and name) or meta != {
+                "magic": DATASET_MAGIC, "version": DATASET_VERSION, "skeleton": name}:
             raise ValueError
-        fields = {key: meta[key] for key in _META_FIELDS}
     except (KeyError, TypeError, ValueError):
         raise FileFormatError(f"{path}: meta is not a {DATASET_MAGIC} "
                               f"version {DATASET_VERSION} record; re-run synth") from None
-    for key, value in fields.items():
-        if not _META_FIELDS[key](value):
-            raise FileFormatError(f"{path}: meta is not a {DATASET_MAGIC} version "
-                                  f"{DATASET_VERSION} record ({key} is {value!r}); "
-                                  f"re-run synth")
-    n = fields.pop("n")
     arrays = [members[key] for key in _DATASET_ARRAYS]
     for key, a in zip(_DATASET_ARRAYS, arrays):
         if a.dtype != np.float64 or a.ndim != 2:
@@ -214,8 +189,8 @@ def read_dataset(path) -> Dataset:
         if not np.isfinite(a).all():  # the occlusion sentinel is finite
             raise FileFormatError(f"{path}: {key} holds non-finite values")
     rows = {key: len(a) for key, a in zip(_DATASET_ARRAYS, arrays)}
-    if set(rows.values()) != {n}:
-        raise FileFormatError(f"{path}: row counts {rows} are not all meta's n={n}")
-    if not n:
+    if len(set(rows.values())) != 1:
+        raise FileFormatError(f"{path}: row counts {rows} differ")
+    if not rows["features"]:
         raise FileFormatError(f"{path}: dataset has no samples")
-    return Dataset(*fields.values(), *arrays)
+    return Dataset(name, *arrays)

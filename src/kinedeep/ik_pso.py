@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bench import joint_distances
 from .kinematics import fk_jacobian_batch, forward_kinematics_batch
 from .skeleton import Skeleton, clamp_pose
 
@@ -89,9 +90,8 @@ class _Objective:
         """(loss, mean per-joint distance) per pose."""
         joints = forward_kinematics_batch(self.skel, thetas, joint_indices=self.ev)
         resid = joints - self.targets[frames]
-        sq = resid * resid
         return (0.5 * np.einsum("nkc,nkc->n", resid, resid),
-                np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2]).mean(axis=1))
+                joint_distances(resid).mean(axis=1))
 
     def residual_and_jacobian(self, thetas, frames):
         pos, jac = fk_jacobian_batch(self.skel, thetas, joint_indices=self.ev)

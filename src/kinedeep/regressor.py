@@ -488,7 +488,8 @@ def _list_of(value, kind) -> bool:
 
 _NUMBER = (int, float)
 # The header fields load_checkpoint reads ("mlp.x" is field x of "mlp"): what
-# each must hold, and its check. A missing field reads as None.
+# each must hold, and its check. A missing field reads as None; a field that
+# is neither one of these nor format or version is refused.
 _HEADER_FIELDS = (
     ("skeleton", "an object with a name and a sha256", lambda v: isinstance(v, dict)
      and all(isinstance(v.get(k), str) for k in ("name", "sha256"))),
@@ -523,6 +524,11 @@ def load_checkpoint(path) -> TrainRun:
             if not check(value):
                 raise ValueError(f"{path}: header field {field} is missing or not {expected}")
         mlp = header["mlp"]
+        known = {"format", "version", *(field for field, _, _ in _HEADER_FIELDS)}
+        for prefix, keys in (("", header), ("mlp.", mlp)):
+            for key in keys:
+                if "." in key or prefix + key not in known:
+                    raise ValueError(f"{path}: unknown header field {prefix}{key}")
         try:
             config = MlpConfig(tuple(mlp["layer_widths"]), seed=int(mlp["seed"]),
                                output_scale=tuple(mlp["output_scale"]))

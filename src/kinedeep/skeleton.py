@@ -350,19 +350,15 @@ class Skeleton:
         return {"name": self.name, "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
-def finite_number(value) -> bool:
-    """Whether `value` is a finite JSON number; true and false are not."""
-    try:
-        return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def _finite(value, where: str, key: str):
-    """`value` if it is a finite JSON number, else a SkeletonError naming
-    where it is and its key."""
-    if not finite_number(value):
+    """`value` if it is a finite JSON number (true and false are not), else
+    a SkeletonError naming where it is and its key."""
+    try:
+        finite = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise SkeletonError(f"{where}: {key} must be a finite number, not {value!r}")
     return value
 

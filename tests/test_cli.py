@@ -257,15 +257,29 @@ def test_train_and_reproduce_share_the_epoch_default_and_eval_the_fit_budget():
         assert parser.parse_args(argv).epochs == reproduce.EPOCHS
     args = parser.parse_args(["eval", "--ckpt", "t.ckpt", "--data", "t.ds", "--out", "e.json"])
     assert args.fit_iters == reproduce.FIT_ITERATIONS
+    # synth and reproduce draw the same noise by default
+    for argv in (["synth", "--n", "4", "--out", "s.ds"], ["reproduce", "--out", "r"]):
+        args = parser.parse_args(argv)
+        assert (args.sigma, args.occlusion) == (bench.NOISE_SIGMA_MM, bench.OCCLUSION_PROB)
 
 
-@pytest.mark.parametrize("out", ["{tmp}/nodir/out", "{tmp}"], ids=["missing-dir", "dir"])
-@pytest.mark.parametrize("command", ["eval", "ik", "train", "synth", "fk", "jacobian"])
+# the files each command writes beside --out
+SIDE_FILES = {"eval": [".manifest.json"], "ik": [".report.json", ".manifest.json"],
+              "train": [".epochs.jsonl", ".manifest.json"], "synth": [".manifest.json"],
+              "fk": [".manifest.json"], "jacobian": [".manifest.json"]}
+
+
+@pytest.mark.parametrize("command, blocked", [
+    (command, blocked) for command, sides in SIDE_FILES.items()
+    for blocked in ["dir", "missing-dir", *sides]],
+    ids=lambda value: value.lstrip(".").split(".")[0])
 def test_unwritable_out_exits_1_before_the_work(hand, pose_file, tmp_path, capsys,
-                                                monkeypatch, command, out):
+                                                monkeypatch, command, blocked):
     # each command does its work (scores, fits, trains, makes a dataset or
-    # runs the kinematics) only once --out is known to be writable, and
-    # writes nothing on refusal: no checkpoint and no epoch records either
+    # runs the kinematics) only once --out and every file it writes beside
+    # --out are known to be writable, and writes nothing on refusal: no
+    # checkpoint and no epoch records either. `blocked` is --out itself (a
+    # directory, or in a missing one) or a side file, where a directory stands
     data, ckpt, _ = synth_and_train(tmp_path)
     targets = tmp_path / "targets.csv"
     fileio.write_joint_file(targets, hand.name, np.zeros((2, hand.n_joints, 3)))
@@ -285,13 +299,17 @@ def test_unwritable_out_exits_1_before_the_work(hand, pose_file, tmp_path, capsy
                          (reproduce, "train_mode"), (bench, "make_dataset"),
                          (kin, "forward_kinematics_batch"), (kin, "fk_jacobian_batch")):
         monkeypatch.setattr(module, name, work)
-    out = out.format(tmp=tmp_path)
+    out = {"dir": str(tmp_path), "missing-dir": f"{tmp_path}/nodir/out"}.get(
+        blocked, f"{tmp_path}/out")
+    unwritable = out + blocked if blocked.startswith(".") else out
+    if unwritable != out:
+        os.mkdir(unwritable)
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert run_cli(command, *argv, "--out", out) == 1
-    assert capsys.readouterr().err.startswith(f"error: {out}: cannot be written")
+    assert capsys.readouterr().err.startswith(f"error: {unwritable}: cannot be written")
     assert calls == [] and sorted(tmp_path.rglob("*")) == before
-    assert not os.path.exists(reproduce.epochs_path(out))
+    assert not os.path.exists(reproduce.epochs_path(out)) or blocked == ".epochs.jsonl"
 
 
 @pytest.mark.parametrize("command", ["fk", "jacobian"])
@@ -417,6 +435,7 @@ def test_synth_refuses_non_finite_sigma(tmp_path, capsys, sigma):
 
 
 def test_train_and_eval_refuse_text_v1_dataset(tmp_path, capsys):
+    # the first dataset format was a text table; it is not a .npz file
     good = tmp_path / "good.ds"
     assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(good)) == 0
     ckpt = tmp_path / "run.ckpt.json"
@@ -429,15 +448,15 @@ def test_train_and_eval_refuse_text_v1_dataset(tmp_path, capsys):
     out = tmp_path / "again.ckpt.json"
     assert run_cli("train", "--train", str(old), "--epochs", "1",
                    "--out", str(out)) == 1
-    assert "re-run synth" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {old}: not a .npz dataset\n"
     assert run_cli("train", "--train", str(good), "--val", str(old), "--epochs", "1",
                    "--out", str(out)) == 1
-    assert "re-run synth" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {old}: not a .npz dataset\n"
     assert not out.exists()
     report = tmp_path / "report.json"
     assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(old),
                    "--out", str(report)) == 1
-    assert "re-run synth" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {old}: not a .npz dataset\n"
     assert not report.exists()
 
 
@@ -555,6 +574,23 @@ def test_train_and_eval_refuse_v2_dataset_with_joints(hand, tmp_path, capsys):
     with open(data, "wb") as fh:
         np.savez(fh, **members)
     assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt, "re-run synth")
+
+
+@pytest.mark.parametrize("change", [
+    {"version": 3, "sigma_mm": 10.0, "occlusion": 0.1, "seed": 4, "n": 16},
+    {"sigma_mm": 10.0},
+], ids=["v3", "extra-key"])
+def test_train_and_eval_refuse_dataset_meta_beyond_version_4(tmp_path, capsys, change):
+    # version 3 also stored the noise, occlusion, seed and sample count,
+    # which synth's manifest records; a version-4 meta holds three keys
+    data, ckpt, members = synth_and_train(tmp_path)
+    members["meta"] = np.array(json.dumps({**json.loads(str(members["meta"][()])),
+                                           **change}))
+    with open(data, "wb") as fh:
+        np.savez(fh, **members)
+    assert_train_and_eval_refuse(
+        tmp_path, capsys, data, ckpt,
+        f"{data}: meta is not a kinedeep-dataset version 4 record; re-run synth")
 
 
 def _palm(**fields):

@@ -145,11 +145,10 @@ def test_dataset_roundtrip(hand, tmp_path):
     fileio.write_dataset(path, data)
     with np.load(path, allow_pickle=False) as npz:  # no joints: they are FK of thetas
         assert sorted(npz.files) == ["features", "meta", "thetas"]
+        assert json.loads(str(npz["meta"][()])) == {
+            "magic": "kinedeep-dataset", "version": 4, "skeleton": hand.name}
     again = fileio.read_dataset(path)
     assert again.skeleton_name == data.skeleton_name
-    assert again.sigma_mm == data.sigma_mm
-    assert again.occlusion_prob == data.occlusion_prob
-    assert again.seed == data.seed
     assert np.array_equal(again.features, data.features)
     assert np.array_equal(again.thetas, data.thetas)
     copy = tmp_path / "copy.ds"
@@ -157,12 +156,16 @@ def test_dataset_roundtrip(hand, tmp_path):
     assert copy.read_bytes() == path.read_bytes()
 
 
-def write_npz(path, n=2, **members):
+def meta_of(drop=(), **fields):
+    """A valid dataset meta record without the keys `drop`, with `fields`
+    changed or added."""
+    meta = {"magic": "kinedeep-dataset", "version": 4, "skeleton": "x", **fields}
+    return np.array(json.dumps({k: v for k, v in meta.items() if k not in drop}))
+
+
+def write_npz(path, **members):
     """A dataset .npz whose members default to a valid 2-sample set."""
-    meta = {"magic": "kinedeep-dataset", "version": 3, "skeleton": "x",
-            "sigma_mm": 1.0, "occlusion": 0.0, "seed": 1, "n": n}
-    arrays = {"features": np.ones((2, 6)), "thetas": np.ones((2, 4)),
-              "meta": np.array(json.dumps(meta))}
+    arrays = {"features": np.ones((2, 6)), "thetas": np.ones((2, 4)), "meta": meta_of()}
     arrays.update(members)
     with open(path, "wb") as fh:
         np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
@@ -171,21 +174,14 @@ def write_npz(path, n=2, **members):
 
 def test_dataset_valid_npz_reads(tmp_path):
     data = fileio.read_dataset(write_npz(tmp_path / "data.ds"))
-    assert (data.skeleton_name, data.sigma_mm, data.occlusion_prob, data.seed) == \
-        ("x", 1.0, 0.0, 1)
+    assert data.skeleton_name == "x"
     assert data.features.shape == (2, 6) and data.thetas.shape == (2, 4)
 
 
 def test_dataset_members_with_different_row_counts(tmp_path):
     path = write_npz(tmp_path / "data.ds", thetas=np.ones((3, 4)))
     with pytest.raises(fileio.FileFormatError,
-                       match=r"row counts .*'thetas': 3.* not all meta's n=2"):
-        fileio.read_dataset(path)
-
-
-def test_dataset_row_count_must_match_meta(tmp_path):
-    path = write_npz(tmp_path / "data.ds", n=3)
-    with pytest.raises(fileio.FileFormatError, match="not all meta's n=3"):
+                       match=r"row counts .*'features': 2.*'thetas': 3.* differ"):
         fileio.read_dataset(path)
 
 
@@ -226,54 +222,53 @@ def test_dataset_object_member_refused_without_pickle(tmp_path):
 
 
 def test_dataset_with_zero_samples(tmp_path):
-    path = write_npz(tmp_path / "data.ds", n=0, features=np.ones((0, 6)),
-                     thetas=np.ones((0, 4)))
+    path = write_npz(tmp_path / "data.ds", features=np.ones((0, 6)), thetas=np.ones((0, 4)))
     with pytest.raises(fileio.FileFormatError, match="no samples"):
         fileio.read_dataset(path)
 
 
-def one_row_meta(**fields):
-    """The meta record of a valid one-row dataset, with `fields` changed."""
-    meta = {"magic": "kinedeep-dataset", "version": 3, "skeleton": "x",
-            "sigma_mm": 1.0, "occlusion": 0.0, "seed": 1, "n": 1}
-    return np.array(json.dumps({**meta, **fields}))
+# a version-3 record held the sample's provenance and count
+V3_META = dict(version=3, sigma_mm=1.0, occlusion=0.0, seed=1, n=1)
 
 
 @pytest.mark.parametrize("meta", [
-    np.array(json.dumps({"magic": "kinedeep-dataset", "version": 1, "skeleton": "x",
-                         "sigma_mm": 1.0, "occlusion": 0.0, "seed": 1, "n": 2})),
+    meta_of(**{**V3_META, "version": 1, "n": 2}),
     np.array(json.dumps({"magic": "kinedeep-dataset", "version": 2})),
     np.array("not json"),
     np.array(2.0),
-    one_row_meta(skeleton=5),
-    one_row_meta(skeleton=""),
-    one_row_meta(sigma_mm="ten"),
-    one_row_meta(sigma_mm=float("nan")),
-    one_row_meta(occlusion="x"),
-    one_row_meta(occlusion=True),
-    one_row_meta(seed=[1]),
-    one_row_meta(seed=1.5),
-    one_row_meta(n=True),
+    meta_of(skeleton=5),
+    meta_of(skeleton=""),
+    meta_of(**V3_META),
+    meta_of(sigma_mm=1.0),
+    meta_of(occlusion=0.0),
+    meta_of(seed=1),
+    meta_of(n=1),
+    meta_of(drop=("skeleton",)),
+    meta_of(magic="kinedeep-poses"),
+    meta_of(version="4"),
+    np.array(json.dumps(["kinedeep-dataset", 4, "x"])),
 ])
 def test_dataset_bad_meta(tmp_path, meta):
     path = write_npz(tmp_path / "data.ds", meta=meta, features=np.ones((1, 6)),
                      thetas=np.ones((1, 4)))
-    with pytest.raises(fileio.FileFormatError, match="meta is not a kinedeep-dataset"):
+    with pytest.raises(fileio.FileFormatError,
+                       match="meta is not a kinedeep-dataset version 4 record; re-run synth"):
         fileio.read_dataset(path)
 
 
 def test_dataset_one_row_meta_reads(tmp_path):
-    path = write_npz(tmp_path / "data.ds", meta=one_row_meta(), features=np.ones((1, 6)),
-                     thetas=np.ones((1, 4)))
+    path = write_npz(tmp_path / "data.ds", features=np.ones((1, 6)), thetas=np.ones((1, 4)))
     assert len(fileio.read_dataset(path)) == 1
 
 
 def test_text_v1_dataset_refused(tmp_path):
+    # the first dataset format was a text table; it is not a .npz file
     path = tmp_path / "data.csv"
     path.write_text("# kinedeep-dataset v1 skeleton=x sigma_mm=1.0 occlusion=0.0 seed=1 n=1\n"
                     "1.0,2.0;3.0;1.0,2.0,3.0\n")
-    with pytest.raises(fileio.FileFormatError, match=r"text \(v1\) dataset; re-run synth"):
+    with pytest.raises(fileio.FileFormatError) as refused:
         fileio.read_dataset(path)
+    assert str(refused.value) == f"{path}: not a .npz dataset"
 
 
 @pytest.mark.parametrize("content", [b"", b"1.0,2.0\n", b"PK\x03\x04 truncated"])

@@ -764,6 +764,14 @@ CHECKPOINT_DAMAGE = {
     "history_row_with_true": (
         lambda p: replace_header(p, lambda h: h.update(history=[[True, 1.0, 2.0, 3.0]])),
         "header field history is missing or not a list of rows of 4 numbers"),
+    # a field the reader does not know would be ignored, its setting lost
+    "mlp_input_scale": (replace_mlp(input_scale=5.0),
+                        "unknown header field mlp.input_scale"),
+    "extra_key": (lambda p: replace_header(p, lambda h: h.update(extra=1)),
+                  "unknown header field extra"),
+    "dotted_top_level_key": (
+        lambda p: replace_header(p, lambda h: h.update({"mlp.seed": 1})),
+        "unknown header field mlp.seed"),
 }
 
 
