@@ -36,7 +36,7 @@ The default skeleton is the built-in 23-joint hand, the config file
 hand23.json shipped inside the package; --skeleton (and no environment
 variable) selects another config file. reproduce writes the skeleton it
 trained on as <out>/skeleton.json, for eval --skeleton. train and eval
-refuse a dataset whose metadata names a different skeleton, fk, jacobian
+refuse a dataset whose header names a different skeleton, fk, jacobian
 and ik a pose or joint file whose header does, and eval a checkpoint whose
 recorded skeleton fingerprint differs.
 """
@@ -453,7 +453,8 @@ def build_parser() -> _Parser:
     p.add_argument("--pose-shape", choices=("uniform", "central"),
                    default="uniform")
     p.add_argument("--out", required=True,
-                   help="dataset path; the file is a .npz dataset, whatever its suffix")
+                   help="dataset path; the file is a kinedeep-dataset record file "
+                        "(fileio), whatever its suffix")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a regressor on a dataset",

@@ -1,4 +1,5 @@
-"""Text formats for poses, joint frames and Jacobians; the binary dataset.
+"""Text formats for poses, joint frames and Jacobians; the binary record
+format of datasets and checkpoints.
 
 A text file is a line-oriented table with a single header line:
 
@@ -23,19 +24,27 @@ parsed array. Floats are written with repr (shortest round-trip), so
 write -> read -> write is byte-stable. A non-finite value (nan, inf) is
 refused. Parse errors carry 1-based line numbers.
 
-A dataset is one uncompressed .npz file, read with allow_pickle=False, of
-float64 members features (N, 3 * n_eval) and thetas (N, D), N >= 1, and
-meta, a 0-d JSON string of exactly magic "kinedeep-dataset", version 4 and
-skeleton (a non-empty string). The .npy headers record the shapes, and
-synth's manifest how the samples were drawn. It stores no joint positions:
-the labels are the forward kinematics of thetas (bench.eval_joints). Its
-zip entries carry numpy's fixed 1980 timestamp, so the same dataset gives
-the same bytes.
+Datasets and checkpoints share one binary record format: a JSON object on
+one line, its first key "format", with an integer "version", then .npy
+records as np.save writes them (write_records). The readers (read_header,
+read_record) check the line's first bytes before reading it, and each
+record's .npy header before allocating it: dtype <f8, C order, the
+expected shape, and no more bytes than the file has left. Nothing is
+unpickled. Trailing bytes are refused, every refusal names the path, and
+the same content gives the same bytes.
+
+A dataset ("kinedeep-dataset", version 5) has exactly the header fields
+format, version and skeleton (a non-empty name), then the records features
+(N, 3 * n_eval) and thetas (N, D), N >= 1 equal rows of finite values;
+synth's manifest records how they were drawn. It stores no joint
+positions: the labels are the forward kinematics of thetas
+(bench.eval_joints). A checkpoint is regressor.save_checkpoint's.
 """
 from __future__ import annotations
 
 import json
-import zipfile
+import math
+import os
 
 import numpy as np
 
@@ -43,10 +52,11 @@ from .bench import Dataset
 
 POSES_MAGIC = "kinedeep-poses"
 JOINTS_MAGIC = "kinedeep-joints"
-DATASET_MAGIC = "kinedeep-dataset"
+DATASET_FORMAT = "kinedeep-dataset"
 JACOBIAN_MAGIC = "kinedeep-jacobian"
-DATASET_VERSION = 4
+DATASET_VERSION = 5
 _DATASET_ARRAYS = ("features", "thetas")
+_RECORDS_START = b'{"format": '  # how json.dumps begins every record file's header
 
 
 class FileFormatError(ValueError):
@@ -61,7 +71,7 @@ def _write_table(path, header: str, rows) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _read_header(path, line, magic, width_key) -> tuple:
+def _read_table_header(path, line, magic, width_key) -> tuple:
     """(skeleton name, count) of the header line
     "# <magic> v1 skeleton=<name> <width_key>=<count>"."""
     parts = line.lstrip("#").split()
@@ -92,7 +102,7 @@ def _read_table(path, magic, width_key, unit):
     header's `width_key` field times `unit`."""
     rows = []
     with open(path) as fh:
-        name, count = _read_header(path, fh.readline(), magic, width_key)
+        name, count = _read_table_header(path, fh.readline(), magic, width_key)
         width = count * unit
         if width > np.iinfo(np.intp).max:
             raise FileFormatError(f"{path}: header field {width_key}={count} is out of range")
@@ -150,42 +160,73 @@ def write_jacobian_file(path, skeleton_name: str, shape, jacobians) -> None:
                  (np.reshape(jac, -1) for jac in jacobians))
 
 
+def write_records(path, header: dict, arrays) -> None:
+    """The JSON header line (its first key "format"), then each array as an
+    .npy record; np.save writes a C-order array's bytes without a copy."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        for array in arrays:
+            np.save(fh, array)
+
+
+def read_header(fh, path, fmt, version, remedy) -> dict:
+    """The header line of the record file `fh`, refused unless it is a JSON
+    object with format `fmt` and the integer version `version`; `remedy`
+    ends the refusal."""
+    start = fh.read(len(_RECORDS_START))  # a file of zeros has no line end
+    try:
+        header = json.loads(start + fh.readline()) if start == _RECORDS_START else None
+    except ValueError:  # not JSON, or not UTF-8
+        header = None
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise FileFormatError(f"{path}: not a {fmt} file; {remedy}")
+    if type(header.get("version")) is not int or header["version"] != version:
+        raise FileFormatError(f"{path}: unsupported {fmt} version {header.get('version')!r} "
+                              f"(this reader reads version {version}); {remedy}")
+    return header
+
+
+def read_record(fh, path, what, shape) -> np.ndarray:
+    """The next .npy record of `fh` as a fresh float64 array, refused unless
+    it is <f8 in C order of `shape` (a None dimension matches any length)
+    and the file holds all of it; `what` names the record in a refusal."""
+    try:  # np.save writes version 1.0, and 2.0 for headers over 64 KiB
+        read = (np.lib.format.read_array_header_1_0 if np.lib.format.read_magic(fh) == (1, 0)
+                else np.lib.format.read_array_header_2_0)
+        got, fortran_order, dtype = read(fh)
+    except ValueError as e:  # short or malformed record header
+        raise FileFormatError(f"{path}: {what}: {e}") from None
+    if dtype != np.dtype("<f8") or fortran_order or len(got) != len(shape) or \
+            not all(n in (None, g) for g, n in zip(got, shape)):
+        raise FileFormatError(f"{path}: {what} are {dtype} {got}"
+                              f"{' in Fortran order' if fortran_order else ''}, "
+                              f"expected float64 {str(shape).replace('None', 'N')}")
+    if 8 * math.prod(got) > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise FileFormatError(f"{path}: {what}: the file ends inside the record")
+    try:
+        array = np.empty(got)
+    except ValueError as e:  # a negative dimension, or one beyond numpy's limit
+        raise FileFormatError(f"{path}: {what}: {e}") from None
+    fh.readinto(array)
+    return array
+
+
 def write_dataset(path, data: Dataset) -> None:
-    meta = {"magic": DATASET_MAGIC, "version": DATASET_VERSION,
-            "skeleton": data.skeleton_name}
-    with open(path, "wb") as fh:  # given a path, savez would append ".npz"
-        np.savez(fh, features=data.features, thetas=data.thetas,
-                 meta=np.array(json.dumps(meta)))
+    write_records(path, {"format": DATASET_FORMAT, "version": DATASET_VERSION,
+                         "skeleton": data.skeleton_name}, (data.features, data.thetas))
 
 
 def read_dataset(path) -> Dataset:
-    # np.load given a path leaks its handle when zipfile rejects the archive
     with open(path, "rb") as fh:
-        if fh.read(4) != b"PK\x03\x04":
-            raise FileFormatError(f"{path}: not a .npz dataset")
-        fh.seek(0)
-        try:
-            with np.load(fh, allow_pickle=False) as npz:
-                members = {key: npz[key] for key in npz.files}
-        except (ValueError, EOFError, zipfile.BadZipFile) as e:
-            raise FileFormatError(f"{path}: unreadable .npz dataset: {e}") from None
-    if sorted(members) != sorted((*_DATASET_ARRAYS, "meta")):
-        raise FileFormatError(f"{path}: members {sorted(members)}, expected "
-                              f"{', '.join(_DATASET_ARRAYS)} and meta; re-run synth")
-    try:
-        meta = json.loads(str(members["meta"][()]))
-        name = meta["skeleton"]
-        if not (isinstance(name, str) and name) or meta != {
-                "magic": DATASET_MAGIC, "version": DATASET_VERSION, "skeleton": name}:
-            raise ValueError
-    except (KeyError, TypeError, ValueError):
-        raise FileFormatError(f"{path}: meta is not a {DATASET_MAGIC} "
-                              f"version {DATASET_VERSION} record; re-run synth") from None
-    arrays = [members[key] for key in _DATASET_ARRAYS]
+        header = read_header(fh, path, DATASET_FORMAT, DATASET_VERSION, "re-run synth")
+        if sorted(header) != ["format", "skeleton", "version"] or \
+                not (isinstance(header["skeleton"], str) and header["skeleton"]):
+            raise FileFormatError(f"{path}: header fields must be exactly format, version "
+                                  "and skeleton (a non-empty name); re-run synth")
+        arrays = [read_record(fh, path, key, (None, None)) for key in _DATASET_ARRAYS]
+        if fh.read(1):
+            raise FileFormatError(f"{path}: trailing bytes after the last record")
     for key, a in zip(_DATASET_ARRAYS, arrays):
-        if a.dtype != np.float64 or a.ndim != 2:
-            raise FileFormatError(f"{path}: {key} is {a.dtype} of shape {a.shape}, "
-                                  "expected float64 (N, width)")
         if not np.isfinite(a).all():  # the occlusion sentinel is finite
             raise FileFormatError(f"{path}: {key} holds non-finite values")
     rows = {key: len(a) for key, a in zip(_DATASET_ARRAYS, arrays)}
@@ -193,4 +234,4 @@ def read_dataset(path) -> Dataset:
         raise FileFormatError(f"{path}: row counts {rows} differ")
     if not rows["features"]:
         raise FileFormatError(f"{path}: dataset has no samples")
-    return Dataset(name, *arrays)
+    return Dataset(header["skeleton"], *arrays)

@@ -27,20 +27,17 @@ least 151 rows on the 256 -> 26 output layer and 94 rows on a 256 -> 42 one
 Training keeps every layer's output for the backward pass, and takes each
 ReLU mask from those outputs; no pre-activation is stored. It holds one
 step's gradients at a time, and none while it validates.
-A checkpoint is one JSON header line followed by each layer's weights and
-biases as .npy records (save_checkpoint).
+A checkpoint is a file of fileio's record format (save_checkpoint).
 """
 from __future__ import annotations
 
-import json
 import math
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import bench
+from . import bench, fileio
 from . import loss as loss_mod
 from .kinematics import fk_jacobian_batch
 from .skeleton import Skeleton
@@ -451,10 +448,10 @@ def train(run: TrainRun, dataset, skel: Skeleton, epochs: int,
 def save_checkpoint(run: TrainRun, path, skel: Skeleton) -> None:
     """Write `run` as trained for `skel`, whose fingerprint it records.
 
-    Line 1 is JSON: format, version, skeleton fingerprint, MLP config, mode
-    and history. Each layer's weights, then its biases, follow as .npy
-    records (np.save writes the float64 bytes without a copy). The
-    `.ckpt.json` suffix of train's and reproduce's files is historical.
+    It is a file of fileio's record format. The header holds format,
+    version, skeleton fingerprint, MLP config, mode and history; each
+    layer's weights, then its biases, follow as records. The `.ckpt.json`
+    suffix of train's and reproduce's files is historical.
     """
     header = {
         "format": CHECKPOINT_FORMAT,
@@ -471,11 +468,7 @@ def save_checkpoint(run: TrainRun, path, skel: Skeleton) -> None:
             for h in run.history
         ],
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode() + b"\n")
-        for w, b in zip(run.weights, run.biases):
-            np.save(fh, w)
-            np.save(fh, b)
+    fileio.write_records(path, header, [a for wb in zip(run.weights, run.biases) for a in wb])
 
 
 def _is(value, kind) -> bool:  # true and false are not numbers
@@ -508,15 +501,8 @@ def load_checkpoint(path) -> TrainRun:
     ValueError that names the path. A record's .npy header is checked
     against the layer widths before its data is read."""
     with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except ValueError:  # not JSON, or not UTF-8
-            header = None
-        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')} "
-                             f"(this reader reads version {CHECKPOINT_VERSION}); retrain")
+        header = fileio.read_header(fh, path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+                                    "retrain")
         for field, expected, check in _HEADER_FIELDS:
             value = header
             for key in field.split("."):
@@ -535,24 +521,9 @@ def load_checkpoint(path) -> TrainRun:
         except ValueError as e:
             raise ValueError(f"{path}: header field mlp: {e}") from None
         widths = config.layer_widths
-        arrays = []  # each layer's weights, then its biases
-        for shape in [s for pair in zip(widths, widths[1:]) for s in (pair, pair[1:])]:
-            record = f"layer {len(arrays) // 2} {('weights', 'biases')[len(arrays) % 2]}"
-            try:  # np.save writes version 1.0, and 2.0 for headers over 64 KiB
-                version = np.lib.format.read_magic(fh)
-                read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-                               else np.lib.format.read_array_header_2_0)
-                got, fortran_order, dtype = read_header(fh)
-            except ValueError as e:  # short or malformed record header
-                raise ValueError(f"{path}: {record}: {e}") from None
-            if dtype != np.dtype("<f8") or fortran_order or got != shape:
-                raise ValueError(f"{path}: {record} are {dtype} {got}"
-                                 f"{' in Fortran order' if fortran_order else ''}, "
-                                 f"expected float64 {shape}")
-            if 8 * math.prod(shape) > os.fstat(fh.fileno()).st_size - fh.tell():
-                raise ValueError(f"{path}: {record}: the file ends inside the record")
-            arrays.append(np.empty(shape))
-            fh.readinto(arrays[-1])
+        arrays = [fileio.read_record(fh, path, f"layer {i} {kind}", shape)
+                  for i, (n_in, n_out) in enumerate(zip(widths, widths[1:]))
+                  for kind, shape in (("weights", (n_in, n_out)), ("biases", (n_out,)))]
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last layer")
     return TrainRun(config, header["mode"], arrays[0::2], arrays[1::2],

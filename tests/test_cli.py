@@ -16,6 +16,7 @@ from kinedeep import regressor as reg
 from kinedeep import skeleton as sk
 from kinedeep.cli import build_parser, main
 from kinedeep.reproduce import reproduce_fit, reproduce_mode
+from test_fileio import NOT_A_DATASET, header_of, npy_header, write_dataset_file
 from test_regressor import CHECKPOINT_DAMAGE, checkpoint_parts
 from test_reproduce import ORDERINGS
 
@@ -239,7 +240,7 @@ def test_ik_refuses_frames_of_another_joint_count(hand, tmp_path, capsys):
     ("reproduce --train-n 50 --val-n 20 --epochs 0 --out {tmp}/run", "--epochs"),
     ("gradcheck --skeleton {missing} --trials 0", "--trials"),
     ("ik --targets {missing} --iters 0 --out {tmp}/fit.csv", "--iters"),
-    ("synth --skeleton {missing} --n 0 --out {tmp}/data.npz", "--n"),
+    ("synth --skeleton {missing} --n 0 --out {tmp}/data.ds", "--n"),
 ], ids=["train-epochs", "reproduce-epochs", "gradcheck-trials", "ik-iters", "synth-n"])
 def test_count_flag_below_1_exits_1_before_any_input(tmp_path, capsys, argv, flag):
     # the parser refuses it, naming the flag, before any file is read, any
@@ -435,7 +436,7 @@ def test_synth_refuses_non_finite_sigma(tmp_path, capsys, sigma):
 
 
 def test_train_and_eval_refuse_text_v1_dataset(tmp_path, capsys):
-    # the first dataset format was a text table; it is not a .npz file
+    # the first dataset format was a text table
     good = tmp_path / "good.ds"
     assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(good)) == 0
     ckpt = tmp_path / "run.ckpt.json"
@@ -448,47 +449,31 @@ def test_train_and_eval_refuse_text_v1_dataset(tmp_path, capsys):
     out = tmp_path / "again.ckpt.json"
     assert run_cli("train", "--train", str(old), "--epochs", "1",
                    "--out", str(out)) == 1
-    assert capsys.readouterr().err == f"error: {old}: not a .npz dataset\n"
+    assert capsys.readouterr().err == f"error: {old}: {NOT_A_DATASET}\n"
     assert run_cli("train", "--train", str(good), "--val", str(old), "--epochs", "1",
                    "--out", str(out)) == 1
-    assert capsys.readouterr().err == f"error: {old}: not a .npz dataset\n"
+    assert capsys.readouterr().err == f"error: {old}: {NOT_A_DATASET}\n"
     assert not out.exists()
     report = tmp_path / "report.json"
     assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(old),
                    "--out", str(report)) == 1
-    assert capsys.readouterr().err == f"error: {old}: not a .npz dataset\n"
+    assert capsys.readouterr().err == f"error: {old}: {NOT_A_DATASET}\n"
     assert not report.exists()
 
 
-def test_eval_refuses_malformed_npz_dataset(tmp_path, capsys):
-    data = tmp_path / "data.ds"
-    assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
-    ckpt = tmp_path / "run.ckpt.json"
-    assert run_cli("train", "--train", str(data), "--epochs", "1",
-                   "--out", str(ckpt)) == 0
-    with np.load(data) as npz:
-        members = dict(npz)
-    members["thetas"] = members["thetas"][:-1]
-    with open(data, "wb") as fh:
-        np.savez(fh, **members)
-    capsys.readouterr()
-    report = tmp_path / "report.json"
-    assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(data),
-                   "--out", str(report)) == 1
-    assert "row counts" in capsys.readouterr().err
-    assert not report.exists()
+HAND23 = header_of(skeleton="hand23")  # the header of synth's default datasets
 
 
 def synth_and_train(tmp_path):
-    """A 16-sample hand23 dataset, and a checkpoint trained on it."""
+    """A 16-sample hand23 dataset, a checkpoint trained on it, and the
+    dataset's records by name."""
     data = tmp_path / "data.ds"
     assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "run.ckpt.json"
     assert run_cli("train", "--train", str(data), "--epochs", "1",
                    "--out", str(ckpt)) == 0
-    with np.load(data) as npz:
-        members = dict(npz)
-    return data, ckpt, members
+    dataset = fileio.read_dataset(data)
+    return data, ckpt, {"features": dataset.features, "thetas": dataset.thetas}
 
 
 def assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt, *messages):
@@ -505,6 +490,28 @@ def assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt, *messages):
     err = capsys.readouterr().err
     assert all(m in err for m in messages), err
     assert not report.exists()
+
+
+def test_eval_refuses_dataset_with_unequal_row_counts(tmp_path, capsys):
+    data, ckpt, records = synth_and_train(tmp_path)
+    write_dataset_file(data, HAND23, features=records["features"],
+                       thetas=records["thetas"][:-1])
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(data),
+                   "--out", str(report)) == 1
+    assert "row counts" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_train_and_eval_refuse_dataset_record_larger_than_the_file(tmp_path, capsys):
+    # a features record whose .npy header claims 10**11 rows (30.6 TiB) is
+    # refused before anything is allocated, not with a MemoryError
+    data, ckpt, records = synth_and_train(tmp_path)
+    write_dataset_file(data, HAND23, features=npy_header((10**11, 42))
+                       + records["features"].tobytes(), thetas=records["thetas"])
+    assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt,
+                                 f"error: {data}: features: the file ends inside the record")
 
 
 @pytest.mark.parametrize("case", CHECKPOINT_DAMAGE)
@@ -526,10 +533,9 @@ def test_train_and_eval_refuse_dataset_widths_of_another_skeleton(
         tmp_path, capsys, key, width):
     # a 41-wide features array used to train and evaluate (exit 0), and a
     # 25-wide thetas array to train, then fail with an IndexError traceback
-    data, ckpt, members = synth_and_train(tmp_path)
-    members[key] = members[key][:, :-1]
-    with open(data, "wb") as fh:
-        np.savez(fh, **members)
+    data, ckpt, records = synth_and_train(tmp_path)
+    records[key] = records[key][:, :-1]
+    write_dataset_file(data, HAND23, **records)
     assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt,
                                  f"{key} are {width - 1} wide", f"needs {width}")
 
@@ -537,10 +543,9 @@ def test_train_and_eval_refuse_dataset_widths_of_another_skeleton(
 @pytest.mark.parametrize("key, value", [("features", np.inf), ("thetas", np.nan)])
 def test_train_and_eval_refuse_non_finite_dataset(tmp_path, capsys, key, value):
     # unrefused, an inf feature is clipped to +-INPUT_CLIP_MM and scored
-    data, ckpt, members = synth_and_train(tmp_path)
-    members[key][3, 5] = value
-    with open(data, "wb") as fh:
-        np.savez(fh, **members)
+    data, ckpt, records = synth_and_train(tmp_path)
+    records[key][3, 5] = value
+    write_dataset_file(data, HAND23, **records)
     assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt,
                                  f"{data}: {key} holds non-finite values")
 
@@ -565,32 +570,41 @@ def test_eval_of_non_finite_network_output_exits_2(hand, tmp_path, capsys, mode)
     assert not report.exists()
 
 
+def write_npz(path, version, **arrays):
+    """A hand23 dataset in the .npz format of dataset versions 2 to 4: the
+    arrays and a JSON meta member."""
+    meta = {"magic": "kinedeep-dataset", "version": version, "skeleton": "hand23"}
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+
+
 def test_train_and_eval_refuse_v2_dataset_with_joints(hand, tmp_path, capsys):
-    data, ckpt, members = synth_and_train(tmp_path)
-    meta = json.loads(str(members["meta"][()]))
-    meta["version"] = 2
-    members["meta"] = np.array(json.dumps(meta))
-    members["joints"] = kin.forward_kinematics_batch(hand, members["thetas"]).reshape(16, -1)
-    with open(data, "wb") as fh:
-        np.savez(fh, **members)
-    assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt, "re-run synth")
+    data, ckpt, records = synth_and_train(tmp_path)
+    joints = kin.forward_kinematics_batch(hand, records["thetas"]).reshape(16, -1)
+    write_npz(data, 2, joints=joints, **records)
+    assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt, f"{data}: {NOT_A_DATASET}")
 
 
-@pytest.mark.parametrize("change", [
-    {"version": 3, "sigma_mm": 10.0, "occlusion": 0.1, "seed": 4, "n": 16},
-    {"sigma_mm": 10.0},
+def test_train_and_eval_refuse_npz_dataset_of_version_4(tmp_path, capsys):
+    # the format before the record file
+    data, ckpt, records = synth_and_train(tmp_path)
+    write_npz(data, 4, **records)
+    assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt, f"{data}: {NOT_A_DATASET}")
+
+
+@pytest.mark.parametrize("change, refusal", [
+    ({"version": 3, "sigma_mm": 10.0, "occlusion": 0.1, "seed": 4, "n": 16},
+     "unsupported kinedeep-dataset version 3 (this reader reads version 5); re-run synth"),
+    ({"sigma_mm": 10.0}, "header fields must be exactly format, version and skeleton "
+                         "(a non-empty name); re-run synth"),
 ], ids=["v3", "extra-key"])
-def test_train_and_eval_refuse_dataset_meta_beyond_version_4(tmp_path, capsys, change):
+def test_train_and_eval_refuse_dataset_header_beyond_version_5(
+        tmp_path, capsys, change, refusal):
     # version 3 also stored the noise, occlusion, seed and sample count,
-    # which synth's manifest records; a version-4 meta holds three keys
-    data, ckpt, members = synth_and_train(tmp_path)
-    members["meta"] = np.array(json.dumps({**json.loads(str(members["meta"][()])),
-                                           **change}))
-    with open(data, "wb") as fh:
-        np.savez(fh, **members)
-    assert_train_and_eval_refuse(
-        tmp_path, capsys, data, ckpt,
-        f"{data}: meta is not a kinedeep-dataset version 4 record; re-run synth")
+    # which synth's manifest records; a version-5 header holds three keys
+    data, ckpt, records = synth_and_train(tmp_path)
+    write_dataset_file(data, {**HAND23, **change}, **records)
+    assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt, f"{data}: {refusal}")
 
 
 def _palm(**fields):

@@ -1,4 +1,6 @@
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,10 +145,12 @@ def test_dataset_roundtrip(hand, tmp_path):
                               interior_margin=0.0, pose_shape="uniform")
     path = tmp_path / "data.ds"
     fileio.write_dataset(path, data)
-    with np.load(path, allow_pickle=False) as npz:  # no joints: they are FK of thetas
-        assert sorted(npz.files) == ["features", "meta", "thetas"]
-        assert json.loads(str(npz["meta"][()])) == {
-            "magic": "kinedeep-dataset", "version": 4, "skeleton": hand.name}
+    with open(path, "rb") as fh:  # no joints: they are FK of thetas
+        assert json.loads(fh.readline()) == {
+            "format": "kinedeep-dataset", "version": 5, "skeleton": hand.name}
+        assert np.array_equal(np.lib.format.read_array(fh), data.features)
+        assert np.array_equal(np.lib.format.read_array(fh), data.thetas)
+        assert fh.read() == b""
     again = fileio.read_dataset(path)
     assert again.skeleton_name == data.skeleton_name
     assert np.array_equal(again.features, data.features)
@@ -156,45 +160,82 @@ def test_dataset_roundtrip(hand, tmp_path):
     assert copy.read_bytes() == path.read_bytes()
 
 
-def meta_of(drop=(), **fields):
-    """A valid dataset meta record without the keys `drop`, with `fields`
-    changed or added."""
-    meta = {"magic": "kinedeep-dataset", "version": 4, "skeleton": "x", **fields}
-    return np.array(json.dumps({k: v for k, v in meta.items() if k not in drop}))
+def header_of(drop=(), **fields):
+    """A valid dataset header without the keys `drop`, with `fields` changed
+    or added."""
+    header = {"format": "kinedeep-dataset", "version": 5, "skeleton": "x", **fields}
+    return {k: v for k, v in header.items() if k not in drop}
 
 
-def write_npz(path, **members):
-    """A dataset .npz whose members default to a valid 2-sample set."""
-    arrays = {"features": np.ones((2, 6)), "thetas": np.ones((2, 4)), "meta": meta_of()}
-    arrays.update(members)
+def write_dataset_file(path, header=header_of(), **records):
+    """A dataset record file: `header` as its JSON line (None leaves the line
+    out), then the records features and thetas, by default a valid 2-sample
+    set. A record given as bytes is written as it is; None leaves it out."""
+    records = {"features": np.ones((2, 6)), "thetas": np.ones((2, 4)), **records}
     with open(path, "wb") as fh:
-        np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
+        if header is not None:
+            fh.write(json.dumps(header).encode() + b"\n")
+        for record in records.values():
+            if isinstance(record, bytes):
+                fh.write(record)
+            elif record is not None:
+                np.save(fh, record)
     return path
 
 
-def test_dataset_valid_npz_reads(tmp_path):
-    data = fileio.read_dataset(write_npz(tmp_path / "data.ds"))
+NOT_A_DATASET = "not a kinedeep-dataset file; re-run synth"
+UNSUPPORTED = "unsupported kinedeep-dataset version"
+HEADER_FIELDS = ("header fields must be exactly format, version and skeleton "
+                 "(a non-empty name); re-run synth")
+
+
+def test_dataset_valid_file_reads(tmp_path):
+    data = fileio.read_dataset(write_dataset_file(tmp_path / "data.ds"))
     assert data.skeleton_name == "x"
     assert data.features.shape == (2, 6) and data.thetas.shape == (2, 4)
 
 
 def test_dataset_members_with_different_row_counts(tmp_path):
-    path = write_npz(tmp_path / "data.ds", thetas=np.ones((3, 4)))
+    path = write_dataset_file(tmp_path / "data.ds", thetas=np.ones((3, 4)))
     with pytest.raises(fileio.FileFormatError,
                        match=r"row counts .*'features': 2.*'thetas': 3.* differ"):
         fileio.read_dataset(path)
 
 
 def test_dataset_missing_member(tmp_path):
-    for missing in ("features", "thetas", "meta"):
-        path = write_npz(tmp_path / f"no_{missing}.ds", **{missing: None})
-        with pytest.raises(fileio.FileFormatError, match="members .*, expected features"):
+    # one record short, the reader meets the end of the file at thetas
+    for missing in ("features", "thetas"):
+        path = write_dataset_file(tmp_path / f"no_{missing}.ds", **{missing: None})
+        with pytest.raises(fileio.FileFormatError) as refused:
             fileio.read_dataset(path)
+        assert str(refused.value).startswith(f"{path}: thetas: EOF")
+    path = write_dataset_file(tmp_path / "no_header.ds", header=None)
+    with pytest.raises(fileio.FileFormatError, match=NOT_A_DATASET):
+        fileio.read_dataset(path)
+
+
+def test_dataset_trailing_bytes_refused(tmp_path):
+    path = write_dataset_file(tmp_path / "data.ds", joints=np.ones((2, 3)))
+    with pytest.raises(fileio.FileFormatError,
+                       match="trailing bytes after the last record"):
+        fileio.read_dataset(path)
 
 
 def test_dataset_non_float_member(tmp_path):
-    path = write_npz(tmp_path / "data.ds", thetas=np.ones((2, 4), dtype=np.int64))
-    with pytest.raises(fileio.FileFormatError, match="thetas is int64 .* expected float64"):
+    path = write_dataset_file(tmp_path / "data.ds", thetas=np.ones((2, 4), dtype=np.int64))
+    with pytest.raises(fileio.FileFormatError,
+                       match=r"thetas are int64 \(2, 4\), expected float64 \(N, N\)"):
+        fileio.read_dataset(path)
+
+
+@pytest.mark.parametrize("key, array, refusal", [
+    ("thetas", np.ones((2, 4), dtype=">f8"), r"thetas are >f8 \(2, 4\)"),
+    ("features", np.asfortranarray(np.ones((2, 6))), r"\(2, 6\) in Fortran order"),
+    ("features", np.ones(12), r"features are float64 \(12,\), expected float64 \(N, N\)"),
+], ids=["big-endian", "fortran-order", "1-d"])
+def test_dataset_record_of_another_layout_refused(tmp_path, key, array, refusal):
+    path = write_dataset_file(tmp_path / "data.ds", **{key: array})
+    with pytest.raises(fileio.FileFormatError, match=refusal):
         fileio.read_dataset(path)
 
 
@@ -203,80 +244,130 @@ def test_dataset_non_finite_member_refused(tmp_path):
         for value in (np.nan, np.inf, -np.inf):
             bad = np.ones((2, 6 if key == "features" else 4))
             bad[1, 2] = value
-            path = write_npz(tmp_path / "data.ds", **{key: bad})
+            path = write_dataset_file(tmp_path / "data.ds", **{key: bad})
             with pytest.raises(fileio.FileFormatError,
                                match=f"{key} holds non-finite values"):
                 fileio.read_dataset(path)
     # the occlusion sentinel is finite, so it passes
     features = np.full((2, 6), bench.OCCLUSION_SENTINEL_MM)
-    data = fileio.read_dataset(write_npz(tmp_path / "data.ds", features=features))
+    data = fileio.read_dataset(write_dataset_file(tmp_path / "data.ds", features=features))
     assert (data.features == bench.OCCLUSION_SENTINEL_MM).all()
 
 
 def test_dataset_object_member_refused_without_pickle(tmp_path):
+    # its pickled data is never read: the .npy header is refused first
     features = np.empty((2, 6), dtype=object)
     features[:] = 1.0
-    path = write_npz(tmp_path / "data.ds", features=features)
-    with pytest.raises(fileio.FileFormatError, match="allow_pickle=False"):
+    path = write_dataset_file(tmp_path / "data.ds", features=features)
+    with pytest.raises(fileio.FileFormatError, match=r"features are object \(2, 6\)"):
         fileio.read_dataset(path)
 
 
 def test_dataset_with_zero_samples(tmp_path):
-    path = write_npz(tmp_path / "data.ds", features=np.ones((0, 6)), thetas=np.ones((0, 4)))
+    path = write_dataset_file(tmp_path / "data.ds", features=np.ones((0, 6)),
+                              thetas=np.ones((0, 4)))
     with pytest.raises(fileio.FileFormatError, match="no samples"):
         fileio.read_dataset(path)
+
+
+def npy_header(shape, descr="<f8") -> bytes:
+    """A .npy 1.0 header of `shape`, with no data after it."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": descr, "fortran_order": False, "shape": shape})
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("shape, refusal", [
+    ((10**11, 6), "features: the file ends inside the record"),
+    ((-2, -6), "features: negative dimensions are not allowed"),
+    ((0, 10**30), "features: Maximum allowed dimension exceeded"),
+], ids=["larger-than-the-file", "negative", "beyond-numpy"])
+def test_dataset_record_shape_refused_before_allocation(tmp_path, shape, refusal):
+    path = write_dataset_file(tmp_path / "data.ds",
+                              features=npy_header(shape) + np.ones((2, 6)).tobytes())
+    with pytest.raises(fileio.FileFormatError) as refused:
+        fileio.read_dataset(path)
+    assert str(refused.value) == f"{path}: {refusal}"
 
 
 # a version-3 record held the sample's provenance and count
 V3_META = dict(version=3, sigma_mm=1.0, occlusion=0.0, seed=1, n=1)
 
 
+# (header, refusal): each refusal names the path and ends "; re-run synth"
 @pytest.mark.parametrize("meta", [
-    meta_of(**{**V3_META, "version": 1, "n": 2}),
-    np.array(json.dumps({"magic": "kinedeep-dataset", "version": 2})),
-    np.array("not json"),
-    np.array(2.0),
-    meta_of(skeleton=5),
-    meta_of(skeleton=""),
-    meta_of(**V3_META),
-    meta_of(sigma_mm=1.0),
-    meta_of(occlusion=0.0),
-    meta_of(seed=1),
-    meta_of(n=1),
-    meta_of(drop=("skeleton",)),
-    meta_of(magic="kinedeep-poses"),
-    meta_of(version="4"),
-    np.array(json.dumps(["kinedeep-dataset", 4, "x"])),
+    (header_of(**{**V3_META, "version": 1, "n": 2}), UNSUPPORTED + " 1 "),
+    ({"format": "kinedeep-dataset", "version": 2}, UNSUPPORTED + " 2 "),
+    ({"magic": "kinedeep-dataset", "version": 4, "skeleton": "x"}, NOT_A_DATASET),
+    (header_of(version=5.0), UNSUPPORTED + " 5.0 "),  # 5.0 == 5 in Python
+    (header_of(skeleton=5), HEADER_FIELDS),
+    (header_of(skeleton=""), HEADER_FIELDS),
+    (header_of(**V3_META), UNSUPPORTED + " 3 "),
+    (header_of(sigma_mm=1.0), HEADER_FIELDS),
+    (header_of(occlusion=0.0), HEADER_FIELDS),
+    (header_of(seed=1), HEADER_FIELDS),
+    (header_of(n=1), HEADER_FIELDS),
+    (header_of(drop=("skeleton",)), HEADER_FIELDS),
+    (header_of(format="kinedeep-poses"), NOT_A_DATASET),
+    (header_of(version="5"), UNSUPPORTED + " '5' "),
+    (["kinedeep-dataset", 5, "x"], NOT_A_DATASET),
+    (header_of(format="kinedeep-checkpoint", version=4), NOT_A_DATASET),
+    (header_of(drop=("version",)), UNSUPPORTED + " None "),
+    (header_of(version=True), UNSUPPORTED + " True "),
+    ({"version": 5, "format": "kinedeep-dataset", "skeleton": "x"}, NOT_A_DATASET),
 ])
 def test_dataset_bad_meta(tmp_path, meta):
-    path = write_npz(tmp_path / "data.ds", meta=meta, features=np.ones((1, 6)),
-                     thetas=np.ones((1, 4)))
-    with pytest.raises(fileio.FileFormatError,
-                       match="meta is not a kinedeep-dataset version 4 record; re-run synth"):
+    header, refusal = meta
+    path = write_dataset_file(tmp_path / "data.ds", header, features=np.ones((1, 6)),
+                              thetas=np.ones((1, 4)))
+    with pytest.raises(fileio.FileFormatError) as refused:
         fileio.read_dataset(path)
+    assert str(refused.value).startswith(f"{path}: ")
+    assert refusal in str(refused.value) and str(refused.value).endswith("; re-run synth")
 
 
 def test_dataset_one_row_meta_reads(tmp_path):
-    path = write_npz(tmp_path / "data.ds", features=np.ones((1, 6)), thetas=np.ones((1, 4)))
+    path = write_dataset_file(tmp_path / "data.ds", features=np.ones((1, 6)),
+                              thetas=np.ones((1, 4)))
     assert len(fileio.read_dataset(path)) == 1
 
 
 def test_text_v1_dataset_refused(tmp_path):
-    # the first dataset format was a text table; it is not a .npz file
+    # the first dataset format was a text table
     path = tmp_path / "data.csv"
     path.write_text("# kinedeep-dataset v1 skeleton=x sigma_mm=1.0 occlusion=0.0 seed=1 n=1\n"
                     "1.0,2.0;3.0;1.0,2.0,3.0\n")
     with pytest.raises(fileio.FileFormatError) as refused:
         fileio.read_dataset(path)
-    assert str(refused.value) == f"{path}: not a .npz dataset"
+    assert str(refused.value) == f"{path}: {NOT_A_DATASET}"
 
 
-@pytest.mark.parametrize("content", [b"", b"1.0,2.0\n", b"PK\x03\x04 truncated"])
+def test_dataset_file_without_a_line_end_is_not_read_whole(tmp_path):
+    # 16 MiB of zeros are refused from their first bytes
+    path = tmp_path / "zeros.ds"
+    with open(path, "wb") as fh:
+        fh.truncate(16 * 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(fileio.FileFormatError) as refused:
+            fileio.read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == f"{path}: {NOT_A_DATASET}" and peak < 2**20
+
+
+@pytest.mark.parametrize("content", [b"", b"1.0,2.0\n", b"PK\x03\x04 truncated", b"2.0\n",
+                                     b"\xff\xfe\n"])
 def test_dataset_not_npz_refused(tmp_path, content):
+    # not a dataset file: nothing, text, a zip's first bytes, a JSON number
+    # and bytes that are not UTF-8
     path = tmp_path / "data.ds"
     path.write_bytes(content)
-    with pytest.raises(fileio.FileFormatError, match=".npz dataset"):
+    with pytest.raises(fileio.FileFormatError) as refused:
         fileio.read_dataset(path)
+    assert str(refused.value) == f"{path}: {NOT_A_DATASET}"
 
 
 def test_jacobian_file_header_and_rows(tmp_path):

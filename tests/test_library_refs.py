@@ -3,7 +3,7 @@ every optional parameter a caller outside tests that passes it, and every
 default a caller outside tests that relies on it.
 
 A top-level definition in a module of src/kinedeep/ (the package's
-__init__.py only re-exports) counts as used when library code outside its
+__init__.py holds only its docstring and __version__) counts as used when library code outside its
 own body, or the benchmark harness in perfbench/, names it as a bare name
 or as an attribute. A defaulted parameter counts as used when a call in
 src/kinedeep/ or perfbench/ to a function of its name passes it, by keyword

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import oracles
-from kinedeep import bench
+from kinedeep import bench, fileio
 from kinedeep import loss as loss_mod
 from kinedeep import regressor as reg
 from kinedeep.kinematics import forward_kinematics_batch
+from test_fileio import npy_header
 
 
 def eval_targets(hand, thetas):
@@ -715,12 +716,14 @@ def replace_mlp(**fields):
     return lambda parts: replace_header(parts, lambda h: h["mlp"].update(fields))
 
 
-def huge_npy_header() -> bytes:
-    """A .npy 1.0 header that claims 2**40 float64 values (8 TiB) and no data."""
-    buf = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        buf, {"descr": "<f8", "fortran_order": False, "shape": (2**40,)})
-    return buf.getvalue()
+def first_layer_of_2_40_inputs(parts) -> bytes:
+    """Layer 0 made 2**40 inputs wide, in the header and in its weights'
+    .npy header; the file keeps its other records, far short of that one."""
+    header = json.loads(parts[0])
+    widths = header["mlp"]["layer_widths"]
+    widths[0] = 2**40
+    return b"".join([json.dumps(header).encode() + b"\n",
+                     npy_header((2**40, widths[1]))] + parts[2:])
 
 
 # Damaged checkpoints: a case maps the valid file's parts to the damaged
@@ -747,8 +750,12 @@ CHECKPOINT_DAMAGE = {
     "history_row_of_2_values": (
         lambda p: replace_header(p, lambda h: h.update(history=[[1.0, 2.0]])),
         "header field history is missing or not a list of rows of 4 numbers"),
-    "npy_header_claims_8_tib": (lambda p: p[0] + huge_npy_header() + b"".join(p[2:]),
+    "npy_header_claims_8_tib": (lambda p: p[0] + npy_header((2**40,)) + b"".join(p[2:]),
                                 "layer 0 weights are float64 (1099511627776,)"),
+    # the widths agree, so only the size check stands between it and the
+    # allocation of 2**40 rows of weights
+    "record_larger_than_the_file": (first_layer_of_2_40_inputs,
+                                    "layer 0 weights: the file ends inside the record"),
     "output_scale_null": (replace_mlp(output_scale=None), "header field "
                           "mlp.output_scale is missing or not a list of numbers"),
     "output_scale_empty": (
@@ -772,6 +779,10 @@ CHECKPOINT_DAMAGE = {
     "dotted_top_level_key": (
         lambda p: replace_header(p, lambda h: h.update({"mlp.seed": 1})),
         "unknown header field mlp.seed"),
+    # 4.0 == 4 in Python, but a version is an integer
+    "version_float": (lambda p: replace_header(p, lambda h: h.update(version=4.0)),
+                      "unsupported kinedeep-checkpoint version 4.0 "
+                      "(this reader reads version 4); retrain"),
 }
 
 
@@ -892,4 +903,13 @@ def test_save_checkpoint_streams_the_weights(hand, tmp_path):
     # Python floats (2.6 MB for this network)
     run = default_sized_run(hand)
     peak = traced_peak_bytes(reg.save_checkpoint, run, tmp_path / "c.json", hand)
+    assert peak < 0.25 * 2**20
+
+
+def test_write_dataset_streams_the_arrays(hand, tmp_path):
+    # np.save writes each array's bytes straight from it; a copy of each,
+    # as np.savez makes, would be 1.1 MB of features and thetas here
+    data = bench.make_dataset(hand, n=2000, noise_sigma_mm=10.0, occlusion_prob=0.1,
+                              seed=0, interior_margin=0.0, pose_shape="uniform")
+    peak = traced_peak_bytes(fileio.write_dataset, tmp_path / "d.ds", data)
     assert peak < 0.25 * 2**20
