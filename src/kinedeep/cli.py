@@ -13,7 +13,9 @@ rate, train loss, last-batch gradient norm, validation metrics when there
 is a validation set, seconds). Validation is recorded per epoch and never
 changes the weights or the epoch count: train at its defaults, with or
 without --val, trains reproduce's network. Before any work, a command
-refuses an --out, or a file it writes beside --out, that cannot be written.
+refuses an --out, or a file it writes beside --out, that cannot be written;
+reproduce refuses an --out that is not a directory and cannot be made one,
+or a file it writes in --out that is a directory.
 
 reproduce runs the comparison that the reproduce module defines (the
 worker processes, their schedule and the claims), then writes its table
@@ -39,6 +41,12 @@ trained on as <out>/skeleton.json, for eval --skeleton. train and eval
 refuse a dataset whose header names a different skeleton, fk, jacobian
 and ik a pose or joint file whose header does, and eval a checkpoint whose
 recorded skeleton fingerprint differs.
+
+Every data file is a record file of fileio's one format, whatever its
+suffix: fk and jacobian read a pose file and write a joint file or a
+Jacobian file; ik reads a joint file of all joints, as fk writes it, and
+writes a pose file; synth writes a dataset, which train and eval read, and
+train a checkpoint, which eval reads.
 """
 from __future__ import annotations
 
@@ -118,6 +126,22 @@ def _check_writable(*paths) -> None:
                              f"directory is missing or read-only")
 
 
+def _check_out_dir(out, files) -> None:
+    """Refuse reproduce's --out before any work unless it is a directory
+    whose `files` can be written, or can be made one (os.makedirs makes
+    every missing directory on its path)."""
+    if os.path.isdir(out):
+        _check_writable(*files)
+        return
+    parent = os.path.abspath(out)
+    while not os.path.lexists(parent):
+        parent = os.path.dirname(parent)
+    if parent == os.path.abspath(out) or not (os.path.isdir(parent)
+                                              and os.access(parent, os.W_OK)):
+        raise ValueError(f"{out}: cannot be written: it is not a directory, and "
+                         f"cannot be made one")
+
+
 def _manifest_path(out_path) -> str:
     return str(out_path) + ".manifest.json"
 
@@ -155,7 +179,8 @@ def _write_manifest(path, subcommand, config, seed, inputs, outputs, started,
 
 
 def cmd_kinematics(args) -> int:
-    """fk and jacobian: one row of joints, or of Jacobian entries, per pose."""
+    """fk and jacobian: a joint file of every pose's frame, or a Jacobian
+    file of one record per pose."""
     started = time.monotonic()
     _check_writable(args.out, _manifest_path(args.out))
     skel = _resolve_skeleton(args.skeleton)
@@ -168,7 +193,7 @@ def cmd_kinematics(args) -> int:
         # one pose at a time: a Jacobian is 3*J*D values, so memory stays
         # flat in the number of poses
         fileio.write_jacobian_file(
-            args.out, skel.name, (3 * skel.n_joints, skel.n_dofs),
+            args.out, skel.name,
             (kin.fk_jacobian_batch(skel, pose[None])[1][0] for pose in poses))
     _write_manifest(_manifest_path(args.out), args.command,
                     {"skeleton": skel.name, "frames": int(len(poses))},
@@ -362,6 +387,14 @@ def cmd_eval(args) -> int:
 
 def cmd_reproduce(args) -> int:
     started = time.monotonic()
+    skeleton_json, table_txt, table_json, manifest_json = (
+        os.path.join(args.out, name)
+        for name in ("skeleton.json", "table.txt", "table.json", "manifest.json"))
+    outputs = [path for mode in reg.MODES
+               for path in (rp.mode_checkpoint(args.out, mode),
+                            rp.epochs_path(rp.mode_checkpoint(args.out, mode)))]
+    outputs += [skeleton_json, table_txt, table_json]
+    _check_out_dir(args.out, outputs + [manifest_json])
     # the interior margin undoes the benchmark skeleton's bound expansion;
     # a skeleton file's bounds are sampled whole
     if args.skeleton:
@@ -371,24 +404,17 @@ def cmd_reproduce(args) -> int:
     table, tasks, workers = rp.run(skel, margin, args, started)
     text, checks = rp.table_text(table), rp.orderings(table)
 
-    skeleton_json = os.path.join(args.out, "skeleton.json")
     sk.save_skeleton(skel, skeleton_json)
-    table_txt = os.path.join(args.out, "table.txt")
     with open(table_txt, "w") as fh:
         fh.write(text)
-    table_json = os.path.join(args.out, "table.json")
     with open(table_json, "w") as fh:
         json.dump({
             "modes": {m: table[m].to_dict() for m in reg.MODES},
             "orderings": checks,
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    outputs = [path for mode in reg.MODES
-               for path in (rp.mode_checkpoint(args.out, mode),
-                            rp.epochs_path(rp.mode_checkpoint(args.out, mode)))]
-    outputs += [skeleton_json, table_txt, table_json]
     parent, children = _memory_use(), _memory_use(resource.RUSAGE_CHILDREN)
-    _write_manifest(os.path.join(args.out, "manifest.json"), "reproduce",
+    _write_manifest(manifest_json, "reproduce",
                     {"skeleton": skel.name, "train_n": args.train_n,
                      "val_n": args.val_n, "sigma": args.sigma,
                      "occlusion": args.occlusion, "epochs": args.epochs,

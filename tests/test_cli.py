@@ -16,7 +16,8 @@ from kinedeep import regressor as reg
 from kinedeep import skeleton as sk
 from kinedeep.cli import build_parser, main
 from kinedeep.reproduce import reproduce_fit, reproduce_mode
-from test_fileio import NOT_A_DATASET, header_of, npy_header, write_dataset_file
+from test_fileio import (NOT_A_DATASET, NOT_JOINTS, NOT_POSES, POSES, header_line,
+                         header_of, npy_bytes, npy_header, write_dataset_file)
 from test_regressor import CHECKPOINT_DAMAGE, checkpoint_parts
 from test_reproduce import ORDERINGS
 
@@ -62,23 +63,29 @@ def test_fk_empty_pose_file(tmp_path, capsys):
     path.write_text("")
     out = tmp_path / "joints.csv"
     assert run_cli("fk", "--poses", str(path), "--out", str(out)) == 1
-    assert capsys.readouterr().err == \
-        f"error: {path}: expected a 'kinedeep-poses v1' header on line 1\n"
+    assert capsys.readouterr().err == f"error: {path}: {NOT_POSES}\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("fields, names", [
-    ("dims=26", "skeleton= is missing"),
-    ("skeleton=hand23 dimz=26", "unknown header field 'dimz'"),
-    ("skeleton=hand23 dims=-2", "header field dims='-2'"),
-    ("skeleton=hand23 dims=26 skeleton=hand23", "skeleton= is repeated"),
+HAND23_POSES = {**POSES, "skeleton": "hand23"}
+
+
+@pytest.mark.parametrize("content, names", [
+    (header_line({"format": "kinedeep-poses", "version": 2})
+     + npy_bytes(np.zeros((1, 26))), "header fields must be exactly"),
+    (header_line({**HAND23_POSES, "dimz": 26}) + npy_bytes(np.zeros((1, 26))),
+     "header fields must be exactly"),
+    (header_line(HAND23_POSES) + npy_header((1, -2)),
+     "poses are float64 (1, -2), expected float64 (N, 26)"),
+    (header_line(HAND23_POSES)[:-2] + b', "skeleton": "hand23"}\n'
+     + npy_bytes(np.zeros((1, 26))), NOT_POSES),
 ], ids=["no_skeleton", "misspelt_dims", "negative_dims", "repeated_skeleton"])
-def test_fk_refuses_a_malformed_pose_header(tmp_path, capsys, fields, names):
-    # no_skeleton and misspelt_dims used to exit 0, and a header-only file
-    # with dims=-2 exited 1 with numpy's "negative dimensions are not
-    # allowed", naming no path
+def test_fk_refuses_a_malformed_pose_header(tmp_path, capsys, content, names):
+    # a header without the skeleton or with another field, a record of
+    # another width, and a header that repeats a key: each exits 1, naming
+    # the path, and writes nothing
     path = tmp_path / "poses.csv"
-    path.write_text(f"# kinedeep-poses v1 {fields}\n" + ",".join(["0.0"] * 26) + "\n")
+    path.write_bytes(content)
     out = tmp_path / "joints.csv"
     assert run_cli("fk", "--poses", str(path), "--out", str(out)) == 1
     err = capsys.readouterr().err
@@ -86,26 +93,17 @@ def test_fk_refuses_a_malformed_pose_header(tmp_path, capsys, fields, names):
     assert not out.exists()
 
 
-def test_fk_malformed_line_exits_1(tmp_path, capsys):
-    path = tmp_path / "bad.csv"
-    path.write_text("# kinedeep-poses v1 skeleton=hand23 dims=26\n"
-                    + ",".join(["0.0"] * 26) + "\n"
-                    + ",".join(["0.0"] * 26) + "\n"
-                    + "oops\n")
-    out = tmp_path / "joints.csv"
-    assert run_cli("fk", "--poses", str(path), "--out", str(out)) == 1
-    assert "line 4" in capsys.readouterr().err
-
-
 def test_jacobian_output(hand, pose_file, tmp_path):
     path, poses = pose_file
     out = tmp_path / "jac.csv"
     assert run_cli("jacobian", "--poses", str(path), "--out", str(out)) == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 1 + len(poses)
-    row = np.array([float(v) for v in lines[1].split(",")])
-    _, jac = kin.fk_jacobian_batch(hand, poses[:1])
-    assert np.array_equal(row, jac.reshape(-1))
+    _, jac = kin.fk_jacobian_batch(hand, poses)
+    with open(out, "rb") as fh:
+        assert json.loads(fh.readline()) == {
+            "format": "kinedeep-jacobian", "version": 2, "skeleton": hand.name}
+        for want in jac:  # one (3J, D) record per pose
+            assert np.array_equal(np.lib.format.read_array(fh), want)
+        assert fh.read() == b""
 
 
 def test_gradcheck_passes(tmp_path):
@@ -169,8 +167,7 @@ def test_ik_recovers_pose(hand, rng, tmp_path):
 
 def test_ik_no_target_frames_exits_1(hand, tmp_path, capsys):
     targets = tmp_path / "targets.csv"
-    targets.write_text(
-        f"# kinedeep-joints v1 skeleton={hand.name} joints={hand.n_joints}\n")
+    fileio.write_joint_file(targets, hand.name, np.zeros((0, hand.n_joints, 3)))
     out = tmp_path / "fit.csv"
     assert run_cli("ik", "--targets", str(targets), "--out", str(out)) == 1
     err = capsys.readouterr().err
@@ -184,8 +181,7 @@ def test_ik_refuses_a_zero_byte_joint_file(tmp_path, capsys):
     targets.write_text("")
     out = tmp_path / "fit.csv"
     assert run_cli("ik", "--targets", str(targets), "--out", str(out)) == 1
-    assert capsys.readouterr().err == \
-        f"error: {targets}: expected a 'kinedeep-joints v1' header on line 1\n"
+    assert capsys.readouterr().err == f"error: {targets}: {NOT_JOINTS}\n"
     assert not out.exists()
 
 
@@ -195,7 +191,10 @@ def test_kinematics_of_a_header_only_pose_file_writes_no_rows(hand, tmp_path, co
     fileio.write_pose_file(poses, hand.name, np.zeros((0, hand.n_dofs)))
     out = tmp_path / "out.csv"
     assert run_cli(command, "--poses", str(poses), "--out", str(out)) == 0
-    assert out.read_text().count("\n") == 1  # the header line alone
+    if command == "fk":
+        assert fileio.read_joint_file(out)[1].shape == (0, hand.n_joints, 3)
+    else:  # the header line alone
+        assert out.read_bytes().count(b"\n") == 1 and out.read_bytes().endswith(b"}\n")
 
 
 @pytest.mark.parametrize("command", ["fk", "jacobian", "ik"])
@@ -208,14 +207,15 @@ def test_non_finite_input_leaves_no_output(hand, tmp_path, capsys, command):
         joints = kin.forward_kinematics_batch(hand, thetas)
         joints[1, 3, 0] = np.nan
         fileio.write_joint_file(path, hand.name, joints)
-        flag = "--targets"
+        flag, what = "--targets", "frames"
     else:
         thetas[1, 5] = np.nan
         fileio.write_pose_file(path, hand.name, thetas)
-        flag = "--poses"
+        flag, what = "--poses", "poses"
     out = tmp_path / "out.csv"
     assert run_cli(command, flag, str(path), "--out", str(out)) == 1
-    assert capsys.readouterr().err == f"error: {path}: non-finite value on line 3\n"
+    assert capsys.readouterr().err == \
+        f"error: {path}: {what} holds non-finite values, first in row 1\n"
     assert not out.exists()
 
 
@@ -264,23 +264,28 @@ def test_train_and_reproduce_share_the_epoch_default_and_eval_the_fit_budget():
         assert (args.sigma, args.occlusion) == (bench.NOISE_SIGMA_MM, bench.OCCLUSION_PROB)
 
 
-# the files each command writes beside --out
+# the files each command writes beside --out, and reproduce's in its --out
+# directory (one mode's checkpoint and epoch records stand for all four)
 SIDE_FILES = {"eval": [".manifest.json"], "ik": [".report.json", ".manifest.json"],
               "train": [".epochs.jsonl", ".manifest.json"], "synth": [".manifest.json"],
-              "fk": [".manifest.json"], "jacobian": [".manifest.json"]}
+              "fk": [".manifest.json"], "jacobian": [".manifest.json"],
+              "reproduce": ["/ours.ckpt.json", "/ours.ckpt.json.epochs.jsonl",
+                            "/skeleton.json", "/table.txt", "/table.json", "/manifest.json"]}
 
 
 @pytest.mark.parametrize("command, blocked", [
     (command, blocked) for command, sides in SIDE_FILES.items()
-    for blocked in ["dir", "missing-dir", *sides]],
-    ids=lambda value: value.lstrip(".").split(".")[0])
+    for blocked in [*(["file", "in-file"] if command == "reproduce"
+                      else ["dir", "missing-dir"]), *sides]],
+    ids=lambda value: value.lstrip("./").removesuffix(".json").removesuffix(".jsonl"))
 def test_unwritable_out_exits_1_before_the_work(hand, pose_file, tmp_path, capsys,
                                                 monkeypatch, command, blocked):
     # each command does its work (scores, fits, trains, makes a dataset or
     # runs the kinematics) only once --out and every file it writes beside
     # --out are known to be writable, and writes nothing on refusal: no
     # checkpoint and no epoch records either. `blocked` is --out itself (a
-    # directory, or in a missing one) or a side file, where a directory stands
+    # directory, or in a missing one; for reproduce, a regular file or in
+    # one) or a side file, where a directory stands
     data, ckpt, _ = synth_and_train(tmp_path)
     targets = tmp_path / "targets.csv"
     fileio.write_joint_file(targets, hand.name, np.zeros((2, hand.n_joints, 3)))
@@ -289,7 +294,9 @@ def test_unwritable_out_exits_1_before_the_work(hand, pose_file, tmp_path, capsy
             "train": ["--train", str(data)],
             "synth": ["--n", "4"],
             "fk": ["--poses", str(pose_file[0])],
-            "jacobian": ["--poses", str(pose_file[0])]}[command]
+            "jacobian": ["--poses", str(pose_file[0])],
+            "reproduce": ["--train-n", "64", "--val-n", "8", "--epochs", "1",
+                          "--fit-frames", "2"]}[command]
     calls = []
 
     def work(*args, **kwargs):
@@ -298,13 +305,16 @@ def test_unwritable_out_exits_1_before_the_work(hand, pose_file, tmp_path, capsy
 
     for module, name in ((reproduce, "score"), (ik_pso, "fit_batch"),
                          (reproduce, "train_mode"), (bench, "make_dataset"),
+                         (reproduce, "run"),
                          (kin, "forward_kinematics_batch"), (kin, "fk_jacobian_batch")):
         monkeypatch.setattr(module, name, work)
-    out = {"dir": str(tmp_path), "missing-dir": f"{tmp_path}/nodir/out"}.get(
-        blocked, f"{tmp_path}/out")
-    unwritable = out + blocked if blocked.startswith(".") else out
+    out = {"dir": str(tmp_path), "missing-dir": f"{tmp_path}/nodir/out",
+           "in-file": f"{tmp_path}/file/out"}.get(blocked, f"{tmp_path}/out")
+    unwritable = out + blocked if blocked[0] in "./" else out
     if unwritable != out:
-        os.mkdir(unwritable)
+        os.makedirs(unwritable)
+    elif blocked in ("file", "in-file"):
+        open(out if blocked == "file" else os.path.dirname(out), "w").close()
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert run_cli(command, *argv, "--out", out) == 1

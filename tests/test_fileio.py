@@ -6,137 +6,222 @@ import numpy as np
 import pytest
 
 from kinedeep import bench, fileio
+from kinedeep import regressor as reg
+
+
+def header_of(drop=(), **fields):
+    """A valid dataset header without the keys `drop`, with `fields` changed
+    or added (a format and version among them make another kind's header)."""
+    header = {"format": "kinedeep-dataset", "version": 5, "skeleton": "x", **fields}
+    return {k: v for k, v in header.items() if k not in drop}
+
+
+def write_record_file(path, header, records):
+    """A record file: `header` as its JSON line (None leaves the line out),
+    then `records` as np.save writes them. A record given as bytes is
+    written as it is; None leaves it out."""
+    with open(path, "wb") as fh:
+        if header is not None:
+            fh.write(json.dumps(header).encode() + b"\n")
+        for record in records:
+            if isinstance(record, bytes):
+                fh.write(record)
+            elif record is not None:
+                np.save(fh, record)
+    return path
+
+
+def write_dataset_file(path, header=header_of(), **records):
+    """A dataset record file of `header`, then the records features and
+    thetas, by default a valid 2-sample set."""
+    records = {"features": np.ones((2, 6)), "thetas": np.ones((2, 4)), **records}
+    return write_record_file(path, header, records.values())
+
+
+def npy_header(shape, descr="<f8") -> bytes:
+    """A .npy 1.0 header of `shape`, with no data after it."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": descr, "fortran_order": False, "shape": shape})
+    return buf.getvalue()
+
+
+def npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+NOT_A_DATASET = "not a kinedeep-dataset file; re-run synth"
+NOT_POSES = "not a kinedeep-poses file; write it with fileio.write_pose_file, or re-run ik"
+NOT_JOINTS = "not a kinedeep-joints file; re-run fk"
+UNSUPPORTED = "unsupported kinedeep-dataset version"
+HEADER_FIELDS = ("header fields must be exactly format, version and skeleton "
+                 "(a non-empty name); re-run synth")
+POSES = header_of(format="kinedeep-poses", version=2)
+JOINTS = header_of(format="kinedeep-joints", version=2)
+
+# the readers of pose, joint and dataset files (of 4-DOF poses), each with
+# the header and records of a valid file and its refusal of another kind
+READERS = {
+    "dataset": (fileio.read_dataset, header_of(),
+                {"features": np.ones((2, 6)), "thetas": np.ones((2, 4))}, NOT_A_DATASET),
+    "poses": (lambda path: fileio.read_pose_file(path, expected_dims=4), POSES,
+              {"poses": np.ones((2, 4))}, NOT_POSES),
+    "joints": (fileio.read_joint_file, JOINTS, {"frames": np.ones((2, 5, 3))}, NOT_JOINTS),
+}
 
 
 def test_pose_file_roundtrip(hand, rng, tmp_path):
     poses = rng.uniform(hand.dof_lower, hand.dof_upper, size=(5, hand.n_dofs))
-    path = tmp_path / "poses.csv"
+    path = tmp_path / "poses.rec"
     fileio.write_pose_file(path, hand.name, poses)
+    with open(path, "rb") as fh:
+        assert json.loads(fh.readline()) == {
+            "format": "kinedeep-poses", "version": 2, "skeleton": hand.name}
+        assert np.array_equal(np.lib.format.read_array(fh), poses)
+        assert fh.read() == b""
     name, again = fileio.read_pose_file(path, expected_dims=hand.n_dofs)
     assert name == hand.name
     assert np.array_equal(again, poses)
 
 
 def test_pose_file_write_is_byte_stable(hand, rng, tmp_path):
-    poses = rng.uniform(hand.dof_lower, hand.dof_upper, size=(3, hand.n_dofs))
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    fileio.write_pose_file(a, hand.name, poses)
-    _, poses = fileio.read_pose_file(a, expected_dims=hand.n_dofs)
-    fileio.write_pose_file(b, hand.name, poses)
-    assert a.read_bytes() == b.read_bytes()
+    # the same content gives the same bytes, poses and joint frames alike
+    for write, read, shape in (
+            (fileio.write_pose_file, lambda p: fileio.read_pose_file(p, 26), (3, 26)),
+            (fileio.write_joint_file, fileio.read_joint_file, (3, 23, 3))):
+        a, b = tmp_path / "a.rec", tmp_path / "b.rec"
+        write(a, hand.name, rng.normal(size=shape))
+        _, again = read(a)
+        write(b, hand.name, again)
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_joint_file_roundtrip(hand, rng, tmp_path):
     frames = rng.normal(size=(4, hand.n_joints, 3)) * 50.0
-    path = tmp_path / "joints.csv"
+    path = tmp_path / "joints.rec"
     fileio.write_joint_file(path, hand.name, frames)
+    with open(path, "rb") as fh:
+        assert json.loads(fh.readline()) == {
+            "format": "kinedeep-joints", "version": 2, "skeleton": hand.name}
+        assert np.array_equal(np.lib.format.read_array(fh), frames)
+        assert fh.read() == b""
     name, again = fileio.read_joint_file(path)
     assert name == hand.name
     assert np.array_equal(again, frames)
 
 
-def test_malformed_line_cites_line_number(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("# kinedeep-poses v1 skeleton=x dims=2\n1.0,2.0\n1.0,zap\n")
-    with pytest.raises(fileio.FileFormatError, match="line 3"):
-        fileio.read_pose_file(path, expected_dims=2)
-
-
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity"])
 @pytest.mark.parametrize("read", [fileio.read_pose_file, fileio.read_joint_file])
 def test_non_finite_value_cites_path_and_line(tmp_path, read, value):
-    path = tmp_path / "bad.csv"
+    # the refusal names the record and its first bad row, counted from 0
     poses = read is fileio.read_pose_file
-    header = "kinedeep-poses v1 skeleton=x dims=3" if poses else \
-        "kinedeep-joints v1 skeleton=x joints=1"
-    path.write_text(f"# {header}\n1.0,2.0,3.0\n1.0,{value},3.0\n")
+    rows = np.ones((3, 3) if poses else (3, 1, 3))
+    rows[1, 0] = float(value)
+    rows[2, 0] = float(value)
+    path = write_record_file(tmp_path / "bad.rec", POSES if poses else JOINTS, [rows])
     with pytest.raises(fileio.FileFormatError) as excinfo:
         read(path, **({"expected_dims": 3} if poses else {}))
-    assert str(excinfo.value) == f"{path}: non-finite value on line 3"
-
-
-def test_wrong_width_cites_line(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("# kinedeep-poses v1 skeleton=x dims=2\n1.0,2.0\n1.0,2.0,3.0\n")
-    with pytest.raises(fileio.FileFormatError, match="line 3"):
-        fileio.read_pose_file(path, expected_dims=2)
+    assert str(excinfo.value) == (f"{path}: {'poses' if poses else 'frames'} holds "
+                                  f"non-finite values, first in row 1")
 
 
 def test_missing_header_rejected(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1.0,2.0\n")
-    with pytest.raises(fileio.FileFormatError, match="header"):
+    path = tmp_path / "bad.rec"
+    path.write_bytes(npy_bytes(np.ones((1, 2))))  # a record, but no header line
+    with pytest.raises(fileio.FileFormatError) as refused:
         fileio.read_pose_file(path, expected_dims=2)
-
-
-@pytest.mark.parametrize("header", ["dims=x", "dims"])
-def test_malformed_header_field_rejected(tmp_path, header):
-    path = tmp_path / "bad.csv"
-    path.write_text(f"# kinedeep-poses v1 skeleton=x {header}\n1.0,2.0\n")
-    with pytest.raises(fileio.FileFormatError, match="malformed header"):
-        fileio.read_pose_file(path, expected_dims=2)
+    assert str(refused.value) == f"{path}: {NOT_POSES}"
 
 
 def test_empty_file_reads_as_no_frames(hand, tmp_path):
-    path = tmp_path / "header_only.csv"
-    path.write_text("# kinedeep-poses v1 skeleton=hand23 dims=26\n")
+    path = tmp_path / "no_poses.rec"
+    fileio.write_pose_file(path, "hand23", np.zeros((0, hand.n_dofs)))
     name, poses = fileio.read_pose_file(path, expected_dims=hand.n_dofs)
     assert name == "hand23"
     assert poses.shape == (0, hand.n_dofs)
 
 
 def test_empty_joint_file_reads_as_no_frames(tmp_path):
-    path = tmp_path / "header_only.csv"
-    path.write_text("# kinedeep-joints v1 skeleton=hand23 joints=23\n")
+    path = tmp_path / "no_frames.rec"
+    fileio.write_joint_file(path, "hand23", np.zeros((0, 23, 3)))
     name, frames = fileio.read_joint_file(path)
     assert name == "hand23"
     assert frames.shape == (0, 23, 3)
 
-    path.write_text("")  # no header
-    with pytest.raises(fileio.FileFormatError, match="header on line 1"):
+    path.write_bytes(b"")  # no header
+    with pytest.raises(fileio.FileFormatError) as refused:
         fileio.read_joint_file(path)
+    assert str(refused.value) == f"{path}: {NOT_JOINTS}"
 
-    path.write_text("# kinedeep-joints v1 skeleton=x joints=1\n1.0,2.0,3.0,4.0\n")
-    with pytest.raises(fileio.FileFormatError, match="line 2"):
+    write_record_file(path, JOINTS, [np.ones((1, 4))])  # not 3 values per joint
+    with pytest.raises(fileio.FileFormatError) as refused:
         fileio.read_joint_file(path)
+    assert str(refused.value) == \
+        f"{path}: frames are float64 (1, 4), expected float64 (N, N, 3)"
 
 
-# header fields after the magic and version -> the refusal, which names the field
+def header_line(header) -> bytes:
+    return json.dumps(header).encode() + b"\n"
+
+
+def with_width(record, width) -> bytes:
+    """The .npy header of no rows of `record`'s layout, `width` wide."""
+    return npy_header((0, width, *record.shape[2:]))
+
+
+# A damaged pose or joint file: a case maps the valid header and 1-wide
+# record to the file's bytes, beside a fragment of the refusal ({what} the
+# record's name, {fmt} the format; a dict holds one per record name). The
+# width is the second dimension of the record's shape; poses have to be as
+# wide as the skeleton has DOFs, so any other width is refused for that.
+HEADER_FIELDS_OF = "header fields must be exactly format, version and skeleton"
 BAD_HEADER_FIELDS = {
-    "no_skeleton": ("{width}=1", "header field skeleton= is missing"),
-    "no_width": ("skeleton=x", "header field {width}= is missing"),
-    "empty_skeleton": ("skeleton= {width}=1",
-                       "malformed header field skeleton='', expected a non-empty name"),
-    "negative_width": ("skeleton=x {width}=-2",
-                       "malformed header field {width}='-2', expected an integer >= 0"),
-    "fractional_width": ("skeleton=x {width}=1.5", "malformed header field {width}='1.5'"),
-    "huge_width": ("skeleton=x {width}=99999999999999999999",
-                   "header field {width}=99999999999999999999 is out of range"),
-    "unknown_field": ("skeleton=x {width}=1 dimz=1", "unknown header field 'dimz'"),
-    "repeated_skeleton": ("skeleton=x skeleton=y {width}=1",
-                          "header field skeleton= is repeated"),
-    "repeated_width": ("skeleton=x {width}=1 {width}=1", "header field {width}= is repeated"),
+    "no_skeleton": (lambda h, r: header_line({k: v for k, v in h.items() if k != "skeleton"})
+                    + npy_bytes(r), HEADER_FIELDS_OF),
+    "no_width": (lambda h, r: header_line(h), "{what}: EOF"),
+    "empty_skeleton": (lambda h, r: header_line({**h, "skeleton": ""}) + npy_bytes(r),
+                       HEADER_FIELDS_OF + " (a non-empty name)"),
+    "negative_width": (lambda h, r: header_line(h) + with_width(r, -2),
+                       {"poses": "poses are float64 (0, -2), expected float64 (N, 1)",
+                        "frames": "frames: negative dimensions are not allowed"}),
+    "fractional_width": (lambda h, r: header_line(h) + with_width(r, 1.5),
+                         "{what}: shape is not valid"),
+    "huge_width": (lambda h, r: header_line(h) + with_width(r, 99999999999999999999),
+                   {"poses": "poses are float64 (0, 99999999999999999999), "
+                             "expected float64 (N, 1)",
+                    "frames": "frames: Maximum allowed dimension exceeded"}),
+    "unknown_field": (lambda h, r: header_line({**h, "dims": 1}) + npy_bytes(r),
+                      HEADER_FIELDS_OF),
+    "repeated_skeleton": (lambda h, r: header_line(h)[:-2] + b', "skeleton": "y"}\n'
+                          + npy_bytes(r), "not a {fmt} file"),
+    "repeated_width": (lambda h, r: header_line(h) + npy_bytes(r) + npy_bytes(r),
+                       "trailing bytes after the last record"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_HEADER_FIELDS)
 @pytest.mark.parametrize("read", [fileio.read_pose_file, fileio.read_joint_file])
 def test_bad_header_field_is_refused_naming_path_and_field(tmp_path, read, case):
-    fields, message = BAD_HEADER_FIELDS[case]
+    damage, message = BAD_HEADER_FIELDS[case]
     poses = read is fileio.read_pose_file
-    magic, width = ("kinedeep-poses", "dims") if poses else ("kinedeep-joints", "joints")
-    path = tmp_path / "bad.csv"
-    path.write_text(f"# {magic} v1 {fields.format(width=width)}\n")
+    header, record, what = (POSES, np.ones((1, 1)), "poses") if poses else \
+        (JOINTS, np.ones((1, 1, 3)), "frames")
+    path = tmp_path / "bad.rec"
+    path.write_bytes(damage(header, record))
     with pytest.raises(fileio.FileFormatError) as refused:
         read(path, **({"expected_dims": 1} if poses else {}))
+    message = message[what] if isinstance(message, dict) else message
     assert str(refused.value).startswith(f"{path}: ")
-    assert message.format(width=width) in str(refused.value)
+    assert message.format(what=what, fmt=header["format"]) in str(refused.value)
 
 
 def test_expected_dims_enforced(hand, tmp_path):
-    path = tmp_path / "poses.csv"
+    path = tmp_path / "poses.rec"
     fileio.write_pose_file(path, hand.name, np.zeros((2, 5)))
-    with pytest.raises(fileio.FileFormatError, match="expected 26"):
+    with pytest.raises(fileio.FileFormatError,
+                       match=r"poses are float64 \(2, 5\), expected float64 \(N, 26\)"):
         fileio.read_pose_file(path, expected_dims=hand.n_dofs)
 
 
@@ -158,35 +243,6 @@ def test_dataset_roundtrip(hand, tmp_path):
     copy = tmp_path / "copy.ds"
     fileio.write_dataset(copy, again)
     assert copy.read_bytes() == path.read_bytes()
-
-
-def header_of(drop=(), **fields):
-    """A valid dataset header without the keys `drop`, with `fields` changed
-    or added."""
-    header = {"format": "kinedeep-dataset", "version": 5, "skeleton": "x", **fields}
-    return {k: v for k, v in header.items() if k not in drop}
-
-
-def write_dataset_file(path, header=header_of(), **records):
-    """A dataset record file: `header` as its JSON line (None leaves the line
-    out), then the records features and thetas, by default a valid 2-sample
-    set. A record given as bytes is written as it is; None leaves it out."""
-    records = {"features": np.ones((2, 6)), "thetas": np.ones((2, 4)), **records}
-    with open(path, "wb") as fh:
-        if header is not None:
-            fh.write(json.dumps(header).encode() + b"\n")
-        for record in records.values():
-            if isinstance(record, bytes):
-                fh.write(record)
-            elif record is not None:
-                np.save(fh, record)
-    return path
-
-
-NOT_A_DATASET = "not a kinedeep-dataset file; re-run synth"
-UNSUPPORTED = "unsupported kinedeep-dataset version"
-HEADER_FIELDS = ("header fields must be exactly format, version and skeleton "
-                 "(a non-empty name); re-run synth")
 
 
 def test_dataset_valid_file_reads(tmp_path):
@@ -215,10 +271,11 @@ def test_dataset_missing_member(tmp_path):
 
 
 def test_dataset_trailing_bytes_refused(tmp_path):
-    path = write_dataset_file(tmp_path / "data.ds", joints=np.ones((2, 3)))
-    with pytest.raises(fileio.FileFormatError,
-                       match="trailing bytes after the last record"):
-        fileio.read_dataset(path)
+    for kind, (read, header, records, _) in READERS.items():
+        path = write_record_file(tmp_path / kind, header, [*records.values(), np.ones((2, 3))])
+        with pytest.raises(fileio.FileFormatError) as refused:
+            read(path)
+        assert str(refused.value) == f"{path}: trailing bytes after the last record"
 
 
 def test_dataset_non_float_member(tmp_path):
@@ -228,26 +285,34 @@ def test_dataset_non_float_member(tmp_path):
         fileio.read_dataset(path)
 
 
-@pytest.mark.parametrize("key, array, refusal", [
-    ("thetas", np.ones((2, 4), dtype=">f8"), r"thetas are >f8 \(2, 4\)"),
-    ("features", np.asfortranarray(np.ones((2, 6))), r"\(2, 6\) in Fortran order"),
-    ("features", np.ones(12), r"features are float64 \(12,\), expected float64 \(N, N\)"),
+@pytest.mark.parametrize("damage, refusal", [
+    (lambda a: a.astype(">f8"), ">f8 {shape}, expected"),
+    (np.asfortranarray, "float64 {shape} in Fortran order, expected"),
+    (np.ravel, "float64 ({size},), expected"),
 ], ids=["big-endian", "fortran-order", "1-d"])
-def test_dataset_record_of_another_layout_refused(tmp_path, key, array, refusal):
-    path = write_dataset_file(tmp_path / "data.ds", **{key: array})
-    with pytest.raises(fileio.FileFormatError, match=refusal):
-        fileio.read_dataset(path)
+def test_dataset_record_of_another_layout_refused(tmp_path, damage, refusal):
+    # every record of every reader: as the writers never store it
+    for kind, (read, header, records, _) in READERS.items():
+        for key, array in records.items():
+            path = write_record_file(tmp_path / kind, header,
+                                     {**records, key: damage(array)}.values())
+            with pytest.raises(fileio.FileFormatError) as refused:
+                read(path)
+            assert str(refused.value).startswith(
+                f"{path}: {key} are " + refusal.format(shape=array.shape, size=array.size))
 
 
 def test_dataset_non_finite_member_refused(tmp_path):
-    for key in ("features", "thetas"):
-        for value in (np.nan, np.inf, -np.inf):
-            bad = np.ones((2, 6 if key == "features" else 4))
-            bad[1, 2] = value
-            path = write_dataset_file(tmp_path / "data.ds", **{key: bad})
-            with pytest.raises(fileio.FileFormatError,
-                               match=f"{key} holds non-finite values"):
-                fileio.read_dataset(path)
+    for kind, (read, header, records, _) in READERS.items():
+        for key, array in records.items():
+            for value in (np.nan, np.inf, -np.inf):
+                bad = array.copy()
+                bad[1, 2] = value
+                path = write_record_file(tmp_path / kind, header,
+                                         {**records, key: bad}.values())
+                with pytest.raises(fileio.FileFormatError,
+                                   match=f"{key} holds non-finite values, first in row 1"):
+                    read(path)
     # the occlusion sentinel is finite, so it passes
     features = np.full((2, 6), bench.OCCLUSION_SENTINEL_MM)
     data = fileio.read_dataset(write_dataset_file(tmp_path / "data.ds", features=features))
@@ -270,25 +335,24 @@ def test_dataset_with_zero_samples(tmp_path):
         fileio.read_dataset(path)
 
 
-def npy_header(shape, descr="<f8") -> bytes:
-    """A .npy 1.0 header of `shape`, with no data after it."""
-    buf = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        buf, {"descr": descr, "fortran_order": False, "shape": shape})
-    return buf.getvalue()
-
-
-@pytest.mark.parametrize("shape, refusal", [
-    ((10**11, 6), "features: the file ends inside the record"),
-    ((-2, -6), "features: negative dimensions are not allowed"),
-    ((0, 10**30), "features: Maximum allowed dimension exceeded"),
+# poses have no free width (it is the skeleton's DOF count), so no pose
+# record reaches numpy's dimension limit
+@pytest.mark.parametrize("shape, refusal, kinds", [
+    (lambda s: (10**11, *s[1:]), "the file ends inside the record", READERS),
+    (lambda s: (-2, *s[1:]), "negative dimensions are not allowed", READERS),
+    (lambda s: (0, 10**30, *s[2:]), "Maximum allowed dimension exceeded",
+     ("dataset", "joints")),
 ], ids=["larger-than-the-file", "negative", "beyond-numpy"])
-def test_dataset_record_shape_refused_before_allocation(tmp_path, shape, refusal):
-    path = write_dataset_file(tmp_path / "data.ds",
-                              features=npy_header(shape) + np.ones((2, 6)).tobytes())
-    with pytest.raises(fileio.FileFormatError) as refused:
-        fileio.read_dataset(path)
-    assert str(refused.value) == f"{path}: {refusal}"
+def test_dataset_record_shape_refused_before_allocation(tmp_path, shape, refusal, kinds):
+    for kind in kinds:
+        read, header, records, _ = READERS[kind]
+        (key, array), *others = records.items()
+        path = write_record_file(tmp_path / kind, header,
+                                 [npy_header(shape(array.shape)) + array.tobytes(),
+                                  *(a for _, a in others)])
+        with pytest.raises(fileio.FileFormatError) as refused:
+            read(path)
+        assert str(refused.value) == f"{path}: {key}: {refusal}"
 
 
 # a version-3 record held the sample's provenance and count
@@ -348,14 +412,15 @@ def test_dataset_file_without_a_line_end_is_not_read_whole(tmp_path):
     path = tmp_path / "zeros.ds"
     with open(path, "wb") as fh:
         fh.truncate(16 * 2**20)
-    tracemalloc.start()
-    try:
-        with pytest.raises(fileio.FileFormatError) as refused:
-            fileio.read_dataset(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert str(refused.value) == f"{path}: {NOT_A_DATASET}" and peak < 2**20
+    for read, _, _, not_a in READERS.values():
+        tracemalloc.start()
+        try:
+            with pytest.raises(fileio.FileFormatError) as refused:
+                read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == f"{path}: {not_a}" and peak < 2**20
 
 
 @pytest.mark.parametrize("content", [b"", b"1.0,2.0\n", b"PK\x03\x04 truncated", b"2.0\n",
@@ -371,9 +436,63 @@ def test_dataset_not_npz_refused(tmp_path, content):
 
 
 def test_jacobian_file_header_and_rows(tmp_path):
-    path = tmp_path / "jac.csv"
+    path = tmp_path / "jac.rec"
     jacobians = (np.full((6, 2), float(k)) for k in range(3))  # lazy
-    fileio.write_jacobian_file(path, "x", (6, 2), jacobians)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# kinedeep-jacobian v1 skeleton=x rows=6 cols=2"
-    assert lines[1:] == [",".join([repr(float(k))] * 12) for k in range(3)]
+    fileio.write_jacobian_file(path, "x", jacobians)
+    with open(path, "rb") as fh:
+        assert json.loads(fh.readline()) == {
+            "format": "kinedeep-jacobian", "version": 2, "skeleton": "x"}
+        for k in range(3):  # one record per pose
+            assert np.array_equal(np.lib.format.read_array(fh), np.full((6, 2), float(k)))
+        assert fh.read() == b""
+
+
+def test_each_reader_refuses_every_other_kind_of_file(hand, tmp_path):
+    # a file of each kind kinedeep writes, a v1 text file of each kind that
+    # had one, and a zero-byte file; a reader reads its own kind only
+    files = {"dataset": write_dataset_file(tmp_path / "data.ds")}
+    for kind, write, array in (("poses", fileio.write_pose_file, np.ones((2, 4))),
+                               ("joints", fileio.write_joint_file, np.ones((2, 5, 3))),
+                               ("jacobian", fileio.write_jacobian_file, [np.ones((6, 4))])):
+        write(files.setdefault(kind, tmp_path / f"{kind}.rec"), "x", array)
+    files["checkpoint"] = tmp_path / "run.ckpt.json"
+    reg.save_checkpoint(reg.init(reg.MlpConfig((6, 3, 4), seed=0, output_scale=(1.0,) * 4),
+                                 "ours"), files["checkpoint"], hand)
+    for kind, header in (("poses", "dims=4"), ("joints", "joints=5"),
+                         ("jacobian", "rows=6 cols=4")):
+        files[f"{kind}-v1"] = tmp_path / f"{kind}.csv"
+        files[f"{kind}-v1"].write_text(f"# kinedeep-{kind} v1 skeleton=x {header}\n"
+                                       + ",".join(["0.0"] * 24) + "\n")
+    files["empty"] = tmp_path / "empty"
+    files["empty"].write_bytes(b"")
+    readers = {kind: (read, not_a) for kind, (read, _, _, not_a) in READERS.items()}
+    readers["checkpoint"] = (reg.load_checkpoint, "not a kinedeep-checkpoint file; retrain")
+    for kind, (read, not_a) in readers.items():
+        read(files[kind])
+        for other, path in files.items():
+            if other != kind:
+                with pytest.raises(fileio.FileFormatError) as refused:
+                    read(path)
+                assert str(refused.value) == f"{path}: {not_a}", (kind, other)
+
+
+@pytest.mark.parametrize("kind", ["dataset", "poses", "joints"])
+def test_writers_store_c_ordered_float64(tmp_path, kind):
+    # a Fortran-ordered or an integer array is stored as C-order float64,
+    # which the readers read back
+    for features, thetas in ((np.asfortranarray(np.arange(30.0).reshape(5, 6)),
+                              np.arange(20.0).reshape(4, 5).T),
+                             (np.arange(30).reshape(5, 6), np.arange(20).reshape(5, 4))):
+        path = tmp_path / kind
+        if kind == "dataset":
+            fileio.write_dataset(path, bench.Dataset("x", features, thetas))
+            data = fileio.read_dataset(path)
+            got, want = (data.features, data.thetas), (features, thetas)
+        elif kind == "poses":
+            fileio.write_pose_file(path, "x", thetas)
+            got, want = fileio.read_pose_file(path, expected_dims=4)[1:], (thetas,)
+        else:
+            joints = np.asfortranarray(features.reshape(5, 2, 3))
+            fileio.write_joint_file(path, "x", joints)
+            got, want = fileio.read_joint_file(path)[1:], (joints,)
+        assert all(np.array_equal(g, w) and g.dtype == np.float64 for g, w in zip(got, want))
