@@ -30,6 +30,13 @@ A command sets only the epoch count, the fit budget (ik --iters, eval
 --fit-iters, --fit-frames and the dataset sizes --n, --train-n, --val-n)
 below 1 before any file is read.
 
+gradcheck checks the ours network that reproduce trains (regressor.init:
+42-256-256-26 on the default hand) on make_dataset's features at the
+default noise and occlusion, in NET_COORDINATES seeded coordinates of every
+weight and bias array. One whose +h or -h network differs from the
+unperturbed one in a hidden ReLU mask, or in which rotation DOFs lie outside
+their bounds, spans a kink and is redrawn; its line names widths and redraws.
+
 Exit codes: 0 success; 1 validation or parse error; 2 numerical failure
 (non-finite values); 3 an acceptance-style check failed (gradcheck
 tolerance or a reproduce ordering).
@@ -71,6 +78,8 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NUMERICAL = 2
 EXIT_CHECK_FAILED = 3
+
+NET_COORDINATES = 64  # gradcheck's sample of each weight and bias array
 
 
 class _Parser(argparse.ArgumentParser):
@@ -239,33 +248,40 @@ def _gradcheck_loss(skel, rng, trials):
     return worst
 
 
-def _gradcheck_net(skel, rng, samples):
-    """Weight gradients of a small ours network (the input clip and scale
-    and the output gains of every trained network) through the kinematic
-    layer, against central differences, on features in mm."""
-    run = reg.init(reg.MlpConfig((6, 8, skel.n_dofs), seed=int(rng.integers(2**31)),
-                                 output_scale=reg.MODES[rp.OURS].output_scale(skel)),
-                   rp.OURS)
-    feats = rng.normal(size=(samples, 6)) * 100.0
-    thetas = rng.uniform(skel.dof_lower, skel.dof_upper, size=(samples, skel.n_dofs))
-    targets = kin.forward_kinematics_batch(skel, thetas,
-                                           joint_indices=list(skel.eval_subset))
+def _gradcheck_net(skel, rng, rows):
+    """The network check of the module docstring on `rows` feature rows:
+    (max relative error, layer widths, coordinates redrawn)."""
+    run = reg.init(skel, rp.OURS, int(rng.integers(2**31)))
+    data = bench.make_dataset(skel, rows, bench.NOISE_SIGMA_MM, bench.OCCLUSION_PROB,
+                              int(rng.integers(2**31)), 0.0, "uniform")
+    feats, targets = data.features, bench.eval_joints(skel, data.thetas)
+    rot = skel.dof_is_rotation
+    lower, upper = skel.dof_lower[rot], skel.dof_upper[rot]
+
+    def kinks():  # each hidden ReLU mask, and the rotation outputs out of bounds
+        _, *hidden, out = reg._layers(run, feats)
+        return [a > 0.0 for a in hidden] + [(out[:, rot] < lower) | (out[:, rot] > upper)]
+
     _, (gw, gb) = reg.backward_through_model(run, feats, targets, skel)
-    worst = 0.0
-    h = 1e-5
-    for li, mat in enumerate(run.weights):
-        it = np.nditer(mat, flags=["multi_index"])
-        for _ in it:
-            i = it.multi_index
-            orig = mat[i]
-            mat[i] = orig + h
-            up, _ = reg.backward_through_model(run, feats, targets, skel)
-            mat[i] = orig - h
-            dn, _ = reg.backward_through_model(run, feats, targets, skel)
-            mat[i] = orig
-            fd = (up - dn) / (2 * h)
-            worst = max(worst, abs(gw[li][i] - fd) / (1.0 + abs(fd)))
-    return worst
+    unperturbed = kinks()
+    worst, redrawn, h = 0.0, 0, 1e-5
+    for array, grad in zip(run.weights + run.biases, gw + gb):
+        checked = 0
+        while checked < NET_COORDINATES:
+            i = np.unravel_index(rng.integers(array.size), array.shape)
+            orig, values, smooth = array[i], [], True
+            for step in (h, -h):
+                array[i] = orig + step
+                values.append(reg.backward_through_model(run, feats, targets, skel)[0])
+                smooth &= all(map(np.array_equal, kinks(), unperturbed))
+            array[i] = orig
+            if not smooth:
+                redrawn += 1
+                continue
+            fd = (values[0] - values[1]) / (2 * h)
+            worst = max(worst, abs(grad[i] - fd) / (1.0 + abs(fd)))
+            checked += 1
+    return worst, [len(run.weights[0])] + [w.shape[1] for w in run.weights], redrawn
 
 
 def cmd_gradcheck(args) -> int:
@@ -273,10 +289,12 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
     fk_err = _gradcheck_fk(skel, rng, args.trials)
     loss_err = _gradcheck_loss(skel, rng, min(args.trials, 20))
-    net_err = _gradcheck_net(skel, rng, min(args.trials, 16))
+    net_err, widths, redrawn = _gradcheck_net(skel, rng, min(args.trials, 16))
     print(f"fk-jacobian   max rel err {fk_err:.3e}  (tolerance 1e-06)")
     print(f"loss-gradient max rel err {loss_err:.3e}  (tolerance 1e-06)")
-    print(f"net-through-model max rel err {net_err:.3e}  (tolerance 1e-05)")
+    print(f"net-through-model max rel err {net_err:.3e}  (tolerance 1e-05)  "
+          f"{rp.OURS} {'-'.join(map(str, widths))}, {NET_COORDINATES} coordinates "
+          f"per weight and bias array, {redrawn} redrawn at a kink")
     if fk_err < 1e-6 and loss_err < 1e-6 and net_err < 1e-5:
         print("gradcheck: PASS")
         return EXIT_OK
@@ -307,7 +325,7 @@ def cmd_ik(args) -> int:
         "residual_mean_mm": mean,
         "residual_variance_mm2": var,
         "residual_mm": result.residual_mm.tolist(),
-        "converged": result.converged.tolist(),
+        "converged": (result.residual_mm <= ik_pso.TOL_MM).tolist(),
         "iterations_used": result.iterations_used.tolist(),
         "fit_s": fit_s,
     }
@@ -351,7 +369,7 @@ def cmd_train(args) -> int:
     spec = reg.MODES[args.mode]
     run = rp.train_mode(skel, args.mode, train_data, val_data, args.epochs, args.seed,
                         args.out)
-    reg.save_checkpoint(run, args.out, skel)
+    reg.save_checkpoint(run, args.out)
     if val_data is not None:
         last = run.history[-1]  # the validation stats of the saved weights
         print(f"val joint error {last.val_joint_err_mm!r} mm, angle error "
@@ -454,7 +472,11 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_kinematics)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
+    p = sub.add_parser("gradcheck", help="finite-difference gradient checks",
+                       description=f"The network check samples {NET_COORDINATES} "
+                                   "coordinates of each array of the ours network "
+                                   "reproduce trains, redrawing one whose +-h step "
+                                   "changes a ReLU mask or the DOFs out of bounds.")
     add_skeleton(p)
     p.add_argument("--trials", type=count, default=100)
     p.add_argument("--seed", type=int, default=0)

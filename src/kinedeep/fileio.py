@@ -9,7 +9,9 @@ allocating it: dtype <f8, C order, the expected shape, and no more bytes
 than the file has left. Nothing is unpickled, a header that repeats a key
 is refused, every refusal names the path, and a file of another kind (or a
 zero-byte file) is "not a <format> file; <remedy>". The same content gives
-the same bytes, and float64 values round-trip exactly.
+the same bytes, and float64 values round-trip exactly. The pose, joint and
+Jacobian writers refuse an array of a rank their format does not hold, and
+a refused or failed write leaves no file.
 
   format               version  header fields and records
   kinedeep-poses       2        skeleton; one (N, D) record of poses (mm
@@ -22,7 +24,8 @@ the same bytes, and float64 values round-trip exactly.
                                 never read back
   kinedeep-dataset     5        skeleton; the records features
                                 (N, 3 * n_eval) and thetas (N, D)
-  kinedeep-checkpoint  4        regressor.save_checkpoint's
+  kinedeep-checkpoint  5        skeleton, mode, output_scale, history; each
+                                layer's weights, then its biases (regressor)
 
 Pose, joint and dataset files are read by one reader: the header holds
 exactly format, version and skeleton (a non-empty name), no byte follows
@@ -60,11 +63,30 @@ class FileFormatError(ValueError):
 def write_records(path, header: dict, arrays) -> None:
     """The JSON header line (its first key "format"), then each array as a
     C-order float64 .npy record; np.save writes such an array's bytes
-    without a copy, and `arrays` may be a generator."""
+    without a copy, and `arrays` may be a generator. If a write fails part
+    way (a generator's refused array included), the file is removed."""
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode() + b"\n")
-        for array in arrays:
-            np.save(fh, np.ascontiguousarray(array, dtype="<f8"))
+        try:
+            fh.write(json.dumps(header).encode() + b"\n")
+            for array in arrays:
+                np.save(fh, np.ascontiguousarray(array, dtype="<f8"))
+        except BaseException:
+            os.remove(path)
+            raise
+
+
+def _fits(got, shape) -> bool:
+    """Whether shape `got` is `shape`, a None dimension matching any length."""
+    return len(got) == len(shape) and all(n in (None, g) for g, n in zip(got, shape))
+
+
+def _shaped(path, what, array, shape, expected) -> np.ndarray:
+    """`array`, refused unless its shape fits `shape` (spelt `expected`)."""
+    array = np.asarray(array)
+    if not _fits(array.shape, shape):
+        raise ValueError(f"{path}: {what} are {array.shape}, expected {expected}; "
+                         f"not written")
+    return array
 
 
 def _unique_keys(pairs) -> dict:
@@ -101,8 +123,7 @@ def read_record(fh, path, what, shape) -> np.ndarray:
         got, fortran_order, dtype = read(fh)
     except ValueError as e:  # short or malformed record header
         raise FileFormatError(f"{path}: {what}: {e}") from None
-    if dtype != np.dtype("<f8") or fortran_order or len(got) != len(shape) or \
-            not all(n in (None, g) for g, n in zip(got, shape)):
+    if dtype != np.dtype("<f8") or fortran_order or not _fits(got, shape):
         raise FileFormatError(f"{path}: {what} are {dtype} {got}"
                               f"{' in Fortran order' if fortran_order else ''}, "
                               f"expected float64 {str(shape).replace('None', 'N')}")
@@ -143,6 +164,7 @@ def _read_skeleton_records(path, fmt, version, remedy, records) -> tuple:
 
 def write_pose_file(path, skeleton_name: str, poses) -> None:
     """Poses (N, D) as one record."""
+    poses = _shaped(path, "poses", poses, (None, None), "(N, D)")
     _write_skeleton_records(path, "kinedeep-poses", _KINEMATICS_VERSION, skeleton_name,
                             [poses])
 
@@ -156,6 +178,7 @@ def read_pose_file(path, expected_dims):
 
 def write_joint_file(path, skeleton_name: str, joints) -> None:
     """Frames of joints (N, K, 3) as one record."""
+    joints = _shaped(path, "frames", joints, (None, None, 3), "(N, K, 3)")
     _write_skeleton_records(path, "kinedeep-joints", _KINEMATICS_VERSION, skeleton_name,
                             [joints])
 
@@ -171,7 +194,8 @@ def write_jacobian_file(path, skeleton_name: str, jacobians) -> None:
     """One record per pose's (3J, D) Jacobian; `jacobians` may be a
     generator, so they need not all be in memory at once."""
     _write_skeleton_records(path, "kinedeep-jacobian", _KINEMATICS_VERSION, skeleton_name,
-                            jacobians)
+                            (_shaped(path, "Jacobians", j, (None, None), "(3J, D)")
+                             for j in jacobians))
 
 
 def write_dataset(path, data: Dataset) -> None:

@@ -74,7 +74,6 @@ class FitResult:
     theta: np.ndarray            # (F, D)
     residual_mm: np.ndarray      # (F,) mean per-joint Euclidean error at theta
     iterations_used: np.ndarray  # (F,) int, swarm iterations actually consumed
-    converged: np.ndarray        # (F,) bool, residual_mm <= TOL_MM
 
 
 class _Objective:
@@ -301,7 +300,7 @@ def fit_batch(skel: Skeleton, targets, iterations: int, seed: int) -> FitResult:
     chunks = [_fit_chunk(skel, targets[start:start + per_chunk], iterations, seed)
               for start in range(0, len(targets), per_chunk)]
     theta, residual, used = (np.concatenate(part) for part in zip(*chunks))
-    return FitResult(theta, residual, used, residual <= TOL_MM)
+    return FitResult(theta, residual, used)
 
 
 def residual_stats(result: FitResult) -> tuple:

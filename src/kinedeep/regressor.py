@@ -11,8 +11,9 @@ The architecture is constants too: every network clips its mm features to
 +-INPUT_CLIP_MM, scales them by INPUT_SCALE (raw joint coordinates span
 hundreds of mm, which makes first-layer steps disproportionate at any single
 learning rate), runs HIDDEN_WIDTHS hidden layers, and multiplies its output
-by its mode's fixed per-output gains (Mode.output_scale), which its
-MlpConfig and its checkpoint carry.
+by its mode's fixed per-output gains (Mode.output_scale). ``init`` builds
+every fresh network, and a TrainRun holds what its checkpoint holds: mode,
+layers, gains, per-epoch history and skeleton fingerprint.
 
 Optimization is stochastic gradient descent with momentum, single-threaded
 and bitwise deterministic given (seed, data, epochs).
@@ -43,9 +44,10 @@ from .kinematics import fk_jacobian_batch
 from .skeleton import Skeleton
 
 CHECKPOINT_FORMAT = "kinedeep-checkpoint"
+# 5: flat header, the layer widths only in the records' shapes, no seed;
 # 4: no input scale or clip fields, output gains always; 3: .npy layer
 # records; 2: all JSON; 1: no skeleton
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 INPUT_CLIP_MM = 400.0  # |feature| clamp: the occlusion sentinel (-1000 mm) becomes a flag
 INPUT_SCALE = 0.01  # mm features to network units, after the clip
 HIDDEN_WIDTHS = (256, 256)  # the hidden layers of every trained network
@@ -90,7 +92,7 @@ class Mode:
         return skel.n_dofs if self.emits_pose else 3 * len(skel.eval_subset)
 
     def output_scale(self, skel: Skeleton) -> tuple:
-        """Fixed per-output gains for MlpConfig.output_scale: 1 for pose
+        """Fixed per-output gains of the mode's network: 1 for pose
         targets (x * 1.0 is exact, so the gain changes no bit)."""
         if self.theta_targets:
             return (1.0,) * self.output_width(skel)
@@ -124,27 +126,6 @@ class NumericalError(RuntimeError):
     """Training produced a non-finite loss, gradient or weight."""
 
 
-@dataclass(frozen=True)
-class MlpConfig:
-    layer_widths: tuple  # input, hidden..., output
-    seed: int
-    output_scale: tuple  # fixed per-output gains
-
-    def __post_init__(self):
-        object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
-        if len(self.layer_widths) < 2:
-            raise ValueError("need at least input and output widths")
-        if any(w <= 0 for w in self.layer_widths):
-            raise ValueError(f"zero-width layer in {self.layer_widths}")
-        scale = tuple(float(s) for s in self.output_scale)
-        if len(scale) != self.layer_widths[-1]:
-            raise ValueError("output_scale length must match the output width")
-        # written so that NaN fails the comparison
-        if not all(0.0 < s < math.inf for s in scale):
-            raise ValueError("output_scale entries must be positive and finite")
-        object.__setattr__(self, "output_scale", scale)
-
-
 @dataclass
 class EpochStats:
     train_loss: float
@@ -153,25 +134,16 @@ class EpochStats:
     val_invalid_frac: float
 
 
+@dataclass
 class TrainRun:
-    """Weights, momentum (zero at start, never saved), mode, per-epoch history."""
+    """A network and its record, as its checkpoint holds them."""
 
-    def __init__(self, config: MlpConfig, mode: str, weights, biases,
-                 history=None, skeleton=None):
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")
-        self.config = config
-        self.mode = mode
-        self.weights = weights
-        self.biases = biases
-        self.vel_w = [np.zeros_like(w) for w in weights]
-        self.vel_b = [np.zeros_like(b) for b in biases]
-        self.history = history if history is not None else []
-        self.skeleton = skeleton  # the fingerprint a loaded checkpoint records
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
+    mode: str
+    weights: list
+    biases: list
+    output_scale: tuple  # fixed per-output gains
+    history: list  # one EpochStats per epoch trained
+    skeleton: dict  # the fingerprint of the skeleton it is trained for
 
 
 def pose_output_scale(skel: Skeleton) -> tuple:
@@ -195,15 +167,19 @@ def pose_output_scale(skel: Skeleton) -> tuple:
     return tuple(float(s) for s in scale)
 
 
-def init(config: MlpConfig, mode: str) -> TrainRun:
-    """Seeded uniform init scaled by 1/sqrt(fan_in); zero biases."""
-    rng = np.random.default_rng([config.seed, 0])
-    weights, biases = [], []
-    for fan_in, fan_out in zip(config.layer_widths, config.layer_widths[1:]):
+def init(skel: Skeleton, mode: str, seed: int) -> TrainRun:
+    """A fresh network of `mode` for `skel`: widths (3 * n_eval,
+    *HIDDEN_WIDTHS, the mode's output width) and the mode's gains; seeded
+    uniform weights scaled by 1/sqrt(fan_in), zero biases."""
+    spec = MODES[mode]
+    widths = (3 * len(skel.eval_subset), *HIDDEN_WIDTHS, spec.output_width(skel))
+    rng = np.random.default_rng([seed, 0])
+    weights = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return TrainRun(config, mode, weights, biases)
+    return TrainRun(mode, weights, [np.zeros(w) for w in widths[1:]], spec.output_scale(skel),
+                    [], skel.fingerprint())
 
 
 def _layers(run: TrainRun, features: np.ndarray):
@@ -215,20 +191,20 @@ def _layers(run: TrainRun, features: np.ndarray):
     """
     h = np.clip(np.asarray(features, dtype=float), -INPUT_CLIP_MM, INPUT_CLIP_MM)
     h *= INPUT_SCALE
-    if h.ndim != 2 or h.shape[1] != run.config.layer_widths[0]:
+    if h.ndim != 2 or h.shape[1] != len(run.weights[0]):
         raise ValueError(
             f"feature width {h.shape[-1]} does not match input width "
-            f"{run.config.layer_widths[0]}"
+            f"{len(run.weights[0])}"
         )
     yield h
-    last = run.n_layers - 1
+    last = len(run.weights) - 1
     for i, (w, b) in enumerate(zip(run.weights, run.biases)):
         h = h @ w
         h += b
         if i < last:
             np.maximum(h, 0.0, out=h)
         else:
-            h *= np.asarray(run.config.output_scale)
+            h *= np.asarray(run.output_scale)
         yield h
 
 
@@ -242,7 +218,7 @@ def forward(run: TrainRun, features: np.ndarray) -> np.ndarray:
     """
     n = len(features)
     k = max(1, n // FORWARD_BLOCK_ROWS)
-    out = np.empty((n, run.config.layer_widths[-1]))
+    out = np.empty((n, run.weights[-1].shape[1]))
     for i in range(k):
         block = slice(i * n // k, (i + 1) * n // k)
         for h in _layers(run, features[block]):
@@ -269,10 +245,10 @@ def _backprop(run: TrainRun, acts, delta):
     Each ReLU mask is taken from the layer's output: acts[i] > 0 exactly
     where its pre-activation is > 0, for every value (NaN and -0.0 included).
     """
-    grads_w = [None] * run.n_layers
-    grads_b = [None] * run.n_layers
-    delta = delta * np.asarray(run.config.output_scale)
-    for i in reversed(range(run.n_layers)):
+    n = len(run.weights)
+    grads_w, grads_b = [None] * n, [None] * n
+    delta = delta * np.asarray(run.output_scale)
+    for i in reversed(range(n)):
         grads_w[i] = acts[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
@@ -327,20 +303,18 @@ def backward_direct(run: TrainRun, features, targets):
     return value, grads
 
 
-def sgd_step(run: TrainRun, grads, lr: float) -> TrainRun:
-    """Momentum update in place: v <- mu*v - lr*g; w <- w + v."""
-    grads_w, grads_b = grads
-    for i in range(run.n_layers):
-        if grads_w[i].shape != run.weights[i].shape:
-            raise ValueError(
-                f"gradient shape {grads_w[i].shape} does not match layer {i} "
-                f"weights {run.weights[i].shape}"
-            )
-        for w, v, g in ((run.weights[i], run.vel_w[i], grads_w[i]),
-                        (run.biases[i], run.vel_b[i], grads_b[i])):
-            v *= MOMENTUM
-            v -= lr * g
-            w += v
+def sgd_step(run: TrainRun, grads, velocity, lr: float) -> TrainRun:
+    """Momentum update in place: v <- mu*v - lr*g; w <- w + v, for the
+    weight arrays, then the bias arrays, whose buffers `velocity` holds in
+    that order."""
+    params, grads = run.weights + run.biases, grads[0] + grads[1]
+    if [g.shape for g in grads] != [p.shape for p in params]:
+        raise ValueError(f"gradient shapes {[g.shape for g in grads]} do not match the "
+                         f"weight and bias shapes {[p.shape for p in params]}")
+    for w, v, g in zip(params, velocity, grads):
+        v *= MOMENTUM
+        v -= lr * g
+        w += v
     return run
 
 
@@ -360,15 +334,16 @@ def validation_stats(run: TrainRun, dataset, skel: Skeleton, true_joints):
             report.invalid_pose_fraction)
 
 
-def train(run: TrainRun, dataset, skel: Skeleton, epochs: int,
+def train(run: TrainRun, dataset, skel: Skeleton, epochs: int, seed: int,
           val, on_epoch) -> TrainRun:
     """Mini-batch SGD, BATCH_SIZE rows a batch, through the stages of STAGES.
 
     Stage (f_lr, f_ep) runs at f_lr times the mode's base_lr for
     max(1, round(f_ep * epochs)) epochs. Each stage starts the shuffle from
-    the same seed; momentum carries across stages. The penalty weight is
-    the mode's ``penalty``. Validation on `val`, the validation set or None,
-    is recorded per epoch and never changes the weights or the epoch count.
+    `seed`; momentum starts at zero and carries across stages. The penalty
+    weight is the mode's ``penalty``. Validation on `val`, the validation
+    set or None, is recorded per epoch and never changes the weights or the
+    epoch count.
     Raises NumericalError (naming the epoch by its index in run.history, and
     the batch) if the loss or a gradient goes non-finite, before that batch's
     update reaches the weights; and, naming the epoch, if an epoch ends with
@@ -384,16 +359,15 @@ def train(run: TrainRun, dataset, skel: Skeleton, epochs: int,
     if len(dataset) == 0:
         raise ValueError("training dataset is empty")
     mode = MODES[run.mode]
-    if mode.theta_targets:
-        targets = dataset.thetas
-    else:
-        targets = bench.eval_joints(skel, dataset.thetas).reshape(len(dataset), -1)
+    targets = dataset.thetas if mode.theta_targets else \
+        bench.eval_joints(skel, dataset.thetas).reshape(len(dataset), -1)
     # the validation labels, once for every epoch's validation_stats
     val_joints = None if val is None else bench.eval_joints(skel, val.thetas)
     n = len(dataset)
+    velocity = [np.zeros_like(p) for p in run.weights + run.biases]
     for frac_lr, frac_ep in STAGES:
         lr = mode.base_lr * frac_lr
-        rng = np.random.default_rng([run.config.seed, 1])
+        rng = np.random.default_rng([seed, 1])
         for _ in range(max(1, int(round(frac_ep * epochs)))):
             epoch_started = time.monotonic()
             epoch = len(run.history)
@@ -417,7 +391,7 @@ def train(run: TrainRun, dataset, skel: Skeleton, epochs: int,
                 if not all(np.isfinite(g).all() for g in grads[0] + grads[1]):
                     raise NumericalError(
                         f"non-finite gradient at epoch {epoch} batch {batch}")
-                sgd_step(run, grads, lr)
+                sgd_step(run, grads, velocity, lr)
                 epoch_losses.append(value)
 
             grad_norm = float(np.sqrt(sum(np.vdot(g, g) for g in grads[0] + grads[1])))
@@ -445,24 +419,18 @@ def train(run: TrainRun, dataset, skel: Skeleton, epochs: int,
     return run
 
 
-def save_checkpoint(run: TrainRun, path, skel: Skeleton) -> None:
-    """Write `run` as trained for `skel`, whose fingerprint it records.
-
-    It is a file of fileio's record format. The header holds format,
-    version, skeleton fingerprint, MLP config, mode and history; each
-    layer's weights, then its biases, follow as records. The `.ckpt.json`
-    suffix of train's and reproduce's files is historical.
-    """
+def save_checkpoint(run: TrainRun, path) -> None:
+    """Write `run` as a file of fileio's record format: a header of format,
+    version, skeleton fingerprint, mode, output gains and history, then each
+    layer's weights and biases as records, whose shapes are the layer
+    widths. The `.ckpt.json` suffix of train's and reproduce's files is
+    historical."""
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "skeleton": skel.fingerprint(),
-        "mlp": {
-            "layer_widths": list(run.config.layer_widths),
-            "seed": run.config.seed,
-            "output_scale": list(run.config.output_scale),
-        },
+        "skeleton": run.skeleton,
         "mode": run.mode,
+        "output_scale": list(run.output_scale),
         "history": [
             [h.train_loss, h.val_joint_err_mm, h.val_angle_err_deg, h.val_invalid_frac]
             for h in run.history
@@ -471,26 +439,19 @@ def save_checkpoint(run: TrainRun, path, skel: Skeleton) -> None:
     fileio.write_records(path, header, [a for wb in zip(run.weights, run.biases) for a in wb])
 
 
-def _is(value, kind) -> bool:  # true and false are not numbers
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _list_of(value, kind) -> bool:
-    return isinstance(value, list) and all(_is(x, kind) for x in value)
+def _list_of(value, kind) -> bool:  # true and false are not numbers
+    return isinstance(value, list) and all(
+        isinstance(x, kind) and not isinstance(x, bool) for x in value)
 
 
 _NUMBER = (int, float)
-# The header fields load_checkpoint reads ("mlp.x" is field x of "mlp"): what
-# each must hold, and its check. A missing field reads as None; a field that
-# is neither one of these nor format or version is refused.
+# The header fields load_checkpoint reads, what each must hold and its check
+# (a missing field is None); any other field but format and version is refused.
 _HEADER_FIELDS = (
     ("skeleton", "an object with a name and a sha256", lambda v: isinstance(v, dict)
      and all(isinstance(v.get(k), str) for k in ("name", "sha256"))),
-    ("mlp", "an object", lambda v: isinstance(v, dict)),
-    ("mlp.layer_widths", "a list of integers", lambda v: _list_of(v, int)),
-    ("mlp.seed", "an integer", lambda v: _is(v, int)),
-    ("mlp.output_scale", "a list of numbers", lambda v: _list_of(v, _NUMBER)),
     ("mode", f"one of {', '.join(MODES)}", lambda v: isinstance(v, str) and v in MODES),
+    ("output_scale", "a list of numbers", lambda v: _list_of(v, _NUMBER)),
     ("history", "a list of rows of 4 numbers", lambda v: _list_of(v, list)
      and all(len(row) == 4 and _list_of(row, _NUMBER) for row in v)),
 )
@@ -498,34 +459,32 @@ _HEADER_FIELDS = (
 
 def load_checkpoint(path) -> TrainRun:
     """Read a checkpoint that save_checkpoint wrote; every refusal is a
-    ValueError that names the path. A record's .npy header is checked
-    against the layer widths before its data is read."""
+    ValueError that names the path. Its (weights, biases) record pairs, one
+    at least, run to the end of the file and chain: a layer's weights have
+    a row per output of the layer before, its biases a value per weights
+    column, and no width is zero. Each record's .npy header is checked
+    before its data is read."""
     with open(path, "rb") as fh:
         header = fileio.read_header(fh, path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
                                     "retrain")
         for field, expected, check in _HEADER_FIELDS:
-            value = header
-            for key in field.split("."):
-                value = value.get(key)
-            if not check(value):
+            if not check(header.get(field)):
                 raise ValueError(f"{path}: header field {field} is missing or not {expected}")
-        mlp = header["mlp"]
         known = {"format", "version", *(field for field, _, _ in _HEADER_FIELDS)}
-        for prefix, keys in (("", header), ("mlp.", mlp)):
-            for key in keys:
-                if "." in key or prefix + key not in known:
-                    raise ValueError(f"{path}: unknown header field {prefix}{key}")
-        try:
-            config = MlpConfig(tuple(mlp["layer_widths"]), seed=int(mlp["seed"]),
-                               output_scale=tuple(mlp["output_scale"]))
-        except ValueError as e:
-            raise ValueError(f"{path}: header field mlp: {e}") from None
-        widths = config.layer_widths
-        arrays = [fileio.read_record(fh, path, f"layer {i} {kind}", shape)
-                  for i, (n_in, n_out) in enumerate(zip(widths, widths[1:]))
-                  for kind, shape in (("weights", (n_in, n_out)), ("biases", (n_out,)))]
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after the last layer")
-    return TrainRun(config, header["mode"], arrays[0::2], arrays[1::2],
-                    history=[EpochStats(*row) for row in header["history"]],
-                    skeleton=header["skeleton"])
+        if set(header) - known:
+            raise ValueError(f"{path}: unknown header field {min(set(header) - known)}")
+        weights, biases = [], []
+        while not weights or fh.peek(1):
+            i, rows = len(weights), weights[-1].shape[1] if weights else None
+            w = fileio.read_record(fh, path, f"layer {i} weights", (rows, None))
+            if not w.size:
+                raise ValueError(f"{path}: layer {i} weights are {w.shape}, a zero-width layer")
+            weights.append(w)
+            biases.append(fileio.read_record(fh, path, f"layer {i} biases", (w.shape[1],)))
+    scale = tuple(float(s) for s in header["output_scale"])
+    # written so that NaN fails the comparison
+    if len(scale) != len(biases[-1]) or not all(0.0 < s < math.inf for s in scale):
+        raise ValueError(f"{path}: output_scale must be {len(biases[-1])} positive "
+                         f"finite gains, one per output of the last layer")
+    return TrainRun(header["mode"], weights, biases, scale,
+                    [EpochStats(*row) for row in header["history"]], header["skeleton"])

@@ -68,15 +68,10 @@ def train_mode(skel, mode, train_data, val_data, epochs, seed, ckpt_path):
     """A fresh network of `mode`, trained for `epochs` by the mode's
     recipe, its epochs recorded one JSON line each beside the checkpoint
     path."""
-    spec = reg.MODES[mode]
-    cfg = reg.MlpConfig(
-        layer_widths=(train_data.features.shape[1], *reg.HIDDEN_WIDTHS,
-                      spec.output_width(skel)),
-        seed=seed, output_scale=spec.output_scale(skel),
-    )
     # line-buffered: each epoch is on disk when it ends
     with open(epochs_path(ckpt_path), "w", buffering=1) as fh:
-        return reg.train(reg.init(cfg, mode), train_data, skel, epochs, val=val_data,
+        return reg.train(reg.init(skel, mode, seed), train_data, skel, epochs, seed,
+                         val=val_data,
                          on_epoch=lambda record: fh.write(json.dumps(record) + "\n"))
 
 
@@ -105,7 +100,7 @@ def reproduce_mode(mode, skel, train_data, val_data, args):
     """
     ckpt = mode_checkpoint(args.out, mode)
     run = train_mode(skel, mode, train_data, None, args.epochs, args.seed, ckpt)
-    reg.save_checkpoint(run, ckpt, skel)
+    reg.save_checkpoint(run, ckpt)
     if reg.MODES[mode].emits_pose:
         return score(run, skel, val_data, args.seed, FIT_ITERATIONS)
     return None

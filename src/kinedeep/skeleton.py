@@ -343,7 +343,7 @@ class Skeleton:
         """Name and sha256 of the canonical to_dict() JSON; equal for a
         skeleton and its save_skeleton/load_skeleton round trip."""
         # imported here: hashlib loads OpenSSL's libcrypto, which only the
-        # commands that read or write checkpoints need
+        # commands that build a network or read a checkpoint need
         import hashlib
 
         text = json.dumps(self._config, sort_keys=True)

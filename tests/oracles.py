@@ -309,7 +309,7 @@ def _sequential_polish(obj, theta, steps):
 
 def sequential_fit_pose(skel, target, iterations, seed):
     """Fit a pose whose eval joints match `target` ((n_eval, 3) mm); returns
-    (theta, residual_mm, iterations_used, converged)."""
+    (theta, residual_mm, iterations_used)."""
     target = np.asarray(target, dtype=float).reshape(len(skel.eval_subset), 3)
     obj = _SequentialObjective(skel, target)
     rng = np.random.default_rng(seed)
@@ -332,7 +332,7 @@ def sequential_fit_pose(skel, target, iterations, seed):
         if fit < best_fit:
             best_theta, best_fit, best_res = theta, fit, res
 
-    return best_theta, best_res, used_total, best_res <= ik_pso.TOL_MM
+    return best_theta, best_res, used_total
 
 
 def sequential_fit_batch(skel, targets, iterations, seed):
@@ -354,21 +354,21 @@ def mlp_forward_acts(run, features):
     # tames the occlusion sentinel (-1000 mm) into an in-scale flag
     h = np.clip(h, -reg.INPUT_CLIP_MM, reg.INPUT_CLIP_MM)
     h = h * reg.INPUT_SCALE
-    if h.ndim != 2 or h.shape[1] != run.config.layer_widths[0]:
+    if h.ndim != 2 or h.shape[1] != len(run.weights[0]):
         raise ValueError(
             f"feature width {h.shape[-1]} does not match input width "
-            f"{run.config.layer_widths[0]}"
+            f"{len(run.weights[0])}"
         )
     acts = [h]
     pre = []
-    last = run.n_layers - 1
+    last = len(run.weights) - 1
     for i, (w, b) in enumerate(zip(run.weights, run.biases)):
         z = h @ w + b
         if i < last:
             pre.append(z)
             h = np.maximum(z, 0.0)
         else:
-            h = z * np.asarray(run.config.output_scale)
+            h = z * np.asarray(run.output_scale)
         acts.append(h)
     return acts, pre
 
@@ -382,10 +382,10 @@ def one_pass_forward(run, features):
 
 def mlp_backprop(run, acts, pre, delta):
     """Gradients of the mean loss; `delta` is dLoss/d_output (already /N)."""
-    grads_w = [None] * run.n_layers
-    grads_b = [None] * run.n_layers
-    delta = delta * np.asarray(run.config.output_scale)
-    for i in reversed(range(run.n_layers)):
+    grads_w = [None] * len(run.weights)
+    grads_b = [None] * len(run.weights)
+    delta = delta * np.asarray(run.output_scale)
+    for i in reversed(range(len(run.weights))):
         grads_w[i] = acts[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
@@ -393,9 +393,10 @@ def mlp_backprop(run, acts, pre, delta):
     return grads_w, grads_b
 
 
-def flat_train(run, dataset, skel, epochs, lr, val=None):
+def flat_train(run, dataset, skel, epochs, lr, seed, velocity, val=None):
     """The one-stage `reg.train`, at rate `lr` in batches of
-    `reg.BATCH_SIZE`, as it was before it ran the stages itself."""
+    `reg.BATCH_SIZE`, as it was before it ran the stages itself; `velocity`
+    holds the momentum buffers, which it updates."""
     if len(dataset) == 0:
         raise ValueError("training dataset is empty")
     mode = reg.MODES[run.mode]
@@ -405,7 +406,7 @@ def flat_train(run, dataset, skel, epochs, lr, val=None):
         targets = forward_kinematics_batch(skel, dataset.thetas,
                                            joint_indices=list(skel.eval_subset))
         targets = targets.reshape(len(dataset), -1)
-    rng = np.random.default_rng([run.config.seed, 1])
+    rng = np.random.default_rng([seed, 1])
     n = len(dataset)
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -427,7 +428,7 @@ def flat_train(run, dataset, skel, epochs, lr, val=None):
             if not all(np.isfinite(g).all() for g in grads[0] + grads[1]):
                 raise reg.NumericalError(
                     f"non-finite gradient at epoch {epoch} batch {batch}")
-            reg.sgd_step(run, grads, lr)
+            reg.sgd_step(run, grads, velocity, lr)
             epoch_losses.append(value)
 
         if val is not None:
@@ -461,12 +462,14 @@ def _stages(base_lr, epochs):
     return out
 
 
-def per_stage_train(run, train_data, skel, base_lr, epochs, val_data=None):
-    """Train `run` through the schedule; returns the epochs each stage ran."""
+def per_stage_train(run, train_data, skel, base_lr, epochs, seed, val_data=None):
+    """Train `run` through the schedule, momentum carried across the stages;
+    returns the epochs each stage ran."""
     ran = []
+    velocity = [np.zeros_like(p) for p in run.weights + run.biases]
     for lr, ep in _stages(base_lr, epochs):
         before = len(run.history)
-        flat_train(run, train_data, skel, ep, lr, val=val_data)
+        flat_train(run, train_data, skel, ep, lr, seed, velocity, val=val_data)
         ran.append(len(run.history) - before)
     return ran
 

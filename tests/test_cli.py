@@ -110,6 +110,14 @@ def test_gradcheck_passes(tmp_path):
     assert run_cli("gradcheck", "--trials", "5", "--seed", "3") == 0
 
 
+def assert_gradcheck_fails_the_network_only(capsys):
+    """gradcheck exited 3 on the network check alone."""
+    lines = capsys.readouterr().out.splitlines()
+    fk_err, loss_err, net_err = (float(line.split()[4]) for line in lines[:3])
+    assert fk_err < 1e-6 and loss_err < 1e-6 and net_err >= 1e-5
+    assert lines[3] == "gradcheck: FAIL"
+
+
 @pytest.mark.parametrize("fault", ["output-gain", "input-scale"])
 def test_gradcheck_fails_a_backward_pass_that_skips_a_step(monkeypatch, capsys, fault):
     # the network check runs the trained networks' input scale and output
@@ -118,15 +126,44 @@ def test_gradcheck_fails_a_backward_pass_that_skips_a_step(monkeypatch, capsys, 
 
     def faulty(run, acts, delta):
         if fault == "output-gain":
-            return real(run, acts, delta / np.asarray(run.config.output_scale))
+            return real(run, acts, delta / np.asarray(run.output_scale))
         return real(run, [acts[0] / reg.INPUT_SCALE] + acts[1:], delta)
 
     monkeypatch.setattr(reg, "_backprop", faulty)
     assert run_cli("gradcheck", "--trials", "2", "--seed", "3") == 3
-    lines = capsys.readouterr().out.splitlines()
-    fk_err, loss_err, net_err = (float(line.split()[4]) for line in lines[:3])
-    assert fk_err < 1e-6 and loss_err < 1e-6 and net_err >= 1e-5
-    assert lines[3] == "gradcheck: FAIL"
+    assert_gradcheck_fails_the_network_only(capsys)
+
+
+def test_gradcheck_fails_a_gradient_off_by_1e_3_in_the_hidden_layer(monkeypatch, capsys):
+    # the 256 x 256 layer's weight gradient 0.1 % too large: a sample of
+    # its coordinates finds it
+    real = reg._backprop
+
+    def faulty(run, acts, delta):
+        grads_w, grads_b = real(run, acts, delta)
+        assert grads_w[1].shape == (256, 256)
+        grads_w[1] *= 1.0 + 1e-3
+        return grads_w, grads_b
+
+    monkeypatch.setattr(reg, "_backprop", faulty)
+    assert run_cli("gradcheck", "--seed", "0") == 3
+    assert_gradcheck_fails_the_network_only(capsys)
+
+
+def test_gradcheck_checks_the_network_train_writes(tmp_path, capsys):
+    # the net line names the layer widths of a checkpoint train writes at
+    # its defaults, and the sample
+    data, ckpt = tmp_path / "data.ds", tmp_path / "run.ckpt.json"
+    assert run_cli("synth", "--n", "8", "--out", str(data)) == 0
+    assert run_cli("train", "--train", str(data), "--epochs", "1", "--out", str(ckpt)) == 0
+    run = reg.load_checkpoint(ckpt)
+    widths = [len(run.weights[0])] + [w.shape[1] for w in run.weights]
+    capsys.readouterr()
+    assert run_cli("gradcheck", "--trials", "2") == 0
+    net = capsys.readouterr().out.splitlines()[2]
+    assert net.split("  ")[2:] == [
+        f"ours {'-'.join(map(str, widths))}, 64 coordinates per weight and bias array, "
+        f"0 redrawn at a kink"]
 
 
 def test_gradcheck_rejects_bad_trials():
@@ -571,7 +608,7 @@ def test_eval_of_non_finite_network_output_exits_2(hand, tmp_path, capsys, mode)
                    "--out", str(ckpt)) == 0
     run = reg.load_checkpoint(ckpt)
     run.biases[-1][0] = np.nan
-    reg.save_checkpoint(run, ckpt, hand)
+    reg.save_checkpoint(run, ckpt)
     capsys.readouterr()
     report = tmp_path / "report.json"
     assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(data),

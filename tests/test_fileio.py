@@ -456,8 +456,7 @@ def test_each_reader_refuses_every_other_kind_of_file(hand, tmp_path):
                                ("jacobian", fileio.write_jacobian_file, [np.ones((6, 4))])):
         write(files.setdefault(kind, tmp_path / f"{kind}.rec"), "x", array)
     files["checkpoint"] = tmp_path / "run.ckpt.json"
-    reg.save_checkpoint(reg.init(reg.MlpConfig((6, 3, 4), seed=0, output_scale=(1.0,) * 4),
-                                 "ours"), files["checkpoint"], hand)
+    reg.save_checkpoint(reg.init(hand, "ours", 0), files["checkpoint"])
     for kind, header in (("poses", "dims=4"), ("joints", "joints=5"),
                          ("jacobian", "rows=6 cols=4")):
         files[f"{kind}-v1"] = tmp_path / f"{kind}.csv"
@@ -496,3 +495,23 @@ def test_writers_store_c_ordered_float64(tmp_path, kind):
             fileio.write_joint_file(path, "x", joints)
             got, want = fileio.read_joint_file(path)[1:], (joints,)
         assert all(np.array_equal(g, w) and g.dtype == np.float64 for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("write, arrays, refusal", [
+    (fileio.write_pose_file, lambda: np.zeros(26), "poses are (26,), expected (N, D)"),
+    (fileio.write_pose_file, lambda: np.zeros((1, 2, 26)),
+     "poses are (1, 2, 26), expected (N, D)"),
+    (fileio.write_joint_file, lambda: np.zeros((2, 3)), "frames are (2, 3), expected (N, K, 3)"),
+    (fileio.write_joint_file, lambda: np.zeros((2, 5, 2)),
+     "frames are (2, 5, 2), expected (N, K, 3)"),
+    # the second record of a generator: the first was written, and goes
+    (fileio.write_jacobian_file, lambda: (np.zeros(s) for s in ((6, 2), (6,))),
+     "Jacobians are (6,), expected (3J, D)"),
+], ids=["pose_1d", "pose_3d", "joints_2d", "joints_of_2_coordinates", "jacobian_1d"])
+def test_writers_refuse_what_the_readers_refuse(tmp_path, write, arrays, refusal):
+    # a file its reader would refuse is never written, and none is left
+    path = tmp_path / "out.rec"
+    with pytest.raises(ValueError) as refused:
+        write(path, "hand23", arrays())
+    assert str(refused.value) == f"{path}: {refusal}; not written"
+    assert not path.exists()

@@ -105,8 +105,7 @@ def test_batch_mean_residual(hand, rng):
     assert result.theta.shape == (12, hand.n_dofs) and result.theta.dtype == np.float64
     assert result.residual_mm.shape == (12,) and result.residual_mm.dtype == np.float64
     assert result.iterations_used.shape == (12,) and result.iterations_used.dtype == np.int64
-    assert result.converged.shape == (12,) and result.converged.dtype == np.bool_
-    assert np.array_equal(result.converged, result.residual_mm <= ik_pso.TOL_MM)
+    assert sorted(vars(result)) == ["iterations_used", "residual_mm", "theta"]
     mean, var = ik_pso.residual_stats(result)
     assert mean < 1.0
     assert var >= 0.0
@@ -220,8 +219,9 @@ def test_fit_batch_matches_sequential_fitter(hand, mixed_targets, monkeypatch,
     result = assert_matches_sequential(hand, mixed_targets, iterations, 7)
     if polish_steps:
         # the batch mixes frames that stop early with full-budget ones
-        assert result.converged[0] and result.iterations_used[0] < iterations
-        assert not result.converged[1]
+        assert result.residual_mm[0] <= ik_pso.TOL_MM
+        assert result.iterations_used[0] < iterations
+        assert result.residual_mm[1] > ik_pso.TOL_MM
         assert result.iterations_used[1] == iterations
 
 
@@ -235,7 +235,7 @@ def test_frame_that_stops_early_matches_its_fit_alone(order):
     targets = np.stack([reachable, 3.0 * reachable])[list(order)]
     result = assert_matches_sequential(chain, targets, SMALL_ITERATIONS, 0)
     reach, far = order.index(0), order.index(1)
-    assert result.converged[reach]
+    assert result.residual_mm[reach] <= ik_pso.TOL_MM
     assert result.iterations_used[reach] < ik_pso.PHASE_ITERATIONS
     assert result.iterations_used[far] == SMALL_ITERATIONS
 
@@ -261,7 +261,7 @@ def test_frame_whose_swarm_met_tol_gets_no_second_phase(monkeypatch):
     target = forward_kinematics_batch(chain, np.array([[1.1, -2.3]]))[0]
     result = ik_pso.fit_batch(chain, [target], SMALL_ITERATIONS, 0)
     assert len(phases) == 1 and phases[0][2][0] <= ik_pso.TOL_MM
-    assert result.residual_mm[0] == 2 * ik_pso.TOL_MM and not result.converged[0]
+    assert result.residual_mm[0] == 2 * ik_pso.TOL_MM
     assert result.iterations_used[0] < ik_pso.PHASE_ITERATIONS
 
 

@@ -19,33 +19,48 @@ def eval_targets(hand, thetas):
     return forward_kinematics_batch(hand, thetas, joint_indices=list(hand.eval_subset))
 
 
-def unit_gain_config(widths, seed):
-    """An MlpConfig of gain 1 on every output."""
-    return reg.MlpConfig(layer_widths=widths, seed=seed, output_scale=(1.0,) * widths[-1])
+def small_net(monkeypatch, hand, mode, seed=7, hidden=(32,)):
+    """reg.init's network of `mode` for `hand`, with hidden layers `hidden`
+    in place of reg.HIDDEN_WIDTHS (for the rest of the test)."""
+    monkeypatch.setattr(reg, "HIDDEN_WIDTHS", hidden)
+    return reg.init(hand, mode, seed)
 
 
-def tiny_run(hand, mode="ours", seed=3, widths=(6, 8, 26)):
-    return reg.init(unit_gain_config(widths, seed), mode=mode)
+def hand_set_run(weights, biases, gains):
+    """An ours TrainRun of the given layers and output gains, trained for
+    no skeleton."""
+    return reg.TrainRun("ours", [np.array(w, dtype=float) for w in weights],
+                        [np.array(b, dtype=float) for b in biases], tuple(gains), [], None)
+
+
+def zero_velocity(run):
+    """Momentum buffers at zero, as train starts them."""
+    return [np.zeros_like(p) for p in run.weights + run.biases]
 
 
 # --- init ---------------------------------------------------------------------
 
-def test_init_deterministic():
-    cfg = unit_gain_config((69, 256, 256, 26), seed=17)
-    a = reg.init(cfg, "ours")
-    b = reg.init(cfg, "ours")
+def test_init_deterministic(hand):
+    a = reg.init(hand, "ours", 17)
+    b = reg.init(hand, "ours", 17)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
 
-def test_init_shapes():
-    run = reg.init(unit_gain_config((69, 256, 256, 26), seed=0), "ours")
-    assert [w.shape for w in run.weights] == [(69, 256), (256, 256), (256, 26)]
-    assert [b.shape for b in run.biases] == [(256,), (256,), (26,)]
+def test_init_shapes(hand):
+    # the network reproduce trains: 3 * n_eval inputs, HIDDEN_WIDTHS, the
+    # mode's output width and gains, no history, the skeleton's fingerprint
+    assert reg.HIDDEN_WIDTHS == (256, 256)
+    for mode, width in (("ours", 26), ("direct_joint", 42)):
+        run = reg.init(hand, mode, 0)
+        assert [w.shape for w in run.weights] == [(42, 256), (256, 256), (256, width)]
+        assert [b.shape for b in run.biases] == [(256,), (256,), (width,)]
+        assert run.output_scale == reg.MODES[mode].output_scale(hand)
+        assert (run.mode, run.history, run.skeleton) == (mode, [], hand.fingerprint())
 
 
-def test_init_zero_biases_and_bounded_weights():
-    run = reg.init(unit_gain_config((16, 32, 8), seed=5), "ours")
+def test_init_zero_biases_and_bounded_weights(hand):
+    run = reg.init(hand, "ours", 5)
     for b in run.biases:
         assert np.array_equal(b, np.zeros_like(b))
     for w in run.weights:
@@ -53,18 +68,13 @@ def test_init_zero_biases_and_bounded_weights():
         assert np.all(np.abs(w) <= bound)
 
 
-def test_init_rejects_zero_width():
-    with pytest.raises(ValueError, match="width"):
-        unit_gain_config((4, 0, 2), seed=0)
-
-
 # --- forward ------------------------------------------------------------------
 
-def test_forward_zero_weights_zero_output(hand):
-    run = tiny_run(hand)
+def test_forward_zero_weights_zero_output(hand, monkeypatch):
+    run = small_net(monkeypatch, hand, "ours", hidden=(8,))
     for w in run.weights:
         w[:] = 0.0
-    out = reg.forward(run, np.ones((4, 6)))
+    out = reg.forward(run, np.ones((4, 42)))
     assert np.array_equal(out, np.zeros((4, 26)))
 
 
@@ -72,12 +82,7 @@ def test_forward_hand_computed_example():
     # one hidden unit: out = g * (w2 * relu(w1 . x + b1) + b2), with x the
     # features clipped to +-400 mm and scaled by 0.01
     assert (reg.INPUT_CLIP_MM, reg.INPUT_SCALE) == (400.0, 0.01)
-    run = reg.init(reg.MlpConfig(layer_widths=(2, 1, 1), seed=0, output_scale=(2.0,)),
-                   "ours")
-    run.weights[0][:] = np.array([[2.0], [-1.0]])
-    run.biases[0][:] = np.array([0.5])
-    run.weights[1][:] = np.array([[3.0]])
-    run.biases[1][:] = np.array([-1.0])
+    run = hand_set_run([[[2.0], [-1.0]], [[3.0]]], [[0.5], [-1.0]], (2.0,))
     x = np.array([[100.0, 100.0], [0.0, 100.0], [900.0, 0.0]])
     # sample 1: relu(2 - 1 + 0.5) = 1.5 -> 2 * (3*1.5 - 1) = 7
     # sample 2: relu(-1 + 0.5) = 0 -> 2 * -1 = -2
@@ -87,16 +92,14 @@ def test_forward_hand_computed_example():
 
 
 def test_forward_relu_blocks_negative_preactivations():
-    run = reg.init(unit_gain_config((1, 1, 1), seed=0), "ours")
-    run.weights[0][:] = np.array([[1.0]])
-    run.weights[1][:] = np.array([[5.0]])
+    run = hand_set_run([[[1.0]], [[5.0]]], [[0.0], [0.0]], (1.0,))
     assert reg.forward(run, np.array([[-300.0]]))[0, 0] == 0.0
 
 
-def test_forward_rejects_width_mismatch(hand):
-    run = tiny_run(hand)
+def test_forward_rejects_width_mismatch(hand, monkeypatch):
+    run = small_net(monkeypatch, hand, "ours", hidden=(8,))
     with pytest.raises(ValueError, match="width"):
-        reg.forward(run, np.ones((2, 7)))
+        reg.forward(run, np.ones((2, 43)))
 
 
 # --- gradients ----------------------------------------------------------------
@@ -119,11 +122,10 @@ def fd_weight_grads(run, loss_fn, h=1e-5):
     return grads
 
 
-def test_backward_through_model_matches_finite_differences(hand, rng):
+def test_backward_through_model_matches_finite_differences(hand, rng, monkeypatch):
     # ours's own output gains, on features in mm
-    run = reg.init(reg.MlpConfig((6, 8, 26), seed=3,
-                                 output_scale=reg.MODES["ours"].output_scale(hand)), "ours")
-    feats = rng.normal(scale=100.0, size=(2, 6))
+    run = small_net(monkeypatch, hand, "ours", seed=3, hidden=(8,))
+    feats = rng.normal(scale=100.0, size=(2, 42))
     thetas = rng.uniform(hand.dof_lower, hand.dof_upper, size=(2, 26))
     targets = eval_targets(hand, thetas)
     value, (gw, gb) = reg.backward_through_model(run, feats, targets, hand)
@@ -132,19 +134,19 @@ def test_backward_through_model_matches_finite_differences(hand, rng):
     assert worst < 1e-5
 
 
-def test_backward_direct_matches_finite_differences(hand, rng):
-    run = reg.init(unit_gain_config((6, 8, 10), seed=4), mode="direct_parameter")
-    feats = rng.normal(scale=100.0, size=(3, 6))
-    targets = rng.normal(size=(3, 10))
+def test_backward_direct_matches_finite_differences(hand, rng, monkeypatch):
+    run = small_net(monkeypatch, hand, "direct_parameter", seed=4, hidden=(8,))
+    feats = rng.normal(scale=100.0, size=(3, 42))
+    targets = rng.normal(size=(3, 26))
     value, (gw, gb) = reg.backward_direct(run, feats, targets)
     fd = fd_weight_grads(run, lambda: reg.backward_direct(run, feats, targets)[0])
     worst = max(oracles.rel_err(a, f) for a, f in zip(gw + gb, fd))
     assert worst < 1e-5
 
 
-def test_perfect_prediction_zero_loss_and_grads(hand, rng):
-    run = tiny_run(hand, mode="ours_no_phy")
-    feats = rng.normal(size=(2, 6))
+def test_perfect_prediction_zero_loss_and_grads(hand, rng, monkeypatch):
+    run = small_net(monkeypatch, hand, "ours_no_phy", seed=3, hidden=(8,))
+    feats = rng.normal(size=(2, 42))
     poses = reg.forward(run, feats)
     poses = np.clip(poses, hand.dof_lower, hand.dof_upper)  # keep in range
     # rig the network output to be exactly in-range poses via bias shift
@@ -157,15 +159,15 @@ def test_perfect_prediction_zero_loss_and_grads(hand, rng):
         assert np.array_equal(g, np.zeros_like(g))
 
 
-def test_ours_is_no_phy_plus_the_hinge(hand, rng):
+def test_ours_is_no_phy_plus_the_hinge(hand, rng, monkeypatch):
     # the same network: ours's loss and gradients are ours_no_phy's plus
     # those of the angle-range hinge at weight 1, its row's penalty
     assert reg.MODES["ours"].penalty == 1.0
-    feats = rng.normal(scale=300.0, size=(4, 6))
+    feats = rng.normal(scale=300.0, size=(4, 42))
     thetas = rng.uniform(hand.dof_lower, hand.dof_upper, size=(4, 26))
     targets = eval_targets(hand, thetas)
-    a = tiny_run(hand, mode="ours", seed=9)
-    b = tiny_run(hand, mode="ours_no_phy", seed=9)
+    a = small_net(monkeypatch, hand, "ours", seed=9, hidden=(8,))
+    b = small_net(monkeypatch, hand, "ours_no_phy", seed=9, hidden=(8,))
     va, ga = reg.backward_through_model(a, feats, targets, hand)
     vb, gb_ = reg.backward_through_model(b, feats, targets, hand)
     acts, pre = oracles.mlp_forward_acts(a, feats)
@@ -177,15 +179,15 @@ def test_ours_is_no_phy_plus_the_hinge(hand, rng):
         assert np.allclose(x, y + h, rtol=1e-12, atol=1e-12)
 
 
-def test_direct_modes_reject_model_backward(hand):
-    run = tiny_run(hand, mode="direct_joint")
+def test_direct_modes_reject_model_backward(hand, monkeypatch):
+    run = small_net(monkeypatch, hand, "direct_joint", hidden=(8,))
     with pytest.raises(ValueError, match="kinematic"):
-        reg.backward_through_model(run, np.zeros((1, 6)), np.zeros((1, 14, 3)), hand)
+        reg.backward_through_model(run, np.zeros((1, 42)), np.zeros((1, 14, 3)), hand)
 
 
-def test_backward_direct_zero_residual(hand, rng):
-    run = reg.init(unit_gain_config((5, 7, 9), seed=2), mode="direct_joint")
-    feats = rng.normal(size=(3, 5))
+def test_backward_direct_zero_residual(hand, rng, monkeypatch):
+    run = small_net(monkeypatch, hand, "direct_joint", seed=2, hidden=(7,))
+    feats = rng.normal(size=(3, 42))
     targets = reg.forward(run, feats)
     value, (gw, gb) = reg.backward_direct(run, feats, targets)
     assert value == 0.0
@@ -195,7 +197,7 @@ def test_backward_direct_zero_residual(hand, rng):
 
 # --- naive MLP oracle -----------------------------------------------------------
 
-def oracle_case(hand, kind, mode):
+def oracle_case(monkeypatch, hand, kind, mode):
     """A small network of `mode` and features of one `kind`: occlusion
     sentinels, exact-zero pre-activations, or a row that overflows."""
     spec = reg.MODES[mode]
@@ -203,9 +205,7 @@ def oracle_case(hand, kind, mode):
                               occlusion_prob=0.3 if kind == "occluded" else 0.0, seed=6,
                               interior_margin=0.0, pose_shape="uniform")
     features = data.features.copy()
-    run = reg.init(reg.MlpConfig(
-        layer_widths=(features.shape[1], 16, 16, spec.output_width(hand)), seed=8,
-        output_scale=spec.output_scale(hand)), mode)
+    run = small_net(monkeypatch, hand, mode, seed=8, hidden=(16, 16))
     if kind == "zero_preact":
         run.weights[0][:, 3] = 0.0
         run.weights[1][:, [2, 5]] = -0.0
@@ -245,8 +245,8 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("kind", ["occluded", "zero_preact", "overflow"])
 @pytest.mark.parametrize("mode", ["ours", "direct_joint"])
-def test_mlp_matches_naive_oracle_bit_for_bit(hand, kind, mode):
-    run, features, targets = oracle_case(hand, kind, mode)
+def test_mlp_matches_naive_oracle_bit_for_bit(hand, monkeypatch, kind, mode):
+    run, features, targets = oracle_case(monkeypatch, hand, kind, mode)
     original = features.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         acts, pre = oracles.mlp_forward_acts(run, features)
@@ -274,32 +274,33 @@ def test_mlp_matches_naive_oracle_bit_for_bit(hand, kind, mode):
 
 # --- sgd ----------------------------------------------------------------------
 
-def test_sgd_first_step_is_plain_descent():
+def test_sgd_first_step_is_plain_descent(hand, monkeypatch):
     # the velocity starts at zero, so the first step is -lr*g at any momentum
-    run = reg.init(unit_gain_config((2, 3), seed=1), mode="direct_parameter")
+    run = small_net(monkeypatch, hand, "direct_parameter", seed=1, hidden=())
     w0 = [w.copy() for w in run.weights]
     grads = ([np.ones_like(run.weights[0])], [np.ones_like(run.biases[0])])
-    reg.sgd_step(run, grads, 0.1)
+    reg.sgd_step(run, grads, zero_velocity(run), 0.1)
     assert np.allclose(run.weights[0], w0[0] - 0.1)
 
 
-def test_sgd_two_steps_constant_gradient_closed_form():
+def test_sgd_two_steps_constant_gradient_closed_form(hand, monkeypatch):
     # displacement after two steps with constant gradient g: -lr*g*(2 + mu)
-    run = reg.init(unit_gain_config((2, 3), seed=1), mode="direct_parameter")
+    run = small_net(monkeypatch, hand, "direct_parameter", seed=1, hidden=())
     w0 = [w.copy() for w in run.weights]
     g = np.full_like(run.weights[0], 2.0)
     grads = ([g], [np.zeros_like(run.biases[0])])
     lr, mu = 0.05, 0.9  # the reference momentum, reg.MOMENTUM
-    reg.sgd_step(run, grads, lr)
-    reg.sgd_step(run, grads, lr)
+    velocity = zero_velocity(run)
+    reg.sgd_step(run, grads, velocity, lr)
+    reg.sgd_step(run, grads, velocity, lr)
     assert np.allclose(run.weights[0], w0[0] - lr * g * (2.0 + mu))
 
 
-def test_sgd_step_shape_mismatch():
-    run = reg.init(unit_gain_config((2, 3), seed=1), mode="direct_parameter")
-    grads = ([np.ones((4, 4))], [np.ones(3)])
+def test_sgd_step_shape_mismatch(hand, monkeypatch):
+    run = small_net(monkeypatch, hand, "direct_parameter", seed=1, hidden=())
+    grads = ([np.ones((4, 4))], [np.ones(26)])
     with pytest.raises(ValueError, match="shape"):
-        reg.sgd_step(run, grads, 1e-7)
+        reg.sgd_step(run, grads, zero_velocity(run), 1e-7)
 
 
 # --- training -----------------------------------------------------------------
@@ -332,33 +333,34 @@ def batches_of_8(monkeypatch):
     monkeypatch.setattr(reg, "BATCH_SIZE", 8)
 
 
-def whitened_config(hand, data, widths=(32,), seed=7):
-    return reg.MlpConfig(
-        layer_widths=(data.features.shape[1], *widths, hand.n_dofs),
-        seed=seed, output_scale=reg.pose_output_scale(hand),
-    )
+# the shuffle seed of every test here that trains
+SEED = 7
 
 
 @pytest.mark.usefixtures("one_stage")
-def test_train_deterministic(hand):
+def test_train_deterministic(hand, monkeypatch):
     data = small_dataset(hand)
     runs = []
     for _ in range(2):
-        run = reg.init(whitened_config(hand, data), mode="ours")
-        reg.train(run, data, hand, 5, val=data, on_epoch=discard)
+        run = small_net(monkeypatch, hand, "ours")
+        reg.train(run, data, hand, 5, SEED, val=data, on_epoch=discard)
         runs.append(run)
     for wa, wb in zip(runs[0].weights, runs[1].weights):
         assert np.array_equal(wa, wb)
     assert len(runs[0].history) == len(runs[1].history)
     for ha, hb in zip(runs[0].history, runs[1].history):
         assert ha == hb
+    # the shuffle follows train's seed, not the seed init drew the weights from
+    other = reg.train(small_net(monkeypatch, hand, "ours"), data, hand, 5, SEED + 1,
+                      val=None, on_epoch=discard)
+    assert not np.array_equal(other.weights[0], runs[0].weights[0])
 
 
 @pytest.mark.usefixtures("one_stage")
-def test_train_history_length_and_val_metrics(hand):
+def test_train_history_length_and_val_metrics(hand, monkeypatch):
     data = small_dataset(hand)
-    run = reg.init(whitened_config(hand, data), mode="ours")
-    reg.train(run, data, hand, 4, val=data, on_epoch=discard)
+    run = small_net(monkeypatch, hand, "ours")
+    reg.train(run, data, hand, 4, SEED, val=data, on_epoch=discard)
     assert len(run.history) == 4
     for h in run.history:
         assert np.isfinite(h.train_loss)
@@ -382,11 +384,9 @@ def test_train_labels_the_validation_set_once(hand, monkeypatch, mode):
         return real(skel, thetas)
 
     monkeypatch.setattr(bench, "eval_joints", counting)
-    width = hand.n_dofs if mode == "ours" else 3 * len(hand.eval_subset)
-    cfg = unit_gain_config((data.features.shape[1], 16, width), seed=7)
     for calls in (1, 2):
-        reg.train(reg.init(cfg, mode), data, hand, 4, val=val,
-                  on_epoch=discard)
+        reg.train(small_net(monkeypatch, hand, mode, hidden=(16,)), data, hand, 4, SEED,
+                  val=val, on_epoch=discard)
         assert len(val_passes) == calls
 
 
@@ -396,10 +396,9 @@ def test_on_epoch_records_each_epoch(hand, monkeypatch, mode):
     # row's loss and val metrics, and the norm of its last batch gradient
     data = small_dataset(hand, n=20)
     spec = reg.MODES[mode]
-    cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 16, spec.output_width(hand)),
-                        seed=7, output_scale=spec.output_scale(hand))
     epochs = 6
-    plain = reg.train(reg.init(cfg, mode), data, hand, epochs, val=data, on_epoch=discard)
+    plain = reg.train(small_net(monkeypatch, hand, mode, hidden=(16,)), data, hand, epochs,
+                      SEED, val=data, on_epoch=discard)
 
     backward = "backward_through_model" if spec.through_fk else "backward_direct"
     real = getattr(reg, backward)
@@ -412,8 +411,8 @@ def test_on_epoch_records_each_epoch(hand, monkeypatch, mode):
 
     monkeypatch.setattr(reg, backward, keep_grads)
     records = []
-    run = reg.train(reg.init(cfg, mode), data, hand, epochs, val=data,
-                    on_epoch=records.append)
+    run = reg.train(small_net(monkeypatch, hand, mode, hidden=(16,)), data, hand, epochs,
+                    SEED, val=data, on_epoch=records.append)
     # the records leave training untouched
     assert all(np.array_equal(a, b) for a, b in zip(run.weights, plain.weights))
     assert np.array_equal([astuple(h) for h in run.history],
@@ -444,38 +443,38 @@ def test_on_epoch_records_each_epoch(hand, monkeypatch, mode):
 
 
 @pytest.mark.usefixtures("one_stage")
-def test_on_epoch_record_without_val_has_no_val_metrics(hand):
+def test_on_epoch_record_without_val_has_no_val_metrics(hand, monkeypatch):
     data = small_dataset(hand, n=16)
     records = []
-    reg.train(reg.init(whitened_config(hand, data), mode="ours"), data, hand,
-              2, val=None, on_epoch=records.append)
+    reg.train(small_net(monkeypatch, hand, "ours"), data, hand,
+              2, SEED, val=None, on_epoch=records.append)
     assert [set(r) for r in records] == [
         {"epoch", "lr", "train_loss", "grad_norm", "seconds"}] * 2
 
 
-def test_train_refuses_epochs_below_1(hand):
+def test_train_refuses_epochs_below_1(hand, monkeypatch):
     data = small_dataset(hand)
-    run = reg.init(whitened_config(hand, data), mode="ours")
+    run = small_net(monkeypatch, hand, "ours")
     with pytest.raises(ValueError, match="^epochs must be >= 1$"):
-        reg.train(run, data, hand, 0, val=None, on_epoch=discard)
+        reg.train(run, data, hand, 0, SEED, val=None, on_epoch=discard)
 
 
-def test_train_empty_dataset_rejected(hand):
+def test_train_empty_dataset_rejected(hand, monkeypatch):
     data = small_dataset(hand)
     empty = replace(data, features=data.features[:0], thetas=data.thetas[:0])
-    run = reg.init(whitened_config(hand, data), mode="ours")
+    run = small_net(monkeypatch, hand, "ours")
     with pytest.raises(ValueError, match="empty"):
-        reg.train(run, empty, hand, 5, val=None, on_epoch=discard)
+        reg.train(run, empty, hand, 5, SEED, val=None, on_epoch=discard)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning",
                             "ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_train_non_finite_loss_reports_epoch_and_batch(hand, monkeypatch):
     data = small_dataset(hand)
-    run = reg.init(whitened_config(hand, data), mode="ours")
+    run = small_net(monkeypatch, hand, "ours")
     one_stage_at(monkeypatch, 5.0, "ours")  # guaranteed blow-up
     with pytest.raises(reg.NumericalError, match="epoch"):
-        reg.train(run, data, hand, 3, val=None, on_epoch=discard)
+        reg.train(run, data, hand, 3, SEED, val=None, on_epoch=discard)
 
 
 @pytest.mark.usefixtures("one_stage")
@@ -483,7 +482,7 @@ def test_train_non_finite_gradient_reports_its_batch(hand, monkeypatch):
     # a finite loss with an overflowed gradient: the error names that batch,
     # and the bad update never reaches the weights
     data = small_dataset(hand)  # 4 batches of 8 per epoch
-    run = reg.init(whitened_config(hand, data), mode="ours")
+    run = small_net(monkeypatch, hand, "ours")
     real = reg.backward_through_model
     calls = []
 
@@ -497,7 +496,7 @@ def test_train_non_finite_gradient_reports_its_batch(hand, monkeypatch):
     monkeypatch.setattr(reg, "backward_through_model", overflowing)
     with pytest.raises(reg.NumericalError,
                        match="^non-finite gradient at epoch 1 batch 2$"):
-        reg.train(run, data, hand, 3, val=None, on_epoch=discard)
+        reg.train(run, data, hand, 3, SEED, val=None, on_epoch=discard)
     assert np.isfinite(calls[-1])
     assert all(np.isfinite(w).all() for w in run.weights)
 
@@ -508,10 +507,10 @@ def test_mode_equivalence_ours_lambda_zero(hand, monkeypatch):
     monkeypatch.setitem(reg.MODES, "ours", replace(reg.MODES["ours"], penalty=0.0))
     assert reg.MODES["ours"] == reg.MODES["ours_no_phy"]
     data = small_dataset(hand)
-    a = reg.init(whitened_config(hand, data), mode="ours")
-    reg.train(a, data, hand, 5, val=None, on_epoch=discard)
-    b = reg.init(whitened_config(hand, data), mode="ours_no_phy")
-    reg.train(b, data, hand, 5, val=None, on_epoch=discard)
+    a = small_net(monkeypatch, hand, "ours")
+    reg.train(a, data, hand, 5, SEED, val=None, on_epoch=discard)
+    b = small_net(monkeypatch, hand, "ours_no_phy")
+    reg.train(b, data, hand, 5, SEED, val=None, on_epoch=discard)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
@@ -521,17 +520,18 @@ def test_loss_non_increasing_small_lr_frozen_batch(hand, rng, monkeypatch):
     # Targets sit near the current outputs (smooth mid-training regime);
     # blast-off distances need warm-up rates, which is not what this checks.
     data = small_dataset(hand, n=8)
-    run = reg.init(whitened_config(hand, data), mode="ours_no_phy")
+    run = small_net(monkeypatch, hand, "ours_no_phy")
     out = reg.forward(run, data.features)
     near = np.clip(out + rng.normal(scale=0.01, size=out.shape),
                    hand.dof_lower, hand.dof_upper)
     targets = eval_targets(hand, near).reshape(len(data), -1)
     losses = []
     monkeypatch.setattr(reg, "MOMENTUM", 0.0)
+    velocity = zero_velocity(run)
     for _ in range(10):
         value, grads = reg.backward_through_model(run, data.features, targets, hand)
         losses.append(value)
-        reg.sgd_step(run, grads, 1e-5)
+        reg.sgd_step(run, grads, velocity, 1e-5)
     value, _ = reg.backward_through_model(run, data.features, targets, hand)
     losses.append(value)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -540,20 +540,21 @@ def test_loss_non_increasing_small_lr_frozen_batch(hand, rng, monkeypatch):
 def test_single_sample_overfit(hand, monkeypatch):
     data = bench.make_dataset(hand, n=1, noise_sigma_mm=0.0, occlusion_prob=0.0, seed=42,
                               interior_margin=0.0, pose_shape="uniform")
-    run = reg.init(whitened_config(hand, data), mode="ours_no_phy")
+    run = small_net(monkeypatch, hand, "ours_no_phy")
     one_stage_at(monkeypatch, 2e-5, "ours_no_phy")
     monkeypatch.setattr(reg, "BATCH_SIZE", 1)
-    reg.train(run, data, hand, 2000, val=None, on_epoch=discard)
+    reg.train(run, data, hand, 2000, SEED, val=None, on_epoch=discard)
     err, _, _ = reg.validation_stats(run, data, hand, bench.eval_joints(hand, data.thetas))
     assert err < 1.0
 
 
 @pytest.mark.parametrize("mode, width", [("ours", 26), ("direct_joint", 42)])
-def test_validation_stats_are_evaluate_without_thresholds(hand, mode, width):
+def test_validation_stats_are_evaluate_without_thresholds(hand, monkeypatch, mode, width):
     # evaluate's metrics, less its max-error curve
     data = bench.make_dataset(hand, n=40, noise_sigma_mm=3.0, occlusion_prob=0.1, seed=6,
                               interior_margin=0.0, pose_shape="uniform")
-    run = reg.init(unit_gain_config((42, 16, width), seed=1), mode)
+    run = small_net(monkeypatch, hand, mode, seed=1, hidden=(16,))
+    assert run.weights[-1].shape == (16, width)
     predictions = reg.predict(run, data.features, hand)
     for true_joints in (None, bench.eval_joints(hand, data.thetas)):
         report = bench.evaluate(hand, predictions, data.thetas)
@@ -565,10 +566,9 @@ def test_validation_stats_are_evaluate_without_thresholds(hand, mode, width):
 
 def test_direct_joint_training_runs(hand, monkeypatch):
     data = small_dataset(hand)
-    cfg = unit_gain_config((data.features.shape[1], 32, 3 * len(hand.eval_subset)), seed=7)
-    run = reg.init(cfg, mode="direct_joint")
-    one_stage_at(monkeypatch, 1e-4, "direct_joint")
-    reg.train(run, data, hand, 3, val=data, on_epoch=discard)
+    run = small_net(monkeypatch, hand, "direct_joint")
+    one_stage_at(monkeypatch, reg.MODES["direct_joint"].base_lr, "direct_joint")
+    reg.train(run, data, hand, 3, SEED, val=data, on_epoch=discard)
     assert len(run.history) == 3
     assert np.isfinite(run.history[-1].val_joint_err_mm)
     assert np.isnan(run.history[-1].val_angle_err_deg)
@@ -581,21 +581,20 @@ def test_validation_never_changes_training(hand, monkeypatch):
     # without one
     data = small_dataset(hand, n=16)
     one_stage_at(monkeypatch, 1e-16, "ours_no_phy")
-    with_val, without = (reg.init(whitened_config(hand, data), mode="ours_no_phy")
+    with_val, without = (small_net(monkeypatch, hand, "ours_no_phy")
                          for _ in range(2))
-    reg.train(with_val, data, hand, 60, val=data, on_epoch=discard)
-    reg.train(without, data, hand, 60, val=None, on_epoch=discard)
+    reg.train(with_val, data, hand, 60, SEED, val=data, on_epoch=discard)
+    reg.train(without, data, hand, 60, SEED, val=None, on_epoch=discard)
     assert len(with_val.history) == len(without.history) == 60
     for got, want in ((with_val.weights, without.weights),
-                      (with_val.biases, without.biases),
-                      (with_val.vel_w, without.vel_w), (with_val.vel_b, without.vel_b)):
+                      (with_val.biases, without.biases)):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert ([h.train_loss for h in with_val.history]
             == [h.train_loss for h in without.history])
 
 
 @pytest.mark.parametrize("mode", ["ours", "direct_parameter"])
-def test_staged_train_matches_per_stage_oracle(hand, mode):
+def test_staged_train_matches_per_stage_oracle(hand, monkeypatch, mode):
     # ours with val, over a main stage of 45 epochs; direct_parameter
     # without; both run every stage in full
     data = small_dataset(hand)
@@ -604,40 +603,28 @@ def test_staged_train_matches_per_stage_oracle(hand, mode):
         val, epochs = small_dataset(hand, n=16, seed=6), 100
     else:
         val, epochs = None, 12
-    cfg = reg.MlpConfig(layer_widths=(data.features.shape[1], 32, hand.n_dofs),
-                        seed=7, output_scale=spec.output_scale(hand))
-    oracle = reg.init(cfg, mode)
-    ran = oracles.per_stage_train(oracle, data, hand, spec.base_lr, epochs, val_data=val)
+    oracle = small_net(monkeypatch, hand, mode)
+    ran = oracles.per_stage_train(oracle, data, hand, spec.base_lr, epochs, SEED,
+                                  val_data=val)
     assert ran == [max(1, int(round(f * epochs))) for _, f in reg.STAGES]
-    run = reg.init(cfg, mode)
-    reg.train(run, data, hand, epochs, val=val, on_epoch=discard)
-    for got, want in ((run.weights, oracle.weights), (run.biases, oracle.biases),
-                      (run.vel_w, oracle.vel_w), (run.vel_b, oracle.vel_b)):
+    run = small_net(monkeypatch, hand, mode)
+    reg.train(run, data, hand, epochs, SEED, val=val, on_epoch=discard)
+    for got, want in ((run.weights, oracle.weights), (run.biases, oracle.biases)):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert np.array_equal([astuple(h) for h in run.history],
                           [astuple(h) for h in oracle.history], equal_nan=True)
 
 
-def header_paths(header, fields, prefix=""):
-    """Each key of `header`, and "x.y" for each key y of an object x that
-    `fields` names a field of."""
-    for key, value in header.items():
-        yield prefix + key
-        if isinstance(value, dict) and any(f.startswith(f"{prefix}{key}.") for f in fields):
-            yield from header_paths(value, fields, f"{prefix}{key}.")
-
-
 @pytest.mark.usefixtures("one_stage")
-def test_checkpoint_roundtrip(hand, tmp_path):
+def test_checkpoint_roundtrip(hand, monkeypatch, tmp_path):
     data = small_dataset(hand)
-    run = reg.init(whitened_config(hand, data), mode="ours")
-    reg.train(run, data, hand, 2, val=data, on_epoch=discard)
+    run = small_net(monkeypatch, hand, "ours")
+    reg.train(run, data, hand, 2, SEED, val=data, on_epoch=discard)
     path = tmp_path / "ckpt.json"
-    reg.save_checkpoint(run, path, hand)
+    reg.save_checkpoint(run, path)
     again = reg.load_checkpoint(path)
-    assert again.mode == run.mode
-    assert again.config == run.config
-    assert again.skeleton == hand.fingerprint()
+    assert (again.mode, again.output_scale) == (run.mode, run.output_scale)
+    assert again.skeleton == run.skeleton == hand.fingerprint()
     for got, want in ((again.weights, run.weights), (again.biases, run.biases)):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert again.history == run.history
@@ -645,15 +632,18 @@ def test_checkpoint_roundtrip(hand, tmp_path):
     # the same run saves to the same bytes, and line 1 is the JSON header
     # (the layers and no momentum follow it as .npy records)
     again_path = tmp_path / "again.json"
-    reg.save_checkpoint(run, again_path, hand)
+    reg.save_checkpoint(run, again_path)
     assert again_path.read_bytes() == path.read_bytes()
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
-    assert header["version"] == 4
+    # the six keys, in this order: the layer widths are the records' shapes
+    assert list(header) == ["format", "version", "skeleton", "mode", "output_scale",
+                            "history"]
+    assert header["version"] == 5
     # every key written is a checked field: one never checked cannot come
     # back, and neither can a checked field that is never written
     fields = [name for name, _, _ in reg._HEADER_FIELDS]
-    assert sorted(header_paths(header, fields)) == sorted(fields + ["format", "version"])
+    assert sorted(header) == sorted(fields + ["format", "version"])
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
@@ -663,12 +653,14 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         reg.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_checkpoint_old_versions_refused_with_retrain_message(hand, tmp_path, version):
     # versions 1 and 2 were one JSON object, weights and biases included;
     # version 1 recorded no skeleton; up to version 3 the header held the
-    # input scale and clip, and null output gains for gain 1 (its layers
-    # follow as .npy records, but the header line is refused first)
+    # input scale and clip, and null output gains for gain 1; up to
+    # version 4 an mlp object held the layer widths, the seed and the gains
+    # (from version 3 its layers follow as .npy records, but the header
+    # line is refused first)
     payload = {"format": "kinedeep-checkpoint", "version": version,
                "skeleton": hand.fingerprint(),
                "mlp": {"layer_widths": [2, 3], "seed": 0, "input_scale": 1.0,
@@ -712,85 +704,91 @@ def replace_header(parts, change) -> bytes:
     return b"".join([json.dumps(header).encode() + b"\n"] + parts[1:])
 
 
-def replace_mlp(**fields):
-    return lambda parts: replace_header(parts, lambda h: h["mlp"].update(fields))
+def first_weights_of_2_40_rows(parts) -> bytes:
+    """Layer 0's weights made to claim 2**40 rows in their .npy header; the
+    file keeps its other records, far short of that one."""
+    columns = np.load(io.BytesIO(parts[1]), allow_pickle=False).shape[1]
+    return parts[0] + npy_header((2**40, columns)) + b"".join(parts[2:])
 
 
-def first_layer_of_2_40_inputs(parts) -> bytes:
-    """Layer 0 made 2**40 inputs wide, in the header and in its weights'
-    .npy header; the file keeps its other records, far short of that one."""
-    header = json.loads(parts[0])
-    widths = header["mlp"]["layer_widths"]
-    widths[0] = 2**40
-    return b"".join([json.dumps(header).encode() + b"\n",
-                     npy_header((2**40, widths[1]))] + parts[2:])
+def set_gains(change):
+    """A damage that sets the header's output gains to change(gains)."""
+    return lambda p: replace_header(p, lambda h: h.update(output_scale=change(h["output_scale"])))
 
 
+GAINS = "positive finite gains, one per output of the last layer"
 # Damaged checkpoints: a case maps the valid file's parts to the damaged
 # bytes, beside a fragment of the refusal. Records 1 and 2 are layer 0's
-# weights and biases; layer 0's weights are not square.
+# weights and biases, 3 and 4 layer 1's; layer 0's weights are not square.
 CHECKPOINT_DAMAGE = {
     "truncated_inside_an_array": (lambda p: b"".join(p)[:-3], "biases: "),
     "truncated_inside_an_npy_header": (lambda p: p[0] + p[1][:20], "layer 0 weights: "),
-    "header_line_only": (lambda p: p[0], "layer 0 weights: "),
-    "trailing_bytes": (lambda p: b"".join(p) + b"\0", "trailing bytes"),
+    # no layer record at all
+    "header_line_only": (lambda p: p[0], "layer 0 weights: EOF: reading magic string"),
+    # a byte after the last layer's biases starts another layer's weights
+    "trailing_bytes": (lambda p: b"".join(p) + b"\0",
+                       "weights: EOF: reading magic string"),
+    # the weights have as many columns as their biases have values
     "transposed_weights": (lambda p: replace_record(p, 1, lambda w: w.T.copy()),
-                           "layer 0 weights are float64"),
+                           "layer 0 biases are float64"),
+    # layer 1 takes one input fewer than layer 0 gives
+    "chain_mismatch": (lambda p: replace_record(p, 3, lambda w: w[:-1].copy()),
+                       "layer 1 weights are float64"),
+    "zero_width_layer": (lambda p: replace_record(p, 1, lambda w: w[:, :0].copy()),
+                         "a zero-width layer"),
     "int64_bias": (lambda p: replace_record(p, 2, lambda b: b.astype(np.int64)),
                    "layer 0 biases are int64"),
     "random_bytes": (lambda p: np.random.default_rng(5).bytes(4096),
                      "not a kinedeep-checkpoint file"),
     "empty": (lambda p: b"", "not a kinedeep-checkpoint file"),
-    "header_without_mlp": (lambda p: replace_header(p, lambda h: h.pop("mlp")),
-                           "header field mlp is missing or not an object"),
+    "header_without_output_scale": (
+        lambda p: replace_header(p, lambda h: h.pop("output_scale")),
+        "header field output_scale is missing or not a list of numbers"),
     "header_without_mode": (lambda p: replace_header(p, lambda h: h.pop("mode")),
                             "header field mode is missing or not one of ours"),
+    # version 4's mlp object, in any form, is not a version 5 field
     "mlp_is_a_list": (lambda p: replace_header(p, lambda h: h.update(mlp=[4, 3, 2])),
-                      "header field mlp is missing or not an object"),
+                      "unknown header field mlp"),
     "history_row_of_2_values": (
         lambda p: replace_header(p, lambda h: h.update(history=[[1.0, 2.0]])),
         "header field history is missing or not a list of rows of 4 numbers"),
     "npy_header_claims_8_tib": (lambda p: p[0] + npy_header((2**40,)) + b"".join(p[2:]),
                                 "layer 0 weights are float64 (1099511627776,)"),
-    # the widths agree, so only the size check stands between it and the
-    # allocation of 2**40 rows of weights
-    "record_larger_than_the_file": (first_layer_of_2_40_inputs,
+    # layer 0 has no width to chain to, so only the size check stands
+    # between it and the allocation of 2**40 rows of weights
+    "record_larger_than_the_file": (first_weights_of_2_40_rows,
                                     "layer 0 weights: the file ends inside the record"),
-    "output_scale_null": (replace_mlp(output_scale=None), "header field "
-                          "mlp.output_scale is missing or not a list of numbers"),
-    "output_scale_empty": (
-        lambda p: replace_header(p, lambda h: h["mlp"].update(output_scale=[])),
-        "header field mlp: output_scale length must match the output width"),
-    "output_scale_nan": (
-        lambda p: replace_header(p, lambda h: h["mlp"].update(
-            output_scale=[math.nan] + [1.0] * (h["mlp"]["layer_widths"][-1] - 1))),
-        "header field mlp: output_scale entries must be positive and finite"),
+    "output_scale_null": (set_gains(lambda g: None), "header field "
+                          "output_scale is missing or not a list of numbers"),
+    "output_scale_empty": (set_gains(lambda g: []), GAINS),
+    "output_scale_one_short": (set_gains(lambda g: g[:-1]), GAINS),
+    "output_scale_nan": (set_gains(lambda g: [math.nan] + g[1:]), GAINS),
     # JSON's true and false are not numbers, though Python's bool is an int
-    "seed_true": (replace_mlp(seed=True),
-                  "header field mlp.seed is missing or not an integer"),
+    "output_scale_true": (set_gains(lambda g: [True] * len(g)),
+                          "header field output_scale is missing or not a list of numbers"),
     "history_row_with_true": (
         lambda p: replace_header(p, lambda h: h.update(history=[[True, 1.0, 2.0, 3.0]])),
         "header field history is missing or not a list of rows of 4 numbers"),
     # a field the reader does not know would be ignored, its setting lost
-    "mlp_input_scale": (replace_mlp(input_scale=5.0),
-                        "unknown header field mlp.input_scale"),
+    "mlp_input_scale": (lambda p: replace_header(p, lambda h: h.update(
+        mlp={"input_scale": 5.0})), "unknown header field mlp"),
     "extra_key": (lambda p: replace_header(p, lambda h: h.update(extra=1)),
                   "unknown header field extra"),
     "dotted_top_level_key": (
         lambda p: replace_header(p, lambda h: h.update({"mlp.seed": 1})),
         "unknown header field mlp.seed"),
-    # 4.0 == 4 in Python, but a version is an integer
-    "version_float": (lambda p: replace_header(p, lambda h: h.update(version=4.0)),
-                      "unsupported kinedeep-checkpoint version 4.0 "
-                      "(this reader reads version 4); retrain"),
+    # 5.0 == 5 in Python, but a version is an integer
+    "version_float": (lambda p: replace_header(p, lambda h: h.update(version=5.0)),
+                      "unsupported kinedeep-checkpoint version 5.0 "
+                      "(this reader reads version 5); retrain"),
 }
 
 
 @pytest.mark.parametrize("case", CHECKPOINT_DAMAGE)
-def test_damaged_checkpoint_refused_naming_the_path(hand, tmp_path, case):
+def test_damaged_checkpoint_refused_naming_the_path(hand, monkeypatch, tmp_path, case):
     damage, message = CHECKPOINT_DAMAGE[case]
     path = tmp_path / "ckpt.json"
-    reg.save_checkpoint(reg.init(unit_gain_config((4, 3, 2), seed=0), "ours"), path, hand)
+    reg.save_checkpoint(small_net(monkeypatch, hand, "ours", seed=0, hidden=(3,)), path)
     path.write_bytes(damage(checkpoint_parts(path)))
     with pytest.raises(ValueError) as refused:
         reg.load_checkpoint(path)
@@ -804,29 +802,29 @@ def test_train_non_finite_weights_name_the_epoch(hand, monkeypatch):
     data = small_dataset(hand, n=16)
     real, calls = reg.sgd_step, []
 
-    def poisoning(run, grads, lr):
-        real(run, grads, lr)
+    def poisoning(run, grads, velocity, lr):
+        real(run, grads, velocity, lr)
         calls.append(None)
         if len(calls) == 4:  # 2 batches an epoch: epoch 1, batch 1
             run.weights[0][0, 0] = np.inf
         return run
 
     monkeypatch.setattr(reg, "sgd_step", poisoning)
-    run = reg.init(whitened_config(hand, data), mode="ours")
+    run = small_net(monkeypatch, hand, "ours")
     with pytest.raises(reg.NumericalError, match="non-finite weights after epoch 1"):
-        reg.train(run, data, hand, 3, val=None, on_epoch=discard)
+        reg.train(run, data, hand, 3, SEED, val=None, on_epoch=discard)
 
 
 @pytest.mark.parametrize("widths, mode", [((42, 256, 256, 26), "ours"),
                                           ((42, 256, 256, 42), "direct_joint")])
 @pytest.mark.parametrize("n", [1, 191, 192, 383, 384, 500, 511, 512, 1023, 1024,
                                2000, 2049])
-def test_forward_matches_one_pass_oracle(rng, widths, mode, n):
+def test_forward_matches_one_pass_oracle(hand, rng, widths, mode, n):
     # row blocks start at 192 rows (384 splits, 191 and 383 do not; 500 runs
     # as two blocks of 250, 2049 as ten of 204-205), and every row keeps the
     # bits of one pass over all rows
-    run = reg.init(reg.MlpConfig(layer_widths=widths, seed=0,
-                                 output_scale=(reg.OUTPUT_GAIN,) * widths[-1]), mode)
+    run = reg.init(hand, mode, 0)
+    assert [len(run.weights[0])] + [w.shape[1] for w in run.weights] == list(widths)
     features = rng.normal(scale=100.0, size=(n, 42))
     got, want = reg.forward(run, features), oracles.one_pass_forward(run, features)
     assert np.array_equal(got, want) and got.strides == want.strides
@@ -836,8 +834,7 @@ def test_forward_matches_one_pass_oracle(rng, widths, mode, n):
 
 def default_sized_run(hand):
     """The network reproduce trains for ours on the default hand."""
-    return reg.init(reg.MlpConfig(layer_widths=(42, *reg.HIDDEN_WIDTHS, 26), seed=0,
-                                  output_scale=reg.MODES["ours"].output_scale(hand)), "ours")
+    return reg.init(hand, "ours", 0)
 
 
 def traced_peak_bytes(fn, *args):
@@ -893,7 +890,7 @@ def test_train_holds_at_most_one_gradient_set(hand, monkeypatch):
     for name in ("backward_through_model", "validation_stats"):
         monkeypatch.setattr(reg, name, recording(getattr(reg, name)))
     monkeypatch.setattr(reg, "BATCH_SIZE", 64)
-    traced_peak_bytes(reg.train, run, data, hand, 2, data, discard)
+    traced_peak_bytes(reg.train, run, data, hand, 2, SEED, data, discard)
     assert len(at_entry) == 10  # 4 steps and a validation, twice
     assert max(at_entry) - at_entry[0] < 0.1 * 2**20
 
@@ -902,7 +899,7 @@ def test_save_checkpoint_streams_the_weights(hand, tmp_path):
     # the weights go out one row at a time, never as one nested list of
     # Python floats (2.6 MB for this network)
     run = default_sized_run(hand)
-    peak = traced_peak_bytes(reg.save_checkpoint, run, tmp_path / "c.json", hand)
+    peak = traced_peak_bytes(reg.save_checkpoint, run, tmp_path / "c.json")
     assert peak < 0.25 * 2**20
 
 
