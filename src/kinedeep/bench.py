@@ -195,16 +195,14 @@ def joint_distances(resid: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
-def evaluate(skel: Skeleton, predictions, true_thetas, *, fitted_poses=None,
-             true_joints=None) -> MetricsReport:
+def evaluate(skel: Skeleton, predictions, true_thetas, *,
+             fitted_poses=None) -> MetricsReport:
     """Score predicted poses (N, D) or eval-joint sets (N, n_eval, 3)
     against the true poses `true_thetas` (N, D), row for row.
 
     Joint-set predictions take their angle metrics from `fitted_poses`, the
     poses :func:`kinedeep.ik_pso.fit_batch` fitted to them; without those,
-    the angle error and the invalid fraction are NaN. `true_joints`, when
-    given, must be eval_joints(skel, true_thetas): a caller that scores the
-    same frames again and again computes them once.
+    the angle error and the invalid fraction are NaN.
     """
     predictions = np.asarray(predictions, dtype=float)
     n = len(true_thetas)
@@ -221,9 +219,7 @@ def evaluate(skel: Skeleton, predictions, true_thetas, *, fitted_poses=None,
         pose_preds = fitted_poses
         pred_joints = predictions.reshape(n, len(skel.eval_subset), 3)
 
-    if true_joints is None:
-        true_joints = eval_joints(skel, true_thetas)
-    err = joint_distances(pred_joints - true_joints)
+    err = joint_distances(pred_joints - eval_joints(skel, true_thetas))
     max_err = err.max(axis=1)
     curve = [(float(t), float(np.mean(max_err <= t))) for t in THRESHOLDS_MM]
 

@@ -47,7 +47,7 @@ variable) selects another config file. reproduce writes the skeleton it
 trained on as <out>/skeleton.json, for eval --skeleton. train and eval
 refuse a dataset whose header names a different skeleton, fk, jacobian
 and ik a pose or joint file whose header does, and eval a checkpoint whose
-recorded skeleton fingerprint differs.
+recorded skeleton config differs.
 
 Every data file is a record file of fileio's one format, whatever its
 suffix: fk and jacobian read a pose file and write a joint file or a
@@ -258,12 +258,12 @@ def _gradcheck_net(skel, rng, rows):
     rot = skel.dof_is_rotation
     lower, upper = skel.dof_lower[rot], skel.dof_upper[rot]
 
-    def kinks():  # each hidden ReLU mask, and the rotation outputs out of bounds
-        _, *hidden, out = reg._layers(run, feats)
+    def kinks(acts):  # each hidden ReLU mask, and the rotation outputs out of bounds
+        _, *hidden, out = acts
         return [a > 0.0 for a in hidden] + [(out[:, rot] < lower) | (out[:, rot] > upper)]
 
     _, (gw, gb) = reg.backward_through_model(run, feats, targets, skel)
-    unperturbed = kinks()
+    unperturbed = kinks(list(reg._layers(run, feats)))
     worst, redrawn, h = 0.0, 0, 1e-5
     for array, grad in zip(run.weights + run.biases, gw + gb):
         checked = 0
@@ -272,8 +272,9 @@ def _gradcheck_net(skel, rng, rows):
             orig, values, smooth = array[i], [], True
             for step in (h, -h):
                 array[i] = orig + step
-                values.append(reg.backward_through_model(run, feats, targets, skel)[0])
-                smooth &= all(map(np.array_equal, kinks(), unperturbed))
+                value, acts, _ = reg._loss_through_model(run, feats, targets, skel)
+                values.append(value)
+                smooth &= all(map(np.array_equal, kinks(acts), unperturbed))
             array[i] = orig
             if not smooth:
                 redrawn += 1

@@ -24,8 +24,10 @@ a refused or failed write leaves no file.
                                 never read back
   kinedeep-dataset     5        skeleton; the records features
                                 (N, 3 * n_eval) and thetas (N, D)
-  kinedeep-checkpoint  5        skeleton, mode, output_scale, history; each
-                                layer's weights, then its biases (regressor)
+  kinedeep-checkpoint  6        skeleton (the skeleton's config), mode,
+                                history; each layer's weights, then its
+                                biases; the output gains are derived from
+                                the skeleton and the mode (regressor)
 
 Pose, joint and dataset files are read by one reader: the header holds
 exactly format, version and skeleton (a non-empty name), no byte follows

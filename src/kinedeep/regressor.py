@@ -12,8 +12,9 @@ The architecture is constants too: every network clips its mm features to
 hundreds of mm, which makes first-layer steps disproportionate at any single
 learning rate), runs HIDDEN_WIDTHS hidden layers, and multiplies its output
 by its mode's fixed per-output gains (Mode.output_scale). ``init`` builds
-every fresh network, and a TrainRun holds what its checkpoint holds: mode,
-layers, gains, per-epoch history and skeleton fingerprint.
+every fresh network. A TrainRun holds mode, layers, gains, per-epoch history
+and skeleton config; its checkpoint holds all but the gains, which init and
+load_checkpoint derive from the skeleton and the mode.
 
 Optimization is stochastic gradient descent with momentum, single-threaded
 and bitwise deterministic given (seed, data, epochs).
@@ -32,7 +33,6 @@ A checkpoint is a file of fileio's record format (save_checkpoint).
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -41,13 +41,14 @@ import numpy as np
 from . import bench, fileio
 from . import loss as loss_mod
 from .kinematics import fk_jacobian_batch
-from .skeleton import Skeleton
+from .skeleton import Skeleton, SkeletonError, skeleton_from_dict
 
 CHECKPOINT_FORMAT = "kinedeep-checkpoint"
-# 5: flat header, the layer widths only in the records' shapes, no seed;
-# 4: no input scale or clip fields, output gains always; 3: .npy layer
-# records; 2: all JSON; 1: no skeleton
-CHECKPOINT_VERSION = 5
+# 6: the skeleton's config, no output gains; 5: flat header, the layer
+# widths only in the records' shapes, no seed; 4: no input scale or clip
+# fields, output gains always; 3: .npy layer records; 2: all JSON; 1: no
+# skeleton
+CHECKPOINT_VERSION = 6
 INPUT_CLIP_MM = 400.0  # |feature| clamp: the occlusion sentinel (-1000 mm) becomes a flag
 INPUT_SCALE = 0.01  # mm features to network units, after the clip
 HIDDEN_WIDTHS = (256, 256)  # the hidden layers of every trained network
@@ -136,14 +137,14 @@ class EpochStats:
 
 @dataclass
 class TrainRun:
-    """A network and its record, as its checkpoint holds them."""
+    """A network and its record."""
 
     mode: str
     weights: list
     biases: list
-    output_scale: tuple  # fixed per-output gains
+    output_scale: tuple  # the mode's gains on the skeleton; derived, never stored
     history: list  # one EpochStats per epoch trained
-    skeleton: dict  # the fingerprint of the skeleton it is trained for
+    skeleton: dict  # the canonical config (to_dict) of the skeleton it is trained for
 
 
 def pose_output_scale(skel: Skeleton) -> tuple:
@@ -179,7 +180,7 @@ def init(skel: Skeleton, mode: str, seed: int) -> TrainRun:
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
     return TrainRun(mode, weights, [np.zeros(w) for w in widths[1:]], spec.output_scale(skel),
-                    [], skel.fingerprint())
+                    [], skel.to_dict())
 
 
 def _layers(run: TrainRun, features: np.ndarray):
@@ -256,6 +257,24 @@ def _backprop(run: TrainRun, acts, delta):
     return grads_w, grads_b
 
 
+def _loss_through_model(run: TrainRun, features, targets, skel: Skeleton):
+    """(mean loss over the batch, every layer's output, dLoss/d_output),
+    the loss of backward_through_model."""
+    mode = MODES[run.mode]
+    if not mode.through_fk:
+        raise ValueError(f"mode {run.mode!r} does not use the kinematic layer")
+    acts = list(_layers(run, features))
+    poses = acts[-1]
+    if not np.all(np.isfinite(poses)):
+        raise NumericalError("non-finite network output")
+    total, pose_grads = loss_mod.joint_loss_batch(skel, poses, targets)
+    if mode.penalty != 0.0:
+        phy_vals, phy_grads = loss_mod.phy_loss_batch(skel, poses)
+        total = total + mode.penalty * phy_vals
+        pose_grads = pose_grads + mode.penalty * phy_grads
+    return float(total.mean()), acts, pose_grads / len(poses)
+
+
 def backward_through_model(run: TrainRun, features, targets, skel: Skeleton):
     """Loss and weight gradients with the kinematic layer on the output.
 
@@ -264,25 +283,8 @@ def backward_through_model(run: TrainRun, features, targets, skel: Skeleton):
     times the angle-range penalty. Returns (mean loss over the batch,
     (weight grads, bias grads)).
     """
-    mode = MODES[run.mode]
-    if not mode.through_fk:
-        raise ValueError(f"mode {run.mode!r} does not use the kinematic layer")
-    acts = list(_layers(run, features))
-    poses = acts[-1]
-    if not np.all(np.isfinite(poses)):
-        raise NumericalError("non-finite network output")
-    n = poses.shape[0]
-    jt_vals, jt_grads = loss_mod.joint_loss_batch(skel, poses, targets)
-    if mode.penalty != 0.0:
-        phy_vals, phy_grads = loss_mod.phy_loss_batch(skel, poses)
-        total = jt_vals + mode.penalty * phy_vals
-        pose_grads = jt_grads + mode.penalty * phy_grads
-    else:
-        total = jt_vals
-        pose_grads = jt_grads
-    value = float(total.mean())
-    grads = _backprop(run, acts, pose_grads / n)
-    return value, grads
+    value, acts, delta = _loss_through_model(run, features, targets, skel)
+    return value, _backprop(run, acts, delta)
 
 
 def backward_direct(run: TrainRun, features, targets):
@@ -318,18 +320,15 @@ def sgd_step(run: TrainRun, grads, velocity, lr: float) -> TrainRun:
     return run
 
 
-def validation_stats(run: TrainRun, dataset, skel: Skeleton, true_joints):
+def validation_stats(run: TrainRun, dataset, skel: Skeleton):
     """(joint err mm, angle err deg, invalid fraction) on a dataset.
-
-    `true_joints` are the dataset's eval-joint labels (bench.eval_joints),
-    which the caller computes once for every epoch.
 
     Angle and validity metrics apply to pose-emitting modes only; a mode
     that emits joints gets NaN there (its angles exist only after a
     post-hoc fit, which is far too costly per epoch).
     """
     predictions = predict(run, dataset.features, skel)
-    report = bench.evaluate(skel, predictions, dataset.thetas, true_joints=true_joints)
+    report = bench.evaluate(skel, predictions, dataset.thetas)
     return (report.avg_joint_error_mm, report.avg_angle_error_deg,
             report.invalid_pose_fraction)
 
@@ -361,8 +360,6 @@ def train(run: TrainRun, dataset, skel: Skeleton, epochs: int, seed: int,
     mode = MODES[run.mode]
     targets = dataset.thetas if mode.theta_targets else \
         bench.eval_joints(skel, dataset.thetas).reshape(len(dataset), -1)
-    # the validation labels, once for every epoch's validation_stats
-    val_joints = None if val is None else bench.eval_joints(skel, val.thetas)
     n = len(dataset)
     velocity = [np.zeros_like(p) for p in run.weights + run.biases]
     for frac_lr, frac_ep in STAGES:
@@ -401,7 +398,7 @@ def train(run: TrainRun, dataset, skel: Skeleton, epochs: int, seed: int,
             val_stats = (float("nan"),) * 3
             if val is not None:
                 try:
-                    val_stats = validation_stats(run, val, skel, val_joints)
+                    val_stats = validation_stats(run, val, skel)
                 except NumericalError as e:
                     raise NumericalError(
                         f"{e} on the validation set after epoch {epoch}") from None
@@ -421,16 +418,15 @@ def train(run: TrainRun, dataset, skel: Skeleton, epochs: int, seed: int,
 
 def save_checkpoint(run: TrainRun, path) -> None:
     """Write `run` as a file of fileio's record format: a header of format,
-    version, skeleton fingerprint, mode, output gains and history, then each
-    layer's weights and biases as records, whose shapes are the layer
-    widths. The `.ckpt.json` suffix of train's and reproduce's files is
-    historical."""
+    version, the skeleton's config, mode and history, then each layer's
+    weights and biases as records, whose shapes are the layer widths. The
+    gains are not stored: they follow from the skeleton and the mode. The
+    `.ckpt.json` suffix of train's and reproduce's files is historical."""
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "skeleton": run.skeleton,
         "mode": run.mode,
-        "output_scale": list(run.output_scale),
         "history": [
             [h.train_loss, h.val_joint_err_mm, h.val_angle_err_deg, h.val_invalid_frac]
             for h in run.history
@@ -448,10 +444,9 @@ _NUMBER = (int, float)
 # The header fields load_checkpoint reads, what each must hold and its check
 # (a missing field is None); any other field but format and version is refused.
 _HEADER_FIELDS = (
-    ("skeleton", "an object with a name and a sha256", lambda v: isinstance(v, dict)
-     and all(isinstance(v.get(k), str) for k in ("name", "sha256"))),
+    ("skeleton", "a skeleton config with a name", lambda v: isinstance(v, dict)
+     and isinstance(v.get("name"), str)),
     ("mode", f"one of {', '.join(MODES)}", lambda v: isinstance(v, str) and v in MODES),
-    ("output_scale", "a list of numbers", lambda v: _list_of(v, _NUMBER)),
     ("history", "a list of rows of 4 numbers", lambda v: _list_of(v, list)
      and all(len(row) == 4 and _list_of(row, _NUMBER) for row in v)),
 )
@@ -459,11 +454,12 @@ _HEADER_FIELDS = (
 
 def load_checkpoint(path) -> TrainRun:
     """Read a checkpoint that save_checkpoint wrote; every refusal is a
-    ValueError that names the path. Its (weights, biases) record pairs, one
-    at least, run to the end of the file and chain: a layer's weights have
-    a row per output of the layer before, its biases a value per weights
-    column, and no width is zero. Each record's .npy header is checked
-    before its data is read."""
+    ValueError that names the path. The stored config must build a skeleton,
+    on which the gains are the mode's, as in init. The (weights, biases)
+    record pairs, one at least, run to the end of the file and chain: 3 *
+    n_eval rows, then a row per output of the layer before, biases a value
+    per weights column, no zero width, the mode's output width last. Each
+    record's .npy header is checked before its data is read."""
     with open(path, "rb") as fh:
         header = fileio.read_header(fh, path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
                                     "retrain")
@@ -473,18 +469,23 @@ def load_checkpoint(path) -> TrainRun:
         known = {"format", "version", *(field for field, _, _ in _HEADER_FIELDS)}
         if set(header) - known:
             raise ValueError(f"{path}: unknown header field {min(set(header) - known)}")
-        weights, biases = [], []
+        try:
+            skel = skeleton_from_dict(header["skeleton"])
+        except SkeletonError as e:
+            raise ValueError(f"{path}: header field skeleton is not a skeleton config: "
+                             f"{e}") from None
+        weights, biases, rows = [], [], 3 * len(skel.eval_subset)
         while not weights or fh.peek(1):
-            i, rows = len(weights), weights[-1].shape[1] if weights else None
+            i = len(weights)
             w = fileio.read_record(fh, path, f"layer {i} weights", (rows, None))
             if not w.size:
                 raise ValueError(f"{path}: layer {i} weights are {w.shape}, a zero-width layer")
             weights.append(w)
             biases.append(fileio.read_record(fh, path, f"layer {i} biases", (w.shape[1],)))
-    scale = tuple(float(s) for s in header["output_scale"])
-    # written so that NaN fails the comparison
-    if len(scale) != len(biases[-1]) or not all(0.0 < s < math.inf for s in scale):
-        raise ValueError(f"{path}: output_scale must be {len(biases[-1])} positive "
-                         f"finite gains, one per output of the last layer")
-    return TrainRun(header["mode"], weights, biases, scale,
+            rows = w.shape[1]
+    mode = MODES[header["mode"]]
+    if rows != mode.output_width(skel):
+        raise ValueError(f"{path}: the last layer is {rows} wide, but mode {header['mode']} "
+                         f"emits {mode.output_width(skel)} outputs on skeleton {skel.name!r}")
+    return TrainRun(header["mode"], weights, biases, mode.output_scale(skel),
                     [EpochStats(*row) for row in header["history"]], header["skeleton"])

@@ -18,7 +18,8 @@ train_mode, score and load_checkpoint_for are the training, scoring and
 checkpoint-loading steps that the train and eval commands share with run.
 The training and fitting recipes are regressor's and ik_pso's constants;
 run sets only the epoch count, the fit budget (FIT_ITERATIONS), the number
-of frames fitted, the dataset sizes and the seed.
+of frames fitted, the dataset sizes, the noise sigma and occlusion
+probability of both datasets, and the seed.
 """
 from __future__ import annotations
 
@@ -55,12 +56,14 @@ def mode_checkpoint(out_dir, mode) -> str:
 
 
 def load_checkpoint_for(path, skel) -> reg.TrainRun:
-    """A checkpoint, refused unless it was trained for `skel`."""
-    run, want = reg.load_checkpoint(path), skel.fingerprint()
-    if run.skeleton != want:
-        raise ValueError(f"{path}: checkpoint was trained for skeleton "
-                         f"{run.skeleton['name']!r}, not {want['name']!r} (sha256 "
-                         f"{run.skeleton['sha256'][:12]} vs {want['sha256'][:12]})")
+    """A checkpoint, refused unless it was trained for `skel`: its stored
+    skeleton config is skel.to_dict()."""
+    run = reg.load_checkpoint(path)
+    if run.skeleton != skel.to_dict():
+        name = run.skeleton["name"]
+        raise ValueError(f"{path}: checkpoint was trained for skeleton {name!r}, not "
+                         f"{skel.name!r}" + (" (same name, but the configs differ)"
+                                             if name == skel.name else ""))
     return run
 
 

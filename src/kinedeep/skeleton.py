@@ -339,16 +339,6 @@ class Skeleton:
         """The canonical config, a fresh copy the caller may change."""
         return copy.deepcopy(self._config)
 
-    def fingerprint(self) -> dict:
-        """Name and sha256 of the canonical to_dict() JSON; equal for a
-        skeleton and its save_skeleton/load_skeleton round trip."""
-        # imported here: hashlib loads OpenSSL's libcrypto, which only the
-        # commands that build a network or read a checkpoint need
-        import hashlib
-
-        text = json.dumps(self._config, sort_keys=True)
-        return {"name": self.name, "sha256": hashlib.sha256(text.encode()).hexdigest()}
-
 
 def _finite(value, where: str, key: str):
     """`value` if it is a finite JSON number (true and false are not), else

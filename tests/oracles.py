@@ -432,8 +432,7 @@ def flat_train(run, dataset, skel, epochs, lr, seed, velocity, val=None):
             epoch_losses.append(value)
 
         if val is not None:
-            joint_err, angle_err, invalid = reg.validation_stats(
-                run, val, skel, bench.eval_joints(skel, val.thetas))
+            joint_err, angle_err, invalid = reg.validation_stats(run, val, skel)
         else:
             joint_err = angle_err = invalid = float("nan")
         run.history.append(reg.EpochStats(

@@ -743,15 +743,16 @@ def test_fk_refuses_non_finite_bone_and_writes_nothing(hand, pose_file, tmp_path
 
 
 @pytest.mark.parametrize("argv, unloaded", [
-    ("fk --poses {poses} --out {tmp}/joints.csv", ["_hashlib"]),
+    ("fk --poses {poses} --out {tmp}/joints.csv", ["hashlib", "_hashlib"]),
     ("synth --n 8 --out {tmp}/new.ds", ["multiprocessing", "concurrent.futures"]),
     ("train --train {data} --epochs 1 --out {tmp}/run.ckpt",
      ["multiprocessing", "concurrent.futures"]),
 ], ids=["fk", "synth", "train"])
 def test_command_leaves_modules_unloaded(pose_file, tmp_path, argv, unloaded):
-    # hashlib loads OpenSSL's libcrypto, which only the skeleton fingerprint
-    # needs, and fk computes none; only reproduce starts processes, and the
-    # process modules would add start-up time and memory to every command
+    # no kinedeep module imports hashlib, which loads OpenSSL's libcrypto,
+    # and fk draws no random numbers (numpy.random loads it too); only
+    # reproduce starts processes, and the process modules would add start-up
+    # time and memory to every command
     data = tmp_path / "data.ds"
     assert run_cli("synth", "--n", "8", "--seed", "4", "--out", str(data)) == 0
     argv = argv.format(poses=pose_file[0], tmp=tmp_path, data=data).split()
@@ -773,9 +774,9 @@ def test_train_prints_last_epoch_without_second_validation_pass(
     real = reg.validation_stats
     calls = []
 
-    def counting(*args, **kwargs):
+    def counting(run, dataset, skel):
         calls.append(1)
-        return real(*args, **kwargs)
+        return real(run, dataset, skel)
 
     monkeypatch.setattr(reg, "validation_stats", counting)
     monkeypatch.setattr(reg, "BATCH_SIZE", 8)
@@ -938,7 +939,7 @@ def test_eval_refuses_dataset_of_another_skeleton(bench_dataset, tmp_path, capsy
 
 
 def test_eval_refuses_checkpoint_of_another_skeleton(bench_dataset, tmp_path, capsys):
-    # both skeletons emit the same widths, so only the fingerprint tells
+    # both skeletons emit the same widths, so only the stored config tells
     skel_path, bench_data = bench_dataset
     data = tmp_path / "hand.ds"
     assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
@@ -952,6 +953,22 @@ def test_eval_refuses_checkpoint_of_another_skeleton(bench_dataset, tmp_path, ca
     err = capsys.readouterr().err
     assert "checkpoint was trained for skeleton 'hand23'" in err
     assert "not 'hand23-bench'" in err
+    assert not report.exists()
+
+
+def test_eval_refuses_checkpoint_of_another_config_of_the_same_name(hand, tmp_path, capsys):
+    data, ckpt, _ = synth_and_train(tmp_path)
+    cfg = hand.to_dict()
+    cfg["joints"][1]["bone_length_mm"] += 1.0
+    skel_path = tmp_path / "longer_palm.json"
+    skel_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert run_cli("eval", "--skeleton", str(skel_path), "--ckpt", str(ckpt),
+                   "--data", str(data), "--out", str(report)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: checkpoint was trained for skeleton 'hand23', not 'hand23' "
+        f"(same name, but the configs differ)\n")
     assert not report.exists()
 
 

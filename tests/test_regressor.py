@@ -49,14 +49,14 @@ def test_init_deterministic(hand):
 
 def test_init_shapes(hand):
     # the network reproduce trains: 3 * n_eval inputs, HIDDEN_WIDTHS, the
-    # mode's output width and gains, no history, the skeleton's fingerprint
+    # mode's output width and gains, no history, the skeleton's config
     assert reg.HIDDEN_WIDTHS == (256, 256)
     for mode, width in (("ours", 26), ("direct_joint", 42)):
         run = reg.init(hand, mode, 0)
         assert [w.shape for w in run.weights] == [(42, 256), (256, 256), (256, width)]
         assert [b.shape for b in run.biases] == [(256,), (256,), (width,)]
         assert run.output_scale == reg.MODES[mode].output_scale(hand)
-        assert (run.mode, run.history, run.skeleton) == (mode, [], hand.fingerprint())
+        assert (run.mode, run.history, run.skeleton) == (mode, [], hand.to_dict())
 
 
 def test_init_zero_biases_and_bounded_weights(hand):
@@ -372,8 +372,8 @@ def test_train_history_length_and_val_metrics(hand, monkeypatch):
 @pytest.mark.parametrize("mode", ["ours", "direct_joint"])
 @pytest.mark.usefixtures("one_stage")
 def test_train_labels_the_validation_set_once(hand, monkeypatch, mode):
-    # the validation labels come from one FK pass per train call, not one
-    # per epoch
+    # each epoch's validation pass labels the validation set once, from the
+    # poses it scores (bench.evaluate), so no label can come from elsewhere
     data, val = small_dataset(hand), small_dataset(hand, n=24, seed=6)
     real = bench.eval_joints
     val_passes = []
@@ -387,7 +387,7 @@ def test_train_labels_the_validation_set_once(hand, monkeypatch, mode):
     for calls in (1, 2):
         reg.train(small_net(monkeypatch, hand, mode, hidden=(16,)), data, hand, 4, SEED,
                   val=val, on_epoch=discard)
-        assert len(val_passes) == calls
+        assert len(val_passes) == 4 * calls
 
 
 @pytest.mark.parametrize("mode", reg.MODES)
@@ -544,7 +544,7 @@ def test_single_sample_overfit(hand, monkeypatch):
     one_stage_at(monkeypatch, 2e-5, "ours_no_phy")
     monkeypatch.setattr(reg, "BATCH_SIZE", 1)
     reg.train(run, data, hand, 2000, SEED, val=None, on_epoch=discard)
-    err, _, _ = reg.validation_stats(run, data, hand, bench.eval_joints(hand, data.thetas))
+    err, _, _ = reg.validation_stats(run, data, hand)
     assert err < 1.0
 
 
@@ -555,13 +555,11 @@ def test_validation_stats_are_evaluate_without_thresholds(hand, monkeypatch, mod
                               interior_margin=0.0, pose_shape="uniform")
     run = small_net(monkeypatch, hand, mode, seed=1, hidden=(16,))
     assert run.weights[-1].shape == (16, width)
-    predictions = reg.predict(run, data.features, hand)
-    for true_joints in (None, bench.eval_joints(hand, data.thetas)):
-        report = bench.evaluate(hand, predictions, data.thetas)
-        want = (report.avg_joint_error_mm, report.avg_angle_error_deg,
-                report.invalid_pose_fraction)
-        got = reg.validation_stats(run, data, hand, true_joints)
-        assert np.array(got).tobytes() == np.array(want).tobytes()  # NaN included
+    report = bench.evaluate(hand, reg.predict(run, data.features, hand), data.thetas)
+    want = (report.avg_joint_error_mm, report.avg_angle_error_deg,
+            report.invalid_pose_fraction)
+    got = reg.validation_stats(run, data, hand)
+    assert np.array(got).tobytes() == np.array(want).tobytes()  # NaN included
 
 
 def test_direct_joint_training_runs(hand, monkeypatch):
@@ -624,7 +622,7 @@ def test_checkpoint_roundtrip(hand, monkeypatch, tmp_path):
     reg.save_checkpoint(run, path)
     again = reg.load_checkpoint(path)
     assert (again.mode, again.output_scale) == (run.mode, run.output_scale)
-    assert again.skeleton == run.skeleton == hand.fingerprint()
+    assert again.skeleton == run.skeleton == hand.to_dict()
     for got, want in ((again.weights, run.weights), (again.biases, run.biases)):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert again.history == run.history
@@ -636,14 +634,32 @@ def test_checkpoint_roundtrip(hand, monkeypatch, tmp_path):
     assert again_path.read_bytes() == path.read_bytes()
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
-    # the six keys, in this order: the layer widths are the records' shapes
-    assert list(header) == ["format", "version", "skeleton", "mode", "output_scale",
-                            "history"]
-    assert header["version"] == 5
+    # the five keys, in this order: the layer widths are the records'
+    # shapes, and the gains follow from the skeleton and the mode
+    assert list(header) == ["format", "version", "skeleton", "mode", "history"]
+    assert header["version"] == 6
     # every key written is a checked field: one never checked cannot come
     # back, and neither can a checked field that is never written
     fields = [name for name, _, _ in reg._HEADER_FIELDS]
     assert sorted(header) == sorted(fields + ["format", "version"])
+
+
+@pytest.mark.parametrize("mode", reg.MODES)
+def test_loaded_gains_and_outputs_are_inits(hand, tmp_path, rng, mode):
+    # the gains are derived again from the stored skeleton config, to
+    # init's bits; the benchmark skeleton differs from the hand only in its
+    # DOF bounds, and its gains are the hand's, so they do not depend on them
+    bench_skel = bench.benchmark_skeleton()
+    assert reg.MODES[mode].output_scale(bench_skel) == reg.MODES[mode].output_scale(hand)
+    features = rng.normal(scale=100.0, size=(64, 42))
+    for skel in (hand, bench_skel):
+        run = reg.init(skel, mode, 3)
+        path = tmp_path / f"{skel.name}.ckpt"
+        reg.save_checkpoint(run, path)
+        again = reg.load_checkpoint(path)
+        assert np.array(again.output_scale).tobytes() == np.array(run.output_scale).tobytes()
+        assert again.skeleton == skel.to_dict()
+        assert reg.forward(again, features).tobytes() == reg.forward(run, features).tobytes()
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
@@ -653,16 +669,17 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         reg.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
-def test_checkpoint_old_versions_refused_with_retrain_message(hand, tmp_path, version):
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+def test_checkpoint_old_versions_refused_with_retrain_message(tmp_path, version):
     # versions 1 and 2 were one JSON object, weights and biases included;
-    # version 1 recorded no skeleton; up to version 3 the header held the
-    # input scale and clip, and null output gains for gain 1; up to
-    # version 4 an mlp object held the layer widths, the seed and the gains
-    # (from version 3 its layers follow as .npy records, but the header
-    # line is refused first)
+    # version 1 recorded no skeleton, versions 2 to 5 its name and sha256;
+    # up to version 3 the header held the input scale and clip, and null
+    # output gains for gain 1; up to version 4 an mlp object held the layer
+    # widths, the seed and the gains, and version 5 the gains (from version
+    # 3 its layers follow as .npy records, but the header line is refused
+    # first)
     payload = {"format": "kinedeep-checkpoint", "version": version,
-               "skeleton": hand.fingerprint(),
+               "skeleton": {"name": "hand23", "sha256": "e3433ca590b8"},
                "mlp": {"layer_widths": [2, 3], "seed": 0, "input_scale": 1.0,
                        "input_clip_abs": None, "output_scale": None},
                "mode": "ours", "weights": [[[0.5, -0.25, 0.0], [0.0, 1.0, 2.0]]],
@@ -704,22 +721,23 @@ def replace_header(parts, change) -> bytes:
     return b"".join([json.dumps(header).encode() + b"\n"] + parts[1:])
 
 
-def first_weights_of_2_40_rows(parts) -> bytes:
-    """Layer 0's weights made to claim 2**40 rows in their .npy header; the
-    file keeps its other records, far short of that one."""
-    columns = np.load(io.BytesIO(parts[1]), allow_pickle=False).shape[1]
-    return parts[0] + npy_header((2**40, columns)) + b"".join(parts[2:])
+def first_weights_of_2_40_columns(parts) -> bytes:
+    """Layer 0's weights made to claim 2**40 columns in their .npy header;
+    the file keeps its other records, far short of that one."""
+    rows = np.load(io.BytesIO(parts[1]), allow_pickle=False).shape[0]
+    return parts[0] + npy_header((rows, 2**40)) + b"".join(parts[2:])
 
 
-def set_gains(change):
-    """A damage that sets the header's output gains to change(gains)."""
-    return lambda p: replace_header(p, lambda h: h.update(output_scale=change(h["output_scale"])))
+def set_wrist_palm(**fields):
+    """A damage that sets `fields` on the stored skeleton's joint 1, wrist_palm."""
+    return lambda p: replace_header(p, lambda h: h["skeleton"]["joints"][1].update(fields))
 
 
-GAINS = "positive finite gains, one per output of the last layer"
+STORED_SKELETON = "header field skeleton is not a skeleton config: joint 'wrist_palm': "
 # Damaged checkpoints: a case maps the valid file's parts to the damaged
 # bytes, beside a fragment of the refusal. Records 1 and 2 are layer 0's
 # weights and biases, 3 and 4 layer 1's; layer 0's weights are not square.
+# The file is an ours network of the default hand: 42 inputs, 26 outputs.
 CHECKPOINT_DAMAGE = {
     "truncated_inside_an_array": (lambda p: b"".join(p)[:-3], "biases: "),
     "truncated_inside_an_npy_header": (lambda p: p[0] + p[1][:20], "layer 0 weights: "),
@@ -728,9 +746,11 @@ CHECKPOINT_DAMAGE = {
     # a byte after the last layer's biases starts another layer's weights
     "trailing_bytes": (lambda p: b"".join(p) + b"\0",
                        "weights: EOF: reading magic string"),
-    # the weights have as many columns as their biases have values
+    # the first weights have a row per feature, 3 * n_eval
     "transposed_weights": (lambda p: replace_record(p, 1, lambda w: w.T.copy()),
-                           "layer 0 biases are float64"),
+                           "42), expected float64 (42, N)"),
+    "first_layer_one_row_short": (lambda p: replace_record(p, 1, lambda w: w[:-1].copy()),
+                                  "layer 0 weights are float64 (41, "),
     # layer 1 takes one input fewer than layer 0 gives
     "chain_mismatch": (lambda p: replace_record(p, 3, lambda w: w[:-1].copy()),
                        "layer 1 weights are float64"),
@@ -741,12 +761,9 @@ CHECKPOINT_DAMAGE = {
     "random_bytes": (lambda p: np.random.default_rng(5).bytes(4096),
                      "not a kinedeep-checkpoint file"),
     "empty": (lambda p: b"", "not a kinedeep-checkpoint file"),
-    "header_without_output_scale": (
-        lambda p: replace_header(p, lambda h: h.pop("output_scale")),
-        "header field output_scale is missing or not a list of numbers"),
     "header_without_mode": (lambda p: replace_header(p, lambda h: h.pop("mode")),
                             "header field mode is missing or not one of ours"),
-    # version 4's mlp object, in any form, is not a version 5 field
+    # version 4's mlp object, in any form, is not a version 6 field
     "mlp_is_a_list": (lambda p: replace_header(p, lambda h: h.update(mlp=[4, 3, 2])),
                       "unknown header field mlp"),
     "history_row_of_2_values": (
@@ -754,18 +771,32 @@ CHECKPOINT_DAMAGE = {
         "header field history is missing or not a list of rows of 4 numbers"),
     "npy_header_claims_8_tib": (lambda p: p[0] + npy_header((2**40,)) + b"".join(p[2:]),
                                 "layer 0 weights are float64 (1099511627776,)"),
-    # layer 0 has no width to chain to, so only the size check stands
-    # between it and the allocation of 2**40 rows of weights
-    "record_larger_than_the_file": (first_weights_of_2_40_rows,
+    # any column count fits layer 0's weights, so only the size check
+    # stands between them and the allocation of 2**40 columns
+    "record_larger_than_the_file": (first_weights_of_2_40_columns,
                                     "layer 0 weights: the file ends inside the record"),
-    "output_scale_null": (set_gains(lambda g: None), "header field "
-                          "output_scale is missing or not a list of numbers"),
-    "output_scale_empty": (set_gains(lambda g: []), GAINS),
-    "output_scale_one_short": (set_gains(lambda g: g[:-1]), GAINS),
-    "output_scale_nan": (set_gains(lambda g: [math.nan] + g[1:]), GAINS),
+    # the stored skeleton config is checked as a skeleton file is
+    "skeleton_nan_bone": (set_wrist_palm(bone_length_mm=math.nan),
+                          STORED_SKELETON + "bone_length_mm"),
+    "skeleton_unknown_key": (set_wrist_palm(colour="red"),
+                             STORED_SKELETON + "unknown key 'colour'"),
+    "skeleton_without_name": (lambda p: replace_header(p, lambda h: h["skeleton"].pop("name")),
+                              "header field skeleton is missing or not a skeleton config "
+                              "with a name"),
+    # an ours network relabelled as a joint-emitting one: 26 outputs, not 42
+    "ours_relabelled_direct_joint": (
+        lambda p: replace_header(p, lambda h: h.update(mode="direct_joint")),
+        "the last layer is 26 wide, but mode direct_joint emits 42 outputs on "
+        "skeleton 'hand23'"),
+    # the gains are derived, never read: a header that still carries an
+    # output_scale field, as version 5 stored it, is refused whatever it
+    # holds, a null (which a missing-field check would take for absent)
+    # included
+    **{f"output_scale_{case}": (lambda p, gains=gains: replace_header(
+        p, lambda h: h.update(output_scale=gains)), "unknown header field output_scale")
+       for case, gains in (("null", None), ("empty", []), ("one_short", [1.0] * 25),
+                           ("nan", [math.nan] * 26), ("true", [True] * 26))},
     # JSON's true and false are not numbers, though Python's bool is an int
-    "output_scale_true": (set_gains(lambda g: [True] * len(g)),
-                          "header field output_scale is missing or not a list of numbers"),
     "history_row_with_true": (
         lambda p: replace_header(p, lambda h: h.update(history=[[True, 1.0, 2.0, 3.0]])),
         "header field history is missing or not a list of rows of 4 numbers"),
@@ -777,10 +808,10 @@ CHECKPOINT_DAMAGE = {
     "dotted_top_level_key": (
         lambda p: replace_header(p, lambda h: h.update({"mlp.seed": 1})),
         "unknown header field mlp.seed"),
-    # 5.0 == 5 in Python, but a version is an integer
-    "version_float": (lambda p: replace_header(p, lambda h: h.update(version=5.0)),
-                      "unsupported kinedeep-checkpoint version 5.0 "
-                      "(this reader reads version 5); retrain"),
+    # 6.0 == 6 in Python, but a version is an integer
+    "version_float": (lambda p: replace_header(p, lambda h: h.update(version=6.0)),
+                      "unsupported kinedeep-checkpoint version 6.0 "
+                      "(this reader reads version 6); retrain"),
 }
 
 
@@ -865,9 +896,8 @@ def test_validation_stats_runs_the_val_set_in_row_blocks(hand):
     run = default_sized_run(hand)
     val = bench.make_dataset(hand, n=500, noise_sigma_mm=2.0, occlusion_prob=0.0, seed=5,
                              interior_margin=0.0, pose_shape="uniform")
-    val_joints = bench.eval_joints(hand, val.thetas)
-    reg.validation_stats(run, val, hand, val_joints)  # warm-up: lazy imports
-    peak = traced_peak_bytes(reg.validation_stats, run, val, hand, val_joints)
+    reg.validation_stats(run, val, hand)  # warm-up: lazy imports
+    peak = traced_peak_bytes(reg.validation_stats, run, val, hand)
     assert peak < 1.5 * 2**20
 
 

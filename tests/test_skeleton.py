@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -150,33 +151,39 @@ def test_roundtrip_save_load(hand, tmp_path):
     assert np.array_equal(again.path_mask, hand.path_mask)
 
 
-def test_fingerprint_survives_save_load(hand, tmp_path):
+def test_config_survives_save_load(hand, tmp_path):
+    # a checkpoint is loaded for a skeleton whose to_dict() equals its stored
+    # config, so a saved and loaded skeleton file must give the same config
     bench_skel = bench.benchmark_skeleton()
     for skel in (hand, bench_skel):
         path = tmp_path / f"{skel.name}.json"
         sk.save_skeleton(skel, path)
-        assert sk.load_skeleton(path).fingerprint() == skel.fingerprint()
-    assert hand.fingerprint()["name"] == "hand23"
-    assert hand.fingerprint()["sha256"] != bench_skel.fingerprint()["sha256"]
+        assert sk.load_skeleton(path).to_dict() == skel.to_dict()
+    assert hand.to_dict()["name"] == "hand23"
+    assert hand.to_dict() != bench_skel.to_dict()
+
+
+def config_sha256(skel) -> str:
+    return hashlib.sha256(json.dumps(skel.to_dict(), sort_keys=True).encode()).hexdigest()
 
 
 def test_fingerprints_are_pinned(hand):
-    # every checkpoint records one of these; a change refuses them all
-    assert hand.fingerprint() == {"name": "hand23", "sha256":
-        "e3433ca590b89df225b16a9191f5c9418fe8955bf78dc9ca4690182945790806"}
-    assert bench.benchmark_skeleton().fingerprint() == {"name": "hand23-bench", "sha256":
-        "f592722546008958a489cd4ae811cd4c27cc7ee633b506a76366d7349bb0021e"}
+    # every checkpoint stores one of these configs, here by the sha256 of
+    # its sorted JSON; a change refuses them all
+    assert config_sha256(hand) == \
+        "e3433ca590b89df225b16a9191f5c9418fe8955bf78dc9ca4690182945790806"
+    assert config_sha256(bench.benchmark_skeleton()) == \
+        "f592722546008958a489cd4ae811cd4c27cc7ee633b506a76366d7349bb0021e"
 
 
 def test_to_dict_is_a_fresh_copy(hand):
-    want = hand.fingerprint()
+    want = hand.to_dict()
     raw = hand.to_dict()
     raw["name"] = "changed"
     raw["joints"][1]["bone_length_mm"] = 1.0
     raw["joints"][0]["dofs"][0]["lower_mm"] = 0.0
     raw["eval_subset"].pop()
-    assert hand.fingerprint() == want
-    assert hand.to_dict() != raw
+    assert hand.to_dict() == want != raw
 
 
 def test_lower_case_axis_is_written_in_upper_case():
@@ -185,7 +192,7 @@ def test_lower_case_axis_is_written_in_upper_case():
         dof["axis"] = dof["axis"].lower()
     skel = sk.skeleton_from_dict(cfg)
     assert [d["axis"] for d in skel.to_dict()["joints"][0]["dofs"]] == list("XYZXYZ")
-    assert skel.fingerprint() == sk.skeleton_from_dict(single_joint_config()).fingerprint()
+    assert skel.to_dict() == sk.skeleton_from_dict(single_joint_config()).to_dict()
 
 
 def test_default_hand_round_trips_packaged_file(hand):
