@@ -99,10 +99,11 @@ def benchmark_interior_margin() -> float:
 
 @dataclass
 class Dataset:
-    """Row i of each array is sample i. The poses are the labels (eval_joints
-    gives their joints); synth's manifest records how they were drawn."""
+    """A dataset is its skeleton and its two arrays. Row i of each array is
+    sample i. The poses are the labels (eval_joints gives their joints);
+    synth's manifest records how they were drawn."""
 
-    skeleton_name: str
+    skeleton: Skeleton  # the skeleton the poses are of
     features: np.ndarray  # (N, 3 * n_eval)
     thetas: np.ndarray    # (N, D)
 
@@ -186,7 +187,7 @@ def make_dataset(skel: Skeleton, n: int, noise_sigma_mm: float,
         for start in range(0, n, _BLOCK_POSES):
             block = features[start:start + _BLOCK_POSES]
             block[rng.uniform(size=block.shape[:2]) < occlusion_prob] = OCCLUSION_SENTINEL_MM
-    return Dataset(skel.name, features.reshape(n, -1), thetas)
+    return Dataset(skel, features.reshape(n, -1), thetas)
 
 
 def joint_distances(resid: np.ndarray) -> np.ndarray:

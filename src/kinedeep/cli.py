@@ -41,19 +41,21 @@ Exit codes: 0 success; 1 validation or parse error; 2 numerical failure
 (non-finite values); 3 an acceptance-style check failed (gradcheck
 tolerance or a reproduce ordering).
 
-The default skeleton is the built-in 23-joint hand, the config file
-hand23.json shipped inside the package; --skeleton (and no environment
-variable) selects another config file. reproduce writes the skeleton it
-trained on as <out>/skeleton.json, for eval --skeleton. train and eval
-refuse a dataset whose header names a different skeleton, fk, jacobian
-and ik a pose or joint file whose header does, and eval a checkpoint whose
-recorded skeleton config differs.
-
 Every data file is a record file of fileio's one format, whatever its
-suffix: fk and jacobian read a pose file and write a joint file or a
-Jacobian file; ik reads a joint file of all joints, as fk writes it, and
-writes a pose file; synth writes a dataset, which train and eval read, and
-train a checkpoint, which eval reads.
+suffix, and holds the config of the skeleton it was made for: fk and
+jacobian read a pose file and write a joint file or a Jacobian file; ik
+reads a joint file of all joints, as fk writes it, and writes a pose file;
+synth writes a dataset, which train and eval read, and train a checkpoint,
+which eval reads. A command works on its input file's skeleton: fk,
+jacobian, ik and eval take no --skeleton, train trains on its training
+set's, and eval scores with its checkpoint's. An input made for another
+config (train's --val, eval's --data), of the same name or not, is refused.
+
+synth, gradcheck and reproduce make data for --skeleton, a config file;
+the default is the built-in 23-joint hand (hand23.json, shipped inside the
+package), for reproduce the benchmark skeleton. reproduce writes the one it
+trained on as <out>/skeleton.json, for synth --skeleton. train --skeleton
+selects nothing: it names the skeleton both datasets must be made for.
 """
 from __future__ import annotations
 
@@ -100,28 +102,6 @@ def _resolve_skeleton(path) -> sk.Skeleton:
     if path is None:
         return sk.default_hand()
     return sk.load_skeleton(path)
-
-
-def _read_dataset(path, skel) -> bench.Dataset:
-    """A dataset file, refused unless it was made for `skel` and its arrays
-    have `skel`'s widths."""
-    data = fileio.read_dataset(path)
-    if data.skeleton_name != skel.name:
-        raise ValueError(f"{path}: dataset was made for skeleton "
-                         f"{data.skeleton_name!r}, not {skel.name!r}")
-    for key, width in (("features", 3 * len(skel.eval_subset)), ("thetas", skel.n_dofs)):
-        got = getattr(data, key).shape[1]
-        if got != width:
-            raise ValueError(f"{path}: {key} are {got} wide, skeleton {skel.name!r} "
-                             f"needs {width}")
-    return data
-
-
-def _check_header_skeleton(path, kind, name, skel) -> None:
-    """Refuse a pose or joint file whose header names another skeleton."""
-    if name != skel.name:
-        raise ValueError(f"{path}: {kind} file was made for skeleton {name!r}, "
-                         f"not {skel.name!r}")
 
 
 def _check_writable(*paths) -> None:
@@ -192,17 +172,14 @@ def cmd_kinematics(args) -> int:
     file of one record per pose."""
     started = time.monotonic()
     _check_writable(args.out, _manifest_path(args.out))
-    skel = _resolve_skeleton(args.skeleton)
-    name, poses = fileio.read_pose_file(args.poses, expected_dims=skel.n_dofs)
-    _check_header_skeleton(args.poses, "pose", name, skel)
+    skel, poses = fileio.read_pose_file(args.poses)
     if args.command == "fk":
-        fileio.write_joint_file(args.out, skel.name,
-                                kin.forward_kinematics_batch(skel, poses))
+        fileio.write_joint_file(args.out, skel, kin.forward_kinematics_batch(skel, poses))
     else:
         # one pose at a time: a Jacobian is 3*J*D values, so memory stays
         # flat in the number of poses
         fileio.write_jacobian_file(
-            args.out, skel.name,
+            args.out, skel,
             (kin.fk_jacobian_batch(skel, pose[None])[1][0] for pose in poses))
     _write_manifest(_manifest_path(args.out), args.command,
                     {"skeleton": skel.name, "frames": int(len(poses))},
@@ -307,19 +284,14 @@ def cmd_ik(args) -> int:
     started = time.monotonic()
     report_path = str(args.out) + ".report.json"
     _check_writable(args.out, report_path, _manifest_path(args.out))
-    skel = _resolve_skeleton(args.skeleton)
-    name, frames = fileio.read_joint_file(args.targets)
-    _check_header_skeleton(args.targets, "joint", name, skel)
+    skel, frames = fileio.read_joint_file(args.targets)
     if not len(frames):
         raise ValueError(f"{args.targets}: no frames to fit")
-    if frames.shape[1] != skel.n_joints:
-        raise ValueError(f"{args.targets}: frames carry {frames.shape[1]} joints, "
-                         f"expected all {skel.n_joints}, as fk writes them")
     frames = frames[:, list(skel.eval_subset), :]
     fit_started = time.monotonic()
     result = ik_pso.fit_batch(skel, frames, args.iters, args.seed)
     fit_s = time.monotonic() - fit_started
-    fileio.write_pose_file(args.out, skel.name, result.theta)
+    fileio.write_pose_file(args.out, skel, result.theta)
     mean, var = ik_pso.residual_stats(result)
     report = {
         "frames": len(result.theta),
@@ -364,9 +336,13 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     started = time.monotonic()
     _check_writable(args.out, rp.epochs_path(args.out), _manifest_path(args.out))
-    skel = _resolve_skeleton(args.skeleton)
-    train_data = _read_dataset(args.train, skel)
-    val_data = _read_dataset(args.val, skel) if args.val else None
+    train_data = fileio.read_dataset(args.train)
+    skel = train_data.skeleton
+    if args.skeleton:
+        fileio.check_made_for(args.train, "dataset", skel, sk.load_skeleton(args.skeleton))
+    val_data = fileio.read_dataset(args.val) if args.val else None
+    if val_data is not None:
+        fileio.check_made_for(args.val, "dataset", val_data.skeleton, skel)
     spec = reg.MODES[args.mode]
     run = rp.train_mode(skel, args.mode, train_data, val_data, args.epochs, args.seed,
                         args.out)
@@ -390,9 +366,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = time.monotonic()
     _check_writable(args.out, _manifest_path(args.out))
-    skel = _resolve_skeleton(args.skeleton)
-    run = rp.load_checkpoint_for(args.ckpt, skel)
-    report = rp.score(run, skel, _read_dataset(args.data, skel), args.seed, args.fit_iters)
+    run = reg.load_checkpoint(args.ckpt)
+    skel, data = run.skeleton, fileio.read_dataset(args.data)
+    fileio.check_made_for(args.data, "dataset", data.skeleton, skel)
+    report = rp.score(run, skel, data, args.seed, args.fit_iters)
     with open(args.out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
@@ -462,13 +439,11 @@ def build_parser() -> _Parser:
                        help="skeleton config (default: the packaged hand23.json)")
 
     p = sub.add_parser("fk", help="forward kinematics over a pose file")
-    add_skeleton(p)
     p.add_argument("--poses", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_kinematics)
 
     p = sub.add_parser("jacobian", help="analytic Jacobians over a pose file")
-    add_skeleton(p)
     p.add_argument("--poses", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_kinematics)
@@ -484,7 +459,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ik", help="fit poses to target joint frames")
-    add_skeleton(p)
     p.add_argument("--targets", required=True, help="joint file of all joints (fk output)")
     p.add_argument("--out", required=True, help="pose file to write")
     p.add_argument("--iters", type=count, default=300)
@@ -518,7 +492,9 @@ def build_parser() -> _Parser:
                                    f"count is set here. Validation is recorded "
                                    f"per epoch and never changes the weights or "
                                    f"the epoch count.")
-    add_skeleton(p)
+    p.add_argument("--skeleton", default=None,
+                   help="a skeleton config that both datasets must have been made for; "
+                        "training uses the training set's skeleton either way")
     p.add_argument("--mode", choices=reg.MODES, default="ours")
     p.add_argument("--train", required=True, help="training dataset file")
     p.add_argument("--val", default=None,
@@ -529,8 +505,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="checkpoint path")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    add_skeleton(p)
+    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset",
+                       description="Score a checkpoint on a dataset made for the "
+                                   "checkpoint's skeleton.")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="JSON report path")
@@ -546,9 +523,11 @@ def build_parser() -> _Parser:
                                    "process per available CPU, plus one worker for "
                                    "direct_joint's IK fit; pin BLAS to one thread "
                                    "(OPENBLAS_NUM_THREADS=1) to avoid "
-                                   "oversubscribing the CPUs.")
+                                   "oversubscribing the CPUs. The skeleton trained "
+                                   "on is written as <out>/skeleton.json, for synth "
+                                   "--skeleton to make more data for the checkpoints.")
     p.add_argument("--skeleton", default=None,
-                   help="override the benchmark skeleton")
+                   help="skeleton config to train on (default: the benchmark skeleton)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-n", type=count, default=20000)

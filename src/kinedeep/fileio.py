@@ -9,38 +9,40 @@ allocating it: dtype <f8, C order, the expected shape, and no more bytes
 than the file has left. Nothing is unpickled, a header that repeats a key
 is refused, every refusal names the path, and a file of another kind (or a
 zero-byte file) is "not a <format> file; <remedy>". The same content gives
-the same bytes, and float64 values round-trip exactly. The pose, joint and
-Jacobian writers refuse an array of a rank their format does not hold, and
-a refused or failed write leaves no file.
+the same bytes, and float64 values round-trip exactly.
 
-  format               version  header fields and records
-  kinedeep-poses       2        skeleton; one (N, D) record of poses (mm
-                                for translation DOFs, radians for rotations)
-  kinedeep-joints      2        skeleton; one (N, K, 3) record of joint
-                                frames, mm
-  kinedeep-jacobian    2        skeleton; one (3J, D) record per pose, its
-                                analytic FK Jacobian (mm per unit of each
-                                DOF; rows by joint, then axis); written,
-                                never read back
-  kinedeep-dataset     5        skeleton; the records features
-                                (N, 3 * n_eval) and thetas (N, D)
-  kinedeep-checkpoint  6        skeleton (the skeleton's config), mode,
-                                history; each layer's weights, then its
-                                biases; the output gains are derived from
-                                the skeleton and the mode (regressor)
+Every file is made for one skeleton: its header holds that skeleton's
+config (Skeleton.to_dict()) under skeleton, and the record shapes follow
+from it (D DOFs, J joints, n_eval eval joints, N rows):
 
-Pose, joint and dataset files are read by one reader: the header holds
-exactly format, version and skeleton (a non-empty name), no byte follows
-the last record, and every value is finite (the occlusion sentinel is); a
-refusal of a non-finite value names the first such row, counted from 0.
-Poses and frames may be zero rows; a dataset holds N >= 1 equal rows.
-Version 1 of the pose, joint and Jacobian formats was a text table, which
-is not a record file. A dataset stores no joint positions: the labels are
-the forward kinematics of thetas (bench.eval_joints), and synth's manifest
-records how they were drawn.
+  format               version  records
+  kinedeep-poses       3        one (N, D) record of poses (mm for
+                                translation DOFs, radians for rotations)
+  kinedeep-joints      3        one (N, J, 3) record of joint frames, mm
+  kinedeep-jacobian    3        one (3J, D) record per pose, its analytic
+                                FK Jacobian (mm per unit of each DOF; rows
+                                by joint, then axis); never read back
+  kinedeep-dataset     6        features (N, 3 * n_eval) and thetas (N, D)
+  kinedeep-checkpoint  6        mode and history in the header; each layer's
+                                weights, then its biases (regressor)
+
+A reader builds the file's Skeleton once (skeleton_of) and returns it with
+the records; check_made_for is the one rule that a file was made for a
+given skeleton. The writers take the Skeleton and refuse an array of a
+shape its reader refuses, and a refused or failed write leaves no file.
+Pose, joint and dataset files share one reader: the header holds exactly
+format, version and skeleton, no byte follows the last record, and every
+value is finite (the occlusion sentinel is); a refusal of a non-finite
+value names the first such row, counted from 0. Poses and frames may be
+zero rows; a dataset holds N >= 1 equal rows. Pose, joint and Jacobian
+version 2 and dataset version 5 stored the skeleton's name only; version 1
+of the first three was a text table, not a record file. A dataset stores
+no joint positions: the labels are the forward kinematics of thetas
+(bench.eval_joints), and synth's manifest records how they were drawn.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -48,13 +50,18 @@ import os
 import numpy as np
 
 from .bench import Dataset
+from .skeleton import Skeleton, SkeletonError, skeleton_from_dict
 
-DATASET_FORMAT = "kinedeep-dataset"
-DATASET_VERSION = 5
-_DATASET_ARRAYS = ("features", "thetas")
-_KINEMATICS_VERSION = 2  # of the pose, joint and Jacobian formats
-_POSE_REMEDY = "write it with fileio.write_pose_file, or re-run ik"
-_JOINT_REMEDY = "re-run fk"
+# format -> (version, the remedy that ends a reader's refusal, the (name,
+# shape) of each record of a file made for a skeleton, None the row count)
+_FORMATS = {
+    "kinedeep-poses": (3, "write it with fileio.write_pose_file, or re-run ik",
+                       lambda s: [("poses", (None, s.n_dofs))]),
+    "kinedeep-joints": (3, "re-run fk", lambda s: [("frames", (None, s.n_joints, 3))]),
+    "kinedeep-jacobian": (3, None, lambda s: [("Jacobians", (3 * s.n_joints, s.n_dofs))]),
+    "kinedeep-dataset": (6, "re-run synth", lambda s: [
+        ("features", (None, 3 * len(s.eval_subset))), ("thetas", (None, s.n_dofs))]),
+}
 _RECORDS_START = b'{"format": '  # how json.dumps begins every record file's header
 
 
@@ -82,11 +89,15 @@ def _fits(got, shape) -> bool:
     return len(got) == len(shape) and all(n in (None, g) for g, n in zip(got, shape))
 
 
-def _shaped(path, what, array, shape, expected) -> np.ndarray:
-    """`array`, refused unless its shape fits `shape` (spelt `expected`)."""
+def _spelt(shape) -> str:
+    return str(shape).replace("None", "N")
+
+
+def _shaped(path, what, array, shape) -> np.ndarray:
+    """`array`, refused unless its shape fits `shape`."""
     array = np.asarray(array)
     if not _fits(array.shape, shape):
-        raise ValueError(f"{path}: {what} are {array.shape}, expected {expected}; "
+        raise ValueError(f"{path}: {what} are {array.shape}, expected {_spelt(shape)}; "
                          f"not written")
     return array
 
@@ -128,7 +139,7 @@ def read_record(fh, path, what, shape) -> np.ndarray:
     if dtype != np.dtype("<f8") or fortran_order or not _fits(got, shape):
         raise FileFormatError(f"{path}: {what} are {dtype} {got}"
                               f"{' in Fortran order' if fortran_order else ''}, "
-                              f"expected float64 {str(shape).replace('None', 'N')}")
+                              f"expected float64 {_spelt(shape)}")
     if 8 * math.prod(got) > os.fstat(fh.fileno()).st_size - fh.tell():
         raise FileFormatError(f"{path}: {what}: the file ends inside the record")
     try:
@@ -139,20 +150,51 @@ def read_record(fh, path, what, shape) -> np.ndarray:
     return array
 
 
-def _write_skeleton_records(path, fmt, version, skeleton_name, arrays) -> None:
-    write_records(path, {"format": fmt, "version": version, "skeleton": skeleton_name},
-                  arrays)
+def skeleton_of(path, config) -> Skeleton:
+    """The Skeleton of the config a file's header stores under skeleton,
+    refused, naming the path, unless the config builds one and is the
+    canonical form that its to_dict() gives (a name included)."""
+    try:
+        skel = skeleton_from_dict(config)
+        if skel.to_dict() != config:
+            raise SkeletonError("not the canonical form that Skeleton.to_dict() gives")
+    except SkeletonError as e:
+        raise FileFormatError(f"{path}: header field skeleton is not a skeleton config: "
+                              f"{e}") from None
+    return skel
 
 
-def _read_skeleton_records(path, fmt, version, remedy, records) -> tuple:
-    """(skeleton name, arrays) of a pose, joint or dataset file of format
-    `fmt`; `records` are the (name, shape) pairs of its records."""
+def check_made_for(path, kind, made_for: Skeleton, skel: Skeleton) -> None:
+    """Refuse the file `path`, a `kind` made for the skeleton `made_for`,
+    unless that is `skel`: the same config, not only the same name."""
+    if made_for.to_dict() != skel.to_dict():
+        raise ValueError(f"{path}: {kind} was made for skeleton {made_for.name!r}, not "
+                         f"{skel.name!r}" + (" (same name, but the configs differ)"
+                                             if made_for.name == skel.name else ""))
+
+
+def _write_skeleton_records(path, fmt, skel, arrays) -> None:
+    """A file of format `fmt` made for `skel`, each of `arrays` refused
+    unless it has its record's shape (every record of a Jacobian file has
+    the one): a list's before the file is opened, a generator's as each
+    comes."""
+    version, _, shapes_of = _FORMATS[fmt]
+    checked = (_shaped(path, what, array, shape)
+               for (what, shape), array in zip(itertools.cycle(shapes_of(skel)), arrays))
+    write_records(path, {"format": fmt, "version": version, "skeleton": skel.to_dict()},
+                  list(checked) if isinstance(arrays, list) else checked)
+
+
+def _read_skeleton_records(path, fmt) -> tuple:
+    """(skeleton, *arrays) of a pose, joint or dataset file of format `fmt`."""
+    version, remedy, shapes_of = _FORMATS[fmt]
     with open(path, "rb") as fh:
         header = read_header(fh, path, fmt, version, remedy)
-        if sorted(header) != ["format", "skeleton", "version"] or \
-                not (isinstance(header["skeleton"], str) and header["skeleton"]):
+        if sorted(header) != ["format", "skeleton", "version"]:
             raise FileFormatError(f"{path}: header fields must be exactly format, version "
-                                  f"and skeleton (a non-empty name); {remedy}")
+                                  f"and skeleton; {remedy}")
+        skel = skeleton_of(path, header["skeleton"])
+        records = shapes_of(skel)
         arrays = [read_record(fh, path, what, shape) for what, shape in records]
         if fh.read(1):
             raise FileFormatError(f"{path}: trailing bytes after the last record")
@@ -161,57 +203,50 @@ def _read_skeleton_records(path, fmt, version, remedy, records) -> tuple:
         if bad.any():
             raise FileFormatError(f"{path}: {what} holds non-finite values, "
                                   f"first in row {bad.argmax()}")
-    return header["skeleton"], arrays
+    return skel, *arrays
 
 
-def write_pose_file(path, skeleton_name: str, poses) -> None:
+def write_pose_file(path, skel: Skeleton, poses) -> None:
     """Poses (N, D) as one record."""
-    poses = _shaped(path, "poses", poses, (None, None), "(N, D)")
-    _write_skeleton_records(path, "kinedeep-poses", _KINEMATICS_VERSION, skeleton_name,
-                            [poses])
+    _write_skeleton_records(path, "kinedeep-poses", skel, [poses])
 
 
-def read_pose_file(path, expected_dims):
-    """Returns (skeleton name, poses (N, expected_dims)); N may be zero."""
-    name, (poses,) = _read_skeleton_records(path, "kinedeep-poses", _KINEMATICS_VERSION,
-                                            _POSE_REMEDY, [("poses", (None, expected_dims))])
-    return name, poses
+def read_pose_file(path) -> tuple:
+    """Returns (skeleton, poses (N, D)); N may be zero."""
+    return _read_skeleton_records(path, "kinedeep-poses")
 
 
-def write_joint_file(path, skeleton_name: str, joints) -> None:
-    """Frames of joints (N, K, 3) as one record."""
-    joints = _shaped(path, "frames", joints, (None, None, 3), "(N, K, 3)")
-    _write_skeleton_records(path, "kinedeep-joints", _KINEMATICS_VERSION, skeleton_name,
-                            [joints])
+def write_joint_file(path, skel: Skeleton, frames) -> None:
+    """Frames of every joint (N, J, 3) as one record."""
+    _write_skeleton_records(path, "kinedeep-joints", skel, [frames])
 
 
-def read_joint_file(path):
-    """Returns (skeleton name, frames (N, K, 3)); N may be zero."""
-    name, (frames,) = _read_skeleton_records(path, "kinedeep-joints", _KINEMATICS_VERSION,
-                                             _JOINT_REMEDY, [("frames", (None, None, 3))])
-    return name, frames
+def read_joint_file(path) -> tuple:
+    """Returns (skeleton, frames (N, J, 3)); N may be zero."""
+    return _read_skeleton_records(path, "kinedeep-joints")
 
 
-def write_jacobian_file(path, skeleton_name: str, jacobians) -> None:
+def write_jacobian_file(path, skel: Skeleton, jacobians) -> None:
     """One record per pose's (3J, D) Jacobian; `jacobians` may be a
     generator, so they need not all be in memory at once."""
-    _write_skeleton_records(path, "kinedeep-jacobian", _KINEMATICS_VERSION, skeleton_name,
-                            (_shaped(path, "Jacobians", j, (None, None), "(3J, D)")
-                             for j in jacobians))
+    _write_skeleton_records(path, "kinedeep-jacobian", skel, jacobians)
 
 
 def write_dataset(path, data: Dataset) -> None:
-    _write_skeleton_records(path, DATASET_FORMAT, DATASET_VERSION, data.skeleton_name,
-                            (data.features, data.thetas))
+    """Features (N, 3 * n_eval) and thetas (N, D), N >= 1, as two records."""
+    rows = len(data.features), len(data.thetas)
+    if not 1 <= rows[0] == rows[1]:
+        raise ValueError(f"{path}: features and thetas hold {rows[0]} and {rows[1]} rows, "
+                         f"expected N >= 1 of each; not written")
+    _write_skeleton_records(path, "kinedeep-dataset", data.skeleton,
+                            [data.features, data.thetas])
 
 
 def read_dataset(path) -> Dataset:
-    name, arrays = _read_skeleton_records(path, DATASET_FORMAT, DATASET_VERSION,
-                                          "re-run synth",
-                                          [(key, (None, None)) for key in _DATASET_ARRAYS])
-    rows = {key: len(a) for key, a in zip(_DATASET_ARRAYS, arrays)}
+    data = Dataset(*_read_skeleton_records(path, "kinedeep-dataset"))
+    rows = {"features": len(data.features), "thetas": len(data.thetas)}
     if len(set(rows.values())) != 1:
         raise FileFormatError(f"{path}: row counts {rows} differ")
     if not rows["features"]:
         raise FileFormatError(f"{path}: dataset has no samples")
-    return Dataset(name, *arrays)
+    return data

@@ -13,7 +13,7 @@ hundreds of mm, which makes first-layer steps disproportionate at any single
 learning rate), runs HIDDEN_WIDTHS hidden layers, and multiplies its output
 by its mode's fixed per-output gains (Mode.output_scale). ``init`` builds
 every fresh network. A TrainRun holds mode, layers, gains, per-epoch history
-and skeleton config; its checkpoint holds all but the gains, which init and
+and its skeleton; its checkpoint holds all but the gains, which init and
 load_checkpoint derive from the skeleton and the mode.
 
 Optimization is stochastic gradient descent with momentum, single-threaded
@@ -41,7 +41,7 @@ import numpy as np
 from . import bench, fileio
 from . import loss as loss_mod
 from .kinematics import fk_jacobian_batch
-from .skeleton import Skeleton, SkeletonError, skeleton_from_dict
+from .skeleton import Skeleton
 
 CHECKPOINT_FORMAT = "kinedeep-checkpoint"
 # 6: the skeleton's config, no output gains; 5: flat header, the layer
@@ -144,7 +144,7 @@ class TrainRun:
     biases: list
     output_scale: tuple  # the mode's gains on the skeleton; derived, never stored
     history: list  # one EpochStats per epoch trained
-    skeleton: dict  # the canonical config (to_dict) of the skeleton it is trained for
+    skeleton: Skeleton  # the skeleton it is trained for
 
 
 def pose_output_scale(skel: Skeleton) -> tuple:
@@ -180,7 +180,7 @@ def init(skel: Skeleton, mode: str, seed: int) -> TrainRun:
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
     return TrainRun(mode, weights, [np.zeros(w) for w in widths[1:]], spec.output_scale(skel),
-                    [], skel.to_dict())
+                    [], skel)
 
 
 def _layers(run: TrainRun, features: np.ndarray):
@@ -425,7 +425,7 @@ def save_checkpoint(run: TrainRun, path) -> None:
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "skeleton": run.skeleton,
+        "skeleton": run.skeleton.to_dict(),
         "mode": run.mode,
         "history": [
             [h.train_loss, h.val_joint_err_mm, h.val_angle_err_deg, h.val_invalid_frac]
@@ -442,10 +442,9 @@ def _list_of(value, kind) -> bool:  # true and false are not numbers
 
 _NUMBER = (int, float)
 # The header fields load_checkpoint reads, what each must hold and its check
-# (a missing field is None); any other field but format and version is refused.
+# (a missing field is None); any other field but format, version and skeleton
+# is refused.
 _HEADER_FIELDS = (
-    ("skeleton", "a skeleton config with a name", lambda v: isinstance(v, dict)
-     and isinstance(v.get("name"), str)),
     ("mode", f"one of {', '.join(MODES)}", lambda v: isinstance(v, str) and v in MODES),
     ("history", "a list of rows of 4 numbers", lambda v: _list_of(v, list)
      and all(len(row) == 4 and _list_of(row, _NUMBER) for row in v)),
@@ -466,14 +465,11 @@ def load_checkpoint(path) -> TrainRun:
         for field, expected, check in _HEADER_FIELDS:
             if not check(header.get(field)):
                 raise ValueError(f"{path}: header field {field} is missing or not {expected}")
-        known = {"format", "version", *(field for field, _, _ in _HEADER_FIELDS)}
+        known = {"format", "version", "skeleton",
+                 *(field for field, _, _ in _HEADER_FIELDS)}
         if set(header) - known:
             raise ValueError(f"{path}: unknown header field {min(set(header) - known)}")
-        try:
-            skel = skeleton_from_dict(header["skeleton"])
-        except SkeletonError as e:
-            raise ValueError(f"{path}: header field skeleton is not a skeleton config: "
-                             f"{e}") from None
+        skel = fileio.skeleton_of(path, header.get("skeleton"))
         weights, biases, rows = [], [], 3 * len(skel.eval_subset)
         while not weights or fh.peek(1):
             i = len(weights)
@@ -488,4 +484,4 @@ def load_checkpoint(path) -> TrainRun:
         raise ValueError(f"{path}: the last layer is {rows} wide, but mode {header['mode']} "
                          f"emits {mode.output_width(skel)} outputs on skeleton {skel.name!r}")
     return TrainRun(header["mode"], weights, biases, mode.output_scale(skel),
-                    [EpochStats(*row) for row in header["history"]], header["skeleton"])
+                    [EpochStats(*row) for row in header["history"]], skel)

@@ -14,8 +14,8 @@ orderings turns the four reports into the paper's claims, four named
 booleans, and table_text prints them beside the published NYU reference
 errors. Both are pure functions of the reports.
 
-train_mode, score and load_checkpoint_for are the training, scoring and
-checkpoint-loading steps that the train and eval commands share with run.
+train_mode and score are the training and scoring steps that the train
+and eval commands share with run.
 The training and fitting recipes are regressor's and ik_pso's constants;
 run sets only the epoch count, the fit budget (FIT_ITERATIONS), the number
 of frames fitted, the dataset sizes, the noise sigma and occlusion
@@ -30,7 +30,7 @@ import time
 
 import numpy as np
 
-from . import bench, ik_pso
+from . import bench, fileio, ik_pso
 from . import regressor as reg
 
 # The paper's network, its ablation without the angle-range penalty and the
@@ -55,18 +55,6 @@ def mode_checkpoint(out_dir, mode) -> str:
     return os.path.join(out_dir, f"{mode}.ckpt.json")
 
 
-def load_checkpoint_for(path, skel) -> reg.TrainRun:
-    """A checkpoint, refused unless it was trained for `skel`: its stored
-    skeleton config is skel.to_dict()."""
-    run = reg.load_checkpoint(path)
-    if run.skeleton != skel.to_dict():
-        name = run.skeleton["name"]
-        raise ValueError(f"{path}: checkpoint was trained for skeleton {name!r}, not "
-                         f"{skel.name!r}" + (" (same name, but the configs differ)"
-                                             if name == skel.name else ""))
-    return run
-
-
 def train_mode(skel, mode, train_data, val_data, epochs, seed, ckpt_path):
     """A fresh network of `mode`, trained for `epochs` by the mode's
     recipe, its epochs recorded one JSON line each beside the checkpoint
@@ -87,8 +75,7 @@ def score(run, skel, data, seed, fit_iterations, fit_frames=None) -> bench.Metri
     predictions = reg.predict(run, data.features, skel)
     if reg.MODES[run.mode].emits_pose:
         return bench.evaluate(skel, predictions, data.thetas)
-    # neither the network nor the unfitted rows stay alive through the fit
-    del run
+    # the unfitted rows do not stay alive through the fit
     predictions = predictions[:fit_frames].copy()
     fitted = ik_pso.fit_batch(skel, predictions, fit_iterations, seed).theta
     return bench.evaluate(skel, predictions, data.thetas[:len(predictions)],
@@ -112,9 +99,10 @@ def reproduce_mode(mode, skel, train_data, val_data, args):
 def reproduce_fit(skel, val_data, args):
     """Score direct_joint's saved checkpoint on the first args.fit_frames
     val rows, with angles fitted by IK."""
-    # the checkpoint goes straight in, so that score holds its only reference
-    return score(load_checkpoint_for(mode_checkpoint(args.out, DIRECT_JOINT), skel),
-                 skel, val_data, args.seed, FIT_ITERATIONS, args.fit_frames)
+    path = mode_checkpoint(args.out, DIRECT_JOINT)
+    run = reg.load_checkpoint(path)
+    fileio.check_made_for(path, "checkpoint", run.skeleton, skel)
+    return score(run, skel, val_data, args.seed, FIT_ITERATIONS, args.fit_frames)
 
 
 # (run start, then reproduce_mode's arguments after the mode), set in each

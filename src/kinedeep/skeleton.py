@@ -387,18 +387,17 @@ def _dof(raw, where: str, key: str):
     if bounds[0] > bounds[1]:
         raise SkeletonError(f"{where}: {key} lower bound {bounds[0]} exceeds "
                             f"upper bound {bounds[1]}")
-    if kind == "translation":
-        lower, upper = bounds
-        entry = {"kind": kind, "axis": axis.upper(), "lower_mm": lower, "upper_mm": upper}
-    else:
+    # the config keeps the bounds as given, so a skeleton rebuilt from it has
+    # the same bits
+    entry = {"kind": kind, "axis": axis.upper(), ends[0]: bounds[0], ends[1]: bounds[1]}
+    lower, upper = bounds
+    if kind == "rotation":
         lower, upper = (math.radians(v) for v in bounds)
         # closed interval: -180 is accepted so a full +-180 deg range is
         # representable; ranges never exceed one period
         if lower < -math.pi - 1e-12 or upper > math.pi + 1e-12:
             raise SkeletonError(f"{where}: {key} rotation bounds {bounds} deg lie "
                                 f"outside [-180, 180]")
-        entry = {"kind": kind, "axis": axis.upper(),
-                 "lower_deg": math.degrees(lower), "upper_deg": math.degrees(upper)}
     return entry, (kind == "rotation", AXES.index(axis.upper()), lower, upper)
 
 

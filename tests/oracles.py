@@ -490,7 +490,7 @@ def one_pass_make_dataset(skel, n, noise_sigma_mm, occlusion_prob, seed,
     if occlusion_prob > 0.0:
         occluded = rng.uniform(size=(n, len(ev))) < occlusion_prob
         features[occluded] = bench.OCCLUSION_SENTINEL_MM
-    return bench.Dataset(skel.name, features.reshape(n, -1), thetas)
+    return bench.Dataset(skel, features.reshape(n, -1), thetas)
 
 
 # --- the per-joint kinematic walk ---------------------------------------------

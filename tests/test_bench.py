@@ -108,7 +108,7 @@ def test_make_dataset_matches_one_pass_oracle(hand, n):
         args = (skel, n, 10.0, 0.1, 5)
         data = bench.make_dataset(*args, **kwargs)
         want = oracles.one_pass_make_dataset(*args, **kwargs)
-        assert data.skeleton_name == want.skeleton_name
+        assert data.skeleton is want.skeleton is skel
         for name in ("features", "thetas"):
             got, ref = getattr(data, name), getattr(want, name)
             assert np.array_equal(got, ref) and got.strides == ref.strides

@@ -17,7 +17,8 @@ from kinedeep import skeleton as sk
 from kinedeep.cli import build_parser, main
 from kinedeep.reproduce import reproduce_fit, reproduce_mode
 from test_fileio import (NOT_A_DATASET, NOT_JOINTS, NOT_POSES, POSES, header_line,
-                         header_of, npy_bytes, npy_header, write_dataset_file)
+                         header_of, npy_bytes, npy_header, write_dataset_file,
+                         write_record_file)
 from test_regressor import CHECKPOINT_DAMAGE, checkpoint_parts
 from test_reproduce import ORDERINGS
 
@@ -30,7 +31,7 @@ def run_cli(*argv):
 def pose_file(hand, rng, tmp_path):
     poses = rng.uniform(hand.dof_lower, hand.dof_upper, size=(4, hand.n_dofs))
     path = tmp_path / "poses.csv"
-    fileio.write_pose_file(path, hand.name, poses)
+    fileio.write_pose_file(path, hand, poses)
     return path, poses
 
 
@@ -38,14 +39,15 @@ def test_fk_roundtrip(hand, pose_file, tmp_path):
     path, poses = pose_file
     out = tmp_path / "joints.csv"
     assert run_cli("fk", "--poses", str(path), "--out", str(out)) == 0
-    name, frames = fileio.read_joint_file(out)
+    skel, frames = fileio.read_joint_file(out)
+    assert skel.to_dict() == hand.to_dict()
     assert np.array_equal(frames, kin.forward_kinematics_batch(hand, poses))
     assert os.path.exists(str(out) + ".manifest.json")
 
 
 def test_fk_rest_pose_matches_fixture(hand, tmp_path):
     path = tmp_path / "zero.csv"
-    fileio.write_pose_file(path, hand.name, np.zeros((1, hand.n_dofs)))
+    fileio.write_pose_file(path, hand, np.zeros((1, hand.n_dofs)))
     out = tmp_path / "joints.csv"
     assert run_cli("fk", "--poses", str(path), "--out", str(out)) == 0
     _, frames = fileio.read_joint_file(out)
@@ -67,11 +69,11 @@ def test_fk_empty_pose_file(tmp_path, capsys):
     assert not out.exists()
 
 
-HAND23_POSES = {**POSES, "skeleton": "hand23"}
+HAND23_POSES = {**POSES, "skeleton": sk.default_hand().to_dict()}
 
 
 @pytest.mark.parametrize("content, names", [
-    (header_line({"format": "kinedeep-poses", "version": 2})
+    (header_line({"format": "kinedeep-poses", "version": 3})
      + npy_bytes(np.zeros((1, 26))), "header fields must be exactly"),
     (header_line({**HAND23_POSES, "dimz": 26}) + npy_bytes(np.zeros((1, 26))),
      "header fields must be exactly"),
@@ -100,7 +102,7 @@ def test_jacobian_output(hand, pose_file, tmp_path):
     _, jac = kin.fk_jacobian_batch(hand, poses)
     with open(out, "rb") as fh:
         assert json.loads(fh.readline()) == {
-            "format": "kinedeep-jacobian", "version": 2, "skeleton": hand.name}
+            "format": "kinedeep-jacobian", "version": 3, "skeleton": hand.to_dict()}
         for want in jac:  # one (3J, D) record per pose
             assert np.array_equal(np.lib.format.read_array(fh), want)
         assert fh.read() == b""
@@ -180,12 +182,12 @@ def test_ik_recovers_pose(hand, rng, tmp_path):
     theta = rng.uniform(hand.dof_lower, hand.dof_upper, size=(1, hand.n_dofs))
     joints = kin.forward_kinematics_batch(hand, theta)
     targets = tmp_path / "targets.csv"
-    fileio.write_joint_file(targets, hand.name, joints)  # full joint set
+    fileio.write_joint_file(targets, hand, joints)  # full joint set
     out = tmp_path / "fit.csv"
     code = run_cli("ik", "--targets", str(targets), "--out", str(out),
                    "--seed", "5")
     assert code == 0
-    _, fitted = fileio.read_pose_file(out, expected_dims=hand.n_dofs)
+    _, fitted = fileio.read_pose_file(out)
     fit_joints = kin.forward_kinematics_batch(hand, fitted)
     err = np.linalg.norm(
         fit_joints[0][list(hand.eval_subset)] - joints[0][list(hand.eval_subset)],
@@ -204,7 +206,7 @@ def test_ik_recovers_pose(hand, rng, tmp_path):
 
 def test_ik_no_target_frames_exits_1(hand, tmp_path, capsys):
     targets = tmp_path / "targets.csv"
-    fileio.write_joint_file(targets, hand.name, np.zeros((0, hand.n_joints, 3)))
+    fileio.write_joint_file(targets, hand, np.zeros((0, hand.n_joints, 3)))
     out = tmp_path / "fit.csv"
     assert run_cli("ik", "--targets", str(targets), "--out", str(out)) == 1
     err = capsys.readouterr().err
@@ -225,7 +227,7 @@ def test_ik_refuses_a_zero_byte_joint_file(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["fk", "jacobian"])
 def test_kinematics_of_a_header_only_pose_file_writes_no_rows(hand, tmp_path, command):
     poses = tmp_path / "poses.csv"
-    fileio.write_pose_file(poses, hand.name, np.zeros((0, hand.n_dofs)))
+    fileio.write_pose_file(poses, hand, np.zeros((0, hand.n_dofs)))
     out = tmp_path / "out.csv"
     assert run_cli(command, "--poses", str(poses), "--out", str(out)) == 0
     if command == "fk":
@@ -243,11 +245,11 @@ def test_non_finite_input_leaves_no_output(hand, tmp_path, capsys, command):
     if command == "ik":
         joints = kin.forward_kinematics_batch(hand, thetas)
         joints[1, 3, 0] = np.nan
-        fileio.write_joint_file(path, hand.name, joints)
+        fileio.write_joint_file(path, hand, joints)
         flag, what = "--targets", "frames"
     else:
         thetas[1, 5] = np.nan
-        fileio.write_pose_file(path, hand.name, thetas)
+        fileio.write_pose_file(path, hand, thetas)
         flag, what = "--poses", "poses"
     out = tmp_path / "out.csv"
     assert run_cli(command, flag, str(path), "--out", str(out)) == 1
@@ -257,19 +259,16 @@ def test_non_finite_input_leaves_no_output(hand, tmp_path, capsys, command):
 
 
 def test_ik_refuses_frames_of_another_joint_count(hand, tmp_path, capsys):
-    targets = tmp_path / "j5.txt"
-    fileio.write_joint_file(targets, hand.name, np.zeros((2, 5, 3)))
-    out = tmp_path / "fit.csv"
-    assert run_cli("ik", "--targets", str(targets), "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert err == (f"error: {targets}: frames carry 5 joints, expected all 23, "
-                   f"as fk writes them\n")
-    assert not out.exists()
-    # the eval subset alone is refused too: no command writes it
-    fileio.write_joint_file(targets, hand.name, np.zeros((2, len(hand.eval_subset), 3)))
-    assert run_cli("ik", "--targets", str(targets), "--out", str(out)) == 1
-    assert "frames carry 14 joints, expected all 23" in capsys.readouterr().err
-    assert not out.exists()
+    # the header's skeleton has 23 joints, so the reader refuses frames of
+    # 5, and of the eval subset alone (14), which no command writes
+    targets, out = tmp_path / "j5.txt", tmp_path / "fit.csv"
+    header = {"format": "kinedeep-joints", "version": 3, "skeleton": hand.to_dict()}
+    for joints in (5, len(hand.eval_subset)):
+        write_record_file(targets, header, [np.zeros((2, joints, 3))])
+        assert run_cli("ik", "--targets", str(targets), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (f"error: {targets}: frames are float64 "
+                                           f"(2, {joints}, 3), expected float64 (N, 23, 3)\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -325,7 +324,7 @@ def test_unwritable_out_exits_1_before_the_work(hand, pose_file, tmp_path, capsy
     # one) or a side file, where a directory stands
     data, ckpt, _ = synth_and_train(tmp_path)
     targets = tmp_path / "targets.csv"
-    fileio.write_joint_file(targets, hand.name, np.zeros((2, hand.n_joints, 3)))
+    fileio.write_joint_file(targets, hand, np.zeros((2, hand.n_joints, 3)))
     argv = {"eval": ["--ckpt", str(ckpt), "--data", str(data)],
             "ik": ["--targets", str(targets)],
             "train": ["--train", str(data)],
@@ -360,29 +359,40 @@ def test_unwritable_out_exits_1_before_the_work(hand, pose_file, tmp_path, capsy
     assert not os.path.exists(reproduce.epochs_path(out)) or blocked == ".epochs.jsonl"
 
 
-@pytest.mark.parametrize("command", ["fk", "jacobian"])
-def test_kinematics_refuses_pose_file_of_another_skeleton(hand, tmp_path, capsys,
-                                                          command):
-    poses = tmp_path / "poses.csv"
-    fileio.write_pose_file(poses, "some-other-hand", np.zeros((1, hand.n_dofs)))
-    out = tmp_path / "out.csv"
-    assert run_cli(command, "--poses", str(poses), "--out", str(out)) == 1
-    assert capsys.readouterr().err == (
-        f"error: {poses}: pose file was made for skeleton 'some-other-hand', "
-        f"not 'hand23'\n")
-    assert not out.exists()
+def test_fk_ik_fk_round_trip_works_on_the_files_skeleton(rng, tmp_path):
+    # each command works on the skeleton its input file was made for, here
+    # the benchmark skeleton, and writes that skeleton into its output
+    skel = bench.benchmark_skeleton()
+    poses = tmp_path / "poses.rec"
+    thetas = rng.uniform(skel.dof_lower, skel.dof_upper, size=(2, skel.n_dofs))
+    fileio.write_pose_file(poses, skel, thetas)
+    joints, fitted, again = (tmp_path / name for name in ("j.rec", "fit.rec", "again.rec"))
+    assert run_cli("fk", "--poses", str(poses), "--out", str(joints)) == 0
+    assert run_cli("ik", "--targets", str(joints), "--out", str(fitted), "--iters", "2") == 0
+    assert run_cli("fk", "--poses", str(fitted), "--out", str(again)) == 0
+    assert run_cli("jacobian", "--poses", str(fitted), "--out", str(tmp_path / "jac.rec")) == 0
+    for path in (joints, again):
+        made_for, frames = fileio.read_joint_file(path)
+        assert made_for.to_dict() == skel.to_dict() and frames.shape == (2, 23, 3)
+    made_for, poses_fitted = fileio.read_pose_file(fitted)
+    assert made_for.to_dict() == skel.to_dict()
+    assert np.array_equal(fileio.read_joint_file(again)[1],
+                          kin.forward_kinematics_batch(skel, poses_fitted))
+    with open(tmp_path / "jac.rec", "rb") as fh:
+        assert json.loads(fh.readline())["skeleton"] == skel.to_dict()
 
 
-def test_ik_refuses_joint_file_of_another_skeleton(hand, tmp_path, capsys):
-    targets = tmp_path / "targets.csv"
-    fileio.write_joint_file(targets, "some-other-hand",
-                            kin.forward_kinematics_batch(hand, np.zeros((1, hand.n_dofs))))
-    out = tmp_path / "fit.csv"
-    assert run_cli("ik", "--targets", str(targets), "--out", str(out)) == 1
-    assert capsys.readouterr().err == (
-        f"error: {targets}: joint file was made for skeleton 'some-other-hand', "
-        f"not 'hand23'\n")
-    assert not out.exists()
+@pytest.mark.parametrize("command", ["fk", "jacobian", "ik", "eval"])
+def test_commands_that_read_a_data_file_take_no_skeleton_flag(tmp_path, capsys, command):
+    # the file's own skeleton is the one used: --skeleton is a usage error
+    argv = {"fk": ["--poses", "p.rec"], "jacobian": ["--poses", "p.rec"],
+            "ik": ["--targets", "j.rec"],
+            "eval": ["--ckpt", "r.ckpt", "--data", "d.ds"]}[command]
+    assert run_cli(command, "--skeleton", sk.HAND23_PATH, *argv,
+                   "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == \
+        f"error: kinedeep: unrecognized arguments: --skeleton {sk.HAND23_PATH}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_synth_train_eval_pipeline(tmp_path, monkeypatch):
@@ -508,7 +518,8 @@ def test_train_and_eval_refuse_text_v1_dataset(tmp_path, capsys):
     assert not report.exists()
 
 
-HAND23 = header_of(skeleton="hand23")  # the header of synth's default datasets
+# the header of synth's default datasets
+HAND23 = header_of(skeleton=sk.default_hand().to_dict())
 
 
 def synth_and_train(tmp_path):
@@ -579,12 +590,13 @@ def test_eval_refuses_damaged_checkpoint(tmp_path, capsys, case):
 def test_train_and_eval_refuse_dataset_widths_of_another_skeleton(
         tmp_path, capsys, key, width):
     # a 41-wide features array used to train and evaluate (exit 0), and a
-    # 25-wide thetas array to train, then fail with an IndexError traceback
+    # 25-wide thetas array to train, then fail with an IndexError traceback;
+    # the header's skeleton fixes the widths, and the reader refuses others
     data, ckpt, records = synth_and_train(tmp_path)
     records[key] = records[key][:, :-1]
     write_dataset_file(data, HAND23, **records)
-    assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt,
-                                 f"{key} are {width - 1} wide", f"needs {width}")
+    assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt, f"error: {data}: {key} are "
+                                 f"float64 (16, {width - 1}), expected float64 (N, {width})")
 
 
 @pytest.mark.parametrize("key, value", [("features", np.inf), ("thetas", np.nan)])
@@ -641,14 +653,17 @@ def test_train_and_eval_refuse_npz_dataset_of_version_4(tmp_path, capsys):
 
 @pytest.mark.parametrize("change, refusal", [
     ({"version": 3, "sigma_mm": 10.0, "occlusion": 0.1, "seed": 4, "n": 16},
-     "unsupported kinedeep-dataset version 3 (this reader reads version 5); re-run synth"),
-    ({"sigma_mm": 10.0}, "header fields must be exactly format, version and skeleton "
-                         "(a non-empty name); re-run synth"),
-], ids=["v3", "extra-key"])
+     "unsupported kinedeep-dataset version 3 (this reader reads version 6); re-run synth"),
+    ({"version": 5, "skeleton": "hand23"},
+     "unsupported kinedeep-dataset version 5 (this reader reads version 6); re-run synth"),
+    ({"sigma_mm": 10.0}, "header fields must be exactly format, version and skeleton; "
+                         "re-run synth"),
+], ids=["v3", "v5", "extra-key"])
 def test_train_and_eval_refuse_dataset_header_beyond_version_5(
         tmp_path, capsys, change, refusal):
     # version 3 also stored the noise, occlusion, seed and sample count,
-    # which synth's manifest records; a version-5 header holds three keys
+    # which synth's manifest records, and version 5 the skeleton's name
+    # only; a version-6 header holds three keys, the skeleton's config one
     data, ckpt, records = synth_and_train(tmp_path)
     write_dataset_file(data, {**HAND23, **change}, **records)
     assert_train_and_eval_refuse(tmp_path, capsys, data, ckpt, f"{data}: {refusal}")
@@ -728,18 +743,19 @@ def test_skeleton_refusal_names_joint_and_key(case):
     assert message.startswith("joint 'palm': ") and key in message, message
 
 
-def test_fk_refuses_non_finite_bone_and_writes_nothing(hand, pose_file, tmp_path, capsys):
-    # unrefused, the palm's NaN bone reaches every joint below it
-    path, _ = pose_file
+def test_fk_refuses_non_finite_bone_and_writes_nothing(hand, tmp_path, capsys):
+    # unrefused, the palm's NaN bone in the pose file's skeleton would reach
+    # every joint below it
     cfg = hand.to_dict()
     cfg["joints"][1]["bone_length_mm"] = math.nan
-    skel_path = tmp_path / "nan_bone.json"
-    skel_path.write_text(json.dumps(cfg))
+    path = write_record_file(tmp_path / "poses.rec", {**HAND23_POSES, "skeleton": cfg},
+                             [np.zeros((1, hand.n_dofs))])
     out = tmp_path / "joints.csv"
-    assert run_cli("fk", "--skeleton", str(skel_path), "--poses", str(path),
-                   "--out", str(out)) == 1
-    assert "bone_length_mm" in capsys.readouterr().err
-    assert sorted(os.listdir(tmp_path)) == sorted([path.name, skel_path.name])
+    assert run_cli("fk", "--poses", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: header field skeleton is not a skeleton config: joint "
+        f"'wrist_palm': bone_length_mm must be a finite number, not nan\n")
+    assert os.listdir(tmp_path) == [path.name]
 
 
 @pytest.mark.parametrize("argv, unloaded", [
@@ -914,61 +930,99 @@ def bench_dataset(tmp_path):
     return skel_path, data
 
 
-def test_train_refuses_dataset_of_another_skeleton(bench_dataset, tmp_path, capsys):
-    _, data = bench_dataset
+@pytest.fixture()
+def longer_thumb_dataset(hand, tmp_path):
+    """A dataset made for a hand23 whose thumb_base bone is 5 mm longer:
+    the same name and widths, another config; and that config's file."""
+    cfg = hand.to_dict()
+    thumb = next(j for j in cfg["joints"] if j["name"] == "thumb_base")
+    thumb["bone_length_mm"] += 5.0
+    skel_path = tmp_path / "longer_thumb.json"
+    skel_path.write_text(json.dumps(cfg))
+    data = tmp_path / "longer_thumb.ds"
+    assert run_cli("synth", "--skeleton", str(skel_path), "--n", "16",
+                   "--seed", "4", "--out", str(data)) == 0
+    return skel_path, data
+
+
+SAME_NAME = "(same name, but the configs differ)"
+
+
+def test_train_refuses_dataset_of_another_skeleton(bench_dataset, longer_thumb_dataset,
+                                                   tmp_path, capsys):
+    # train trains on its training set's skeleton: --val, and --skeleton
+    # when given, name one that the datasets must have been made for
+    bench_path, bench_data = bench_dataset
+    thumb_path, thumb_data = longer_thumb_dataset
+    data = tmp_path / "hand.ds"
+    assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
     ckpt = tmp_path / "run.ckpt.json"
-    assert run_cli("train", "--train", str(data), "--epochs", "1",
-                   "--out", str(ckpt)) == 1
-    err = capsys.readouterr().err
-    assert "'hand23-bench'" in err and "'hand23'" in err
-    assert not ckpt.exists()
+    capsys.readouterr()
+    for argv, refusal in (
+            (["--skeleton", sk.HAND23_PATH, "--train", str(bench_data)],
+             f"{bench_data}: dataset was made for skeleton 'hand23-bench', not 'hand23'"),
+            (["--train", str(data), "--val", str(bench_data)],
+             f"{bench_data}: dataset was made for skeleton 'hand23-bench', not 'hand23'"),
+            (["--skeleton", sk.HAND23_PATH, "--train", str(thumb_data)],
+             f"{thumb_data}: dataset was made for skeleton 'hand23', not 'hand23' "
+             + SAME_NAME),
+            (["--skeleton", str(thumb_path), "--train", str(data)],
+             f"{data}: dataset was made for skeleton 'hand23', not 'hand23' " + SAME_NAME),
+            (["--train", str(data), "--val", str(thumb_data)],
+             f"{thumb_data}: dataset was made for skeleton 'hand23', not 'hand23' "
+             + SAME_NAME)):
+        assert run_cli("train", *argv, "--epochs", "1", "--out", str(ckpt)) == 1
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+        assert not ckpt.exists()
+    # without --skeleton, the benchmark skeleton's dataset trains its network
+    assert run_cli("train", "--train", str(bench_data), "--val", str(bench_data),
+                   "--epochs", "1", "--out", str(ckpt)) == 0
+    assert reg.load_checkpoint(ckpt).skeleton.to_dict() == \
+        sk.load_skeleton(bench_path).to_dict()
 
 
 def test_eval_refuses_dataset_of_another_skeleton(bench_dataset, tmp_path, capsys):
-    skel_path, data = bench_dataset
+    # eval scores with the checkpoint's skeleton, here the benchmark's
+    _, bench_data = bench_dataset
     ckpt = tmp_path / "run.ckpt.json"
-    assert run_cli("train", "--skeleton", str(skel_path), "--train", str(data),
-                   "--epochs", "1", "--out", str(ckpt)) == 0
+    assert run_cli("train", "--train", str(bench_data), "--epochs", "1",
+                   "--out", str(ckpt)) == 0
+    data = tmp_path / "hand.ds"
+    assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
     capsys.readouterr()
     report = tmp_path / "report.json"
     assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(data),
                    "--out", str(report)) == 1
-    err = capsys.readouterr().err
-    assert "'hand23-bench'" in err and "'hand23'" in err
+    assert capsys.readouterr().err == \
+        f"error: {data}: dataset was made for skeleton 'hand23', not 'hand23-bench'\n"
     assert not report.exists()
 
 
 def test_eval_refuses_checkpoint_of_another_skeleton(bench_dataset, tmp_path, capsys):
-    # both skeletons emit the same widths, so only the stored config tells
-    skel_path, bench_data = bench_dataset
-    data = tmp_path / "hand.ds"
-    assert run_cli("synth", "--n", "16", "--seed", "4", "--out", str(data)) == 0
-    ckpt = tmp_path / "run.ckpt.json"
-    assert run_cli("train", "--train", str(data), "--epochs", "1",
-                   "--out", str(ckpt)) == 0
+    # both skeletons emit the same widths, so only the stored configs tell
+    _, bench_data = bench_dataset
+    data, ckpt, _ = synth_and_train(tmp_path)
     capsys.readouterr()
     report = tmp_path / "report.json"
-    assert run_cli("eval", "--skeleton", str(skel_path), "--ckpt", str(ckpt),
-                   "--data", str(bench_data), "--out", str(report)) == 1
-    err = capsys.readouterr().err
-    assert "checkpoint was trained for skeleton 'hand23'" in err
-    assert "not 'hand23-bench'" in err
+    assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(bench_data),
+                   "--out", str(report)) == 1
+    assert capsys.readouterr().err == \
+        f"error: {bench_data}: dataset was made for skeleton 'hand23-bench', not 'hand23'\n"
     assert not report.exists()
 
 
-def test_eval_refuses_checkpoint_of_another_config_of_the_same_name(hand, tmp_path, capsys):
+def test_eval_refuses_checkpoint_of_another_config_of_the_same_name(
+        longer_thumb_dataset, tmp_path, capsys):
+    # a default-hand checkpoint scored a dataset of a longer thumb, exit 0
+    _, thumb_data = longer_thumb_dataset
     data, ckpt, _ = synth_and_train(tmp_path)
-    cfg = hand.to_dict()
-    cfg["joints"][1]["bone_length_mm"] += 1.0
-    skel_path = tmp_path / "longer_palm.json"
-    skel_path.write_text(json.dumps(cfg))
     capsys.readouterr()
     report = tmp_path / "report.json"
-    assert run_cli("eval", "--skeleton", str(skel_path), "--ckpt", str(ckpt),
-                   "--data", str(data), "--out", str(report)) == 1
+    assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(thumb_data),
+                   "--out", str(report)) == 1
     assert capsys.readouterr().err == (
-        f"error: {ckpt}: checkpoint was trained for skeleton 'hand23', not 'hand23' "
-        f"(same name, but the configs differ)\n")
+        f"error: {thumb_data}: dataset was made for skeleton 'hand23', not 'hand23' "
+        f"{SAME_NAME}\n")
     assert not report.exists()
 
 
@@ -1158,7 +1212,8 @@ def test_eval_of_each_reproduce_checkpoint_gives_its_table_entry(tmp_path):
     assert run_cli(*argv, "--out", str(out)) in (0, 3)
     table = json.loads((out / "table.json").read_text())
     args = build_parser().parse_args(argv + ["--out", str(out)])
-    # the skeleton reproduce trained on, as it wrote it
+    # the skeleton reproduce trained on, as it wrote it; eval takes the
+    # checkpoint's, which must be the dataset's
     skel_path, val = out / "skeleton.json", tmp_path / "val.ds"
     skel = sk.load_skeleton(skel_path)
     fileio.write_dataset(val, bench.make_dataset(
@@ -1168,7 +1223,7 @@ def test_eval_of_each_reproduce_checkpoint_gives_its_table_entry(tmp_path):
     assert table["modes"]["direct_joint"]["n_frames"] == args.val_n
     for mode in reg.MODES:
         report = tmp_path / f"{mode}.json"
-        assert run_cli("eval", "--seed", str(args.seed), "--skeleton", str(skel_path),
+        assert run_cli("eval", "--seed", str(args.seed),
                        "--ckpt", str(out / f"{mode}.ckpt.json"), "--data", str(val),
                        "--out", str(report)) == 0
         assert json.loads(report.read_text()) == table["modes"][mode]

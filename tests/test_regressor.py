@@ -49,14 +49,14 @@ def test_init_deterministic(hand):
 
 def test_init_shapes(hand):
     # the network reproduce trains: 3 * n_eval inputs, HIDDEN_WIDTHS, the
-    # mode's output width and gains, no history, the skeleton's config
+    # mode's output width and gains, no history, the skeleton
     assert reg.HIDDEN_WIDTHS == (256, 256)
     for mode, width in (("ours", 26), ("direct_joint", 42)):
         run = reg.init(hand, mode, 0)
         assert [w.shape for w in run.weights] == [(42, 256), (256, 256), (256, width)]
         assert [b.shape for b in run.biases] == [(256,), (256,), (width,)]
         assert run.output_scale == reg.MODES[mode].output_scale(hand)
-        assert (run.mode, run.history, run.skeleton) == (mode, [], hand.to_dict())
+        assert (run.mode, run.history, run.skeleton) == (mode, [], hand)
 
 
 def test_init_zero_biases_and_bounded_weights(hand):
@@ -622,7 +622,7 @@ def test_checkpoint_roundtrip(hand, monkeypatch, tmp_path):
     reg.save_checkpoint(run, path)
     again = reg.load_checkpoint(path)
     assert (again.mode, again.output_scale) == (run.mode, run.output_scale)
-    assert again.skeleton == run.skeleton == hand.to_dict()
+    assert again.skeleton.to_dict() == hand.to_dict() and run.skeleton is hand
     for got, want in ((again.weights, run.weights), (again.biases, run.biases)):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert again.history == run.history
@@ -639,9 +639,10 @@ def test_checkpoint_roundtrip(hand, monkeypatch, tmp_path):
     assert list(header) == ["format", "version", "skeleton", "mode", "history"]
     assert header["version"] == 6
     # every key written is a checked field: one never checked cannot come
-    # back, and neither can a checked field that is never written
+    # back, and neither can a checked field that is never written (the
+    # skeleton is checked by fileio.skeleton_of)
     fields = [name for name, _, _ in reg._HEADER_FIELDS]
-    assert sorted(header) == sorted(fields + ["format", "version"])
+    assert sorted(header) == sorted(fields + ["format", "version", "skeleton"])
 
 
 @pytest.mark.parametrize("mode", reg.MODES)
@@ -658,7 +659,7 @@ def test_loaded_gains_and_outputs_are_inits(hand, tmp_path, rng, mode):
         reg.save_checkpoint(run, path)
         again = reg.load_checkpoint(path)
         assert np.array(again.output_scale).tobytes() == np.array(run.output_scale).tobytes()
-        assert again.skeleton == skel.to_dict()
+        assert again.skeleton.to_dict() == skel.to_dict()
         assert reg.forward(again, features).tobytes() == reg.forward(run, features).tobytes()
 
 
@@ -781,8 +782,8 @@ CHECKPOINT_DAMAGE = {
     "skeleton_unknown_key": (set_wrist_palm(colour="red"),
                              STORED_SKELETON + "unknown key 'colour'"),
     "skeleton_without_name": (lambda p: replace_header(p, lambda h: h["skeleton"].pop("name")),
-                              "header field skeleton is missing or not a skeleton config "
-                              "with a name"),
+                              "header field skeleton is not a skeleton config: not the "
+                              "canonical form"),
     # an ours network relabelled as a joint-emitting one: 26 outputs, not 42
     "ours_relabelled_direct_joint": (
         lambda p: replace_header(p, lambda h: h.update(mode="direct_joint")),

@@ -236,3 +236,25 @@ def test_clamp_dimension_mismatch(hand):
     for shape in ((1, 25), (26,), (2, 1, 26)):
         with pytest.raises(ValueError, match=r"is not a batch \(N, 26\)"):
             sk.clamp_pose(hand, np.zeros(shape))
+
+
+@pytest.mark.parametrize("skel", [
+    sk.skeleton_from_dict({**single_joint_config(), "joints": [{
+        **single_joint_config()["joints"][0],
+        "dofs": [{"kind": "rotation", "axis": "X", "lower_deg": -178.7,
+                  "upper_deg": 12.3}]}]}),
+    sk.default_hand(), bench.benchmark_skeleton()], ids=["bound_-178.7", "hand23", "bench"])
+def test_skeleton_rebuilt_from_its_config_is_the_same_bit_for_bit(skel):
+    # a data file stores the config and its reader rebuilds the skeleton
+    # from it: the config keeps each bound as given (-178.7 used to come
+    # back as -178.70000000000002), so every table keeps its bits
+    again = sk.skeleton_from_dict(skel.to_dict())
+    assert again.to_dict() == skel.to_dict()
+    for name in ("parent_index", "bone_lengths", "dof_joint", "dof_is_rotation", "dof_axis",
+                 "dof_lower", "dof_upper", "path_mask"):
+        got, want = getattr(again, name), getattr(skel, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert all((a is None and b is None) or a.tobytes() == b.tobytes()
+               for a, b in zip(again.rest_rotations, skel.rest_rotations))
+    assert (again.joint_names, again.joint_dofs, again.eval_subset) == \
+        (skel.joint_names, skel.joint_dofs, skel.eval_subset)
